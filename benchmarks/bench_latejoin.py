@@ -6,14 +6,15 @@ on the running players' pacing.
 """
 
 from repro.core.config import SyncConfig
-from repro.core.inputs import IdleSource, PadSource, RandomSource
-from repro.core.latejoin import LateJoinerVM, register_late_join
+from repro.core.engine import SitePeer
+from repro.core.inputs import PadSource, RandomSource
+from repro.core.latejoin import LateJoinEngine, register_late_join
 from repro.core.multisite import (
     build_session,
     players_and_observers_plan,
     site_address,
 )
-from repro.core.vm import SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 from repro.emulator.machine import create_game
 from repro.harness.report import format_table
 from repro.metrics.recorder import ConsistencyChecker
@@ -36,22 +37,14 @@ def run_latejoin(game, frames, join_time=2.0):
         handshake_sites=[0, 1],
     )
     session = build_session(plan, NetemConfig.for_rtt(0.040), excluded_sites=[2])
-    joiner_runtime = SiteRuntime(
-        config=config,
-        site_no=2,
-        assignment=plan.assignment,
-        machine=create_game(game),
-        source=IdleSource(),
-        peers=[SitePeer(s, site_address(s)) for s in range(3)],
-        game_id=game,
-    )
-    joiner = LateJoinerVM(
-        session.loop,
-        session.network,
-        joiner_runtime,
-        max_frames=frames,
-        join_time=join_time,
+    engine = plan.build_engine(
+        2,
+        [SitePeer(s, site_address(s)) for s in range(3)],
+        engine_class=LateJoinEngine,
         donor_site=0,
+    )
+    joiner = DistributedVM(
+        session.loop, session.network, engine, start_delay=join_time
     )
     register_late_join(session.vms, session.vms[0], joiner_site=2)
     session.vms.append(joiner)
@@ -59,13 +52,13 @@ def run_latejoin(game, frames, join_time=2.0):
 
     traces = [vm.runtime.trace for vm in session.vms]
     overlap = ConsistencyChecker().verify_traces(traces)
-    snapshot = joiner_runtime.latest_snapshot
+    snapshot = joiner.runtime.latest_snapshot
     player_times = session.vms[0].runtime.trace.frame_times()
     return {
         "game": game,
         "snapshot_bytes": len(snapshot.state),
         "wire_bytes": len(snapshot.encode()),
-        "joined_at_frame": joiner.joined_at_frame,
+        "joined_at_frame": joiner.engine.joined_at_frame,
         "overlap_verified": overlap,
         "player_frame_time": mean(player_times),
     }

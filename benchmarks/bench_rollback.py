@@ -34,7 +34,7 @@ def run_rollback_point(rtt, frames, toggle_p, seed=7):
         [vm.runtime.trace for vm in session.vms]
     )
     vm = session.vms[0]
-    stats = vm.rollback_stats
+    stats = vm.engine.consistency.stats
     return {
         "rtt": rtt,
         "toggle_p": toggle_p,

@@ -22,6 +22,7 @@ from repro import (
     InputAssignment,
     create_game,
 )
+from repro.core.engine import SiteEngine
 from repro.core.realtime import RealtimeVM
 from repro.net.udp import UdpSocket
 
@@ -50,7 +51,8 @@ def main() -> None:
             peers=peers,
             game_id="shooter",
         )
-        vms.append(RealtimeVM(runtime, sockets[site], max_frames=args.frames))
+        engine = SiteEngine(runtime, args.frames, linger=2.0)
+        vms.append(RealtimeVM(engine, sockets[site]))
 
     threads = [
         threading.Thread(target=vm.run, name=f"site{i}") for i, vm in enumerate(vms)

@@ -61,7 +61,7 @@ def run_rollback(rtt: float):
     session.run(horizon=600.0)
     ConsistencyChecker().verify_traces([vm.runtime.trace for vm in session.vms])
     vm = session.vms[0]
-    stats = vm.rollback_stats
+    stats = vm.engine.consistency.stats
     return (
         mean(vm.runtime.trace.frame_times()),
         stats.replayed_frames / max(1, stats.confirmed_frames),

@@ -23,10 +23,10 @@ from repro import (
     create_game,
     players_and_observers_plan,
 )
-from repro.core.latejoin import LateJoinerVM, register_late_join
+from repro.core.engine import SitePeer
+from repro.core.latejoin import LateJoinEngine, register_late_join
 from repro.core.multisite import site_address
-from repro.core.vm import SitePeer, SiteRuntime
-from repro.core.inputs import IdleSource
+from repro.core.vm import DistributedVM
 
 
 def main() -> None:
@@ -48,24 +48,16 @@ def main() -> None:
         plan, NetemConfig.for_rtt(0.040), excluded_sites=[3]
     )
 
-    joiner_runtime = SiteRuntime(
-        config=config,
-        site_no=3,
-        assignment=plan.assignment,
-        machine=create_game("shooter"),
-        source=IdleSource(),
-        peers=[SitePeer(s, site_address(s)) for s in range(4)],
-        game_id="shooter",
-    )
-    joiner = LateJoinerVM(
-        session.loop,
-        session.network,
-        joiner_runtime,
-        max_frames=frames,
-        join_time=5.0,
+    # The joiner is the same driver shell running a different engine: one
+    # that acquires a savestate from its donor instead of handshaking.
+    engine = plan.build_engine(
+        3,
+        [SitePeer(s, site_address(s)) for s in range(4)],
+        engine_class=LateJoinEngine,
         donor_site=0,
         time_server_address=session.time_server.address,
     )
+    joiner = DistributedVM(session.loop, session.network, engine, start_delay=5.0)
     # Site 0 donates savestates; everyone learns about the joiner on serve.
     register_late_join(session.vms, session.vms[0], joiner_site=3)
     session.vms.append(joiner)
@@ -73,7 +65,7 @@ def main() -> None:
     print("players: sites 0,1 | observer: site 2 | late joiner: site 3 (t=5s)")
     session.run()
 
-    print(f"late joiner entered at frame {joiner.joined_at_frame}")
+    print(f"late joiner entered at frame {joiner.engine.joined_at_frame}")
     traces = [vm.runtime.trace for vm in session.vms]
     verified = ConsistencyChecker().verify_traces(traces)
     print(f"all four replicas identical over {verified} overlapping frames")

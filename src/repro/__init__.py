@@ -52,7 +52,8 @@ from repro.core.multisite import (
 )
 from repro.core.pacing import FramePacer
 from repro.core.session import Lobby, SessionError
-from repro.core.vm import DistributedVM, GameMachine, SitePeer, SiteRuntime
+from repro.core.engine import GameMachine, SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 from repro.emulator.machine import Machine, available_games, create_game
 from repro.metrics.recorder import ConsistencyChecker, ConsistencyError
 from repro.net.netem import NetemConfig

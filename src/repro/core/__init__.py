@@ -8,14 +8,15 @@ Layout mirrors the paper's structure:
 * :mod:`repro.core.messages` — the sync wire format
   (``sd[0..2]`` + ``sd[3…]`` of Algorithm 2, plus session control).
 * :mod:`repro.core.lockstep` — Algorithm 2 (``SyncInput``) as a sans-IO
-  state machine.
+  state machine, and the ``Lockstep`` consistency part that runs it.
 * :mod:`repro.core.pacing` — Algorithms 3 and 4 (frame timing).
 * :mod:`repro.core.rtt` — RTT estimation feeding Algorithm 4's ``RTT/2``.
 * :mod:`repro.core.session` — rendezvous and the session control protocol
   that starts both sites within one round trip.
 * :mod:`repro.core.engine` — Algorithm 1 as a sans-IO engine:
   ``handle(event) -> [effects]`` / ``poll(now) -> [effects]``, hosting the
-  whole orchestration (handshake, pumps, frame loop, linger) exactly once.
+  whole orchestration (handshake, pumps, frame loop, linger) exactly once;
+  its ``consistency`` part decides which ``SyncInput`` the loop runs.
 * :mod:`repro.core.driver` — driver-support helpers shared by all shells.
 * :mod:`repro.core.vm` — the discrete-event driver (simulator).
 * :mod:`repro.core.realtime` — the wall-clock driver over real UDP.
@@ -23,7 +24,10 @@ Layout mirrors the paper's structure:
 * :mod:`repro.core.multisite` — N players and observers (journal extension).
 * :mod:`repro.core.latejoin` — late joiners via savestate + replay.
 * :mod:`repro.core.replay` — input movies (record / verify / replay).
-* :mod:`repro.core.rollback` — the timewarp alternative, zero local lag.
+* :mod:`repro.core.rollback` — the timewarp alternative, zero local lag
+  (the ``Rollback`` consistency part).
+* :mod:`repro.core.policy` — per-site lockstep↔rollback switching (the
+  ``Adaptive`` consistency part).
 """
 
 from repro.core.config import SyncConfig
@@ -39,10 +43,10 @@ from repro.core.inputs import (
     RecordedSource,
     ScriptedSource,
 )
-from repro.core.engine import SiteEngine
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
 from repro.core.lockstep import LockstepSync
 from repro.core.pacing import FramePacer
-from repro.core.vm import DistributedVM, SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 
 __all__ = [
     "BUTTON_NAMES",

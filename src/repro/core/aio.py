@@ -31,30 +31,20 @@ from typing import List, Optional
 from repro.core.config import SyncConfig
 from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
 from repro.core.engine import SiteEngine, SitePeer, SiteRuntime, Shutdown
-from repro.core.inputs import InputAssignment, PadSource, RandomSource
+from repro.core.inputs import PadSource, RandomSource
+from repro.core.multisite import build_session, two_player_plan
 from repro.net.udp import AsyncUdpEndpoint
 from repro.obs.registry import aggregate_snapshots, to_prometheus
 
 
 class AioSite:
-    """Drives one engine as a coroutine on the running event loop."""
+    """Drives one engine — any engine the caller built — as a coroutine on
+    the running event loop."""
 
-    def __init__(
-        self,
-        runtime: SiteRuntime,
-        endpoint: AsyncUdpEndpoint,
-        max_frames: int,
-        linger: float = 2.0,
-        engine: Optional[SiteEngine] = None,
-    ) -> None:
-        self.runtime = runtime
+    def __init__(self, engine: SiteEngine, endpoint: AsyncUdpEndpoint) -> None:
+        self.engine = engine
+        self.runtime = engine.runtime
         self.endpoint = endpoint
-        #: An injected engine (e.g. a ResumeEngine) replaces the default.
-        self.engine = (
-            engine
-            if engine is not None
-            else SiteEngine(runtime, max_frames, linger=linger)
-        )
         self.finished = False
         self.status = PresentationStatus()
         #: Set when :meth:`run` died; the host process stays up and the
@@ -248,32 +238,23 @@ async def host_sessions(
     grouped: List[List[SiteRuntime]] = []
     try:
         for spec in specs:
-            config = spec.resolved_config()
-            sources = spec.sources()
             endpoints = [await AsyncUdpEndpoint.open(host) for _ in range(2)]
             peers = [SitePeer(s, endpoints[s].address) for s in range(2)]
-            session_id = spec.session_id
-            runtimes = []
-            group: List[AioSite] = []
-            for s in range(2):
-                runtime = SiteRuntime(
-                    config=config,
-                    site_no=s,
-                    assignment=InputAssignment.standard(2),
-                    machine=build_machine(spec.game),
-                    source=sources[s],
-                    peers=peers,
-                    game_id=spec.game,
-                    session_id=session_id,
-                )
-                runtimes.append(runtime)
-                group.append(
-                    AioSite(
-                        runtime, endpoints[s], spec.frames, linger=spec.linger
-                    )
-                )
+            plan = two_player_plan(
+                spec.resolved_config(),
+                lambda: build_machine(spec.game),
+                spec.sources(),
+                game_id=spec.game,
+                session_id=spec.session_id,
+                max_frames=spec.frames,
+                frame_compute_time=0.0,  # real machines take real time
+            )
+            group = [
+                AioSite(plan.build_engine(s, peers, linger=spec.linger), endpoints[s])
+                for s in range(2)
+            ]
             hosted.add_session(group)
-            grouped.append(runtimes)
+            grouped.append([site.runtime for site in group])
         await hosted.run()
     finally:
         for site in hosted.sites:
@@ -310,7 +291,6 @@ def simulator_checksums(spec: AioSessionSpec, rtt: float = 0.040) -> List[int]:
     The asyncio-hosted session must reproduce these exactly: merged inputs
     depend only on the sources and the lag, not on timing.
     """
-    from repro.core.multisite import build_session, two_player_plan
     from repro.emulator.machine import create_game
     from repro.net.netem import NetemConfig
 

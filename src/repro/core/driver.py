@@ -20,7 +20,6 @@ from repro.core.engine import (
     Present,
     Resumed,
     Send,
-    ServeState,
     SiteEngine,
 )
 from repro.net.transport import Datagram
@@ -83,7 +82,6 @@ class PresentationStatus:
 def apply_effects(
     effects: Iterable[Effect],
     send: Callable[[bytes, str], None],
-    on_serve_state: Optional[Callable[[int, int], None]] = None,
     status: Optional[PresentationStatus] = None,
 ) -> bool:
     """Apply one batch of engine effects; False once ``Finished`` appears.
@@ -91,12 +89,12 @@ def apply_effects(
     ``Send`` goes out through ``send``; its payload is opaque here — the
     engine's outbox has already encoded it (possibly as a coalesced v2
     BATCH datagram), so drivers move bytes and never touch the codec.
-    ``ServeState`` fires the harness
-    admission hook; the liveness effects update ``status`` when given.
-    ``SetTimer`` is deliberately ignored — the bundled drivers pull
-    ``engine.next_deadline()`` instead — and ``Present`` / ``Stall`` are
-    presentation-layer notifications these headless drivers have no screen
-    for.
+    The liveness effects update ``status`` when given.  ``SetTimer`` is
+    deliberately ignored — the bundled drivers pull
+    ``engine.next_deadline()`` instead — and ``Present`` / ``Stall`` /
+    ``ServeState`` are notifications these headless drivers have no screen
+    (or lobby) for; the harness admission hook is
+    ``engine.on_snapshot_served``.
     """
     running = True
     for effect in effects:
@@ -104,9 +102,6 @@ def apply_effects(
             status.absorb(effect)
         if isinstance(effect, Send):
             send(effect.payload, effect.destination)
-        elif isinstance(effect, ServeState):
-            if on_serve_state is not None:
-                on_serve_state(effect.site, effect.frame)
         elif isinstance(effect, Finished):
             running = False
     return running

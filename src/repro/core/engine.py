@@ -26,11 +26,15 @@ Three layers live here:
   :class:`Event` objects (datagrams, timer ticks, shutdown) and apply the
   :class:`Effect` objects it returns (datagrams to send, timers to arm,
   frames to present).  It contains no clocks, no sockets and no sleeping.
+  Which ``SyncInput`` the loop runs is its ``consistency`` part —
+  :class:`repro.core.lockstep.Lockstep` (the paper's),
+  :class:`repro.core.rollback.Rollback` or
+  :class:`repro.core.policy.Adaptive` — and nothing else decides it.
 * The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event),
   :class:`repro.core.realtime.RealtimeVM` (wall clock + UDP) and
   :class:`repro.core.aio.AioSite` (asyncio, many sessions per process) —
-  are thin shells that move bytes and time between their runtime and the
-  engine.
+  are thin shells that run an engine the caller built: they move bytes
+  and time between their runtime and the engine.
 
 ``Transition`` is a black box: any object satisfying :class:`GameMachine`
 works, and the sync layer never inspects it (the paper's "game
@@ -63,7 +67,7 @@ from typing import Dict, List, Optional, Protocol, Tuple, Union
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, InputSource
 from repro.core.liveness import PeerLiveness
-from repro.core.lockstep import LockstepSync
+from repro.core.lockstep import Lockstep, LockstepSync
 from repro.core.messages import (
     FEATURE_DIGEST,
     FEATURE_TIMELINE,
@@ -897,8 +901,7 @@ PHASE_FRAME_WAIT = "frame-wait"
 PHASE_LINGER = "linger"
 PHASE_SUSPENDED = "suspended"  # gate blocked past hard_stall_s (peer down)
 PHASE_DONE = "done"
-# Variant-engine phases (kept here so `phase` values stay one namespace):
-PHASE_CATCHUP = "catchup"  # rollback: confirming in-flight frames
+PHASE_CATCHUP = "catchup"  # frames presented; confirming those in flight
 PHASE_ACQUIRE = "acquire"  # late join: waiting for a state snapshot
 PHASE_RESYNC = "resync"  # desync recovery: frozen, restoring the anchor
 
@@ -967,10 +970,15 @@ class SiteEngine:
     #: episode closes or its deadline fires.
     RESYNC_TICK = 0.1
 
+    #: Catch-up phase poll period (confirming in-flight frames after the
+    #: last frame was presented, before the ordinary linger).
+    CATCHUP_POLL = 0.02
+
     def __init__(
         self,
         runtime: SiteRuntime,
         max_frames: int,
+        consistency: Optional[Lockstep] = None,
         *,
         frame_compute_time: float = 0.0,
         linger: float = 5.0,
@@ -981,6 +989,7 @@ class SiteEngine:
     ) -> None:
         self.runtime = runtime
         self.max_frames = max_frames
+        self.consistency = consistency if consistency is not None else Lockstep()
         self.frame_compute_time = frame_compute_time
         #: How long to keep pumping after the last frame so peers still
         #: waiting on our inputs (or retransmissions) can finish.
@@ -1004,14 +1013,18 @@ class SiteEngine:
         self.frames_complete = False
         #: True once ``Finished`` has been emitted.
         self.done = False
-        self.on_snapshot_served = None  # set via the driver facade
+        #: Harness hook fired when this site serves a savestate:
+        #: ``callback(joiner_site, snapshot_frame)``.  Stands in for the
+        #: session-control broadcast announcing the joiner.
+        self.on_snapshot_served = None
         #: Per-joiner cached snapshot: repeated STATE_REQUESTs (the joiner
         #: retries until one arrives) must all answer with the *same* frame,
         #: or the admission bookkeeping would race the joiner's choice.
         self.snapshot_cache: Dict[int, StateSnapshot] = {}
 
-        #: Why the engine finished: "completed", "shutdown", "peer-lost" or
-        #: "handshake-timeout"; None while running.
+        #: Why the engine finished: "completed", "shutdown", "peer-lost",
+        #: "handshake-timeout", "desync" or (a joiner/resumer whose donor
+        #: stayed silent) "acquire-timeout"; None while running.
         self.termination: Optional[str] = None
 
         self._observed_phase = self.phase
@@ -1037,7 +1050,9 @@ class SiteEngine:
             runtime.config.resync_window_s,
         )
         self._resync_anchor = -1
-        self._resync_frozen = 0
+        #: Frame the loop froze at when the live episode opened (the
+        #: consistency part replays up to it).
+        self.resync_frozen = 0
         self._resync_started = 0.0
         self._resync_restored = False
         self._resync_peer: Optional[int] = None
@@ -1050,6 +1065,7 @@ class SiteEngine:
         #: Token bucket for ``config.bandwidth_budget_bps`` (None = off).
         self._budget_tokens = 0.0
         self._budget_last: Optional[float] = None
+        self.consistency.attach(self)
 
     # ------------------------------------------------------------------
     # Entry points
@@ -1254,7 +1270,7 @@ class SiteEngine:
         Counting ``Send``/``Present``/``Stall`` effects centrally keeps the
         phase machine itself observation-free; phase transitions are
         detected by comparison so subclass engines that assign ``phase``
-        directly (catchup, acquire) are captured too.
+        directly (acquire) are captured too.
         """
         runtime = self.runtime
         metrics = runtime.metrics
@@ -1283,9 +1299,12 @@ class SiteEngine:
             self._observed_phase = self.phase
 
     def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
-        if kind != TIMER_GATE:
-            # GATE re-polls every few ms while blocked and would flood the
-            # ring; the Stall record already marks the blockage.
+        if kind != TIMER_GATE and not (
+            kind == TIMER_LINGER and self.phase == PHASE_CATCHUP
+        ):
+            # GATE (and the catch-up poll) re-fire every few ms while
+            # blocked and would flood the ring; the Stall record (the
+            # phase record) already marks the blockage.
             self.runtime.events.emit(
                 "timer", now, self.runtime.frame, timer=kind
             )
@@ -1368,6 +1387,8 @@ class SiteEngine:
         elif kind == TIMER_LINGER:
             if self.phase == PHASE_LINGER:
                 self._set(TIMER_LINGER, now + 0.05, effects)
+            elif self.phase == PHASE_CATCHUP:
+                self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
         elif kind == TIMER_RESYNC:
             if self.phase == PHASE_RESYNC:
                 # Episodes must survive loss: re-send every digest not yet
@@ -1401,6 +1422,7 @@ class SiteEngine:
         # Session-control retransmissions (e.g. START to a peer whose copy
         # was lost) must continue after this site enters its frame loop —
         # a peer may still be waiting on them.
+        self._outbox.extend(self.consistency.flush_tick(now))
         self._outbox.extend(self.runtime.control_messages(now))
         if self.runtime.session.started:
             self._outbox.extend(self.runtime.sync_broadcast(now=now))
@@ -1439,6 +1461,9 @@ class SiteEngine:
             self._service_resume(now, effects)
             self._service_resync(now, effects)
             self._advance_resync(now, effects)
+        elif self.phase == PHASE_CATCHUP:
+            if self.consistency.settled(now) or now >= self._linger_deadline:
+                self._enter_linger(now, effects)
         elif self.phase == PHASE_LINGER:
             self._maybe_finish_linger(now, effects)
 
@@ -1496,7 +1521,7 @@ class SiteEngine:
     def _check_gate(self, now: float, effects: List[Effect]) -> bool:
         """SyncInput's blocking check (lines 6–21).  True: the frame
         committed and the next one should begin immediately."""
-        merged = self._try_ready(now)
+        merged = self.consistency.try_ready(now)
         if merged is None:
             if not self._stalled:
                 self._stalled = True
@@ -1545,7 +1570,9 @@ class SiteEngine:
     def _commit_frame(self, now: float, effects: List[Effect]) -> bool:
         """Transition + present + EndFrameTiming.  True: begin the next
         frame immediately (no wait owed)."""
-        self._commit(self._merged, self._stall, self._sync_adjust, now, effects)
+        frame = self.runtime.frame
+        self.consistency.commit(self._merged, self._stall, self._sync_adjust, now)
+        effects.append(Present(frame, self._merged))
         request = self.runtime.take_state_request()
         if request is not None:
             self._serve_state(request, effects, now=now)
@@ -1768,7 +1795,7 @@ class SiteEngine:
             self._arm_send(now, effects)
             self._set(TIMER_PING, now + runtime.config.ping_interval, effects)
         self._resync_anchor = anchor
-        self._resync_frozen = runtime.frame
+        self.resync_frozen = runtime.frame
         self._resync_started = now
         self._resync_peer = peer
         self.phase = PHASE_RESYNC
@@ -1783,7 +1810,7 @@ class SiteEngine:
             now,
             runtime.frame,
             anchor=anchor,
-            frozen=self._resync_frozen,
+            frozen=self.resync_frozen,
             authority=self._resync_authority(),
         )
         if self._is_resync_authority():
@@ -1797,7 +1824,7 @@ class SiteEngine:
                 )
                 self._terminate("desync", now, effects)
                 return
-            self._resync_restore(state, anchor, now)
+            self.consistency.resync_restore(state, anchor, now)
             self._resync_restored = True
         else:
             self._resync_restored = False
@@ -1896,7 +1923,7 @@ class SiteEngine:
         (by exit time the prune floor may have passed the anchor)."""
         runtime = self.runtime
         if (
-            runtime.frame >= self._resync_frozen
+            runtime.frame >= self.resync_frozen
             and runtime.digests.agreement_caught_up()
         ):
             self._finish_resync(now, effects)
@@ -1926,49 +1953,18 @@ class SiteEngine:
                     at=snapshot.frame,
                 )
                 return
-            self._resync_restore(snapshot.state, snapshot.frame, now)
+            self.consistency.resync_restore(snapshot.state, snapshot.frame, now)
             self._resync_restored = True
-        self._resync_progress(now)
+        self.consistency.resync_progress(now)
         if (
-            runtime.frame >= self._resync_frozen
+            runtime.frame >= self.resync_frozen
             and runtime.digests.agreement_caught_up()
         ):
             self._finish_resync(now, effects)
 
-    def _resync_restore(self, state: bytes, anchor: int, now: float) -> None:
-        """Rewind everything frame-indexed to ``anchor`` and replay forward
-        from locally retained inputs (``retain_floor`` guaranteed they were
-        never pruned, so no network retransmission is involved)."""
-        runtime = self.runtime
-        runtime.machine.load_state(bytes(state))
-        runtime.trace.truncate_after(anchor)
-        runtime.digests.rewind(anchor)
-        runtime.lockstep.rewind_delivery(anchor)
-        runtime.frame = anchor + 1
-        runtime.events.emit(
-            "resync_restore",
-            now,
-            runtime.frame,
-            anchor=anchor,
-            frozen=self._resync_frozen,
-        )
-        self._resync_replay(now)
-
-    def _resync_replay(self, now: float) -> None:
-        """Re-execute restored-over frames up to (not including) the frozen
-        frame; the frozen frame itself re-enters via the normal gate."""
-        runtime = self.runtime
-        lockstep = runtime.lockstep
-        while runtime.frame < self._resync_frozen and lockstep.can_deliver():
-            runtime.replay_transition(lockstep.deliver(), now)
-
-    def _resync_progress(self, now: float) -> None:
-        """Advance the replay (hook: the rollback engine re-confirms its
-        shadow timeline here instead)."""
-        self._resync_replay(now)
-
     def _finish_resync(self, now: float, effects: List[Effect]) -> None:
         """Agreement re-established past every divergence: thaw the loop."""
+        self.consistency.finish_resync(now)
         runtime = self.runtime
         elapsed = now - self._resync_started
         runtime.metrics.resync_success.inc()
@@ -1986,27 +1982,6 @@ class SiteEngine:
         self._resync_peer = None
         effects.append(Resumed(runtime.frame, elapsed))
         self._frame_cycle(now, effects)
-
-    # ------------------------------------------------------------------
-    # Hooks (overridden by rollback / late-join engines)
-    # ------------------------------------------------------------------
-    def _try_ready(self, now: float) -> Optional[int]:
-        """The line-21 exit check; None while delivery is blocked."""
-        return self.runtime.try_deliver()
-
-    def _commit(
-        self,
-        merged: int,
-        stall: float,
-        sync_adjust: float,
-        now: float,
-        effects: List[Effect],
-    ) -> None:
-        """Transition + present for one frame."""
-        frame = self.runtime.frame
-        self.runtime.run_transition(merged, stall, sync_adjust)
-        self.runtime.on_present(frame, now)
-        effects.append(Present(frame, merged))
 
     def _frames_done(self) -> bool:
         return self.runtime.frame >= self.max_frames
@@ -2067,6 +2042,13 @@ class SiteEngine:
     # Linger
     # ------------------------------------------------------------------
     def _enter_linger(self, now: float, effects: List[Effect]) -> None:
+        """Finish: catch up until the consistency part has confirmed
+        everything still in flight (bounded by ``linger``), then linger."""
+        if self.phase != PHASE_CATCHUP and not self.consistency.settled(now):
+            self.phase = PHASE_CATCHUP
+            self._linger_deadline = now + self.linger
+            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
+            return
         self.frames_complete = True
         self.phase = PHASE_LINGER
         self._linger_deadline = now + self.linger

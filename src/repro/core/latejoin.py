@@ -31,7 +31,8 @@ page-CRC path).
 With the sans-IO refactor the joiner is :class:`LateJoinEngine` — the
 ordinary :class:`~repro.core.engine.SiteEngine` with the start handshake
 replaced by an *acquire* phase (request timer + snapshot wait).  Any
-driver can host it; :class:`LateJoinerVM` is the discrete-event shell.
+driver can host it: on the simulator the joiner is a
+``DistributedVM(loop, network, LateJoinEngine(...), start_delay=join_time)``.
 """
 
 from __future__ import annotations
@@ -45,14 +46,10 @@ from repro.core.engine import (
     SiteRuntime,
     TIMER_PING,
 )
+from repro.core.lockstep import Lockstep
 from repro.core.messages import Message, Resume, StateRequest
-from repro.core.vm import DistributedVM
 
 TIMER_REQUEST = "state-request"
-
-
-class LateJoinError(RuntimeError):
-    """The joiner could not obtain a snapshot."""
 
 
 class LateJoinEngine(SiteEngine):
@@ -60,18 +57,20 @@ class LateJoinEngine(SiteEngine):
 
     #: How often the joiner re-sends STATE_REQUEST.
     REQUEST_INTERVAL = 0.1
-    #: Give up after this many seconds without a snapshot.
+    #: Give up (termination ``"acquire-timeout"``) after this many seconds
+    #: without a snapshot.
     REQUEST_TIMEOUT = 30.0
 
     def __init__(
         self,
         runtime: SiteRuntime,
         max_frames: int,
+        consistency: Optional[Lockstep] = None,
         *,
         donor_site: int = 0,
         **options: object,
     ) -> None:
-        super().__init__(runtime, max_frames, **options)  # type: ignore[arg-type]
+        super().__init__(runtime, max_frames, consistency, **options)  # type: ignore[arg-type]
         self.donor_site = donor_site
         self.joined_at_frame: Optional[int] = None
         self._acquire_deadline = 0.0
@@ -105,10 +104,15 @@ class LateJoinEngine(SiteEngine):
             if self.phase != PHASE_ACQUIRE:
                 return
             if now >= self._acquire_deadline:
-                raise LateJoinError(
-                    f"site {self.runtime.site_no}: no snapshot from donor "
-                    f"{self.donor_site} within {self.REQUEST_TIMEOUT}s"
+                self.runtime.events.emit(
+                    "error",
+                    now,
+                    self.runtime.frame,
+                    error=f"no snapshot from donor {self.donor_site} "
+                    f"within {self.REQUEST_TIMEOUT}s",
                 )
+                self._terminate("acquire-timeout", now, effects)
+                return
             self._outbox.append(
                 (self._request_message(), self.runtime.address_of[self.donor_site])
             )
@@ -157,43 +161,6 @@ class LateJoinEngine(SiteEngine):
         super()._advance(now, effects)
 
 
-class LateJoinerVM(DistributedVM):
-    """Discrete-event shell: a site that joins at ``join_time``.
-
-    Construction mirrors :class:`DistributedVM`; the donor site must have
-    ``runtime.allow_state_requests = True``.
-    """
-
-    def __init__(
-        self,
-        *args: object,
-        join_time: float = 1.0,
-        donor_site: int = 0,
-        **kwargs: object,
-    ) -> None:
-        self._donor_site = donor_site
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self.join_time = join_time
-        self.start_delay = join_time
-
-    def _build_engine(self, **options: object) -> LateJoinEngine:
-        return LateJoinEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            donor_site=self._donor_site,
-            **options,
-        )
-
-    @property
-    def donor_site(self) -> int:
-        return self.engine.donor_site
-
-    @property
-    def joined_at_frame(self) -> Optional[int]:
-        return self.engine.joined_at_frame
-
-
 class ResumeEngine(LateJoinEngine):
     """A crashed-and-restarted site rejoining its suspended session.
 
@@ -216,14 +183,12 @@ class ResumeEngine(LateJoinEngine):
         self,
         runtime: SiteRuntime,
         max_frames: int,
+        consistency: Optional[Lockstep] = None,
         *,
-        donor_site: int = 0,
         last_acked_frame: int = -1,
         **options: object,
     ) -> None:
-        super().__init__(
-            runtime, max_frames, donor_site=donor_site, **options
-        )
+        super().__init__(runtime, max_frames, consistency, **options)
         self.last_acked_frame = last_acked_frame
 
     def _request_message(self) -> Message:
@@ -245,34 +210,6 @@ class ResumeEngine(LateJoinEngine):
         for frame in range(first, snapshot.frame + 1):
             lockstep.buffer_local_input(frame, runtime.source.get(frame))
         runtime.metrics.resumes.inc()
-
-
-class ResumeVM(DistributedVM):
-    """Discrete-event shell for a restarted site resuming at ``resume_time``."""
-
-    def __init__(
-        self,
-        *args: object,
-        resume_time: float = 1.0,
-        donor_site: int = 0,
-        last_acked_frame: int = -1,
-        **kwargs: object,
-    ) -> None:
-        self._donor_site = donor_site
-        self._last_acked_frame = last_acked_frame
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        self.resume_time = resume_time
-        self.start_delay = resume_time
-
-    def _build_engine(self, **options: object) -> ResumeEngine:
-        return ResumeEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            donor_site=self._donor_site,
-            last_acked_frame=self._last_acked_frame,
-            **options,
-        )
 
 
 def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
@@ -305,4 +242,4 @@ def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
                     site, first_gating, ack_hint=snapshot_frame
                 )
 
-    donor_vm.on_snapshot_served = on_served
+    donor_vm.engine.on_snapshot_served = on_served

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.config import SyncConfig
+from repro.core.engine import GameMachine, SiteEngine, SitePeer, SiteRuntime
 from repro.core.inputs import IdleSource, InputAssignment, InputSource
-from repro.core.vm import DistributedVM, GameMachine, SitePeer, SiteRuntime
+from repro.core.lockstep import Lockstep
+from repro.core.vm import DistributedVM
 from repro.metrics.timeserver import TimeServer
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork
@@ -49,8 +51,11 @@ class SessionPlan:
     #: OS sleep overshoot bound (the paper's testbed: Windows XP, ~10 ms).
     timer_granularity: float = 0.0
     #: Sites participating in the start handshake (None = all).  Late
-    #: joiners are excluded here and driven by LateJoinerVM instead.
+    #: joiners are excluded here and run a LateJoinEngine instead.
     handshake_sites: Optional[List[int]] = None
+    #: One consistency part per site (None = the paper's lockstep at
+    #: every site).
+    consistency: Optional[Sequence[Lockstep]] = None
 
     def __post_init__(self) -> None:
         n = len(self.assignment)
@@ -66,6 +71,50 @@ class SessionPlan:
             raise ValueError("start_delays must have one entry per site")
         if self.frame_loop_delays is not None and len(self.frame_loop_delays) != n:
             raise ValueError("frame_loop_delays must have one entry per site")
+        if self.consistency is not None and len(self.consistency) != n:
+            raise ValueError("consistency must have one entry per site")
+
+    def build_engine(
+        self,
+        site_no: int,
+        peers: List[SitePeer],
+        machine: Optional[GameMachine] = None,
+        engine_class: type = SiteEngine,
+        **options: object,
+    ) -> SiteEngine:
+        """Assemble one site's runtime and engine — for every driver, the
+        only place that happens.
+
+        ``machine`` replaces the planned one (a restarted site boots a
+        fresh machine); ``engine_class`` and ``options`` are for what the
+        plan cannot know: a late joiner's or resumer's engine and its
+        donor, the driver's ``linger``, the session's time server.
+        """
+        runtime = SiteRuntime(
+            config=self.config,
+            site_no=site_no,
+            assignment=self.assignment,
+            machine=machine if machine is not None else self.machines[site_no],
+            source=self.sources[site_no],
+            peers=peers,
+            game_id=self.game_id,
+            session_id=self.session_id,
+            handshake_sites=self.handshake_sites,
+        )
+        return engine_class(
+            runtime,
+            self.max_frames,
+            self.consistency[site_no] if self.consistency is not None else None,
+            frame_compute_time=self.frame_compute_time,
+            seed=self.seed,
+            frame_loop_delay=(
+                self.frame_loop_delays[site_no]
+                if self.frame_loop_delays is not None
+                else 0.0
+            ),
+            timer_granularity=self.timer_granularity,
+            **options,
+        )
 
 
 @dataclass
@@ -114,7 +163,9 @@ def build_session(
     excluded_sites: Optional[Sequence[int]] = None,
     transport: str = "udp",
 ) -> Session:
-    """Wire a full session over a uniformly-impaired mesh network.
+    """Wire a full session over a uniformly-impaired mesh network — the one
+    function that wires a mesh, a time server, runtimes, engines and
+    shells; which ``SyncInput`` each site runs is ``plan.consistency``.
 
     ``excluded_sites`` are part of the assignment but get no VM (used by the
     late-join harness, which drives them separately).  ``transport`` selects
@@ -152,36 +203,21 @@ def build_session(
     for s in range(n):
         if s in excluded:
             continue
-        runtime = SiteRuntime(
-            config=plan.config,
-            site_no=s,
-            assignment=plan.assignment,
-            machine=plan.machines[s],
-            source=plan.sources[s],
-            peers=peers,
-            game_id=plan.game_id,
-            session_id=plan.session_id,
-            handshake_sites=plan.handshake_sites,
-        )
-        vm = DistributedVM(
-            loop=loop,
-            network=network,
-            runtime=runtime,
-            max_frames=plan.max_frames,
-            frame_compute_time=plan.frame_compute_time,
-            seed=plan.seed,
+        engine = plan.build_engine(
+            s,
+            peers,
             time_server_address=time_server.address if time_server else None,
-            start_delay=(
-                plan.start_delays[s] if plan.start_delays is not None else 0.0
-            ),
-            frame_loop_delay=(
-                plan.frame_loop_delays[s]
-                if plan.frame_loop_delays is not None
-                else 0.0
-            ),
-            timer_granularity=plan.timer_granularity,
         )
-        vms.append(vm)
+        vms.append(
+            DistributedVM(
+                loop,
+                network,
+                engine,
+                start_delay=(
+                    plan.start_delays[s] if plan.start_delays is not None else 0.0
+                ),
+            )
+        )
     return Session(loop=loop, network=network, vms=vms, time_server=time_server, plan=plan)
 
 

@@ -21,8 +21,8 @@ This module makes the choice *per site and per RTT regime*:
   ``policy_rollback_above_s``, back to lockstep only when every link is
   below ``policy_lockstep_below_s``, with a dwell time between
   transitions.
-* :class:`AdaptiveEngine` — a :class:`~repro.core.rollback.RollbackEngine`
-  that actually runs in either mode and switches mid-session.
+* :class:`Adaptive` — the consistency part that actually runs in either
+  mode (it holds a lockstep and a rollback part) and switches mid-session.
 
 Switch protocol
 ---------------
@@ -59,18 +59,22 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
-    Effect,
     GameMachine,
     PHASE_COMPUTE,
     PHASE_FRAME_WAIT,
     PHASE_GATE,
     SiteEngine,
-    SitePeer,
-    SiteRuntime,
 )
 from repro.core.inputs import InputAssignment, InputSource
-from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK, SwitchRequest
-from repro.core.rollback import PredictorSpec, RollbackEngine, RollbackVM
+from repro.core.lockstep import Lockstep
+from repro.core.messages import (
+    MODE_LOCKSTEP,
+    MODE_ROLLBACK,
+    Message,
+    SwitchRequest,
+)
+from repro.core.multisite import SessionPlan, build_session
+from repro.core.rollback import PredictorSpec, Rollback
 from repro.core.rtt import RttEstimator
 
 #: Human-readable mode names for events, snapshots and test output.
@@ -176,17 +180,17 @@ class _PendingSwitch:
         self.acked = False
 
 
-class AdaptiveEngine(RollbackEngine):
-    """A site that runs lockstep while the network allows and switches to
-    rollback (and back) when the consistency policy says so.
+class Adaptive(Lockstep):
+    """The consistency part that runs lockstep while the network allows and
+    switches to rollback (and back) when the consistency policy says so.
 
-    In lockstep mode the engine behaves exactly like :class:`SiteEngine`
-    — ordinary delivery gate, ``run_transition`` on the confirmed machine
-    — while keeping the rollback bookkeeping (confirmation counter,
-    predictor observations) warm so a switch is cheap.  In rollback mode
-    it is its base class.  ``runtime.machine`` is the confirmed machine
-    in *both* modes, so the consistency trace never breaks across a
-    switch.
+    It holds one :class:`~repro.core.lockstep.Lockstep` and one
+    :class:`~repro.core.rollback.Rollback` part and delegates every step
+    to the active one.  In lockstep mode it additionally keeps the
+    rollback bookkeeping (confirmation counter, predictor observations)
+    warm so a switch is cheap.  ``runtime.machine`` is the confirmed
+    machine in *both* modes, so the consistency trace never breaks across
+    a switch.
     """
 
     #: Retransmission period for an unacked SWITCH_REQ.
@@ -197,32 +201,14 @@ class AdaptiveEngine(RollbackEngine):
 
     def __init__(
         self,
-        runtime: SiteRuntime,
-        max_frames: int,
-        *,
         spec_machine: GameMachine,
         speculation_window: int = 60,
         predictor: PredictorSpec = None,
         initial_mode: int = MODE_LOCKSTEP,
-        **options: object,
     ) -> None:
-        super().__init__(
-            runtime,
-            max_frames,
-            spec_machine=spec_machine,
-            speculation_window=speculation_window,
-            predictor=predictor,
-            drain_lag=False,  # lag is the policy layer's to manage
-            **options,
-        )
+        self.lockstep = Lockstep()
+        self.rollback = Rollback(spec_machine, speculation_window, predictor)
         self.mode = initial_mode
-        if (
-            initial_mode == MODE_ROLLBACK
-            and runtime.config.policy_drain_lag
-            and runtime.lockstep.local_lag_frames
-        ):
-            runtime.lockstep.set_local_lag(0)
-        self.policy = ConsistencyPolicy(runtime.config)
         #: Committed switches this session (mirrors the metric).
         self.policy_switch_count = 0
         #: Recent handshake history as ``(kind, time, frame, mode, seq)``
@@ -240,10 +226,27 @@ class AdaptiveEngine(RollbackEngine):
         self._settling = False
         self._switch_seq = 0
 
+    def attach(self, engine: SiteEngine) -> None:
+        super().attach(engine)
+        self.lockstep.attach(engine)
+        self.rollback.bind(engine)  # lag is this part's to manage
+        if self.mode == MODE_ROLLBACK:
+            self._zero_lag()
+        self.policy = ConsistencyPolicy(engine.runtime.config)
+
     # ------------------------------------------------------------------
     @property
     def mode_name(self) -> str:
         return MODE_NAMES.get(self.mode, str(self.mode))
+
+    def _active(self) -> Lockstep:
+        return self.rollback if self.mode == MODE_ROLLBACK else self.lockstep
+
+    def _zero_lag(self) -> None:
+        """Entering rollback: drop the local lag when the policy says so."""
+        runtime = self.runtime
+        if runtime.config.policy_drain_lag and runtime.lockstep.local_lag_frames:
+            runtime.lockstep.set_local_lag(0)
 
     def _log_switch(
         self, kind: str, now: float, frame: int, mode: int, seq: int
@@ -254,59 +257,41 @@ class AdaptiveEngine(RollbackEngine):
         log.append((kind, now, frame, mode, seq))
 
     # ------------------------------------------------------------------
-    # Mode-dispatched engine hooks
+    # Mode-dispatched frame-loop steps
     # ------------------------------------------------------------------
-    def _try_ready(self, now: float) -> Optional[int]:
+    def try_ready(self, now: float) -> Optional[int]:
+        rollback = self.rollback
         if self.mode == MODE_ROLLBACK:
             if not self._settling:
-                return super()._try_ready(now)
+                return rollback.try_ready(now)
             # Leaving rollback: confirm (only) until speculation drains,
             # then continue this very gate check in lockstep mode.
-            self._confirm_pending(now)
-            if self.confirmed_frontier < self.runtime.frame - 1:
+            rollback.confirm_pending(now)
+            if rollback.confirmed_frontier < self.runtime.frame - 1:
                 return None
             self._finish_switch(MODE_LOCKSTEP, now)
-        return self._lockstep_ready()
-
-    def _lockstep_ready(self) -> Optional[int]:
-        """Plain delivery gate, keeping predictor/frontier state warm."""
-        lockstep = self.runtime.lockstep
-        if not lockstep.can_deliver():
+        # Plain delivery gate, keeping predictor/frontier state warm.
+        if not self.runtime.lockstep.can_deliver():
             return None
-        frame = lockstep.ibuf_pointer
-        for site in range(lockstep.num_sites):
-            value = lockstep.ibuf.get(frame, site)
-            if value is not None:
-                self.predictor.observe(site, frame, value, confirmed=True)
-        merged = lockstep.deliver()
-        self._confirmed_count += 1
-        return merged
+        return rollback.deliver_confirmed()
 
-    def _commit(
-        self,
-        merged: int,
-        stall: float,
-        sync_adjust: float,
-        now: float,
-        effects: List[Effect],
+    def commit(
+        self, merged: int, stall: float, sync_adjust: float, now: float
     ) -> None:
-        if self.mode == MODE_ROLLBACK:
-            super()._commit(merged, stall, sync_adjust, now, effects)
-        else:
-            SiteEngine._commit(self, merged, stall, sync_adjust, now, effects)
+        self._active().commit(merged, stall, sync_adjust, now)
+
+    def settled(self, now: float) -> bool:
+        return self._active().settled(now)
 
     # ------------------------------------------------------------------
     # Policy evaluation (runs on the ~20 ms flush cadence)
     # ------------------------------------------------------------------
-    def _flush(self, now: float, effects: List[Effect]) -> None:
-        self._run_policy(now)
-        super()._flush(now, effects)
-
-    def _run_policy(self, now: float) -> None:
+    def flush_tick(self, now: float) -> List[Tuple[Message, str]]:
         runtime = self.runtime
-        if not runtime.session.started or self.done:
-            return
-        active = self.phase in (PHASE_GATE, PHASE_COMPUTE, PHASE_FRAME_WAIT)
+        engine = self.engine
+        if not runtime.session.started or engine.done:
+            return []
+        active = engine.phase in (PHASE_GATE, PHASE_COMPUTE, PHASE_FRAME_WAIT)
         pending = self._pending_switch
         if pending is not None:
             if not active:
@@ -314,7 +299,7 @@ class AdaptiveEngine(RollbackEngine):
                 # is moot (peers already recorded the announced mode,
                 # which is harmless telemetry).
                 self._pending_switch = None
-                return
+                return []
             if not pending.acked and all(
                 runtime.switch_acks.get(site, -1) >= pending.seq
                 for site in runtime.peer_sites
@@ -323,10 +308,10 @@ class AdaptiveEngine(RollbackEngine):
             if pending.acked:
                 # Commit only at a frame boundary: in PHASE_COMPUTE a
                 # merged word is in flight for the wrong machine.
-                if self.phase != PHASE_COMPUTE:
+                if engine.phase != PHASE_COMPUTE:
                     self._pending_switch = None
                     self._commit_switch(pending.mode, now)
-                return
+                return []
             if now >= pending.deadline:
                 self._pending_switch = None
                 self.policy.note_transition(now)
@@ -340,19 +325,20 @@ class AdaptiveEngine(RollbackEngine):
                 self._log_switch(
                     "abort", now, runtime.frame, pending.mode, pending.seq
                 )
-                return
+                return []
             if now >= pending.resend_at:
-                self._send_switch(pending, now)
-            return
+                return self._switch_requests(pending, now)
+            return []
         if self._settling or not active:
-            return
+            return []
         desired = self.policy.desired_mode(
             now, runtime.rtt, runtime.peer_sites, self.mode
         )
         if desired is not None and desired != self.mode:
-            self._propose_switch(desired, now)
+            return self._propose_switch(desired, now)
+        return []
 
-    def _propose_switch(self, mode: int, now: float) -> None:
+    def _propose_switch(self, mode: int, now: float) -> List[Tuple[Message, str]]:
         runtime = self.runtime
         self._switch_seq += 1
         pending = _PendingSwitch(
@@ -369,9 +355,12 @@ class AdaptiveEngine(RollbackEngine):
             seq=pending.seq,
         )
         self._log_switch("propose", now, runtime.frame, mode, pending.seq)
-        self._send_switch(pending, now)
+        return self._switch_requests(pending, now)
 
-    def _send_switch(self, pending: _PendingSwitch, now: float) -> None:
+    def _switch_requests(
+        self, pending: _PendingSwitch, now: float
+    ) -> List[Tuple[Message, str]]:
+        """One SWITCH_REQ per peer that has not acked ``pending`` yet."""
         runtime = self.runtime
         pending.resend_at = now + self.SWITCH_RESEND
         message = SwitchRequest(
@@ -381,61 +370,51 @@ class AdaptiveEngine(RollbackEngine):
             mode=pending.mode,
             frame=runtime.frame,
         )
+        out: List[Tuple[Message, str]] = []
         for site in runtime.peer_sites:
             if runtime.switch_acks.get(site, -1) >= pending.seq:
                 continue
             destination = runtime.address_of.get(site)
             if destination is not None:
-                self._outbox.append((message, destination))
+                out.append((message, destination))
+        return out
 
     def _commit_switch(self, mode: int, now: float) -> None:
         if mode == MODE_ROLLBACK:
             # The shadow has executed every delivered frame; bring the
             # (stale since the last rollback stint) speculative machine
             # up to it before the first speculation.
-            self._sync_spec_from_shadow()
-            self._used_inputs.clear()
+            self.rollback.sync_spec_from_shadow()
+            self.rollback.reseat_frontier()
             self._finish_switch(MODE_ROLLBACK, now)
-            runtime = self.runtime
-            if (
-                runtime.config.policy_drain_lag
-                and runtime.lockstep.local_lag_frames
-            ):
-                runtime.lockstep.set_local_lag(0)
+            self._zero_lag()
         else:
             # Leaving rollback takes two steps: the gate first drains
-            # speculation (see _try_ready), then the mode flips.
+            # speculation (see try_ready), then the mode flips.
             self._settling = True
 
     # ------------------------------------------------------------------
     # Desync recovery: dispatch on the live mode.  In lockstep mode the
-    # engine rewinds like a plain SiteEngine, but the rollback frontier
+    # part rewinds like plain lockstep, but the rollback frontier
     # bookkeeping must track the delivery pointer so a later switch (or a
     # settle in progress) stays coherent.
     # ------------------------------------------------------------------
-    def _resync_restore(self, state, anchor: int, now: float) -> None:
-        if self.mode == MODE_ROLLBACK:
-            RollbackEngine._resync_restore(self, state, anchor, now)
-        else:
-            SiteEngine._resync_restore(self, state, anchor, now)
-            self._confirmed_count = self.runtime.lockstep.ibuf_pointer
-            self._used_inputs.clear()
+    def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
+        self._active().resync_restore(state, anchor, now)
+        if self.mode != MODE_ROLLBACK:
+            self.rollback.reseat_frontier()
 
-    def _resync_progress(self, now: float) -> None:
-        if self.mode == MODE_ROLLBACK:
-            RollbackEngine._resync_progress(self, now)
-        else:
-            SiteEngine._resync_progress(self, now)
-            self._confirmed_count = self.runtime.lockstep.ibuf_pointer
+    def resync_progress(self, now: float) -> None:
+        self._active().resync_progress(now)
+        if self.mode != MODE_ROLLBACK:
+            self.rollback.reseat_frontier()
 
-    def _finish_resync(self, now: float, effects: List[Effect]) -> None:
-        if self.mode == MODE_ROLLBACK:
-            # Rebuilds the speculative machine from the healed shadow.
-            RollbackEngine._finish_resync(self, now, effects)
-        else:
-            # The spec machine is stale-but-idle in lockstep mode; a later
-            # switch re-syncs it (_commit_switch) before any speculation.
-            SiteEngine._finish_resync(self, now, effects)
+    def finish_resync(self, now: float) -> None:
+        # In rollback mode this rebuilds the speculative machine from the
+        # healed shadow; in lockstep mode the spec machine is
+        # stale-but-idle and a later switch re-syncs it (_commit_switch)
+        # before any speculation.
+        self._active().finish_resync(now)
 
     def _finish_switch(self, mode: int, now: float) -> None:
         self._settling = False
@@ -448,47 +427,6 @@ class AdaptiveEngine(RollbackEngine):
             "switch_commit", now, runtime.frame, mode=mode
         )
         self._log_switch("commit", now, runtime.frame, mode, self._switch_seq)
-
-
-class AdaptiveVM(RollbackVM):
-    """Discrete-event shell around :class:`AdaptiveEngine`."""
-
-    def __init__(
-        self,
-        *args: object,
-        initial_mode: int = MODE_LOCKSTEP,
-        **kwargs: object,
-    ) -> None:
-        self._initial_mode = initial_mode
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
-    def _build_engine(self, **options: object) -> AdaptiveEngine:
-        return AdaptiveEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            spec_machine=self._spec_machine,
-            speculation_window=self._speculation_window,
-            predictor=self._predictor,
-            initial_mode=self._initial_mode,
-            **options,
-        )
-
-    @property
-    def mode(self) -> int:
-        return self.engine.mode
-
-    @property
-    def mode_name(self) -> str:
-        return self.engine.mode_name
-
-    @property
-    def policy_switch_count(self) -> int:
-        return self.engine.policy_switch_count
-
-    @property
-    def switch_log(self):
-        return self.engine.switch_log
 
 
 def build_adaptive_session(
@@ -504,58 +442,23 @@ def build_adaptive_session(
     initial_mode: int = MODE_LOCKSTEP,
     game_id: str = "adaptive",
 ):
-    """Wire an adaptive-consistency session on the simulator.
-
-    Mirrors :func:`repro.core.rollback.build_rollback_session` but keeps
-    the paper's default local lag (the lockstep starting point) and
-    instantiates :class:`AdaptiveVM` sites that may switch modes
-    mid-session under the configured consistency policy.
-    """
-    from repro.core.multisite import Session, site_address
-    from repro.metrics.timeserver import TimeServer
-    from repro.net.simnet import SimNetwork
-    from repro.sim.eventloop import EventLoop
-
-    config = config if config is not None else SyncConfig()
-    num_sites = len(sources)
-    loop = EventLoop()
-    network = SimNetwork(loop, seed=seed)
-    for a in range(num_sites):
-        for b in range(a + 1, num_sites):
-            network.connect(site_address(a), site_address(b), netem)
-    time_server = TimeServer(network)
-    for s in range(num_sites):
-        time_server.attach_site(network, site_address(s))
-
-    assignment = InputAssignment.standard(num_sites)
-    peers = [SitePeer(s, site_address(s)) for s in range(num_sites)]
-    vms = []
-    for s in range(num_sites):
-        runtime = SiteRuntime(
-            config=config,
-            site_no=s,
-            assignment=assignment,
-            machine=game_factory(),  # the confirmed machine in both modes
-            source=sources[s],
-            peers=peers,
-            game_id=game_id,
-            session_id=1,
-        )
-        vms.append(
-            AdaptiveVM(
-                loop,
-                network,
-                runtime,
-                max_frames=frames,
-                frame_compute_time=frame_compute_time,
-                seed=seed,
-                time_server_address=time_server.address,
-                spec_machine=game_factory(),
-                speculation_window=speculation_window,
-                predictor=predictor,
-                initial_mode=initial_mode,
-            )
-        )
-    return Session(
-        loop=loop, network=network, vms=vms, time_server=time_server
+    """An adaptive-consistency session on the simulator:
+    :func:`build_session` with every site an :class:`Adaptive` part that
+    may switch modes mid-session, under the paper's default local lag
+    (the lockstep starting point)."""
+    machines = [(game_factory(), game_factory()) for _ in sources]
+    plan = SessionPlan(
+        config=config if config is not None else SyncConfig(),
+        assignment=InputAssignment.standard(len(sources)),
+        machines=[confirmed for confirmed, _ in machines],
+        sources=sources,
+        game_id=game_id,
+        max_frames=frames,
+        frame_compute_time=frame_compute_time,
+        seed=seed,
+        consistency=[
+            Adaptive(spec, speculation_window, predictor, initial_mode)
+            for _, spec in machines
+        ],
     )
+    return build_session(plan, netem)

@@ -23,31 +23,23 @@ import threading
 from typing import Optional
 
 from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
-from repro.core.engine import Shutdown, SiteEngine, SiteRuntime
+from repro.core.engine import Shutdown, SiteEngine
 from repro.net.udp import UdpSocket
-from repro.sim.clock import WallClock
 
 
 class RealtimeVM:
-    """Runs one site's engine in real time over a real UDP socket."""
+    """Runs one site's engine — any engine the caller built — in real time
+    over a real UDP socket."""
 
     #: Cap on each blocking receive so ``stop()`` stays responsive even
     #: when the engine's next deadline is far away.
     MAX_BLOCK = 0.05
 
-    def __init__(
-        self,
-        runtime: SiteRuntime,
-        socket: UdpSocket,
-        max_frames: int,
-        clock: Optional[WallClock] = None,
-        linger: float = 2.0,
-    ) -> None:
-        self.runtime = runtime
+    def __init__(self, engine: SiteEngine, socket: UdpSocket) -> None:
+        self.engine = engine
+        self.runtime = engine.runtime
         self.socket = socket
-        self.max_frames = max_frames
-        self.clock = clock if clock is not None else socket.clock
-        self.engine = SiteEngine(runtime, max_frames, linger=linger)
+        self.clock = socket.clock
         self.finished = False
         self.status = PresentationStatus()
         self._stop = threading.Event()

@@ -6,8 +6,8 @@ applicable for solving our problem because rolling back states of a
 distributed game without semantic knowledge can be expensive."*
 
 The Machine contract already gives us game-transparent savestates, so the
-claim is measurable.  :class:`RollbackEngine` plays with **zero local
-lag**:
+claim is measurable.  A site whose consistency part is :class:`Rollback`
+plays with **zero local lag**:
 
 * local inputs land in their own frame's slot (``BufFrame = 0``),
 * the *speculative* machine executes every frame immediately, guessing
@@ -35,10 +35,10 @@ argument hinges on.
 
 Reliable input distribution, acks, retransmission and pruning are all
 reused unchanged from :class:`~repro.core.lockstep.LockstepSync`; the
-engine subclass only replaces the SyncInput gate (speculation-window
-check instead of delivery) and the commit (speculative step instead of
-``run_transition``), plus a catch-up phase confirming in-flight frames
-before the ordinary linger.
+part only replaces the SyncInput gate (speculation-window check instead
+of delivery) and the commit (speculative step instead of
+``run_transition``), and keeps the engine in its catch-up phase until
+the in-flight frames are confirmed, before the ordinary linger.
 """
 
 from __future__ import annotations
@@ -46,18 +46,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import SyncConfig
-from repro.core.engine import (
-    Effect,
-    GameMachine,
-    PHASE_CATCHUP,
-    Present,
-    SitePeer,
-    SiteEngine,
-    SiteRuntime,
-    TIMER_LINGER,
-)
+from repro.core.engine import GameMachine, PHASE_CATCHUP, SiteEngine
 from repro.core.inputs import BITS_PER_PLAYER, InputAssignment, InputSource
-from repro.core.vm import DistributedVM
+from repro.core.lockstep import Lockstep
+from repro.core.multisite import SessionPlan, build_session
 
 
 def _state_mark(machine: GameMachine) -> int:
@@ -264,10 +256,9 @@ class RollbackStats:
         return out
 
 
-class RollbackEngine(SiteEngine):
-    """A site that speculates ahead with rollback instead of local lag.
-
-    Construction mirrors :class:`SiteEngine` plus:
+class Rollback(Lockstep):
+    """The consistency part that speculates ahead with rollback instead of
+    waiting out local lag.
 
     * ``spec_machine`` — a second, identically-constructed machine used for
       speculation (``runtime.machine`` stays the confirmed shadow),
@@ -275,55 +266,57 @@ class RollbackEngine(SiteEngine):
       confirmation before the site blocks (bounds replay cost and keeps a
       network partition from spinning the CPU),
     * ``predictor`` — an :class:`InputPredictor` (or registry name) that
-      guesses not-yet-received remote inputs,
-    * ``drain_lag`` — what to do with a non-zero ``buf_frame``: drain it
-      to zero at construction (default; zero input latency is rollback's
-      point) or keep it (the adaptive policy layer manages lag itself).
+      guesses not-yet-received remote inputs.
 
-    A handed-over session may therefore carry local lag: the engine calls
-    ``set_local_lag(0)`` and the lockstep slot mapping drains the
+    A handed-over session may carry local lag (a non-zero ``buf_frame``):
+    :meth:`attach` calls ``set_local_lag(0)`` — zero input latency is
+    rollback's point — and the lockstep slot mapping drains the
     already-buffered lag window naturally (new local inputs targeting
     already-filled slots are dropped until the frame counter catches up).
     """
 
-    #: Catch-up phase poll period (confirming in-flight frames after the
-    #: speculative horizon is reached).
-    CATCHUP_POLL = 0.02
-
     def __init__(
         self,
-        runtime: SiteRuntime,
-        max_frames: int,
-        *,
         spec_machine: GameMachine,
         speculation_window: int = 60,
         predictor: PredictorSpec = None,
-        drain_lag: bool = True,
-        **options: object,
     ) -> None:
-        super().__init__(runtime, max_frames, **options)  # type: ignore[arg-type]
-        if runtime.config.buf_frame != 0 and drain_lag:
-            # A hand-over from laggy lockstep: zero the lag now and let
-            # the slot mapping drain the pre-buffered window (the virtual
-            # empty history for a fresh session, the real one otherwise).
-            runtime.lockstep.set_local_lag(0)
         self.spec_machine = spec_machine
         self.speculation_window = speculation_window
-        self.predictor = make_predictor(predictor, runtime.game_id)
-        self.rollback_stats = RollbackStats()
-        # Mirror for SiteMetrics.refresh (duck-typed runtime attribute).
-        runtime.rollback_stats = self.rollback_stats
-        # Delta-snapshot marks: pages either machine dirties after these
-        # marks are exactly what the next shadow→spec restore must copy
-        # (both machines are freshly built and identical right now).
-        self._shadow_mark = _state_mark(runtime.machine)
-        self._spec_mark = _state_mark(spec_machine)
+        #: Resolved to an :class:`InputPredictor` once attached (the
+        #: default heuristic is per game, and the runtime knows the game).
+        self.predictor = predictor
+        self.stats = RollbackStats()
         self._full_state_size: Optional[int] = None
         #: Input word the speculative machine used per frame.
         self._used_inputs: Dict[int, int] = {}
         #: Count of frames delivered to the shadow (frontier + 1).
         self._confirmed_count = 0
-        self._catchup_deadline = 0.0
+
+    def bind(self, engine: SiteEngine) -> None:
+        """Everything :meth:`attach` does except claiming the lag (the
+        adaptive part manages lag itself)."""
+        super().attach(engine)
+        runtime = engine.runtime
+        self.predictor = make_predictor(self.predictor, runtime.game_id)
+        # Duck-typed mirrors: SiteMetrics.refresh reads the stats off the
+        # runtime, the session benchmark's ledger finds the second machine
+        # on the engine.
+        runtime.rollback_stats = self.stats
+        engine.spec_machine = self.spec_machine
+        # Delta-snapshot marks: pages either machine dirties after these
+        # marks are exactly what the next shadow→spec restore must copy
+        # (both machines are freshly built and identical right now).
+        self._shadow_mark = _state_mark(runtime.machine)
+        self._spec_mark = _state_mark(self.spec_machine)
+
+    def attach(self, engine: SiteEngine) -> None:
+        self.bind(engine)
+        if engine.runtime.config.buf_frame != 0:
+            # A hand-over from laggy lockstep: zero the lag now and let
+            # the slot mapping drain the pre-buffered window (the virtual
+            # empty history for a fresh session, the real one otherwise).
+            engine.runtime.lockstep.set_local_lag(0)
 
     # ------------------------------------------------------------------
     @property
@@ -355,6 +348,21 @@ class RollbackEngine(SiteEngine):
             partials[site] = value
         return lockstep.assignment.merge(partials)
 
+    def deliver_confirmed(self) -> int:
+        """Deliver the next confirmed frame's merged input, feeding each
+        site's confirmed pad state to the predictor before pruning
+        discards it (also the adaptive part's lockstep-mode gate, which
+        keeps predictor and frontier warm for the next switch)."""
+        lockstep = self.runtime.lockstep
+        frame = lockstep.ibuf_pointer
+        for site in range(lockstep.num_sites):
+            value = lockstep.ibuf.get(frame, site)
+            if value is not None:
+                self.predictor.observe(site, frame, value, confirmed=True)
+        merged = lockstep.deliver()
+        self._confirmed_count += 1
+        return merged
+
     def _advance_shadow(self) -> Optional[int]:
         """Deliver any newly confirmed frames into the shadow machine.
 
@@ -373,17 +381,10 @@ class RollbackEngine(SiteEngine):
         while (
             lockstep.can_deliver()
             and lockstep.ibuf_pointer < runtime.frame
-            and lockstep.ibuf_pointer < self.max_frames
+            and lockstep.ibuf_pointer < self.engine.max_frames
         ):
             frame = lockstep.ibuf_pointer
-            # Feed each site's confirmed pad state to the predictor
-            # before pruning discards it.
-            for site in range(lockstep.num_sites):
-                value = lockstep.ibuf.get(frame, site)
-                if value is not None:
-                    self.predictor.observe(site, frame, value, confirmed=True)
-            merged = lockstep.deliver()
-            self._confirmed_count += 1
+            merged = self.deliver_confirmed()
             runtime.machine.step(merged)
             checksum = runtime.machine.checksum()
             runtime.trace.record_frame(
@@ -396,17 +397,17 @@ class RollbackEngine(SiteEngine):
             # Digests sample the *confirmed* timeline only: speculative
             # frames (and their rollbacks) are invisible to peers.
             runtime.note_own_digest(frame, checksum)
-            self.rollback_stats.confirmed_frames += 1
+            self.stats.confirmed_frames += 1
             used = self._used_inputs.pop(frame, None)
             if used is not None:
-                self.rollback_stats.predicted_frames += 1
+                self.stats.predicted_frames += 1
                 if used != merged:
-                    self.rollback_stats.mispredicted_frames += 1
+                    self.stats.mispredicted_frames += 1
                     if first_bad is None:
                         first_bad = frame
         return first_bad
 
-    def _sync_spec_from_shadow(self) -> None:
+    def sync_spec_from_shadow(self) -> None:
         """Make the speculative machine bit-identical to the shadow.
 
         Fast path: copy only the pages either machine has dirtied since
@@ -416,7 +417,7 @@ class RollbackEngine(SiteEngine):
         """
         shadow = self.runtime.machine
         spec = self.spec_machine
-        stats = self.rollback_stats
+        stats = self.stats
         shadow_pages = _dirty_pages(shadow, self._shadow_mark)
         spec_pages = _dirty_pages(spec, self._spec_mark)
         if shadow_pages is None or spec_pages is None:
@@ -437,16 +438,14 @@ class RollbackEngine(SiteEngine):
     def _rollback_and_replay(self, first_bad: int, now: float = 0.0) -> None:
         """Restore speculation from the shadow and replay the suffix."""
         runtime = self.runtime
-        self.rollback_stats.rollbacks += 1
-        copied_before = self.rollback_stats.snapshot_bytes_copied
-        self._sync_spec_from_shadow()
+        self.stats.rollbacks += 1
+        copied_before = self.stats.snapshot_bytes_copied
+        self.sync_spec_from_shadow()
         replay_from = self.confirmed_frontier + 1
         depth = runtime.frame - replay_from
-        self.rollback_stats.max_replay_depth = max(
-            self.rollback_stats.max_replay_depth, depth
-        )
+        self.stats.max_replay_depth = max(self.stats.max_replay_depth, depth)
         runtime.metrics.on_rollback(
-            depth, self.rollback_stats.snapshot_bytes_copied - copied_before
+            depth, self.stats.snapshot_bytes_copied - copied_before
         )
         runtime.events.emit(
             "rollback",
@@ -459,20 +458,26 @@ class RollbackEngine(SiteEngine):
             word = self._predict_input(frame)
             self._used_inputs[frame] = word
             self.spec_machine.step(word)
-            self.rollback_stats.replayed_frames += 1
+            self.stats.replayed_frames += 1
 
-    def _confirm_pending(self, now: float = 0.0) -> None:
+    def confirm_pending(self, now: float = 0.0) -> None:
         """Shadow-advance plus rollback — the per-wakeup confirmation step."""
         first_bad = self._advance_shadow()
         if first_bad is not None:
             self._rollback_and_replay(first_bad, now)
 
+    def reseat_frontier(self) -> None:
+        """Pin the frontier to the delivery pointer and void the
+        speculated-word bookkeeping (after a rewind or a lockstep stint)."""
+        self._confirmed_count = self.runtime.lockstep.ibuf_pointer
+        self._used_inputs.clear()
+
     # ------------------------------------------------------------------
-    # Desync recovery overrides: the rewind lands on the *shadow* timeline
-    # (the one digests sample); speculation stays frozen at the frontier
-    # and is rebuilt from the healed shadow when the episode closes.
+    # Desync recovery: the rewind lands on the *shadow* timeline (the one
+    # digests sample); speculation stays frozen at the frontier and is
+    # rebuilt from the healed shadow when the episode closes.
     # ------------------------------------------------------------------
-    def _resync_restore(self, state, anchor: int, now: float) -> None:
+    def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
         runtime = self.runtime
         # Begin times are indexed by *speculative* frames, which do not
         # rewind — preserve them across the committed-row truncation.
@@ -482,136 +487,61 @@ class RollbackEngine(SiteEngine):
         runtime.trace.begin_times[:] = begins
         runtime.digests.rewind(anchor)
         runtime.lockstep.rewind_delivery(anchor)
-        self._confirmed_count = anchor + 1
         # Speculated-word bookkeeping for the replayed window is void; the
-        # spec rebuild in _finish_resync re-records what it actually uses.
-        self._used_inputs.clear()
+        # spec rebuild in finish_resync re-records what it actually uses.
+        self.reseat_frontier()
         runtime.events.emit(
             "resync_restore",
             now,
             runtime.frame,
             anchor=anchor,
-            frozen=self._resync_frozen,
+            frozen=self.engine.resync_frozen,
         )
-        self._resync_progress(now)
+        self.resync_progress(now)
 
-    def _resync_progress(self, now: float) -> None:
+    def resync_progress(self, now: float) -> None:
         # Re-confirm the shadow from retained inputs; _used_inputs is
         # empty for the replayed window, so no spec rollback fires here.
-        self._confirm_pending(now)
+        self.confirm_pending(now)
 
-    def _finish_resync(self, now, effects) -> None:
+    def finish_resync(self, now: float) -> None:
         # The speculative machine ran (and kept presenting) the divergent
         # timeline; rebuild it from the healed shadow and re-speculate the
         # unconfirmed suffix before the frame loop thaws.
         self._rollback_and_replay(self.confirmed_frontier + 1, now)
-        super()._finish_resync(now, effects)
 
     # ------------------------------------------------------------------
-    # Engine hook overrides
+    # The frame-loop steps
     # ------------------------------------------------------------------
-    def _try_ready(self, now: float) -> Optional[int]:
+    def try_ready(self, now: float) -> Optional[int]:
         """Replace SyncInput's delivery gate with the speculation-window
         bound; the returned word is the zero-lag *prediction*."""
-        self._confirm_pending(now)
+        self.confirm_pending(now)
         runtime = self.runtime
         if runtime.frame - self.confirmed_frontier > self.speculation_window:
-            self.rollback_stats.speculation_stalls += 1
+            self.stats.speculation_stalls += 1
             return None
         word = self._predict_input(runtime.frame)
         self._used_inputs[runtime.frame] = word
         return word
 
-    def _commit(
-        self,
-        merged: int,
-        stall: float,
-        sync_adjust: float,
-        now: float,
-        effects: List[Effect],
+    def commit(
+        self, merged: int, stall: float, sync_adjust: float, now: float
     ) -> None:
         """Execute the current frame speculatively, with zero input lag."""
         del stall, sync_adjust  # recorded via the shadow, not here
-        frame = self.runtime.frame
         self.spec_machine.step(merged)
-        self.rollback_stats.speculative_frames += 1
+        self.stats.speculative_frames += 1
         self.runtime.frame += 1
-        effects.append(Present(frame, merged))
 
-    def _enter_linger(self, now: float, effects: List[Effect]) -> None:
-        """Finish: confirm everything still in flight, then linger."""
-        if self.confirmed_frontier < self.max_frames - 1:
-            self.phase = PHASE_CATCHUP
-            self._catchup_deadline = now + self.linger
-            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
-            return
-        super()._enter_linger(now, effects)
-
-    def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
-        if kind == TIMER_LINGER and self.phase == PHASE_CATCHUP:
-            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
-            return
-        super()._on_timer(kind, now, effects)
-
-    def _advance(self, now: float, effects: List[Effect]) -> None:
-        if self.phase == PHASE_CATCHUP:
-            self._confirm_pending(now)
-            if (
-                self.confirmed_frontier >= self.max_frames - 1
-                or now >= self._catchup_deadline
-            ):
-                self._clear(TIMER_LINGER)
-                SiteEngine._enter_linger(self, now, effects)
-            return
-        super()._advance(now, effects)
-
-
-class RollbackVM(DistributedVM):
-    """Discrete-event shell around :class:`RollbackEngine`.
-
-    Construction mirrors :class:`DistributedVM` plus ``spec_machine`` and
-    ``speculation_window`` (see :class:`RollbackEngine`).
-    """
-
-    def __init__(
-        self,
-        *args: object,
-        spec_machine: GameMachine,
-        speculation_window: int = 60,
-        predictor: PredictorSpec = None,
-        **kwargs: object,
-    ) -> None:
-        self._spec_machine = spec_machine
-        self._speculation_window = speculation_window
-        self._predictor = predictor
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-
-    def _build_engine(self, **options: object) -> RollbackEngine:
-        return RollbackEngine(
-            self.runtime,
-            self.max_frames,
-            linger=self.LINGER,
-            spec_machine=self._spec_machine,
-            speculation_window=self._speculation_window,
-            predictor=self._predictor,
-            **options,
-        )
-
-    @property
-    def spec_machine(self) -> GameMachine:
-        return self.engine.spec_machine
-
-    @property
-    def speculation_window(self) -> int:
-        return self.engine.speculation_window
-
-    @property
-    def rollback_stats(self) -> RollbackStats:
-        return self.engine.rollback_stats
-
-    @property
-    def confirmed_frontier(self) -> int:
-        return self.engine.confirmed_frontier
+    def settled(self, now: float) -> bool:
+        """True once the shadow has confirmed every speculated frame.  While
+        the engine polls it in its catch-up phase this is also the
+        confirmation step (at the moment the last frame commits it must
+        not be: confirming there would race that pump's flush)."""
+        if self.engine.phase == PHASE_CATCHUP:
+            self.confirm_pending(now)
+        return self.confirmed_frontier >= self.engine.max_frames - 1
 
 
 def build_rollback_session(
@@ -625,56 +555,21 @@ def build_rollback_session(
     config: Optional[SyncConfig] = None,
     predictor: PredictorSpec = None,
 ):
-    """Wire a two-or-more-site rollback session on the simulator.
-
-    Mirrors :func:`repro.core.multisite.build_session` but instantiates
-    :class:`RollbackVM` sites (each with a shadow and a speculative machine
-    from ``game_factory``) under a zero-lag configuration.
-    """
-    from repro.core.multisite import Session, site_address
-    from repro.metrics.timeserver import TimeServer
-    from repro.net.simnet import SimNetwork
-    from repro.sim.eventloop import EventLoop
-
-    config = config if config is not None else SyncConfig(buf_frame=0)
-    num_sites = len(sources)
-    loop = EventLoop()
-    network = SimNetwork(loop, seed=seed)
-    for a in range(num_sites):
-        for b in range(a + 1, num_sites):
-            network.connect(site_address(a), site_address(b), netem)
-    time_server = TimeServer(network)
-    for s in range(num_sites):
-        time_server.attach_site(network, site_address(s))
-
-    assignment = InputAssignment.standard(num_sites)
-    peers = [SitePeer(s, site_address(s)) for s in range(num_sites)]
-    vms = []
-    for s in range(num_sites):
-        runtime = SiteRuntime(
-            config=config,
-            site_no=s,
-            assignment=assignment,
-            machine=game_factory(),  # the confirmed shadow
-            source=sources[s],
-            peers=peers,
-            game_id="rollback",
-            session_id=1,
-        )
-        vms.append(
-            RollbackVM(
-                loop,
-                network,
-                runtime,
-                max_frames=frames,
-                frame_compute_time=frame_compute_time,
-                seed=seed,
-                time_server_address=time_server.address,
-                spec_machine=game_factory(),
-                speculation_window=speculation_window,
-                predictor=predictor,
-            )
-        )
-    return Session(
-        loop=loop, network=network, vms=vms, time_server=time_server
+    """A rollback session on the simulator: :func:`build_session` with every
+    site a :class:`Rollback` part (shadow + speculative machine from
+    ``game_factory``) under a zero-lag default configuration."""
+    machines = [(game_factory(), game_factory()) for _ in sources]
+    plan = SessionPlan(
+        config=config if config is not None else SyncConfig(buf_frame=0),
+        assignment=InputAssignment.standard(len(sources)),
+        machines=[shadow for shadow, _ in machines],
+        sources=sources,
+        game_id="rollback",
+        max_frames=frames,
+        frame_compute_time=frame_compute_time,
+        seed=seed,
+        consistency=[
+            Rollback(spec, speculation_window, predictor) for _, spec in machines
+        ],
     )
+    return build_session(plan, netem)

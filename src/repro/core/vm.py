@@ -5,99 +5,44 @@ frame loop and the linger phase — lives in :mod:`repro.core.engine`; this
 module only adapts it to the discrete-event world: one simulator process
 per site that sleeps until the engine's next timer deadline or an incoming
 datagram, whichever is first.
-
-:class:`SiteRuntime`, :class:`SitePeer` and :class:`GameMachine` moved to
-:mod:`repro.core.engine` with the extraction; they are re-exported here
-unchanged for compatibility.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from repro.core.driver import PresentationStatus, apply_effects, feed_datagrams
-from repro.core.engine import (
-    GameMachine,
-    Shutdown,
-    SiteEngine,
-    SitePeer,
-    SiteRuntime,
-)
-from repro.core.messages import StateSnapshot
+from repro.core.engine import Shutdown, SiteEngine
 from repro.net.simnet import SimNetwork, SimSocket
 from repro.sim.eventloop import EventLoop
 from repro.sim.process import Process, Sleep, WaitMessage, spawn
 
-__all__ = [
-    "DistributedVM",
-    "GameMachine",
-    "SitePeer",
-    "SiteRuntime",
-]
-
 
 class DistributedVM:
-    """Runs one :class:`SiteEngine` to completion on the event loop."""
-
-    #: How long to keep pumping after the last frame so peers still waiting
-    #: on our inputs (or retransmissions) can finish.
-    LINGER = 5.0
+    """Runs one :class:`SiteEngine` — any engine the caller built — to
+    completion on the event loop."""
 
     def __init__(
         self,
         loop: EventLoop,
         network: SimNetwork,
-        runtime: SiteRuntime,
-        max_frames: int,
-        frame_compute_time: float = 0.002,
-        seed: int = 0,
-        time_server_address: Optional[str] = None,
+        engine: SiteEngine,
         start_delay: float = 0.0,
-        frame_loop_delay: float = 0.0,
-        timer_granularity: float = 0.0,
     ) -> None:
         self.loop = loop
-        self.runtime = runtime
-        self.max_frames = max_frames
+        self.engine = engine
+        self.runtime = engine.runtime
+        self.max_frames = engine.max_frames
+        #: Seconds before the site boots (a late joiner's join time, a
+        #: restarted site's resume time).
         self.start_delay = start_delay
         self.socket: SimSocket = network.socket(
-            runtime.address_of[runtime.site_no]
-        )
-        self.engine = self._build_engine(
-            frame_compute_time=frame_compute_time,
-            seed=seed,
-            time_server_address=time_server_address,
-            frame_loop_delay=frame_loop_delay,
-            timer_granularity=timer_granularity,
+            self.runtime.address_of[self.runtime.site_no]
         )
         self.finished = False
         self.status = PresentationStatus()
         self.process: Optional[Process] = None
         self._stop_requested = False
-
-    def _build_engine(self, **options: object) -> SiteEngine:
-        """Factory hook: variant drivers substitute their engine subclass."""
-        return SiteEngine(
-            self.runtime, self.max_frames, linger=self.LINGER, **options
-        )
-
-    # ------------------------------------------------------------------
-    # Engine facade (harness and test compatibility)
-    # ------------------------------------------------------------------
-    @property
-    def on_snapshot_served(self):
-        """Harness hook fired when this site serves a savestate:
-        ``callback(joiner_site, snapshot_frame)``.  Stands in for the
-        session-control broadcast announcing the joiner."""
-        return self.engine.on_snapshot_served
-
-    @on_snapshot_served.setter
-    def on_snapshot_served(self, callback) -> None:
-        self.engine.on_snapshot_served = callback
-
-    @property
-    def _snapshot_cache(self) -> Dict[int, StateSnapshot]:
-        return self.engine.snapshot_cache
 
     # ------------------------------------------------------------------
     def start(self) -> Process:

@@ -38,10 +38,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.core.config import SyncConfig
-from repro.core.inputs import InputAssignment, PadSource, RandomSource
-from repro.core.latejoin import ResumeVM
+from repro.core.engine import SitePeer
+from repro.core.inputs import PadSource, RandomSource
+from repro.core.latejoin import ResumeEngine
 from repro.core.multisite import build_session, site_address, two_player_plan
-from repro.core.vm import DistributedVM, SitePeer, SiteRuntime
+from repro.core.rollback import Rollback
+from repro.core.vm import DistributedVM
 from repro.net.faults import FaultSchedule
 from repro.net.netem import NetemConfig
 
@@ -131,28 +133,20 @@ def _build_chaos_session(
     """One simulated session in the requested consistency ``mode``."""
     from repro.emulator.machine import create_game
 
-    sources = [PadSource(RandomSource(seed + s), s) for s in (0, 1)]
-    if mode == "rollback":
-        from repro.core.rollback import build_rollback_session
-
-        session = build_rollback_session(
-            lambda: create_game(game),
-            sources,
-            NetemConfig.for_rtt(rtt),
-            frames=frames,
-            seed=seed,
-            config=config,
-        )
-        return session, sources, None
     plan = two_player_plan(
         config,
         machine_factory=lambda: create_game(game),
-        sources=sources,
+        sources=[PadSource(RandomSource(seed + s), s) for s in (0, 1)],
         game_id=game,
         max_frames=frames,
         seed=seed,
+        consistency=(
+            [Rollback(create_game(game)) for _ in (0, 1)]
+            if mode == "rollback"
+            else None
+        ),
     )
-    return build_session(plan, NetemConfig.for_rtt(rtt)), sources, plan
+    return build_session(plan, NetemConfig.for_rtt(rtt))
 
 
 def _twin_checksums(
@@ -160,9 +154,7 @@ def _twin_checksums(
     mode: str = "lockstep",
 ) -> List[int]:
     """Per-frame checksums of the same session with no faults."""
-    session, __, ___ = _build_chaos_session(
-        frames, seed, game, config, rtt, mode
-    )
+    session = _build_chaos_session(frames, seed, game, config, rtt, mode)
     session.run()
     return list(session.vms[0].runtime.trace.checksums)
 
@@ -219,10 +211,8 @@ def run_chaos(
         raise ValueError("crash/restart faults are lockstep-only")
     twin = _twin_checksums(frames, seed, game, config, rtt, mode)
 
-    session, sources, plan = _build_chaos_session(
-        frames, seed, game, config, rtt, mode
-    )
-    network, loop = session.network, session.loop
+    session = _build_chaos_session(frames, seed, game, config, rtt, mode)
+    network, loop, plan = session.network, session.loop, session.plan
     address_of = {vm.runtime.site_no: site_address(vm.runtime.site_no) for vm in session.vms}
     all_sites = sorted(address_of)
 
@@ -231,7 +221,7 @@ def run_chaos(
     vm_of: Dict[int, DistributedVM] = {
         vm.runtime.site_no: vm for vm in session.vms
     }
-    resumed_vms: List[ResumeVM] = []
+    resumed_vms: List[DistributedVM] = []
     buf = config.buf_frame
     # Bounded-memory budget: the lockstep gate allows O(buf) of lead (see
     # _evaluate); digest retention legitimately holds the prune floor back
@@ -241,7 +231,7 @@ def run_chaos(
     ibuf_bound = 3 * buf + 3 + (2 * interval if interval else 0)
     if mode == "rollback":
         ibuf_bound += max(
-            vm.engine.speculation_window for vm in session.vms
+            vm.engine.consistency.speculation_window for vm in session.vms
         ) + 2 * buf + 10
     #: Highest observed per-site input-buffer size (bounded-memory check),
     #: sampled every 100 ms of simulated time.
@@ -274,28 +264,15 @@ def run_chaos(
                 )
 
         def do_restart(site: int, donor: int, cookie: int) -> None:
-            peers = [SitePeer(s, address_of[s]) for s in all_sites]
-            runtime = SiteRuntime(
-                config=config,
-                site_no=site,
-                assignment=InputAssignment.standard(2),
+            engine = plan.build_engine(
+                site,
+                [SitePeer(s, address_of[s]) for s in all_sites],
                 machine=create_game(game),
-                source=sources[site],
-                peers=peers,
-                game_id=game,
-                session_id=plan.session_id,
-            )
-            vm = ResumeVM(
-                loop,
-                network,
-                runtime,
-                frames,
-                frame_compute_time=plan.frame_compute_time,
-                seed=seed,
-                resume_time=0.0,
+                engine_class=ResumeEngine,
                 donor_site=donor,
                 last_acked_frame=cookie,
             )
+            vm = DistributedVM(loop, network, engine)
             network.log_fault("restart", address=address_of[site])
             resumed_vms.append(vm)
             vm.start()

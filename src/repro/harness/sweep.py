@@ -164,12 +164,15 @@ def run_sweep_point(
         frames=frames,
         adaptive_frame_mean=_steady_frame_mean(adaptive_traces[0], warmup_frames),
         lockstep_frame_mean=_steady_frame_mean(lockstep_traces[0], warmup_frames),
-        switches=sum(vm.policy_switch_count for vm in adaptive.vms),
-        final_modes=[vm.mode_name for vm in adaptive.vms],
+        switches=sum(
+            vm.engine.consistency.policy_switch_count for vm in adaptive.vms
+        ),
+        final_modes=[vm.engine.consistency.mode_name for vm in adaptive.vms],
         adaptive_verified=adaptive_verified,
         lockstep_verified=lockstep_verified,
         predict_hit_ratio=min(
-            vm.rollback_stats.predict_hit_ratio for vm in adaptive.vms
+            vm.engine.consistency.rollback.stats.predict_hit_ratio
+            for vm in adaptive.vms
         ),
     )
     _evaluate(point, config)

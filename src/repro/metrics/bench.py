@@ -520,7 +520,7 @@ def measure_rollback_session(
     start = time.perf_counter()
     session.run(horizon=600.0)
     wall = time.perf_counter() - start
-    stats = session.vms[0].rollback_stats.as_dict()
+    stats = session.vms[0].engine.consistency.stats.as_dict()
     stats["wall_seconds"] = wall
     stats["frames"] = frames
     return stats
@@ -565,7 +565,7 @@ def measure_predictor_comparison(
             predictor=name,
         )
         session.run(horizon=600.0)
-        stats = [vm.rollback_stats for vm in session.vms]
+        stats = [vm.engine.consistency.stats for vm in session.vms]
         out[name] = {
             "mispredicted_frames": sum(s.mispredicted_frames for s in stats),
             "predicted_frames": sum(s.predicted_frames for s in stats),

@@ -7,8 +7,6 @@ impaired links; the only difference is that its consistency mode is fixed
 for the whole run.
 """
 
-import pytest
-
 from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
 from repro.core.messages import MODE_ROLLBACK
@@ -65,8 +63,8 @@ class TestSwitchToRollback:
         traces = [vm.runtime.trace for vm in adaptive.vms]
         assert ConsistencyChecker().verify_traces(traces) == FRAMES
         for vm in adaptive.vms:
-            assert vm.mode_name == "rollback"
-            assert vm.policy_switch_count >= 1
+            assert vm.engine.consistency.mode_name == "rollback"
+            assert vm.engine.consistency.policy_switch_count >= 1
 
         twin = lockstep_twin(netem, seed=11)
         assert traces[0].checksums == twin.vms[0].runtime.trace.checksums
@@ -77,9 +75,9 @@ class TestSwitchToRollback:
         the proposal — never before the acks could have arrived."""
         adaptive = adaptive_run(named_profile("wan-120", rtt=0.200), seed=11)
         for vm in adaptive.vms:
-            kinds = [entry[0] for entry in vm.switch_log]
-            assert kinds == ["propose", "commit"]
-            (_, proposed_at, _, _, _), (_, committed_at, _, _, _) = vm.switch_log
+            log = vm.engine.consistency.switch_log
+            assert [entry[0] for entry in log] == ["propose", "commit"]
+            (_, proposed_at, _, _, _), (_, committed_at, _, _, _) = log
             # One full round trip (200 ms) must separate the two.
             assert committed_at - proposed_at >= 0.200
 
@@ -103,8 +101,8 @@ class TestSwitchToLockstep:
         traces = [vm.runtime.trace for vm in adaptive.vms]
         assert ConsistencyChecker().verify_traces(traces) == FRAMES
         for vm in adaptive.vms:
-            assert vm.mode_name == "lockstep"
-            assert vm.policy_switch_count >= 1
+            assert vm.engine.consistency.mode_name == "lockstep"
+            assert vm.engine.consistency.policy_switch_count >= 1
 
         # The input word sequence is lag-invariantly defined by the seeds,
         # so even across the rollback→lockstep settle the run must equal
@@ -117,15 +115,15 @@ class TestStableConditionsNeverSwitch:
     def test_good_link_stays_lockstep_forever(self):
         adaptive = adaptive_run(named_profile("wan-120", rtt=0.060), seed=17)
         for vm in adaptive.vms:
-            assert vm.mode_name == "lockstep"
-            assert vm.policy_switch_count == 0
+            assert vm.engine.consistency.mode_name == "lockstep"
+            assert vm.engine.consistency.policy_switch_count == 0
 
     def test_hysteresis_band_never_flaps(self):
         """At 120 ms RTT — between the two thresholds — a lockstep-born
         session must not oscillate."""
         adaptive = adaptive_run(named_profile("wan-120", rtt=0.120), seed=19)
         for vm in adaptive.vms:
-            assert vm.policy_switch_count == 0
+            assert vm.engine.consistency.policy_switch_count == 0
 
 
 class TestSweepHarness:

@@ -230,15 +230,15 @@ class TestPartitionDuringSwitch:
     def test_switch_aborts_then_completes_after_heal(self):
         session, _ = self.run_partitioned_switch()
         for vm in session.vms:
-            kinds = [entry[0] for entry in vm.switch_log]
+            kinds = [entry[0] for entry in vm.engine.consistency.switch_log]
             # At least one proposal died in the partition, and the engine
             # stayed in its old mode rather than half-switching...
             assert "abort" in kinds
             # ...then a post-heal proposal carried the switch through.
             assert kinds[-1] == "commit"
             assert kinds.index("abort") < kinds.index("commit")
-            assert vm.mode_name == "rollback"
-            assert vm.policy_switch_count >= 1
+            assert vm.engine.consistency.mode_name == "rollback"
+            assert vm.engine.consistency.policy_switch_count >= 1
 
     def test_no_desync_and_twin_equality_across_abort(self):
         from repro.metrics.recorder import ConsistencyChecker

@@ -2,15 +2,16 @@
 
 
 from repro.core.config import SyncConfig
-from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
-from repro.core.latejoin import LateJoinerVM, register_late_join
+from repro.core.inputs import InputAssignment, PadSource, RandomSource
+from repro.core.engine import SitePeer
+from repro.core.latejoin import LateJoinEngine, register_late_join
 from repro.core.multisite import (
     SessionPlan,
     build_session,
     players_and_observers_plan,
     site_address,
 )
-from repro.core.vm import SitePeer, SiteRuntime
+from repro.core.vm import DistributedVM
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.net.netem import NetemConfig
@@ -22,7 +23,6 @@ def build_latejoin_session(
     frames=360,
     join_time=2.0,
     netem=None,
-    joiner_source=None,
 ):
     config = SyncConfig.paper_defaults()
     netem = netem or NetemConfig.for_rtt(0.040)
@@ -43,8 +43,6 @@ def build_latejoin_session(
             max_frames=frames,
             handshake_sites=[0, 1],
         )
-        joiner_site = 2
-        joiner_source = joiner_source or sources[2]
     else:
         plan = players_and_observers_plan(
             config,
@@ -58,28 +56,18 @@ def build_latejoin_session(
             max_frames=frames,
             handshake_sites=[0, 1],
         )
-        joiner_site = 2
-        joiner_source = joiner_source or IdleSource()
+    joiner_site = 2
 
     session = build_session(plan, netem, excluded_sites=[joiner_site])
-    total = len(plan.assignment)
-    joiner_runtime = SiteRuntime(
-        config=config,
-        site_no=joiner_site,
-        assignment=plan.assignment,
-        machine=create_game(game),
-        source=joiner_source,
-        peers=[SitePeer(s, site_address(s)) for s in range(total)],
-        game_id=game,
-    )
-    joiner = LateJoinerVM(
-        session.loop,
-        session.network,
-        joiner_runtime,
-        max_frames=frames,
-        join_time=join_time,
+    engine = plan.build_engine(
+        joiner_site,
+        [SitePeer(s, site_address(s)) for s in range(len(plan.assignment))],
+        engine_class=LateJoinEngine,
         donor_site=0,
         time_server_address=session.time_server.address,
+    )
+    joiner = DistributedVM(
+        session.loop, session.network, engine, start_delay=join_time
     )
     register_late_join(session.vms, session.vms[0], joiner_site=joiner_site)
     session.vms.append(joiner)
@@ -92,15 +80,15 @@ class TestObserverLateJoin:
         session.run(horizon=300.0)
         traces = [vm.runtime.trace for vm in session.vms]
         overlap = ConsistencyChecker().verify_traces(traces)
-        assert joiner.joined_at_frame is not None
-        assert overlap == 360 - joiner.joined_at_frame
+        assert joiner.engine.joined_at_frame is not None
+        assert overlap == 360 - joiner.engine.joined_at_frame
 
     def test_joiner_state_loaded_from_snapshot(self):
         session, joiner = build_latejoin_session(game="shooter")
         session.run(horizon=300.0)
-        assert joiner.joined_at_frame > 0
+        assert joiner.engine.joined_at_frame > 0
         # The joiner never replayed frames before the snapshot.
-        assert joiner.runtime.trace.first_frame == joiner.joined_at_frame
+        assert joiner.runtime.trace.first_frame == joiner.engine.joined_at_frame
 
     def test_existing_players_unaffected_before_join(self):
         with_join, __ = build_latejoin_session(join_time=2.0)
@@ -135,7 +123,7 @@ class TestPlayerLateJoin:
         session.run(horizon=300.0)
         traces = [vm.runtime.trace for vm in session.vms]
         assert ConsistencyChecker().verify_traces(traces) > 0
-        gate = joiner.joined_at_frame + SyncConfig.paper_defaults().buf_frame
+        gate = joiner.engine.joined_at_frame + SyncConfig.paper_defaults().buf_frame
         host_inputs = session.vms[0].runtime.trace.inputs
         contributed = [
             i for i, word in enumerate(host_inputs) if (word >> 16) & 0xFF
@@ -146,7 +134,7 @@ class TestPlayerLateJoin:
     def test_joiner_input_bits_empty_before_gate(self):
         session, joiner = build_latejoin_session(joiner_is_player=True)
         session.run(horizon=300.0)
-        gate = joiner.joined_at_frame + SyncConfig.paper_defaults().buf_frame
+        gate = joiner.engine.joined_at_frame + SyncConfig.paper_defaults().buf_frame
         for trace in (vm.runtime.trace for vm in session.vms):
             for index in range(min(gate - trace.first_frame, trace.frames)):
                 if index < 0:
@@ -176,7 +164,6 @@ class TestLateJoinRobustness:
             netem=NetemConfig(delay=0.02, loss=0.3)
         )
         session.run(horizon=300.0)
-        donor = session.vms[0]
-        cached = donor._snapshot_cache.get(2)
+        cached = session.vms[0].engine.snapshot_cache.get(2)
         assert cached is not None
-        assert joiner.joined_at_frame == cached.frame + 1
+        assert joiner.engine.joined_at_frame == cached.frame + 1

@@ -9,17 +9,23 @@ import threading
 import pytest
 
 from repro.core.config import SyncConfig
+from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
+from repro.core.messages import MODE_ROLLBACK
+from repro.core.policy import Adaptive
 from repro.core.realtime import RealtimeVM
-from repro.core.vm import SitePeer, SiteRuntime
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.metrics.stats import mean
 from repro.net.udp import UdpSocket
 
 
-def run_realtime(frames=90, cfps=120.0, game="counter"):
-    """Two threaded sites over localhost UDP; returns their VMs."""
+def run_realtime(frames=90, cfps=120.0, game="counter", consistency=None):
+    """Two threaded sites over localhost UDP; returns their VMs.
+
+    ``consistency(game)`` builds each site's consistency part (None: the
+    engine's default lockstep).
+    """
     config = SyncConfig(cfps=cfps, buf_frame=6)
     assignment = InputAssignment.standard(2)
     sockets = [UdpSocket(), UdpSocket()]
@@ -36,7 +42,13 @@ def run_realtime(frames=90, cfps=120.0, game="counter"):
                 peers=peers,
                 game_id=game,
             )
-            vms.append(RealtimeVM(runtime, sockets[site], max_frames=frames))
+            engine = SiteEngine(
+                runtime,
+                frames,
+                consistency(game) if consistency is not None else None,
+                linger=2.0,
+            )
+            vms.append(RealtimeVM(engine, sockets[site]))
         threads = [threading.Thread(target=vm.run) for vm in vms]
         for thread in threads:
             thread.start()
@@ -115,10 +127,25 @@ class FlakySocket:
 
 
 class TestRealtimeSession:
-    def test_replicas_converge_over_real_udp(self):
-        vms = run_realtime()
+    @pytest.mark.parametrize(
+        "consistency",
+        [
+            None,
+            # The engine the old drivers could not host: speculation over
+            # a real socket (loopback RTT may later settle it to lockstep).
+            lambda game: Adaptive(create_game(game), initial_mode=MODE_ROLLBACK),
+        ],
+        ids=["lockstep", "rollback"],
+    )
+    def test_replicas_converge_over_real_udp(self, consistency):
+        vms = run_realtime(consistency=consistency)
         traces = [vm.runtime.trace for vm in vms]
         assert ConsistencyChecker().verify_traces(traces) == 90
+        if consistency is not None:
+            assert all(
+                vm.engine.consistency.rollback.stats.speculative_frames > 0
+                for vm in vms
+            )
 
     def test_frame_pacing_near_target(self):
         vms = run_realtime(frames=120, cfps=120.0)
@@ -160,7 +187,7 @@ class TestRealtimeSession:
                 peers=peers,
                 game_id="counter",
             )
-            vm = RealtimeVM(runtime, sock, max_frames=30)
+            vm = RealtimeVM(SiteEngine(runtime, 30, linger=2.0), sock)
             thread = threading.Thread(target=vm.run)
             thread.start()
             thread.join(timeout=10.0)
@@ -197,7 +224,7 @@ class TestRealtimeSession:
                     game_id="counter",
                 )
                 vms.append(
-                    RealtimeVM(runtime, sockets[site], max_frames=90)
+                    RealtimeVM(SiteEngine(runtime, 90, linger=2.0), sockets[site])
                 )
             threads = [threading.Thread(target=vm.run) for vm in vms]
             for thread in threads:

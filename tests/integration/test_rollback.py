@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.inputs import PadSource, RandomSource, ScriptedSource
-from repro.core.rollback import RollbackVM, build_rollback_session
+from repro.core.inputs import PadSource, RandomSource
+from repro.core.rollback import build_rollback_session
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.metrics.stats import mean
@@ -92,25 +92,25 @@ class TestLatencyAndCost:
         near = run_rollback(frames=240, rtt=0.020)
         far = run_rollback(frames=240, rtt=0.240)
         assert (
-            far.vms[0].rollback_stats.replayed_frames
-            > near.vms[0].rollback_stats.replayed_frames
+            far.vms[0].engine.consistency.stats.replayed_frames
+            > near.vms[0].engine.consistency.stats.replayed_frames
         )
         assert (
-            far.vms[0].rollback_stats.max_replay_depth
-            >= near.vms[0].rollback_stats.max_replay_depth
+            far.vms[0].engine.consistency.stats.max_replay_depth
+            >= near.vms[0].engine.consistency.stats.max_replay_depth
         )
 
     def test_quiet_inputs_cause_no_rollbacks(self):
         """Hold-last prediction is perfect when nobody touches the pad."""
         session = run_rollback(frames=240, rtt=0.120, toggle_p=0.0)
         for vm in session.vms:
-            assert vm.rollback_stats.rollbacks == 0
-            assert vm.rollback_stats.replayed_frames == 0
+            assert vm.engine.consistency.stats.rollbacks == 0
+            assert vm.engine.consistency.stats.replayed_frames == 0
 
     def test_speculation_window_bounds_runahead(self):
         session = run_rollback(frames=240, rtt=0.400, window=10)
         for vm in session.vms:
-            stats = vm.rollback_stats
+            stats = vm.engine.consistency.stats
             assert stats.max_replay_depth <= 10 + 1
             assert stats.speculation_stalls > 0
 

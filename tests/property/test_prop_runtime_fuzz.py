@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
 from repro.core.messages import Ping, StateSnapshot, Sync
-from repro.core.vm import SitePeer, SiteRuntime
+from repro.core.engine import SitePeer, SiteRuntime
 from repro.emulator.machine import create_game
 
 

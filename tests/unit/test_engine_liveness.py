@@ -4,17 +4,22 @@ The liveness machinery is pure engine state — no sockets, no chaos
 harness — so the deterministic mesh from ``test_engine`` is enough to
 exercise every transition: healthy → degraded → suspended → resumed,
 the capped-exponential backoff replacing the 20 ms pump while suspended,
-the resume-deadline giving ``peer-lost``, and the handshake timeout.
+the resume-deadline giving ``peer-lost``, the handshake timeout, and the
+acquire timeout of a joiner/resumer whose donor stays silent.
 """
+
+import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
     PHASE_SUSPENDED,
     Degraded,
+    Finished,
     PeerLost,
     Resumed,
     SiteEngine,
 )
+from repro.core.latejoin import LateJoinEngine, ResumeEngine
 from repro.core.messages import Resume
 
 from tests.unit.test_engine import EngineMesh, build_engines
@@ -187,6 +192,28 @@ class TestHandshakeTimeout:
         mesh.start()
         mesh.run(horizon=2.0)
         assert engines[1].termination == "handshake-timeout"
+
+
+class TestAcquireTimeout:
+    @pytest.mark.parametrize("engine_class", [LateJoinEngine, ResumeEngine])
+    def test_silent_donor_ends_in_a_named_outcome(self, engine_class):
+        """No snapshot within REQUEST_TIMEOUT: the engine terminates like
+        every other failure — a named ending and a ``Finished`` effect
+        out of ``poll()``, never an exception through it."""
+        runtime = build_pair()[1].runtime
+        engine = engine_class(runtime, 60, donor_site=0)
+        effects = engine.start(0.0)
+        now = 0.0
+        while not engine.done and now <= engine.REQUEST_TIMEOUT + 1.0:
+            now = engine.next_deadline()
+            effects = engine.poll(now)
+        assert engine.done
+        assert engine.termination == "acquire-timeout"
+        assert any(isinstance(effect, Finished) for effect in effects)
+        assert now == pytest.approx(engine.REQUEST_TIMEOUT, abs=0.2)
+        assert engine.next_deadline() is None
+        assert records(engine, "error")
+        assert runtime.frame == 0  # it never entered the frame loop
 
 
 class TestResumeAuthentication:

@@ -13,7 +13,7 @@ from repro.core.messages import (
     decode,
 )
 from repro.core.rtt import to_micros
-from repro.core.vm import SitePeer, SiteRuntime
+from repro.core.engine import SitePeer, SiteRuntime
 from repro.emulator.machine import create_game
 
 
