@@ -11,7 +11,11 @@ from repro.core.lockstep import LockstepSync
 from repro.core.messages import Ping, Sync, decode, decode_all, pack_batch
 from repro.core.wire_v1 import encode_v1
 from repro.emulator.machine import create_game
-from repro.metrics.bench import time_call
+from repro.metrics.bench import (
+    check_session_flatness,
+    measure_session_flatness,
+    time_call,
+)
 
 
 def test_console_frame_throughput(benchmark):
@@ -181,3 +185,12 @@ def test_console_savestate_throughput(benchmark):
         console.load_state(blob)
 
     benchmark(save_load)
+
+
+def test_session_frame_cost_is_flat(benchmark):
+    """A frame costs the same at minute three as at second ten: CPU per
+    frame over the last quarter of a 12,000-frame lossy counter session
+    against frames 600–3,600 (``run_bench.py`` gates the same ratio)."""
+    result = benchmark.pedantic(measure_session_flatness, rounds=1, iterations=1)
+    benchmark.extra_info.update(result)
+    assert not check_session_flatness(result["session_flatness_ratio"])

@@ -24,9 +24,11 @@ from repro.metrics.bench import (
     BANDWIDTH_BASELINE_BPS,
     ROM_FPS_BASELINE,
     SEED_BASELINE,
+    SESSION_FLATNESS_CEILING,
     check_bandwidth,
     check_block_fps,
     check_predictor_reduction,
+    check_session_flatness,
     check_sweep,
     check_timeline_overhead,
     measure_bandwidth_profile,
@@ -35,6 +37,7 @@ from repro.metrics.bench import (
     measure_lockstep_roundtrips,
     measure_predictor_comparison,
     measure_rollback_session,
+    measure_session_flatness,
     measure_snapshot_costs,
     measure_sweep,
     measure_timeline_overhead,
@@ -111,6 +114,13 @@ def run(quick: bool) -> dict:
         ).items()
     }
 
+    flatness = {
+        key: round(value, 3)
+        for key, value in measure_session_flatness(
+            frames=6_000 if quick else 12_000
+        ).items()
+    }
+
     timeline_overhead = {
         name: {
             key: round(value, 3)
@@ -136,6 +146,7 @@ def run(quick: bool) -> dict:
         "predictor_comparison": predictor,
         "adaptive_sweep": sweep,
         "bandwidth": bandwidth,
+        "session_flatness": flatness,
         "timeline_overhead": timeline_overhead,
     }
 
@@ -216,6 +227,14 @@ def summarize(results: dict) -> str:
         f"{bw['sent_Bps']:.0f} B/s/site sent  "
         f"(v2 baseline {BANDWIDTH_BASELINE_BPS:.0f})"
     )
+    flat = results["session_flatness"]
+    lines.append(
+        f"-- session flatness ({flat['frames']:.0f}-frame lossy counter session): "
+        f"session_flatness_ratio={flat['session_flatness_ratio']:.2f}  "
+        f"(CPU/frame late {flat['late_frame_us']:.0f}us / "
+        f"early {flat['early_frame_us']:.0f}us; "
+        f"ceiling {SESSION_FLATNESS_CEILING:.2f})"
+    )
     lines.append("-- timeline attribution overhead (added us vs frame cost) --")
     for name, row in sorted(results["timeline_overhead"].items()):
         lines.append(
@@ -254,8 +273,12 @@ def main(argv=None) -> int:
         path = write_bench_json(results, directory=options.out)
         print(f"wrote {path}")
     # The sweep's in-harness assertions are deterministic and sized the
-    # same either way, so its gate holds on --quick runs too.
+    # same either way, and flatness is a ratio within one session, so
+    # both gates hold on --quick runs too.
     problems = check_sweep(results["adaptive_sweep"])
+    problems += check_session_flatness(
+        results["session_flatness"]["session_flatness_ratio"]
+    )
     if not options.quick:
         # Regression gates: block fps, send-path bandwidth, predictor
         # quality against the checked-in baselines.  --quick numbers are

@@ -89,11 +89,10 @@ def apply_effects(
     ``Send`` goes out through ``send``; its payload is opaque here — the
     engine's outbox has already encoded it (possibly as a coalesced v2
     BATCH datagram), so drivers move bytes and never touch the codec.
-    The liveness effects update ``status`` when given.  ``SetTimer`` is
-    deliberately ignored — the bundled drivers pull
-    ``engine.next_deadline()`` instead — and ``Present`` / ``Stall`` /
-    ``ServeState`` are notifications these headless drivers have no screen
-    (or lobby) for; the harness admission hook is
+    The liveness effects update ``status`` when given.  Timers are not
+    effects — drivers pull ``engine.next_deadline()`` — and ``Present`` /
+    ``Stall`` / ``ServeState`` are notifications these headless drivers
+    have no screen (or lobby) for; the harness admission hook is
     ``engine.on_snapshot_served``.
     """
     running = True

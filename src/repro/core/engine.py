@@ -24,8 +24,8 @@ Three layers live here:
   frame loop with its SyncInput gate, late-join state serving, and the
   linger phase.  The engine is a pure state machine: drivers feed it
   :class:`Event` objects (datagrams, timer ticks, shutdown) and apply the
-  :class:`Effect` objects it returns (datagrams to send, timers to arm,
-  frames to present).  It contains no clocks, no sockets and no sleeping.
+  :class:`Effect` objects it returns (datagrams to send, frames to
+  present).  It contains no clocks, no sockets and no sleeping.
   Which ``SyncInput`` the loop runs is its ``consistency`` part —
   :class:`repro.core.lockstep.Lockstep` (the paper's),
   :class:`repro.core.rollback.Rollback` or
@@ -50,9 +50,7 @@ Drivers interact with the engine through exactly two entry points::
     effects = engine.poll(now)       # time passed (a timer may be due)
 
 and one scheduling query, ``engine.next_deadline()`` — the earliest time at
-which ``poll`` must be called again.  ``SetTimer`` effects carry the same
-information for drivers that prefer push-style scheduling; the bundled
-drivers use the pull-style query.  All ``now`` values must come from one
+which ``poll`` must be called again.  All ``now`` values must come from one
 monotonically non-decreasing clock per engine.
 """
 
@@ -797,16 +795,6 @@ class Send:
 
 
 @dataclass(frozen=True)
-class SetTimer:
-    """Timer ``kind`` is (re)armed for ``deadline``; the engine wants a
-    ``poll`` no later than that.  ``engine.next_deadline()`` carries the
-    same information for pull-style drivers."""
-
-    kind: str
-    deadline: float
-
-
-@dataclass(frozen=True)
 class Present:
     """A frame committed: render ``frame`` executed under ``merged_input``."""
 
@@ -873,7 +861,7 @@ class Finished:
 
 
 Effect = Union[
-    Send, SetTimer, Present, Stall, ServeState, Degraded, PeerLost, Resumed, Finished
+    Send, Present, Stall, ServeState, Degraded, PeerLost, Resumed, Finished
 ]
 
 
@@ -1077,9 +1065,9 @@ class SiteEngine:
         timeout = self.runtime.config.handshake_timeout_s
         if timeout is not None:
             self._handshake_deadline = now + timeout
-        self._arm_send(now, effects)
-        self._set(TIMER_PING, now, effects)
-        self._set(TIMER_RETRY, now, effects)
+        self._arm_send(now)
+        self._set(TIMER_PING, now)
+        self._set(TIMER_RETRY, now)
         return self._pump(now, effects)
 
     def handle(self, event: Event) -> List[Effect]:
@@ -1153,20 +1141,21 @@ class SiteEngine:
     # ------------------------------------------------------------------
     # Timer plumbing
     # ------------------------------------------------------------------
-    def _set(self, kind: str, deadline: float, effects: List[Effect]) -> None:
+    def _set(self, kind: str, deadline: float) -> None:
         self._timers[kind] = deadline
-        effects.append(SetTimer(kind, deadline))
 
     def _clear(self, kind: str) -> None:
         self._timers.pop(kind, None)
 
     def _pump(self, now: float, effects: List[Effect]) -> List[Effect]:
-        """Fire due timers in deadline order, then advance the phase."""
-        while self._timers and not self.done:
-            kind = min(self._timers, key=lambda k: (self._timers[k], k))
-            if self._timers[kind] > now:
+        """Fire due timers in (deadline, kind) order, then advance the phase."""
+        timers = self._timers
+        while timers and not self.done:
+            due = min(timers.values())
+            if due > now:
                 break
-            del self._timers[kind]
+            kind = min(k for k, deadline in timers.items() if deadline == due)
+            del timers[kind]
             self._on_timer(kind, now, effects)
         if not self.done:
             self._check_divergence(now, effects)
@@ -1313,13 +1302,13 @@ class SiteEngine:
                 delay = self._rng.uniform(
                     0.0, 2.0 * self.runtime.config.slice_delay
                 )
-                self._set(TIMER_FLUSH, now + delay, effects)
+                self._set(TIMER_FLUSH, now + delay)
             else:
                 self._flush(now, effects)
-                self._arm_send(now, effects)
+                self._arm_send(now)
         elif kind == TIMER_FLUSH:
             self._flush(now, effects)
-            self._arm_send(now, effects)
+            self._arm_send(now)
         elif kind == TIMER_PING:
             self._outbox.extend(self.runtime.ping_messages(now))
             interval = self.runtime.config.ping_interval
@@ -1331,7 +1320,7 @@ class SiteEngine:
                 # very first exchange can race START and come back plain),
                 # then settle to the steady cadence.
                 interval = min(interval, 0.1)
-            self._set(TIMER_PING, now + interval, effects)
+            self._set(TIMER_PING, now + interval)
         elif kind == TIMER_RETRY:
             if self.phase == PHASE_HANDSHAKE:
                 if (
@@ -1347,9 +1336,7 @@ class SiteEngine:
                     self._terminate("handshake-timeout", now, effects)
                     return
                 self._outbox.extend(self.runtime.control_messages(now))
-                self._set(
-                    TIMER_RETRY, self.runtime.session.retry_deadline(), effects
-                )
+                self._set(TIMER_RETRY, self.runtime.session.retry_deadline())
         elif kind == TIMER_BACKOFF:
             if self.phase == PHASE_SUSPENDED:
                 # Suspended retransmission: same payloads as the 20 ms pump
@@ -1365,7 +1352,7 @@ class SiteEngine:
                     self._backoff * 2.0,
                     self.runtime.config.suspend_backoff_max_s,
                 )
-                self._set(TIMER_BACKOFF, now + self._jitter(self._backoff), effects)
+                self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
         elif kind == TIMER_RESUME:
             if self.phase == PHASE_SUSPENDED:
                 self.runtime.events.emit(
@@ -1386,9 +1373,9 @@ class SiteEngine:
                 self._frame_cycle(now, effects)
         elif kind == TIMER_LINGER:
             if self.phase == PHASE_LINGER:
-                self._set(TIMER_LINGER, now + 0.05, effects)
+                self._set(TIMER_LINGER, now + 0.05)
             elif self.phase == PHASE_CATCHUP:
-                self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
+                self._set(TIMER_LINGER, now + self.CATCHUP_POLL)
         elif kind == TIMER_RESYNC:
             if self.phase == PHASE_RESYNC:
                 # Episodes must survive loss: re-send every digest not yet
@@ -1397,7 +1384,7 @@ class SiteEngine:
                 self._outbox.extend(self.runtime.digest_retransmits(now))
                 if not self._resync_restored and not self._is_resync_authority():
                     self._request_resync(now)
-                self._set(TIMER_RESYNC, now + self.RESYNC_TICK, effects)
+                self._set(TIMER_RESYNC, now + self.RESYNC_TICK)
         elif kind == TIMER_RESYNC_DEADLINE:
             if self.phase == PHASE_RESYNC:
                 self.runtime.events.emit(
@@ -1410,13 +1397,13 @@ class SiteEngine:
                 )
                 self._terminate("desync", now, effects)
 
-    def _arm_send(self, now: float, effects: List[Effect]) -> None:
+    def _arm_send(self, now: float) -> None:
         """The paper's batching sender: flush every ``send_interval``, with
         the sender thread's sleep landing late on a coarse OS timer."""
         period = self.runtime.config.send_interval
         if self.timer_granularity > 0:
             period += self._rng.uniform(0.0, self.timer_granularity)
-        self._set(TIMER_SEND, now + period, effects)
+        self._set(TIMER_SEND, now + period)
 
     def _flush(self, now: float, effects: List[Effect]) -> None:
         # Session-control retransmissions (e.g. START to a peer whose copy
@@ -1438,7 +1425,7 @@ class SiteEngine:
                 self._clear(TIMER_RETRY)
                 if self.frame_loop_delay > 0:
                     self.phase = PHASE_FRAME_WAIT
-                    self._set(TIMER_FRAME, now + self.frame_loop_delay, effects)
+                    self._set(TIMER_FRAME, now + self.frame_loop_delay)
                 else:
                     self._frame_cycle(now, effects)
         elif self.phase == PHASE_GATE:
@@ -1482,7 +1469,7 @@ class SiteEngine:
             and self._backoff > self.runtime.config.suspend_backoff_initial_s
         ):
             self._backoff = self.runtime.config.suspend_backoff_initial_s
-            self._set(TIMER_BACKOFF, now + self._jitter(self._backoff), effects)
+            self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
         self._liveness_mark = liveness.mark
 
     def _frame_cycle(self, now: float, effects: List[Effect]) -> None:
@@ -1546,7 +1533,7 @@ class SiteEngine:
             ):
                 self._enter_suspended(now, effects)
                 return False
-            self._set(TIMER_GATE, now + self.SYNC_POLL, effects)
+            self._set(TIMER_GATE, now + self.SYNC_POLL)
             return False
         self._clear(TIMER_GATE)
         if self._degraded:
@@ -1563,7 +1550,7 @@ class SiteEngine:
         self.runtime.on_gate_open(now)
         if self.frame_compute_time > 0:
             self.phase = PHASE_COMPUTE
-            self._set(TIMER_COMPUTE, now + self.frame_compute_time, effects)
+            self._set(TIMER_COMPUTE, now + self.frame_compute_time)
             return False
         return self._commit_frame(now, effects)
 
@@ -1588,7 +1575,7 @@ class SiteEngine:
             return False
         if deadline is not None:
             self.phase = PHASE_FRAME_WAIT
-            self._set(TIMER_FRAME, deadline, effects)
+            self._set(TIMER_FRAME, deadline)
             return False
         return True
 
@@ -1636,8 +1623,8 @@ class SiteEngine:
             self._clear(kind)
         self._backoff = runtime.config.suspend_backoff_initial_s
         self._liveness_mark = runtime.liveness.mark
-        self._set(TIMER_BACKOFF, now + self._jitter(self._backoff), effects)
-        self._set(TIMER_RESUME, now + runtime.config.resume_deadline_s, effects)
+        self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
+        self._set(TIMER_RESUME, now + runtime.config.resume_deadline_s)
         runtime.events.emit(
             "suspended",
             now,
@@ -1664,8 +1651,8 @@ class SiteEngine:
         self._clear(TIMER_RESUME)
         self.phase = PHASE_GATE
         self._degraded = False
-        self._arm_send(now, effects)
-        self._set(TIMER_PING, now + runtime.config.ping_interval, effects)
+        self._arm_send(now)
+        self._set(TIMER_PING, now + runtime.config.ping_interval)
         runtime.events.emit(
             "resumed",
             now,
@@ -1792,19 +1779,15 @@ class SiteEngine:
         if was_suspended:
             # Suspension parked the frame-rate pumps; the episode needs
             # them back (digests and the snapshot ride the normal flush).
-            self._arm_send(now, effects)
-            self._set(TIMER_PING, now + runtime.config.ping_interval, effects)
+            self._arm_send(now)
+            self._set(TIMER_PING, now + runtime.config.ping_interval)
         self._resync_anchor = anchor
         self.resync_frozen = runtime.frame
         self._resync_started = now
         self._resync_peer = peer
         self.phase = PHASE_RESYNC
-        self._set(TIMER_RESYNC, now + self.RESYNC_TICK, effects)
-        self._set(
-            TIMER_RESYNC_DEADLINE,
-            now + runtime.config.resync_deadline_s,
-            effects,
-        )
+        self._set(TIMER_RESYNC, now + self.RESYNC_TICK)
+        self._set(TIMER_RESYNC_DEADLINE, now + runtime.config.resync_deadline_s)
         runtime.events.emit(
             "resync_begin",
             now,
@@ -2047,12 +2030,12 @@ class SiteEngine:
         if self.phase != PHASE_CATCHUP and not self.consistency.settled(now):
             self.phase = PHASE_CATCHUP
             self._linger_deadline = now + self.linger
-            self._set(TIMER_LINGER, now + self.CATCHUP_POLL, effects)
+            self._set(TIMER_LINGER, now + self.CATCHUP_POLL)
             return
         self.frames_complete = True
         self.phase = PHASE_LINGER
         self._linger_deadline = now + self.linger
-        self._set(TIMER_LINGER, now + 0.05, effects)
+        self._set(TIMER_LINGER, now + 0.05)
         self._maybe_finish_linger(now, effects)
 
     def _maybe_finish_linger(self, now: float, effects: List[Effect]) -> None:

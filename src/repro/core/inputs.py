@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Sequence
 
 
@@ -192,8 +193,8 @@ class ScriptedSource(InputSource):
             return self._script[frame]
         if not self._hold:
             return 0
-        previous = [f for f in self._frames if f < frame]
-        return self._script[previous[-1]] if previous else 0
+        earlier = bisect_left(self._frames, frame)
+        return self._script[self._frames[earlier - 1]] if earlier else 0
 
 
 class RandomSource(InputSource):
@@ -202,8 +203,9 @@ class RandomSource(InputSource):
     Each button independently toggles with probability ``toggle_p`` per
     frame, producing runs of presses-and-holds that resemble real pad input
     more closely than per-frame independent noise.  The sequence is fully
-    determined by ``seed``: frame ``n`` is computed by hashing, not by
-    consuming shared RNG state, so lookups are random access and replay-safe.
+    determined by ``seed``: frame ``n``'s toggles come from a generator
+    re-seeded with (seed, n), never from RNG state carried between frames,
+    so lookups are random access and replay-safe.
     """
 
     def __init__(self, seed: int, toggle_p: float = 0.08, mask: int = Buttons.ALL) -> None:
@@ -212,10 +214,14 @@ class RandomSource(InputSource):
         self._seed = seed
         self._toggle_p = toggle_p
         self._mask = mask
-        self._cache: Dict[int, int] = {}
+        #: Words of frames ``0..len-1``: reads only ever extend this
+        #: contiguous frontier, so the nearest ancestor is the last entry.
+        self._words: List[int] = []
+        self._rng = random.Random()
 
     def _toggles(self, frame: int) -> int:
-        rng = random.Random((self._seed << 20) ^ frame)
+        rng = self._rng
+        rng.seed((self._seed << 20) ^ frame)
         toggles = 0
         for bit in range(BITS_PER_PLAYER):
             if rng.random() < self._toggle_p:
@@ -225,15 +231,11 @@ class RandomSource(InputSource):
     def get(self, frame: int) -> int:
         if frame < 0:
             return 0
-        if frame in self._cache:
-            return self._cache[frame]
-        # Compute forward from the nearest cached ancestor (or 0).
-        known = max((f for f in self._cache if f < frame), default=-1)
-        state = self._cache.get(known, 0)
-        for f in range(known + 1, frame + 1):
-            state ^= self._toggles(f)
-            self._cache[f] = state
-        return state
+        words = self._words
+        while len(words) <= frame:
+            previous = words[-1] if words else 0
+            words.append(previous ^ self._toggles(len(words)))
+        return words[frame]
 
 
 class TapSource(InputSource):

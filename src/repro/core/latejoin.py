@@ -80,9 +80,9 @@ class LateJoinEngine(SiteEngine):
         effects: List[Effect] = []
         self.phase = PHASE_ACQUIRE
         self._acquire_deadline = now + self.REQUEST_TIMEOUT
-        self._arm_send(now, effects)
-        self._set(TIMER_PING, now, effects)
-        self._set(TIMER_REQUEST, now, effects)
+        self._arm_send(now)
+        self._set(TIMER_PING, now)
+        self._set(TIMER_REQUEST, now)
         return self._pump(now, effects)
 
     def _request_message(self) -> Message:
@@ -116,7 +116,7 @@ class LateJoinEngine(SiteEngine):
             self._outbox.append(
                 (self._request_message(), self.runtime.address_of[self.donor_site])
             )
-            self._set(TIMER_REQUEST, now + self.REQUEST_INTERVAL, effects)
+            self._set(TIMER_REQUEST, now + self.REQUEST_INTERVAL)
             return
         super()._on_timer(kind, now, effects)
 

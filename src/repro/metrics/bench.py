@@ -82,6 +82,13 @@ BANDWIDTH_TOLERANCE = 1.05
 #: scales the fraction, never swamps it.
 TIMELINE_OVERHEAD_BUDGET = 0.02
 
+#: A frame must cost the same at minute ten as at second one: CPU per
+#: frame over the last quarter of a long session may exceed CPU per frame
+#: early in it by at most this factor.  Healthy sessions read 0.95–1.05;
+#: the per-frame history rescan this gate was added against read 3.0 at
+#: 12,000 frames and 1.8 at the 6,000 of ``--quick``.
+SESSION_FLATNESS_CEILING = 1.25
+
 
 def time_call(fn: Callable[[], object], repeats: int = 3, inner: int = 1) -> float:
     """Best-of-``repeats`` wall-clock seconds for one call of ``fn``.
@@ -275,23 +282,18 @@ def measure_lockstep_roundtrips(cycles: int = 300, repeats: int = 3) -> float:
     return cycles / time_call(run, repeats=repeats)
 
 
-def measure_bandwidth_profile(frames: int = 900, seed: int = 7) -> Dict[str, float]:
-    """Per-site sync bandwidth on the standard lossy two-site profile.
-
-    The profile behind :data:`BANDWIDTH_BASELINE_BPS`: two players on the
-    counter game, 20 ms flush interval, RTT 40 ms with 5% loss, and no
-    time server — its reports ride outside the sync protocol and would
-    blur the measurement the §4.2 bandwidth argument is about.  Byte
-    counts in the simulator are deterministic, so one run suffices.
-    """
+def _lossy_counter_session(frames: int, seed: int):
+    """The standard lossy two-site profile: two players on the counter
+    game (it costs nothing, so the protocol does all the work), 20 ms
+    flush interval, RTT 40 ms with 5% loss, and no time server — its
+    reports ride outside the sync protocol."""
     from repro.core.config import SyncConfig
     from repro.core.inputs import InputAssignment, PadSource, RandomSource
     from repro.core.multisite import SessionPlan, build_session
     from repro.net.netem import NetemConfig
 
-    config = SyncConfig(send_interval=0.020)
     plan = SessionPlan(
-        config=config,
+        config=SyncConfig(send_interval=0.020),
         assignment=InputAssignment.standard(2),
         machines=[create_game("counter") for __ in range(2)],
         sources=[
@@ -300,11 +302,21 @@ def measure_bandwidth_profile(frames: int = 900, seed: int = 7) -> Dict[str, flo
         max_frames=frames,
         seed=seed,
     )
-    session = build_session(
+    return build_session(
         plan, NetemConfig.for_rtt(0.040, loss=0.05), with_time_server=False
     )
+
+
+def measure_bandwidth_profile(frames: int = 900, seed: int = 7) -> Dict[str, float]:
+    """Per-site sync bandwidth on the standard lossy two-site profile.
+
+    The profile behind :data:`BANDWIDTH_BASELINE_BPS`
+    (:func:`_lossy_counter_session`).  Byte counts in the simulator are
+    deterministic, so one run suffices.
+    """
+    session = _lossy_counter_session(frames, seed)
     session.run(horizon=600.0)
-    duration = frames / config.cfps
+    duration = frames / session.plan.config.cfps
     stats = session.vms[0].socket.stats
     return {
         "sent_Bps": stats.bytes_sent / duration,
@@ -326,6 +338,60 @@ def check_bandwidth(sent_bps: float) -> List[str]:
         return [
             f"bandwidth: {sent_bps:.0f} B/s/site > "
             f"{BANDWIDTH_TOLERANCE:.2f}x baseline {BANDWIDTH_BASELINE_BPS:.0f}"
+        ]
+    return []
+
+
+def measure_session_flatness(frames: int = 12_000, seed: int = 7) -> Dict[str, float]:
+    """CPU per frame late in one long session over CPU per frame early.
+
+    One :func:`_lossy_counter_session` of ``frames`` frames, read with
+    ``time.process_time`` at 121 evenly spaced instants of its own clock.
+    The early window is frames 5%–30% of the session (600–3,600 of 12,000:
+    past the handshake, inside the paper's run length), the late window
+    its last quarter.  Work that reads history without a bound — a scan
+    over every earlier frame, a buffer nobody prunes — makes the late
+    window dearer and the ratio climbs above 1; a frame that costs what
+    its own work costs reads about 1 at any length.
+
+    A window's cost is that of its cheapest slice, best-of like
+    :func:`time_call`: this host runs slow for seconds at a time (whole
+    windows read ±40%), and noise only ever adds time.
+    """
+    slices = 120
+    session = _lossy_counter_session(frames, seed)
+    trace = session.vms[0].runtime.trace
+    cfps = session.plan.config.cfps
+    marks: List[tuple] = []
+    for tick in range(slices + 1):
+        session.loop.call_at(
+            tick * frames / slices / cfps,
+            lambda: marks.append((trace.frames, time.process_time())),
+        )
+    session.run(horizon=frames / cfps + 60.0)
+    slice_us = [
+        (cpu - cpu0) / (done - done0) * 1e6
+        for (done0, cpu0), (done, cpu) in zip(marks, marks[1:])
+    ]
+    early = min(slice_us[slices // 20 : 3 * slices // 10])
+    late = min(slice_us[3 * slices // 4 :])
+    return {
+        "frames": frames,
+        "early_frame_us": early,
+        "late_frame_us": late,
+        "session_flatness_ratio": late / early,
+    }
+
+
+def check_session_flatness(ratio: float) -> List[str]:
+    """The frame-cost-growth gate: late/early CPU per frame of one session.
+
+    A ratio, so host speed cancels and it holds on ``--quick`` sizes too.
+    """
+    if ratio > SESSION_FLATNESS_CEILING:
+        return [
+            f"session flatness: late frames cost {ratio:.2f}x early ones "
+            f"(ceiling {SESSION_FLATNESS_CEILING:.2f}x)"
         ]
     return []
 

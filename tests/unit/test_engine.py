@@ -488,3 +488,21 @@ class TestLegacyPeerRejection:
         ]
         assert errors
         assert "version 1" in str(errors[0].detail["error"])
+
+
+class TestTimerOrder:
+    def test_simultaneous_timers_fire_in_deadline_then_kind_order(self):
+        engine = build_engines()[0]
+        fired = []
+        engine._on_timer = lambda kind, now, effects: fired.append(kind)
+        # Armed in neither deadline nor name order, with a three-way tie.
+        engine._set("send", 1.0)
+        engine._set("retry", 1.0)
+        engine._set("linger", 3.0)
+        engine._set("ping", 1.0)
+        engine._set("flush", 0.5)
+        engine._set("gate", 2.0)
+        assert engine.next_deadline() == 0.5
+        engine.poll(2.0)
+        assert fired == ["flush", "ping", "retry", "send", "gate"]
+        assert engine.next_deadline() == 3.0
