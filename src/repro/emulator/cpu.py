@@ -16,12 +16,14 @@ frozen).
 
 Three interpreters execute the same ISA (see docs/performance.md):
 
-* :meth:`Cpu.run_frame_blocks` — the block-translation path: straight-line
-  runs are traced once, compiled to a single Python closure (fused operand
-  decode, registers and flags held in locals, superinstruction peepholes
-  for the hot pairs), guarded against self-modifying code by the memory
-  bus's dirty-page generations, and chained through a dict keyed by entry
-  pc, so hot loops execute with zero per-instruction dispatch,
+* :meth:`Cpu.run_frame_blocks` — the block-translation path: the blocks
+  reachable from an entry pc through static jumps are traced once and
+  compiled, as one *region*, to a single Python closure (fused operand
+  decode, registers and flags held in locals across the blocks,
+  superinstruction peepholes for the hot pairs), guarded against
+  self-modifying code by the memory bus's dirty-page generations, and
+  entered through a dict keyed by entry pc, so a loop — branches in its
+  body included — executes with zero per-instruction dispatch,
 * :meth:`Cpu.run_frame` — the fast path: a 256-entry dispatch table of
   handlers, a decoded-instruction cache keyed by ``(pc, word)``, and
   fetches inlined against plain-RAM pages,
@@ -35,6 +37,7 @@ all paths produce bit-identical machine states for any program.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -348,51 +351,63 @@ DISPATCH = _build_dispatch()
 
 
 # ----------------------------------------------------------------------
-# Basic-block translation (see docs/performance.md, "Block translation").
+# Region translation (see docs/performance.md, "Block translation").
 #
-# A *block* is an extended straight-line run of instructions starting at
-# some pc and ending at the first backward jump, CALL/RET, HALT/YIELD,
-# span limit, or illegal/hooked fetch.  "Extended" because two kinds of
-# control flow stay inside the block (superblock formation — dispatch
-# overhead dominates otherwise):
+# The unit of translation is a *region*: every extended block reachable
+# from an entry pc through static successors — both arms of a conditional
+# jump, JMP targets, fall-through — that lie inside the guard span: from
+# the entry pc to the end of the dirty-tracking page after its own
+# (_MAX_BLOCK_PAGES pages in all; a jump below the entry pc leaves).
+# Its *members* are split at the region's leaders: the entry pc plus
+# every in-span target of a conditional jump or of a backward JMP.  A
+# member runs from its leader to the next leader, a backward or
+# out-of-span JMP, CALL/RET, HALT/YIELD, the span limit or an
+# illegal/hooked fetch; inside it
 #
-# * a *forward* JMP is traced through: the skipped bytes stay part of the
-#   guarded range but generate no code,
-# * a conditional jump that is not the final instruction compiles to an
-#   early ``return`` on the taken path and falls through otherwise, so a
-#   whole if/else chain runs in one dispatch.
+# * a *forward* JMP to a non-leader is traced through (the skipped bytes
+#   stay in the guarded range but generate no code),
+# * a conditional jump leaves on the taken path and falls through
+#   otherwise, so an if/else chain is one member.
 #
 # (Inlining forward CALLs with a speculative RET check was tried and
-# measured a net loss on every ROM here: the merged blocks union so many
-# registers that every dispatch pays for the worst path.)
+# measured a net loss on every ROM here: the merged code unions so many
+# registers that every entry pays for the worst path.)
 #
-# Each block is traced once and compiled — via generated Python source —
-# into a single closure ``fn(budget)`` that executes the whole run and
-# returns ``(next_pc, cycles_used)``:
+# A region compiles — via generated Python source — into one closure
+# ``fn(budget)`` returning ``(next_pc, cycles_used)``.  A region with no
+# internal jump is straight-line code.  Otherwise every member is a
+# ``while`` on the budget rule (it runs only while its full cost fits what
+# is left), a jump to itself is that loop's ``continue``, and the members
+# sit in an ``if pc == ...`` chain inside one ``while True:`` that a jump
+# to another member re-enters — so a loop with an if/else in its body
+# never leaves the closure:
 #
 # * operand decode is fused away: register indices and immediates are
 #   baked into the source as literals,
-# * registers and flags live in Python locals, loaded once on entry and
-#   flushed once at each exit,
-# * peepholes fall out of two dataflow passes: dead-flag elimination turns
-#   ADDI+CMPI into a bare add plus one flag computation and fuses CMP+Jcc
-#   into a single compare-and-branch, while constant propagation turns
-#   LDI+ST into a literal store (and folds constant address arithmetic),
-# * a block whose terminator jumps back to its own entry becomes a
-#   *superloop*: the loop runs inside the closure with an inline budget
-#   check, so hot spin/copy loops execute with zero dispatch of any kind.
+# * registers live in Python locals across member boundaries, loaded once
+#   on entry and flushed only on the way out — a dynamic target (RET), a
+#   jump out of the region, CALL, HALT/YIELD, a store into the region's
+#   own bytes, or a member whose full cost no longer fits the budget,
+# * flags are one lazy local ``f`` (the last flag-setting result):
+#   conditional jumps test it directly and only the way out materialises
+#   ``cpu.z``/``cpu.n`` from it,
+# * peepholes fall out of two per-member dataflow passes: dead-flag
+#   elimination turns ADDI+CMPI into a bare add plus one flag word and
+#   fuses CMP+Jcc into a compare-and-branch, while constant propagation
+#   turns LDI+ST into a literal store (and folds constant addresses).
 #
-# Correctness against self-modifying code: each block records the dirty
+# Correctness against self-modifying code: each region records the dirty
 # generations of every page its bytes span (at most _MAX_BLOCK_PAGES);
 # the dispatch loop revalidates on mismatch by comparing the code bytes
 # (cheap, and immune to false invalidation from data colocated on a code
-# page).  A store *inside* a block that hits the block's own byte range
-# exits the block early with the architectural state exact.  Fetches from
-# MMIO-hooked pages are never compiled — the table interpreter handles
-# them — and hook-layout changes flush the whole cache via the bus's
-# hooks epoch.
+# page).  A store *inside* a region that hits the region's own byte range
+# exits right after the storing instruction with the architectural state
+# exact.  Fetches from MMIO-hooked pages are never compiled — the table
+# interpreter handles them — and hook-layout changes flush the whole
+# cache via the bus's hooks epoch.
 # ----------------------------------------------------------------------
 
+#: Instructions one region may hold, over all its members.
 _MAX_BLOCK_INSTRS = 256
 #: Span ceiling in 256-byte dirty-tracking pages: bounds the guard chain
 #: length and the bytes a revalidation has to compare.  Measured sweet
@@ -404,14 +419,23 @@ _MAX_BLOCK_PAGES = 2
 #: a recompile per execution.
 _BLOCK_INVAL_LIMIT = 32
 
+#: Conditional jumps as tests on the lazy flag word ``f``: Z is
+#: ``f == 0`` and N is ``f >= 0x8000``.
 _COND_EXPR = {
-    JZ: "z", JNZ: "not z", JLT: "n", JGE: "not n",
-    JLE: "z or n", JGT: "not (z or n)",
+    JZ: "not f", JNZ: "f", JLT: "f >= 0x8000", JGE: "f < 0x8000",
+    JLE: "not 0 < f < 0x8000", JGT: "0 < f < 0x8000",
 }
 _COND_JUMPS = frozenset(_COND_EXPR)
-_TERMINATORS = _COND_JUMPS | {JMP, CALL, RET, HALT, YIELD}
+#: What can end a member; a conditional jump only leaves on its taken arm.
+_TERMINATORS = frozenset((JMP, CALL, RET, HALT, YIELD))
 _FLAG_SETTERS = frozenset((ADD, SUB, AND, OR, XOR, SHL, SHR, MUL, ADDI, CMP, CMPI))
 _MIDBLOCK_STORES = frozenset((ST, STB, PUSH))
+#: The flag word's index in the generator's register dataflow sets.
+_FLAGS = 16
+#: Set in a looping region's ``pc`` local when control leaves the region —
+#: also for a target that is a member's pc: after a HALT/YIELD, a store
+#: into the region's bytes or a RET, the dispatch loop must decide.
+_LEAVE = 0x10000
 
 _ALU_EXPR = {
     ADD: "({a} + {b}) & 0xFFFF",
@@ -436,43 +460,52 @@ _ALU_FN = {
 
 #: (addr, opcode, ra, rb, imm, cost, next_pc)
 _Instr = Tuple[int, int, int, int, int, int, int]
+#: (leader pc, instructions, terminating opcode or None for fall-through)
+_Member = Tuple[int, List[_Instr], Optional[int]]
 
 
 class _Block:
-    """One compiled basic block (metadata; the dispatch loop works off a
-    flat list entry — index beats attribute lookup on the hot path)."""
+    """One compiled region (metadata; the dispatch loop works off a flat
+    list entry — index beats attribute lookup on the hot path).  ``start``
+    is the entry pc and ``start``..``end`` the guarded byte range."""
 
-    __slots__ = ("start", "end", "fn", "cost", "stops", "code", "pages", "source")
+    __slots__ = ("start", "end", "fn", "code", "pages", "source")
 
 
-# Dispatch-cache entry layout: [fn, cost, stops, block, p0, g0, p1, g1, ...]
-# — a variable-length tail of (page, guard-generation) pairs, one per page
-# the block's bytes span.
-_E_FN, _E_COST, _E_STOPS, _E_BLOCK = range(4)
-_E_GUARDS = 4
+# Dispatch-cache entry layout: [fn, block, p0, g0, p1, g1, ...] — a
+# variable-length tail of (page, guard-generation) pairs, one per page the
+# region's bytes span.
+_E_FN, _E_BLOCK = range(2)
+_E_GUARDS = 2
 
-#: Returned by a block closure whose guard or budget pre-check failed; the
-#: dispatch loop distinguishes it by its zero cycle count (a real block
-#: always consumes at least one cycle).
+#: Returned by a region closure whose guard or budget pre-check failed;
+#: the dispatch loop distinguishes it by its zero cycle count (a real
+#: region always consumes at least one cycle).
 _MISS = (0, 0)
 
-#: Process-wide cache of compiled block code objects, keyed by generated
+#: Process-wide cache of compiled region code objects, keyed by generated
 #: source (which embeds every literal, so equal source means equal code).
-#: ``compile()`` is ~0.5 ms per block — the bulk of a machine's warmup —
+#: ``compile()`` is ~0.5 ms per member — the bulk of a machine's warmup —
 #: and every same-ROM machine in the process (multi-site sessions, bench
 #: repeats) generates identical sources, so they share one compile.  The
 #: per-machine closure state is bound by exec-ing the cached code object.
 _CODE_CACHE: Dict[str, object] = {}
 _CODE_CACHE_LIMIT = 4096
+#: Process-wide memo of the translation itself: (entry pc, the bytes of
+#: its guard span, the bus's page-plainness table) — everything tracing
+#: and generation read — to (source, end).  Same-ROM machines skip both,
+#: and code that is patched back and forth between a few variants (the
+#: ``smc`` ROM) finds each variant again instead of re-deriving it.
+_TRANSLATIONS: Dict[tuple, Tuple[str, int]] = {}
 
 
 def _flag_liveness(instrs: List[_Instr]) -> List[bool]:
     """Backward pass: ``dead[i]`` is True iff instruction i's flag update
-    is overwritten before any conditional jump, early block exit, or the
-    block's end can observe it (exits must leave ``cpu.z/n`` exact)."""
+    is overwritten before any conditional jump, early exit, or the
+    member's end can observe it (exits must leave ``cpu.z/n`` exact)."""
     last = len(instrs) - 1
     dead = [False] * len(instrs)
-    live = True  # flags flowing out of the block are architectural state
+    live = True  # flags flowing out of the member are architectural state
     for i in range(last, -1, -1):
         op = instrs[i][1]
         if op in _FLAG_SETTERS:
@@ -481,18 +514,55 @@ def _flag_liveness(instrs: List[_Instr]) -> List[bool]:
         if op in _COND_JUMPS:
             live = True
         elif op in _MIDBLOCK_STORES and i < last:
-            live = True  # the store's in-block-SMC exit flushes flags
+            live = True  # the store's in-region-SMC exit flushes flags
     return dead
 
 
-def _generate_block_source(
-    start: int,
-    instrs: List[_Instr],
-    terminator: Optional[int],
+@functools.lru_cache(maxsize=None)  # at most 2 x 65,536 instruction words
+def _register_effects(
+    op: int, ra: int, rb: int, sets_flags: bool
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(reads, writes) of one instruction over r0..r15 and ``_FLAGS``."""
+    reads: Tuple[int, ...] = ()
+    writes: Tuple[int, ...] = ()
+    if op == LDI:
+        writes = (ra,)
+    elif op in (MOV, LD, LDB):
+        reads = (rb,)
+        writes = (ra,)
+    elif op in (ST, STB, CMP):
+        reads = (ra, rb)
+    elif op in _ALU_EXPR:
+        reads = (ra, rb)
+        writes = (ra,)
+    elif op == ADDI:
+        reads = (ra,)
+        writes = (ra,)
+    elif op == CMPI:
+        reads = (ra,)
+    elif op == PUSH:
+        reads = (ra, SP)
+        writes = (SP,)
+    elif op == POP:
+        reads = (SP,)
+        writes = (ra, SP)
+    elif op in (CALL, RET):
+        reads = (SP,)
+        writes = (SP,)
+    elif op in _COND_JUMPS:
+        reads = (_FLAGS,)
+    if sets_flags:
+        writes += (_FLAGS,)
+    return reads, writes
+
+
+def _generate_region_source(
+    members: List[_Member],
     mem_plain: Optional[bytearray] = None,
     mem_plain_word: Optional[bytearray] = None,
-) -> Tuple[str, bool, int]:
-    """Render a traced block to Python source; returns (source, stops, cost).
+) -> Tuple[str, int]:
+    """Render a traced region (entry member first) to Python source;
+    returns it with the (unmasked) end of the bytes its members span.
 
     ``mem_plain``/``mem_plain_word`` are the bus's page-plainness tables,
     consulted at *generation* time to fold the plainness branch away for
@@ -503,148 +573,58 @@ def _generate_block_source(
     The source defines ``_make(...)`` whose captured-argument closure
     ``block(budget)`` validates its own guard and budget (returning the
     ``_MISS`` sentinel on failure, so the dispatch hot path is one dict
-    lookup plus one call), executes the whole run, and returns
-    ``(next_pc, cycles)`` — with ``cycles`` negated when the block ended
-    the frame via HALT/YIELD.
+    lookup plus one call), runs members until one leaves the region, and
+    returns ``(next_pc, cycles)`` — with ``cycles`` negated when the
+    region ended the frame via HALT/YIELD.  A member only starts when its
+    full cost fits what is left of the budget; otherwise the region
+    returns that member's pc and the dispatch loop single-steps the tail.
     """
-    last = len(instrs) - 1
-    total = sum(ins[5] for ins in instrs)
-    end = max(ins[0] + 2 * ins[5] for ins in instrs)  # unmasked byte end
-    loop = (
-        terminator is not None
-        and (terminator == JMP or terminator in _COND_JUMPS)
-        and instrs[last][4] == start
-    )
-    dead = _flag_liveness(instrs)
-    flags_changed = any(
-        ins[1] in _FLAG_SETTERS and not dead[i] for i, ins in enumerate(instrs)
+    start = members[0][0]  # also the lowest address: tracing walks forward
+    end = max(  # unmasked byte end
+        ins[0] + 2 * ins[5] for __, instrs, __t in members for ins in instrs
     )
 
-    used = set()
-    written = set()
-    rw_by_i = []  # per-instruction (reads, writes) register sets
-    has_store = False
-    for __, op, ra, rb, __imm, __c, __n in instrs:
-        reads: Tuple[int, ...] = ()
-        writes: Tuple[int, ...] = ()
-        if op == LDI:
-            writes = (ra,)
-        elif op in (MOV, LD, LDB):
-            reads = (rb,)
-            writes = (ra,)
-        elif op in (ST, STB):
-            reads = (ra, rb)
-            has_store = True
-        elif op in _ALU_EXPR:
-            reads = (ra, rb)
-            writes = (ra,)
-        elif op == ADDI:
-            reads = (ra,)
-            writes = (ra,)
-        elif op == CMP:
-            reads = (ra, rb)
-        elif op == CMPI:
-            reads = (ra,)
-        elif op == PUSH:
-            reads = (ra, SP)
-            writes = (SP,)
-            has_store = True
-        elif op == POP:
-            reads = (SP,)
-            writes = (ra, SP)
-        elif op == CALL:
-            reads = (SP,)
-            writes = (SP,)
-            has_store = True
-        elif op == RET:
-            reads = (SP,)
-            writes = (SP,)
-        rw_by_i.append((reads, writes))
-        used.update(reads)
-        written.update(writes)
-
-    # Register prologue.  A loop block must load everything it touches —
-    # iteration N+1 reads and exit-flushes see iteration N's writes.  A
-    # straight-line block only needs the registers read before their
-    # first write: every exit's flush covers exactly the registers
-    # written *so far*, so later-written locals never escape unassigned.
-    if loop:
-        load_regs = sorted(used | written)
-    else:
-        needs_load = set()
-        seen_written = set()
-        for reads, writes in rw_by_i:
-            needs_load.update(r for r in reads if r not in seen_written)
-            seen_written.update(writes)
-        load_regs = sorted(needs_load)
-
-    # Do any flag reads/flushes happen before the first surviving setter?
-    # (Straight-line exits skip the flag flush until a live setter has
-    # executed, so only a conditional jump can observe stale locals; in a
-    # loop every exit flushes, making any early flush an observer too.)
-    need_flag_prologue = False
-    defined = False
-    for i, ins in enumerate(instrs):
-        op = ins[1]
-        if op in _COND_JUMPS and not defined:
-            need_flag_prologue = True
+    entry_instrs, entry_terminator = members[0][1:]
+    looping = (
+        len(members) > 1
+        or any(ins[1] in _COND_JUMPS and ins[4] == start for ins in entry_instrs)
+        or (entry_terminator == JMP and entry_instrs[-1][4] == start)
+    )
+    # Registers the region holds at one literal: the entry member loads it
+    # before its first way out, and no instruction of the region writes the
+    # register anything else (``LDI r0, 0`` as the absolute-address base is
+    # the idiom).  Every later member starts with them known.
+    pinned: Dict[int, int] = {}
+    for ins in entry_instrs:
+        if ins[1] in _COND_JUMPS:
             break
-        if (
-            loop
-            and op in _MIDBLOCK_STORES
-            and i < last
-            and flags_changed
-            and not defined
-        ):
-            need_flag_prologue = True
-            break
-        if op in _FLAG_SETTERS and not dead[i]:
-            defined = True
+        if ins[1] == LDI:
+            pinned.setdefault(ins[2], ins[4])
+    for __, instrs, __t in members:
+        for ins in instrs:
+            for r in _register_effects(ins[1], ins[2], ins[3], False)[1]:
+                if r in pinned and (ins[1] != LDI or ins[4] != pinned[r]):
+                    del pinned[r]
+    # Collected while the members are emitted, for the prologue and the
+    # epilogue: the registers some member reads before writing them, and
+    # everything any member writes (``_FLAGS`` stands for the flag word).
+    exposed: set = set()
+    written: set = set()
 
-    # Mutable flush state, advanced by the emission loop below: at any
-    # exit, flush the registers dirtied so far (all of them in a loop)
-    # plus the flags once a surviving setter has run.
-    dirty_regs = set(written) if loop else set()
-    flags_dirty = flags_changed if loop else False
-
-    lines = [
-        "def _make(cpu, regs, memory, data, plain, plain_word, page_gen,"
-        " read_word, write_word, read_byte, write_byte, entry, miss):",
-        "    def block(budget):",
-    ]
     base = "        "
-    checks = [f"budget < {total}"]
-    for k, page in enumerate(range(start >> 8, ((end - 1) >> 8) + 1)):
-        checks.append(f"page_gen[{page}] != entry[{_E_GUARDS + 2 * k + 1}]")
-    guard = " or ".join(checks)
-    lines.append(f"{base}if {guard}:")
-    lines.append(f"{base}    return miss")
-    for r in load_regs:
-        lines.append(f"{base}r{r} = regs[{r}]")
-    if need_flag_prologue:
-        lines.append(f"{base}z = cpu.z")
-        lines.append(f"{base}n = cpu.n")
-    if has_store:
-        lines.append(f"{base}gen = memory._gen")
-    if loop:
-        lines.append(f"{base}n_cycles = 0")
-        lines.append(f"{base}while True:")
-        indent = base + "    "
-    else:
-        indent = base
+    indent = base
+    lines: List[str] = []
 
     def emit(text: str) -> None:
         lines.append(indent + text)
 
-    def emit_flush(pad: str = "") -> None:
-        for r in sorted(dirty_regs):
-            emit(f"{pad}regs[{r}] = r{r}")
-        if flags_dirty:
-            emit(f"{pad}cpu.z = z")
-            emit(f"{pad}cpu.n = n")
-
-    def cyc(prefix: int) -> str:
-        return f"n_cycles + {prefix}" if loop else str(prefix)
+    def emit_flush(dirty, pad: str = "") -> None:
+        for r in sorted(dirty):
+            if r == _FLAGS:
+                emit(f"{pad}cpu.z = f == 0")
+                emit(f"{pad}cpu.n = f >= 0x8000")
+            else:
+                emit(f"{pad}regs[{r}] = r{r}")
 
     def word_plain(a: int) -> Optional[bool]:
         """Compile-time plainness of a constant word access, if known."""
@@ -699,26 +679,53 @@ def _generate_block_source(
         emit("else:")
         emit(f"    write_word({aexpr}, {vexpr})")
 
-    def emit_smc_check(aexpr: str, a_const: Optional[int], word: bool,
-                       nxt: int, prefix: int) -> None:
-        """Exit the block if a store just patched its own byte range."""
-        lo = start - 1 if word else start  # word store at start-1 hits byte 0
-        if a_const is not None:
-            hit = lo <= a_const < end or (word and start == 0 and a_const == 0xFFFF)
-            if not hit:
-                return  # provably outside the block: no check emitted
-            emit_flush()
-            emit(f"return ({nxt}, {cyc(prefix)})")
+    # The helpers below read the member being emitted through the loop's
+    # ``member_pc``, ``dirty`` and ``const``.
+    def emit_leave(target, prefix: int, pad: str = "", stops: bool = False) -> None:
+        """Return to the dispatch loop at ``target`` (a pc or the local
+        holding one) after ``prefix`` cycles of this member; ``stops``
+        marks a frame-ending HALT/YIELD by negating the cycle count."""
+        if looping:
+            emit(f"{pad}pc = {target} | {_LEAVE}")
+            if stops:
+                emit(f"{pad}n_cycles = -(n_cycles + {prefix})")
+            else:
+                emit(f"{pad}n_cycles += {prefix}")
+            emit(f"{pad}break")
+        else:
+            emit_flush(dirty, pad)
+            emit(f"{pad}return ({target}, {-prefix if stops else prefix})")
+
+    def emit_goto(target: int, prefix: int, pad: str = "") -> None:
+        """Transfer to the static successor ``target``."""
+        if target not in inside:
+            emit_leave(target, prefix, pad)
             return
-        cond = f"{lo} <= {aexpr} < {end}"
+        emit(f"{pad}n_cycles += {prefix}")
+        if target == member_pc:
+            emit(f"{pad}continue")
+        else:
+            emit(f"{pad}pc = {target}")
+            emit(f"{pad}break")
+
+    def emit_smc_check(aexpr: str, a_const: Optional[int], word: bool,
+                       nxt: int, prefix: int) -> bool:
+        """Exit the region if a store just patched its own byte range;
+        True when it provably did, so the member's remainder is dead."""
+        first = start - 1 if word else start  # a word at start-1 hits byte 0
+        if a_const is not None:
+            hit = first <= a_const < end or (
+                word and start == 0 and a_const == 0xFFFF
+            )
+            if hit:  # else provably outside the region: no check emitted
+                emit_leave(nxt, prefix)
+            return hit
+        cond = f"{first} <= {aexpr} < {end}"
         if word and start == 0:
             cond = f"({cond}) or {aexpr} == 0xFFFF"
         emit(f"if {cond}:")
-        emit_flush("    ")
-        emit(f"    return ({nxt}, {cyc(prefix)})")
-
-    const: Dict[int, int] = {}
-    prefix = 0
+        emit_leave(nxt, prefix, "    ")
+        return False
 
     def resolve_addr(rb: int, imm: int) -> Tuple[str, Optional[int]]:
         if rb in const:
@@ -729,234 +736,255 @@ def _generate_block_source(
         emit(f"ta = (r{rb} + {imm}) & 0xFFFF")
         return "ta", None
 
-    for i, (addr, op, ra, rb, imm, cost, nxt) in enumerate(instrs):
-        prefix += cost
-        if not loop:
+    # Each member of a looping region is its own ``while`` on the budget
+    # rule: a jump to itself is that loop's ``continue``; any other way
+    # out sets ``pc`` and breaks to the chain of members, which finds the
+    # next one or — ``_LEAVE`` set — none, and falls out to the epilogue.
+    # Members inside the most backward jumps go first in the chain.
+    chained = len(members) > 1
+    inside = {pc for pc, __, __t in members}
+    back_edges = [
+        (ins[4], ins[0])
+        for __, instrs, __t in members for ins in instrs
+        if (ins[1] == JMP or ins[1] in _COND_JUMPS) and start <= ins[4] <= ins[0]
+    ]
+    members = sorted(
+        members,
+        key=lambda m: (-sum(t <= m[0] <= a for t, a in back_edges), m[0]),
+    )
+    for position, (member_pc, instrs, terminator) in enumerate(members):
+        if looping:
+            indent = base
+            if chained:
+                indent += "    "
+                emit(f"{'elif' if position else 'if'} pc == {member_pc}:")
+                indent += "    "
+            emit(f"while n_cycles + {sum(ins[5] for ins in instrs)} <= budget:")
+            indent += "    "
+        dead = _flag_liveness(instrs)
+        dirty: set = set()  # what the member has written so far
+        const = dict(pinned) if member_pc != start else {}
+        prefix = 0
+
+        last = len(instrs) - 1
+        for i, (addr, op, ra, rb, imm, cost, nxt) in enumerate(instrs):
+            prefix += cost
+            reads, writes = _register_effects(
+                op, ra, rb, op in _FLAG_SETTERS and not dead[i]
+            )
+            for r in reads:
+                if r not in dirty:
+                    exposed.add(r)
             # This op's effects land before any exit it can emit (its
-            # SMC/speculation exits observe the post-op state).
-            dirty_regs.update(rw_by_i[i][1])
-            if op in _FLAG_SETTERS and not dead[i]:
-                flags_dirty = True
-        if op == NOP:
-            continue
-        if op == LDI:
-            emit(f"r{ra} = {imm}")
-            const[ra] = imm
-        elif op == MOV:
-            emit(f"r{ra} = r{rb}")
-            if rb in const:
-                const[ra] = const[rb]
-            else:
-                const.pop(ra, None)
-        elif op == LD:
-            aexpr, a_const = resolve_addr(rb, imm)
-            if a_const == 0xFFFF:
-                emit(f"r{ra} = read_word({a_const})")
-            elif a_const is not None and word_plain(a_const) is True:
-                emit(f"r{ra} = data[{a_const}] | (data[{a_const + 1}] << 8)")
-            elif a_const is not None and word_plain(a_const) is False:
-                emit(f"r{ra} = read_word({a_const})")
-            elif a_const is not None:
-                emit(f"if plain_word[{a_const}]:")
-                emit(f"    r{ra} = data[{a_const}] | (data[{a_const + 1}] << 8)")
-                emit("else:")
-                emit(f"    r{ra} = read_word({a_const})")
-            else:
-                emit(f"if plain_word[{aexpr}]:")
-                emit(f"    r{ra} = data[{aexpr}] | (data[{aexpr} + 1] << 8)")
-                emit("else:")
-                emit(f"    r{ra} = read_word({aexpr})")
-            const.pop(ra, None)
-        elif op == ST:
-            aexpr, a_const = resolve_addr(rb, imm)
-            if ra in const:
-                vexpr, v_const = str(const[ra]), const[ra]
-            else:
-                vexpr, v_const = f"r{ra}", None
-            emit_word_store(aexpr, a_const, vexpr, v_const)
-            emit_smc_check(aexpr, a_const, True, nxt, prefix)
-        elif op == LDB:
-            aexpr, a_const = resolve_addr(rb, imm)
-            if a_const is not None and byte_plain(a_const) is True:
-                emit(f"r{ra} = data[{a_const}]")
-            elif a_const is not None and byte_plain(a_const) is False:
-                emit(f"r{ra} = read_byte({a_const})")
-            elif a_const is not None:
-                emit(f"if plain[{a_const >> 8}]:")
-                emit(f"    r{ra} = data[{a_const}]")
-                emit("else:")
-                emit(f"    r{ra} = read_byte({a_const})")
-            else:
-                emit(f"if plain[{aexpr} >> 8]:")
-                emit(f"    r{ra} = data[{aexpr}]")
-                emit("else:")
-                emit(f"    r{ra} = read_byte({aexpr})")
-            const.pop(ra, None)
-        elif op == STB:
-            aexpr, a_const = resolve_addr(rb, imm)
-            if ra in const:
-                vexpr, vraw = str(const[ra] & 0xFF), str(const[ra])
-            else:
-                vexpr, vraw = f"r{ra} & 0xFF", f"r{ra}"
-            if a_const is not None and byte_plain(a_const) is True:
-                emit(f"data[{a_const}] = {vexpr}")
-                emit(f"page_gen[{a_const >> 8}] = gen")
-            elif a_const is not None and byte_plain(a_const) is False:
-                emit(f"write_byte({a_const}, {vraw})")
-            elif a_const is not None:
-                emit(f"if plain[{a_const >> 8}]:")
-                emit(f"    data[{a_const}] = {vexpr}")
-                emit(f"    page_gen[{a_const >> 8}] = gen")
-                emit("else:")
-                emit(f"    write_byte({a_const}, {vraw})")
-            else:
-                emit(f"if plain[{aexpr} >> 8]:")
-                emit(f"    data[{aexpr}] = {vexpr}")
-                emit(f"    page_gen[{aexpr} >> 8] = gen")
-                emit("else:")
-                emit(f"    write_byte({aexpr}, {vraw})")
-            emit_smc_check(aexpr, a_const, False, nxt, prefix)
-        elif op in _ALU_EXPR:
-            if ra in const and rb in const:
-                value = _ALU_FN[op](const[ra], const[rb])
-                emit(f"r{ra} = {value}")
-                const[ra] = value
-                if not dead[i]:
-                    emit(f"z = {value == 0}")
-                    emit(f"n = {value >= 0x8000}")
-            else:
-                a_expr = str(const[ra]) if ra in const else f"r{ra}"
-                b_expr = str(const[rb]) if rb in const else f"r{rb}"
-                expr = _ALU_EXPR[op].format(a=a_expr, b=b_expr)
-                const.pop(ra, None)
-                if dead[i]:
-                    emit(f"r{ra} = {expr}")
+            # SMC exits observe the post-op state).
+            dirty.update(writes)
+            if op == NOP:
+                continue
+            if op == LDI:
+                emit(f"r{ra} = {imm}")
+                const[ra] = imm
+            elif op == MOV:
+                emit(f"r{ra} = r{rb}")
+                if rb in const:
+                    const[ra] = const[rb]
                 else:
-                    emit(f"t = {expr}")
-                    emit(f"r{ra} = t")
-                    emit("z = t == 0")
-                    emit("n = t >= 0x8000")
-        elif op == ADDI:
-            if ra in const:
-                value = (const[ra] + imm) & 0xFFFF
-                emit(f"r{ra} = {value}")
-                const[ra] = value
-                if not dead[i]:
-                    emit(f"z = {value == 0}")
-                    emit(f"n = {value >= 0x8000}")
-            elif dead[i]:
-                emit(f"r{ra} = (r{ra} + {imm}) & 0xFFFF")
-            else:
-                emit(f"t = (r{ra} + {imm}) & 0xFFFF")
-                emit(f"r{ra} = t")
-                emit("z = t == 0")
-                emit("n = t >= 0x8000")
-        elif op == CMP:
-            if dead[i]:
-                pass
-            elif ra in const and rb in const:
-                value = (const[ra] - const[rb]) & 0xFFFF
-                emit(f"z = {value == 0}")
-                emit(f"n = {value >= 0x8000}")
-            else:
-                a_expr = str(const[ra]) if ra in const else f"r{ra}"
-                b_expr = str(const[rb]) if rb in const else f"r{rb}"
-                emit(f"t = ({a_expr} - {b_expr}) & 0xFFFF")
-                emit("z = t == 0")
-                emit("n = t >= 0x8000")
-        elif op == CMPI:
-            if dead[i]:
-                pass
-            elif ra in const:
-                value = (const[ra] - imm) & 0xFFFF
-                emit(f"z = {value == 0}")
-                emit(f"n = {value >= 0x8000}")
-            else:
-                emit(f"t = (r{ra} - {imm}) & 0xFFFF")
-                emit("z = t == 0")
-                emit("n = t >= 0x8000")
-        elif op == PUSH:
-            if ra in const:
-                vexpr, v_const = str(const[ra]), const[ra]
-            elif ra == SP:
-                emit("tv = r15")  # PUSH r15 stores the pre-decrement value
-                vexpr, v_const = "tv", None
-            else:
-                vexpr, v_const = f"r{ra}", None
-            emit("r15 = (r15 - 2) & 0xFFFF")
-            const.pop(SP, None)
-            emit_word_store("r15", None, vexpr, v_const)
-            emit_smc_check("r15", None, True, nxt, prefix)
-        elif op == POP:
-            emit("if plain_word[r15]:")
-            emit("    t = data[r15] | (data[r15 + 1] << 8)")
+                    const.pop(ra, None)
+            elif op == LD:
+                aexpr, a_const = resolve_addr(rb, imm)
+                if a_const == 0xFFFF:
+                    emit(f"r{ra} = read_word({a_const})")
+                elif a_const is not None and word_plain(a_const) is True:
+                    emit(f"r{ra} = data[{a_const}] | (data[{a_const + 1}] << 8)")
+                elif a_const is not None and word_plain(a_const) is False:
+                    emit(f"r{ra} = read_word({a_const})")
+                elif a_const is not None:
+                    emit(f"if plain_word[{a_const}]:")
+                    emit(f"    r{ra} = data[{a_const}] | (data[{a_const + 1}] << 8)")
+                    emit("else:")
+                    emit(f"    r{ra} = read_word({a_const})")
+                else:
+                    emit(f"if plain_word[{aexpr}]:")
+                    emit(f"    r{ra} = data[{aexpr}] | (data[{aexpr} + 1] << 8)")
+                    emit("else:")
+                    emit(f"    r{ra} = read_word({aexpr})")
+                const.pop(ra, None)
+            elif op == ST:
+                aexpr, a_const = resolve_addr(rb, imm)
+                if ra in const:
+                    vexpr, v_const = str(const[ra]), const[ra]
+                else:
+                    vexpr, v_const = f"r{ra}", None
+                emit_word_store(aexpr, a_const, vexpr, v_const)
+                if emit_smc_check(aexpr, a_const, True, nxt, prefix):
+                    break
+            elif op == LDB:
+                aexpr, a_const = resolve_addr(rb, imm)
+                if a_const is not None and byte_plain(a_const) is True:
+                    emit(f"r{ra} = data[{a_const}]")
+                elif a_const is not None and byte_plain(a_const) is False:
+                    emit(f"r{ra} = read_byte({a_const})")
+                elif a_const is not None:
+                    emit(f"if plain[{a_const >> 8}]:")
+                    emit(f"    r{ra} = data[{a_const}]")
+                    emit("else:")
+                    emit(f"    r{ra} = read_byte({a_const})")
+                else:
+                    emit(f"if plain[{aexpr} >> 8]:")
+                    emit(f"    r{ra} = data[{aexpr}]")
+                    emit("else:")
+                    emit(f"    r{ra} = read_byte({aexpr})")
+                const.pop(ra, None)
+            elif op == STB:
+                aexpr, a_const = resolve_addr(rb, imm)
+                if ra in const:
+                    vexpr, vraw = str(const[ra] & 0xFF), str(const[ra])
+                else:
+                    vexpr, vraw = f"r{ra} & 0xFF", f"r{ra}"
+                if a_const is not None and byte_plain(a_const) is True:
+                    emit(f"data[{a_const}] = {vexpr}")
+                    emit(f"page_gen[{a_const >> 8}] = gen")
+                elif a_const is not None and byte_plain(a_const) is False:
+                    emit(f"write_byte({a_const}, {vraw})")
+                elif a_const is not None:
+                    emit(f"if plain[{a_const >> 8}]:")
+                    emit(f"    data[{a_const}] = {vexpr}")
+                    emit(f"    page_gen[{a_const >> 8}] = gen")
+                    emit("else:")
+                    emit(f"    write_byte({a_const}, {vraw})")
+                else:
+                    emit(f"if plain[{aexpr} >> 8]:")
+                    emit(f"    data[{aexpr}] = {vexpr}")
+                    emit(f"    page_gen[{aexpr} >> 8] = gen")
+                    emit("else:")
+                    emit(f"    write_byte({aexpr}, {vraw})")
+                if emit_smc_check(aexpr, a_const, False, nxt, prefix):
+                    break
+            elif op in _ALU_EXPR:
+                if ra in const and rb in const:
+                    value = _ALU_FN[op](const[ra], const[rb])
+                    const[ra] = value
+                    emit(f"r{ra} = {value}" if dead[i] else f"r{ra} = f = {value}")
+                else:
+                    a_expr = str(const[ra]) if ra in const else f"r{ra}"
+                    b_expr = str(const[rb]) if rb in const else f"r{rb}"
+                    expr = _ALU_EXPR[op].format(a=a_expr, b=b_expr)
+                    const.pop(ra, None)
+                    emit(f"r{ra} = {expr}" if dead[i] else f"r{ra} = f = {expr}")
+            elif op == ADDI:
+                if ra in const:
+                    value = const[ra] = (const[ra] + imm) & 0xFFFF
+                    emit(f"r{ra} = {value}" if dead[i] else f"r{ra} = f = {value}")
+                elif dead[i]:
+                    emit(f"r{ra} = (r{ra} + {imm}) & 0xFFFF")
+                else:
+                    emit(f"r{ra} = f = (r{ra} + {imm}) & 0xFFFF")
+            elif op == CMP:
+                if dead[i]:
+                    pass
+                elif ra in const and rb in const:
+                    emit(f"f = {(const[ra] - const[rb]) & 0xFFFF}")
+                else:
+                    a_expr = str(const[ra]) if ra in const else f"r{ra}"
+                    b_expr = str(const[rb]) if rb in const else f"r{rb}"
+                    emit(f"f = ({a_expr} - {b_expr}) & 0xFFFF")
+            elif op == CMPI:
+                if dead[i]:
+                    pass
+                elif ra in const:
+                    emit(f"f = {(const[ra] - imm) & 0xFFFF}")
+                else:
+                    emit(f"f = (r{ra} - {imm}) & 0xFFFF")
+            elif op == PUSH:
+                if ra in const:
+                    vexpr, v_const = str(const[ra]), const[ra]
+                elif ra == SP:
+                    emit("tv = r15")  # PUSH r15 stores the pre-decrement value
+                    vexpr, v_const = "tv", None
+                else:
+                    vexpr, v_const = f"r{ra}", None
+                emit("r15 = (r15 - 2) & 0xFFFF")
+                const.pop(SP, None)
+                emit_word_store("r15", None, vexpr, v_const)
+                emit_smc_check("r15", None, True, nxt, prefix)
+            elif op == POP:
+                emit("if plain_word[r15]:")
+                emit("    t = data[r15] | (data[r15 + 1] << 8)")
+                emit("else:")
+                emit("    t = read_word(r15)")
+                emit("r15 = (r15 + 2) & 0xFFFF")
+                emit(f"r{ra} = t")  # POP r15: loaded value wins over increment
+                const.pop(SP, None)
+                const.pop(ra, None)
+            elif op == HALT or op == YIELD:
+                emit("cpu.halted = True" if op == HALT else "cpu._yielded = True")
+                emit_leave(nxt, prefix, stops=True)
+            elif op == JMP:
+                if i == last:  # else traced through: the target follows inline
+                    emit_goto(imm, prefix)
+            elif op in _COND_JUMPS:
+                emit(f"if {_COND_EXPR[op]}:")
+                emit_goto(imm, prefix, "    ")
+            elif op == CALL:
+                emit("r15 = (r15 - 2) & 0xFFFF")
+                emit_word_store("r15", None, str(nxt), nxt)
+                emit_leave(imm, prefix)
+            elif op == RET:
+                emit("if plain_word[r15]:")
+                emit("    t = data[r15] | (data[r15 + 1] << 8)")
+                emit("else:")
+                emit("    t = read_word(r15)")
+                emit("r15 = (r15 + 2) & 0xFFFF")
+                emit_leave("t", prefix)
+        else:
+            if terminator is None:
+                emit_goto(instrs[last][6], prefix)
+        written |= dirty
+        if chained:
+            indent = indent[:-4]
             emit("else:")
-            emit("    t = read_word(r15)")
-            emit("r15 = (r15 + 2) & 0xFFFF")
-            emit(f"r{ra} = t")  # POP r15: loaded value wins over increment
-            const.pop(SP, None)
-            const.pop(ra, None)
-        elif op == HALT:
-            emit("cpu.halted = True")
-            emit_flush()
-            emit(f"return ({nxt}, {-prefix})")  # negative: frame ends here
-        elif op == YIELD:
-            emit("cpu._yielded = True")
-            emit_flush()
-            emit(f"return ({nxt}, {-prefix})")  # negative: frame ends here
-        elif op == JMP:
-            if i < last:
-                pass  # traced through: the target's code follows inline
-            elif loop:
-                emit(f"n_cycles += {total}")
-                emit(f"if n_cycles + {total} > budget:")
-                emit_flush("    ")
-                emit(f"    return ({start}, n_cycles)")
-            else:
-                # Terminator, or a traced-through JMP the trace ended on.
-                emit_flush()
-                emit(f"return ({imm}, {cyc(prefix)})")
-        elif op in _COND_JUMPS:
-            cond = _COND_EXPR[op]
-            if i < last or terminator is None:
-                # Traced through: early return on the taken path, the
-                # fall-through continues in this block.
-                emit(f"if {cond}:")
-                emit_flush("    ")
-                emit(f"    return ({imm}, {cyc(prefix)})")
-            elif loop:
-                emit(f"n_cycles += {total}")
-                emit(f"if {cond}:")
-                emit(f"    if n_cycles + {total} > budget:")
-                emit_flush("        ")
-                emit(f"        return ({start}, n_cycles)")
-                emit("    continue")
-                emit_flush()
-                emit(f"return ({nxt}, n_cycles)")
-            else:
-                emit_flush()
-                emit(f"return (({imm} if {cond} else {nxt}), {prefix})")
-        elif op == CALL:
-            emit("r15 = (r15 - 2) & 0xFFFF")
-            emit_word_store("r15", None, str(nxt), nxt)
-            emit_flush()
-            emit(f"return ({imm}, {cyc(prefix)})")
-        elif op == RET:
-            emit("if plain_word[r15]:")
-            emit("    t = data[r15] | (data[r15 + 1] << 8)")
-            emit("else:")
-            emit("    t = read_word(r15)")
-            emit("r15 = (r15 + 2) & 0xFFFF")
-            emit_flush()
-            emit(f"return (t, {cyc(prefix)})")
+            emit("    break")  # out of budget: leave with pc at this member
+    if chained:
+        indent = base + "    "
+        emit("else:")
+        emit("    break")
 
-    if terminator is None:
-        emit_flush()
-        emit(f"return ({instrs[last][6]}, {total})")
-
-    lines.append("    return block")
-    stops = terminator in (HALT, YIELD)
-    return "\n".join(lines) + "\n", stops, total
+    # A straight-line region loads what it reads before writing, and each
+    # of its exits flushed what its path had dirtied so far.  Members of a
+    # looping region can start with any of its writes done or not, so it
+    # loads everything it touches and leaves through one epilogue that
+    # flushes everything it writes.
+    load = exposed | written if looping else exposed
+    checks = [f"budget < {sum(ins[5] for ins in entry_instrs)}"]
+    for k, page in enumerate(range(start >> 8, ((end - 1) >> 8) + 1)):
+        checks.append(f"page_gen[{page}] != entry[{_E_GUARDS + 2 * k + 1}]")
+    if _FLAGS in load:
+        checks.append("(cpu.z and cpu.n)")  # no flag word encodes both
+    head = [
+        "def _make(cpu, regs, memory, data, plain, plain_word, page_gen,"
+        " read_word, write_word, read_byte, write_byte, entry, miss):",
+        "    def block(budget):",
+        f"{base}if {' or '.join(checks)}:",
+        f"{base}    return miss",
+    ]
+    for r in sorted(load):
+        if r == _FLAGS:
+            head.append(f"{base}f = 0 if cpu.z else 0x8000 if cpu.n else 1")
+        else:
+            head.append(f"{base}r{r} = regs[{r}]")
+    if any(
+        ins[1] in _MIDBLOCK_STORES or ins[1] == CALL
+        for __, instrs, __t in members for ins in instrs
+    ):
+        head.append(f"{base}gen = memory._gen")
+    if looping:
+        head.append(f"{base}n_cycles = 0")
+        head.append(f"{base}pc = {start}")
+        if chained:
+            head.append(f"{base}while True:")
+        indent = base
+        emit_flush(written)
+        emit("return (pc & 0xFFFF, n_cycles)")
+    return "\n".join(head + lines) + "\n    return block\n", end
 
 
 class Cpu:
@@ -1092,69 +1120,93 @@ class Cpu:
     # ------------------------------------------------------------------
     # Block translation.
     # ------------------------------------------------------------------
-    def _trace_block(self, start: int):
-        """Decode an extended straight-line run starting at ``start``.
+    def _trace_region(self, start: int, span_end: int) -> List[_Member]:
+        """Decode the region entered at ``start``, whose guard span ends at
+        ``span_end``, into its members.
 
-        Returns ``(instrs, terminator)`` or None when nothing compilable
-        begins there (hooked/wrapping fetch, immediate illegal opcode).
-        Tracing stops *before* an illegal opcode so the table interpreter
-        faults with the exact pc, and at the span limit so a block's
-        guard never covers more than ``_MAX_BLOCK_PAGES`` dirty pages.
-
-        Forward JMPs and non-self conditional jumps do not stop the
-        trace: a forward JMP continues at its target (the gap stays in
-        the guarded byte range), a conditional jump continues at its
-        fall-through (the codegen turns it into an early return).
+        Returns the members, entry first then in discovery order, or an
+        empty list when nothing compilable begins at ``start`` (hooked or
+        wrapping fetch, immediate illegal opcode).  Decoding stops
+        *before* an illegal opcode so the table interpreter faults with
+        the exact pc, and at the span limit so a region's guard never
+        covers more than ``_MAX_BLOCK_PAGES`` dirty pages.
         """
         memory = self.memory
         data = memory._data
         plain_word = memory._plain_word
         dispatch = DISPATCH
-        span_end = min((((start >> 8) + _MAX_BLOCK_PAGES) << 8), 0x10000)
-        instrs: List[_Instr] = []
-        terminator = None
-        cur = start
-        while len(instrs) < _MAX_BLOCK_INSTRS:
-            if cur >= span_end:
-                break  # fall through into the next span's block
-            if not plain_word[cur]:
-                break  # hooked (or wrapping) fetch: interpreter territory
-            word = data[cur] | (data[cur + 1] << 8)
-            opcode = word >> 8
-            if dispatch[opcode] is None:
-                break
-            if opcode in HAS_IMMEDIATE:
-                ipc = cur + 2
-                if ipc > 0xFFFE or not plain_word[ipc]:
+
+        # Flood the static successors from ``start``, decoding each
+        # reachable instruction once and collecting the leaders.
+        decoded: Dict[int, _Instr] = {}
+        leaders = {start: None}  # insertion-ordered set
+        work = [start]
+        while work:
+            cur = work.pop()
+            while cur not in decoded:
+                if not start <= cur < span_end or not plain_word[cur]:
+                    break  # out of span, hooked or wrapping fetch
+                word = data[cur] | (data[cur + 1] << 8)
+                opcode = word >> 8
+                if dispatch[opcode] is None:
                     break
-                imm = data[ipc] | (data[ipc + 1] << 8)
-                end_raw = ipc + 2
-                cost = 2
-            else:
-                imm = 0
-                end_raw = cur + 2
-                cost = 1
-            if end_raw > span_end:
-                break  # would drag the guard past the span limit
-            nxt = end_raw & 0xFFFF
-            instrs.append(
-                (cur, opcode, (word >> 4) & 0x0F, word & 0x0F, imm, cost, nxt)
-            )
-            if opcode in _TERMINATORS:
-                if opcode == JMP and nxt <= imm < span_end:
-                    cur = imm  # forward jump: keep tracing at the target
-                    continue
-                if opcode in _COND_JUMPS and imm != start:
-                    cur = nxt  # early-return on taken, trace the fall-through
-                    continue
-                terminator = opcode
-                break
-            if end_raw > 0xFFFF:
-                break  # successor would wrap the address space
-            cur = nxt
-        if not instrs:
-            return None
-        return instrs, terminator
+                if opcode in HAS_IMMEDIATE:
+                    ipc = cur + 2
+                    if ipc > 0xFFFE or not plain_word[ipc]:
+                        break
+                    imm = data[ipc] | (data[ipc + 1] << 8)
+                    end_raw = ipc + 2
+                    cost = 2
+                else:
+                    imm = 0
+                    end_raw = cur + 2
+                    cost = 1
+                if end_raw > span_end:
+                    break  # would drag the guard past the span limit
+                nxt = end_raw & 0xFFFF  # a wrap to 0 lands outside the span
+                decoded[cur] = (
+                    cur, opcode, (word >> 4) & 0x0F, word & 0x0F, imm, cost, nxt
+                )
+                if opcode in _COND_JUMPS or (opcode == JMP and imm <= cur):
+                    if start <= imm < span_end and imm not in leaders:
+                        leaders[imm] = None
+                        work.append(imm)
+                    if opcode == JMP:
+                        break
+                    cur = nxt
+                elif opcode == JMP:
+                    cur = imm  # forward: traced through unless a leader
+                elif opcode in _TERMINATORS:
+                    break  # CALL/RET/HALT/YIELD leave the region
+                else:
+                    cur = nxt
+
+        members: List[_Member] = []
+        room = _MAX_BLOCK_INSTRS
+        for pc in leaders:
+            instrs: List[_Instr] = []
+            terminator = None
+            cur = pc
+            while room and cur in decoded:
+                ins = decoded[cur]
+                instrs.append(ins)
+                room -= 1
+                opcode, imm, cur = ins[1], ins[4], ins[6]
+                if opcode == JMP and ins[0] < imm < span_end and imm not in leaders:
+                    cur = imm  # traced through
+                elif opcode in _TERMINATORS:
+                    terminator = opcode
+                    break
+                elif cur in leaders:
+                    break  # falls through into the next member
+            if not instrs:
+                if pc == start:
+                    return []
+                continue  # a leader nothing compilable starts at: an exit
+            if instrs[-1][1] == JMP:
+                terminator = JMP  # traced through to nowhere: jump out
+            members.append((pc, instrs, terminator))
+        return members
 
     def _compile_block(self, start: int) -> Optional[list]:
         memory = self.memory
@@ -1163,29 +1215,34 @@ class Cpu:
             return None
         if self._inval_counts.get(start, 0) >= _BLOCK_INVAL_LIMIT:
             return None  # blacklisted: persistent self-patcher
-        traced = self._trace_block(start)
-        if traced is None:
-            self._no_block[start] = page_gen[start >> 8]
-            return None
-        instrs, terminator = traced
-        source, stops, cost = _generate_block_source(
-            start, instrs, terminator, memory._plain, memory._plain_word
-        )
+        span_end = min(((start >> 8) + _MAX_BLOCK_PAGES) << 8, 0x10000)
+        key = (start, bytes(memory._data[start:span_end]), bytes(memory._plain))
+        translation = _TRANSLATIONS.get(key)
+        if translation is None:
+            members = self._trace_region(start, span_end)
+            if not members:
+                self._no_block[start] = page_gen[start >> 8]
+                return None
+            translation = _generate_region_source(
+                members, memory._plain, memory._plain_word
+            )
+            if len(_TRANSLATIONS) >= _CODE_CACHE_LIMIT:
+                _TRANSLATIONS.clear()
+            _TRANSLATIONS[key] = translation
+        source, end = translation
         code = _CODE_CACHE.get(source)
         if code is None:
             if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
                 _CODE_CACHE.clear()  # pathological SMC churn: start over
-            code = compile(source, f"<rc16-block-0x{start:04x}>", "exec")
+            code = compile(source, f"<rc16-region-0x{start:04x}>", "exec")
             _CODE_CACHE[source] = code
         namespace: Dict[str, object] = {}
         exec(code, namespace)
         block = _Block()
         block.start = start
-        block.end = max(ins[0] + 2 * ins[5] for ins in instrs)
-        block.cost = cost
-        block.stops = stops
-        block.code = bytes(memory._data[start:block.end])
-        block.pages = tuple(range(start >> 8, ((block.end - 1) >> 8) + 1))
+        block.end = end
+        block.code = bytes(memory._data[start:end])
+        block.pages = tuple(range(start >> 8, ((end - 1) >> 8) + 1))
         block.source = source
         # Future writes must stamp strictly newer generations than the
         # guard, or a same-generation store could slip past it.
@@ -1193,7 +1250,7 @@ class Cpu:
             memory._gen += 1
         # The closure reads its own guard slots from the entry list, so it
         # must exist before the closure is constructed.
-        entry = [None, cost, stops, block]
+        entry = [None, block]
         for p in block.pages:
             entry.append(p)
             entry.append(page_gen[p])
@@ -1210,7 +1267,7 @@ class Cpu:
         return entry
 
     def _revalidate_block(self, entry: list) -> Optional[list]:
-        """A guarded page was written: keep the block iff its bytes are
+        """A guarded page was written: keep the region iff its bytes are
         intact (data colocated on a code page is the common cause)."""
         memory = self.memory
         block = entry[_E_BLOCK]

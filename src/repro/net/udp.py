@@ -148,7 +148,11 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._address: Address = ""
         self._pending: List[Datagram] = []
-        self._wake = asyncio.Event()
+        # Set by a datagram or a poke, cleared by receive_all: while it is
+        # set, wait() returns at once.  _waiter is the future the one
+        # coroutine blocked in wait() sleeps on.
+        self._woken = False
+        self._waiter: Optional[asyncio.Future] = None
         self.stats = TransportStats()
         #: ICMP/OS errors reported for this endpoint (e.g. port unreachable
         #: after the peer's process died).  UDP semantics: the datagram is
@@ -187,7 +191,8 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
                 arrived_at=self._loop.time(),
             )
         )
-        self._wake.set()
+        self._woken = True
+        self._resolve_waiter()
 
     def error_received(self, exc: OSError) -> None:
         """asyncio callback for OS-level datagram errors.
@@ -220,7 +225,7 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
 
     def receive_all(self) -> List[Datagram]:
         drained, self._pending = self._pending, []
-        self._wake.clear()
+        self._woken = False
         return drained
 
     def receive_one(self) -> Optional[Datagram]:
@@ -229,13 +234,31 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         return self._pending.pop(0)
 
     async def wait(self, timeout: Optional[float]) -> None:
-        """Sleep until a datagram arrives or ``timeout`` elapses."""
-        if self._pending:
+        """Sleep until a datagram arrives, :meth:`poke` is called or
+        ``timeout`` elapses; returns at once if either happened since the
+        last :meth:`receive_all`.  One coroutine waits at a time.
+
+        One future and one timer handle per sleep: ``asyncio.wait_for``
+        would wrap the wait in a task and spend a loop iteration
+        cancelling it on every wake-up.
+        """
+        if self._woken:
             return
+        waiter = self._waiter = self._loop.create_future()
+        timer = None
+        if timeout is not None:
+            timer = self._loop.call_later(timeout, self._resolve_waiter)
         try:
-            await asyncio.wait_for(self._wake.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass
+            await waiter
+        finally:
+            self._waiter = None
+            if timer is not None:
+                timer.cancel()
+
+    def _resolve_waiter(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
 
     def poke(self) -> None:
         """Wake a coroutine blocked in :meth:`wait` without a datagram.
@@ -243,7 +266,8 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         Used to deliver out-of-band control (stop requests from a crashed
         session sibling) to a site sleeping on its engine deadline.
         """
-        self._wake.set()
+        self._woken = True
+        self._resolve_waiter()
 
     def close(self) -> None:
         if self._transport is not None:

@@ -197,17 +197,17 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "cpu_blocks_compiled": (
         "counter",
         True,
-        "RC-16 basic blocks compiled by the block translator",
+        "RC-16 regions compiled by the block translator",
     ),
     "cpu_block_hits": (
         "counter",
         True,
-        "Frame-loop dispatches served by a compiled block",
+        "Entries into a compiled region closure (one may run many blocks)",
     ),
     "cpu_block_invalidations": (
         "counter",
         True,
-        "Compiled blocks discarded because their bytes changed (SMC)",
+        "Compiled regions discarded because their bytes changed (SMC)",
     ),
     "cpu_fallback_steps": (
         "counter",

@@ -15,9 +15,11 @@ import pytest
 
 from repro.emulator.machine import create_game
 from repro.metrics.bench import (
+    BLOCK_ENTRIES_CEILING,
     ROM_FPS_BASELINE,
     SEED_BASELINE,
     bench_filename,
+    check_block_entries,
     check_block_fps,
     load_bench_history,
     measure_block_stats,
@@ -57,6 +59,16 @@ def test_measure_block_stats_counts_compiles():
     stats = measure_block_stats("pong", frames=30)
     assert stats["blocks_compiled"] > 0
     assert stats["block_hits"] > 0
+    assert stats["entries_per_frame"] == round(stats["block_hits"] / 30, 2)
+
+
+def test_check_block_entries_gate():
+    measured = {"pong": measure_block_stats("pong", frames=30)}
+    assert check_block_entries(measured) == []  # the real count passes
+    per_block = {"pong": {"entries_per_frame": 180.0}}  # before regions
+    assert len(check_block_entries(per_block)) == 1
+    assert check_block_entries({}) != []  # a missing measurement fails
+    assert set(BLOCK_ENTRIES_CEILING) == {"pong"}
 
 
 def test_check_block_fps_gate():
@@ -120,4 +132,6 @@ def test_run_bench_quick_cli(tmp_path):
         "pong", "tankduel", "smc",
     }
     assert results["block_stats"]["pong"]["blocks_compiled"] > 0
+    assert "entries/frame=" in proc.stdout
+    assert results["block_stats"]["pong"]["entries_per_frame"] <= 30
     assert results["rollback_session"]["snapshot_syncs"] >= 0

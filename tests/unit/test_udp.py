@@ -160,3 +160,76 @@ class TestAsyncUdpEndpoint:
                 endpoint.close()
 
         asyncio.run(scenario())
+
+    def test_datagram_wakes_a_waiter(self):
+        async def scenario():
+            a = await AsyncUdpEndpoint.open()
+            b = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                loop.call_later(0.02, a.send, b"late", b.address)
+                started = loop.time()
+                await asyncio.wait_for(b.wait(timeout=5.0), timeout=10.0)
+                assert loop.time() - started < 2.0  # the datagram, not the timeout
+                assert [d.payload for d in b.receive_all()] == [b"late"]
+            finally:
+                a.close()
+                b.close()
+
+        asyncio.run(scenario())
+
+    def test_wait_timeout_returns(self):
+        async def scenario():
+            endpoint = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                await asyncio.wait_for(endpoint.wait(timeout=0.05), timeout=5.0)
+                assert 0.04 <= loop.time() - started < 2.0
+                assert endpoint.receive_all() == []
+                # A timeout leaves nothing behind: the next wait sleeps too.
+                started = loop.time()
+                await asyncio.wait_for(endpoint.wait(timeout=0.05), timeout=5.0)
+                assert loop.time() - started >= 0.04
+            finally:
+                endpoint.close()
+
+        asyncio.run(scenario())
+
+    def test_poke_before_wait_returns_immediately(self):
+        async def scenario():
+            endpoint = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                endpoint.poke()
+                for __ in range(2):  # until receive_all clears it
+                    started = loop.time()
+                    await asyncio.wait_for(endpoint.wait(timeout=5.0), timeout=10.0)
+                    assert loop.time() - started < 1.0
+                assert endpoint.receive_all() == []
+                loop.call_later(0.02, endpoint.poke)  # and it wakes a sleeper
+                started = loop.time()
+                await asyncio.wait_for(endpoint.wait(timeout=5.0), timeout=10.0)
+                assert 0.01 <= loop.time() - started < 2.0
+            finally:
+                endpoint.close()
+
+        asyncio.run(scenario())
+
+    def test_early_wake_cancels_the_timeout_handle(self):
+        async def scenario():
+            endpoint = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                for __ in range(1000):
+                    loop.call_soon(endpoint.poke)
+                    await asyncio.wait_for(endpoint.wait(timeout=60.0), timeout=10.0)
+                    endpoint.receive_all()
+                live = [h for h in loop._scheduled if not h.cancelled()]
+                assert live == []
+                # Cancelled handles are swept by the loop, not piled up.
+                assert len(loop._scheduled) < 500
+            finally:
+                endpoint.close()
+
+        asyncio.run(scenario())
