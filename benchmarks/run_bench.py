@@ -32,6 +32,7 @@ from repro.metrics.bench import (
     check_session_flatness,
     check_sweep,
     check_timeline_overhead,
+    check_wakeup_stats,
     measure_bandwidth_profile,
     measure_block_stats,
     measure_game_fps,
@@ -42,6 +43,7 @@ from repro.metrics.bench import (
     measure_snapshot_costs,
     measure_sweep,
     measure_timeline_overhead,
+    measure_wakeup_stats,
     verify_block_parity,
     write_bench_json,
 )
@@ -129,6 +131,10 @@ def run(quick: bool) -> dict:
         if flatness["session_flatness_ratio"] <= SESSION_FLATNESS_CEILING:
             break
 
+    # Exact counts on a fixed 3,600-frame session (under a second), so
+    # the same reading and the same gate on --quick and full runs.
+    wakeups = measure_wakeup_stats()  # unrounded: the gate is an equality
+
     timeline_overhead = {
         name: {
             key: round(value, 3)
@@ -155,6 +161,7 @@ def run(quick: bool) -> dict:
         "adaptive_sweep": sweep,
         "bandwidth": bandwidth,
         "session_flatness": flatness,
+        "wakeup_stats": wakeups,
         "timeline_overhead": timeline_overhead,
     }
 
@@ -244,6 +251,13 @@ def summarize(results: dict) -> str:
         f"early {flat['early_frame_us']:.0f}us; "
         f"ceiling {SESSION_FLATNESS_CEILING:.2f})"
     )
+    wake = results["wakeup_stats"]
+    lines.append(
+        "-- driver wake-ups (3600-frame lossy counter session, exact counts): "
+        f"wakeups_per_frame={wake['wakeups_per_frame']:.2f}  "
+        f"pumps_per_wakeup={wake['pumps_per_wakeup']:.2f}  "
+        f"idle_pump_share={wake['idle_pump_share']:.2f}"
+    )
     lines.append("-- timeline attribution overhead (added us vs frame cost) --")
     for name, row in sorted(results["timeline_overhead"].items()):
         lines.append(
@@ -282,14 +296,15 @@ def main(argv=None) -> int:
         path = write_bench_json(results, directory=options.out)
         print(f"wrote {path}")
     # The sweep's in-harness assertions are deterministic and sized the
-    # same either way, flatness is a ratio within one session and closure
-    # entries per frame are an exact count, so these gates hold on
-    # --quick runs too.
+    # same either way, flatness is a ratio within one session, and closure
+    # entries per frame and driver wake-ups are exact counts, so these
+    # gates hold on --quick runs too.
     problems = check_sweep(results["adaptive_sweep"])
     problems += check_block_entries(results["block_stats"])
     problems += check_session_flatness(
         results["session_flatness"]["session_flatness_ratio"]
     )
+    problems += check_wakeup_stats(results["wakeup_stats"])
     if not options.quick:
         # Regression gates: block fps, send-path bandwidth, predictor
         # quality against the checked-in baselines.  --quick numbers are

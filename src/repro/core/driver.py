@@ -1,10 +1,10 @@
 """Driver-support layer shared by the sim, thread and asyncio drivers.
 
-Each driver owns exactly two jobs: move received datagrams into the engine
-as :class:`~repro.core.engine.DatagramReceived` events, and apply the
-effects the engine returns.  Both jobs are identical across runtimes, so
-they live here once — the per-driver code is only the waiting primitive
-(event-loop process, blocking socket, coroutine).
+Each driver owns exactly two jobs: hand the engine, once per wake-up, the
+datagrams received since the last one, and apply the effects it returns.
+Both jobs are identical across runtimes, so they live here once — the
+per-driver code is only the waiting primitive (event-loop callbacks,
+blocking socket, coroutine).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Optional
 
 from repro.core.engine import (
-    DatagramReceived,
     Degraded,
     Effect,
     Finished,
@@ -111,17 +110,8 @@ def feed_datagrams(
     datagrams: Iterable[Datagram],
     now: float,
 ) -> List[Effect]:
-    """Feed received datagrams into the engine, then poll it once.
-
-    The trailing poll matters even for an empty batch: the caller usually
-    woke up because a timer came due.
-    """
-    effects: List[Effect] = []
-    for datagram in datagrams:
-        effects.extend(
-            engine.handle(
-                DatagramReceived(datagram.payload, datagram.arrived_at, now)
-            )
-        )
-    effects.extend(engine.poll(now))
-    return effects
+    """The one receive path of all three drivers: a wake-up hands the
+    engine what was received and the time.  It absorbs the whole batch and
+    pumps once, so replies to several datagrams leave coalesced, and an
+    empty batch (the caller woke because a timer came due) is just the poll."""
+    return engine.poll(now, datagrams)

@@ -45,9 +45,9 @@ Event/effect protocol
 
 Drivers interact with the engine through exactly two entry points::
 
-    effects = engine.handle(event)   # a DatagramReceived / InputSampled /
-                                     # Shutdown happened
-    effects = engine.poll(now)       # time passed (a timer may be due)
+    effects = engine.handle(event)         # an InputSampled / Shutdown happened
+    effects = engine.poll(now, datagrams)  # a wake-up: these arrived, and time
+                                           # passed (a timer may be due)
 
 and one scheduling query, ``engine.next_deadline()`` — the earliest time at
 which ``poll`` must be called again.  All ``now`` values must come from one
@@ -60,7 +60,7 @@ import random
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, InputSource
@@ -94,6 +94,7 @@ from repro.core.rtt import ClockAlign, RttEstimator, from_micros
 from repro.core.session import SessionControl, SessionError
 from repro.metrics.recorder import FrameTrace
 from repro.metrics.timeserver import encode_report
+from repro.net.transport import Datagram
 from repro.obs.site import SiteMetrics
 from repro.obs.slo import SloScorer
 from repro.obs.timeline import TimelineCollector
@@ -629,12 +630,6 @@ class SiteRuntime:
                 self.lockstep.last_rcv_frame[self.site_no], now
             )
 
-    def try_deliver(self) -> Optional[int]:
-        """The line-21 exit check: merged input if ready, else None."""
-        if self.lockstep.can_deliver():
-            return self.lockstep.deliver()
-        return None
-
     def on_gate_open(self, now: float) -> None:
         """Timeline p4: SyncInput released the current frame."""
         if self.config.timeline:
@@ -726,10 +721,6 @@ class SiteRuntime:
         if found:
             self.pending_divergences.extend(found)
 
-    def end_frame(self, now: float) -> float:
-        """EndFrameTiming: Algorithm 3; returns the wait the driver owes."""
-        return self.pacer.end_frame(now)
-
     def end_frame_deadline(self, now: float) -> Optional[float]:
         """EndFrameTiming as an absolute deadline (None: begin at once)."""
         return self.pacer.end_frame_deadline(now)
@@ -757,14 +748,6 @@ class DatagramReceived:
 
 
 @dataclass(frozen=True)
-class FrameTick:
-    """Time passed: a timer the engine armed may be due.  Equivalent to
-    calling :meth:`SiteEngine.poll`."""
-
-    now: float
-
-
-@dataclass(frozen=True)
 class InputSampled:
     """A driver-supplied input word for ``frame``, overriding the pull from
     ``runtime.source`` (e.g. a UI thread sampling a real controller)."""
@@ -780,7 +763,7 @@ class Shutdown:
     now: float
 
 
-Event = Union[DatagramReceived, FrameTick, InputSampled, Shutdown]
+Event = Union[DatagramReceived, InputSampled, Shutdown]
 
 
 # ----------------------------------------------------------------------
@@ -1017,6 +1000,7 @@ class SiteEngine:
 
         self._observed_phase = self.phase
         self._timers: Dict[str, float] = {}
+        self._earliest = 0.0
         self._sampled: Dict[int, int] = {}
         self._merged: Optional[int] = None
         self._stall = 0.0
@@ -1075,50 +1059,40 @@ class SiteEngine:
         if self.done:
             return []
         if isinstance(event, DatagramReceived):
-            metrics = self.runtime.metrics
-            metrics.datagrams_received.inc()
-            metrics.bytes_received.inc(len(event.payload))
-            effects: List[Effect] = []
-            self._outbox.extend(
-                self.runtime.handle_datagram(
-                    event.payload, event.arrived_at, event.now
-                )
-            )
-            self._on_datagram(event.now, effects)
-            return self._pump(event.now, effects)
-        if isinstance(event, FrameTick):
-            return self._pump(event.now, [])
+            return self.poll(event.now, (event,))
         if isinstance(event, InputSampled):
             self._sampled[event.frame] = event.bits
             return []
         if isinstance(event, Shutdown):
-            self._timers.clear()
             self._outbox.clear()
-            self.phase = PHASE_DONE
-            self.done = True
-            if self.termination is None:
-                self.termination = "shutdown"
-            self.runtime.events.emit(
-                "phase",
-                event.now,
-                self.runtime.frame,
-                **{"from": self._observed_phase, "to": PHASE_DONE},
-            )
-            self._observed_phase = PHASE_DONE
-            return [Finished(self.runtime.frame)]
+            effects = []
+            self._terminate("shutdown", event.now, effects)
+            self._observe(event.now, effects)
+            return effects
         raise TypeError(f"unknown event {event!r}")
 
-    def poll(self, now: float) -> List[Effect]:
-        """Fire any timers due at ``now``; returns their effects."""
+    def poll(self, now: float, datagrams: Iterable[Datagram] = ()) -> List[Effect]:
+        """One wake-up: absorb what was received since the last one (state
+        updates now, replies to the outbox), then fire any timers due at
+        ``now`` — one pump however many datagrams arrived."""
         if self.done:
             return []
-        return self._pump(now, [])
+        effects: List[Effect] = []
+        for datagram in datagrams:
+            metrics = self.runtime.metrics
+            metrics.datagrams_received.inc()
+            metrics.bytes_received.inc(len(datagram.payload))
+            self._outbox.extend(
+                self.runtime.handle_datagram(
+                    datagram.payload, datagram.arrived_at, now
+                )
+            )
+            self._on_datagram(now, effects)
+        return self._pump(now, effects)
 
     def next_deadline(self) -> Optional[float]:
         """Earliest armed timer deadline, or None when the engine is done."""
-        if not self._timers:
-            return None
-        return min(self._timers.values())
+        return self._earliest if self._timers else None
 
     def snapshot(self) -> dict:
         """Introspection: the registry snapshot plus live engine state.
@@ -1141,28 +1115,46 @@ class SiteEngine:
     # ------------------------------------------------------------------
     # Timer plumbing
     # ------------------------------------------------------------------
+    # ``_earliest`` is min(_timers.values()) kept as state (meaningless
+    # while no timer is armed): a wake-up reads it instead of scanning,
+    # and only a change to the timer that holds it costs a scan.
     def _set(self, kind: str, deadline: float) -> None:
-        self._timers[kind] = deadline
+        timers = self._timers
+        held = timers.get(kind)
+        timers[kind] = deadline
+        if len(timers) == 1 or deadline <= self._earliest:
+            self._earliest = deadline
+        elif held == self._earliest:
+            self._earliest = min(timers.values())
 
     def _clear(self, kind: str) -> None:
-        self._timers.pop(kind, None)
+        timers = self._timers
+        if timers.pop(kind, None) == self._earliest and timers:
+            self._earliest = min(timers.values())
 
     def _pump(self, now: float, effects: List[Effect]) -> List[Effect]:
-        """Fire due timers in (deadline, kind) order, then advance the phase."""
+        """Fire due timers in (deadline, kind) order, then run the stages
+        that have something to do: a wake-up costs what became due."""
         timers = self._timers
-        while timers and not self.done:
-            due = min(timers.values())
-            if due > now:
-                break
-            kind = min(k for k, deadline in timers.items() if deadline == due)
+        while timers and self._earliest <= now and not self.done:
+            due, kind = self._earliest, None
+            for k, deadline in timers.items():
+                if deadline == due and (kind is None or k < kind):
+                    kind = k
             del timers[kind]
+            if timers:
+                self._earliest = min(timers.values())
             self._on_timer(kind, now, effects)
         if not self.done:
-            self._check_divergence(now, effects)
-        if not self.done:
-            self._advance(now, effects)
-        self._flush_outbox(now, effects)
-        self._observe(now, effects)
+            if self.runtime.pending_divergences:
+                self._check_divergence(now, effects)
+            # COMPUTE and FRAME_WAIT have no step: only their timer ends them.
+            if self.phase not in (PHASE_COMPUTE, PHASE_FRAME_WAIT) and not self.done:
+                self._advance(now, effects)
+        if self._outbox:
+            self._flush_outbox(now, effects)
+        if effects or self.phase != self._observed_phase:
+            self._observe(now, effects)
         return effects
 
     # ------------------------------------------------------------------
@@ -1178,8 +1170,6 @@ class SiteEngine:
         single datagram.  Oversized members (a STATE_SNAPSHOT, typically)
         overflow into standalone datagrams via the MAX_BATCH_BYTES cap.
         """
-        if not self._outbox:
-            return
         pending, self._outbox = self._outbox, []
         metrics = self.runtime.metrics
         entries = [
@@ -1297,7 +1287,14 @@ class SiteEngine:
             self.runtime.events.emit(
                 "timer", now, self.runtime.frame, timer=kind
             )
-        if kind == TIMER_SEND:
+        # The four kinds of a running frame loop first, then the rest.
+        if kind == TIMER_COMPUTE:
+            if self.phase == PHASE_COMPUTE and self._commit_frame(now, effects):
+                self._frame_cycle(now, effects)
+        elif kind == TIMER_FRAME:
+            if self.phase == PHASE_FRAME_WAIT:
+                self._frame_cycle(now, effects)
+        elif kind == TIMER_SEND:
             if self.runtime.config.slice_delay > 0:
                 delay = self._rng.uniform(
                     0.0, 2.0 * self.runtime.config.slice_delay
@@ -1309,6 +1306,8 @@ class SiteEngine:
         elif kind == TIMER_FLUSH:
             self._flush(now, effects)
             self._arm_send(now)
+        elif kind == TIMER_GATE:
+            pass  # _advance re-checks the gate below
         elif kind == TIMER_PING:
             self._outbox.extend(self.runtime.ping_messages(now))
             interval = self.runtime.config.ping_interval
@@ -1363,14 +1362,6 @@ class SiteEngine:
                     suspended_for=now - self._suspended_at,
                 )
                 self._terminate("peer-lost", now, effects)
-        elif kind == TIMER_GATE:
-            pass  # _advance re-checks the gate below
-        elif kind == TIMER_COMPUTE:
-            if self.phase == PHASE_COMPUTE and self._commit_frame(now, effects):
-                self._frame_cycle(now, effects)
-        elif kind == TIMER_FRAME:
-            if self.phase == PHASE_FRAME_WAIT:
-                self._frame_cycle(now, effects)
         elif kind == TIMER_LINGER:
             if self.phase == PHASE_LINGER:
                 self._set(TIMER_LINGER, now + 0.05)
@@ -1697,8 +1688,6 @@ class SiteEngine:
     def _check_divergence(self, now: float, effects: List[Effect]) -> None:
         """Drain proven divergences; open a resync episode when eligible."""
         runtime = self.runtime
-        if not runtime.pending_divergences:
-            return
         if self.phase == PHASE_RESYNC:
             # Already recovering.  The tracker raised ``max_divergent`` as
             # it proved these, so the open episode's exit threshold already

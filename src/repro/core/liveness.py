@@ -36,13 +36,6 @@ class PeerLiveness:
             self.last_heard[site] = now
             self.mark += 1
 
-    def silent_for(self, site: int, now: float) -> Optional[float]:
-        """Seconds since ``site`` was last heard; None if never heard."""
-        heard_at = self.last_heard.get(site)
-        if heard_at is None:
-            return None
-        return max(0.0, now - heard_at)
-
     def unresponsive(
         self,
         sites: Iterable[int],

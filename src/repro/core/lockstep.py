@@ -84,6 +84,9 @@ class LockstepSync:
         ]
         #: First frame at which each site's input is required (late join).
         self.gate_from: List[int] = [0] * self.num_sites
+        #: Peers that are not absent — who gets sync traffic and whose acks
+        #: hold pruning back; rebuilt only where ``gate_from`` changes.
+        self._present_peers = [s for s in range(self.num_sites) if s != site_no]
         #: Arrival info of the newest input-advancing message from site 0
         #: (frame, arrival time) — Algorithm 4's MasterFrame/MasterRcvTime.
         self.master_sample: Optional[Tuple[int, float]] = None
@@ -121,12 +124,12 @@ class LockstepSync:
     # ------------------------------------------------------------------
     @property
     def my_mask(self) -> int:
-        return self.assignment.mask(self.site_no)
+        return self._cell_mask
 
     @property
     def is_observer(self) -> bool:
         """True when this site controls no input bits."""
-        return self.my_mask == 0
+        return self._cell_mask == 0
 
     def waiting_on(self) -> List[int]:
         """Gating sites whose input for the next frame is still missing.
@@ -283,9 +286,7 @@ class LockstepSync:
     def build_all(self, force: bool = False) -> Dict[int, Sync]:
         """One flush: per-peer ``sd`` messages (absent peers are skipped)."""
         out: Dict[int, Sync] = {}
-        for peer in range(self.num_sites):
-            if peer == self.site_no or self.is_absent(peer):
-                continue
+        for peer in self._present_peers:
             message = self.build_sync_for(peer, force=force)
             if message is not None:
                 out[peer] = message
@@ -386,13 +387,10 @@ class LockstepSync:
         needs it).  Absent peers (late joiners) never gate pruning: they
         catch up from a savestate, not from frame-0 inputs.
         """
-        peers = [
-            s
-            for s in range(self.num_sites)
-            if s != self.site_no and not self.is_absent(s)
-        ]
-        if peers and not self.is_observer:
-            min_acked = min(self.last_ack_frame[s] for s in peers)
+        peers = self._present_peers
+        if peers and self._cell_mask:
+            acked = self.last_ack_frame
+            min_acked = min([acked[s] for s in peers])
         else:
             min_acked = self.ibuf_pointer - 1
         floor = min(self.ibuf_pointer, min_acked + 1)
@@ -427,14 +425,19 @@ class LockstepSync:
         """Line 21 exit condition: inputs for the next frame are complete."""
         return not self.waiting_on()
 
-    def deliver(self) -> int:
+    def deliver(self, or_none: bool = False) -> Optional[int]:
         """Lines 22–23: advance ``IBufPointer``, return the merged input.
 
+        The gate is evaluated once, here.  A frame that is not ready is an
+        error — except for the frame loop's own poll, which passes
+        ``or_none`` and gets None while a gating site's input is missing.
         For the first ``BufFrame`` frames this returns empty (zero) inputs,
         exactly as the paper describes.
         """
-        if not self.can_deliver():
-            missing = self.waiting_on()
+        missing = self.waiting_on()
+        if missing:
+            if or_none:
+                return None
             raise RuntimeError(
                 f"site {self.site_no}: frame {self.ibuf_pointer} not ready; "
                 f"waiting on sites {missing}"
@@ -484,6 +487,11 @@ class LockstepSync:
                 f"already delivered through {self.ibuf_pointer - 1} without it"
             )
         self.gate_from[site] = first_gating_frame
+        self._present_peers = [
+            s
+            for s in range(self.num_sites)
+            if s != self.site_no and not self.is_absent(s)
+        ]
         if first_gating_frame < self.NEVER:
             # Frames before the gate are the joiner's *virtual* (empty)
             # input history; treat them as received so the contiguity guard
@@ -626,7 +634,7 @@ class Lockstep:
 
     def try_ready(self, now: float) -> Optional[int]:
         """The line-21 exit check; None while delivery is blocked."""
-        return self.runtime.try_deliver()
+        return self.runtime.lockstep.deliver(or_none=True)
 
     def commit(
         self, merged: int, stall: float, sync_adjust: float, now: float

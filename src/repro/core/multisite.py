@@ -133,7 +133,7 @@ class Session:
             vm.start()
         self.loop.run(until=horizon)
         for vm in self.vms:
-            if vm.process is not None and vm.process.finished:
+            if vm.process.finished:
                 vm.process.result()  # surface crashes
         unfinished = [
             vm.runtime.site_no for vm in self.vms if not vm.finished
@@ -148,7 +148,7 @@ class Session:
     def max_frames_of(self, site: int) -> int:
         for vm in self.vms:
             if vm.runtime.site_no == site:
-                return vm.max_frames
+                return vm.engine.max_frames
         raise KeyError(site)
 
     def runtimes(self) -> List[SiteRuntime]:

@@ -59,10 +59,6 @@ class RttEstimator:
         value = self._peer_srtt.get(site_no)
         return value if value is not None else self.rtt
 
-    def peer_estimates(self) -> Dict[int, float]:
-        """Per-peer smoothed RTTs for every peer that has answered a ping."""
-        return dict(self._peer_srtt)
-
     def make_ping(self, now: float) -> Ping:
         ping = Ping(
             sender_site=self._site_no,

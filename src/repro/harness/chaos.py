@@ -254,8 +254,7 @@ def run_chaos(
         def do_crash(crash=crash, donor=donor) -> None:
             victim = vm_of[crash.site]
             cookie = victim.runtime.lockstep.last_ack_frame[donor]
-            if victim.process is not None:
-                victim.process.kill()
+            victim.process.kill()
             network.drop_socket(address_of[crash.site])
             if crash.restart_at is not None:
                 loop.call_at(

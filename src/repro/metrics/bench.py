@@ -97,6 +97,15 @@ TIMELINE_OVERHEAD_BUDGET = 0.02
 #: 12,000 frames and 1.8 at the 6,000 of ``--quick``.
 SESSION_FLATNESS_CEILING = 1.25
 
+#: Driver wake-ups of both sites over the 3,600-frame seed-66 lossy
+#: counter session (:func:`measure_wakeup_stats`) — an exact count, the
+#: same on every run and host: 8.26 per session frame (two frame timers,
+#: two compute timers, ~1.4 each of send, flush and datagram, plus ping
+#: and linger).  It was read when the driver still pumped the engine 1.17
+#: times per wake-up; the gate holds that ratio at exactly 1 and the
+#: wake-up count at no more than this.
+WAKEUPS_BASELINE = 29_736
+
 
 def time_call(fn: Callable[[], object], repeats: int = 3, inner: int = 1) -> float:
     """Best-of-``repeats`` wall-clock seconds for one call of ``fn``.
@@ -423,6 +432,63 @@ def check_session_flatness(ratio: float) -> List[str]:
             f"(ceiling {SESSION_FLATNESS_CEILING:.2f}x)"
         ]
     return []
+
+
+def measure_wakeup_stats() -> Dict[str, float]:
+    """Exact counts of the simulator driver's plumbing over the session
+    :data:`WAKEUPS_BASELINE` was read on: how often a site woke up
+    (``DistributedVM._main``), how often the engine pumped, and how many of
+    those pumps had nothing to report.  Counts, not times: they repeat
+    exactly, so :func:`check_wakeup_stats` can gate them with no tolerance.
+    """
+    frames = 3_600
+    session = _lossy_counter_session(frames, seed=66)
+    counts = {"wakeups": 0, "pumps": 0, "idle_pumps": 0}
+
+    def count_wakeups(main):
+        def counted():
+            counts["wakeups"] += 1
+            return main()
+
+        return counted
+
+    def count_pumps(pump):
+        def counted(now, effects):
+            counts["pumps"] += 1
+            effects = pump(now, effects)
+            if not effects:
+                counts["idle_pumps"] += 1
+            return effects
+
+        return counted
+
+    for vm in session.vms:
+        vm._main = count_wakeups(vm._main)
+        vm.engine._pump = count_pumps(vm.engine._pump)
+    session.run(horizon=frames / session.plan.config.cfps + 60.0)
+    return {
+        "wakeups": counts["wakeups"],
+        "wakeups_per_frame": counts["wakeups"] / frames,
+        "pumps_per_wakeup": counts["pumps"] / counts["wakeups"],
+        "idle_pump_share": counts["idle_pumps"] / counts["pumps"],
+    }
+
+
+def check_wakeup_stats(stats: Dict[str, float]) -> List[str]:
+    """The plumbing gates: one pump per wake-up, and no more wake-ups than
+    :data:`WAKEUPS_BASELINE`."""
+    problems = []
+    if stats["pumps_per_wakeup"] != 1.0:
+        problems.append(
+            f"wake-ups: the engine pumps {stats['pumps_per_wakeup']:.3f} times "
+            "per driver wake-up (must be exactly 1)"
+        )
+    if stats["wakeups"] > WAKEUPS_BASELINE:
+        problems.append(
+            f"wake-ups: {stats['wakeups']} over the session "
+            f"({stats['wakeups_per_frame']:.2f}/frame) > baseline {WAKEUPS_BASELINE}"
+        )
+    return problems
 
 
 def _timeline_added_us_per_frame() -> Dict[str, float]:

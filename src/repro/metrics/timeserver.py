@@ -45,7 +45,7 @@ class TimeServer:
         self.address = address
         self._link = link if link is not None else NetemConfig.lan()
         self._socket: SimSocket = network.socket(address)
-        self._socket.mailbox.add_waiter(self._pump)
+        self._socket.mailbox.listener = self._pump
         #: arrivals[site][frame] = arrival time at the server.
         self.arrivals: Dict[int, Dict[int, float]] = {}
 
@@ -69,7 +69,6 @@ class TimeServer:
             except ValueError:
                 continue  # not a report; ignore like a real server would
             self.arrivals.setdefault(site, {})[frame] = datagram.arrived_at
-        self._socket.mailbox.add_waiter(self._pump)
 
     # ------------------------------------------------------------------
     # Analysis

@@ -2,9 +2,8 @@
 
 A :class:`SimNetwork` connects named sockets with per-direction
 :class:`~repro.net.netem.NetemConfig` impairments.  Each socket owns a
-:class:`~repro.sim.process.Mailbox`, so processes can block on arrival with
-``yield WaitMessage(socket.mailbox)`` — exactly what the site's frame loop
-does while stuck in ``SyncInput``.
+:class:`~repro.sim.process.Mailbox`; its consumer — a site's driver, the
+time server — is the mailbox's ``listener`` and is called on arrival.
 
 Determinism: every link direction draws from its own ``random.Random``
 seeded from the network seed and the (source, destination) pair, so adding a

@@ -77,7 +77,7 @@ class TcpLikeSocket(DatagramSocket):
         self._loop = network.loop
         self._address = address
         self._raw: SimSocket = network.simnet.socket(address)
-        self._raw.mailbox.add_waiter(self._pump)
+        self._raw.mailbox.listener = self._pump
         self.mailbox = Mailbox(network.loop, name=f"tcp:{address}")
         self.stats = TransportStats()
         self._streams: Dict[Address, _StreamState] = {}
@@ -135,14 +135,12 @@ class TcpLikeSocket(DatagramSocket):
     # Receive path
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        """Drain raw datagrams; re-arm as a persistent mailbox waiter."""
+        """Drain raw datagrams (the raw mailbox's listener)."""
         while True:
             envelope = self._raw.mailbox.poll()
             if envelope is None:
                 break
             self._on_raw(envelope.payload)
-        if not self._closed:
-            self._raw.mailbox.add_waiter(self._pump)
 
     def _on_raw(self, datagram: Datagram) -> None:
         kind, seq, payload = _decode(datagram.payload)

@@ -13,10 +13,6 @@ A *process* is a Python generator that yields command objects:
 Processes communicate through :class:`Mailbox` objects.  A mailbox stamps
 each message with its arrival time — the protocol layer needs arrival times
 (``MasterRcvTime`` in Algorithm 4) even when the message is consumed later.
-
-This mirrors the structure of the paper's real implementation, where a
-receive thread fills buffers asynchronously while the VM thread blocks in
-``SyncInput`` or sleeps in ``EndFrameTiming``.
 """
 
 from __future__ import annotations
@@ -64,18 +60,21 @@ class Envelope:
 
 
 class Mailbox:
-    """An arrival-time-stamping FIFO connecting processes.
+    """An arrival-time-stamping FIFO with one consumer.
 
     ``deliver`` may be called from any context (e.g. a network link's
-    delivery callback); if a process is parked on the mailbox it is resumed
-    through the event loop at the current instant, preserving determinism.
+    delivery callback); the consumer's ``listener`` runs inside it, at the
+    current instant, preserving determinism.
     """
 
     def __init__(self, loop: EventLoop, name: str = "mailbox") -> None:
         self._loop = loop
         self.name = name
         self._queue: Deque[Envelope] = deque()
-        self._waiters: List[Callable[[], None]] = []
+        #: Called on every delivery.  A callback consumer (a site's driver,
+        #: the time server) sets it once; a :class:`Process` blocked in
+        #: ``WaitMessage`` sets it for the length of the wait.
+        self.listener: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -83,9 +82,8 @@ class Mailbox:
     def deliver(self, payload: Any) -> None:
         """Enqueue ``payload``, stamping the current simulated time."""
         self._queue.append(Envelope(payload, self._loop.clock.now()))
-        waiters, self._waiters = self._waiters, []
-        for wake in waiters:
-            wake()
+        if self.listener is not None:
+            self.listener()
 
     def poll(self) -> Optional[Envelope]:
         """Non-blocking receive: pop the oldest envelope or return None."""
@@ -99,15 +97,36 @@ class Mailbox:
         self._queue.clear()
         return items
 
-    def add_waiter(self, wake: Callable[[], None]) -> None:
-        self._waiters.append(wake)
 
-    def remove_waiter(self, wake: Callable[[], None]) -> None:
-        if wake in self._waiters:
-            self._waiters.remove(wake)
+class Task:
+    """How something running on the event loop ended.  :class:`Process`
+    fills one in for its generator; a callback driver (``DistributedVM``)
+    fills in its own."""
+
+    def __init__(self, name: str = "task") -> None:
+        self.name = name
+        self.finished = False
+        self.value: Any = None
+        self.error: Optional[BaseException] = None
+
+    def kill(self) -> None:
+        """Terminate abruptly (a simulated crash): whoever runs the task
+        looks at :attr:`finished` before each wake-up.  ``result()`` then
+        returns None, not raises: it did not crash, it was crashed."""
+        self.finished = True
+
+    def result(self) -> Any:
+        """The value it ended with; raises if it crashed or is live."""
+        if not self.finished:
+            raise SimulationError(f"process {self.name!r} still running")
+        if self.error is not None:
+            raise ProcessCrashed(
+                f"process {self.name!r} crashed: {self.error!r}"
+            ) from self.error
+        return self.value
 
 
-class Process:
+class Process(Task):
     """Drives one generator on the event loop."""
 
     def __init__(
@@ -116,30 +135,12 @@ class Process:
         generator: Generator[Any, Any, Any],
         name: str = "proc",
     ) -> None:
+        super().__init__(name)
         self.loop = loop
-        self.name = name
         self._generator = generator
-        self._finished = False
-        self._result: Any = None
-        self._error: Optional[BaseException] = None
         # A token invalidating stale wakeups: each suspension bumps it, and a
         # wakeup scheduled for an earlier suspension becomes a no-op.
         self._wait_token = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    def result(self) -> Any:
-        """Return value of the generator; raises if it crashed or is live."""
-        if not self._finished:
-            raise SimulationError(f"process {self.name!r} still running")
-        if self._error is not None:
-            raise ProcessCrashed(
-                f"process {self.name!r} crashed: {self._error!r}"
-            ) from self._error
-        return self._result
 
     # ------------------------------------------------------------------
     def start(self) -> "Process":
@@ -148,37 +149,32 @@ class Process:
         return self
 
     def kill(self) -> None:
-        """Terminate the process abruptly (a simulated crash).
-
-        No cleanup runs in the process's own code path beyond ``finally``
+        """No cleanup runs in the process's own code path beyond ``finally``
         blocks (``GeneratorExit``); pending wakeups become no-ops via the
-        wait token.  ``result()`` afterwards returns None rather than
-        raising — a killed process did not crash, it was crashed.
-        """
-        if self._finished:
-            return
-        self._finished = True
-        self._wait_token += 1
-        self._generator.close()
+        wait token."""
+        if not self.finished:
+            self.finished = True
+            self._wait_token += 1
+            self._generator.close()
 
     def _resume(self, value: Any) -> None:
-        if self._finished:
+        if self.finished:
             return
         try:
             command = self._generator.send(value)
         except StopIteration as stop:
-            self._finished = True
-            self._result = stop.value
+            self.finished = True
+            self.value = stop.value
             return
         except BaseException as exc:  # surface via result()
-            self._finished = True
-            self._error = exc
+            self.finished = True
+            self.error = exc
             return
         try:
             self._dispatch(command)
         except BaseException as exc:  # bad command object
-            self._finished = True
-            self._error = exc
+            self.finished = True
+            self.error = exc
 
     def _dispatch(self, command: Any) -> None:
         self._wait_token += 1
@@ -203,25 +199,20 @@ class Process:
 
             timeout_handle: Optional[int] = None
 
-            def wake_with_message() -> None:
-                if token != self._wait_token or self._finished:
+            def wake(with_message: bool) -> None:
+                if token != self._wait_token or self.finished:
                     return
-                if timeout_handle is not None:
+                mailbox.listener = None
+                if with_message and timeout_handle is not None:
                     self.loop.cancel(timeout_handle)
-                # The message that woke us may already have been polled by
-                # nobody else (single consumer per mailbox by convention).
-                self._resume(mailbox.poll())
+                # The message that woke us cannot have been polled by
+                # anybody else (single consumer per mailbox).
+                self._resume(mailbox.poll() if with_message else None)
 
-            def wake_with_timeout() -> None:
-                if token != self._wait_token or self._finished:
-                    return
-                mailbox.remove_waiter(wake_with_message)
-                self._resume(None)
-
-            mailbox.add_waiter(wake_with_message)
+            mailbox.listener = lambda: wake(True)
             if command.timeout is not None:
                 timeout_handle = self.loop.call_later(
-                    command.timeout, wake_with_timeout
+                    command.timeout, lambda: wake(False)
                 )
             return
 

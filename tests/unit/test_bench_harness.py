@@ -18,13 +18,16 @@ from repro.metrics.bench import (
     BLOCK_ENTRIES_CEILING,
     ROM_FPS_BASELINE,
     SEED_BASELINE,
+    WAKEUPS_BASELINE,
     bench_filename,
     check_block_entries,
     check_block_fps,
+    check_wakeup_stats,
     load_bench_history,
     measure_block_stats,
     measure_game_fps,
     measure_snapshot_costs,
+    measure_wakeup_stats,
     time_call,
     verify_block_parity,
     write_bench_json,
@@ -78,6 +81,21 @@ def test_check_block_fps_gate():
     problems = check_block_fps(failing)
     assert len(problems) == len(ROM_FPS_BASELINE)
     assert check_block_fps({}) != []  # missing measurements also fail
+
+
+def test_wakeup_stats_are_exact_and_gated():
+    stats = measure_wakeup_stats()
+    # Counts, not times: the same on every run, so no tolerance.
+    assert stats["wakeups"] == WAKEUPS_BASELINE
+    assert stats["wakeups_per_frame"] == pytest.approx(8.26)
+    assert stats["pumps_per_wakeup"] == 1.0
+    assert 0.0 < stats["idle_pump_share"] < 1.0
+    assert check_wakeup_stats(stats) == []
+    # What the driver read before it pumped once per wake-up.
+    two_pumps = dict(stats, pumps_per_wakeup=34_729 / 29_736)
+    assert len(check_wakeup_stats(two_pumps)) == 1
+    chatty = dict(stats, wakeups=WAKEUPS_BASELINE + 1)
+    assert len(check_wakeup_stats(chatty)) == 1
 
 
 def test_measure_snapshot_costs_console_reports_delta():
@@ -135,3 +153,6 @@ def test_run_bench_quick_cli(tmp_path):
     assert "entries/frame=" in proc.stdout
     assert results["block_stats"]["pong"]["entries_per_frame"] <= 30
     assert results["rollback_session"]["snapshot_syncs"] >= 0
+    assert "pumps_per_wakeup=1.00" in proc.stdout
+    assert results["wakeup_stats"]["pumps_per_wakeup"] == 1.0
+    assert results["wakeup_stats"]["wakeups_per_frame"] == 8.26

@@ -145,3 +145,64 @@ class TestRun:
         loop.call_at(2.0, lambda: fired.append(2))
         assert loop.step() is True
         assert fired == [1]
+
+    def test_step_and_run_agree_on_the_clock_and_the_count(self, loop):
+        loop.call_at(1.0, lambda: None)
+        loop.call_at(2.0, lambda: None)
+        assert loop.step() is True
+        assert (loop.clock.now(), loop.events_processed) == (1.0, 1)
+        loop.run()
+        assert (loop.clock.now(), loop.events_processed) == (2.0, 2)
+
+
+class TestRunWithCancelledEntries:
+    """``run`` pops inline; cancelled entries are dropped wherever they
+    surface and never count as events."""
+
+    def test_cancelled_head_does_not_hide_the_horizon(self, loop):
+        fired = []
+        head = loop.call_at(1.0, lambda: fired.append("cancelled"))
+        loop.call_at(3.0, lambda: fired.append("late"))
+        loop.cancel(head)
+        loop.run(until=2.0)
+        assert fired == [] and loop.events_processed == 0
+        assert loop.clock.now() == 2.0
+        assert not loop.is_empty()
+        loop.run()
+        assert fired == ["late"] and loop.clock.now() == 3.0
+
+    def test_cancelled_head_past_the_horizon_is_dropped_not_run(self, loop):
+        head = loop.call_at(5.0, lambda: None)
+        loop.cancel(head)
+        loop.run(until=2.0)
+        assert loop.is_empty() and loop.clock.now() == 2.0
+
+    def test_callback_cancels_a_later_entry_at_the_same_instant(self, loop):
+        fired = []
+        handles = {}
+        loop.call_at(1.0, lambda: loop.cancel(handles["b"]))
+        handles["b"] = loop.call_at(1.0, lambda: fired.append("b"))
+        loop.call_at(1.0, lambda: fired.append("c"))
+        loop.run()
+        assert fired == ["c"] and loop.events_processed == 2
+
+    def test_max_events_counts_executed_callbacks_only(self, loop):
+        for i in range(5):
+            loop.cancel(loop.call_at(float(i), lambda: None))
+        for i in range(3):
+            loop.call_at(10.0 + i, lambda: None)
+        loop.run(max_events=4)  # three real events: under the guard
+        assert loop.events_processed == 3
+        for i in range(4):
+            loop.call_at(20.0 + i, lambda: None)
+        with pytest.raises(SimulationError, match="max_events=4"):
+            loop.run(max_events=4)
+        assert loop.events_processed == 7  # the fourth ran, then the guard
+
+    def test_call_later_from_a_callback_uses_the_advanced_clock(self, loop):
+        fired = []
+        loop.call_at(
+            2.0, lambda: loop.call_later(0.5, lambda: fired.append(loop.clock.now()))
+        )
+        loop.run()
+        assert fired == [2.5]

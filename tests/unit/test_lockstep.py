@@ -359,3 +359,86 @@ class TestConstruction:
         config = SyncConfig()
         with pytest.raises(ValueError):
             LockstepSync(config, 5, InputAssignment.standard(2))
+
+
+class TestCachedMaskAndPresentPeers:
+    """The own-mask and the present-peer list are stored, not recomputed;
+    they must follow ``mark_absent`` / ``admit_site`` exactly."""
+
+    def test_observer_reads_stored_mask(self):
+        sites = make_pair(num_sites=3, observers=1)
+        player, observer = sites[0], sites[2]
+        assert player.my_mask == player.assignment.mask(0) != 0
+        assert not player.is_observer
+        assert observer.my_mask == 0 and observer.is_observer
+        # An observer sends pure acks, never gates itself, and prunes by
+        # its own delivery pointer (nobody has to ack inputs it never has).
+        message = observer.build_sync_for(0, force=True)
+        assert message.input_count == 0
+        for __ in range(6):
+            observer.deliver()  # the trivial local-lag frames
+        assert observer.waiting_on() == [0, 1]
+        sites[0].buffer_local_input(0, 0x01)
+        sites[1].buffer_local_input(0, 0x0100)
+        pump(sites[0], observer)
+        pump(sites[1], observer)
+        assert observer.deliver() == 0x0101
+        assert observer.ibuf.floor == 7
+
+    def test_prune_holds_for_a_peer_admitted_late(self):
+        a, b, c = make_pair(num_sites=3)
+        a.mark_absent(2)
+        for frame in range(12):
+            a.buffer_local_input(frame, 0x01)
+            b.buffer_local_input(frame, 0x0100)
+        pump(b, a)
+        for __ in range(12):
+            a.deliver()
+        pump(a, b)
+        pump(b, a)  # b's ack for everything a sent
+        # Absent site 2 holds nothing back: only b's ack and our pointer do.
+        assert a.ibuf.floor == 12
+        assert set(a.build_all(force=True)) == {1}
+
+        a.admit_site(2, first_gating_frame=18, ack_hint=11)
+        # Present again: it gets traffic, and pruning waits for *its* acks.
+        assert set(a.build_all(force=True)) == {1, 2}
+        for frame in range(12, 20):
+            a.buffer_local_input(frame, 0x01)
+            b.buffer_local_input(frame, 0x0100)
+        pump(b, a)
+        for __ in range(6):
+            a.deliver()  # frames 12..17, before site 2 gates
+        pump(a, b)
+        pump(b, a)
+        assert a.waiting_on() == [2]
+        assert a.ibuf.floor == 12  # site 2 has acked nothing past its hint
+
+        ack_all = Sync(
+            sender_site=2,
+            session_id=1,
+            acks=[a.last_rcv_frame[0], 17, 17],
+            first_frame=18,
+            inputs=[],
+        )
+        a.on_sync(ack_all, arrived_at=0.0)
+        assert a.ibuf.floor == 18  # now only the delivery pointer holds it
+
+        a.mark_absent(2)
+        assert set(a.build_all(force=True)) == {1}
+
+    def test_deliver_or_none_is_deliver_without_the_raise(self):
+        a, b = make_pair()
+        for frame in range(7):
+            a.buffer_local_input(frame, 0x01)
+        for __ in range(6):
+            assert a.deliver(or_none=True) == 0  # the trivial local-lag frames
+        assert a.deliver(or_none=True) is None  # frame 6 waits for site 1
+        assert a.ibuf_pointer == 6 and a.stats.frames_delivered == 6
+        with pytest.raises(RuntimeError, match=r"waiting on sites \[1\]"):
+            a.deliver()
+        for frame in range(7):
+            b.buffer_local_input(frame, 0x0100)
+        pump(b, a)
+        assert a.deliver(or_none=True) == 0x0101
+        assert a.ibuf_pointer == 7
