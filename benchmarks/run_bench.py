@@ -36,7 +36,6 @@ from repro.metrics.bench import (
     measure_bandwidth_profile,
     measure_block_stats,
     measure_game_fps,
-    measure_lockstep_roundtrips,
     measure_predictor_comparison,
     measure_rollback_session,
     measure_session_flatness,
@@ -97,10 +96,6 @@ def run(quick: bool) -> dict:
         for name in ("pong", "brawler")
     }
 
-    lockstep = round(
-        measure_lockstep_roundtrips(cycles=30 if quick else 300, repeats=repeats), 1
-    )
-
     rollback = measure_rollback_session(frames=60 if quick else 240)
     rollback["wall_seconds"] = round(rollback["wall_seconds"], 3)
 
@@ -154,7 +149,6 @@ def run(quick: bool) -> dict:
         "fast_fps": fast_fps,
         "block_fps": block_fps,
         "block_stats": block_stats,
-        "lockstep_roundtrips_per_s": lockstep,
         "snapshot": snapshot,
         "rollback_session": rollback,
         "predictor_comparison": predictor,
@@ -198,9 +192,6 @@ def summarize(results: dict) -> str:
                 f"invalidations={stats['block_invalidations']}  "
                 f"fallback={stats['fallback_steps']}"
             )
-    lines.append(
-        f"-- lockstep round-trips/sec: {results['lockstep_roundtrips_per_s']:.0f}"
-    )
     lines.append("-- snapshot/checksum costs (us) --")
     for name, costs in sorted(results["snapshot"].items()):
         pairs = "  ".join(f"{k}={v:g}" for k, v in sorted(costs.items()))

@@ -17,10 +17,10 @@ Layout mirrors the paper's structure:
   ``handle(event) -> [effects]`` / ``poll(now) -> [effects]``, hosting the
   whole orchestration (handshake, pumps, frame loop, linger) exactly once;
   its ``consistency`` part decides which ``SyncInput`` the loop runs.
-* :mod:`repro.core.driver` — driver-support helpers shared by all shells.
+* :mod:`repro.core.driver` — driver-support helpers shared by both shells.
 * :mod:`repro.core.vm` — the discrete-event driver (simulator).
-* :mod:`repro.core.realtime` — the wall-clock driver over real UDP.
-* :mod:`repro.core.aio` — the asyncio driver: many sessions, one process.
+* :mod:`repro.core.aio` — the asyncio driver over real UDP: many sessions,
+  one process.
 * :mod:`repro.core.multisite` — N players and observers (journal extension).
 * :mod:`repro.core.latejoin` — late joiners via savestate + replay.
 * :mod:`repro.core.replay` — input movies (record / verify / replay).

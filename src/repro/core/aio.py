@@ -8,9 +8,9 @@ so one event loop hosts every site of every concurrent session.  Each
     wait until (next engine deadline) or (datagram arrives)
     feed the engine, apply its effects
 
-— the same ~30-line shell as the simulator and thread drivers, proving
-the sans-IO seam: the protocol neither knows nor cares which of the three
-runtimes is underneath.  Wire concerns (the v2 codec, batch coalescing,
+— the same ~30-line shell as the simulator driver, proving the sans-IO
+seam: the protocol neither knows nor cares which of the two runtimes is
+underneath.  Wire concerns (the v2 codec, batch coalescing,
 the bandwidth budget) all live behind the engine's outbox; this driver
 only ever sees finished datagrams.
 
@@ -51,6 +51,7 @@ class AioSite:
         #: snapshot API reports the failure instead.
         self.error: Optional[BaseException] = None
         self._stop_requested = False
+        self._send_failing = False
         # ICMP errors (port unreachable after a peer crash) surface through
         # the endpoint's error_received; count them instead of dropping.
         endpoint.on_transport_error = self._on_transport_error
@@ -96,10 +97,24 @@ class AioSite:
     def _send(self, payload: bytes, destination: str) -> None:
         try:
             self.endpoint.send(payload, destination)
-        except OSError:
-            # Same policy as the thread driver: a failed send is a lost
-            # datagram, which retransmission already covers.
+        except (OSError, RuntimeError, ValueError) as exc:
+            # A failed send is a lost datagram (ENETUNREACH, a dying NIC,
+            # an endpoint closed mid-batch, a savestate over MAX_DATAGRAM):
+            # count it and let retransmission recover once sends work
+            # again.  A *persistent* failure shows up as peer silence and
+            # ends in a named termination (handshake-timeout, peer-lost,
+            # desync), never a crash here.  One trace record per streak.
             self.runtime.metrics.send_errors.inc()
+            if not self._send_failing:
+                self._send_failing = True
+                self.runtime.events.emit(
+                    "error",
+                    asyncio.get_running_loop().time(),
+                    self.runtime.frame,
+                    error=f"send to {destination} failed: {exc!r}",
+                )
+            return
+        self._send_failing = False
 
     def _on_transport_error(self, exc: OSError) -> None:
         self.runtime.metrics.send_errors.inc()

@@ -48,18 +48,13 @@ class SyncConfig:
 
     #: Adaptive local lag (§4.2 discusses and *rejects* this; implemented
     #: so the trade-off can be measured).  When enabled, each site resizes
-    #: its own input lag to ``ceil((RTT/2 + adaptive_margin) · CFPS)``
-    #: frames, clamped to the bounds below.  Purely local: a site's lag
-    #: only affects where its own inputs land, so no agreement is needed.
+    #: its own input lag to ``ceil((RTT/2 + ADAPTIVE_MARGIN) · CFPS)``
+    #: frames (see ``repro.core.policy.LagTuner``).  Purely local: a site's
+    #: lag only affects where its own inputs land, so no agreement is needed.
     adaptive_lag: bool = False
 
-    #: Safety margin over the one-way estimate (covers send batching and
-    #: slice delays) when sizing the adaptive lag.
-    adaptive_margin: float = 0.035
-
-    #: Bounds for the adaptive lag, in frames.
+    #: Lower bound for the adaptive lag, in frames.
     adaptive_min_buf: int = 2
-    adaptive_max_buf: int = 15
 
     #: Hysteresis for the adaptive lag tuner: after the first (immediate)
     #: resize, further changes are applied at most once per this many
@@ -80,29 +75,8 @@ class SyncConfig:
     #: band that keeps a jittery link from flapping modes.
     policy_lockstep_below_s: float = 0.100
 
-    #: Minimum dwell time between mode switches (seconds).
-    policy_dwell_s: float = 2.0
-
-    #: A proposed switch not acked by every peer within this long is
-    #: aborted: the site stays in its current mode (and may re-propose
-    #: after the dwell).  This is what makes a partition during a switch
-    #: safe — the proposer never half-commits.
-    policy_switch_timeout_s: float = 1.0
-
-    #: Whether entering rollback mode also drains the local lag to zero
-    #: (rollback's responsiveness win).  Off by default: draining changes
-    #: which slot each local input lands in, so sessions that must stay
-    #: bit-identical to a fixed-lag twin keep their lag across switches.
-    policy_drain_lag: bool = False
-
     #: Initial RTT estimate used before any ping sample arrives.
     initial_rtt: float = 0.0
-
-    #: EWMA weight for new RTT samples.
-    rtt_alpha: float = 0.125
-
-    #: Ping period for RTT estimation.
-    ping_interval: float = 0.5
 
     #: Liveness: a gate blocked longer than this emits a ``Degraded``
     #: effect (drivers freeze presentation and show "waiting for peer").
@@ -153,11 +127,6 @@ class SyncConfig:
     #: part of the config digest — the feature negotiates per session, so
     #: a timeline site interoperates with a plain v2 peer.
     timeline: bool = False
-
-    #: End-to-end (capture→present) latency budget for the SLO scorer, in
-    #: seconds.  ``None`` derives the paper's implied budget: the local
-    #: lag plus two frame periods of pacing slack.
-    slo_budget_s: Optional[float] = None
 
     #: Live divergence detection: every this-many frames each site
     #: piggybacks a (frame, state checksum) digest on its outbound sync
@@ -224,12 +193,6 @@ class SyncConfig:
                 "policy_rollback_above_s must be > policy_lockstep_below_s "
                 "(the gap is the mode-flap hysteresis band)"
             )
-        if self.policy_dwell_s <= 0:
-            raise ValueError("policy_dwell_s must be positive")
-        if self.policy_switch_timeout_s <= 0:
-            raise ValueError("policy_switch_timeout_s must be positive")
-        if self.slo_budget_s is not None and self.slo_budget_s <= 0:
-            raise ValueError("slo_budget_s must be positive or None")
         if self.state_digest_interval is not None and self.state_digest_interval < 1:
             raise ValueError("state_digest_interval must be >= 1 or None")
         if self.resync_deadline_s <= 0:
@@ -251,14 +214,12 @@ class SyncConfig:
 
     @property
     def slo_budget(self) -> float:
-        """Effective capture→present budget for the SLO health scorer.
+        """Capture→present budget for the SLO health scorer, in seconds.
 
         The local-lag design absorbs one-way delay inside ``buf_frame``
         frames; a healthy frame presents within that lag plus a couple of
         frame periods of send batching and pacing slack.
         """
-        if self.slo_budget_s is not None:
-            return self.slo_budget_s
         return self.local_lag + 2.0 * self.time_per_frame
 
     @property

@@ -1,10 +1,10 @@
-"""Driver-support layer shared by the sim, thread and asyncio drivers.
+"""Driver-support layer shared by the simulator and asyncio drivers.
 
 Each driver owns exactly two jobs: hand the engine, once per wake-up, the
 datagrams received since the last one, and apply the effects it returns.
 Both jobs are identical across runtimes, so they live here once — the
 per-driver code is only the waiting primitive (event-loop callbacks,
-blocking socket, coroutine).
+coroutine).
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def feed_datagrams(
     datagrams: Iterable[Datagram],
     now: float,
 ) -> List[Effect]:
-    """The one receive path of all three drivers: a wake-up hands the
+    """The one receive path of both drivers: a wake-up hands the
     engine what was received and the time.  It absorbs the whole batch and
     pumps once, so replies to several datagrams leave coalesced, and an
     empty batch (the caller woke because a timer came due) is just the poll."""

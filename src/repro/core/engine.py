@@ -30,11 +30,10 @@ Three layers live here:
   :class:`repro.core.lockstep.Lockstep` (the paper's),
   :class:`repro.core.rollback.Rollback` or
   :class:`repro.core.policy.Adaptive` — and nothing else decides it.
-* The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event),
-  :class:`repro.core.realtime.RealtimeVM` (wall clock + UDP) and
-  :class:`repro.core.aio.AioSite` (asyncio, many sessions per process) —
-  are thin shells that run an engine the caller built: they move bytes
-  and time between their runtime and the engine.
+* The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event) and
+  :class:`repro.core.aio.AioSite` (asyncio over real UDP, many sessions
+  per process) — are thin shells that run an engine the caller built:
+  they move bytes and time between their runtime and the engine.
 
 ``Transition`` is a black box: any object satisfying :class:`GameMachine`
 works, and the sync layer never inspects it (the paper's "game
@@ -170,7 +169,7 @@ class SiteRuntime:
         self.events = EventTrace()
         #: Per-peer NTP-style clock alignment, fed by extended pongs.
         self.clocks: Dict[int, ClockAlign] = {
-            site: ClockAlign(config.rtt_alpha) for site in self.peer_sites
+            site: ClockAlign() for site in self.peer_sites
         }
         #: Frame-latency attribution (hooks are no-ops unless
         #: ``config.timeline``; wire annotations additionally require the
@@ -876,6 +875,9 @@ PHASE_CATCHUP = "catchup"  # frames presented; confirming those in flight
 PHASE_ACQUIRE = "acquire"  # late join: waiting for a state snapshot
 PHASE_RESYNC = "resync"  # desync recovery: frozen, restoring the anchor
 
+#: Ping period for RTT estimation, in seconds.
+PING_INTERVAL = 0.5
+
 
 #: Standalone-datagram overhead estimate for budget accounting: magic +
 #: version/type byte + typical varint sender/session (the batch member
@@ -1310,7 +1312,7 @@ class SiteEngine:
             pass  # _advance re-checks the gate below
         elif kind == TIMER_PING:
             self._outbox.extend(self.runtime.ping_messages(now))
-            interval = self.runtime.config.ping_interval
+            interval = PING_INTERVAL
             if self.runtime.timeline_negotiated and any(
                 not align.aligned for align in self.runtime.clocks.values()
             ):
@@ -1643,7 +1645,7 @@ class SiteEngine:
         self.phase = PHASE_GATE
         self._degraded = False
         self._arm_send(now)
-        self._set(TIMER_PING, now + runtime.config.ping_interval)
+        self._set(TIMER_PING, now + PING_INTERVAL)
         runtime.events.emit(
             "resumed",
             now,
@@ -1769,7 +1771,7 @@ class SiteEngine:
             # Suspension parked the frame-rate pumps; the episode needs
             # them back (digests and the snapshot ride the normal flush).
             self._arm_send(now)
-            self._set(TIMER_PING, now + runtime.config.ping_interval)
+            self._set(TIMER_PING, now + PING_INTERVAL)
         self._resync_anchor = anchor
         self.resync_frozen = runtime.frame
         self._resync_started = now

@@ -37,7 +37,7 @@ exists so the switch is *observable and abortable*:
 2. each peer records the announced mode and answers ``SWITCH_ACK(seq)``
    — plain lockstep peers ack too, so mixed sessions interoperate,
 3. on acks from *all* peers the proposer commits at the next frame
-   boundary; if any ack is missing after ``policy_switch_timeout_s`` the
+   boundary; if any ack is missing after ``POLICY_SWITCH_TIMEOUT_S`` the
    proposal is aborted and the site stays in its current mode.
 
 A partition during the handshake can therefore delay a switch but never
@@ -47,8 +47,8 @@ rollback first drains speculation (the gate blocks until every
 speculated frame is confirmed) so lockstep resumes from a state the
 shadow has proven.  In both modes the confirmed machine is
 ``runtime.machine``, so the consistency trace is continuous across
-switches and bit-identical to a never-switched lockstep twin (when the
-lag is held constant; see ``policy_drain_lag``).
+switches and bit-identical to a never-switched lockstep twin (a switch
+carries the local lag across; only ``adaptive_lag`` moves it).
 """
 
 from __future__ import annotations
@@ -80,6 +80,22 @@ from repro.core.rtt import RttEstimator
 #: Human-readable mode names for events, snapshots and test output.
 MODE_NAMES = {MODE_LOCKSTEP: "lockstep", MODE_ROLLBACK: "rollback"}
 
+#: Safety margin over the one-way estimate (covers send batching and
+#: slice delays) when sizing the adaptive lag, in seconds.
+ADAPTIVE_MARGIN = 0.035
+
+#: Upper bound for the adaptive lag, in frames.
+ADAPTIVE_MAX_BUF = 15
+
+#: Minimum dwell time between mode switches, in seconds.
+POLICY_DWELL_S = 2.0
+
+#: A proposed switch not acked by every peer within this many seconds is
+#: aborted: the site stays in its current mode (and may re-propose after
+#: the dwell).  This is what makes a partition during a switch safe — the
+#: proposer never half-commits.
+POLICY_SWITCH_TIMEOUT_S = 1.0
+
 
 class LagTuner:
     """Hysteretic filter between the RTT estimate and ``set_local_lag``.
@@ -100,8 +116,8 @@ class LagTuner:
     def target_for(self, one_way: float) -> int:
         """The raw (unfiltered) lag target for a one-way estimate."""
         config = self._config
-        needed = math.ceil((one_way + config.adaptive_margin) * config.cfps)
-        return max(config.adaptive_min_buf, min(config.adaptive_max_buf, needed))
+        needed = math.ceil((one_way + ADAPTIVE_MARGIN) * config.cfps)
+        return max(config.adaptive_min_buf, min(ADAPTIVE_MAX_BUF, needed))
 
     def propose(self, now: float, one_way: float, current: int) -> Optional[int]:
         """Lag to apply now, or None (deadband / window suppressed)."""
@@ -156,7 +172,7 @@ class ConsistencyPolicy:
         config = self._config
         if (
             self._last_transition is not None
-            and now - self._last_transition < config.policy_dwell_s
+            and now - self._last_transition < POLICY_DWELL_S
         ):
             return None
         worst = self.worst_peer_rtt(rtt, peer_sites)
@@ -230,8 +246,6 @@ class Adaptive(Lockstep):
         super().attach(engine)
         self.lockstep.attach(engine)
         self.rollback.bind(engine)  # lag is this part's to manage
-        if self.mode == MODE_ROLLBACK:
-            self._zero_lag()
         self.policy = ConsistencyPolicy(engine.runtime.config)
 
     # ------------------------------------------------------------------
@@ -241,12 +255,6 @@ class Adaptive(Lockstep):
 
     def _active(self) -> Lockstep:
         return self.rollback if self.mode == MODE_ROLLBACK else self.lockstep
-
-    def _zero_lag(self) -> None:
-        """Entering rollback: drop the local lag when the policy says so."""
-        runtime = self.runtime
-        if runtime.config.policy_drain_lag and runtime.lockstep.local_lag_frames:
-            runtime.lockstep.set_local_lag(0)
 
     def _log_switch(
         self, kind: str, now: float, frame: int, mode: int, seq: int
@@ -344,7 +352,7 @@ class Adaptive(Lockstep):
         pending = _PendingSwitch(
             seq=self._switch_seq,
             mode=mode,
-            deadline=now + runtime.config.policy_switch_timeout_s,
+            deadline=now + POLICY_SWITCH_TIMEOUT_S,
         )
         self._pending_switch = pending
         runtime.events.emit(
@@ -387,7 +395,6 @@ class Adaptive(Lockstep):
             self.rollback.sync_spec_from_shadow()
             self.rollback.reseat_frontier()
             self._finish_switch(MODE_ROLLBACK, now)
-            self._zero_lag()
         else:
             # Leaving rollback takes two steps: the gate first drains
             # speculation (see try_ready), then the mode flips.

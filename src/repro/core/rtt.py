@@ -20,6 +20,9 @@ from typing import Dict, Optional, Tuple
 from repro.core.config import SyncConfig
 from repro.core.messages import Ping, Pong
 
+#: EWMA weight for new RTT samples (and clock-offset samples).
+RTT_ALPHA = 0.125
+
 
 def to_micros(seconds: float) -> int:
     return int(round(seconds * 1_000_000))
@@ -90,7 +93,7 @@ class RttEstimator:
         sample = now - from_micros(pong.echo_timestamp_us)
         if sample < 0:
             return None
-        alpha = self._config.rtt_alpha
+        alpha = RTT_ALPHA
         self._srtt = (
             sample if self._srtt is None else (1 - alpha) * self._srtt + alpha * sample
         )
@@ -122,8 +125,7 @@ class ClockAlign:
     #: …plus a small absolute allowance for timer granularity.
     _DELAY_SLACK_S = 0.002
 
-    def __init__(self, alpha: float = 0.125) -> None:
-        self._alpha = alpha
+    def __init__(self) -> None:
         self._offset: Optional[float] = None
         self._min_delay: Optional[float] = None
         self._drift: float = 0.0
@@ -169,7 +171,7 @@ class ClockAlign:
             self._offset = theta
             self._first_accept = (t4, theta)
         else:
-            self._offset += self._alpha * (theta - self._offset)
+            self._offset += RTT_ALPHA * (theta - self._offset)
             assert self._first_accept is not None
             elapsed = t4 - self._first_accept[0]
             if elapsed > 1.0:

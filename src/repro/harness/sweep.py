@@ -180,8 +180,7 @@ def run_sweep_point(
     # mapping, so the adaptive run must be bit-identical to the
     # never-switched twin — the switch-correctness half of the sweep.
     if (
-        not config.policy_drain_lag
-        and not config.adaptive_lag
+        not config.adaptive_lag
         and adaptive_traces[0].checksums != lockstep_traces[0].checksums
     ):
         point.problems.append("adaptive checksums diverge from lockstep twin")

@@ -4,7 +4,6 @@ from repro.metrics.bench import (
     SEED_BASELINE,
     load_bench_history,
     measure_game_fps,
-    measure_lockstep_roundtrips,
     measure_rollback_session,
     measure_snapshot_costs,
     time_call,
@@ -32,7 +31,6 @@ __all__ = [
     "mean",
     "mean_abs_deviation",
     "measure_game_fps",
-    "measure_lockstep_roundtrips",
     "measure_rollback_session",
     "measure_snapshot_costs",
     "percentile",

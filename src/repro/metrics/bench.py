@@ -295,31 +295,6 @@ def measure_snapshot_costs(machine: Machine, repeats: int = 5) -> Dict[str, floa
     return out
 
 
-def measure_lockstep_roundtrips(cycles: int = 300, repeats: int = 3) -> float:
-    """Buffer + build + receive + deliver round-trips per second."""
-    from repro.core.config import SyncConfig
-    from repro.core.inputs import InputAssignment
-    from repro.core.lockstep import LockstepSync
-
-    config = SyncConfig()
-    assignment = InputAssignment.standard(2)
-
-    def run() -> None:
-        a = LockstepSync(config, 0, assignment, 1)
-        b = LockstepSync(config, 1, assignment, 1)
-        for frame in range(cycles):
-            a.buffer_local_input(frame, frame & 0xFF)
-            b.buffer_local_input(frame, (frame << 8) & 0xFF00)
-            for sender, receiver in ((a, b), (b, a)):
-                message = sender.build_sync_for(receiver.site_no, force=True)
-                if message is not None:
-                    receiver.on_sync(message, frame / 60)
-            a.deliver()
-            b.deliver()
-
-    return cycles / time_call(run, repeats=repeats)
-
-
 def _lossy_counter_session(frames: int, seed: int):
     """The standard lossy two-site profile: two players on the counter
     game (it costs nothing, so the protocol does all the work), 20 ms

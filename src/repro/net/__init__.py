@@ -12,16 +12,17 @@ package provides:
 * :mod:`repro.net.tcpsim` — a simulated TCP-like (reliable, in-order,
   head-of-line-blocking) transport used as the baseline the paper argues
   against in §3.1.
-* :mod:`repro.net.udp` — real UDP sockets for the wall-clock driver.
+* :mod:`repro.net.udp` — real UDP sockets for the asyncio driver.
 """
 
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork, SimSocket
 from repro.net.tcpsim import TcpLikeNetwork, TcpLikeSocket
 from repro.net.transport import Datagram, DatagramSocket
-from repro.net.udp import UdpSocket
+from repro.net.udp import AsyncUdpEndpoint
 
 __all__ = [
+    "AsyncUdpEndpoint",
     "Datagram",
     "DatagramSocket",
     "NetemConfig",
@@ -29,5 +30,4 @@ __all__ = [
     "SimSocket",
     "TcpLikeNetwork",
     "TcpLikeSocket",
-    "UdpSocket",
 ]

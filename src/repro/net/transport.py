@@ -7,7 +7,6 @@ only interface the rest of the system sees.  Implementations:
 * :class:`repro.net.simnet.SimSocket` — simulated UDP on the event loop,
 * :class:`repro.net.tcpsim.TcpLikeSocket` — simulated reliable in-order
   stream (the baseline transport),
-* :class:`repro.net.udp.UdpSocket` — a real OS UDP socket (receiver thread),
 * :class:`repro.net.udp.AsyncUdpEndpoint` — a real OS UDP socket on an
   asyncio event loop (nonblocking receive, for many sessions per process).
 """

@@ -1,16 +1,11 @@
-"""Real UDP sockets for the wall-clock and asyncio drivers.
+"""Real UDP sockets for the asyncio driver.
 
 This is the transport the paper actually deploys: the sync messages ride
 plain UDP datagrams, and all reliability lives in the sync module itself.
-Two receive disciplines share the module:
-
-* :class:`UdpSocket` — a background thread moves arriving datagrams into a
-  thread-safe queue so the frame loop can drain them without blocking
-  (mirroring the paper's two-thread produce/consume design, §4.2).
-* :class:`AsyncUdpEndpoint` — a nonblocking ``asyncio.DatagramProtocol``
-  endpoint for :mod:`repro.core.aio`: arrivals buffer on the event loop's
-  own thread and wake whichever site coroutine is awaiting them, so many
-  sessions share one loop without any thread per site.
+:class:`AsyncUdpEndpoint` is a nonblocking ``asyncio.DatagramProtocol``
+endpoint for :mod:`repro.core.aio`: arrivals buffer on the event loop's
+own thread and wake whichever site coroutine is awaiting them, so many
+sessions share one loop without any thread per site.
 
 Addresses are ``"host:port"`` strings to stay interchangeable with the
 simulator's string addresses.
@@ -19,13 +14,9 @@ simulator's string addresses.
 from __future__ import annotations
 
 import asyncio
-import queue
-import socket
-import threading
 from typing import List, Optional, Tuple
 
 from repro.net.transport import Address, Datagram, DatagramSocket, TransportStats
-from repro.sim.clock import WallClock
 
 #: Generous MTU for sync messages; a v2 BATCH datagram is capped at
 #: ``repro.core.messages.MAX_BATCH_BYTES`` (1200 B, chosen to clear every
@@ -44,94 +35,6 @@ def parse_address(address: Address) -> Tuple[str, int]:
 
 def format_address(host: str, port: int) -> Address:
     return f"{host}:{port}"
-
-
-class UdpSocket(DatagramSocket):
-    """A real UDP socket with a receiver thread and arrival timestamps."""
-
-    def __init__(
-        self,
-        bind_host: str = "127.0.0.1",
-        bind_port: int = 0,
-        clock: Optional[WallClock] = None,
-    ) -> None:
-        self._clock = clock if clock is not None else WallClock()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((bind_host, bind_port))
-        self._sock.settimeout(0.05)
-        host, port = self._sock.getsockname()
-        self._address = format_address(host, port)
-        self._queue: "queue.Queue[Datagram]" = queue.Queue()
-        self.stats = TransportStats()
-        self._closed = threading.Event()
-        self._thread = threading.Thread(
-            target=self._receive_loop, name=f"udp-rx-{port}", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> Address:
-        return self._address
-
-    @property
-    def clock(self) -> WallClock:
-        return self._clock
-
-    def send(self, payload: bytes, destination: Address) -> None:
-        if self._closed.is_set():
-            raise RuntimeError("socket is closed")
-        if len(payload) > MAX_DATAGRAM:
-            raise ValueError(
-                f"datagram of {len(payload)} bytes exceeds MAX_DATAGRAM={MAX_DATAGRAM}"
-            )
-        self.stats.record_send(len(payload))
-        self._sock.sendto(payload, parse_address(destination))
-
-    def _receive_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                raw, source = self._sock.recvfrom(MAX_DATAGRAM)
-            except socket.timeout:
-                continue
-            except OSError:
-                break  # socket closed underneath us
-            self.stats.record_receive(len(raw))
-            datagram = Datagram(
-                payload=raw,
-                source=format_address(source[0], source[1]),
-                arrived_at=self._clock.now(),
-            )
-            self._queue.put(datagram)
-
-    # ------------------------------------------------------------------
-    def receive_all(self) -> List[Datagram]:
-        drained: List[Datagram] = []
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except queue.Empty:
-                return drained
-
-    def receive_one(self) -> Optional[Datagram]:
-        try:
-            return self._queue.get_nowait()
-        except queue.Empty:
-            return None
-
-    def receive_blocking(self, timeout: float) -> Optional[Datagram]:
-        """Wait up to ``timeout`` seconds for one datagram."""
-        try:
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._sock.close()
-        self._thread.join(timeout=1.0)
 
 
 class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):

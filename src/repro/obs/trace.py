@@ -11,7 +11,7 @@ exactly what the bundle needs.
 **Timebase.**  Every record's ``time`` is the ``now`` the driver injected
 into the engine event that produced it — the site's single monotonic
 clock (:class:`~repro.sim.clock.SimClock` under the discrete-event loop,
-the shared-epoch :class:`~repro.sim.clock.WallClock` under real sockets).
+the asyncio loop's ``time()`` under real sockets).
 Nothing in the emit path may substitute a default or wall-time value: one
 site's trace, frame rows and timeline points are all mutually comparable
 because they come from the *one* clock, and cross-site comparison goes

@@ -7,40 +7,23 @@ same (sans-IO) protocol code on a deterministic discrete-event simulator.
 
 The substrate is intentionally small:
 
-* :class:`~repro.sim.clock.Clock` — the time abstraction shared by the
-  simulated and the wall-clock drivers.
+* :class:`~repro.sim.clock.Clock` — the time abstraction the event loop
+  advances.
 * :class:`~repro.sim.eventloop.EventLoop` — a heapq-based scheduler.
-* :class:`~repro.sim.process.Process` — generator-based cooperative
-  processes that ``yield`` :class:`~repro.sim.process.Sleep`,
-  :class:`~repro.sim.process.WaitMessage` or :class:`~repro.sim.process.Spawn`
-  commands.
+* :class:`~repro.sim.process.Mailbox` — an arrival-stamping FIFO whose
+  ``listener`` callback is the one way a consumer is woken.
 """
 
-from repro.sim.clock import Clock, SimClock, WallClock
+from repro.sim.clock import Clock, SimClock
 from repro.sim.eventloop import EventLoop, SimulationError
-from repro.sim.process import (
-    Envelope,
-    Mailbox,
-    Process,
-    ProcessCrashed,
-    Sleep,
-    Spawn,
-    WaitMessage,
-    spawn,
-)
+from repro.sim.process import Envelope, Mailbox, ProcessCrashed
 
 __all__ = [
     "Clock",
     "SimClock",
-    "WallClock",
     "EventLoop",
     "SimulationError",
     "Envelope",
     "Mailbox",
-    "Process",
     "ProcessCrashed",
-    "Sleep",
-    "Spawn",
-    "WaitMessage",
-    "spawn",
 ]

@@ -1,54 +1,23 @@
-"""Generator-based cooperative processes for the event loop.
+"""Mailboxes and task handles for callback consumers on the event loop.
 
-A *process* is a Python generator that yields command objects:
-
-* ``yield Sleep(dt)`` — resume after ``dt`` simulated seconds; the resumed
-  value is ``None``.
-* ``yield WaitMessage(mailbox, timeout=None)`` — resume when the mailbox has
-  a message (resumed with the :class:`Envelope`) or when the timeout expires
-  (resumed with ``None``).
-* ``yield Spawn(generator)`` — start a child process; the resumed value is
-  its :class:`Process` handle.
-
-Processes communicate through :class:`Mailbox` objects.  A mailbox stamps
-each message with its arrival time — the protocol layer needs arrival times
-(``MasterRcvTime`` in Algorithm 4) even when the message is consumed later.
+Simulated endpoints communicate through :class:`Mailbox` objects.  A
+mailbox stamps each message with its arrival time — the protocol layer
+needs arrival times (``MasterRcvTime`` in Algorithm 4) even when the
+message is consumed later — and calls its consumer's ``listener`` on every
+delivery.  A :class:`Task` records how such a consumer ended.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Generator, List, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim.eventloop import EventLoop, SimulationError
 
 
 class ProcessCrashed(SimulationError):
-    """Raised by :meth:`Process.result` when the generator raised."""
-
-
-@dataclass(frozen=True)
-class Sleep:
-    """Command: suspend the process for ``duration`` seconds."""
-
-    duration: float
-
-
-@dataclass(frozen=True)
-class WaitMessage:
-    """Command: suspend until ``mailbox`` is non-empty or ``timeout`` passes."""
-
-    mailbox: "Mailbox"
-    timeout: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class Spawn:
-    """Command: start a child process from ``generator``."""
-
-    generator: Generator[Any, Any, Any]
-    name: str = "child"
+    """Raised by :meth:`Task.result` when the task ended with an error."""
 
 
 @dataclass(frozen=True)
@@ -71,9 +40,8 @@ class Mailbox:
         self._loop = loop
         self.name = name
         self._queue: Deque[Envelope] = deque()
-        #: Called on every delivery.  A callback consumer (a site's driver,
-        #: the time server) sets it once; a :class:`Process` blocked in
-        #: ``WaitMessage`` sets it for the length of the wait.
+        #: Called on every delivery; the consumer (a site's driver, the
+        #: time server) sets it once.
         self.listener: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
@@ -99,9 +67,8 @@ class Mailbox:
 
 
 class Task:
-    """How something running on the event loop ended.  :class:`Process`
-    fills one in for its generator; a callback driver (``DistributedVM``)
-    fills in its own."""
+    """How something running on the event loop ended; a callback driver
+    (``DistributedVM``) fills in its own."""
 
     def __init__(self, name: str = "task") -> None:
         self.name = name
@@ -124,105 +91,3 @@ class Task:
                 f"process {self.name!r} crashed: {self.error!r}"
             ) from self.error
         return self.value
-
-
-class Process(Task):
-    """Drives one generator on the event loop."""
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        generator: Generator[Any, Any, Any],
-        name: str = "proc",
-    ) -> None:
-        super().__init__(name)
-        self.loop = loop
-        self._generator = generator
-        # A token invalidating stale wakeups: each suspension bumps it, and a
-        # wakeup scheduled for an earlier suspension becomes a no-op.
-        self._wait_token = 0
-
-    # ------------------------------------------------------------------
-    def start(self) -> "Process":
-        """Schedule the first resumption at the current instant."""
-        self.loop.call_later(0.0, lambda: self._resume(None))
-        return self
-
-    def kill(self) -> None:
-        """No cleanup runs in the process's own code path beyond ``finally``
-        blocks (``GeneratorExit``); pending wakeups become no-ops via the
-        wait token."""
-        if not self.finished:
-            self.finished = True
-            self._wait_token += 1
-            self._generator.close()
-
-    def _resume(self, value: Any) -> None:
-        if self.finished:
-            return
-        try:
-            command = self._generator.send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.value = stop.value
-            return
-        except BaseException as exc:  # surface via result()
-            self.finished = True
-            self.error = exc
-            return
-        try:
-            self._dispatch(command)
-        except BaseException as exc:  # bad command object
-            self.finished = True
-            self.error = exc
-
-    def _dispatch(self, command: Any) -> None:
-        self._wait_token += 1
-        token = self._wait_token
-
-        if isinstance(command, Sleep):
-            self.loop.call_later(command.duration, lambda: self._resume(None))
-            return
-
-        if isinstance(command, Spawn):
-            child = Process(self.loop, command.generator, command.name).start()
-            # Resume immediately (same instant) with the child handle.
-            self.loop.call_later(0.0, lambda: self._resume(child))
-            return
-
-        if isinstance(command, WaitMessage):
-            mailbox = command.mailbox
-            envelope = mailbox.poll()
-            if envelope is not None:
-                self.loop.call_later(0.0, lambda: self._resume(envelope))
-                return
-
-            timeout_handle: Optional[int] = None
-
-            def wake(with_message: bool) -> None:
-                if token != self._wait_token or self.finished:
-                    return
-                mailbox.listener = None
-                if with_message and timeout_handle is not None:
-                    self.loop.cancel(timeout_handle)
-                # The message that woke us cannot have been polled by
-                # anybody else (single consumer per mailbox).
-                self._resume(mailbox.poll() if with_message else None)
-
-            mailbox.listener = lambda: wake(True)
-            if command.timeout is not None:
-                timeout_handle = self.loop.call_later(
-                    command.timeout, lambda: wake(False)
-                )
-            return
-
-        raise SimulationError(
-            f"process {self.name!r} yielded unknown command {command!r}"
-        )
-
-
-def spawn(
-    loop: EventLoop, generator: Generator[Any, Any, Any], name: str = "proc"
-) -> Process:
-    """Convenience: create and start a :class:`Process`."""
-    return Process(loop, generator, name).start()

@@ -56,7 +56,7 @@ class TestAnyEngineOverRealSockets:
 
     FRAMES = 180
 
-    def plan(self, consistency=None):
+    def plan(self, consistency=None, game="counter", **config):
         from repro.core.inputs import PadSource, RandomSource
         from repro.core.multisite import two_player_plan
         from repro.emulator.machine import create_game
@@ -64,34 +64,37 @@ class TestAnyEngineOverRealSockets:
         return two_player_plan(
             # Digests negotiated (FEATURE_DIGEST) so the poke is caught live;
             # 180 frames at 120 fps keep the session under two seconds.
-            SyncConfig(cfps=120, buf_frame=6, state_digest_interval=10),
-            lambda: create_game("counter"),
+            SyncConfig(cfps=120, buf_frame=6, state_digest_interval=10, **config),
+            lambda: create_game(game),
             [PadSource(RandomSource(40 + site), site) for site in (0, 1)],
-            game_id="counter",
+            game_id=game,
             max_frames=self.FRAMES,
             frame_compute_time=0.0,
             consistency=consistency,
         )
 
-    def test_adaptive_session_heals_an_injected_desync(self):
+    def host_poked_session(self, plan, poke_at):
+        """One session on a fresh loop, with a silent corruption of site
+        1's confirmed machine ``poke_at`` seconds in.  Returns its sites
+        and, per site, whether each ``endpoint.send`` went out (True) or
+        raised (False), in call order."""
         import asyncio
 
         from repro.core.aio import AioSite, SessionHost
         from repro.core.engine import SitePeer
-        from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK
-        from repro.core.multisite import build_session
-        from repro.core.policy import Adaptive
-        from repro.emulator.machine import create_game
         from repro.harness.chaos import _poke_machine
-        from repro.net.netem import NetemConfig
         from repro.net.udp import AsyncUdpEndpoint
 
-        plan = self.plan(
-            [
-                Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
-                for _ in (0, 1)
-            ]
-        )
+        def log_sends(endpoint):
+            real_send, outcomes = endpoint.send, []
+
+            def send(payload, destination):
+                outcomes.append(False)
+                real_send(payload, destination)
+                outcomes[-1] = True
+
+            endpoint.send = send
+            return outcomes
 
         async def host_one_session():
             endpoints = [await AsyncUdpEndpoint.open("127.0.0.1") for _ in (0, 1)]
@@ -102,19 +105,34 @@ class TestAnyEngineOverRealSockets:
             ]
             host = SessionHost()
             host.add_session(sites)
-            # Silent corruption of site 1's confirmed machine, mid-session.
+            sent = [log_sends(endpoint) for endpoint in endpoints]
             asyncio.get_running_loop().call_later(
-                0.7, _poke_machine, sites[1].runtime.machine, 0x0100, 0x01
+                poke_at, _poke_machine, sites[1].runtime.machine, 0x0100, 0x01
             )
             try:
                 await host.run()
             finally:
                 for endpoint in endpoints:
                     endpoint.close()
-            assert not host.errors()
-            return sites
+            assert host.errors() == []
+            return sites, sent
 
-        sites = asyncio.run(host_one_session())
+        return asyncio.run(host_one_session())
+
+    def test_adaptive_session_heals_an_injected_desync(self):
+        from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK
+        from repro.core.multisite import build_session
+        from repro.core.policy import Adaptive
+        from repro.emulator.machine import create_game
+        from repro.net.netem import NetemConfig
+
+        plan = self.plan(
+            [
+                Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
+                for _ in (0, 1)
+            ]
+        )
+        sites, _ = self.host_poked_session(plan, poke_at=0.7)
 
         for site in sites:
             assert site.engine.termination == "completed"
@@ -136,3 +154,40 @@ class TestAnyEngineOverRealSockets:
         assert len(expected) == self.FRAMES
         for site in sites:
             assert list(site.runtime.trace.checksums) == expected
+
+    def test_unsendable_snapshot_ends_in_a_named_desync(self):
+        """A console game's 64 KiB savestate does not fit a UDP datagram
+        (``MAX_DATAGRAM``): the resync snapshot is a lost datagram, counted
+        and traced once per failing streak, the episode runs into
+        ``resync_deadline_s`` and the session ends as docs/failure-modes.md
+        promises — not with ``ValueError`` escaping the serving site."""
+        plan = self.plan(game="pong", resync_deadline_s=0.5)
+        sites, sent = self.host_poked_session(plan, poke_at=0.5)
+
+        named = {
+            "completed",
+            "shutdown",
+            "handshake-timeout",
+            "acquire-timeout",
+            "peer-lost",
+            "desync",
+        }
+        assert all(site.engine.termination in named for site in sites)
+        assert sites[1].engine.termination == "desync"
+        assert sites[1].runtime.metrics.desync_detected.value >= 1
+        assert sum(site.runtime.metrics.send_errors.value for site in sites) > 0
+        for site, outcomes in zip(sites, sent):
+            failed = outcomes.count(False)
+            assert site.runtime.metrics.send_errors.value == failed
+            # One trace record per failing streak, however long it ran.
+            streaks = sum(
+                1
+                for previous, ok in zip([True] + outcomes, outcomes)
+                if previous and not ok
+            )
+            traced = [
+                r
+                for r in site.runtime.events
+                if r.kind == "error" and "send" in str(r.detail)
+            ]
+            assert len(traced) == streaks

@@ -1,243 +1,173 @@
-"""Integration: the wall-clock driver over real UDP sockets on localhost.
+"""Integration: sessions in wall-clock time over real UDP sockets on localhost.
 
-Short sessions at a high frame rate keep these fast (~1-2 s each) while
-still exercising real sockets, real threads and the monotonic clock.
+Every session below runs once, concurrently, on one asyncio loop (the
+``AioSite`` driver); each test reads the session it is about.  Short
+sessions at a high frame rate keep the whole module under two seconds
+while still exercising real sockets and the monotonic clock.
 """
 
-import threading
+import asyncio
+import itertools
 
 import pytest
 
+from repro.core.aio import AioSite, SessionHost
 from repro.core.config import SyncConfig
-from repro.core.engine import SiteEngine, SitePeer, SiteRuntime
-from repro.core.inputs import InputAssignment, PadSource, RandomSource
+from repro.core.engine import SitePeer
+from repro.core.inputs import PadSource, RandomSource
 from repro.core.messages import MODE_ROLLBACK
+from repro.core.multisite import two_player_plan
 from repro.core.policy import Adaptive
-from repro.core.realtime import RealtimeVM
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.metrics.stats import mean
-from repro.net.udp import UdpSocket
+from repro.net.udp import AsyncUdpEndpoint
+
+FRAMES = 120
+#: Sends of the flaky session's site 0 that raise before the socket "heals".
+FLAKY_FAILURES = 25
 
 
-def run_realtime(frames=90, cfps=120.0, game="counter", consistency=None):
-    """Two threaded sites over localhost UDP; returns their VMs.
+def plan_for(session_id, game="counter", frames=FRAMES, consistency=None, **config):
+    return two_player_plan(
+        SyncConfig(cfps=120.0, buf_frame=6, **config),
+        lambda: create_game(game),
+        [PadSource(RandomSource(70 + site), player=site) for site in (0, 1)],
+        game_id=game,
+        session_id=session_id,
+        max_frames=frames,
+        frame_compute_time=0.0,  # real machines take real time
+        consistency=consistency,
+    )
 
-    ``consistency(game)`` builds each site's consistency part (None: the
-    engine's default lockstep).
-    """
-    config = SyncConfig(cfps=cfps, buf_frame=6)
-    assignment = InputAssignment.standard(2)
-    sockets = [UdpSocket(), UdpSocket()]
-    peers = [SitePeer(i, sockets[i].address) for i in range(2)]
-    vms = []
+
+def fail_sends(endpoint, count=None):
+    """Make ``endpoint.send`` raise ``OSError`` — for the first ``count``
+    calls (a transient outage: interface flap, buffer exhaustion) or, with
+    None, for all of them (a NIC torn down underneath the driver)."""
+    real_send = endpoint.send
+    calls = itertools.count()
+
+    def send(payload, destination):
+        if count is None or next(calls) < count:
+            raise OSError("injected send failure")
+        real_send(payload, destination)
+
+    endpoint.send = send
+
+
+async def host_all():
+    endpoints = []
+
+    async def two_sites(plan):
+        pair = [await AsyncUdpEndpoint.open() for _ in (0, 1)]
+        endpoints.extend(pair)
+        peers = [SitePeer(s, pair[s].address) for s in (0, 1)]
+        return [
+            AioSite(plan.build_engine(s, peers, linger=0.5), pair[s])
+            for s in (0, 1)
+        ]
+
+    sessions = {
+        "lockstep": await two_sites(plan_for(1)),
+        # Speculation over a real socket (loopback RTT may later settle
+        # it to lockstep).
+        "rollback": await two_sites(
+            plan_for(
+                2,
+                consistency=[
+                    Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
+                    for _ in (0, 1)
+                ],
+            )
+        ),
+        "pong": await two_sites(plan_for(3, game="pong-py", frames=60)),
+        "flaky": await two_sites(plan_for(4)),
+    }
+    fail_sends(sessions["flaky"][0].endpoint, FLAKY_FAILURES)
+    # A joiner (it sends HELLO immediately) whose every datagram fails.
+    lonely = await AsyncUdpEndpoint.open()
+    endpoints.append(lonely)
+    fail_sends(lonely)
+    sessions["failing"] = [
+        AioSite(
+            plan_for(5, frames=30, handshake_timeout_s=1.0).build_engine(
+                1, [SitePeer(0, "127.0.0.1:9"), SitePeer(1, lonely.address)]
+            ),
+            lonely,
+        )
+    ]
+    host = SessionHost()
+    for sites in sessions.values():
+        host.add_session(sites)
     try:
-        for site in range(2):
-            runtime = SiteRuntime(
-                config=config,
-                site_no=site,
-                assignment=assignment,
-                machine=create_game(game),
-                source=PadSource(RandomSource(70 + site), player=site),
-                peers=peers,
-                game_id=game,
-            )
-            engine = SiteEngine(
-                runtime,
-                frames,
-                consistency(game) if consistency is not None else None,
-                linger=2.0,
-            )
-            vms.append(RealtimeVM(engine, sockets[site]))
-        threads = [threading.Thread(target=vm.run) for vm in vms]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert all(not t.is_alive() for t in threads), "site thread hung"
-        for vm in vms:
-            if vm.error is not None:
-                raise vm.error
-        return vms
+        await asyncio.wait_for(host.run(), timeout=30.0)
     finally:
-        for sock in sockets:
-            sock.close()
+        for endpoint in endpoints:
+            endpoint.close()
+    assert host.errors() == [], "a send failure (or worse) escaped a site"
+    return sessions
 
 
-class FailingSocket:
-    """Delegates to a real socket but every ``send`` raises — models a NIC
-    or socket torn down underneath the driver."""
-
-    def __init__(self):
-        self.inner = UdpSocket()
-
-    @property
-    def address(self):
-        return self.inner.address
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    def send(self, payload, destination):
-        raise OSError("injected send failure")
-
-    def receive_all(self):
-        return self.inner.receive_all()
-
-    def receive_blocking(self, timeout):
-        return self.inner.receive_blocking(timeout)
-
-    def close(self):
-        self.inner.close()
-
-
-class FlakySocket:
-    """A real socket whose first ``fail_sends`` sends raise — models a
-    transient outage (interface flap, buffer exhaustion)."""
-
-    def __init__(self, fail_sends=10):
-        self.inner = UdpSocket()
-        self.remaining = fail_sends
-        self.failed = 0
-
-    @property
-    def address(self):
-        return self.inner.address
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    def send(self, payload, destination):
-        if self.remaining > 0:
-            self.remaining -= 1
-            self.failed += 1
-            raise OSError("transient send failure")
-        self.inner.send(payload, destination)
-
-    def receive_all(self):
-        return self.inner.receive_all()
-
-    def receive_blocking(self, timeout):
-        return self.inner.receive_blocking(timeout)
-
-    def close(self):
-        self.inner.close()
+@pytest.fixture(scope="module")
+def sessions():
+    return asyncio.run(host_all())
 
 
 class TestRealtimeSession:
-    @pytest.mark.parametrize(
-        "consistency",
-        [
-            None,
-            # The engine the old drivers could not host: speculation over
-            # a real socket (loopback RTT may later settle it to lockstep).
-            lambda game: Adaptive(create_game(game), initial_mode=MODE_ROLLBACK),
-        ],
-        ids=["lockstep", "rollback"],
-    )
-    def test_replicas_converge_over_real_udp(self, consistency):
-        vms = run_realtime(consistency=consistency)
-        traces = [vm.runtime.trace for vm in vms]
-        assert ConsistencyChecker().verify_traces(traces) == 90
-        if consistency is not None:
+    @pytest.mark.parametrize("mode", ["lockstep", "rollback"])
+    def test_replicas_converge_over_real_udp(self, sessions, mode):
+        sites = sessions[mode]
+        traces = [site.runtime.trace for site in sites]
+        assert ConsistencyChecker().verify_traces(traces) == FRAMES
+        if mode == "rollback":
             assert all(
-                vm.engine.consistency.rollback.stats.speculative_frames > 0
-                for vm in vms
+                site.engine.consistency.rollback.stats.speculative_frames > 0
+                for site in sites
             )
 
-    def test_frame_pacing_near_target(self):
-        vms = run_realtime(frames=120, cfps=120.0)
-        for vm in vms:
-            times = vm.runtime.trace.frame_times()
+    def test_frame_pacing_near_target(self, sessions):
+        for site in sessions["lockstep"]:
+            times = site.runtime.trace.frame_times()
             # Real OS scheduling jitter (and CI load) is substantial at an
             # 8.3 ms budget; require the right order of magnitude, with the
             # precise pacing guarantees covered by the simulated-time tests.
             assert mean(times) == pytest.approx(1 / 120, rel=0.5)
 
-    def test_games_play_over_real_udp(self):
-        vms = run_realtime(frames=60, game="pong-py")
-        assert vms[0].runtime.machine.checksum() == vms[1].runtime.machine.checksum()
+    def test_games_play_over_real_udp(self, sessions):
+        first, second = sessions["pong"]
+        assert len(first.runtime.trace.checksums) == 60
+        assert first.runtime.machine.checksum() == second.runtime.machine.checksum()
 
-    def test_rtt_estimated_on_loopback(self):
-        vms = run_realtime(frames=60)
-        for vm in vms:
-            assert vm.runtime.rtt.samples >= 1
-            assert vm.runtime.rtt.rtt < 0.1  # loopback
+    def test_rtt_estimated_on_loopback(self, sessions):
+        for site in sessions["lockstep"]:
+            assert site.runtime.rtt.samples >= 1
+            assert site.runtime.rtt.rtt < 0.1  # loopback
 
-    def test_send_failures_are_nonfatal_and_bounded(self):
+    def test_send_failures_are_nonfatal_and_bounded(self, sessions):
         """Send failures are transient network weather, not crashes: the
-        pump counts them (``net.send_errors``) and keeps running, and the
+        driver counts them (``net.send_errors``) and keeps running, and the
         handshake timeout — not an exception — bounds a site whose every
-        datagram fails.  (The previous behaviour, re-raising the first
-        ``OSError`` out of ``run()``, turned one EPERM/ENETUNREACH blip
-        into a dead site.)"""
-        sock = FailingSocket()
-        try:
-            peers = [SitePeer(0, "127.0.0.1:9"), SitePeer(1, sock.address)]
-            runtime = SiteRuntime(
-                config=SyncConfig(
-                    cfps=120, buf_frame=6, handshake_timeout_s=1.0
-                ),
-                site_no=1,  # the joiner sends HELLO immediately
-                assignment=InputAssignment.standard(2),
-                machine=create_game("counter"),
-                source=PadSource(RandomSource(71), player=1),
-                peers=peers,
-                game_id="counter",
-            )
-            vm = RealtimeVM(SiteEngine(runtime, 30, linger=2.0), sock)
-            thread = threading.Thread(target=vm.run)
-            thread.start()
-            thread.join(timeout=10.0)
-            assert not thread.is_alive(), "driver hung after send failures"
-            assert vm.error is None, f"send failure escaped: {vm.error!r}"
-            assert vm.engine.termination == "handshake-timeout"
-            assert runtime.metrics.send_errors.value >= 1
-            # The failures are in the trace for the postmortem bundle.
-            errors = [r for r in runtime.events if r.kind == "error"]
-            assert any("send" in str(r.detail) for r in errors)
-        finally:
-            sock.close()
+        datagram fails."""
+        (site,) = sessions["failing"]
+        assert site.error is None, f"send failure escaped: {site.error!r}"
+        assert site.engine.termination == "handshake-timeout"
+        assert site.runtime.metrics.send_errors.value > 1
+        # One unbroken failing streak is in the trace once, for the
+        # postmortem bundle.
+        errors = [
+            r
+            for r in site.runtime.events
+            if r.kind == "error" and "send" in str(r.detail)
+        ]
+        assert len(errors) == 1
 
-    def test_transient_send_failures_recover_via_retransmission(self):
+    def test_transient_send_failures_recover_via_retransmission(self, sessions):
         """A burst of failed sends must not desync the session: the 20 ms
         pump keeps retransmitting the unacked window, so once the socket
         works again the peer catches up and both replicas converge."""
-        config = SyncConfig(cfps=120.0, buf_frame=6)
-        assignment = InputAssignment.standard(2)
-        flaky = FlakySocket(fail_sends=25)
-        steady = UdpSocket()
-        sockets = [flaky, steady]
-        peers = [SitePeer(i, sockets[i].address) for i in range(2)]
-        vms = []
-        try:
-            for site in range(2):
-                runtime = SiteRuntime(
-                    config=config,
-                    site_no=site,
-                    assignment=assignment,
-                    machine=create_game("counter"),
-                    source=PadSource(RandomSource(70 + site), player=site),
-                    peers=peers,
-                    game_id="counter",
-                )
-                vms.append(
-                    RealtimeVM(SiteEngine(runtime, 90, linger=2.0), sockets[site])
-                )
-            threads = [threading.Thread(target=vm.run) for vm in vms]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert all(not t.is_alive() for t in threads), "site thread hung"
-            for vm in vms:
-                assert vm.error is None
-            assert flaky.failed > 0
-            assert vms[0].runtime.metrics.send_errors.value == flaky.failed
-            traces = [vm.runtime.trace for vm in vms]
-            assert ConsistencyChecker().verify_traces(traces) == 90
-        finally:
-            for sock in sockets:
-                sock.close()
+        sites = sessions["flaky"]
+        assert sites[0].runtime.metrics.send_errors.value == FLAKY_FAILURES
+        assert sites[1].runtime.metrics.send_errors.value == 0
+        traces = [site.runtime.trace for site in sites]
+        assert ConsistencyChecker().verify_traces(traces) == FRAMES

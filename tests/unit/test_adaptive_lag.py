@@ -1,5 +1,7 @@
 """Unit tests for adaptive local lag (slot-mapping correctness)."""
 
+import math
+
 import pytest
 
 from repro.core.config import SyncConfig
@@ -160,10 +162,13 @@ class TestLagTunerHysteresis:
             assert tuner.propose(i * 10.0, one_way, current) is None
 
     def test_clamped_to_configured_bounds(self):
+        from repro.core.policy import ADAPTIVE_MARGIN, ADAPTIVE_MAX_BUF
+
         tuner = self.make_tuner()
-        assert tuner.propose(0.0, 10.0, current=6) == 15  # adaptive_max_buf
+        assert tuner.propose(0.0, 10.0, current=6) == ADAPTIVE_MAX_BUF
         tuner = self.make_tuner(adaptive_min_buf=4)
-        # Raw target would be ceil(0.035·60) = 3; the floor wins.
+        # Raw target would be ceil(ADAPTIVE_MARGIN·60) = 3; the floor wins.
+        assert math.ceil(ADAPTIVE_MARGIN * 60) == 3
         assert tuner.propose(0.0, 0.0, current=6) == 4
 
     def test_live_rtt_path_suppresses_oscillation_end_to_end(self):

@@ -156,3 +156,9 @@ def test_run_bench_quick_cli(tmp_path):
     assert "pumps_per_wakeup=1.00" in proc.stdout
     assert results["wakeup_stats"]["pumps_per_wakeup"] == 1.0
     assert results["wakeup_stats"]["wakeups_per_frame"] == 8.26
+    # Never gated, so no longer measured; the recorded files that carry
+    # the number still load next to a result that does not.
+    assert "lockstep_roundtrips_per_s" not in results
+    assert "round-trips" not in proc.stdout
+    recorded = load_bench_history(REPO_ROOT)
+    assert any("lockstep_roundtrips_per_s" in r["results"] for r in recorded)

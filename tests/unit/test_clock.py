@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import SimClock, WallClock
+from repro.sim.clock import SimClock
 
 
 class TestSimClock:
@@ -34,30 +34,3 @@ class TestSimClock:
         for step in range(1, 11):
             clock.advance(float(step))
         assert clock.now() == 10.0
-
-
-class TestWallClock:
-    def test_instances_share_one_timebase(self):
-        # Co-hosted sites must agree on "now" exactly; each clock reads
-        # the shared process epoch rather than its own creation instant.
-        first = WallClock()
-        second = WallClock()
-        assert abs(second.now() - first.now()) < 0.05
-
-    def test_monotonic(self):
-        clock = WallClock()
-        a = clock.now()
-        b = clock.now()
-        assert b >= a
-
-    def test_sleep_advances_time(self):
-        clock = WallClock()
-        before = clock.now()
-        clock.sleep(0.02)
-        assert clock.now() - before >= 0.015
-
-    def test_sleep_negative_is_noop(self):
-        clock = WallClock()
-        before = clock.now()
-        clock.sleep(-1.0)
-        assert clock.now() - before < 0.1

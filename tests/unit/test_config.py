@@ -1,5 +1,7 @@
 """Unit tests for repro.core.config (SyncConfig)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SyncConfig
@@ -58,6 +60,35 @@ class TestValidation:
     def test_bad_max_inputs(self):
         with pytest.raises(ValueError):
             SyncConfig(max_inputs_per_message=0)
+
+
+class TestFieldCount:
+    """Every field is a configuration the suite has to cover: a knob that
+    nothing sets to a second value is a constant next to its reader."""
+
+    def test_field_count(self):
+        assert len(dataclasses.fields(SyncConfig)) == 27
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            "adaptive_margin",
+            "adaptive_max_buf",
+            "policy_dwell_s",
+            "policy_switch_timeout_s",
+            "policy_drain_lag",
+            "rtt_alpha",
+            "ping_interval",
+            "slo_budget_s",
+        ],
+    )
+    def test_removed_knobs_stay_removed(self, removed):
+        with pytest.raises(TypeError):
+            SyncConfig(**{removed: 1})
+
+    def test_slo_budget_is_derived(self):
+        config = SyncConfig(cfps=50, buf_frame=4)
+        assert config.slo_budget == pytest.approx(6 * 0.020)
 
 
 class TestOverrides:

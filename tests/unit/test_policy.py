@@ -11,7 +11,7 @@ from repro.core.messages import (
     SwitchRequest,
     decode,
 )
-from repro.core.policy import ConsistencyPolicy
+from repro.core.policy import POLICY_DWELL_S, ConsistencyPolicy
 
 
 class FakeRtt:
@@ -87,25 +87,33 @@ class TestConsistencyPolicy:
         )
 
     def test_dwell_blocks_immediate_flapping(self):
-        policy = self.make_policy(policy_dwell_s=2.0)
+        policy = self.make_policy()
         bad = FakeRtt(peers={1: 0.200})
         good = FakeRtt(peers={1: 0.050})
         assert policy.desired_mode(1.0, bad, [1], MODE_LOCKSTEP) == MODE_ROLLBACK
         policy.note_transition(1.0)
         # Recovered immediately — but the dwell holds rollback...
         assert policy.desired_mode(1.5, good, [1], MODE_ROLLBACK) is None
-        assert policy.desired_mode(2.9, good, [1], MODE_ROLLBACK) is None
+        expiry = 1.0 + POLICY_DWELL_S
+        assert policy.desired_mode(expiry - 0.1, good, [1], MODE_ROLLBACK) is None
         # ...until it expires.
-        assert policy.desired_mode(3.1, good, [1], MODE_ROLLBACK) == MODE_LOCKSTEP
+        assert (
+            policy.desired_mode(expiry + 0.1, good, [1], MODE_ROLLBACK)
+            == MODE_LOCKSTEP
+        )
 
     def test_aborted_switch_also_arms_dwell(self):
         """note_transition is called on abort too, so a partitioned site
         does not spam re-proposals each flush."""
-        policy = self.make_policy(policy_dwell_s=2.0)
+        policy = self.make_policy()
         bad = FakeRtt(peers={1: 0.200})
         policy.note_transition(5.0)  # an abort
-        assert policy.desired_mode(6.0, bad, [1], MODE_LOCKSTEP) is None
-        assert policy.desired_mode(7.1, bad, [1], MODE_LOCKSTEP) == MODE_ROLLBACK
+        expiry = 5.0 + POLICY_DWELL_S
+        assert policy.desired_mode(expiry - 1.0, bad, [1], MODE_LOCKSTEP) is None
+        assert (
+            policy.desired_mode(expiry + 0.1, bad, [1], MODE_LOCKSTEP)
+            == MODE_ROLLBACK
+        )
 
     def test_config_rejects_inverted_thresholds(self):
         with pytest.raises(ValueError):

@@ -3,139 +3,27 @@
 import pytest
 
 from repro.sim.eventloop import SimulationError
-from repro.sim.process import (
-    Mailbox,
-    ProcessCrashed,
-    Sleep,
-    Spawn,
-    WaitMessage,
-    spawn,
-)
-
-
-class TestSleep:
-    def test_sleep_advances_time(self, loop):
-        trace = []
-
-        def proc():
-            trace.append(loop.clock.now())
-            yield Sleep(1.5)
-            trace.append(loop.clock.now())
-
-        spawn(loop, proc())
-        loop.run()
-        assert trace == [0.0, 1.5]
-
-    def test_multiple_sleeps_accumulate(self, loop):
-        trace = []
-
-        def proc():
-            for __ in range(4):
-                yield Sleep(0.25)
-                trace.append(loop.clock.now())
-
-        spawn(loop, proc())
-        loop.run()
-        assert trace == [0.25, 0.5, 0.75, 1.0]
-
-    def test_zero_sleep_resumes_same_instant(self, loop):
-        trace = []
-
-        def proc():
-            yield Sleep(0.0)
-            trace.append(loop.clock.now())
-
-        spawn(loop, proc())
-        loop.run()
-        assert trace == [0.0]
-
-    def test_interleaved_processes(self, loop):
-        trace = []
-
-        def proc(name, period):
-            for __ in range(3):
-                yield Sleep(period)
-                trace.append((name, loop.clock.now()))
-
-        spawn(loop, proc("a", 1.0))
-        spawn(loop, proc("b", 0.4))
-        loop.run()
-        assert trace == [
-            ("b", 0.4),
-            ("b", 0.8),
-            ("a", 1.0),
-            ("b", 1.2000000000000002),
-            ("a", 2.0),
-            ("a", 3.0),
-        ]
+from repro.sim.process import Mailbox, ProcessCrashed, Task
 
 
 class TestResult:
-    def test_result_of_finished_process(self, loop):
-        def proc():
-            yield Sleep(1.0)
-            return 42
+    def test_result_of_finished_process(self):
+        task = Task("t")
+        task.value = 42
+        task.finished = True
+        assert task.result() == 42
 
-        handle = spawn(loop, proc())
-        loop.run()
-        assert handle.finished
-        assert handle.result() == 42
-
-    def test_result_before_finish_raises(self, loop):
-        def proc():
-            yield Sleep(1.0)
-
-        handle = spawn(loop, proc())
+    def test_result_before_finish_raises(self):
         with pytest.raises(SimulationError):
-            handle.result()
+            Task("t").result()
 
-    def test_crash_surfaces_via_result(self, loop):
-        def proc():
-            yield Sleep(0.5)
-            raise ValueError("boom")
-
-        handle = spawn(loop, proc())
-        loop.run()
-        assert handle.finished
+    def test_crash_surfaces_via_result(self):
+        task = Task("t")
+        task.error = ValueError("boom")
+        task.finished = True
         with pytest.raises(ProcessCrashed) as excinfo:
-            handle.result()
+            task.result()
         assert "boom" in str(excinfo.value.__cause__)
-
-
-class TestSpawnCommand:
-    def test_spawn_returns_child_handle(self, loop):
-        children = []
-
-        def child():
-            yield Sleep(1.0)
-            return "child-done"
-
-        def parent():
-            handle = yield Spawn(child(), "kid")
-            children.append(handle)
-            yield Sleep(2.0)
-
-        spawn(loop, parent())
-        loop.run()
-        assert len(children) == 1
-        assert children[0].name == "kid"
-        assert children[0].result() == "child-done"
-
-    def test_child_runs_concurrently_with_parent(self, loop):
-        trace = []
-
-        def child():
-            yield Sleep(0.5)
-            trace.append(("child", loop.clock.now()))
-
-        def parent():
-            yield Spawn(child(), "kid")
-            yield Sleep(1.0)
-            trace.append(("parent", loop.clock.now()))
-
-        spawn(loop, parent())
-        loop.run()
-        assert trace == [("child", 0.5), ("parent", 1.0)]
 
 
 class TestMailbox:
@@ -163,96 +51,3 @@ class TestMailbox:
         box.deliver("b")
         assert [e.payload for e in box.drain()] == ["a", "b"]
         assert len(box) == 0
-
-    def test_wait_message_resumes_on_delivery(self, loop):
-        box = Mailbox(loop)
-        received = []
-
-        def consumer():
-            envelope = yield WaitMessage(box)
-            received.append((envelope.payload, loop.clock.now()))
-
-        def producer():
-            yield Sleep(1.0)
-            box.deliver("ping")
-
-        spawn(loop, consumer())
-        spawn(loop, producer())
-        loop.run()
-        assert received == [("ping", 1.0)]
-
-    def test_wait_message_immediate_when_queued(self, loop):
-        box = Mailbox(loop)
-        box.deliver("already-there")
-        received = []
-
-        def consumer():
-            envelope = yield WaitMessage(box)
-            received.append(envelope.payload)
-
-        spawn(loop, consumer())
-        loop.run()
-        assert received == ["already-there"]
-
-    def test_wait_message_timeout_returns_none(self, loop):
-        box = Mailbox(loop)
-        results = []
-
-        def consumer():
-            envelope = yield WaitMessage(box, timeout=0.5)
-            results.append(envelope)
-            results.append(loop.clock.now())
-
-        spawn(loop, consumer())
-        loop.run()
-        assert results == [None, 0.5]
-
-    def test_timeout_cancelled_when_message_arrives_first(self, loop):
-        box = Mailbox(loop)
-        results = []
-
-        def consumer():
-            envelope = yield WaitMessage(box, timeout=5.0)
-            results.append(envelope.payload)
-
-        def producer():
-            yield Sleep(1.0)
-            box.deliver("fast")
-
-        spawn(loop, consumer())
-        spawn(loop, producer())
-        loop.run()
-        assert results == ["fast"]
-        assert loop.clock.now() < 5.0  # no dangling live timeout fired later
-
-    def test_stale_wakeup_after_timeout_ignored(self, loop):
-        """A delivery after the timeout must not resume the old wait."""
-        box = Mailbox(loop)
-        results = []
-
-        def consumer():
-            first = yield WaitMessage(box, timeout=0.5)
-            results.append(("first", first))
-            yield Sleep(2.0)
-            # Message delivered at t=1.0 sits in the queue for this poll.
-            results.append(("queued", box.poll().payload))
-
-        def producer():
-            yield Sleep(1.0)
-            box.deliver("late")
-
-        spawn(loop, consumer())
-        spawn(loop, producer())
-        loop.run()
-        assert results == [("first", None), ("queued", "late")]
-
-
-class TestBadCommand:
-    def test_unknown_command_crashes_process(self, loop):
-        def proc():
-            yield "not-a-command"
-
-        handle = spawn(loop, proc())
-        loop.run()
-        with pytest.raises(ProcessCrashed):
-            handle.result()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.rtt import RttEstimator, from_micros, to_micros
+from repro.core.rtt import RTT_ALPHA, RttEstimator, from_micros, to_micros
 
 
 class TestMicros:
@@ -29,13 +29,14 @@ class TestEstimator:
         assert estimator.samples == 1
 
     def test_ewma_smoothing(self):
-        config = SyncConfig(rtt_alpha=0.125)
-        estimator = RttEstimator(config, 0)
+        estimator = RttEstimator(SyncConfig(), 0)
         ping = estimator.make_ping(0.0)
         estimator.on_pong(RttEstimator.make_pong(ping, 1), 0.100)
         ping = estimator.make_ping(1.0)
         estimator.on_pong(RttEstimator.make_pong(ping, 1), 1.200)
-        assert estimator.rtt == pytest.approx(0.875 * 0.100 + 0.125 * 0.200)
+        assert estimator.rtt == pytest.approx(
+            (1 - RTT_ALPHA) * 0.100 + RTT_ALPHA * 0.200
+        )
 
     def test_negative_sample_rejected(self):
         estimator = RttEstimator(SyncConfig(), 0)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork
-from repro.sim.process import WaitMessage, spawn
 
 
 @pytest.fixture
@@ -128,10 +127,10 @@ class TestMailboxIntegration:
         received = []
 
         def consumer():
-            envelope = yield WaitMessage(b.mailbox)
+            envelope = b.mailbox.poll()
             received.append((envelope.payload.payload, loop.clock.now()))
 
-        spawn(loop, consumer())
+        b.mailbox.listener = consumer
         a.send(b"wake", "b")
         loop.run()
         assert received == [(b"wake", 0.25)]

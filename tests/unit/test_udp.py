@@ -1,17 +1,30 @@
 """Unit tests for repro.net.udp (real sockets on localhost)."""
 
 import asyncio
-import time
 
 import pytest
 
 from repro.net.udp import (
     MAX_DATAGRAM,
     AsyncUdpEndpoint,
-    UdpSocket,
     format_address,
     parse_address,
 )
+
+
+def run_pair(scenario):
+    """Run ``scenario(a, b)`` with two open endpoints on a fresh loop."""
+
+    async def main():
+        a = await AsyncUdpEndpoint.open()
+        b = await AsyncUdpEndpoint.open()
+        try:
+            await scenario(a, b)
+        finally:
+            a.close()
+            b.close()
+
+    asyncio.run(main())
 
 
 class TestAddressing:
@@ -26,87 +39,85 @@ class TestAddressing:
 
 
 class TestUdpSocket:
+    """The ``DatagramSocket`` contract of the real UDP endpoint."""
+
     def test_send_receive_roundtrip(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
+        async def scenario(a, b):
             a.send(b"hello-udp", b.address)
-            datagram = b.receive_blocking(timeout=2.0)
-            assert datagram is not None
+            await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+            datagram = b.receive_one()
             assert datagram.payload == b"hello-udp"
-            assert datagram.source == a.address
-        finally:
-            a.close()
-            b.close()
+            # The stamped source is an address a reply can be sent to.
+            b.send(b"hello-back", datagram.source)
+            await asyncio.wait_for(a.wait(timeout=2.0), timeout=5.0)
+            assert [d.payload for d in a.receive_all()] == [b"hello-back"]
+
+        run_pair(scenario)
 
     def test_receive_all_drains(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
+        async def scenario(a, b):
             for i in range(5):
                 a.send(bytes([i]), b.address)
-            deadline = time.time() + 2.0
             collected = []
-            while len(collected) < 5 and time.time() < deadline:
+            while len(collected) < 5:
+                await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
                 collected.extend(b.receive_all())
-                time.sleep(0.01)
             assert sorted(d.payload for d in collected) == [bytes([i]) for i in range(5)]
-        finally:
-            a.close()
-            b.close()
+            assert b.receive_all() == []
+
+        run_pair(scenario)
 
     def test_receive_one_empty(self):
-        a = UdpSocket()
-        try:
+        async def scenario(a, b):
             assert a.receive_one() is None
-        finally:
-            a.close()
+
+        run_pair(scenario)
 
     def test_oversized_datagram_rejected(self):
-        a = UdpSocket()
-        try:
+        async def scenario(a, b):
             with pytest.raises(ValueError):
-                a.send(b"x" * (MAX_DATAGRAM + 1), a.address)
-        finally:
-            a.close()
+                a.send(b"x" * (MAX_DATAGRAM + 1), b.address)
+            assert a.stats.datagrams_sent == 0
+
+        run_pair(scenario)
 
     def test_closed_socket_rejects_send(self):
-        a = UdpSocket()
-        a.close()
-        with pytest.raises(RuntimeError):
-            a.send(b"x", "127.0.0.1:9")
+        async def scenario(a, b):
+            a.close()
+            with pytest.raises(RuntimeError):
+                a.send(b"x", b.address)
+
+        run_pair(scenario)
 
     def test_close_idempotent(self):
-        a = UdpSocket()
-        a.close()
-        a.close()
+        async def scenario(a, b):
+            a.close()
+            a.close()
+
+        run_pair(scenario)
 
     def test_arrival_timestamps_monotonic(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
+        async def scenario(a, b):
+            stamps = []
             for __ in range(3):
                 a.send(b"t", b.address)
-                time.sleep(0.01)
-            deadline = time.time() + 2.0
-            stamps = []
-            while len(stamps) < 3 and time.time() < deadline:
-                datagram = b.receive_one()
-                if datagram:
-                    stamps.append(datagram.arrived_at)
+                await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+                stamps.extend(d.arrived_at for d in b.receive_all())
+                await asyncio.sleep(0.01)
+            assert len(stamps) == 3
             assert stamps == sorted(stamps)
-        finally:
-            a.close()
-            b.close()
+
+        run_pair(scenario)
 
     def test_stats(self):
-        a, b = UdpSocket(), UdpSocket()
-        try:
+        async def scenario(a, b):
             a.send(b"12345", b.address)
-            assert b.receive_blocking(2.0) is not None
+            await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
             assert a.stats.datagrams_sent == 1
             assert a.stats.bytes_sent == 5
             assert b.stats.datagrams_received == 1
-        finally:
-            a.close()
-            b.close()
+
+        run_pair(scenario)
 
 
 class TestAsyncUdpEndpoint:
