@@ -82,7 +82,9 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 def cmd_aio(args: argparse.Namespace) -> int:
     """Host N concurrent two-site sessions on one asyncio event loop and
-    verify each against its discrete-event twin."""
+    verify each against its discrete-event twin — and the pace it held
+    against ``--cfps``: the master's mean frame time (frames after the
+    first 30) may exceed ``time_per_frame`` by at most 1%."""
     from repro.core.aio import AioSessionSpec, run_sessions, simulator_checksums
 
     config = SyncConfig(cfps=args.cfps)
@@ -108,12 +110,26 @@ def cmd_aio(args: argparse.Namespace) -> int:
     for spec, runtimes in zip(specs, groups):
         checks = [rt.trace.checksums for rt in runtimes]
         ok = checks[0] == checks[1] == simulator_checksums(spec)
-        failures += 0 if ok else 1
         print(
             f"  session {spec.session_id}: seed={spec.seed} "
             f"frames={len(checks[0])} "
             f"{'matches simulator' if ok else 'MISMATCH'}"
         )
+        for rt in runtimes:
+            settled = rt.trace.frame_times()[30:]
+            if not settled:
+                continue  # too short a session to have held a pace
+            pace = mean(settled)
+            excess = pace / config.time_per_frame - 1.0
+            # Site 0 is the reference speed; the slave follows it.
+            off_pace = rt.site_no == 0 and excess > 0.01
+            ok = ok and not off_pace
+            print(
+                f"    site {rt.site_no}: mean frame time {pace * 1000:.3f} ms "
+                f"({1 / pace:.2f} fps, {excess * 100:+.2f}% of 1/CFPS)"
+                f"{'  OFF PACE' if off_pace else ''}"
+            )
+        failures += 0 if ok else 1
     return 1 if failures else 0
 
 

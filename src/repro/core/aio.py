@@ -1,18 +1,20 @@
 """Asyncio driver — many lockstep sessions multiplexed on one process.
 
-The ROADMAP's lobby-server shape: a site is not a thread but a coroutine,
-so one event loop hosts every site of every concurrent session.  Each
-:class:`AioSite` couples a :class:`~repro.core.engine.SiteEngine` to an
-:class:`~repro.net.udp.AsyncUdpEndpoint` and does nothing but
+The ROADMAP's lobby-server shape: a site is not a thread but two
+callbacks, so one event loop hosts every site of every concurrent session.
+Each :class:`AioSite` couples a :class:`~repro.core.engine.SiteEngine` to
+an :class:`~repro.net.udp.AsyncUdpEndpoint` and does nothing but
 
-    wait until (next engine deadline) or (datagram arrives)
+    park until (next engine deadline) or (datagram arrives)
     feed the engine, apply its effects
 
-— the same ~30-line shell as the simulator driver, proving the sans-IO
-seam: the protocol neither knows nor cares which of the two runtimes is
-underneath.  Wire concerns (the v2 codec, batch coalescing,
-the bandwidth budget) all live behind the engine's outbox; this driver
-only ever sees finished datagrams.
+— the endpoint calls it inside a datagram's arrival, the loop at the
+deadline (``loop.call_at``, absolute), and either way one plain function
+runs in that same loop iteration: the same ~30-line shell as the simulator
+driver, proving the sans-IO seam — the protocol neither knows nor cares
+which of the two runtimes is underneath.  Wire concerns (the v2 codec,
+batch coalescing, the bandwidth budget) all live behind the engine's
+outbox; this driver only ever sees finished datagrams.
 
 :func:`host_sessions` wires N independent two-site sessions (distinct
 UDP ports, distinct session ids) onto the running loop and drives them
@@ -38,8 +40,8 @@ from repro.obs.registry import aggregate_snapshots, to_prometheus
 
 
 class AioSite:
-    """Drives one engine — any engine the caller built — as a coroutine on
-    the running event loop."""
+    """Drives one engine — any engine the caller built — on the running
+    event loop; :meth:`run` is the awaitable that spans its wake-ups."""
 
     def __init__(self, engine: SiteEngine, endpoint: AsyncUdpEndpoint) -> None:
         self.engine = engine
@@ -52,31 +54,42 @@ class AioSite:
         self.error: Optional[BaseException] = None
         self._stop_requested = False
         self._send_failing = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: Resolved by the wake-up that sees ``Finished``, failed with
+        #: whatever a wake-up raised; :meth:`run` awaits it.
+        self._done: Optional[asyncio.Future] = None
         # ICMP errors (port unreachable after a peer crash) surface through
         # the endpoint's error_received; count them instead of dropping.
         endpoint.on_transport_error = self._on_transport_error
 
     async def run(self) -> None:
-        loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
+        self._done = loop.create_future()
+        self._apply(self.engine.start(loop.time()))
+        await self._done
+
+    def _main(self) -> None:
+        """One wake-up, whatever caused it: what was received goes to the
+        engine with the time, its effects are applied, the site parks."""
+        if self._done.done():  # run() failed or was cancelled: stay down
+            return
         engine = self.engine
-        effects = engine.start(loop.time())
-        while self._apply(effects):
-            deadline = engine.next_deadline()
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.0, deadline - loop.time())
-            await self.endpoint.wait(timeout)
+        now = self._loop.time()
+        try:
             if self._stop_requested and not engine.done:
-                effects = engine.handle(Shutdown(loop.time()))
-                continue
-            effects = feed_datagrams(
-                engine, self.endpoint.receive_all(), loop.time()
-            )
+                effects = engine.handle(Shutdown(now))
+            else:
+                effects = feed_datagrams(engine, self.endpoint.receive_all(), now)
+            self._apply(effects)
+        except Exception as exc:  # SessionHost isolates it to this session
+            self._done.set_exception(exc)
 
     def request_stop(self) -> None:
-        """Ask the site to wind down at its next wakeup (and wake it)."""
+        """Ask the site to wind down at its next wakeup (and wake it — on
+        the next loop iteration, never inside the caller's own wake-up)."""
         self._stop_requested = True
-        self.endpoint.poke()
+        if self._loop is not None:
+            self._loop.call_soon(self.endpoint.wake)
 
     def snapshot(self) -> dict:
         """This site's registries plus liveness/error state as one dict."""
@@ -86,13 +99,17 @@ class AioSite:
         snap["error"] = repr(self.error) if self.error is not None else None
         return snap
 
-    def _apply(self, effects) -> bool:
+    def _apply(self, effects) -> None:
+        """Apply one batch of effects, then park until the engine's next
+        deadline or a datagram — or resolve :meth:`run` on ``Finished``."""
         running = apply_effects(effects, self._send, status=self.status)
-        if not running:
-            self.status.on_finished(self.engine.termination)
         if self.engine.frames_complete:
             self.finished = True
-        return running
+        if running:
+            self.endpoint.wait(self.engine.next_deadline(), self._main)
+        else:
+            self.status.on_finished(self.engine.termination)
+            self._done.set_result(None)
 
     def _send(self, payload: bytes, destination: str) -> None:
         try:
@@ -251,9 +268,12 @@ async def host_sessions(
     build_machine = machine_factory if machine_factory is not None else create_game
     hosted = session_host if session_host is not None else SessionHost()
     grouped: List[List[SiteRuntime]] = []
+    opened: List[AsyncUdpEndpoint] = []
     try:
         for spec in specs:
-            endpoints = [await AsyncUdpEndpoint.open(host) for _ in range(2)]
+            for _ in range(2):
+                opened.append(await AsyncUdpEndpoint.open(host))
+            endpoints = opened[-2:]
             peers = [SitePeer(s, endpoints[s].address) for s in range(2)]
             plan = two_player_plan(
                 spec.resolved_config(),
@@ -272,8 +292,9 @@ async def host_sessions(
             grouped.append([site.runtime for site in group])
         await hosted.run()
     finally:
-        for site in hosted.sites:
-            site.endpoint.close()
+        # Every socket bound above, also those of a spec that failed to build.
+        for endpoint in opened:
+            endpoint.close()
     if raise_errors:
         errors = hosted.errors()
         if errors:

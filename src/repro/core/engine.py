@@ -601,12 +601,12 @@ class SiteRuntime:
     # ------------------------------------------------------------------
     # Frame-loop steps (Algorithm 1, minus the waiting)
     # ------------------------------------------------------------------
-    def begin_frame(self, now: float) -> float:
+    def begin_frame(self, now: float, late: float = 0.0) -> float:
         """BeginFrameTiming: Algorithm 4; returns the sync adjust applied."""
         self.trace.record_begin(now)
         self.metrics.on_begin_frame(now)
         return self.pacer.begin_frame(
-            now, self.frame, self.lockstep.master_sample, self.rtt.rtt
+            now, self.frame, self.lockstep.master_sample, self.rtt.rtt, late
         )
 
     def get_and_buffer_input(self, now: Optional[float] = None) -> None:
@@ -1146,7 +1146,7 @@ class SiteEngine:
             del timers[kind]
             if timers:
                 self._earliest = min(timers.values())
-            self._on_timer(kind, now, effects)
+            self._on_timer(kind, now, effects, now - due)
         if not self.done:
             if self.runtime.pending_divergences:
                 self._check_divergence(now, effects)
@@ -1279,7 +1279,10 @@ class SiteEngine:
             )
             self._observed_phase = self.phase
 
-    def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
+    def _on_timer(
+        self, kind: str, now: float, effects: List[Effect], late: float
+    ) -> None:
+        """``late`` is how long after the timer's deadline ``now`` is."""
         if kind != TIMER_GATE and not (
             kind == TIMER_LINGER and self.phase == PHASE_CATCHUP
         ):
@@ -1295,7 +1298,7 @@ class SiteEngine:
                 self._frame_cycle(now, effects)
         elif kind == TIMER_FRAME:
             if self.phase == PHASE_FRAME_WAIT:
-                self._frame_cycle(now, effects)
+                self._frame_cycle(now, effects, late)
         elif kind == TIMER_SEND:
             if self.runtime.config.slice_delay > 0:
                 delay = self._rng.uniform(
@@ -1465,16 +1468,20 @@ class SiteEngine:
             self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
         self._liveness_mark = liveness.mark
 
-    def _frame_cycle(self, now: float, effects: List[Effect]) -> None:
+    def _frame_cycle(
+        self, now: float, effects: List[Effect], late: float = 0.0
+    ) -> None:
         """Run frame iterations until one blocks (gate/compute/wait) or the
         horizon is reached.  Iterative on purpose: a zero-compute zero-wait
-        frame must not recurse."""
+        frame must not recurse.  ``late``: the frame timer's lateness when it
+        is what begins the first iteration (Algorithm 3 carries it)."""
         runtime = self.runtime
         while True:
             if self._frames_done():
                 self._enter_linger(now, effects)
                 return
-            self._sync_adjust = runtime.begin_frame(now)
+            self._sync_adjust = runtime.begin_frame(now, late)
+            late = 0.0
             if self.time_server_address is not None:
                 effects.append(
                     Send(

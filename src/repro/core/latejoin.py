@@ -99,7 +99,9 @@ class LateJoinEngine(SiteEngine):
         runtime.lockstep.set_local_lag(runtime.config.buf_frame)
         runtime.lockstep.seed_from_snapshot(snapshot.frame, snapshot.backlog)
 
-    def _on_timer(self, kind: str, now: float, effects: List[Effect]) -> None:
+    def _on_timer(
+        self, kind: str, now: float, effects: List[Effect], late: float
+    ) -> None:
         if kind == TIMER_REQUEST:
             if self.phase != PHASE_ACQUIRE:
                 return
@@ -118,7 +120,7 @@ class LateJoinEngine(SiteEngine):
             )
             self._set(TIMER_REQUEST, now + self.REQUEST_INTERVAL)
             return
-        super()._on_timer(kind, now, effects)
+        super()._on_timer(kind, now, effects, late)
 
     def _advance(self, now: float, effects: List[Effect]) -> None:
         if self.phase == PHASE_ACQUIRE:

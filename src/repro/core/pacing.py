@@ -3,7 +3,8 @@
 * :meth:`FramePacer.end_frame` is Algorithm 3 (``EndFrameTiming``): compute
   when the current frame *should* end; if it overran, carry the debt into
   ``AdjustTimeDelta`` so following frames shorten; otherwise report how long
-  to wait.
+  to wait.  One extension: the wait itself may overshoot (a real driver
+  wakes late), and :meth:`FramePacer.begin_frame` carries that the same way.
 * :meth:`FramePacer.begin_frame` is Algorithm 4 (``BeginFrameTiming``): the
   slave site estimates the master's current frame from the newest received
   master input (``MasterFrame = LastRcvFrame[0] − BufFrame``), its arrival
@@ -63,11 +64,14 @@ class FramePacer:
         frame: int,
         master_sample: Optional[Tuple[int, float]],
         rtt: float,
+        late: float = 0.0,
     ) -> float:
         """``BeginFrameTiming()``: record the frame start; slaves rate-sync.
 
         ``master_sample`` is ``(LastRcvFrame[0], MasterRcvTime)`` from the
-        lockstep state, or None before any master input has arrived.
+        lockstep state, or None before any master input has arrived;
+        ``late`` is how long after its deadline the frame timer that began
+        this frame fired (0 for a frame begun any other way).
         Returns the ``SyncAdjustTimeDelta`` applied (0 on the master), which
         the experiments record.
         """
@@ -95,6 +99,11 @@ class FramePacer:
                 elif sync_adjust < -bound:
                     sync_adjust = -bound
                     self.stats.sync_adjust_clamped += 1
+        else:
+            # The wait's overshoot is an overrun Algorithm 3 cannot see (it
+            # assumes an exact wait); carry it like lines 3-4 do.  Not where
+            # Algorithm 4 ran: its offset is taken against ``now`` already.
+            self.adjust_time_delta -= late
         # Line 9: fold into the shared compensation variable.
         self.adjust_time_delta += sync_adjust
         self.stats.sync_adjust_applied += sync_adjust

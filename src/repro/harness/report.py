@@ -39,15 +39,26 @@ def sparkline(values: Sequence[float]) -> str:
 
 
 def format_series1(rows) -> str:
-    """Figure 1: frame rates and smoothness."""
+    """Figure 1: frame rates and smoothness — the master's (site 0, what
+    the paper's claims are checked against), then the slave's."""
     table = format_table(
-        ["RTT(ms)", "frame_time(ms)", "mad(ms)", "FPS", "verified"],
+        [
+            "RTT(ms)",
+            "frame_time(ms)",
+            "mad(ms)",
+            "FPS",
+            "slave_ft(ms)",
+            "slave_mad(ms)",
+            "verified",
+        ],
         [
             [
                 f"{r.rtt * 1000:.0f}",
                 f"{r.frame_time_mean * 1000:.2f}",
                 f"{r.frame_time_mad * 1000:.2f}",
                 f"{r.fps:.1f}",
+                f"{r.slave_frame_time_mean * 1000:.2f}",
+                f"{r.slave_frame_time_mad * 1000:.2f}",
                 r.frames_verified,
             ]
             for r in rows

@@ -2,7 +2,10 @@
 
 §4.1.1: sweep RTT from 0 to 400 ms (10 ms steps to 200, 50 ms steps after),
 record 3600 frames per point, compute each site's average frame time and
-the mean absolute deviation of the frame times.
+the mean absolute deviation of the frame times.  A row carries both sites:
+site 0 (the master, the reference speed) is what the paper's claims below
+are checked against; site 1 (the slave) follows it through Algorithm 4 and
+is reported next to it.
 
 Paper findings the reproduction must show:
 
@@ -32,10 +35,12 @@ class Series1Row:
     """One Figure-1 data point."""
 
     rtt: float
-    frame_time_mean: float  # site 0, seconds
+    frame_time_mean: float  # site 0 (master), seconds
     frame_time_mad: float  # site 0, seconds
     fps: float
     frames_verified: int
+    slave_frame_time_mean: float  # site 1, seconds
+    slave_frame_time_mad: float  # site 1, seconds
 
     @classmethod
     def from_result(cls, result: ExperimentResult) -> "Series1Row":
@@ -45,6 +50,8 @@ class Series1Row:
             frame_time_mad=result.frame_time_mad[0],
             fps=result.fps[0],
             frames_verified=result.frames_verified,
+            slave_frame_time_mean=result.frame_time_mean[1],
+            slave_frame_time_mad=result.frame_time_mad[1],
         )
 
 

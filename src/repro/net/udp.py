@@ -4,8 +4,8 @@ This is the transport the paper actually deploys: the sync messages ride
 plain UDP datagrams, and all reliability lives in the sync module itself.
 :class:`AsyncUdpEndpoint` is a nonblocking ``asyncio.DatagramProtocol``
 endpoint for :mod:`repro.core.aio`: arrivals buffer on the event loop's
-own thread and wake whichever site coroutine is awaiting them, so many
-sessions share one loop without any thread per site.
+own thread and call the site parked on the endpoint, so many sessions
+share one loop without any thread (or task switch) per site.
 
 Addresses are ``"host:port"`` strings to stay interchangeable with the
 simulator's string addresses.
@@ -14,7 +14,7 @@ simulator's string addresses.
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.transport import Address, Datagram, DatagramSocket, TransportStats
 
@@ -42,8 +42,8 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
 
     Datagrams are stamped with ``loop.time()`` on arrival — the same clock
     the asyncio driver feeds the engine — and buffered until the owning
-    site coroutine drains them with :meth:`receive_all` after
-    :meth:`wait` wakes it.  Create instances with :meth:`open`.
+    site drains them with :meth:`receive_all` in the wake-up it parked for
+    with :meth:`wait`.  Create instances with :meth:`open`.
     """
 
     def __init__(self) -> None:
@@ -51,11 +51,10 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._address: Address = ""
         self._pending: List[Datagram] = []
-        # Set by a datagram or a poke, cleared by receive_all: while it is
-        # set, wait() returns at once.  _waiter is the future the one
-        # coroutine blocked in wait() sleeps on.
-        self._woken = False
-        self._waiter: Optional[asyncio.Future] = None
+        # Parked = wait() was called and wake() has not come yet: the
+        # callback to run, and the one handle that runs it at the deadline.
+        self._parked: Optional[Callable[[], None]] = None
+        self._timer: Optional[asyncio.Handle] = None
         self.stats = TransportStats()
         #: ICMP/OS errors reported for this endpoint (e.g. port unreachable
         #: after the peer's process died).  UDP semantics: the datagram is
@@ -81,7 +80,7 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
     # ------------------------------------------------------------------
     def connection_made(self, transport) -> None:
         self._transport = transport
-        self._loop = asyncio.get_event_loop()
+        self._loop = asyncio.get_running_loop()
         host, port = transport.get_extra_info("sockname")[:2]
         self._address = format_address(host, port)
 
@@ -94,8 +93,7 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
                 arrived_at=self._loop.time(),
             )
         )
-        self._woken = True
-        self._resolve_waiter()
+        self.wake()
 
     def error_received(self, exc: OSError) -> None:
         """asyncio callback for OS-level datagram errors.
@@ -128,7 +126,6 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
 
     def receive_all(self) -> List[Datagram]:
         drained, self._pending = self._pending, []
-        self._woken = False
         return drained
 
     def receive_one(self) -> Optional[Datagram]:
@@ -136,41 +133,35 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
             return None
         return self._pending.pop(0)
 
-    async def wait(self, timeout: Optional[float]) -> None:
-        """Sleep until a datagram arrives, :meth:`poke` is called or
-        ``timeout`` elapses; returns at once if either happened since the
-        last :meth:`receive_all`.  One coroutine waits at a time.
+    def wait(self, deadline: Optional[float], callback: Callable[[], None]) -> None:
+        """Park: ``callback()`` runs once, inside the arrival of the next
+        datagram or when ``loop.time()`` reaches ``deadline`` (absolute;
+        None waits for a datagram alone), whichever is first — on the next
+        loop iteration if datagrams are already buffered.  One site parks
+        at a time, once per wake-up.
 
-        One future and one timer handle per sleep: ``asyncio.wait_for``
-        would wrap the wait in a task and spend a loop iteration
-        cancelling it on every wake-up.
+        One timer handle per parking and no future: a wake-up is one loop
+        iteration, not one to resolve a waiter and one to resume its task.
         """
-        if self._woken:
-            return
-        waiter = self._waiter = self._loop.create_future()
-        timer = None
-        if timeout is not None:
-            timer = self._loop.call_later(timeout, self._resolve_waiter)
-        try:
-            await waiter
-        finally:
-            self._waiter = None
-            if timer is not None:
-                timer.cancel()
+        self._parked = callback
+        if self._pending:
+            self._timer = self._loop.call_soon(self.wake)
+        elif deadline is not None:
+            self._timer = self._loop.call_at(deadline, self.wake)
 
-    def _resolve_waiter(self) -> None:
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+    def wake(self) -> None:
+        """Run the parked callback now, if any, and drop its deadline.
 
-    def poke(self) -> None:
-        """Wake a coroutine blocked in :meth:`wait` without a datagram.
-
-        Used to deliver out-of-band control (stop requests from a crashed
-        session sibling) to a site sleeping on its engine deadline.
+        The loop calls this at the deadline and :meth:`datagram_received`
+        on arrival; ``loop.call_soon(endpoint.wake)`` delivers out-of-band
+        control (a stop request) to a site parked on its engine deadline.
         """
-        self._woken = True
-        self._resolve_waiter()
+        callback, self._parked = self._parked, None
+        timer, self._timer = self._timer, None
+        if timer is not None:
+            timer.cancel()
+        if callback is not None:
+            callback()
 
     def close(self) -> None:
         if self._transport is not None:

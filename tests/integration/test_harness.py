@@ -66,6 +66,10 @@ class TestSeries:
         assert rows[0].frame_time_mean == pytest.approx(1 / 60, rel=0.02)
         assert rows[-1].frame_time_mean > rows[0].frame_time_mean
         assert rows[-1].frame_time_mad > rows[0].frame_time_mad
+        # Both sites are read: the slave holds the master's rate, and its
+        # deviation (Algorithm 4's corrections) is visible, not averaged away.
+        assert rows[0].slave_frame_time_mean == pytest.approx(1 / 60, rel=0.02)
+        assert rows[0].slave_frame_time_mad > rows[0].frame_time_mad
 
     def test_series1_threshold_detection(self):
         rows = run_series1(rtts=[0.0, 0.060, 0.300], frames=FRAMES)
@@ -146,6 +150,7 @@ class TestReport:
         s2 = run_series2(rtts=[0.0], frames=60)
         s3 = run_series3(losses=[0.0], frames=60)
         assert "Figure 1" in format_series1(s1)
+        assert "slave_mad(ms)" in format_series1(s1)
         assert "Figure 2" in format_series2(s2)
         assert "loss" in format_series3(s3)
         pacing = run_pacing_ablation(start_skews=[0.0], frames=60)

@@ -134,6 +134,21 @@ class TestRealtimeSession:
             # precise pacing guarantees covered by the simulated-time tests.
             assert mean(times) == pytest.approx(1 / 120, rel=0.5)
 
+    def test_masters_hold_the_configured_rate(self, sessions):
+        """The paper's Figure 1 on the driver users run: the reference site
+        presents at CFPS.  A wake-up may come late (the selector rounds
+        every sleep up to a millisecond, and nine sites share this loop),
+        but lateness is carried like any overrun, so it cannot accumulate:
+        the coroutine shell without the carry read +7.5% here.  (Not the
+        flaky session: its master pays back a start-up stall of many
+        frames — Algorithm 3 as printed — and reads -26% either way.)"""
+        for name in ("lockstep", "rollback"):
+            master = sessions[name][0]
+            assert master.runtime.pacer.is_master
+            times = master.runtime.trace.frame_times()[30:]
+            assert len(times) == FRAMES - 31
+            assert mean(times) == pytest.approx(1 / 120, rel=0.01), name
+
     def test_games_play_over_real_udp(self, sessions):
         first, second = sessions["pong"]
         assert len(first.runtime.trace.checksums) == 60

@@ -27,6 +27,28 @@ class TestPlay:
         assert "identical" in capsys.readouterr().out
 
 
+class TestAio:
+    ARGS = ["aio", "--sessions", "1", "--frames", "90", "--cfps", "120"]
+
+    def test_reports_the_pace_each_site_held(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "matches simulator" in out
+        assert out.count("mean frame time") == 2 and "OFF PACE" not in out
+
+    def test_fails_when_the_master_is_off_pace(self, capsys, monkeypatch):
+        from repro.metrics.recorder import FrameTrace
+
+        # What the coroutine shell read at 60 fps: every frame 4.5% long.
+        monkeypatch.setattr(
+            FrameTrace, "frame_times", lambda self: [1.045 / 120] * 89
+        )
+        assert main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert "matches simulator" in out
+        assert out.count("OFF PACE") == 1 and "+4.50% of 1/CFPS" in out
+
+
 class TestFigures:
     def test_figure1_table(self, capsys):
         assert main(["figure1", "--frames", "120"]) == 0

@@ -17,6 +17,8 @@ Covered here (and nowhere else at this level):
 
 import heapq
 
+import pytest
+
 from repro.core.config import SyncConfig
 from repro.core.engine import (
     DatagramReceived,
@@ -494,7 +496,7 @@ class TestTimerOrder:
     def test_simultaneous_timers_fire_in_deadline_then_kind_order(self):
         engine = build_engines()[0]
         fired = []
-        engine._on_timer = lambda kind, now, effects: fired.append(kind)
+        engine._on_timer = lambda kind, *_: fired.append(kind)
         # Armed in neither deadline nor name order, with a three-way tie.
         engine._set("send", 1.0)
         engine._set("retry", 1.0)
@@ -506,3 +508,94 @@ class TestTimerOrder:
         engine.poll(2.0)
         assert fired == ["flush", "ping", "retry", "send", "gate"]
         assert engine.next_deadline() == 3.0
+
+
+class LateMesh(EngineMesh):
+    """A driver that always wakes up a little after what it slept for."""
+
+    LATE = 0.003
+
+    def _step(self):
+        self.now = max(self.now, self._next_time() + self.LATE)
+        super()._step()
+
+
+class TestFrameTimerLateness:
+    """Algorithm 3's one extension, at the engine seam: how late the frame
+    timer fired travels with the frame's begin — and nothing else does."""
+
+    def test_late_frame_timer_begins_the_next_frame_early(self):
+        engines = build_engines(frames=200)
+        mesh = EngineMesh(engines)
+        mesh.start()
+        mesh.run_until(0.5)
+        master = engines[0]
+        tpf = master.runtime.config.time_per_frame
+        assert master.phase == "frame-wait" and master.runtime.pacer.is_master
+        due = master._timers["frame"]
+        frame = master.runtime.frame
+        master.poll(due + 0.003)
+        # The frame began 3 ms late and was presented...
+        assert master.runtime.frame == frame + 1
+        assert master.runtime.trace.begin_times[-1] == due + 0.003
+        # ...and the one after it is due where the schedule says, not 3 ms on.
+        assert master._timers["frame"] == pytest.approx(due + tpf, abs=1e-9)
+        # An on-time poll leaves the schedule alone: same deadline, exactly.
+        master.poll(due + tpf)
+        assert master._timers["frame"] == pytest.approx(due + 2 * tpf, abs=1e-9)
+
+    def test_only_the_frame_timers_lateness_is_carried(self):
+        config = SyncConfig(
+            slice_delay=0.0, state_digest_interval=10, resync_deadline_s=3.0
+        )
+        engines = build_engines(frames=300, configs=[config, config])
+        engines[0].frame_loop_delay = 0.05  # its first frame begins off a timer
+        begins, fired = {0: [], 1: []}, {0: [], 1: []}
+        for site, engine in enumerate(engines):
+            pacer = engine.runtime.pacer
+
+            def begin_frame(
+                now, frame, sample, rtt, late,
+                engine=engine, inner=pacer.begin_frame, log=begins[site],
+            ):
+                log.append((engine.phase, late))
+                return inner(now, frame, sample, rtt, late)
+
+            def on_timer(
+                kind, now, effects, late, inner=engine._on_timer, log=fired[site]
+            ):
+                if kind == "frame":
+                    log.append(late)
+                inner(kind, now, effects, late)
+
+            pacer.begin_frame = begin_frame
+            engine._on_timer = on_timer
+
+        def outage(src, dst, payload, now):
+            # Long enough that the gate opens on an overrun frame, so the
+            # next one begins from the gate, not from a timer.
+            return src == "site1" and 1.0 <= now < 1.3
+
+        mesh = LateMesh(engines, loss=outage)
+        mesh.start()
+        mesh.run_until(2.5)
+        # A corrupted replica: the digests catch it, both loops freeze,
+        # and thaw with a frame begun by the resync restart.
+        machine = engines[1].runtime.machine
+        blob = bytearray(machine.save_state())
+        blob[0] ^= 0x01
+        machine.load_state(bytes(blob))
+        mesh.run(horizon=60.0)
+        for site, engine in enumerate(engines):
+            assert engine.termination == "completed"
+            assert engine.runtime.metrics.resync_success.value == 1
+            from_timer = [late for phase, late in begins[site] if phase == "frame-wait"]
+            assert from_timer == fired[site]
+            assert min(from_timer) >= 0.0 and max(from_timer) >= LateMesh.LATE
+            others = [(phase, late) for phase, late in begins[site] if phase != "frame-wait"]
+            assert {late for phase, late in others} == {0.0}
+            assert "resync" in {phase for phase, late in others}
+        # The delayed master's very first frame: its timer's lateness only.
+        assert begins[0][0] == ("frame-wait", fired[0][0]) and fired[0][0] > 0.0
+        assert begins[1][0] == ("handshake", 0.0)
+        assert "gate" in {phase for phase, late in begins[0]}

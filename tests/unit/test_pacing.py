@@ -1,5 +1,7 @@
 """Unit tests for repro.core.pacing — Algorithms 3 and 4."""
 
+import random
+
 import pytest
 
 from repro.core.config import SyncConfig
@@ -165,3 +167,86 @@ class TestConvergence:
         # Early offset ≈ -skew/TPF ≈ -4.8 frames; final ≈ 0.
         assert offsets[0] < -3
         assert abs(offsets[-1]) < 1.0
+
+
+class TestCarriedLateness:
+    """The one deliberate extension of Algorithm 3: a frame timer that
+    fires late is an overrun, carried where Algorithm 4 does not run."""
+
+    def paced(self, pacer, lateness, carry):
+        """Begin times of 600 timer-driven 2 ms frames, each timer firing
+        ``lateness()`` seconds after the deadline Algorithm 3 returned."""
+        due, begins = 0.0, []
+        for frame in range(600):
+            now = due + lateness()
+            pacer.begin_frame(now, frame, None, 0.0, now - due if carry else 0.0)
+            begins.append(now)
+            due = pacer.end_frame_deadline(now + 0.002)
+        return begins
+
+    def test_master_begun_late_ends_that_much_sooner(self):
+        pacer = make_pacer()
+        pacer.begin_frame(10.003, 0, None, 0.0, 0.003)  # due at 10.0
+        assert pacer.end_frame_deadline(10.004) == pytest.approx(10.0 + TPF)
+        # On time, so nothing is left to carry into the frame after.
+        assert pacer.adjust_time_delta == 0.0
+
+    def test_long_run_rate_is_cfps_under_random_lateness(self):
+        rate = {}
+        for carry in (True, False):
+            rng = random.Random(7)
+            begins = self.paced(make_pacer(), lambda: rng.uniform(0.0, 0.002), carry)
+            rate[carry] = (begins[-1] - begins[0]) / (len(begins) - 1)
+        assert rate[True] == pytest.approx(TPF, rel=1e-3)
+        # Not carried, the same lateness accumulates: 1 ms on every frame.
+        assert rate[False] == pytest.approx(TPF + 0.001, rel=0.01)
+
+    def test_slave_with_a_master_sample_ignores_it(self):
+        sample = (16, 0.53)
+        plain, late = make_pacer(site=1), make_pacer(site=1)
+        adjust = plain.begin_frame(0.55, 20, sample, 0.060)
+        assert late.begin_frame(0.55, 20, sample, 0.060, 0.003) == adjust
+        assert late.adjust_time_delta == plain.adjust_time_delta
+        assert late.end_frame(0.551) == plain.end_frame(0.551)
+
+    @pytest.mark.parametrize("overrides", [{}, {"master_slave_pacing": False}])
+    def test_slave_not_running_algorithm_4_carries_it(self, overrides):
+        pacer = make_pacer(site=1, **overrides)
+        sample = (16, 0.53) if overrides else None
+        assert pacer.begin_frame(10.003, 0, sample, 0.060, 0.003) == 0.0
+        assert pacer.end_frame_deadline(10.004) == pytest.approx(10.0 + TPF)
+
+    def test_zero_lateness_is_the_papers_arithmetic_bit_for_bit(self):
+        """Virtual time fires every frame timer at ``now == due``; with
+        ``late == 0.0`` no float may differ from Algorithm 3 as printed
+        (written out here by hand), overruns and signed zeros included."""
+        rng = random.Random(3)
+        pacer, now, adjust = make_pacer(), 0.0, 0.0
+        for frame in range(2000):
+            pacer.begin_frame(now, frame, None, 0.04, 0.0)
+            adjust += 0.0  # line 9 with SyncAdjustTimeDelta = 0
+            assert pacer.adjust_time_delta.hex() == adjust.hex()
+            end = now + pacer.config.time_per_frame + adjust
+            now += rng.choice([0.0, rng.uniform(0.0, 0.03)])  # some overrun
+            adjust = end - now if end < now else 0.0
+            deadline = pacer.end_frame_deadline(now)
+            assert pacer.adjust_time_delta.hex() == adjust.hex()
+            if end > now:
+                assert deadline.hex() == (now + (end - now)).hex()
+                now = deadline
+            else:
+                assert deadline is None
+
+    def test_lateness_beyond_a_frame_is_an_overrun(self):
+        """A 40 ms late wake-up costs what a 40 ms frame costs in
+        Algorithm 3: the following frames begin at once until it is paid."""
+        pacer = make_pacer()
+        pacer.begin_frame(10.040, 0, None, 0.0, 0.040)  # due at 10.0
+        assert pacer.end_frame_deadline(10.041) is None
+        assert pacer.adjust_time_delta == pytest.approx(10.0 + TPF - 10.041)
+        assert pacer.stats.overruns == 1
+        pacer.begin_frame(10.041, 1, None, 0.0)
+        assert pacer.end_frame_deadline(10.042) is None
+        pacer.begin_frame(10.042, 2, None, 0.0)
+        # Three frames were due by 10.0 + 3/60: the schedule is whole again.
+        assert pacer.end_frame_deadline(10.043) == pytest.approx(10.0 + 3 * TPF)

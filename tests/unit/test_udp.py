@@ -12,6 +12,15 @@ from repro.net.udp import (
 )
 
 
+async def woken(endpoint, within=2.0):
+    """Park on ``endpoint`` and sleep until it wakes: the callback
+    primitive as an awaitable."""
+    loop = asyncio.get_running_loop()
+    done = loop.create_future()
+    endpoint.wait(loop.time() + within, lambda: done.set_result(None))
+    await asyncio.wait_for(done, timeout=5.0)
+
+
 def run_pair(scenario):
     """Run ``scenario(a, b)`` with two open endpoints on a fresh loop."""
 
@@ -44,12 +53,12 @@ class TestUdpSocket:
     def test_send_receive_roundtrip(self):
         async def scenario(a, b):
             a.send(b"hello-udp", b.address)
-            await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+            await woken(b)
             datagram = b.receive_one()
             assert datagram.payload == b"hello-udp"
             # The stamped source is an address a reply can be sent to.
             b.send(b"hello-back", datagram.source)
-            await asyncio.wait_for(a.wait(timeout=2.0), timeout=5.0)
+            await woken(a)
             assert [d.payload for d in a.receive_all()] == [b"hello-back"]
 
         run_pair(scenario)
@@ -60,7 +69,7 @@ class TestUdpSocket:
                 a.send(bytes([i]), b.address)
             collected = []
             while len(collected) < 5:
-                await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+                await woken(b)
                 collected.extend(b.receive_all())
             assert sorted(d.payload for d in collected) == [bytes([i]) for i in range(5)]
             assert b.receive_all() == []
@@ -101,7 +110,7 @@ class TestUdpSocket:
             stamps = []
             for __ in range(3):
                 a.send(b"t", b.address)
-                await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+                await woken(b)
                 stamps.extend(d.arrived_at for d in b.receive_all())
                 await asyncio.sleep(0.01)
             assert len(stamps) == 3
@@ -112,7 +121,7 @@ class TestUdpSocket:
     def test_stats(self):
         async def scenario(a, b):
             a.send(b"12345", b.address)
-            await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+            await woken(b)
             assert a.stats.datagrams_sent == 1
             assert a.stats.bytes_sent == 5
             assert b.stats.datagrams_received == 1
@@ -127,7 +136,7 @@ class TestAsyncUdpEndpoint:
             b = await AsyncUdpEndpoint.open()
             try:
                 a.send(b"async-udp", b.address)
-                await asyncio.wait_for(b.wait(timeout=2.0), timeout=5.0)
+                await woken(b)
                 datagrams = b.receive_all()
                 assert [d.payload for d in datagrams] == [b"async-udp"]
                 assert datagrams[0].source == a.address
@@ -180,8 +189,8 @@ class TestAsyncUdpEndpoint:
                 loop = asyncio.get_running_loop()
                 loop.call_later(0.02, a.send, b"late", b.address)
                 started = loop.time()
-                await asyncio.wait_for(b.wait(timeout=5.0), timeout=10.0)
-                assert loop.time() - started < 2.0  # the datagram, not the timeout
+                await woken(b, within=5.0)
+                assert loop.time() - started < 2.0  # the datagram, not the deadline
                 assert [d.payload for d in b.receive_all()] == [b"late"]
             finally:
                 a.close()
@@ -195,52 +204,98 @@ class TestAsyncUdpEndpoint:
             try:
                 loop = asyncio.get_running_loop()
                 started = loop.time()
-                await asyncio.wait_for(endpoint.wait(timeout=0.05), timeout=5.0)
+                await woken(endpoint, within=0.05)
                 assert 0.04 <= loop.time() - started < 2.0
                 assert endpoint.receive_all() == []
-                # A timeout leaves nothing behind: the next wait sleeps too.
+                # A deadline leaves nothing behind: the next parking sleeps too.
                 started = loop.time()
-                await asyncio.wait_for(endpoint.wait(timeout=0.05), timeout=5.0)
+                await woken(endpoint, within=0.05)
                 assert loop.time() - started >= 0.04
             finally:
                 endpoint.close()
 
         asyncio.run(scenario())
 
-    def test_poke_before_wait_returns_immediately(self):
+    def test_deadline_is_absolute_and_a_past_one_wakes_at_once(self):
         async def scenario():
             endpoint = await AsyncUdpEndpoint.open()
             try:
                 loop = asyncio.get_running_loop()
-                endpoint.poke()
-                for __ in range(2):  # until receive_all clears it
-                    started = loop.time()
-                    await asyncio.wait_for(endpoint.wait(timeout=5.0), timeout=10.0)
-                    assert loop.time() - started < 1.0
-                assert endpoint.receive_all() == []
-                loop.call_later(0.02, endpoint.poke)  # and it wakes a sleeper
-                started = loop.time()
-                await asyncio.wait_for(endpoint.wait(timeout=5.0), timeout=10.0)
-                assert 0.01 <= loop.time() - started < 2.0
+                woke = []
+                deadline = loop.time() + 0.05
+                await asyncio.sleep(0.03)  # time spent before parking counts
+                endpoint.wait(deadline, lambda: woke.append(loop.time()))
+                assert woke == []  # never inside wait() itself
+                await asyncio.sleep(0.04)
+                assert len(woke) == 1 and 0.0 <= woke[0] - deadline < 0.015
+                endpoint.wait(deadline, lambda: woke.append(loop.time()))
+                assert len(woke) == 1
+                await asyncio.sleep(0)
+                await asyncio.sleep(0)
+                assert len(woke) == 2
+                # No deadline: only a datagram (or wake()) ends the parking.
+                endpoint.wait(None, lambda: woke.append(loop.time()))
+                await asyncio.sleep(0.03)
+                assert len(woke) == 2
+                endpoint.wake()
+                assert len(woke) == 3
+                endpoint.wake()  # nothing parked: a no-op
+                assert len(woke) == 3
             finally:
                 endpoint.close()
 
         asyncio.run(scenario())
 
-    def test_early_wake_cancels_the_timeout_handle(self):
+    def test_buffered_datagram_wakes_on_the_next_loop_iteration(self):
         async def scenario():
-            endpoint = await AsyncUdpEndpoint.open()
+            a = await AsyncUdpEndpoint.open()
+            b = await AsyncUdpEndpoint.open()
             try:
                 loop = asyncio.get_running_loop()
-                for __ in range(1000):
-                    loop.call_soon(endpoint.poke)
-                    await asyncio.wait_for(endpoint.wait(timeout=60.0), timeout=10.0)
-                    endpoint.receive_all()
+                a.send(b"early", b.address)
+                await asyncio.sleep(0.02)  # arrives while nobody is parked
+                woke = []
+                b.wait(loop.time() + 5.0, lambda: woke.append(b.receive_all()))
+                assert woke == []
+                started = loop.time()
+                while not woke and loop.time() - started < 2.0:
+                    await asyncio.sleep(0)
+                assert [[d.payload for d in batch] for batch in woke] == [[b"early"]]
+                assert loop.time() - started < 1.0
+                # The deadline it parked with went with the wake-up.
+                assert [h for h in loop._scheduled if not h.cancelled()] == []
+            finally:
+                a.close()
+                b.close()
+
+        asyncio.run(scenario())
+
+    def test_early_wake_cancels_the_timeout_handle(self):
+        async def scenario():
+            a = await AsyncUdpEndpoint.open()
+            b = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                wakes = []
+                for i in range(1000):
+                    # A datagram ahead of the deadline: it wakes the parked
+                    # callback once and the 60 s handle is cancelled.
+                    a.send(b"%d" % i, b.address)
+                    done = loop.create_future()
+                    b.wait(
+                        loop.time() + 60.0,
+                        lambda i=i, done=done: wakes.append(i) or done.set_result(None),
+                    )
+                    await asyncio.wait_for(done, timeout=5.0)
+                    assert len(b.receive_all()) == 1
+                await asyncio.sleep(0.01)
+                assert wakes == list(range(1000))
                 live = [h for h in loop._scheduled if not h.cancelled()]
                 assert live == []
                 # Cancelled handles are swept by the loop, not piled up.
                 assert len(loop._scheduled) < 500
             finally:
-                endpoint.close()
+                a.close()
+                b.close()
 
         asyncio.run(scenario())

@@ -257,3 +257,31 @@ def test_restarted_site_is_a_fresh_driver_on_a_fresh_socket():
     session.loop.run(until=1.0)
     assert len(old.runtime.events) == records
     assert len(new.runtime.events) > 0
+
+
+def test_frame_timers_fire_exactly_on_their_deadline_in_virtual_time():
+    """What keeps every simulated trace bit-equal under Algorithm 3's
+    carried lateness: the loop wakes a parked site at ``now == due``, so
+    the lateness handed to each frame's begin is 0.0 — not merely small."""
+    plan = two_player_plan(
+        SyncConfig(),
+        lambda: create_game("counter"),
+        [PadSource(RandomSource(40 + s), s) for s in (0, 1)],
+        game_id="counter",
+        max_frames=1200,
+        seed=40,
+    )
+    session = build_session(
+        plan, NetemConfig.for_rtt(0.040, loss=0.05), with_time_server=False
+    )
+    lates = []
+    for vm in session.vms:
+        pacer = vm.runtime.pacer
+
+        def begin_frame(now, frame, sample, rtt, late, inner=pacer.begin_frame):
+            lates.append(late)
+            return inner(now, frame, sample, rtt, late)
+
+        pacer.begin_frame = begin_frame
+    session.run()
+    assert len(lates) == 2400 and set(lates) == {0.0}
