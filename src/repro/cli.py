@@ -30,7 +30,7 @@ from repro.harness.report import format_series1, format_series2, format_series3
 from repro.harness.series1 import run_series1
 from repro.harness.series2 import run_series2
 from repro.harness.series3 import run_series3
-from repro.metrics.stats import mean
+from repro.metrics.stats import mean, mean_abs_deviation
 from repro.net.netem import NetemConfig, WAN_PROFILES
 from repro.obs.postmortem import verify_with_postmortem
 
@@ -84,7 +84,9 @@ def cmd_aio(args: argparse.Namespace) -> int:
     """Host N concurrent two-site sessions on one asyncio event loop and
     verify each against its discrete-event twin — and the pace it held
     against ``--cfps``: the master's mean frame time (frames after the
-    first 30) may exceed ``time_per_frame`` by at most 1%."""
+    first 30) may exceed ``time_per_frame`` by at most 1%.  Each site's
+    frame-time deviation and the slave's mean begin offset from the
+    master are printed beside it."""
     from repro.core.aio import AioSessionSpec, run_sessions, simulator_checksums
 
     config = SyncConfig(cfps=args.cfps)
@@ -126,8 +128,18 @@ def cmd_aio(args: argparse.Namespace) -> int:
             ok = ok and not off_pace
             print(
                 f"    site {rt.site_no}: mean frame time {pace * 1000:.3f} ms "
-                f"({1 / pace:.2f} fps, {excess * 100:+.2f}% of 1/CFPS)"
+                f"({1 / pace:.2f} fps, {excess * 100:+.2f}% of 1/CFPS), "
+                f"deviation {mean_abs_deviation(settled) * 1000:.3f} ms"
                 f"{'  OFF PACE' if off_pace else ''}"
+            )
+        # Both sites share this process's clock, so begins compare directly.
+        # Reported, never judged: wall-clock jitter on a CI host is noise.
+        begins = [rt.trace.begin_times[30:] for rt in runtimes]
+        offsets = [slave - master for master, slave in zip(*begins)]
+        if offsets:
+            print(
+                f"    slave - master frame begin: mean "
+                f"{mean(offsets) * 1000:+.3f} ms"
             )
         failures += 0 if ok else 1
     return 1 if failures else 0

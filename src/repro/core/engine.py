@@ -606,7 +606,7 @@ class SiteRuntime:
         self.trace.record_begin(now)
         self.metrics.on_begin_frame(now)
         return self.pacer.begin_frame(
-            now, self.frame, self.lockstep.master_sample, self.rtt.rtt, late
+            now, self.frame, self.lockstep.master_sample, self.rtt.min_rtt, late
         )
 
     def get_and_buffer_input(self, now: Optional[float] = None) -> None:
@@ -1651,6 +1651,7 @@ class SiteEngine:
         self._clear(TIMER_RESUME)
         self.phase = PHASE_GATE
         self._degraded = False
+        runtime.lockstep.forget_master_samples()
         self._arm_send(now)
         self._set(TIMER_PING, now + PING_INTERVAL)
         runtime.events.emit(
@@ -1961,6 +1962,7 @@ class SiteEngine:
         )
         self._resync_anchor = -1
         self._resync_peer = None
+        runtime.lockstep.forget_master_samples()
         effects.append(Resumed(runtime.frame, elapsed))
         self._frame_cycle(now, effects)
 

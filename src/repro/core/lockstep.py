@@ -21,12 +21,14 @@ that controls at least one input bit — observers never gate).  With
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import SyncConfig
 from repro.core.ibuf import InputBuffer
 from repro.core.inputs import InputAssignment
 from repro.core.messages import Sync, cell_width, compact_bits
+from repro.core.rtt import CLOCK_FILTER_DEPTH
 
 
 class LockstepStats:
@@ -87,9 +89,14 @@ class LockstepSync:
         #: Peers that are not absent — who gets sync traffic and whose acks
         #: hold pruning back; rebuilt only where ``gate_from`` changes.
         self._present_peers = [s for s in range(self.num_sites) if s != site_no]
-        #: Arrival info of the newest input-advancing message from site 0
-        #: (frame, arrival time) — Algorithm 4's MasterFrame/MasterRcvTime.
+        #: Algorithm 4's (LastRcvFrame[0], MasterRcvTime): the least-delayed
+        #: of the newest input-advancing messages from site 0.  All that lies
+        #: between the master beginning a frame and its input arriving (send
+        #: phase, slice delay, queueing) is *delay*, so the sample that puts
+        #: the master's frame 0 earliest is the truest.
         self.master_sample: Optional[Tuple[int, float]] = None
+        #: The window it is chosen from: (frame-0 origin, sample) pairs.
+        self._master_window: Deque[tuple] = deque(maxlen=CLOCK_FILTER_DEPTH)
         #: Current local lag in frames (changes only under adaptive lag).
         self._current_buf = config.buf_frame
         #: Pad state used to fill slots when the lag grows.
@@ -365,7 +372,7 @@ class LockstepSync:
                 if new_last > self.last_rcv_frame[sender]:
                     self.last_rcv_frame[sender] = new_last
                     if sender == 0 and self.site_no != 0:
-                        self.master_sample = (new_last, arrived_at)
+                        self._note_master_sample(new_last, arrived_at)
             else:
                 # A gap: earlier frames of the window were lost; the buffered
                 # inputs wait until a retransmission fills the hole.
@@ -378,6 +385,24 @@ class LockstepSync:
                 self.last_ack_frame[sender] = ack
 
         self._prune()
+
+    def _note_master_sample(self, last_rcv: int, arrived_at: float) -> None:
+        """Window one master sample; re-pick the least-delayed.
+
+        The input sits at the lag in force (both sites size theirs from the
+        same path) while Algorithm 4 line 6 subtracts the configured
+        ``BufFrame``: the frame is stored as that line expects it, so a lag
+        change leaves no frame multiples in the window."""
+        last_rcv += self.config.buf_frame - self._current_buf
+        origin = arrived_at - last_rcv * self.config.time_per_frame
+        self._master_window.append((origin, (last_rcv, arrived_at)))
+        self.master_sample = min(self._master_window)[1]
+
+    def forget_master_samples(self) -> None:
+        """The master's schedule moved (an outage, a restored state): origins
+        from before it would hold this site ahead until they aged out."""
+        self._master_window.clear()
+        self.master_sample = None
 
     def _prune(self) -> None:
         """Drop buffer entries that can never be referenced again.
@@ -525,6 +550,7 @@ class LockstepSync:
         self.ibuf_pointer = snapshot_frame + 1
         self.ibuf.prune_below(snapshot_frame + 1)
         self._reset_encode_cache()
+        self.forget_master_samples()
         for site in range(self.num_sites):
             if site != self.site_no:
                 self.last_rcv_frame[site] = max(
@@ -592,6 +618,7 @@ class LockstepSync:
         self.ibuf_pointer = snapshot_frame + 1
         self.ibuf.prune_below(snapshot_frame + 1)
         self._reset_encode_cache()
+        self.forget_master_samples()
         self.last_rcv_frame[self.site_no] = max(
             self.last_rcv_frame[self.site_no], snapshot_frame
         )

@@ -6,12 +6,14 @@
   to wait.  One extension: the wait itself may overshoot (a real driver
   wakes late), and :meth:`FramePacer.begin_frame` carries that the same way.
 * :meth:`FramePacer.begin_frame` is Algorithm 4 (``BeginFrameTiming``): the
-  slave site estimates the master's current frame from the newest received
-  master input (``MasterFrame = LastRcvFrame[0] − BufFrame``), its arrival
-  time and ``RTT/2``, and folds the frame offset into ``AdjustTimeDelta``.
+  slave site estimates the master's current frame from a received master
+  input (``MasterFrame = LastRcvFrame[0] − BufFrame``), its arrival time
+  and ``RTT/2``, and folds the frame offset into ``AdjustTimeDelta``.
   On the master, ``SyncAdjustTimeDelta`` is always zero — the slave alone
   absorbs start-up skew, so the earlier-starting site is never penalized
-  (§3.2's key design point).
+  (§3.2's key design point).  One deviation, in *which* input and RTT the
+  caller hands in: the least-delayed of the last eight, not the newest —
+  all the noise in a sample is delay (``LockstepSync.master_sample``).
 
 The pacer is pure state + arithmetic: drivers supply ``now`` and perform the
 actual waiting, so the identical code runs in simulated and wall-clock time.
@@ -69,7 +71,8 @@ class FramePacer:
         """``BeginFrameTiming()``: record the frame start; slaves rate-sync.
 
         ``master_sample`` is ``(LastRcvFrame[0], MasterRcvTime)`` from the
-        lockstep state, or None before any master input has arrived;
+        lockstep state, or None before any master input has arrived, and
+        ``rtt`` the round trip it travelled (:attr:`RttEstimator.min_rtt`);
         ``late`` is how long after its deadline the frame timer that began
         this frame fired (0 for a frame begun any other way).
         Returns the ``SyncAdjustTimeDelta`` applied (0 on the master), which

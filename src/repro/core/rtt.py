@@ -15,13 +15,22 @@ timestamps on the local timebase.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.config import SyncConfig
 from repro.core.messages import Ping, Pong
 
 #: EWMA weight for new RTT samples (and clock-offset samples).
 RTT_ALPHA = 0.125
+
+#: Depth of the clock filter Algorithm 4 reads through (NTP's eight stages):
+#: the least-delayed of this many master samples (``LockstepSync``) and of
+#: this many pings (``min_rtt``).  Eight samples are 160 ms, 1.6 periods of
+#: the send timer's phase against the frame.  At 16 the slave's deviation
+#: falls again (0.20 -> 0.06 ms) but it runs twice as far ahead of a master
+#: that is slowing down (30 -> 63 ms of the 100 ms local lag at 19 ms frames).
+CLOCK_FILTER_DEPTH = 8
 
 
 def to_micros(seconds: float) -> int:
@@ -40,9 +49,14 @@ class RttEstimator:
         self._site_no = site_no
         self._session_id = session_id
         self._srtt: Optional[float] = None
+        #: The least of the newest raw samples — the round trip Algorithm 4's
+        #: least-delayed master sample travelled; :attr:`rtt` would put the
+        #: slave ahead by mean-minus-min one-way delay.
+        self.min_rtt = config.initial_rtt
+        self._recent: Deque[float] = deque(maxlen=CLOCK_FILTER_DEPTH)
         #: Smoothed RTT per responding peer.  The aggregate ``_srtt`` feeds
-        #: pacing and adaptive lag; the per-peer series feeds the
-        #: consistency policy, which must notice *which* link went bad.
+        #: adaptive lag; the per-peer series feeds the consistency policy,
+        #: which must notice *which* link went bad.
         self._peer_srtt: Dict[int, float] = {}
         self._next_seq = 0
         self.samples = 0
@@ -102,6 +116,8 @@ class RttEstimator:
         self._peer_srtt[peer] = (
             sample if previous is None else (1 - alpha) * previous + alpha * sample
         )
+        self._recent.append(sample)
+        self.min_rtt = min(self._recent)
         self.samples += 1
         return sample
 

@@ -7,10 +7,14 @@ it was.  Each digest below is a sha256 over what both sites recorded —
 the counter snapshot — so a change that moves any of them fails here, in
 tier-1, instead of in a hand-made comparison per PR.
 
-The hex digests were captured at commit 1b1add5 (the parent of the PR that
-added this file).  A change that is *meant* to alter behaviour re-captures
-them with ``python tests/integration/test_session_fingerprint.py`` and says
-so in CHANGES.md.  CI runs this file under ``PYTHONHASHSEED=0`` and
+The hex digests were first captured at commit 1b1add5 (the parent of the PR
+that added this file) and re-captured by PR 18, which is meant to move the
+slave's virtual timestamps: Algorithm 4 reads the least-delayed of its last
+eight master samples instead of the newest (every frame's inputs and
+checksum are where they were).  A change that is *meant* to
+alter behaviour re-captures them with
+``python tests/integration/test_session_fingerprint.py`` and says so in
+CHANGES.md.  CI runs this file under ``PYTHONHASHSEED=0`` and
 ``PYTHONHASHSEED=random`` on both matrix Pythons.
 """
 
@@ -93,13 +97,13 @@ def fingerprint(session) -> str:
 
 PINNED = {
     lossy_lockstep_counter: (
-        "b118661fe0c5eb1b1f42040c7bffe4b7e79cf2fe45d8f8d80185f6947861cd58"
+        "d18417515797419d405d6a999174bd9c34cb04ed7c7b1c12d1230f6e8d0a254c"
     ),
     rollback_pong: (
-        "aa59ebc6a15adcb31dfc1f40c92ce938d8f11b86154c0ee860b53b24c63a5295"
+        "f09270a0f334078f884a2cb2af1e7e00f300d7b75dcea04647809c6d8a7ee8fa"
     ),
     adaptive_pong_with_poke: (
-        "bca9329bf6661d67267406d02251d3152fda3f2d79a975733a3375d7601d6dea"
+        "0d2028d66413af51a7a482a4f84dd1e127db506f10c19b82c2a4c76af2c76297"
     ),
 }
 

@@ -35,6 +35,9 @@ class TestAio:
         out = capsys.readouterr().out
         assert "matches simulator" in out
         assert out.count("mean frame time") == 2 and "OFF PACE" not in out
+        # Reported beside the pace, never judged (wall-clock jitter is noise).
+        assert out.count("), deviation ") == 2
+        assert out.count("slave - master frame begin: mean ") == 1
 
     def test_fails_when_the_master_is_off_pace(self, capsys, monkeypatch):
         from repro.metrics.recorder import FrameTrace

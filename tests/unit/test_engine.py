@@ -41,6 +41,7 @@ from repro.core.messages import (
     decode_all,
     uvarint_len,
 )
+from repro.core.rtt import RttEstimator
 from repro.core.session import config_digest, game_digest
 from repro.core.wire_v1 import encode_v1
 from repro.emulator.machine import create_game
@@ -508,6 +509,29 @@ class TestTimerOrder:
         engine.poll(2.0)
         assert fired == ["flush", "ping", "retry", "send", "gate"]
         assert engine.next_deadline() == 3.0
+
+
+class TestAlgorithm4Inputs:
+    def test_begin_frame_hands_the_pacer_min_rtt_and_the_chosen_sample(self):
+        engines = build_engines(frames=200)
+        mesh = EngineMesh(engines, latency=0.020)
+        mesh.start()
+        mesh.run_until(1.0)
+        slave = engines[1].runtime
+        # One ping that queued: the smoothed estimate follows it, the
+        # minimum (what pairs with the least-delayed master sample) does not.
+        ping = slave.rtt.make_ping(mesh.now - 0.140)
+        slave.rtt.on_pong(RttEstimator.make_pong(ping, 0), mesh.now)
+        assert slave.rtt.rtt > slave.rtt.min_rtt == pytest.approx(0.040)
+        window = slave.lockstep._master_window
+        assert len(window) > 1
+        seen = []
+        slave.pacer.begin_frame = lambda *args: seen.append(args) or 0.0
+        slave.begin_frame(mesh.now)
+        (now, frame, sample, rtt, late), = seen
+        assert (now, frame, late) == (mesh.now, slave.frame, 0.0)
+        assert rtt == slave.rtt.min_rtt
+        assert sample == slave.lockstep.master_sample == min(window)[1]
 
 
 class LateMesh(EngineMesh):

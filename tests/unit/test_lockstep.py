@@ -6,6 +6,7 @@ from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import LockstepSync
 from repro.core.messages import Sync
+from repro.core.rtt import CLOCK_FILTER_DEPTH
 
 
 def make_pair(buf_frame=6, num_sites=2, observers=0):
@@ -216,6 +217,82 @@ class TestDelivery:
         b.buffer_local_input(0, 1)
         pump(b, a, now=0.5)
         assert a.master_sample is None
+
+
+class TestMasterSampleWindow:
+    """Algorithm 4 reads the least-delayed of the newest master samples."""
+
+    @staticmethod
+    def feed(a, b, delays, start=0):
+        """One master frame per flush, arriving ``delays[i]`` after it began."""
+        tpf = a.config.time_per_frame
+        for index, delay in enumerate(delays, start):
+            a.buffer_local_input(index, 1)
+            pump(a, b, now=index * tpf + delay)
+
+    def test_least_delayed_sample_is_chosen_not_the_newest(self):
+        a, b = make_pair()
+        self.feed(a, b, [0.030, 0.012, 0.025, 0.019])
+        tpf = a.config.time_per_frame
+        assert b.master_sample == (1 + 6, 1 * tpf + 0.012)
+
+    def test_ninth_sample_evicts_the_first(self):
+        a, b = make_pair()
+        assert CLOCK_FILTER_DEPTH == 8
+        self.feed(a, b, [0.001] + [0.020] * 7)
+        assert b.master_sample == (6, 0.001)  # still the first, at depth 8
+        self.feed(a, b, [0.020], start=8)
+        tpf = a.config.time_per_frame
+        # The early sample aged out; of eight equal delays the newest origin
+        # differs only by float rounding, so just check it is one of them.
+        frame, arrived = b.master_sample
+        assert 1 + 6 <= frame <= 8 + 6
+        assert arrived == pytest.approx((frame - 6) * tpf + 0.020)
+        assert len(b._master_window) == CLOCK_FILTER_DEPTH
+
+    def test_duplicate_or_non_advancing_sync_adds_nothing(self):
+        a, b = make_pair()
+        self.feed(a, b, [0.010])
+        pump(a, b, now=0.001)  # the same window again, "arriving" earlier
+        pump(a, b, now=0.002)
+        assert b.master_sample == (6, 0.010)
+        assert len(b._master_window) == 1
+
+    def test_window_is_empty_after_a_rebase(self):
+        for rebase in (
+            lambda site: site.seed_from_snapshot(40),
+            lambda site: site.resume_from_snapshot(40),
+            lambda site: site.forget_master_samples(),
+        ):
+            a, b = make_pair()
+            self.feed(a, b, [0.010, 0.020, 0.015])
+            rebase(b)
+            assert b.master_sample is None and not b._master_window
+        # The first sample after it is the sample again.
+        self.feed(a, b, [0.018], start=3)
+        assert b.master_sample == (3 + 6, 3 * a.config.time_per_frame + 0.018)
+
+    def test_sample_is_stamped_with_the_lag_in_force(self):
+        """A master input at lag 4 is master frame ``LastRcvFrame[0] - 4``;
+        it is stored as Algorithm 4 line 6 (which subtracts the configured
+        6) expects it, so samples from before and after a lag change agree
+        on the master's frame-0 origin."""
+        a, b = make_pair()
+        self.feed(a, b, [0.010])
+        a.set_local_lag(4)
+        b.set_local_lag(4)
+        # Lag shrank: frames 1-2 are dropped, frame 3 lands on slot 7.
+        for frame in (1, 2):
+            a.buffer_local_input(frame, 1)
+        self.feed(a, b, [0.010], start=3)
+        tpf = a.config.time_per_frame
+        assert a.last_rcv_frame[0] == 7
+        assert [sample for _, sample in b._master_window] == [
+            (6, 0.010),
+            (3 + 6, 3 * tpf + 0.010),
+        ]
+        origins = [origin for origin, _ in b._master_window]
+        assert origins[0] == pytest.approx(origins[1])
 
 
 class TestPruning:

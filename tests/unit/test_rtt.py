@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.rtt import RTT_ALPHA, RttEstimator, from_micros, to_micros
+from repro.core.rtt import (
+    CLOCK_FILTER_DEPTH,
+    RTT_ALPHA,
+    RttEstimator,
+    from_micros,
+    to_micros,
+)
 
 
 class TestMicros:
@@ -57,3 +63,42 @@ class TestEstimator:
         assert pong.seq == ping.seq
         assert pong.session_id == 4
         assert pong.sender_site == 1
+
+
+class TestMinRtt:
+    """The delay Algorithm 4 pairs with its least-delayed master sample."""
+
+    @staticmethod
+    def feed(estimator, samples):
+        for index, sample in enumerate(samples):
+            ping = estimator.make_ping(float(index))
+            estimator.on_pong(RttEstimator.make_pong(ping, 1), index + sample)
+
+    def test_initial_rtt_before_any_sample(self):
+        estimator = RttEstimator(SyncConfig(initial_rtt=0.25), 1)
+        assert estimator.min_rtt == 0.25
+
+    def test_equals_rtt_on_constant_samples(self):
+        estimator = RttEstimator(SyncConfig(), 1)
+        self.feed(estimator, [0.040] * 12)
+        assert estimator.min_rtt == pytest.approx(0.040)
+        assert estimator.min_rtt == pytest.approx(estimator.rtt)
+
+    def test_ignores_a_spike_the_mean_follows(self):
+        estimator = RttEstimator(SyncConfig(), 1)
+        self.feed(estimator, [0.040, 0.040, 0.140, 0.040])
+        assert estimator.min_rtt == pytest.approx(0.040)
+        assert estimator.rtt > 0.045
+
+    def test_forgets_an_old_minimum_after_the_window(self):
+        estimator = RttEstimator(SyncConfig(), 1)
+        self.feed(estimator, [0.020] + [0.060] * (CLOCK_FILTER_DEPTH - 1))
+        assert estimator.min_rtt == pytest.approx(0.020)
+        self.feed(estimator, [0.060])
+        assert estimator.min_rtt == pytest.approx(0.060)
+
+    def test_negative_sample_is_not_windowed(self):
+        estimator = RttEstimator(SyncConfig(initial_rtt=0.25), 1)
+        ping = estimator.make_ping(5.0)
+        estimator.on_pong(RttEstimator.make_pong(ping, 0), 4.0)
+        assert estimator.min_rtt == 0.25
