@@ -249,6 +249,10 @@ def summarize(results: dict) -> str:
         f"pumps_per_wakeup={wake['pumps_per_wakeup']:.2f}  "
         f"idle_pump_share={wake['idle_pump_share']:.2f}"
     )
+    lines.append(
+        "   by first timer fired: "
+        + "  ".join(f"{k}={v}" for k, v in wake["wakeups_by_kind"].items())
+    )
     lines.append("-- timeline attribution overhead (added us vs frame cost) --")
     for name, row in sorted(results["timeline_overhead"].items()):
         lines.append(

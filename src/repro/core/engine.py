@@ -850,8 +850,7 @@ Effect = Union[
 # ----------------------------------------------------------------------
 # Timer kinds and phases
 # ----------------------------------------------------------------------
-TIMER_SEND = "send"  # the 20 ms outbound batching period
-TIMER_FLUSH = "flush"  # §4.2 thread-slice delay before the flush
+TIMER_FLUSH = "flush"  # the 20 ms outbound batch, §4.2 slice delay included
 TIMER_PING = "ping"  # RTT probe period
 TIMER_RETRY = "retry"  # session-control retransmission
 TIMER_GATE = "gate"  # SyncInput poll while blocked
@@ -1299,15 +1298,6 @@ class SiteEngine:
         elif kind == TIMER_FRAME:
             if self.phase == PHASE_FRAME_WAIT:
                 self._frame_cycle(now, effects, late)
-        elif kind == TIMER_SEND:
-            if self.runtime.config.slice_delay > 0:
-                delay = self._rng.uniform(
-                    0.0, 2.0 * self.runtime.config.slice_delay
-                )
-                self._set(TIMER_FLUSH, now + delay)
-            else:
-                self._flush(now, effects)
-                self._arm_send(now)
         elif kind == TIMER_FLUSH:
             self._flush(now, effects)
             self._arm_send(now)
@@ -1395,11 +1385,16 @@ class SiteEngine:
 
     def _arm_send(self, now: float) -> None:
         """The paper's batching sender: flush every ``send_interval``, with
-        the sender thread's sleep landing late on a coarse OS timer."""
-        period = self.runtime.config.send_interval
+        the sender thread's sleep landing late on a coarse OS timer and the
+        flush a thread slice after it wakes (§4.2) — one timer, both draws."""
+        config = self.runtime.config
+        period = config.send_interval
         if self.timer_granularity > 0:
             period += self._rng.uniform(0.0, self.timer_granularity)
-        self._set(TIMER_SEND, now + period)
+        due = now + period
+        if config.slice_delay > 0:
+            due += self._rng.uniform(0.0, 2.0 * config.slice_delay)
+        self._set(TIMER_FLUSH, due)
 
     def _flush(self, now: float, effects: List[Effect]) -> None:
         # Session-control retransmissions (e.g. START to a peer whose copy
@@ -1512,12 +1507,11 @@ class SiteEngine:
         if merged is None:
             if not self._stalled:
                 self._stalled = True
-                effects.append(
-                    Stall(
-                        self.runtime.frame,
-                        tuple(self.runtime.lockstep.waiting_on()),
-                    )
-                )
+                lockstep = self.runtime.lockstep
+                waiting = tuple(lockstep.waiting_on())
+                effects.append(Stall(self.runtime.frame, waiting))
+                if 0 in waiting and self.runtime.site_no:
+                    lockstep.master_is_late()
             config = self.runtime.config
             stalled_for = now - self._stall_started
             if (
@@ -1619,7 +1613,7 @@ class SiteEngine:
         self._suspend_waiting = tuple(runtime.lockstep.waiting_on())
         self._suspended_at = now
         self.phase = PHASE_SUSPENDED
-        for kind in (TIMER_GATE, TIMER_SEND, TIMER_FLUSH, TIMER_PING):
+        for kind in (TIMER_GATE, TIMER_FLUSH, TIMER_PING):
             self._clear(kind)
         self._backoff = runtime.config.suspend_backoff_initial_s
         self._liveness_mark = runtime.liveness.mark

@@ -30,6 +30,13 @@ from repro.core.inputs import InputAssignment
 from repro.core.messages import Sync, cell_width, compact_bits
 from repro.core.rtt import CLOCK_FILTER_DEPTH
 
+#: How many master samples Algorithm 4 remembers: 64 sends are 1.28 s,
+#: longer than a bursty link's delay bursts, and a 100 ppm host-clock skew
+#: builds at most 0.13 ms of error over them.  The master's frame grid only
+#: moves when the master itself falls behind, and the evidence for that is
+#: this site's gate waiting on it (:meth:`LockstepSync.master_is_late`).
+MASTER_MEMORY = 64
+
 
 class LockstepStats:
     """Counters exposed for experiments and debugging."""
@@ -96,7 +103,10 @@ class LockstepSync:
         #: the master's frame 0 earliest is the truest.
         self.master_sample: Optional[Tuple[int, float]] = None
         #: The window it is chosen from: (frame-0 origin, sample) pairs.
-        self._master_window: Deque[tuple] = deque(maxlen=CLOCK_FILTER_DEPTH)
+        self._master_window: Deque[tuple] = deque(maxlen=MASTER_MEMORY)
+        #: Samples left before a window shortened by a gate block widens
+        #: back to ``MASTER_MEMORY`` (0: it is wide).
+        self._short_memory_left = 0
         #: Current local lag in frames (changes only under adaptive lag).
         self._current_buf = config.buf_frame
         #: Pad state used to fill slots when the lag grows.
@@ -395,8 +405,25 @@ class LockstepSync:
         change leaves no frame multiples in the window."""
         last_rcv += self.config.buf_frame - self._current_buf
         origin = arrived_at - last_rcv * self.config.time_per_frame
-        self._master_window.append((origin, (last_rcv, arrived_at)))
-        self.master_sample = min(self._master_window)[1]
+        window = self._master_window
+        window.append((origin, (last_rcv, arrived_at)))
+        if self._short_memory_left:
+            self._short_memory_left -= 1
+            if not self._short_memory_left:
+                self._master_window = window = deque(window, maxlen=MASTER_MEMORY)
+        self.master_sample = min(window)[1]
+
+    def master_is_late(self) -> None:
+        """This site's gate blocked on the master's input: the master is
+        later than the long memory says (it really slowed down).  Keep the
+        newest ``CLOCK_FILTER_DEPTH`` samples until ``MASTER_MEMORY``
+        arrive with no further block, then remember long again."""
+        self._short_memory_left = MASTER_MEMORY
+        self._master_window = window = deque(
+            self._master_window, maxlen=CLOCK_FILTER_DEPTH
+        )
+        if window:
+            self.master_sample = min(window)[1]
 
     def forget_master_samples(self) -> None:
         """The master's schedule moved (an outage, a restored state): origins

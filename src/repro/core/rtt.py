@@ -25,11 +25,11 @@ from repro.core.messages import Ping, Pong
 RTT_ALPHA = 0.125
 
 #: Depth of the clock filter Algorithm 4 reads through (NTP's eight stages):
-#: the least-delayed of this many master samples (``LockstepSync``) and of
-#: this many pings (``min_rtt``).  Eight samples are 160 ms, 1.6 periods of
-#: the send timer's phase against the frame.  At 16 the slave's deviation
-#: falls again (0.20 -> 0.06 ms) but it runs twice as far ahead of a master
-#: that is slowing down (30 -> 63 ms of the 100 ms local lag at 19 ms frames).
+#: the least of this many pings (``min_rtt``), and the short memory of master
+#: samples ``LockstepSync`` falls back to while its gate waits on the master
+#: (it otherwise remembers ``lockstep.MASTER_MEMORY``).  Eight samples are
+#: 160 ms, 1.6 periods of the send timer's phase against the frame, and
+#: follow a master that slowed down within 160 ms.
 CLOCK_FILTER_DEPTH = 8
 
 

@@ -26,6 +26,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -99,15 +100,15 @@ SESSION_FLATNESS_CEILING = 1.25
 
 #: Driver wake-ups of both sites over the 3,600-frame seed-66 lossy
 #: counter session (:func:`measure_wakeup_stats`) — an exact count, the
-#: same on every run and host: 8.12 per session frame (two frame timers,
-#: two compute timers, ~1.33 each of send and flush, ~1.39 datagram-only,
-#: plus 242 pings, two linger polls and the handshake retries).  The gate
+#: same on every run and host: 6.79 per session frame.  By the first timer
+#: a wake-up fired (``wakeups_by_kind``): compute 7,200, frame 7,197, flush
+#: 4,800, none (datagram only) 4,994, ping 242, linger 2, retry 2.  The gate
 #: holds pumps per wake-up at exactly 1 and the wake-up count at no more
 #: than this.  The count includes no waited-out linger: a slave that
 #: trails the master by half a frame has its last input unacknowledged when
-#: the master leaves and adds 500 wake-ups (5 s of sends, flushes, linger
+#: the master leaves and adds hundreds of wake-ups (5 s of flushes, linger
 #: polls and pings) to this session.
-WAKEUPS_BASELINE = 29_236
+WAKEUPS_BASELINE = 24_437
 
 
 def time_call(fn: Callable[[], object], repeats: int = 3, inner: int = 1) -> float:
@@ -422,13 +423,26 @@ def measure_wakeup_stats() -> Dict[str, float]:
     frames = 3_600
     session = _lossy_counter_session(frames, seed=66)
     counts = {"wakeups": 0, "pumps": 0, "idle_pumps": 0}
+    by_kind: Dict[str, int] = {}
+    fired: List[str] = []
 
     def count_wakeups(main):
         def counted():
             counts["wakeups"] += 1
-            return main()
+            fired.clear()
+            result = main()
+            kind = fired[0] if fired else "datagram"
+            by_kind[kind] = by_kind.get(kind, 0) + 1
+            return result
 
         return counted
+
+    def note_timer(on_timer):
+        def noted(kind, *args):
+            fired.append(kind)
+            return on_timer(kind, *args)
+
+        return noted
 
     def count_pumps(pump):
         def counted(now, effects):
@@ -443,13 +457,58 @@ def measure_wakeup_stats() -> Dict[str, float]:
     for vm in session.vms:
         vm._main = count_wakeups(vm._main)
         vm.engine._pump = count_pumps(vm.engine._pump)
+        vm.engine._on_timer = note_timer(vm.engine._on_timer)
     session.run(horizon=frames / session.plan.config.cfps + 60.0)
     return {
         "wakeups": counts["wakeups"],
         "wakeups_per_frame": counts["wakeups"] / frames,
         "pumps_per_wakeup": counts["pumps"] / counts["wakeups"],
         "idle_pump_share": counts["idle_pumps"] / counts["pumps"],
+        "wakeups_by_kind": dict(sorted(by_kind.items(), key=lambda kv: -kv[1])),
     }
+
+
+def measure_driver_costs(frames: int = 1_200, seed: int = 192) -> Dict[str, float]:
+    """The same pong session in one process, on the simulator and on
+    ``AioSite`` over loopback UDP: the median wall-clock µs of one
+    ``Machine.step`` and the mean process-time µs of one ``SiteEngine.poll``
+    under each driver.  Identical work, so a ratio above 1 is what running
+    right after a selector sleep costs on the host."""
+    from repro.core.aio import AioSessionSpec, run_sessions, simulator_checksums
+    from repro.core.engine import SiteEngine
+
+    spec = AioSessionSpec(game="pong", frames=frames, seed=seed, linger=0.5)
+    machine_class = type(create_game("pong"))
+    step, poll = machine_class.step, SiteEngine.poll
+    steps: List[float] = []
+    polls: List[float] = []
+
+    def timed_step(self, word):
+        started = time.perf_counter()
+        step(self, word)
+        steps.append(time.perf_counter() - started)
+
+    def timed_poll(self, *args):
+        started = time.process_time()
+        effects = poll(self, *args)
+        polls.append(time.process_time() - started)
+        return effects
+
+    costs: Dict[str, float] = {}
+    machine_class.step, SiteEngine.poll = timed_step, timed_poll
+    try:
+        for driver, run in (
+            ("sim", lambda: simulator_checksums(spec)),
+            ("aio", lambda: run_sessions([spec])),
+        ):
+            steps.clear()
+            polls.clear()
+            run()
+            costs[f"{driver}_step_us"] = statistics.median(steps) * 1e6
+            costs[f"{driver}_poll_cpu_us"] = statistics.fmean(polls) * 1e6
+    finally:
+        machine_class.step, SiteEngine.poll = step, poll
+    return costs
 
 
 def check_wakeup_stats(stats: Dict[str, float]) -> List[str]:

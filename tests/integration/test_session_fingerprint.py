@@ -8,10 +8,13 @@ the counter snapshot — so a change that moves any of them fails here, in
 tier-1, instead of in a hand-made comparison per PR.
 
 The hex digests were first captured at commit 1b1add5 (the parent of the PR
-that added this file) and re-captured by PR 18, which is meant to move the
-slave's virtual timestamps: Algorithm 4 reads the least-delayed of its last
-eight master samples instead of the newest (every frame's inputs and
-checksum are where they were).  A change that is *meant* to
+that added this file) and re-captured twice by changes meant to move the
+slave's virtual timestamps (every frame's inputs and checksum are where
+they were): Algorithm 4 reading the least-delayed of its last eight master
+samples instead of the newest, then remembering 64 samples unless its gate
+waits on the master — together with the send timer folded into the flush
+timer, which takes the ``send`` records out of the event traces.  A change
+that is *meant* to
 alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py`` and says so in
 CHANGES.md.  CI runs this file under ``PYTHONHASHSEED=0`` and
@@ -97,13 +100,13 @@ def fingerprint(session) -> str:
 
 PINNED = {
     lossy_lockstep_counter: (
-        "d18417515797419d405d6a999174bd9c34cb04ed7c7b1c12d1230f6e8d0a254c"
+        "ade5815f3ac648055d92c42c4039ff48f73d48e9fa8d5456b5b52bdd6381f92b"
     ),
     rollback_pong: (
-        "f09270a0f334078f884a2cb2af1e7e00f300d7b75dcea04647809c6d8a7ee8fa"
+        "37436624e3bbfa5d33315fc1d6d5346a8ed7a599665321ee1b76099bb98dd2bc"
     ),
     adaptive_pong_with_poke: (
-        "0d2028d66413af51a7a482a4f84dd1e127db506f10c19b82c2a4c76af2c76297"
+        "9c596473bd0216f021b63cdd0cf7bc425351a13e52dc2dea8a9fa8f8d22a5533"
     ),
 }
 

@@ -25,6 +25,7 @@ from repro.metrics.bench import (
     check_wakeup_stats,
     load_bench_history,
     measure_block_stats,
+    measure_driver_costs,
     measure_game_fps,
     measure_snapshot_costs,
     measure_wakeup_stats,
@@ -87,15 +88,28 @@ def test_wakeup_stats_are_exact_and_gated():
     stats = measure_wakeup_stats()
     # Counts, not times: the same on every run, so no tolerance.
     assert stats["wakeups"] == WAKEUPS_BASELINE
-    assert stats["wakeups_per_frame"] == pytest.approx(8.12, abs=0.005)
+    assert stats["wakeups_per_frame"] == pytest.approx(6.79, abs=0.005)
     assert stats["pumps_per_wakeup"] == 1.0
     assert 0.0 < stats["idle_pump_share"] < 1.0
+    # Each wake-up is named by the first timer it fired (or none): they sum
+    # to the total, and the send timer folded into the flush is gone.
+    by_kind = stats["wakeups_by_kind"]
+    assert sum(by_kind.values()) == WAKEUPS_BASELINE
+    assert by_kind["flush"] == 4_800 and "send" not in by_kind
     assert check_wakeup_stats(stats) == []
     # What the driver read before it pumped once per wake-up.
     two_pumps = dict(stats, pumps_per_wakeup=34_729 / 29_736)
     assert len(check_wakeup_stats(two_pumps)) == 1
     chatty = dict(stats, wakeups=WAKEUPS_BASELINE + 1)
     assert len(check_wakeup_stats(chatty)) == 1
+
+
+def test_measure_driver_costs_smoke():
+    costs = measure_driver_costs(frames=30)
+    assert set(costs) == {
+        "sim_step_us", "sim_poll_cpu_us", "aio_step_us", "aio_poll_cpu_us",
+    }
+    assert all(value > 0 for value in costs.values())
 
 
 def test_measure_snapshot_costs_console_reports_delta():
@@ -154,6 +168,7 @@ def test_run_bench_quick_cli(tmp_path):
     assert results["block_stats"]["pong"]["entries_per_frame"] <= 30
     assert results["rollback_session"]["snapshot_syncs"] >= 0
     assert "pumps_per_wakeup=1.00" in proc.stdout
+    assert f"flush={results['wakeup_stats']['wakeups_by_kind']['flush']}" in proc.stdout
     assert results["wakeup_stats"]["pumps_per_wakeup"] == 1.0
     assert results["wakeup_stats"]["wakeups_per_frame"] == WAKEUPS_BASELINE / 3_600
     # Never gated, so no longer measured; the recorded files that carry

@@ -511,6 +511,36 @@ class TestTimerOrder:
         assert engine.next_deadline() == 3.0
 
 
+class TestSendTimer:
+    def test_one_flush_timer_carries_the_period_and_the_slice_delay(self):
+        """The paper's batching sender is one timer: no separate send tick
+        wakes the site up, and each flush follows the previous one by
+        ``send_interval`` plus a U[0, 2·slice_delay) thread slice."""
+        config = SyncConfig()
+        engines = build_engines(frames=120, configs=[config, config])
+        flushes = []
+        master = engines[0]
+
+        def on_timer(kind, now, *args, inner=master._on_timer):
+            if kind == "flush":
+                flushes.append(now)
+            inner(kind, now, *args)
+
+        master._on_timer = on_timer
+        mesh = EngineMesh(engines)
+        mesh.start()
+        mesh.run_until(1.5)
+        gaps = [b - a for a, b in zip(flushes, flushes[1:])]
+        assert len(gaps) > 50
+        low, width = config.send_interval, 2.0 * config.slice_delay
+        assert all(low - 1e-9 <= gap < low + width for gap in gaps)
+        assert max(gaps) - min(gaps) > width / 2  # the slice is drawn
+        timers = {
+            r.detail["timer"] for r in master.runtime.events if r.kind == "timer"
+        }
+        assert "flush" in timers and "send" not in timers
+
+
 class TestAlgorithm4Inputs:
     def test_begin_frame_hands_the_pacer_min_rtt_and_the_chosen_sample(self):
         engines = build_engines(frames=200)
@@ -532,6 +562,51 @@ class TestAlgorithm4Inputs:
         assert (now, frame, late) == (mesh.now, slave.frame, 0.0)
         assert rtt == slave.rtt.min_rtt
         assert sample == slave.lockstep.master_sample == min(window)[1]
+
+    def test_a_gate_blocked_on_the_master_shortens_a_slaves_memory(self):
+        """``master_is_late`` fires on a non-master site, only when site 0 is
+        among what its gate waits on, and once per blocked frame however
+        often the gate re-polls."""
+        assignment = InputAssignment.with_observers(2, 1)
+        engines = build_engines(
+            num_sites=3, frames=120, assignment=assignment, linger=0.3
+        )
+        calls = {}
+        for engine in engines:
+            lockstep = engine.runtime.lockstep
+            log = calls[engine.runtime.address_of[engine.runtime.site_no]] = []
+
+            def master_is_late(lockstep=lockstep, log=log, inner=lockstep.master_is_late):
+                log.append(lockstep.ibuf_pointer)
+                inner()
+
+            lockstep.master_is_late = master_is_late
+
+        def loss(src, dst, payload, now):
+            # The slave stops hearing the master; the observer stops hearing
+            # the slave.  The master then waits on the stalled slave.
+            return (
+                (src, dst) in (("site0", "site1"), ("site1", "site2"))
+                and 1.0 <= now < 1.5
+                and contains(payload, Sync)
+            )
+
+        mesh = EngineMesh(engines, loss=loss)
+        mesh.start()
+        mesh.run()
+        stalls = {address: mesh.stalls(address) for address in mesh.effects}
+        for address in ("site1", "site2"):
+            on_master = [s.frame for s in stalls[address] if 0 in s.waiting_on]
+            assert calls[address] == on_master
+            assert len(set(on_master)) == len(on_master)
+        assert calls["site1"]
+        # The outage blocked the slave for 0.5 s of 4 ms gate polls: one
+        # call per blocked frame, not per poll.
+        assert len(calls["site1"]) < 0.1 / SiteEngine.SYNC_POLL
+        # The observer also blocked on the slave alone, which is no call.
+        assert any(s.waiting_on == (1,) for s in stalls["site2"])
+        # The master blocked on the slave and never shortens anything.
+        assert stalls["site0"] and calls["site0"] == []
 
 
 class LateMesh(EngineMesh):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
-from repro.core.lockstep import LockstepSync
+from repro.core.lockstep import MASTER_MEMORY, LockstepSync
 from repro.core.messages import Sync
 from repro.core.rtt import CLOCK_FILTER_DEPTH
 
@@ -220,15 +220,18 @@ class TestDelivery:
 
 
 class TestMasterSampleWindow:
-    """Algorithm 4 reads the least-delayed of the newest master samples."""
+    """Algorithm 4 reads the least-delayed of the last 64 master samples —
+    of the newest eight while the gate has lately blocked on the master."""
 
     @staticmethod
     def feed(a, b, delays, start=0):
-        """One master frame per flush, arriving ``delays[i]`` after it began."""
+        """One master frame per flush, arriving ``delays[i]`` after it began
+        (and acknowledged, so the master's send window keeps moving)."""
         tpf = a.config.time_per_frame
         for index, delay in enumerate(delays, start):
             a.buffer_local_input(index, 1)
             pump(a, b, now=index * tpf + delay)
+            pump(b, a)
 
     def test_least_delayed_sample_is_chosen_not_the_newest(self):
         a, b = make_pair()
@@ -236,19 +239,70 @@ class TestMasterSampleWindow:
         tpf = a.config.time_per_frame
         assert b.master_sample == (1 + 6, 1 * tpf + 0.012)
 
-    def test_ninth_sample_evicts_the_first(self):
+    def assert_chosen_among_equal_delays(self, b, first, last, delay):
+        """Of equal delays the origins differ only by float rounding, so
+        just check the chosen sample is one of frames ``first..last``."""
+        frame, arrived = b.master_sample
+        assert first + 6 <= frame <= last + 6
+        assert arrived == pytest.approx(
+            (frame - 6) * b.config.time_per_frame + delay
+        )
+
+    def test_sixty_fifth_sample_evicts_the_first(self):
+        a, b = make_pair()
+        assert MASTER_MEMORY == 64
+        self.feed(a, b, [0.001] + [0.020] * 63)
+        assert b.master_sample == (6, 0.001)  # still the first, at depth 64
+        self.feed(a, b, [0.020], start=64)
+        self.assert_chosen_among_equal_delays(b, 1, 64, 0.020)
+        assert len(b._master_window) == MASTER_MEMORY
+
+    def test_a_block_on_the_master_keeps_the_newest_eight_and_repicks(self):
         a, b = make_pair()
         assert CLOCK_FILTER_DEPTH == 8
-        self.feed(a, b, [0.001] + [0.020] * 7)
-        assert b.master_sample == (6, 0.001)  # still the first, at depth 8
-        self.feed(a, b, [0.020], start=8)
-        tpf = a.config.time_per_frame
-        # The early sample aged out; of eight equal delays the newest origin
-        # differs only by float rounding, so just check it is one of them.
-        frame, arrived = b.master_sample
-        assert 1 + 6 <= frame <= 8 + 6
-        assert arrived == pytest.approx((frame - 6) * tpf + 0.020)
+        self.feed(a, b, [0.001] + [0.020] * 20)
+        assert b.master_sample == (6, 0.001)
+        b.master_is_late()
         assert len(b._master_window) == CLOCK_FILTER_DEPTH
+        self.assert_chosen_among_equal_delays(b, 13, 20, 0.020)
+        # Short now: a ninth sample evicts the oldest of the eight.
+        self.feed(a, b, [0.030], start=21)
+        assert len(b._master_window) == CLOCK_FILTER_DEPTH
+
+    def test_sixty_four_clean_samples_widen_the_window_again(self):
+        a, b = make_pair()
+        self.feed(a, b, [0.020] * 10)
+        b.master_is_late()
+        self.feed(a, b, [0.020] * (MASTER_MEMORY - 1), start=10)
+        assert len(b._master_window) == CLOCK_FILTER_DEPTH
+        self.feed(a, b, [0.020] * 2, start=10 + MASTER_MEMORY - 1)
+        # The 64th clean sample ended the short memory; the 65th is kept.
+        assert len(b._master_window) == CLOCK_FILTER_DEPTH + 1
+        self.feed(a, b, [0.020] * MASTER_MEMORY, start=11 + MASTER_MEMORY)
+        assert len(b._master_window) == MASTER_MEMORY
+
+    def test_a_second_block_while_short_restarts_the_count(self):
+        a, b = make_pair()
+        b.master_is_late()
+        self.feed(a, b, [0.020] * 40)
+        b.master_is_late()
+        self.feed(a, b, [0.020] * (MASTER_MEMORY - 1), start=40)
+        assert len(b._master_window) == CLOCK_FILTER_DEPTH
+        self.feed(a, b, [0.020] * 2, start=39 + MASTER_MEMORY)
+        assert len(b._master_window) == CLOCK_FILTER_DEPTH + 1
+
+    def test_forget_empties_the_window_long_or_short(self):
+        for short in (False, True):
+            a, b = make_pair()
+            self.feed(a, b, [0.010] * 20)
+            if short:
+                b.master_is_late()
+            b.forget_master_samples()
+            assert b.master_sample is None and not b._master_window
+            b.master_is_late()  # a block with nothing to re-pick from
+            assert b.master_sample is None
+            self.feed(a, b, [0.018], start=20)
+            assert b.master_sample == (20 + 6, 20 * a.config.time_per_frame + 0.018)
 
     def test_duplicate_or_non_advancing_sync_adds_nothing(self):
         a, b = make_pair()
