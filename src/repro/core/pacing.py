@@ -8,12 +8,15 @@
 * :meth:`FramePacer.begin_frame` is Algorithm 4 (``BeginFrameTiming``): the
   slave site estimates the master's current frame from a received master
   input (``MasterFrame = LastRcvFrame[0] − BufFrame``), its arrival time
-  and ``RTT/2``, and folds the frame offset into ``AdjustTimeDelta``.
+  and ``RTT/2``, and sets ``AdjustTimeDelta`` to the frame offset.
   On the master, ``SyncAdjustTimeDelta`` is always zero — the slave alone
   absorbs start-up skew, so the earlier-starting site is never penalized
-  (§3.2's key design point).  One deviation, in *which* input and RTT the
-  caller hands in: the least-delayed of the last eight, not the newest —
+  (§3.2's key design point).  Two deviations.  *Which* input and RTT the
+  caller hands in: the least-delayed of the last 64, not the newest —
   all the noise in a sample is delay (``LockstepSync.master_sample``).
+  And line 9 replaces the debt Algorithm 3 carried instead of adding to
+  it: the offset is measured at the actual begin, so adding would count
+  that debt twice; on time the debt is 0 and the two agree.
 
 The pacer is pure state + arithmetic: drivers supply ``now`` and perform the
 actual waiting, so the identical code runs in simulated and wall-clock time.
@@ -102,13 +105,14 @@ class FramePacer:
                 elif sync_adjust < -bound:
                     sync_adjust = -bound
                     self.stats.sync_adjust_clamped += 1
+            # Line 9, replacing rather than adding: the offset is taken at
+            # this begin against the master's grid, so it already holds the
+            # debt Algorithm 3 carried in (0 whenever the slave is on time).
+            self.adjust_time_delta = sync_adjust
         else:
             # The wait's overshoot is an overrun Algorithm 3 cannot see (it
-            # assumes an exact wait); carry it like lines 3-4 do.  Not where
-            # Algorithm 4 ran: its offset is taken against ``now`` already.
+            # assumes an exact wait); carry it like lines 3-4 do.
             self.adjust_time_delta -= late
-        # Line 9: fold into the shared compensation variable.
-        self.adjust_time_delta += sync_adjust
         self.stats.sync_adjust_applied += sync_adjust
         return sync_adjust
 

@@ -78,6 +78,11 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "frames_delivered": ("counter", True, "Merged inputs delivered (line 22)"),
     "lag_changes": ("counter", True, "Adaptive local-lag resizes"),
     "pacer_overruns": ("counter", True, "Frames that overran their slot (Alg. 3)"),
+    "pacer_sync_adjust_clamped": (
+        "counter",
+        True,
+        "Alg. 4 corrections cut to ±sync_adjust_clamp_frames (slave only)",
+    ),
     "degraded_episodes": (
         "counter",
         True,

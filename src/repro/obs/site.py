@@ -106,6 +106,7 @@ class SiteMetrics:
         self.frames_delivered = r.counter("frames_delivered")
         self.lag_changes = r.counter("lag_changes")
         self.pacer_overruns = r.counter("pacer_overruns")
+        self.pacer_sync_adjust_clamped = r.counter("pacer_sync_adjust_clamped")
         self.ack_lag_frames = r.gauge("ack_lag_frames")
         self.local_lag_frames = r.gauge("local_lag_frames")
         self.rtt_seconds = r.gauge("rtt_seconds")
@@ -200,6 +201,9 @@ class SiteMetrics:
         self.frames_delivered.set_total(stats.frames_delivered)
         self.lag_changes.set_total(stats.lag_changes)
         self.pacer_overruns.set_total(runtime.pacer.stats.overruns)
+        self.pacer_sync_adjust_clamped.set_total(
+            runtime.pacer.stats.sync_adjust_clamped
+        )
         self.local_lag_frames.set(lockstep.local_lag_frames)
         self.buf_frame_current.set(lockstep.local_lag_frames)
         rollback_stats = getattr(runtime, "rollback_stats", None)

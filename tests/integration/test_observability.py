@@ -123,6 +123,26 @@ class TestCatalogCheck:
         assert problems == []
         assert info["ground_truth"]["dropped"] > 0
 
+    def test_clamped_corrections_mirror_the_slaves_pacer(self):
+        """A slave that starts 100 ms late corrects at the ±3-frame clamp
+        for a few frames; the master never corrects."""
+        plan = two_player_plan(
+            SyncConfig.paper_defaults(),
+            machine_factory=lambda: create_game("counter"),
+            sources=[PadSource(RandomSource(s), player=s) for s in (0, 1)],
+            max_frames=120,
+            seed=3,
+            frame_loop_delays=[0.0, 0.100],
+        )
+        session = build_session(plan, NetemConfig.for_rtt(0.040))
+        session.run(horizon=60.0)
+        clamped = [
+            vm.snapshot()["counters"]["pacer_sync_adjust_clamped"]
+            for vm in session.vms
+        ]
+        assert clamped[0] == 0 < clamped[1]
+        assert clamped[1] == session.vms[1].runtime.pacer.stats.sync_adjust_clamped
+
     def test_missing_metric_is_reported(self):
         problems, info = run_catalog_check(frames=60, loss=0.0)
         text = info["second_scrape"]

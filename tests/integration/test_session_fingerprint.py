@@ -8,14 +8,15 @@ the counter snapshot — so a change that moves any of them fails here, in
 tier-1, instead of in a hand-made comparison per PR.
 
 The hex digests were first captured at commit 1b1add5 (the parent of the PR
-that added this file) and re-captured twice by changes meant to move the
-slave's virtual timestamps (every frame's inputs and checksum are where
+that added this file) and re-captured three times by changes meant to move
+the slave's virtual timestamps (every frame's inputs and checksum are where
 they were): Algorithm 4 reading the least-delayed of its last eight master
 samples instead of the newest, then remembering 64 samples unless its gate
 waits on the master — together with the send timer folded into the flush
-timer, which takes the ``send`` records out of the event traces.  A change
-that is *meant* to
-alter behaviour re-captures them with
+timer, which takes the ``send`` records out of the event traces — then
+line 9 replacing the overrun debt a slave carries instead of adding to it,
+together with the new ``pacer_sync_adjust_clamped`` counter.  A change
+that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py`` and says so in
 CHANGES.md.  CI runs this file under ``PYTHONHASHSEED=0`` and
 ``PYTHONHASHSEED=random`` on both matrix Pythons.
@@ -100,13 +101,13 @@ def fingerprint(session) -> str:
 
 PINNED = {
     lossy_lockstep_counter: (
-        "ade5815f3ac648055d92c42c4039ff48f73d48e9fa8d5456b5b52bdd6381f92b"
+        "176de963afae383959734138a6a29593aa5be029f8751a9a9158e90668d7d8ec"
     ),
     rollback_pong: (
-        "37436624e3bbfa5d33315fc1d6d5346a8ed7a599665321ee1b76099bb98dd2bc"
+        "65fb13cc7cc96c9fe438b687444319a1322b77bd161bfdb52f10e27be69e5bd9"
     ),
     adaptive_pong_with_poke: (
-        "9c596473bd0216f021b63cdd0cf7bc425351a13e52dc2dea8a9fa8f8d22a5533"
+        "245bd1dcb6e29233caf5740df7605b9d3acfde9e22a825de10a472aae8372a2f"
     ),
 }
 

@@ -138,11 +138,50 @@ class TestAlgorithm4:
         assert pacer.begin_frame(0.55, 200, sample, 0.060) == 0.0
 
     def test_adjust_folds_into_adjust_time_delta(self):
-        """Line 9: AdjustTimeDelta += SyncAdjustTimeDelta."""
+        """Line 9 on a slave that enters the frame on time (no debt
+        carried): AdjustTimeDelta ends up equal to SyncAdjustTimeDelta."""
         pacer = make_pacer(site=1)
         sample = (16, 0.53)
         adjust = pacer.begin_frame(0.55, 20, sample, 0.060)
         assert pacer.adjust_time_delta == pytest.approx(adjust)
+
+
+class TestNoWindup:
+    """Line 9 replaces the debt Algorithm 3 carried into a slave's frame:
+    the offset is measured at this begin, so it already contains it."""
+
+    def indebted_slave(self, **overrides):
+        """A slave whose frame 11 (begun at 0.50) ended at 0.53: 13.3 ms
+        of overrun debt carried into frame 12."""
+        pacer = make_pacer(site=1, **overrides)
+        pacer.begin_frame(0.50, 11, None, 0.060)
+        assert pacer.end_frame_deadline(0.53) is None
+        assert pacer.adjust_time_delta == pytest.approx(0.50 + TPF - 0.53)
+        return pacer
+
+    def test_frame_ends_on_the_masters_grid(self):
+        pacer = self.indebted_slave()
+        # The master began frame 10 at 0.50 (sample (16, 0.53), rtt 60 ms),
+        # so its grid puts frame 12 at 0.50 + 2 TPF; the slave is 6.7 ms late.
+        adjust = pacer.begin_frame(0.54, 12, (16, 0.53), 0.060)
+        assert adjust == pytest.approx(0.50 + 2 * TPF - 0.54)
+        assert pacer.adjust_time_delta == adjust
+        assert pacer.end_frame_deadline(0.541) == pytest.approx(0.50 + 3 * TPF)
+
+    def test_clamped_correction_replaces_the_debt(self):
+        pacer = self.indebted_slave(sync_adjust_clamp_frames=3.0)
+        adjust = pacer.begin_frame(0.54, 2, (16, 0.53), 0.060)  # far behind
+        assert adjust == pytest.approx(-3 * TPF)
+        assert pacer.adjust_time_delta == adjust
+        assert pacer.stats.sync_adjust_clamped == 1
+
+    def test_master_keeps_its_debt(self):
+        pacer = make_pacer(site=0)
+        pacer.begin_frame(0.50, 11, None, 0.060)
+        pacer.end_frame(0.53)
+        debt = pacer.adjust_time_delta
+        assert pacer.begin_frame(0.53, 12, (16, 0.53), 0.060) == 0.0
+        assert pacer.adjust_time_delta == debt
 
 
 class TestConvergence:
@@ -167,6 +206,29 @@ class TestConvergence:
         # Early offset ≈ -skew/TPF ≈ -4.8 frames; final ≈ 0.
         assert offsets[0] < -3
         assert abs(offsets[-1]) < 1.0
+
+    def test_slave_released_from_a_gate_does_not_overshoot(self):
+        """A slave on the master's grid is held at its gate for 300 ms, so
+        it enters the next frame carrying Algorithm 3's debt; released with
+        2 ms frames it must come back to the grid, not run past it."""
+        config = SyncConfig()
+        slave = FramePacer(config, 1)
+        now, offsets = 0.0, []
+        for frame in range(120):
+            # The master begins frame m at m·TPF; its input for m arrives
+            # at once (rtt 0), so line 7 measures the true grid offset.
+            m = int(now / TPF + 1e-9)
+            sample = (m + config.buf_frame, m * TPF)
+            slave.begin_frame(now, frame, sample, 0.0)
+            offsets.append(now - frame * TPF)  # > 0: behind the master
+            if frame == 10:
+                now += 0.300  # the gate waits on the master's input
+            now += 0.002
+            now += slave.end_frame(now)
+        after = offsets[11:]
+        assert after[0] > 0.25
+        assert min(after) > -TPF  # never more than one frame ahead
+        assert abs(offsets[-1]) < 1e-6
 
 
 class TestCarriedLateness:
