@@ -854,9 +854,8 @@ TIMER_FLUSH = "flush"  # the 20 ms outbound batch, §4.2 slice delay included
 TIMER_PING = "ping"  # RTT probe period
 TIMER_RETRY = "retry"  # session-control retransmission
 TIMER_GATE = "gate"  # SyncInput poll while blocked
-TIMER_COMPUTE = "compute"  # Transition's simulated compute time
 TIMER_FRAME = "frame"  # EndFrameTiming wait / frame-loop start delay
-TIMER_LINGER = "linger"  # linger-phase poll
+TIMER_LINGER = "linger"  # catch-up / linger bound
 TIMER_BACKOFF = "backoff"  # suspended-phase retransmission (exp backoff)
 TIMER_RESUME = "resume-deadline"  # suspended-phase give-up deadline
 TIMER_RESYNC = "resync"  # resync-episode retransmission tick
@@ -865,7 +864,6 @@ TIMER_RESYNC_DEADLINE = "resync-deadline"  # episode give-up deadline
 PHASE_IDLE = "idle"
 PHASE_HANDSHAKE = "handshake"
 PHASE_GATE = "gate"
-PHASE_COMPUTE = "compute"
 PHASE_FRAME_WAIT = "frame-wait"
 PHASE_LINGER = "linger"
 PHASE_SUSPENDED = "suspended"  # gate blocked past hard_stall_s (peer down)
@@ -942,10 +940,6 @@ class SiteEngine:
     #: episode closes or its deadline fires.
     RESYNC_TICK = 0.1
 
-    #: Catch-up phase poll period (confirming in-flight frames after the
-    #: last frame was presented, before the ordinary linger).
-    CATCHUP_POLL = 0.02
-
     def __init__(
         self,
         runtime: SiteRuntime,
@@ -1003,8 +997,6 @@ class SiteEngine:
         self._timers: Dict[str, float] = {}
         self._earliest = 0.0
         self._sampled: Dict[int, int] = {}
-        self._merged: Optional[int] = None
-        self._stall = 0.0
         self._stall_started = 0.0
         self._stalled = False
         self._sync_adjust = 0.0
@@ -1149,8 +1141,8 @@ class SiteEngine:
         if not self.done:
             if self.runtime.pending_divergences:
                 self._check_divergence(now, effects)
-            # COMPUTE and FRAME_WAIT have no step: only their timer ends them.
-            if self.phase not in (PHASE_COMPUTE, PHASE_FRAME_WAIT) and not self.done:
+            # FRAME_WAIT has no step: only its timer ends it.
+            if self.phase != PHASE_FRAME_WAIT and not self.done:
                 self._advance(now, effects)
         if self._outbox:
             self._flush_outbox(now, effects)
@@ -1282,20 +1274,14 @@ class SiteEngine:
         self, kind: str, now: float, effects: List[Effect], late: float
     ) -> None:
         """``late`` is how long after the timer's deadline ``now`` is."""
-        if kind != TIMER_GATE and not (
-            kind == TIMER_LINGER and self.phase == PHASE_CATCHUP
-        ):
-            # GATE (and the catch-up poll) re-fire every few ms while
-            # blocked and would flood the ring; the Stall record (the
-            # phase record) already marks the blockage.
+        if kind != TIMER_GATE:
+            # GATE re-fires every few ms while blocked and would flood the
+            # ring; the Stall record already marks the blockage.
             self.runtime.events.emit(
                 "timer", now, self.runtime.frame, timer=kind
             )
-        # The four kinds of a running frame loop first, then the rest.
-        if kind == TIMER_COMPUTE:
-            if self.phase == PHASE_COMPUTE and self._commit_frame(now, effects):
-                self._frame_cycle(now, effects)
-        elif kind == TIMER_FRAME:
+        # The three kinds of a running frame loop first, then the rest.
+        if kind == TIMER_FRAME:
             if self.phase == PHASE_FRAME_WAIT:
                 self._frame_cycle(now, effects, late)
         elif kind == TIMER_FLUSH:
@@ -1358,10 +1344,7 @@ class SiteEngine:
                 )
                 self._terminate("peer-lost", now, effects)
         elif kind == TIMER_LINGER:
-            if self.phase == PHASE_LINGER:
-                self._set(TIMER_LINGER, now + 0.05)
-            elif self.phase == PHASE_CATCHUP:
-                self._set(TIMER_LINGER, now + self.CATCHUP_POLL)
+            pass  # _advance checks the catch-up / linger deadline below
         elif kind == TIMER_RESYNC:
             if self.phase == PHASE_RESYNC:
                 # Episodes must survive loss: re-send every digest not yet
@@ -1466,9 +1449,9 @@ class SiteEngine:
     def _frame_cycle(
         self, now: float, effects: List[Effect], late: float = 0.0
     ) -> None:
-        """Run frame iterations until one blocks (gate/compute/wait) or the
-        horizon is reached.  Iterative on purpose: a zero-compute zero-wait
-        frame must not recurse.  ``late``: the frame timer's lateness when it
+        """Run frame iterations until one blocks (gate/wait) or the horizon
+        is reached.  Iterative on purpose: a zero-compute zero-wait frame
+        must not recurse.  ``late``: the frame timer's lateness when it
         is what begins the first iteration (Algorithm 3 carries it)."""
         runtime = self.runtime
         while True:
@@ -1539,21 +1522,20 @@ class SiteEngine:
                 **{"from": "degraded", "stalled_for": now - self._stall_started},
             )
             effects.append(Resumed(self.runtime.frame, 0.0))
-        self._merged = merged
-        self._stall = now - self._stall_started
         self.runtime.on_gate_open(now)
-        if self.frame_compute_time > 0:
-            self.phase = PHASE_COMPUTE
-            self._set(TIMER_COMPUTE, now + self.frame_compute_time)
-            return False
-        return self._commit_frame(now, effects)
+        return self._commit_frame(now, effects, merged, now - self._stall_started)
 
-    def _commit_frame(self, now: float, effects: List[Effect]) -> bool:
-        """Transition + present + EndFrameTiming.  True: begin the next
-        frame immediately (no wait owed)."""
+    def _commit_frame(
+        self, now: float, effects: List[Effect], merged: int, stall: float
+    ) -> bool:
+        """Transition + present + EndFrameTiming.  Transition is a step,
+        not a wait: its modelled compute time only moves the present and
+        EndFrameTiming's clock to ``done``.  True: begin the next frame
+        immediately (no wait owed)."""
         frame = self.runtime.frame
-        self.consistency.commit(self._merged, self._stall, self._sync_adjust, now)
-        effects.append(Present(frame, self._merged))
+        done = now + self.frame_compute_time
+        self.consistency.commit(merged, stall, self._sync_adjust, done)
+        effects.append(Present(frame, merged))
         request = self.runtime.take_state_request()
         if request is not None:
             self._serve_state(request, effects, now=now)
@@ -1563,15 +1545,17 @@ class SiteEngine:
             # Serving the request opened an episode (a peer proved a
             # divergence we had not yet seen): the loop is frozen now.
             return False
-        deadline = self.runtime.end_frame_deadline(now)
+        deadline = self.runtime.end_frame_deadline(done)
         if self._frames_done():
             self._enter_linger(now, effects)
             return False
-        if deadline is not None:
-            self.phase = PHASE_FRAME_WAIT
-            self._set(TIMER_FRAME, deadline)
-            return False
-        return True
+        if deadline is None:
+            if done == now:
+                return True
+            deadline = done  # an overrun still owes the compute time
+        self.phase = PHASE_FRAME_WAIT
+        self._set(TIMER_FRAME, deadline)
+        return False
 
     # ------------------------------------------------------------------
     # Failure domain: degraded / suspended / resume / termination
@@ -1706,12 +1690,7 @@ class SiteEngine:
             # post-session verifier will report the divergence in full.
             runtime.pending_divergences.clear()
             return
-        if self.phase not in (
-            PHASE_GATE,
-            PHASE_FRAME_WAIT,
-            PHASE_COMPUTE,
-            PHASE_SUSPENDED,
-        ):
+        if self.phase not in (PHASE_GATE, PHASE_FRAME_WAIT, PHASE_SUSPENDED):
             return  # handshake / acquire: keep pending until the loop runs
         divergence = runtime.pending_divergences[0]
         runtime.pending_divergences.clear()
@@ -1761,13 +1740,7 @@ class SiteEngine:
             return
         runtime.metrics.resync_attempts.inc()
         was_suspended = self.phase == PHASE_SUSPENDED
-        for kind in (
-            TIMER_GATE,
-            TIMER_COMPUTE,
-            TIMER_FRAME,
-            TIMER_BACKOFF,
-            TIMER_RESUME,
-        ):
+        for kind in (TIMER_GATE, TIMER_FRAME, TIMER_BACKOFF, TIMER_RESUME):
             self._clear(kind)
         if was_suspended:
             # Suspension parked the frame-rate pumps; the episode needs
@@ -2020,16 +1993,16 @@ class SiteEngine:
     # ------------------------------------------------------------------
     def _enter_linger(self, now: float, effects: List[Effect]) -> None:
         """Finish: catch up until the consistency part has confirmed
-        everything still in flight (bounded by ``linger``), then linger."""
+        everything still in flight (bounded by ``linger``), then linger.
+        Either wait is one deadline: every pump re-checks what ends it
+        early (``_advance``), so its timer is the bound alone."""
+        self._linger_deadline = now + self.linger
+        self._set(TIMER_LINGER, self._linger_deadline)
         if self.phase != PHASE_CATCHUP and not self.consistency.settled(now):
             self.phase = PHASE_CATCHUP
-            self._linger_deadline = now + self.linger
-            self._set(TIMER_LINGER, now + self.CATCHUP_POLL)
             return
         self.frames_complete = True
         self.phase = PHASE_LINGER
-        self._linger_deadline = now + self.linger
-        self._set(TIMER_LINGER, now + 0.05)
         self._maybe_finish_linger(now, effects)
 
     def _maybe_finish_linger(self, now: float, effects: List[Effect]) -> None:

@@ -60,7 +60,6 @@ from typing import Deque, List, Optional, Tuple
 from repro.core.config import SyncConfig
 from repro.core.engine import (
     GameMachine,
-    PHASE_COMPUTE,
     PHASE_FRAME_WAIT,
     PHASE_GATE,
     SiteEngine,
@@ -299,7 +298,7 @@ class Adaptive(Lockstep):
         engine = self.engine
         if not runtime.session.started or engine.done:
             return []
-        active = engine.phase in (PHASE_GATE, PHASE_COMPUTE, PHASE_FRAME_WAIT)
+        active = engine.phase in (PHASE_GATE, PHASE_FRAME_WAIT)
         pending = self._pending_switch
         if pending is not None:
             if not active:
@@ -314,11 +313,10 @@ class Adaptive(Lockstep):
             ):
                 pending.acked = True
             if pending.acked:
-                # Commit only at a frame boundary: in PHASE_COMPUTE a
-                # merged word is in flight for the wrong machine.
-                if engine.phase != PHASE_COMPUTE:
-                    self._pending_switch = None
-                    self._commit_switch(pending.mode, now)
+                # A flush is always at a frame boundary: Transition runs
+                # within the pump that opens the gate.
+                self._pending_switch = None
+                self._commit_switch(pending.mode, now)
                 return []
             if now >= pending.deadline:
                 self._pending_switch = None

@@ -536,7 +536,7 @@ class Rollback(Lockstep):
 
     def settled(self, now: float) -> bool:
         """True once the shadow has confirmed every speculated frame.  While
-        the engine polls it in its catch-up phase this is also the
+        the engine re-checks it on every catch-up pump this is also the
         confirmation step (at the moment the last frame commits it must
         not be: confirming there would race that pump's flush)."""
         if self.engine.phase == PHASE_CATCHUP:

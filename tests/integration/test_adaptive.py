@@ -78,8 +78,9 @@ class TestSwitchToRollback:
             log = vm.engine.consistency.switch_log
             assert [entry[0] for entry in log] == ["propose", "commit"]
             (_, proposed_at, _, _, _), (_, committed_at, _, _, _) = log
-            # One full round trip (200 ms) must separate the two.
-            assert committed_at - proposed_at >= 0.200
+            # One measured round trip must separate the two (the nominal
+            # 200 ms is the link's mean; its sampled minimum is lower).
+            assert committed_at - proposed_at >= vm.runtime.rtt.min_rtt
 
     def test_policy_switch_metric_exported(self):
         adaptive = adaptive_run(named_profile("wan-120", rtt=0.200), seed=11)

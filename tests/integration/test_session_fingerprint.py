@@ -2,24 +2,26 @@
 
 A refactor of the driver, the engine pump or a sync algorithm must leave
 every timer, RNG draw, trace record, datagram and virtual timestamp where
-it was.  Each digest below is a sha256 over what both sites recorded —
-``FrameTrace.to_rows()``, the ``EventTrace`` ring, ``TransportStats`` and
-the counter snapshot — so a change that moves any of them fails here, in
-tier-1, instead of in a hand-made comparison per PR.
+it was.  Each session pins one sha256 per component of what both sites
+recorded — ``frames`` (``FrameTrace.to_rows()``: begin, input, checksum,
+stall, adjust and lag per frame), ``events`` (the ``EventTrace`` ring and
+its drop count), ``transport`` (``TransportStats``), ``counters`` (the
+counter snapshot) and ``termination`` — so a change that moves any of
+them fails here, in tier-1, and the failing key says which one moved.
 
-The hex digests were first captured at commit 1b1add5 (the parent of the PR
-that added this file) and re-captured three times by changes meant to move
-the slave's virtual timestamps (every frame's inputs and checksum are where
-they were): Algorithm 4 reading the least-delayed of its last eight master
-samples instead of the newest, then remembering 64 samples unless its gate
-waits on the master — together with the send timer folded into the flush
-timer, which takes the ``send`` records out of the event traces — then
-line 9 replacing the overrun debt a slave carries instead of adding to it,
-together with the new ``pacer_sync_adjust_clamped`` counter.  A change
-that is *meant* to alter behaviour re-captures them with
-``python tests/integration/test_session_fingerprint.py`` and says so in
-CHANGES.md.  CI runs this file under ``PYTHONHASHSEED=0`` and
-``PYTHONHASHSEED=random`` on both matrix Pythons.
+The digests were first captured (as one digest per session) at commit
+1b1add5 and re-captured three times by changes meant to move the slave's
+virtual timestamps (every frame's inputs and checksum are where they
+were).  Then Transition became a step within the pump that opens the gate
+instead of a phase with its own timer, and the linger bound one deadline
+instead of a poll: only ``events`` moved (the per-frame ``phase`` and
+``compute`` timer records are gone, so the ring reaches further back);
+the other four were captured at that change's parent and hold unchanged.
+A change that is *meant* to alter behaviour re-captures them with
+``python tests/integration/test_session_fingerprint.py``, re-pins only
+the components it meant to move, and says so in CHANGES.md.  CI runs this
+file under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random`` on both
+matrix Pythons.
 """
 
 import hashlib
@@ -80,35 +82,52 @@ def adaptive_pong_with_poke():
     return session
 
 
-def fingerprint(session) -> str:
-    """sha256 over what both sites of a finished session recorded."""
-    sites = []
-    for vm in session.vms:
-        snapshot = vm.engine.snapshot()
-        sites.append(
-            {
-                "frames": vm.runtime.trace.to_rows(),
-                "events": vm.runtime.events.rows(),
-                "events_dropped": vm.runtime.events.dropped,
-                "transport": vm.socket.stats.as_dict(),
-                "counters": snapshot["counters"],
-                "termination": snapshot["termination"],
-            }
+def _components(vm) -> dict:
+    snapshot = vm.engine.snapshot()
+    return {
+        "frames": vm.runtime.trace.to_rows(),
+        "events": [vm.runtime.events.rows(), vm.runtime.events.dropped],
+        "transport": vm.socket.stats.as_dict(),
+        "counters": snapshot["counters"],
+        "termination": snapshot["termination"],
+    }
+
+
+def fingerprint(session) -> dict:
+    """One sha256 per component over what both sites of a finished
+    session recorded, so a moved digest names what moved."""
+    sites = [_components(vm) for vm in session.vms]
+    digests = {}
+    for name in sites[0]:
+        blob = json.dumps(
+            [site[name] for site in sites], sort_keys=True, separators=(",", ":")
         )
-    blob = json.dumps(sites, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+        digests[name] = hashlib.sha256(blob.encode()).hexdigest()
+    return digests
 
 
 PINNED = {
-    lossy_lockstep_counter: (
-        "176de963afae383959734138a6a29593aa5be029f8751a9a9158e90668d7d8ec"
-    ),
-    rollback_pong: (
-        "65fb13cc7cc96c9fe438b687444319a1322b77bd161bfdb52f10e27be69e5bd9"
-    ),
-    adaptive_pong_with_poke: (
-        "245bd1dcb6e29233caf5740df7605b9d3acfde9e22a825de10a472aae8372a2f"
-    ),
+    lossy_lockstep_counter: {
+        "frames": "e05b294502ba8e642c2db46ce4dc1529890f9615f6dcc09802a213affcce7d74",
+        "events": "ebb77cc905772eb1a137276ba339d6b5a2aef61c597d6e8eced9a978c578348a",
+        "transport": "f4904a030baa4ea0d12cb054c9cf2284b057eeea0259f9d65441aa4d01251526",
+        "counters": "06d2302b5d360b57f29ab9c3afc9f1688771d186264578fdb048f29c6dac3af2",
+        "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
+    },
+    rollback_pong: {
+        "frames": "4dc2ebb76cf419ad9c4e0a6b83b090908b0e20cd5121abbe980a3d61c7582644",
+        "events": "67a4430212a11b2fb37057ae154c18573dedb62eb84159da61d926317ee850bd",
+        "transport": "8e802c63835c2cf23f2d682aac727cf18c0ed15a33726aa7f4b6a1eab4ef83e1",
+        "counters": "b932436de7bc52f339f67b7376c3317dca31206dfd99ffa840eac55a66749811",
+        "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
+    },
+    adaptive_pong_with_poke: {
+        "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
+        "events": "9db44e423f4172977f8faf2622aa72cb9165a8fa22a617c6f7bbfb50df1a4a6b",
+        "transport": "b441aa6e1997a25a8212734ef0b3198338fbed07d0a5bb4a673dfb897bc3949b",
+        "counters": "32d8959e0ddca3751d5cfc892c643f35229e660984a952ba0041c1db22a41c24",
+        "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
+    },
 }
 
 
@@ -128,4 +147,7 @@ if __name__ == "__main__":
     for build in PINNED:
         session = build()
         session.run()
-        print(f'    {build.__name__}: "{fingerprint(session)}",')
+        print(f"    {build.__name__}: {{")
+        for name, digest in fingerprint(session).items():
+            print(f'        "{name}": "{digest}",')
+        print("    },")

@@ -88,14 +88,16 @@ def test_wakeup_stats_are_exact_and_gated():
     stats = measure_wakeup_stats()
     # Counts, not times: the same on every run, so no tolerance.
     assert stats["wakeups"] == WAKEUPS_BASELINE
-    assert stats["wakeups_per_frame"] == pytest.approx(6.79, abs=0.005)
+    assert stats["wakeups_per_frame"] == pytest.approx(4.79, abs=0.005)
     assert stats["pumps_per_wakeup"] == 1.0
     assert 0.0 < stats["idle_pump_share"] < 1.0
     # Each wake-up is named by the first timer it fired (or none): they sum
-    # to the total, and the send timer folded into the flush is gone.
+    # to the total, the send timer folded into the flush is gone, and so
+    # are Transition's compute wake-ups and the linger polls.
     by_kind = stats["wakeups_by_kind"]
     assert sum(by_kind.values()) == WAKEUPS_BASELINE
     assert by_kind["flush"] == 4_800 and "send" not in by_kind
+    assert "compute" not in by_kind and "linger" not in by_kind
     assert check_wakeup_stats(stats) == []
     # What the driver read before it pumped once per wake-up.
     two_pumps = dict(stats, pumps_per_wakeup=34_729 / 29_736)
@@ -169,6 +171,7 @@ def test_run_bench_quick_cli(tmp_path):
     assert results["rollback_session"]["snapshot_syncs"] >= 0
     assert "pumps_per_wakeup=1.00" in proc.stdout
     assert f"flush={results['wakeup_stats']['wakeups_by_kind']['flush']}" in proc.stdout
+    assert "compute=" not in proc.stdout and "linger=" not in proc.stdout
     assert results["wakeup_stats"]["pumps_per_wakeup"] == 1.0
     assert results["wakeup_stats"]["wakeups_per_frame"] == WAKEUPS_BASELINE / 3_600
     # Never gated, so no longer measured; the recorded files that carry

@@ -609,6 +609,96 @@ class TestAlgorithm4Inputs:
         assert stalls["site0"] and calls["site0"] == []
 
 
+class TestTransitionIsAStep:
+    """Algorithm 1's ``S = Transition(I', S)`` runs in the pump that opens
+    the gate; its modelled compute time only moves EndFrameTiming's clock."""
+
+    def test_present_leaves_with_the_gate_open_and_the_grid_holds(self):
+        engines = build_engines(frames=60)
+        opened, presented = {}, {}
+        for engine in engines:
+            engine.frame_compute_time = 0.002
+            runtime = engine.runtime
+            site_opened = opened[runtime.site_no] = {}
+            site_presented = presented[runtime.site_no] = {}
+
+            def on_gate_open(now, runtime=runtime, log=site_opened,
+                             inner=runtime.on_gate_open):
+                log[runtime.frame] = now
+                inner(now)
+
+            def pump(now, effects, log=site_presented, inner=engine._pump):
+                effects = inner(now, effects)
+                log.update((e.frame, now) for e in effects if isinstance(e, Present))
+                return effects
+
+            runtime.on_gate_open = on_gate_open
+            engine._pump = pump
+        mesh = EngineMesh(engines)
+        mesh.start()
+        mesh.run()
+        for engine in engines:
+            site = engine.runtime.site_no
+            assert engine.termination == "completed"
+            assert presented[site] == opened[site] and len(opened[site]) == 60
+            events = engine.runtime.events
+            assert events.dropped == 0
+            assert not [r for r in events if r.kind == "timer" and r.detail["timer"] == "compute"]
+            # Gate and wait alternate inside one pump: no per-frame phase record.
+            assert len([r for r in events if r.kind == "phase"]) < 10
+        master = engines[0].runtime
+        tpf = master.config.time_per_frame
+        first = master.trace.begin_times[0]
+        for k, begin in enumerate(master.trace.begin_times):
+            assert begin == pytest.approx(first + k * tpf, abs=1e-9)
+
+    def test_an_overrun_waits_out_the_compute_time_on_the_frame_timer(self):
+        """Compute longer than a frame: the next frame begins ``compute``
+        after the gate opened — the overrun path a slowed master takes."""
+        engines = build_engines(frames=200)
+        master = engines[0]
+        master.frame_compute_time = compute = 0.019
+        mesh = EngineMesh(engines)
+        mesh.start()
+        mesh.run_until(0.5)
+        assert master.phase == "frame-wait"
+        due = master._timers["frame"]
+        frame = master.runtime.frame
+        overruns = master.runtime.pacer.stats.overruns
+        effects = master.poll(due)
+        # Begun, gated and presented in this one pump...
+        assert [e.frame for e in effects if isinstance(e, Present)] == [frame]
+        assert master.runtime.trace.begin_times[-1] == due
+        assert master.runtime.pacer.stats.overruns == overruns + 1
+        # ...and the next begin is owed the whole compute time.
+        assert master.phase == "frame-wait"
+        assert master._timers["frame"] == due + compute
+        master.poll(due + compute)
+        assert master.runtime.trace.begin_times[-1] == due + compute
+
+
+class TestLingerDeadline:
+    def test_an_unacked_site_lingers_exactly_linger_on_one_timer(self):
+        """A site whose peer never acks its last inputs ends ``completed``
+        at the linger bound itself, woken once for it — no polling."""
+        engines = build_engines(frames=60, linger=0.5)
+        master = engines[0]
+
+        def loss(src, dst, payload, now):
+            return src == "site1" and master.frames_complete
+
+        mesh = EngineMesh(engines, loss=loss)
+        mesh.start()
+        mesh.run()
+        assert master.termination == "completed"
+        assert not master.runtime.all_inputs_acked()
+        events = master.runtime.events
+        phases = {r.detail["to"]: r.time for r in events if r.kind == "phase"}
+        assert phases["done"] == phases["linger"] + master.linger
+        lingers = [r for r in events if r.kind == "timer" and r.detail["timer"] == "linger"]
+        assert [r.time for r in lingers] == [phases["done"]]
+
+
 class LateMesh(EngineMesh):
     """A driver that always wakes up a little after what it slept for."""
 
