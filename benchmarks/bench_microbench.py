@@ -9,7 +9,6 @@ from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import LockstepSync
 from repro.core.messages import Ping, Sync, decode, decode_all, pack_batch
-from repro.core.wire_v1 import encode_v1
 from repro.emulator.machine import create_game
 from repro.metrics.bench import (
     check_session_flatness,
@@ -82,7 +81,7 @@ def test_sync_codec_decode_throughput(benchmark):
 
 
 def test_sync_codec_encode_throughput(benchmark):
-    """v2 encode from scratch (mask derivation + varint packing)."""
+    """Encode from scratch (mask derivation, packing, change coding)."""
 
     def codec():
         for __ in range(100):
@@ -109,18 +108,23 @@ def test_batch_assembly_throughput(benchmark):
     benchmark(assemble)
 
 
-def test_v2_sync_is_compact(benchmark):
+#: The same SYNC in the fixed-width v1 layout (10-byte header, 4-byte
+#: ack and input words), frozen when that codec was deleted.
+SYNC_V1_BYTES = 62
+
+
+def test_sync_is_compact(benchmark):
     """The codec's size claim, pinned where the timings live: a two-site
-    8-frame SYNC must encode to under half its v1 size."""
+    8-frame SYNC must encode to under half its v1 size, even when every
+    cell changes."""
     message = Sync(
         0, 1, acks=[100, 95], first_frame=96, inputs=[1, 0, 3, 2, 1, 0, 1, 3]
     )
 
     benchmark(lambda: message.encode())
-    v1_size = len(encode_v1(message))
-    v2_size = len(message.encode())
-    assert v2_size < v1_size / 2, (
-        f"v2 SYNC is {v2_size} B vs v1's {v1_size} B — lost the 2x claim"
+    size = len(message.encode())
+    assert size < SYNC_V1_BYTES / 2, (
+        f"SYNC is {size} B vs v1's {SYNC_V1_BYTES} B — lost the 2x claim"
     )
 
 

@@ -12,7 +12,7 @@ an :class:`~repro.net.udp.AsyncUdpEndpoint` and does nothing but
 deadline (``loop.call_at``, absolute), and either way one plain function
 runs in that same loop iteration: the same ~30-line shell as the simulator
 driver, proving the sans-IO seam — the protocol neither knows nor cares
-which of the two runtimes is underneath.  Wire concerns (the v2 codec,
+which of the two runtimes is underneath.  Wire concerns (the codec,
 batch coalescing, the bandwidth budget) all live behind the engine's
 outbox; this driver only ever sees finished datagrams.
 

@@ -1,4 +1,4 @@
-"""Sync-module wire format, version 2 (compact binary codec).
+"""Sync-module wire format, version 3 (compact binary codec).
 
 Algorithm 2's ``sd`` message is a vector::
 
@@ -11,16 +11,14 @@ Algorithm 2's ``sd`` message is a vector::
 so the same format serves the N-site extension; with two sites the receiver
 reads exactly the paper's ``sd[0]``.
 
-v2 replaces the fixed-width big-endian v1 layout (retained as a golden
-reference in :mod:`repro.core.wire_v1`) with a varint-based encoding —
-see ``docs/wire-format.md`` for the byte-by-byte specification.  The load-
-bearing choices:
+A varint-based encoding — see ``docs/wire-format.md`` for the
+byte-by-byte specification.  The load-bearing choices:
 
 * **5-byte typical header** — ``b"RG"``, one version/type byte (version in
   the high nibble, type id in the low), then uvarint sender site and
-  session id.  A v1 datagram's third byte is always ``0x01`` (its version
-  field), which no v2 version/type byte can be, so stale v1 peers are
-  rejected with an explicit "unsupported wire version 1" error.
+  session id.  v1 and v2 datagrams are rejected with an explicit
+  "unsupported wire version N" error (a v1 datagram's third byte is
+  always ``0x01``, its version field).
 * **Frame deltas** — SYNC encodes its ack vector as zigzag varint deltas
   relative to ``first_frame``; steady-state acks sit within a few frames
   of the window base and cost one byte each instead of four.
@@ -29,6 +27,11 @@ bearing choices:
   into fixed-width little-endian cells: one byte per frame for an 8-bit
   pad instead of four.  The mask itself is usually *implied* — both sides
   derive it from the input assignment — so the wire carries only a flag.
+* **Change-coded windows** — Algorithm 2 resends the whole unacked
+  window, so most cells of a SYNC were sent before, and about half
+  repeat the frame before.  A change map (one bit per frame) carries a
+  cell only where it differs from its predecessor; decode expands the
+  window back to fixed-width cells, so nothing past the codec changes.
 * **Canonical varints** — decode rejects non-minimal encodings, so any
   successfully decoded message re-encodes to the identical bytes; the
   truncation/corruption property tests lean on this.
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 MAGIC = b"RG"  # Retro Gaming
-VERSION = 2
+VERSION = 3
 
 #: Coalesced datagrams are kept under this many payload bytes so a batch
 #: never risks IP fragmentation (conservative for a 1500-byte MTU path).
@@ -61,8 +64,8 @@ _MIN_HEADER = 5  # magic(2) + version/type(1) + sender(>=1) + session(>=1)
 
 #: Feature bits advertised in HELLO and granted session-wide in START.
 #: A zero feature word is *omitted* from the wire, so a build that knows
-#: no features encodes byte-identically to the pre-feature v2 layout —
-#: that is the whole interop story: v2-plain peers neither send nor see
+#: no features encodes byte-identically to the pre-feature layout —
+#: that is the whole interop story: feature-less peers neither send nor see
 #: the field, and feature-dependent traffic (stamped SYNC, extended
 #: PONG) is only emitted toward peers that negotiated it.
 FEATURE_TIMELINE = 0x01
@@ -219,6 +222,72 @@ def expand_bits(cell: int, mask: int) -> int:
         if (cell >> index) & 1:
             out |= 1 << position
     return out
+
+
+def _check_cells_fit(packed: bytes, width: int, mask: int, what: str) -> None:
+    """Raise :class:`DecodeError` if a packed cell sets a bit ``mask`` lacks."""
+    popcount = len(mask_positions(mask))
+    if popcount == 8 * width:
+        return  # every bit of a cell is a mask bit: the common byte-wide pad
+    for start in range(0, len(packed), width):
+        if int.from_bytes(packed[start : start + width], "little") >> popcount:
+            raise DecodeError(f"SYNC input cell exceeds {what}")
+
+
+# ----------------------------------------------------------------------
+# Change coding: a SYNC window carries a cell only where it changed.
+# ----------------------------------------------------------------------
+def _append_change_coded(out: bytearray, packed: bytes, count: int, width: int) -> None:
+    """Append ``count`` packed cells as a change map plus the changed cells.
+
+    Bit ``i - 1`` of the little-endian map is set iff cell ``i`` differs
+    from cell ``i - 1``; cell 0 and each changed cell follow in frame order.
+    """
+    maplen = (count + 6) >> 3
+    if not width:
+        out += bytes(maplen)
+        return
+    # Bytes iterate as ints, so a byte-wide cell (the common pad) needs no
+    # slicing; wider cells are compared as slices.
+    if width == 1:
+        cells = packed
+    else:
+        cells = [packed[at : at + width] for at in range(0, len(packed), width)]
+    prev = cells[0]
+    carried = [prev]
+    changes = 0
+    bit = 1
+    for cell in cells[1:]:
+        if cell != prev:
+            changes |= bit
+            carried.append(cell)
+            prev = cell
+        bit <<= 1
+    out += changes.to_bytes(maplen, "little")
+    out += bytes(carried) if width == 1 else b"".join(carried)
+
+
+def _expand_changes(
+    body: bytes, offset: int, count: int, width: int, changes: int
+) -> bytes:
+    """The ``count`` packed cells that a change map and its cells encode.
+
+    Raises :class:`DecodeError` when the map marks a cell equal to its
+    predecessor: that form has a shorter encoding, and decode accepts only
+    the canonical one.
+    """
+    prev = body[offset : offset + width]
+    offset += width
+    cells = [prev]
+    for index in range(count - 1):
+        if changes >> index & 1:
+            cell = body[offset : offset + width]
+            offset += width
+            if cell == prev:
+                raise DecodeError("SYNC change map marks an unchanged cell")
+            prev = cell
+        cells.append(prev)
+    return b"".join(cells)
 
 
 # ----------------------------------------------------------------------
@@ -511,15 +580,8 @@ class Sync(Message):
                 f"SYNC cell width {self._width} does not match the sender's "
                 f"input mask {mask:#x}"
             )
-        popcount = len(mask_positions(mask))
-        packed, width = self._packed, self._width
-        assert packed is not None
-        for index in range(self._count):
-            cell = int.from_bytes(
-                packed[index * width : (index + 1) * width], "little"
-            )
-            if cell >> popcount:
-                raise DecodeError("SYNC input cell exceeds the sender's mask")
+        assert self._packed is not None
+        _check_cells_fit(self._packed, self._width, mask, "the sender's mask")
         self._input_mask = mask
 
     @property
@@ -592,7 +654,7 @@ class Sync(Message):
             mask = self._input_mask
             assert mask is not None
             append_uvarint(out, mask)
-        out += self._packed
+        _append_change_coded(out, self._packed, self._count, self._width)
         return bytes(out)
 
     @classmethod
@@ -628,46 +690,38 @@ class Sync(Message):
             raise DecodeError("SYNC input count 0 must omit the input section")
         if count > _MAX_SYNC_INPUTS:
             raise DecodeError(f"implausible SYNC input count {count}")
-        if implied:
-            rest = len(body) - offset
-            if rest % count:
+        mask: Optional[int] = None
+        if not implied:
+            mask, offset = read_uvarint(body, offset, "SYNC input mask")
+            if mask >> 64:
+                raise DecodeError(f"SYNC input mask wider than 64 bits ({mask:#x})")
+        cells_at = offset + ((count + 6) >> 3)
+        if cells_at > len(body):
+            raise DecodeError("truncated SYNC change map")
+        changes = int.from_bytes(body[offset:cells_at], "little")
+        if changes >> (count - 1):
+            raise DecodeError("SYNC change map has non-zero pad bits")
+        carried = 1 + bin(changes).count("1")
+        rest = len(body) - cells_at
+        if mask is None:
+            # The width is implied too: whatever divides the cells evenly.
+            width, spare = divmod(rest, carried)
+            if spare:
                 raise DecodeError(
-                    f"SYNC cell blob of {rest} bytes not divisible by "
-                    f"input count {count}"
+                    f"SYNC cells of {rest} bytes fit no width for "
+                    f"{carried} carried cells"
                 )
-            width = rest // count
             if width > _MAX_CELL_WIDTH:
                 raise DecodeError(f"SYNC cell width {width} exceeds 64-bit inputs")
-            message = cls.from_packed(
-                sender_site,
-                session_id,
-                acks,
-                first_frame,
-                body[offset:],
-                count,
-                None,
-                implied=True,
-                width=width,
-            )
-            message._stamp = stamp
-            return message
-        mask, offset = read_uvarint(body, offset, "SYNC input mask")
-        if mask >> 64:
-            raise DecodeError(f"SYNC input mask wider than 64 bits ({mask:#x})")
-        width = cell_width(mask)
-        expected = count * width
-        if len(body) - offset != expected:
-            raise DecodeError(
-                f"SYNC cells length {len(body) - offset} != expected {expected}"
-            )
-        packed = body[offset:]
-        popcount = len(mask_positions(mask))
-        for index in range(count if width else 0):
-            cell = int.from_bytes(
-                packed[index * width : (index + 1) * width], "little"
-            )
-            if cell >> popcount:
-                raise DecodeError("SYNC input cell exceeds the input mask")
+        else:
+            width = cell_width(mask)
+            if rest != carried * width:
+                raise DecodeError(
+                    f"SYNC cells length {rest} != expected {carried * width}"
+                )
+        packed = _expand_changes(body, cells_at, count, width, changes)
+        if mask is not None:
+            _check_cells_fit(packed, width, mask, "the input mask")
         message = cls.from_packed(
             sender_site,
             session_id,
@@ -676,7 +730,8 @@ class Sync(Message):
             packed,
             count,
             mask,
-            implied=False,
+            implied=mask is None,
+            width=width,
         )
         message._stamp = stamp
         return message
@@ -1162,14 +1217,14 @@ def decode(raw: bytes) -> Message:
         raise DecodeError(f"bad magic 0x{raw[0]:02x}{raw[1]:02x}")
     version_type = raw[2]
     if version_type >> 4 != VERSION:
-        if version_type == 0x01:
-            # v1's third byte is its version field, always exactly 0x01 —
-            # no v2 version/type byte collides with it.
-            raise DecodeError(
-                "unsupported wire version 1 (legacy peer; this build speaks "
-                f"version {VERSION})"
-            )
-        raise DecodeError(f"unsupported wire version {version_type >> 4}")
+        # v1's third byte is its version field, always exactly 0x01 — no
+        # later version/type byte collides with it.
+        version = 1 if version_type == 0x01 else version_type >> 4
+        peer = "legacy peer; " if 0 < version < VERSION else ""
+        raise DecodeError(
+            f"unsupported wire version {version} ({peer}this build speaks "
+            f"version {VERSION})"
+        )
     type_id = version_type & 0x0F
     sender_site, offset = read_uvarint(raw, 3, "sender site")
     session_id, offset = read_uvarint(raw, offset, "session id")

@@ -67,14 +67,15 @@ BLOCK_ENTRIES_CEILING = {"pong": 30.0}
 #: Sync bandwidth on the standard lossy two-site profile (900 frames,
 #: send_interval 20 ms, RTT 40 ms, 5% loss, no time server), bytes/sec
 #: sent per site.  ``BANDWIDTH_V1_BPS`` is the legacy fixed-width codec's
-#: number, frozen when the v2 compact codec replaced it (the wire-format
-#: PR's ≥3x acceptance bar is measured against it and pinned by
+#: number, frozen when the compact v2 codec replaced it (its ≥3x
+#: acceptance bar is measured against it and pinned by
 #: ``benchmarks/bench_bandwidth.py``).  ``BANDWIDTH_BASELINE_BPS`` is the
-#: v2 send path measured on the reference container; unlike the fps
-#: gates, byte counts are deterministic in the simulator, so the
-#: tolerance only absorbs protocol-tuning drift, not host noise.
+#: send path with change-coded SYNC windows (wire v3; v2 read 641.5).
+#: Unlike the fps gates, byte counts are deterministic in the simulator,
+#: the same on every host, so the tolerance only absorbs protocol-tuning
+#: drift, not noise.
 BANDWIDTH_V1_BPS = 2395.5
-BANDWIDTH_BASELINE_BPS = 641.5
+BANDWIDTH_BASELINE_BPS = 615.1
 BANDWIDTH_TOLERANCE = 1.05
 
 #: Frame-latency attribution must be cheap enough to leave on in real
@@ -348,8 +349,8 @@ def check_bandwidth(sent_bps: float) -> List[str]:
 
     Returns one message if ``sent_bps`` exceeds ``BANDWIDTH_TOLERANCE`` ×
     :data:`BANDWIDTH_BASELINE_BPS` (empty list = pass).  Only meaningful
-    for the full-size profile; ``--quick`` runs a shrunken session whose
-    startup transient dominates.
+    for the full-size profile, which ``--quick`` runs too: a shrunken
+    session's startup transient would dominate.
     """
     ceiling = BANDWIDTH_BASELINE_BPS * BANDWIDTH_TOLERANCE
     if sent_bps > ceiling:

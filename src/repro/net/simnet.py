@@ -158,7 +158,7 @@ class SimNetwork:
     ) -> None:
         """Start (or stop) flipping one bit in matching ``src → dst`` data.
 
-        While active, every datagram on the direction whose v2 wire header
+        While active, every datagram on the direction whose wire header
         carries ``type_id`` (default: state snapshots) has one
         deterministically chosen payload bit inverted before delivery.  The
         datagram still *arrives* — corruption is an integrity fault, not a

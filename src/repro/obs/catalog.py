@@ -35,7 +35,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "net_bytes_tx": (
         "counter",
         True,
-        "Wire bytes emitted by the outbox (v2 codec, after batching)",
+        "Wire bytes emitted by the outbox (after batching)",
     ),
     "net_bytes_rx": (
         "counter",

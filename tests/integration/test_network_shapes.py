@@ -60,7 +60,7 @@ class TestAsymmetricLinks:
 
 class TestRateLimitedLinks:
     def test_constrained_bandwidth_still_converges(self):
-        """A 4 kB/s link (v2 sync traffic is ~1 kB/s/site) serializes
+        """A 4 kB/s link (sync traffic is ~1 kB/s/site) serializes
         messages but the session survives and converges."""
         plan = make_plan()
         netem = NetemConfig(delay=0.020, rate_bytes_per_s=4_000)
@@ -70,14 +70,16 @@ class TestRateLimitedLinks:
         assert ConsistencyChecker().verify_traces(traces) == 240
 
     def test_starved_link_freezes_but_never_diverges(self):
-        """600 B/s is below the protocol's floor rate (~930 B/s of v2
-        sync traffic per site; the v1 codec needed ~2.5 kB/s): with no
-        congestion control the send queue grows without bound and the
-        game freezes — the §3.1 freeze semantics — but the frames that
+        """400 B/s is below the protocol's floor rate (~930 B/s of sync
+        traffic per site on a free link; the v1 codec needed ~2.5 kB/s):
+        with no congestion control the send queue grows without bound and
+        the game freezes — the §3.1 freeze semantics — but the frames that
         did complete are still bit-identical.  Consistency is
-        unconditional; progress is not."""
+        unconditional; progress is not.  (600 B/s froze the v2 codec; a
+        queued window is long and change-coded SYNCs carry it in fewer
+        bytes, so v3 pulls through at 600 and freezes at 500.)"""
         plan = make_plan(frames=180)
-        netem = NetemConfig(delay=0.005, rate_bytes_per_s=600)
+        netem = NetemConfig(delay=0.005, rate_bytes_per_s=400)
         session = build_session(plan, netem)
         with pytest.raises(RuntimeError, match="did not finish"):
             session.run(horizon=300.0)

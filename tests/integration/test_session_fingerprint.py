@@ -17,7 +17,9 @@ instead of a phase with its own timer, and the linger bound one deadline
 instead of a poll: only ``events`` moved (the per-frame ``phase`` and
 ``compute`` timer records are gone, so the ring reaches further back);
 the other four were captured at that change's parent and hold unchanged.
-A change that is *meant* to alter behaviour re-captures them with
+Then SYNC windows became change-coded (wire v3): only the byte counts in
+``transport`` and ``counters`` moved, and ``frames``, ``events`` and
+``termination`` hold.  A change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
 the components it meant to move, and says so in CHANGES.md.  CI runs this
 file under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random`` on both
@@ -110,22 +112,22 @@ PINNED = {
     lossy_lockstep_counter: {
         "frames": "e05b294502ba8e642c2db46ce4dc1529890f9615f6dcc09802a213affcce7d74",
         "events": "ebb77cc905772eb1a137276ba339d6b5a2aef61c597d6e8eced9a978c578348a",
-        "transport": "f4904a030baa4ea0d12cb054c9cf2284b057eeea0259f9d65441aa4d01251526",
-        "counters": "06d2302b5d360b57f29ab9c3afc9f1688771d186264578fdb048f29c6dac3af2",
+        "transport": "1798a4e9f3205340b2c67b099c98e5ec519a25a367cebf4cd02a5fdbd1d7fdbf",
+        "counters": "33bd472f90fb73bcaa4d58b01d9abf5d35fb7bf1ad0d9836c297f8a6dbb1ed63",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     rollback_pong: {
         "frames": "4dc2ebb76cf419ad9c4e0a6b83b090908b0e20cd5121abbe980a3d61c7582644",
         "events": "67a4430212a11b2fb37057ae154c18573dedb62eb84159da61d926317ee850bd",
-        "transport": "8e802c63835c2cf23f2d682aac727cf18c0ed15a33726aa7f4b6a1eab4ef83e1",
-        "counters": "b932436de7bc52f339f67b7376c3317dca31206dfd99ffa840eac55a66749811",
+        "transport": "e2ae42b280461ececd8e1c25119751e2b6fc032dc9473b8b41270d681c0c5796",
+        "counters": "e9f4a1e779fecb6da27475c838bdc4709ae2b063b5380ada2341886a2cc771a9",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     adaptive_pong_with_poke: {
         "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
         "events": "9db44e423f4172977f8faf2622aa72cb9165a8fa22a617c6f7bbfb50df1a4a6b",
-        "transport": "b441aa6e1997a25a8212734ef0b3198338fbed07d0a5bb4a673dfb897bc3949b",
-        "counters": "32d8959e0ddca3751d5cfc892c643f35229e660984a952ba0041c1db22a41c24",
+        "transport": "849fa9188fe456c11a550398e6619acbe2b2b4cc0a9e06a70f9c074a7b1fdf90",
+        "counters": "a57c198b0359d161a92ab39d6918aeb0959aa8c32da76eb5602628fa63123a3e",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
 }

@@ -1,8 +1,10 @@
 """Property tests: the wire format round-trips arbitrary field values and
 rejects arbitrary garbage without crashing."""
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import assume, given, strategies as st
 
+from repro.core.config import SyncConfig
 from repro.core.messages import (
     DecodeError,
     Hello,
@@ -17,6 +19,46 @@ frames = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 input_words = st.lists(u32, max_size=50)
+
+
+@st.composite
+def cell_windows(draw):
+    """``(width, cells)``: a window of 1..max_inputs_per_message packed
+    cells of 0..8 bytes in which each cell changes or repeats at random."""
+    width = draw(st.integers(min_value=0, max_value=8))
+    count = draw(
+        st.integers(min_value=1, max_value=SyncConfig().max_inputs_per_message)
+    )
+    top = (1 << (8 * width)) - 1
+    cell = draw(st.integers(min_value=0, max_value=top))
+    cells = [cell]
+    for __ in range(count - 1):
+        if width and draw(st.booleans()):
+            cell = (cell + draw(st.integers(min_value=1, max_value=top))) & top
+        cells.append(cell)
+    return width, cells
+
+
+def _change_map(cells):
+    """The canonical change map: bit i-1 set iff cell i != cell i-1."""
+    return sum(1 << (i - 1) for i in range(1, len(cells)) if cells[i] != cells[i - 1])
+
+
+def _section(cells, width, changes):
+    """A SYNC's change map and carried cells, written straight from the
+    layout of docs/wire-format.md §4 for any map, canonical or not."""
+    carried = [cells[0]] + [
+        cells[i] for i in range(1, len(cells)) if changes >> (i - 1) & 1
+    ]
+    return changes.to_bytes((len(cells) + 6) // 8, "little") + b"".join(
+        cell.to_bytes(width, "little") for cell in carried
+    )
+
+
+def _implied(width, cells):
+    packed = b"".join(cell.to_bytes(width, "little") for cell in cells)
+    mask = (1 << (8 * width)) - 1
+    return Sync.from_packed(0, 1, [len(cells), -1], 0, packed, len(cells), mask), mask
 
 
 @given(
@@ -99,3 +141,41 @@ def test_bitflip_detected_or_consistent(raw_tail, position):
         decode(bytes(raw))
     except DecodeError:
         pass  # flagged, good
+
+
+@given(cell_windows())
+def test_change_coded_window_roundtrip(window):
+    width, cells = window
+    message, mask = _implied(width, cells)
+    raw = message.encode()
+    assert raw.endswith(_section(cells, width, _change_map(cells)))
+    decoded = decode(raw)
+    assert decoded.encode() == raw
+    decoded.resolve_input_mask(mask)
+    assert decoded.inputs == message.inputs
+    explicit = Sync(0, 1, [len(cells), -1], 0, message.inputs).encode()
+    decoded = decode(explicit)
+    assert decoded.encode() == explicit
+    assert decoded.inputs == message.inputs
+
+
+@given(cell_windows(), st.data())
+def test_non_canonical_change_coding_rejected(window, data):
+    width, cells = window
+    raw = _implied(width, cells)[0].encode()
+    canonical = _change_map(cells)
+    head = raw[: len(raw) - len(_section(cells, width, canonical))]
+    unchanged = [i for i in range(1, len(cells)) if cells[i] == cells[i - 1]]
+    if unchanged:
+        index = data.draw(st.sampled_from(unchanged))
+        forged = _section(cells, width, canonical | 1 << (index - 1))
+        with pytest.raises(DecodeError):
+            decode(head + forged)
+    if (len(cells) - 1) % 8:
+        with pytest.raises(DecodeError, match="pad bits"):
+            decode(head + _section(cells, width, canonical | 1 << (len(cells) - 1)))
+    carried = 1 + bin(canonical).count("1")
+    extra = data.draw(st.integers(min_value=1, max_value=16))
+    if extra % carried:
+        with pytest.raises(DecodeError):
+            decode(raw + bytes(extra))

@@ -15,15 +15,18 @@ import pytest
 
 from repro.emulator.machine import create_game
 from repro.metrics.bench import (
+    BANDWIDTH_BASELINE_BPS,
     BLOCK_ENTRIES_CEILING,
     ROM_FPS_BASELINE,
     SEED_BASELINE,
     WAKEUPS_BASELINE,
     bench_filename,
+    check_bandwidth,
     check_block_entries,
     check_block_fps,
     check_wakeup_stats,
     load_bench_history,
+    measure_bandwidth_profile,
     measure_block_stats,
     measure_driver_costs,
     measure_game_fps,
@@ -106,6 +109,15 @@ def test_wakeup_stats_are_exact_and_gated():
     assert len(check_wakeup_stats(chatty)) == 1
 
 
+def test_bandwidth_profile_is_exact_and_gated():
+    # Bytes, not times: the full-length profile reads the baseline to its
+    # last recorded digit on every host.
+    sent = measure_bandwidth_profile()["sent_Bps"]
+    assert round(sent, 1) == BANDWIDTH_BASELINE_BPS
+    assert check_bandwidth(sent) == []
+    assert len(check_bandwidth(BANDWIDTH_BASELINE_BPS * 1.06)) == 1
+
+
 def test_measure_driver_costs_smoke():
     costs = measure_driver_costs(frames=30)
     assert set(costs) == {
@@ -174,6 +186,7 @@ def test_run_bench_quick_cli(tmp_path):
     assert "compute=" not in proc.stdout and "linger=" not in proc.stdout
     assert results["wakeup_stats"]["pumps_per_wakeup"] == 1.0
     assert results["wakeup_stats"]["wakeups_per_frame"] == WAKEUPS_BASELINE / 3_600
+    assert results["bandwidth"]["sent_Bps"] == BANDWIDTH_BASELINE_BPS
     # Never gated, so no longer measured; the recorded files that carry
     # the number still load next to a result that does not.
     assert "lockstep_roundtrips_per_s" not in results

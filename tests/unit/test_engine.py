@@ -33,7 +33,6 @@ from repro.core.engine import (
 )
 from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
 from repro.core.messages import (
-    Hello,
     Ping,
     Start,
     Sync,
@@ -42,8 +41,6 @@ from repro.core.messages import (
     uvarint_len,
 )
 from repro.core.rtt import RttEstimator
-from repro.core.session import config_digest, game_digest
-from repro.core.wire_v1 import encode_v1
 from repro.emulator.machine import create_game
 
 
@@ -449,26 +446,26 @@ class TestBandwidthBudget:
 
 
 class TestLegacyPeerRejection:
-    """A v1 site can never join (or desync) a v2 session."""
+    """A site speaking an older wire version can never join (or desync) a
+    session.  The HELLOs were captured from the v1 and v2 codecs for this
+    session's id, game and config, so the rejection is the codec version,
+    not a digest mismatch."""
 
-    def _legacy_hello(self, runtime):
-        # Digest-valid HELLO: proves the rejection is the codec version,
-        # not a config mismatch.
-        return encode_v1(
-            Hello(
-                sender_site=1,
-                session_id=runtime.session_id,
-                game_id=game_digest("counter"),
-                config_digest=config_digest(runtime.config),
-            )
-        )
+    V1_HELLO = "52470101000100000001c12294785342bb70"
+    V2_HELLO = "5247210101f8a88a890cf0f68a9a05"
 
     def test_v1_hello_rejected_observably(self):
+        self._assert_rejected(self.V1_HELLO, "version 1 ")
+
+    def test_v2_hello_rejected_observably(self):
+        self._assert_rejected(self.V2_HELLO, "version 2 ")
+
+    def _assert_rejected(self, hello_hex, version):
         configs = [SyncConfig(slice_delay=0.0, handshake_timeout_s=0.5)] * 2
         engines = build_engines(frames=10, configs=configs)
         master = engines[0]
         effects = master.start(0.0)
-        raw = self._legacy_hello(master.runtime)
+        raw = bytes.fromhex(hello_hex)
         now = 0.01
         while not master.done and now < 2.0:
             effects += master.handle(DatagramReceived(raw, now, now))
@@ -490,7 +487,7 @@ class TestLegacyPeerRejection:
             r for r in master.runtime.events if r.kind == "decode_error"
         ]
         assert errors
-        assert "version 1" in str(errors[0].detail["error"])
+        assert version in str(errors[0].detail["error"])
 
 
 class TestTimerOrder:

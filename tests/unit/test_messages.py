@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core.messages import (
+    FEATURE_DIGEST,
+    FEATURE_TIMELINE,
+    Batch,
     Bye,
     DecodeError,
     Hello,
@@ -16,6 +19,7 @@ from repro.core.messages import (
     Sync,
     Welcome,
     decode,
+    decode_all,
 )
 
 
@@ -23,6 +27,128 @@ def roundtrip(message):
     decoded = decode(message.encode())
     assert type(decoded) is type(message)
     return decoded
+
+
+def _implied_sync(packed, count, mask):
+    return Sync.from_packed(1, 7, [120, 118], 116, packed, count, mask)
+
+
+def _stamped_sync():
+    message = _implied_sync(bytes([1, 1, 3, 3, 3, 0]), 6, 0xFF)
+    message.annotate(93_750, 120)
+    return message
+
+
+#: Frozen v3 datagrams, one per layout the SYNC decoder tells apart plus
+#: HELLO and BATCH: ``(build, hex bytes, mask the receiver resolves an
+#: implied-mask SYNC with)``.  docs/wire-format.md §4 walks through the
+#: first one byte by byte.
+V3_FIXTURES = [
+    pytest.param(
+        lambda: _implied_sync(bytes([1, 1, 3, 3, 3, 0]), 6, 0xFF),
+        "5247350107e8018208040612010300",
+        0xFF,
+        id="sync-implied-mask",
+    ),
+    pytest.param(
+        lambda: Sync(1, 7, [10, -1], 6, [0, 5, 5, 4]),
+        "52473501070c02080d040505000302",
+        None,
+        id="sync-explicit-mask",
+    ),
+    pytest.param(
+        _stamped_sync, "5247350107e801c20804b6dc05780612010300", 0xFF, id="sync-stamped"
+    ),
+    pytest.param(
+        lambda: Sync(0, 7, [5, 5], 6), "52473500070c020101", None, id="sync-pure-ack"
+    ),
+    pytest.param(
+        lambda: Sync(1, 7, [3, 3], 4, [0, 0, 0]),
+        "524735010708020101030000",
+        None,
+        id="sync-width-0",
+    ),
+    pytest.param(
+        lambda: _implied_sync(b"\x02\x01\x02\x01\xff\xff", 3, 0xFFFF),
+        "5247350107e80182080403020201ffff",
+        0xFFFF,
+        id="sync-width-2",
+    ),
+    pytest.param(
+        lambda: Hello(1, 7, 0xDEADBEEF, 0x12345678, FEATURE_TIMELINE | FEATURE_DIGEST),
+        "5247310107effdb6f50df8acd1910103",
+        None,
+        id="hello",
+    ),
+    pytest.param(
+        lambda: Batch(
+            0,
+            7,
+            [Sync(0, 7, [9, 8], 9, [1] * 9 + [2]), Ping(0, 7, 42, 1_234_567)],
+        ),
+        "52473c000702050a120200010a030001010206052a8eda9601",
+        None,
+        id="batch",
+    ),
+]
+
+
+class TestFrozenV3Bytes:
+    @pytest.mark.parametrize("build, fixture, mask", V3_FIXTURES)
+    def test_encodes_to_fixture(self, build, fixture, mask):
+        assert build().encode().hex() == fixture
+
+    @pytest.mark.parametrize("build, fixture, mask", V3_FIXTURES)
+    def test_fixture_decodes_to_the_message(self, build, fixture, mask):
+        raw = bytes.fromhex(fixture)
+        assert decode(raw).encode() == raw
+        message = build()
+        wanted = message.messages if isinstance(message, Batch) else [message]
+        got = decode_all(raw)
+        assert [type(m) for m in got] == [type(m) for m in wanted]
+        for decoded, want in zip(got, wanted):
+            if isinstance(want, Sync):
+                decoded.resolve_input_mask(mask)
+                assert decoded.acks == want.acks
+                assert decoded.first_frame == want.first_frame
+                assert decoded.inputs == want.inputs
+                assert decoded.stamp == want.stamp
+            else:
+                assert decoded == want
+
+
+class TestChangeCoding:
+    def _sync(self, inputs):
+        return Sync(0, 1, acks=[100, 95], first_frame=96, inputs=inputs)
+
+    def test_a_repeated_cell_costs_one_bit(self):
+        held = len(self._sync([3] * 17).encode())
+        moving = len(self._sync([1, 2] * 8 + [1]).encode())
+        assert moving - held == 16  # sixteen changed one-byte cells
+
+    def test_set_bit_on_an_unchanged_cell_rejected(self):
+        raw = self._sync([1, 1, 2]).encode()
+        assert raw[-3:] == bytes([0b10, 1, 2])  # change map, cells 0 and 2
+        with pytest.raises(DecodeError, match="unchanged cell"):
+            decode(raw[:-3] + bytes([0b11, 1, 1, 2]))
+
+    def test_non_zero_pad_bits_rejected(self):
+        raw = self._sync([1, 1, 2]).encode()
+        with pytest.raises(DecodeError, match="pad bits"):
+            decode(raw[:-3] + bytes([0b10 | 0x80, 1, 2]))
+
+    def test_implied_length_that_fits_no_width_rejected(self):
+        raw = _implied_sync(bytes([1, 1, 3]), 3, 0xFF).encode()
+        decode(raw)  # one byte per cell: two carried cells
+        with pytest.raises(DecodeError, match="fit no width"):
+            decode(raw + b"\x00")
+
+    def test_explicit_cells_length_checked(self):
+        raw = self._sync([1, 1, 2]).encode()
+        with pytest.raises(DecodeError):
+            decode(raw[:-1])
+        with pytest.raises(DecodeError):
+            decode(raw + b"\x00")
 
 
 class TestRoundtrips:
@@ -183,6 +309,17 @@ class TestValidation:
         raw = Sync(0, 1, acks=[1, 2], first_frame=0, inputs=[1, 2, 3]).encode()
         with pytest.raises(DecodeError):
             decode(raw[:-2])
+
+    def test_cell_beyond_the_mask_rejected(self):
+        # Mask 0b101 packs two bits per one-byte cell: 7 sets a third.
+        raw = Sync(0, 1, [5, 5], 6, [1, 5]).encode()
+        assert raw[-2:] == bytes([1, 3])
+        with pytest.raises(DecodeError, match="exceeds the input mask"):
+            decode(raw[:-1] + bytes([7]))
+        implied = _implied_sync(bytes([1, 3]), 2, 0b101).encode()
+        message = decode(implied[:-1] + bytes([7]))
+        with pytest.raises(DecodeError, match="exceeds the sender's mask"):
+            message.resolve_input_mask(0b101)
 
     def test_start_with_body_rejected(self):
         raw = Start(0, 1).encode() + b"junk"

@@ -1,16 +1,18 @@
-"""Cross-version golden tests: the retained v1 codec vs the live v2 one.
+"""Legacy wire versions against the live codec.
 
-``repro.core.wire_v1`` is the legacy fixed-width encoding, kept only as a
-reference implementation.  These tests pin three contracts:
+The fixed-width v1 codec and the v2 codec are gone.  What is left of them
+is datagrams captured from each, one per message type, and the header
+check a v1 site runs before it reads a body.  These tests pin three
+contracts:
 
-* the v1 codec still round-trips every message type (so it remains a
-  trustworthy baseline for size benchmarks),
-* encoding with either codec and decoding with the same codec yields the
-  same message — field-for-field — so the two codecs describe the same
-  protocol, only the bytes differ,
-* v1 bytes arriving at a v2 site always raise :class:`DecodeError` with
-  an error naming the legacy version (the HELLO-time rejection path), and
-  v2 bytes are equally unreadable to a v1 site.
+* v1 and v2 bytes arriving at a live site always raise
+  :class:`DecodeError` with an error naming the version, and a v1 HELLO
+  is reported as a legacy peer (the HELLO-time rejection path),
+* live bytes are equally unreadable to a v1 site,
+* the size claims made against v1 hold against its captured sizes.
+
+The test names date from when the live codec was v2: in them, "v2
+decoder" and "v2 bytes" mean the live codec.
 """
 
 import pytest
@@ -30,76 +32,91 @@ from repro.core.messages import (
     Welcome,
     decode,
 )
-from repro.core.wire_v1 import decode_v1, encode_v1
+
+#: One representative instance of every wire message type (Sync0 carries
+#: inputs, Sync1 is a pure ack).
+SAMPLES = {
+    "Hello": Hello(1, 7, game_id=0xDEADBEEF, config_digest=0x12345678),
+    "Welcome": Welcome(0, 7, assigned_site=1, num_sites=4),
+    "Start": Start(0, 7),
+    "StartAck": StartAck(1, 7),
+    "Sync0": Sync(1, 7, acks=[120, 118], first_frame=119, inputs=[0, 3, 0xFFFF]),
+    "Sync1": Sync(1, 7, acks=[120, 118], first_frame=121),
+    "Ping": Ping(1, 7, seq=42, timestamp_us=1_234_567),
+    "Pong": Pong(0, 7, seq=42, echo_timestamp_us=1_234_567),
+    "StateRequest": StateRequest(2, 7),
+    "StateSnapshot": StateSnapshot(
+        0, 7, frame=300, state=b"\x00\x01machine", backlog=[[1, 2], []]
+    ),
+    "Bye": Bye(1, 7),
+    "Resume": Resume(1, 7, last_acked_frame=250),
+}
+
+#: ``SAMPLES`` as the codecs that spoke wire versions 1 and 2 encoded
+#: them, ``(v1 hex, v2 hex)``.
+LEGACY_BYTES = {
+    "Hello": (
+        "52470101000100000007deadbeef12345678",
+        "5247210107effdb6f50df8acd19101",
+    ),
+    "Welcome": ("524701020000000000070000000100000004", "52472200070208"),
+    "Start": ("52470103000000000007", "5247230007"),
+    "StartAck": ("52470104000100000007", "5247240107"),
+    "Sync0": (
+        "52470105000100000007000000020000007800000076000000770000000300000000"
+        "000000030000ffff",
+        "5247250107ee0102020103ffff0300000300ffff",
+    ),
+    "Sync1": (
+        "524701050001000000070000000200000078000000760000007900000000",
+        "5247250107f201020105",
+    ),
+    "Ping": ("524701060001000000070000002a000000000012d687", "52472601072a8eda9601"),
+    "Pong": ("524701070000000000070000002a000000000012d687", "52472700072a8eda9601"),
+    "StateRequest": ("52470108000200000007", "5247280207"),
+    "StateSnapshot": (
+        "524701090000000000070000012c0000000900016d616368696e65000000020000000200"
+        "0000010000000200000000",
+        "5247290007d8040900016d616368696e650202010200",
+    ),
+    "Bye": ("5247010a000100000007", "52472a0107"),
+    "Resume": ("5247010b000100000007000000fa", "52472b0107f403"),
+}
+
+#: v1 encodings of the two SYNCs the size claims are made on.
+SYNC_8_FRAMES_V1 = (
+    "5247010500000000000100000002000000640000005f0000006000000008000000010000"
+    "0000000000030000000200000001000000000000000100000003"
+)
+PURE_ACK_V1 = "5247010500000000000100000002000000640000005f0000006500000000"
 
 
-def sample_messages():
-    """One representative instance of every wire message type."""
-    return [
-        Hello(1, 7, game_id=0xDEADBEEF, config_digest=0x12345678),
-        Welcome(0, 7, assigned_site=1, num_sites=4),
-        Start(0, 7),
-        StartAck(1, 7),
-        Sync(1, 7, acks=[120, 118], first_frame=119, inputs=[0, 3, 0xFFFF]),
-        Sync(1, 7, acks=[120, 118], first_frame=121),  # pure ack
-        Ping(1, 7, seq=42, timestamp_us=1_234_567),
-        Pong(0, 7, seq=42, echo_timestamp_us=1_234_567),
-        StateRequest(2, 7),
-        StateSnapshot(0, 7, frame=300, state=b"\x00\x01machine", backlog=[[1, 2], []]),
-        Bye(1, 7),
-        Resume(1, 7, last_acked_frame=250),
-    ]
-
-
-class TestV1RoundTrip:
-    @pytest.mark.parametrize(
-        "message", sample_messages(), ids=lambda m: type(m).__name__
-    )
-    def test_v1_codec_round_trips(self, message):
-        assert decode_v1(encode_v1(message)) == message
-
-    @pytest.mark.parametrize(
-        "message", sample_messages(), ids=lambda m: type(m).__name__
-    )
-    def test_codecs_agree_on_fields(self, message):
-        """Same message through either codec decodes to the same message."""
-        via_v1 = decode_v1(encode_v1(message))
-        via_v2 = decode(message.encode())
-        assert via_v1 == via_v2
-        assert type(via_v1) is type(via_v2)
-        assert via_v1.sender_site == via_v2.sender_site
-        assert via_v1.session_id == via_v2.session_id
-
-    def test_sync_payload_fields_survive_both_codecs(self):
-        message = Sync(1, 7, acks=[120, 118], first_frame=119, inputs=[0, 3, 9])
-        for codec_decode, codec_encode in ((decode_v1, encode_v1), (decode, Sync.encode)):
-            twin = codec_decode(codec_encode(message))
-            assert twin.acks == [120, 118]
-            assert twin.first_frame == 119
-            assert list(twin.inputs) == [0, 3, 9]
+def v1_site_accepts(raw):
+    """The header check of a v1 site: a 10-byte ``>HBBHI`` header with
+    magic 0x5247 and version byte 1."""
+    return len(raw) >= 10 and raw[:3] == b"RG\x01"
 
 
 class TestVersionRejection:
-    @pytest.mark.parametrize(
-        "message", sample_messages(), ids=lambda m: type(m).__name__
-    )
-    def test_v1_bytes_rejected_by_v2_decoder(self, message):
-        with pytest.raises(DecodeError, match="version 1"):
-            decode(encode_v1(message))
+    @pytest.mark.parametrize("name", list(LEGACY_BYTES))
+    def test_v1_bytes_rejected_by_v2_decoder(self, name):
+        with pytest.raises(DecodeError, match="version 1 "):
+            decode(bytes.fromhex(LEGACY_BYTES[name][0]))
 
-    @pytest.mark.parametrize(
-        "message", sample_messages(), ids=lambda m: type(m).__name__
-    )
-    def test_v2_bytes_rejected_by_v1_decoder(self, message):
-        with pytest.raises(DecodeError):
-            decode_v1(message.encode())
+    @pytest.mark.parametrize("name", list(LEGACY_BYTES))
+    def test_v2_bytes_rejected_by_v1_decoder(self, name):
+        assert v1_site_accepts(bytes.fromhex(LEGACY_BYTES[name][0]))
+        assert not v1_site_accepts(SAMPLES[name].encode())
+
+    @pytest.mark.parametrize("name", list(LEGACY_BYTES))
+    def test_captured_v2_bytes_rejected(self, name):
+        with pytest.raises(DecodeError, match="version 2 "):
+            decode(bytes.fromhex(LEGACY_BYTES[name][1]))
 
     def test_v1_rejection_is_an_error_not_a_misparse(self):
-        """A legacy HELLO must never decode into *some* v2 message."""
-        hello = Hello(1, 7, game_id=1, config_digest=2)
-        raw = encode_v1(hello)
+        """A legacy HELLO must never decode into *some* live message."""
         with pytest.raises(DecodeError, match="legacy"):
-            decode(raw)
+            decode(bytes.fromhex(LEGACY_BYTES["Hello"][0]))
 
 
 class TestSizeComparison:
@@ -108,12 +125,11 @@ class TestSizeComparison:
         message = Sync(
             0, 1, acks=[100, 95], first_frame=96, inputs=[1, 0, 3, 2, 1, 0, 1, 3]
         )
-        v1_size = len(encode_v1(message))
-        v2_size = len(message.encode())
+        v1_size = len(bytes.fromhex(SYNC_8_FRAMES_V1))
         assert v1_size == 62  # the legacy layout, pinned
-        assert v2_size < v1_size / 2
+        assert len(message.encode()) < v1_size / 2
 
     def test_pure_ack_sync_is_tiny(self):
         message = Sync(0, 1, acks=[100, 95], first_frame=101)
         assert len(message.encode()) <= 10
-        assert len(encode_v1(message)) == 30
+        assert len(bytes.fromhex(PURE_ACK_V1)) == 30
