@@ -8,10 +8,10 @@ on the running players' pacing.
 from repro.core.config import SyncConfig
 from repro.core.engine import SitePeer
 from repro.core.inputs import PadSource, RandomSource
-from repro.core.latejoin import LateJoinEngine, register_late_join
 from repro.core.multisite import (
     build_session,
     players_and_observers_plan,
+    register_late_join,
     site_address,
 )
 from repro.core.vm import DistributedVM
@@ -40,7 +40,6 @@ def run_latejoin(game, frames, join_time=2.0):
     engine = plan.build_engine(
         2,
         [SitePeer(s, site_address(s)) for s in range(3)],
-        engine_class=LateJoinEngine,
         donor_site=0,
     )
     joiner = DistributedVM(

@@ -24,8 +24,7 @@ from repro import (
     players_and_observers_plan,
 )
 from repro.core.engine import SitePeer
-from repro.core.latejoin import LateJoinEngine, register_late_join
-from repro.core.multisite import site_address
+from repro.core.multisite import register_late_join, site_address
 from repro.core.vm import DistributedVM
 
 
@@ -48,12 +47,11 @@ def main() -> None:
         plan, NetemConfig.for_rtt(0.040), excluded_sites=[3]
     )
 
-    # The joiner is the same driver shell running a different engine: one
-    # that acquires a savestate from its donor instead of handshaking.
+    # The joiner is the same driver shell and the same engine, built with a
+    # donor: it acquires that site's savestate instead of handshaking.
     engine = plan.build_engine(
         3,
         [SitePeer(s, site_address(s)) for s in range(4)],
-        engine_class=LateJoinEngine,
         donor_site=0,
         time_server_address=session.time_server.address,
     )

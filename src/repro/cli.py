@@ -284,11 +284,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Scenarios `repro chaos --quick` (the PR gate) runs; the nightly job
-#: runs the full matrix.
-CHAOS_QUICK = ("partition", "crash", "divergence")
-
-
 def _chaos_catalogue() -> dict:
     """name → (description, run_chaos kwargs) for every chaos scenario."""
     from repro.harness.chaos import (
@@ -363,12 +358,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.harness.chaos import run_chaos
 
     catalogue = _chaos_catalogue()
-    if args.quick:
-        names = list(CHAOS_QUICK)
-    elif args.scenario == "all":
-        names = list(catalogue)
-    else:
-        names = [args.scenario]
+    names = list(catalogue) if args.scenario == "all" else [args.scenario]
 
     failures = 0
     for name in names:
@@ -681,11 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
             "flap",
         ),
         default="all",
-    )
-    chaos.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI smoke: {' + '.join(CHAOS_QUICK)} only",
     )
     chaos.add_argument("--game", default="counter")
     chaos.add_argument("--frames", type=int, default=240)

@@ -15,14 +15,15 @@ Layout mirrors the paper's structure:
   that starts both sites within one round trip.
 * :mod:`repro.core.engine` — Algorithm 1 as a sans-IO engine:
   ``handle(event) -> [effects]`` / ``poll(now) -> [effects]``, hosting the
-  whole orchestration (handshake, pumps, frame loop, linger) exactly once;
-  its ``consistency`` part decides which ``SyncInput`` the loop runs.
+  whole orchestration (handshake or state acquire, pumps, frame loop,
+  linger) exactly once; its ``consistency`` part decides which
+  ``SyncInput`` the loop runs.
 * :mod:`repro.core.driver` — driver-support helpers shared by both shells.
 * :mod:`repro.core.vm` — the discrete-event driver (simulator).
 * :mod:`repro.core.aio` — the asyncio driver over real UDP: many sessions,
   one process.
-* :mod:`repro.core.multisite` — N players and observers (journal extension).
-* :mod:`repro.core.latejoin` — late joiners via savestate + replay.
+* :mod:`repro.core.multisite` — N players and observers, and late-joiner
+  admission (journal extension).
 * :mod:`repro.core.replay` — input movies (record / verify / replay).
 * :mod:`repro.core.rollback` — the timewarp alternative, zero local lag
   (the ``Rollback`` consistency part).

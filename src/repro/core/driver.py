@@ -90,8 +90,8 @@ def apply_effects(
     BATCH datagram), so drivers move bytes and never touch the codec.
     The liveness effects update ``status`` when given.  Timers are not
     effects — drivers pull ``engine.next_deadline()`` — and ``Present`` /
-    ``Stall`` / ``ServeState`` are notifications these headless drivers
-    have no screen (or lobby) for; the harness admission hook is
+    ``Stall`` are notifications these headless drivers have no screen
+    for; the harness admits a late joiner through
     ``engine.on_snapshot_served``.
     """
     running = True

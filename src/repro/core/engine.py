@@ -195,8 +195,8 @@ class SiteRuntime:
         self.switch_acks: Dict[int, int] = {}
         #: Lazily-built hysteretic lag tuner (``repro.core.policy``).
         self._lag_tuner = None
-        #: Latest received savestate (consumed by the late-join engine and
-        #: the resync slave path).
+        #: Latest received savestate (consumed by the engine's acquire step
+        #: and the resync slave path).
         self.latest_snapshot: Optional[StateSnapshot] = None
         #: Live divergence detection (ISSUE-10): folds the periodic state
         #: digests into agreement/divergence facts.  Built whenever the
@@ -794,15 +794,6 @@ class Stall:
 
 
 @dataclass(frozen=True)
-class ServeState:
-    """A savestate for late-joiner ``site`` was snapshot at ``frame`` (the
-    harness uses this to broadcast the admission)."""
-
-    site: int
-    frame: int
-
-
-@dataclass(frozen=True)
 class Degraded:
     """The gate has been blocked past ``soft_stall_s`` on an unresponsive
     peer: the driver should freeze presentation and show "waiting for
@@ -842,9 +833,7 @@ class Finished:
     frame: int
 
 
-Effect = Union[
-    Send, Present, Stall, ServeState, Degraded, PeerLost, Resumed, Finished
-]
+Effect = Union[Send, Present, Stall, Degraded, PeerLost, Resumed, Finished]
 
 
 # ----------------------------------------------------------------------
@@ -852,14 +841,14 @@ Effect = Union[
 # ----------------------------------------------------------------------
 TIMER_FLUSH = "flush"  # the 20 ms outbound batch, §4.2 slice delay included
 TIMER_PING = "ping"  # RTT probe period
-TIMER_RETRY = "retry"  # session-control retransmission
 TIMER_GATE = "gate"  # SyncInput poll while blocked
 TIMER_FRAME = "frame"  # EndFrameTiming wait / frame-loop start delay
 TIMER_LINGER = "linger"  # catch-up / linger bound
-TIMER_BACKOFF = "backoff"  # suspended-phase retransmission (exp backoff)
-TIMER_RESUME = "resume-deadline"  # suspended-phase give-up deadline
-TIMER_RESYNC = "resync"  # resync-episode retransmission tick
-TIMER_RESYNC_DEADLINE = "resync-deadline"  # episode give-up deadline
+# A wait on a peer (handshake, acquire, suspended, resync) is these two;
+# the phase says which wait.  Both sort after the five kinds above, and
+# retry before timeout, so simultaneous deadlines fire in a fixed order.
+TIMER_RETRY = "retry"  # retransmit what the phase is waiting for
+TIMER_TIMEOUT = "timeout"  # give up on the peer, by a named termination
 
 PHASE_IDLE = "idle"
 PHASE_HANDSHAKE = "handshake"
@@ -869,7 +858,7 @@ PHASE_LINGER = "linger"
 PHASE_SUSPENDED = "suspended"  # gate blocked past hard_stall_s (peer down)
 PHASE_DONE = "done"
 PHASE_CATCHUP = "catchup"  # frames presented; confirming those in flight
-PHASE_ACQUIRE = "acquire"  # late join: waiting for a state snapshot
+PHASE_ACQUIRE = "acquire"  # late join / resume: waiting for a snapshot
 PHASE_RESYNC = "resync"  # desync recovery: frozen, restoring the anchor
 
 #: Ping period for RTT estimation, in seconds.
@@ -929,16 +918,25 @@ class SiteEngine:
     retries, the send/ping pumps, the SyncInput gate, frame pacing and the
     linger phase — expressed as named timers.  Drivers feed events and
     apply effects; see the module docstring for the contract.
+
+    A site enters the session by the start handshake, or — given a
+    ``donor_site`` — by acquiring that donor's savestate (journal
+    extension): a late joiner sends ``STATE_REQUEST``; a crashed and
+    restarted site sends ``RESUME`` carrying ``last_acked_frame``, the
+    last own frame the donor was seen to ack (its authentication cookie).
     """
 
     #: SyncInput re-poll period while blocked; bounds how long a site waits
     #: when a wakeup was lost (the peer's pump re-sends every 20 ms anyway).
     SYNC_POLL = 0.004
 
-    #: Resync-episode retransmission period: unagreed digests (both roles)
-    #: and the snapshot re-request (slave) go out at this cadence until the
-    #: episode closes or its deadline fires.
-    RESYNC_TICK = 0.1
+    #: Retry period of the acquire and resync waits: the state request
+    #: (acquire), unagreed digests and the snapshot re-request (resync) go
+    #: out at this cadence until answered or timed out.
+    REQUEST_INTERVAL = 0.1
+    #: An acquiring site gives up (``acquire-timeout``) after this long
+    #: without a snapshot.
+    REQUEST_TIMEOUT = 30.0
 
     def __init__(
         self,
@@ -952,6 +950,8 @@ class SiteEngine:
         time_server_address: Optional[str] = None,
         frame_loop_delay: float = 0.0,
         timer_granularity: float = 0.0,
+        donor_site: Optional[int] = None,
+        last_acked_frame: Optional[int] = None,
     ) -> None:
         self.runtime = runtime
         self.max_frames = max_frames
@@ -971,6 +971,12 @@ class SiteEngine:
         #: flush delays the whole unacked-input window, eating into the
         #: §4.2 latency budget.
         self.timer_granularity = timer_granularity
+        #: The site whose savestate this one acquires (None: handshake),
+        #: and the RESUME cookie (None: a late join's STATE_REQUEST).
+        self.donor_site = donor_site
+        self.last_acked_frame = last_acked_frame
+        #: First frame an acquiring site executed (None until it has).
+        self.joined_at_frame: Optional[int] = None
         self._rng = random.Random((seed << 8) ^ runtime.site_no)
 
         self.phase = PHASE_IDLE
@@ -1005,7 +1011,6 @@ class SiteEngine:
         self._suspended_at = 0.0
         self._suspend_waiting: Tuple[int, ...] = ()
         self._backoff = runtime.config.suspend_backoff_initial_s
-        self._handshake_deadline: Optional[float] = None
         self._liveness_mark = runtime.liveness.mark
 
         #: Desync recovery (ISSUE-10): episode budget plus the live
@@ -1020,7 +1025,6 @@ class SiteEngine:
         self.resync_frozen = 0
         self._resync_started = 0.0
         self._resync_restored = False
-        self._resync_peer: Optional[int] = None
 
         #: Outbox: (message, destination) pairs queued during the current
         #: pump.  ``_flush_outbox`` drains it exactly once per pump —
@@ -1036,12 +1040,17 @@ class SiteEngine:
     # Entry points
     # ------------------------------------------------------------------
     def start(self, now: float) -> List[Effect]:
-        """Begin the session at ``now``; returns the first effects."""
+        """Begin the session at ``now`` — by the start handshake, or by
+        acquiring the donor's state — and return the first effects."""
         effects: List[Effect] = []
-        self.phase = PHASE_HANDSHAKE
-        timeout = self.runtime.config.handshake_timeout_s
+        if self.donor_site is None:
+            self.phase = PHASE_HANDSHAKE
+            timeout = self.runtime.config.handshake_timeout_s
+        else:
+            self.phase = PHASE_ACQUIRE
+            timeout = self.REQUEST_TIMEOUT
         if timeout is not None:
-            self._handshake_deadline = now + timeout
+            self._set(TIMER_TIMEOUT, now + timeout)
         self._arm_send(now)
         self._set(TIMER_PING, now)
         self._set(TIMER_RETRY, now)
@@ -1241,8 +1250,8 @@ class SiteEngine:
 
         Counting ``Send``/``Present``/``Stall`` effects centrally keeps the
         phase machine itself observation-free; phase transitions are
-        detected by comparison so subclass engines that assign ``phase``
-        directly (acquire) are captured too.
+        detected by comparison, so every assignment to ``phase`` is
+        captured without a hook of its own.
         """
         runtime = self.runtime
         metrics = runtime.metrics
@@ -1302,69 +1311,83 @@ class SiteEngine:
                 interval = min(interval, 0.1)
             self._set(TIMER_PING, now + interval)
         elif kind == TIMER_RETRY:
-            if self.phase == PHASE_HANDSHAKE:
-                if (
-                    self._handshake_deadline is not None
-                    and now >= self._handshake_deadline
-                ):
-                    self.runtime.events.emit(
-                        "error",
-                        now,
-                        self.runtime.frame,
-                        error="handshake timeout",
-                    )
-                    self._terminate("handshake-timeout", now, effects)
-                    return
-                self._outbox.extend(self.runtime.control_messages(now))
-                self._set(TIMER_RETRY, self.runtime.session.retry_deadline())
-        elif kind == TIMER_BACKOFF:
-            if self.phase == PHASE_SUSPENDED:
-                # Suspended retransmission: same payloads as the 20 ms pump
-                # (control + forced sync windows), at a backed-off cadence —
-                # the peer may come back at any moment, but a dead peer must
-                # not be hammered at frame rate for the whole deadline.
-                self._outbox.extend(self.runtime.control_messages(now))
-                if self.runtime.session.started:
-                    self._outbox.extend(
-                        self.runtime.sync_broadcast(force=True, now=now)
-                    )
-                self._backoff = min(
-                    self._backoff * 2.0,
-                    self.runtime.config.suspend_backoff_max_s,
+            self._retry(now)
+        elif kind == TIMER_TIMEOUT:
+            self._give_up(now, effects)
+        # TIMER_LINGER: _advance checks the catch-up / linger deadline.
+
+    def _retry(self, now: float) -> None:
+        """Re-send what the phase is waiting on a peer for, and re-arm."""
+        runtime = self.runtime
+        if self.phase == PHASE_HANDSHAKE:
+            self._outbox.extend(runtime.control_messages(now))
+            self._set(TIMER_RETRY, runtime.session.retry_deadline())
+        elif self.phase == PHASE_ACQUIRE:
+            if self.last_acked_frame is None:
+                request = StateRequest(runtime.site_no, runtime.session_id)
+            else:
+                request = Resume(
+                    runtime.site_no, runtime.session_id, self.last_acked_frame
                 )
-                self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
-        elif kind == TIMER_RESUME:
-            if self.phase == PHASE_SUSPENDED:
-                self.runtime.events.emit(
-                    "peer_lost",
-                    now,
-                    self.runtime.frame,
-                    waiting_on=list(self._suspend_waiting),
-                    suspended_for=now - self._suspended_at,
-                )
-                self._terminate("peer-lost", now, effects)
-        elif kind == TIMER_LINGER:
-            pass  # _advance checks the catch-up / linger deadline below
-        elif kind == TIMER_RESYNC:
-            if self.phase == PHASE_RESYNC:
-                # Episodes must survive loss: re-send every digest not yet
-                # known-agreed (idempotent to fold twice), and a slave still
-                # waiting on its snapshot re-requests it.
-                self._outbox.extend(self.runtime.digest_retransmits(now))
-                if not self._resync_restored and not self._is_resync_authority():
-                    self._request_resync(now)
-                self._set(TIMER_RESYNC, now + self.RESYNC_TICK)
-        elif kind == TIMER_RESYNC_DEADLINE:
-            if self.phase == PHASE_RESYNC:
-                self.runtime.events.emit(
-                    "resync_timeout",
-                    now,
-                    self.runtime.frame,
-                    anchor=self._resync_anchor,
-                    waited=now - self._resync_started,
-                    restored=self._resync_restored,
-                )
-                self._terminate("desync", now, effects)
+            self._outbox.append((request, runtime.address_of[self.donor_site]))
+            self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
+        elif self.phase == PHASE_SUSPENDED:
+            # Same payloads as the 20 ms pump (control + forced sync
+            # windows), at a backed-off cadence — the peer may come back at
+            # any moment, but a dead peer must not be hammered at frame
+            # rate for the whole deadline.
+            self._outbox.extend(runtime.control_messages(now))
+            if runtime.session.started:
+                self._outbox.extend(runtime.sync_broadcast(force=True, now=now))
+            self._backoff = min(
+                self._backoff * 2.0, runtime.config.suspend_backoff_max_s
+            )
+            self._set(TIMER_RETRY, now + self._jitter(self._backoff))
+        elif self.phase == PHASE_RESYNC:
+            # Episodes must survive loss: re-send every digest not yet
+            # known-agreed (idempotent to fold twice), and a slave still
+            # waiting on its snapshot re-requests it.
+            self._outbox.extend(runtime.digest_retransmits(now))
+            if not self._resync_restored and not self._is_resync_authority():
+                self._request_resync(now)
+            self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
+
+    def _give_up(self, now: float, effects: List[Effect]) -> None:
+        """The phase's peer never answered: terminate by name."""
+        runtime = self.runtime
+        if self.phase == PHASE_HANDSHAKE:
+            runtime.events.emit(
+                "error", now, runtime.frame, error="handshake timeout"
+            )
+            self._terminate("handshake-timeout", now, effects)
+        elif self.phase == PHASE_ACQUIRE:
+            runtime.events.emit(
+                "error",
+                now,
+                runtime.frame,
+                error=f"no snapshot from donor {self.donor_site} "
+                f"within {self.REQUEST_TIMEOUT}s",
+            )
+            self._terminate("acquire-timeout", now, effects)
+        elif self.phase == PHASE_SUSPENDED:
+            runtime.events.emit(
+                "peer_lost",
+                now,
+                runtime.frame,
+                waiting_on=list(self._suspend_waiting),
+                suspended_for=now - self._suspended_at,
+            )
+            self._terminate("peer-lost", now, effects)
+        elif self.phase == PHASE_RESYNC:
+            runtime.events.emit(
+                "resync_timeout",
+                now,
+                runtime.frame,
+                anchor=self._resync_anchor,
+                waited=now - self._resync_started,
+                restored=self._resync_restored,
+            )
+            self._terminate("desync", now, effects)
 
     def _arm_send(self, now: float) -> None:
         """The paper's batching sender: flush every ``send_interval``, with
@@ -1397,6 +1420,7 @@ class SiteEngine:
             self._outbox.extend(self.runtime.control_messages(now))
             if self.runtime.session.started:
                 self._clear(TIMER_RETRY)
+                self._clear(TIMER_TIMEOUT)
                 if self.frame_loop_delay > 0:
                     self.phase = PHASE_FRAME_WAIT
                     self._set(TIMER_FRAME, now + self.frame_loop_delay)
@@ -1405,13 +1429,11 @@ class SiteEngine:
         elif self.phase == PHASE_GATE:
             # A donor stalled on a crashed peer must still answer that
             # peer's RESUME — the snapshot is what unblocks the gate.
-            self._service_resume(now, effects)
-            self._service_resync(now, effects)
+            self._serve_requests(now)
             if self.phase == PHASE_GATE and self._check_gate(now, effects):
                 self._frame_cycle(now, effects)
         elif self.phase == PHASE_SUSPENDED:
-            self._service_resume(now, effects)
-            self._service_resync(now, effects)
+            self._serve_requests(now)
             if self.phase == PHASE_SUSPENDED and self.runtime.lockstep.can_deliver():
                 # The partition healed (sync traffic resumed) or the
                 # resumed peer's replayed inputs arrived: back to the gate.
@@ -1419,9 +1441,10 @@ class SiteEngine:
                 if self._check_gate(now, effects):
                     self._frame_cycle(now, effects)
         elif self.phase == PHASE_RESYNC:
-            self._service_resume(now, effects)
-            self._service_resync(now, effects)
+            self._serve_requests(now)
             self._advance_resync(now, effects)
+        elif self.phase == PHASE_ACQUIRE:
+            self._acquire(now, effects)
         elif self.phase == PHASE_CATCHUP:
             if self.consistency.settled(now) or now >= self._linger_deadline:
                 self._enter_linger(now, effects)
@@ -1443,7 +1466,7 @@ class SiteEngine:
             and self._backoff > self.runtime.config.suspend_backoff_initial_s
         ):
             self._backoff = self.runtime.config.suspend_backoff_initial_s
-            self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
+            self._set(TIMER_RETRY, now + self._jitter(self._backoff))
         self._liveness_mark = liveness.mark
 
     def _frame_cycle(
@@ -1538,9 +1561,8 @@ class SiteEngine:
         effects.append(Present(frame, merged))
         request = self.runtime.take_state_request()
         if request is not None:
-            self._serve_state(request, effects, now=now)
-        self._service_resume(now, effects)
-        self._service_resync(now, effects)
+            self._serve_state(request, now)
+        self._serve_requests(now)
         if self.phase == PHASE_RESYNC:
             # Serving the request opened an episode (a peer proved a
             # divergence we had not yet seen): the loop is frozen now.
@@ -1601,8 +1623,8 @@ class SiteEngine:
             self._clear(kind)
         self._backoff = runtime.config.suspend_backoff_initial_s
         self._liveness_mark = runtime.liveness.mark
-        self._set(TIMER_BACKOFF, now + self._jitter(self._backoff))
-        self._set(TIMER_RESUME, now + runtime.config.resume_deadline_s)
+        self._set(TIMER_RETRY, now + self._jitter(self._backoff))
+        self._set(TIMER_TIMEOUT, now + runtime.config.resume_deadline_s)
         runtime.events.emit(
             "suspended",
             now,
@@ -1625,8 +1647,8 @@ class SiteEngine:
         suspended_for = now - self._suspended_at
         runtime.metrics.suspended_seconds.inc(suspended_for)
         runtime.metrics.resumes.inc()
-        self._clear(TIMER_BACKOFF)
-        self._clear(TIMER_RESUME)
+        self._clear(TIMER_RETRY)
+        self._clear(TIMER_TIMEOUT)
         self.phase = PHASE_GATE
         self._degraded = False
         runtime.lockstep.forget_master_samples()
@@ -1640,20 +1662,24 @@ class SiteEngine:
         )
         effects.append(Resumed(runtime.frame, suspended_for))
 
-    def _service_resume(self, now: float, effects: List[Effect]) -> None:
-        """Answer an authenticated RESUME with a fresh snapshot."""
-        request = self.runtime.take_resume_request()
-        if request is None:
-            return
-        cached = self.snapshot_cache.get(request)
-        if cached is not None and cached.frame != self.runtime.frame - 1:
-            # A snapshot cached for this site in an *earlier* episode (or
-            # its original join) is stale; resume must transfer the state
-            # this site is actually frozen at.  Retries within one episode
-            # still hit the cache — the donor does not advance while
-            # blocked on the requester.
-            del self.snapshot_cache[request]
-        self._serve_state(request, effects, now=now)
+    def _serve_requests(self, now: float) -> None:
+        """Answer a peer's pending RESUME: an authenticated one with a
+        fresh snapshot, a resync one with the anchor savestate."""
+        runtime = self.runtime
+        request = runtime.take_resume_request()
+        if request is not None:
+            cached = self.snapshot_cache.get(request)
+            if cached is not None and cached.frame != runtime.frame - 1:
+                # A snapshot cached for this site in an *earlier* episode
+                # (or its original join) is stale; resume must transfer the
+                # state this site is actually frozen at.  Retries within one
+                # episode still hit the cache — the donor does not advance
+                # while blocked on the requester.
+                del self.snapshot_cache[request]
+            self._serve_state(request, now)
+        resync = runtime.take_resync_request()
+        if resync is not None:
+            self._serve_resync(*resync, now)
 
     # ------------------------------------------------------------------
     # Desync recovery (ISSUE-10): detect → freeze → resync → escalate
@@ -1704,11 +1730,9 @@ class SiteEngine:
             own=divergence.own_checksum,
             theirs=divergence.peer_checksum,
         )
-        self._enter_resync(divergence.peer, now, effects)
+        self._enter_resync(now, effects)
 
-    def _enter_resync(
-        self, peer: int, now: float, effects: List[Effect]
-    ) -> None:
+    def _enter_resync(self, now: float, effects: List[Effect]) -> None:
         """Freeze presentation and open a recovery episode.
 
         The authority restores immediately from its own retained anchor
@@ -1740,8 +1764,8 @@ class SiteEngine:
             return
         runtime.metrics.resync_attempts.inc()
         was_suspended = self.phase == PHASE_SUSPENDED
-        for kind in (TIMER_GATE, TIMER_FRAME, TIMER_BACKOFF, TIMER_RESUME):
-            self._clear(kind)
+        self._clear(TIMER_GATE)
+        self._clear(TIMER_FRAME)
         if was_suspended:
             # Suspension parked the frame-rate pumps; the episode needs
             # them back (digests and the snapshot ride the normal flush).
@@ -1750,10 +1774,10 @@ class SiteEngine:
         self._resync_anchor = anchor
         self.resync_frozen = runtime.frame
         self._resync_started = now
-        self._resync_peer = peer
         self.phase = PHASE_RESYNC
-        self._set(TIMER_RESYNC, now + self.RESYNC_TICK)
-        self._set(TIMER_RESYNC_DEADLINE, now + runtime.config.resync_deadline_s)
+        # Re-arms a suspension's two timers for the episode's wait.
+        self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
+        self._set(TIMER_TIMEOUT, now + runtime.config.resync_deadline_s)
         runtime.events.emit(
             "resync_begin",
             now,
@@ -1801,7 +1825,7 @@ class SiteEngine:
         )
         self._outbox.append((message, destination))
 
-    def _service_resync(self, now: float, effects: List[Effect]) -> None:
+    def _serve_resync(self, requester: int, anchor: int, now: float) -> None:
         """Authority side: answer a resync-RESUME with the anchor savestate.
 
         Serving does *not* open an episode here: the authority's own
@@ -1814,10 +1838,6 @@ class SiteEngine:
         when that frame executed, i.e. before any rewind — CRC-protected
         end to end.
         """
-        request = self.runtime.take_resync_request()
-        if request is None:
-            return
-        requester, anchor = request
         runtime = self.runtime
         if not self._is_resync_authority():
             runtime.events.emit(
@@ -1890,17 +1910,7 @@ class SiteEngine:
                 # restoring backwards is wrong (and the inputs below the
                 # new agreement floor may already be pruned).
                 return
-            if not snapshot.crc_ok():
-                # Corrupted in flight: reject and re-request (the RESYNC
-                # tick re-sends the RESUME; the authority re-serves).
-                runtime.metrics.state_crc_errors.inc()
-                runtime.events.emit(
-                    "state_crc_error",
-                    now,
-                    runtime.frame,
-                    peer=snapshot.sender_site,
-                    at=snapshot.frame,
-                )
+            if not self._crc_ok(snapshot, now):
                 return
             self.consistency.resync_restore(snapshot.state, snapshot.frame, now)
             self._resync_restored = True
@@ -1918,8 +1928,8 @@ class SiteEngine:
         elapsed = now - self._resync_started
         runtime.metrics.resync_success.inc()
         runtime.metrics.resync_seconds.inc(elapsed)
-        self._clear(TIMER_RESYNC)
-        self._clear(TIMER_RESYNC_DEADLINE)
+        self._clear(TIMER_RETRY)
+        self._clear(TIMER_TIMEOUT)
         runtime.events.emit(
             "resync_done",
             now,
@@ -1928,7 +1938,6 @@ class SiteEngine:
             took=elapsed,
         )
         self._resync_anchor = -1
-        self._resync_peer = None
         runtime.lockstep.forget_master_samples()
         effects.append(Resumed(runtime.frame, elapsed))
         self._frame_cycle(now, effects)
@@ -1937,12 +1946,80 @@ class SiteEngine:
         return self.runtime.frame >= self.max_frames
 
     # ------------------------------------------------------------------
-    # Late-join donor duties (outside the hot path in spirit)
+    # State transfer: acquire (late join / resume) and the donor's serve
     # ------------------------------------------------------------------
-    def _serve_state(
-        self, requester_site: int, effects: List[Effect], now: float
-    ) -> None:
-        """Send a savestate to a late joiner (journal extension).
+    def _crc_ok(self, snapshot: StateSnapshot, now: float) -> bool:
+        """False when ``snapshot`` was corrupted in flight: it is dropped,
+        counted and traced, and the retry tick re-asks its server (whose
+        cache re-serves the same frame)."""
+        if snapshot.crc_ok():
+            return True
+        runtime = self.runtime
+        runtime.latest_snapshot = None
+        runtime.metrics.state_crc_errors.inc()
+        runtime.events.emit(
+            "state_crc_error",
+            now,
+            runtime.frame,
+            peer=snapshot.sender_site,
+            at=snapshot.frame,
+        )
+        return False
+
+    def _acquire(self, now: float, effects: List[Effect]) -> None:
+        """Load the donor's snapshot once it lands, seat the lockstep
+        around it, and enter the frame loop at the frame after it.
+
+        A late joiner seeds a cold lockstep; its first ack vector tells the
+        peers it holds everything through the snapshot frame, so they
+        stream inputs from the next one.  A resumer's donor already holds
+        its inputs through that frame, so its still-unacked window stays
+        unacked and is *replayed* from the local source (sources are
+        deterministic in the frame number): bit-identical words, so the
+        resumed run's checksums match a never-disconnected twin.
+        """
+        runtime = self.runtime
+        snapshot = runtime.latest_snapshot
+        if snapshot is None or not self._crc_ok(snapshot, now):
+            return
+        runtime.machine.load_state(snapshot.state)
+        runtime.metrics.on_state_acquired(len(snapshot.state))
+        runtime.events.emit(
+            "state_acquire",
+            now,
+            snapshot.frame + 1,
+            snapshot_frame=snapshot.frame,
+            bytes=len(snapshot.state),
+        )
+        lockstep = runtime.lockstep
+        buf_frame = runtime.config.buf_frame
+        # The admission gate peers apply is snapshot + 1 + the *configured*
+        # BufFrame; pin our lag there so our first input lands exactly on
+        # it (adaptive lag, if enabled, resumes afterwards).
+        lockstep.set_local_lag(buf_frame)
+        if self.last_acked_frame is None:
+            lockstep.seed_from_snapshot(snapshot.frame, snapshot.backlog)
+        else:
+            lockstep.resume_from_snapshot(snapshot.frame, snapshot.backlog)
+            # Our own window f+1-buf .. f lands, with local lag, on slots
+            # f+1 .. f+buf, which the donor has not acked: the ordinary
+            # pump retransmits them.
+            first = max(0, snapshot.frame + 1 - buf_frame)
+            for frame in range(first, snapshot.frame + 1):
+                lockstep.buffer_local_input(frame, runtime.source.get(frame))
+            runtime.metrics.resumes.inc()
+        runtime.frame = snapshot.frame + 1
+        runtime.trace.first_frame = runtime.frame
+        self.joined_at_frame = runtime.frame
+        # The site never ran the start handshake; it is live now (and must
+        # stop offering HELLO to the master).
+        runtime.session.mark_live(now)
+        self._clear(TIMER_RETRY)
+        self._clear(TIMER_TIMEOUT)
+        self._frame_cycle(now, effects)
+
+    def _serve_state(self, requester_site: int, now: float) -> None:
+        """Send a savestate to a late joiner or a resumer.
 
         The first request snapshots the machine; retried requests re-send
         the identical snapshot, keeping admission deterministic even when
@@ -1972,7 +2049,6 @@ class SiteEngine:
                 state_crc=zlib.crc32(state),
             )
             self.snapshot_cache[requester_site] = snapshot
-            effects.append(ServeState(requester_site, snapshot.frame))
             runtime.events.emit(
                 "state_serve",
                 now,

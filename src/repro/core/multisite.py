@@ -6,7 +6,9 @@ supports both (per-site ack/receive vectors; observers control no input
 bits and never gate delivery), so this module is the assembly layer: it
 wires machines, input sources, sockets, session control and drivers into a
 ready-to-run set of :class:`~repro.core.vm.DistributedVM` instances on a
-simulated network.
+simulated network, and admits late joiners into a running one
+(:func:`register_late_join`; the joiner is an engine built with
+``donor_site=``).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class SessionPlan:
     #: OS sleep overshoot bound (the paper's testbed: Windows XP, ~10 ms).
     timer_granularity: float = 0.0
     #: Sites participating in the start handshake (None = all).  Late
-    #: joiners are excluded here and run a LateJoinEngine instead.
+    #: joiners are excluded here and acquire a donor's state instead.
     handshake_sites: Optional[List[int]] = None
     #: One consistency part per site (None = the paper's lockstep at
     #: every site).
@@ -79,16 +81,15 @@ class SessionPlan:
         site_no: int,
         peers: List[SitePeer],
         machine: Optional[GameMachine] = None,
-        engine_class: type = SiteEngine,
         **options: object,
     ) -> SiteEngine:
         """Assemble one site's runtime and engine — for every driver, the
         only place that happens.
 
         ``machine`` replaces the planned one (a restarted site boots a
-        fresh machine); ``engine_class`` and ``options`` are for what the
-        plan cannot know: a late joiner's or resumer's engine and its
-        donor, the driver's ``linger``, the session's time server.
+        fresh machine); ``options`` are for what the plan cannot know: a
+        late joiner's or resumer's ``donor_site`` and ``last_acked_frame``,
+        the driver's ``linger``, the session's time server.
         """
         runtime = SiteRuntime(
             config=self.config,
@@ -101,7 +102,7 @@ class SessionPlan:
             session_id=self.session_id,
             handshake_sites=self.handshake_sites,
         )
-        return engine_class(
+        return SiteEngine(
             runtime,
             self.max_frames,
             self.consistency[site_no] if self.consistency is not None else None,
@@ -219,6 +220,39 @@ def build_session(
             )
         )
     return Session(loop=loop, network=network, vms=vms, time_server=time_server, plan=plan)
+
+
+def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
+    """Prepare a running session for a late joiner.
+
+    * every present site marks the joiner absent (no sync traffic to it, no
+      gating on it, no pruning hold-back),
+    * the donor accepts ``STATE_REQUEST``s,
+    * when the donor serves a snapshot at frame ``f``, every present site
+      admits the joiner: its inputs gate from ``f + 1 + BufFrame`` (the
+      first frame its locally-lagged input can land on) and retransmission
+      windows to it start at ``f + 1``.
+
+    In a deployment the admit broadcast rides the session-control channel;
+    the harness applies it synchronously, which is equivalent as long as
+    no present site is more than ``BufFrame`` frames ahead of the donor —
+    lockstep guarantees that.
+    """
+    buf_frame = donor_vm.runtime.config.buf_frame
+    for vm in session_vms:
+        if vm.runtime.site_no != joiner_site:
+            vm.runtime.lockstep.mark_absent(joiner_site)
+    donor_vm.runtime.allow_state_requests = True
+
+    def on_served(site: int, snapshot_frame: int) -> None:
+        first_gating = snapshot_frame + 1 + buf_frame
+        for vm in session_vms:
+            if vm.runtime.site_no != joiner_site:
+                vm.runtime.lockstep.admit_site(
+                    site, first_gating, ack_hint=snapshot_frame
+                )
+
+    donor_vm.engine.on_snapshot_served = on_served
 
 
 def two_player_plan(

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Union
 from repro.core.config import SyncConfig
 from repro.core.engine import SitePeer
 from repro.core.inputs import PadSource, RandomSource
-from repro.core.latejoin import ResumeEngine
 from repro.core.multisite import build_session, site_address, two_player_plan
 from repro.core.rollback import Rollback
 from repro.core.vm import DistributedVM
@@ -267,7 +266,6 @@ def run_chaos(
                 site,
                 [SitePeer(s, address_of[s]) for s in all_sites],
                 machine=create_game(game),
-                engine_class=ResumeEngine,
                 donor_site=donor,
                 last_acked_frame=cookie,
             )

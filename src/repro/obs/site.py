@@ -12,7 +12,7 @@ loop stays cheap:
   copied into the registry only when :meth:`refresh`/:meth:`snapshot` is
   called, so the Algorithm 2/3/4 hot paths are not touched at all.
 
-Rollback and late-join engines record through the dedicated helpers
+Rollback and state transfer record through the dedicated helpers
 (:meth:`on_rollback`, :meth:`on_state_served`, :meth:`on_state_acquired`);
 those paths fire at most a few times per second, so direct recording is
 fine there.

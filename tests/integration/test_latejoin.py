@@ -4,11 +4,11 @@
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
 from repro.core.engine import SitePeer
-from repro.core.latejoin import LateJoinEngine, register_late_join
 from repro.core.multisite import (
     SessionPlan,
     build_session,
     players_and_observers_plan,
+    register_late_join,
     site_address,
 )
 from repro.core.vm import DistributedVM
@@ -62,7 +62,6 @@ def build_latejoin_session(
     engine = plan.build_engine(
         joiner_site,
         [SitePeer(s, site_address(s)) for s in range(len(plan.assignment))],
-        engine_class=LateJoinEngine,
         donor_site=0,
         time_server_address=session.time_server.address,
     )

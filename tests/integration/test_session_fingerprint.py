@@ -1,8 +1,8 @@
-"""Pinned behaviour fingerprints of three short two-site sessions.
+"""Pinned behaviour fingerprints of four short sessions.
 
 A refactor of the driver, the engine pump or a sync algorithm must leave
 every timer, RNG draw, trace record, datagram and virtual timestamp where
-it was.  Each session pins one sha256 per component of what both sites
+it was.  Each session pins one sha256 per component of what every site
 recorded — ``frames`` (``FrameTrace.to_rows()``: begin, input, checksum,
 stall, adjust and lag per frame), ``events`` (the ``EventTrace`` ring and
 its drop count), ``transport`` (``TransportStats``), ``counters`` (the
@@ -19,7 +19,13 @@ instead of a poll: only ``events`` moved (the per-frame ``phase`` and
 the other four were captured at that change's parent and hold unchanged.
 Then SYNC windows became change-coded (wire v3): only the byte counts in
 ``transport`` and ``counters`` moved, and ``frames``, ``events`` and
-``termination`` hold.  A change that is *meant* to alter behaviour re-captures them with
+``termination`` hold.  Then every wait on a peer became one ``retry`` and
+one ``timeout`` timer: only ``adaptive_pong_with_poke``'s ``events``
+moved, and only by timer names (its resync ticks read ``retry``); a
+fourth session, a player joining by state transfer under 10% loss, was
+added with its other four components captured at that change's parent
+(its joiner's ring gains the first request's ``retry`` record).  A
+change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
 the components it meant to move, and says so in CHANGES.md.  CI runs this
 file under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random`` on both
@@ -32,10 +38,18 @@ import json
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.inputs import PadSource, RandomSource
-from repro.core.multisite import build_session, two_player_plan
+from repro.core.engine import SitePeer
+from repro.core.inputs import InputAssignment, PadSource, RandomSource
+from repro.core.multisite import (
+    SessionPlan,
+    build_session,
+    register_late_join,
+    site_address,
+    two_player_plan,
+)
 from repro.core.policy import build_adaptive_session
 from repro.core.rollback import build_rollback_session
+from repro.core.vm import DistributedVM
 from repro.emulator.machine import create_game
 from repro.harness.chaos import _poke_machine
 from repro.net.netem import NetemConfig, named_profile
@@ -84,6 +98,33 @@ def adaptive_pong_with_poke():
     return session
 
 
+def late_joining_player():
+    """A third player acquires site 0's state 2 s into a lossy session."""
+    plan = SessionPlan(
+        config=SyncConfig.paper_defaults(),
+        assignment=InputAssignment.standard(3),
+        machines=[create_game("counter") for __ in range(3)],
+        sources=[PadSource(RandomSource(30 + s), player=s) for s in range(3)],
+        game_id="counter",
+        max_frames=360,
+        handshake_sites=[0, 1],
+    )
+    session = build_session(
+        plan, NetemConfig(delay=0.02, loss=0.1), excluded_sites=[2]
+    )
+    engine = plan.build_engine(
+        2,
+        [SitePeer(s, site_address(s)) for s in range(3)],
+        donor_site=0,
+        time_server_address=session.time_server.address,
+    )
+    register_late_join(session.vms, session.vms[0], joiner_site=2)
+    session.vms.append(
+        DistributedVM(session.loop, session.network, engine, start_delay=2.0)
+    )
+    return session
+
+
 def _components(vm) -> dict:
     snapshot = vm.engine.snapshot()
     return {
@@ -96,7 +137,7 @@ def _components(vm) -> dict:
 
 
 def fingerprint(session) -> dict:
-    """One sha256 per component over what both sites of a finished
+    """One sha256 per component over what every site of a finished
     session recorded, so a moved digest names what moved."""
     sites = [_components(vm) for vm in session.vms]
     digests = {}
@@ -125,10 +166,17 @@ PINNED = {
     },
     adaptive_pong_with_poke: {
         "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
-        "events": "9db44e423f4172977f8faf2622aa72cb9165a8fa22a617c6f7bbfb50df1a4a6b",
+        "events": "f1c12123d95a70764d30382b477350c5b1ef5de8d1224c41b5c2423b6aa37133",
         "transport": "849fa9188fe456c11a550398e6619acbe2b2b4cc0a9e06a70f9c074a7b1fdf90",
         "counters": "a57c198b0359d161a92ab39d6918aeb0959aa8c32da76eb5602628fa63123a3e",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
+    },
+    late_joining_player: {
+        "frames": "c26240975ca98be101e9a0ddbc74d4a501274456ae02a46dd9331f5abadfea23",
+        "events": "cbb632c159707d54e3bc2764352a0d46efdde1d5ea7d81b3ffdb02d2fcb5ed1f",
+        "transport": "0354af99821479eb074d7bef9cc08d40e749ea8b22375a5089b6317e77dfea9c",
+        "counters": "5659613f0b3ec16aeead943b5e116ec889ece5cae7091ba7e8621e4b8c0be06e",
+        "termination": "3732a9e88c4a9637718cbace1de7160cea83bf2251a1289d6023447d2d3bed34",
     },
 }
 
@@ -142,6 +190,9 @@ def test_session_fingerprint_is_pinned(build):
         counters = [vm.engine.snapshot()["counters"] for vm in session.vms]
         assert sum(c["desync_detected"] for c in counters) >= 1
         assert sum(c["resync_success"] for c in counters) >= 1
+    if build is late_joining_player:
+        # It covers the acquire path only if the joiner entered the loop.
+        assert session.vms[2].engine.joined_at_frame == 120
     assert fingerprint(session) == PINNED[build]
 
 

@@ -30,6 +30,13 @@ from repro.core.engine import (
     SitePeer,
     SiteRuntime,
     Stall,
+    TIMER_FLUSH,
+    TIMER_FRAME,
+    TIMER_GATE,
+    TIMER_LINGER,
+    TIMER_PING,
+    TIMER_RETRY,
+    TIMER_TIMEOUT,
 )
 from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
 from repro.core.messages import (
@@ -506,6 +513,24 @@ class TestTimerOrder:
         engine.poll(2.0)
         assert fired == ["flush", "ping", "retry", "send", "gate"]
         assert engine.next_deadline() == 3.0
+
+    def test_a_wait_on_a_peer_fires_after_the_frame_loop_kinds(self):
+        """``retry`` and ``timeout`` sort after the five other kinds, and
+        ``retry`` before ``timeout``: a wait's last re-send goes out before
+        its give-up, and neither pre-empts a frame-loop timer due with it."""
+        engine = build_engines()[0]
+        fired = []
+        engine._on_timer = lambda kind, *_: fired.append(kind)
+        for kind in (
+            TIMER_TIMEOUT, TIMER_RETRY, TIMER_PING, TIMER_LINGER,
+            TIMER_GATE, TIMER_FRAME, TIMER_FLUSH,
+        ):
+            engine._set(kind, 1.0)
+        engine.poll(1.0)
+        assert fired == [
+            TIMER_FLUSH, TIMER_FRAME, TIMER_GATE, TIMER_LINGER,
+            TIMER_PING, TIMER_RETRY, TIMER_TIMEOUT,
+        ]
 
 
 class TestSendTimer:

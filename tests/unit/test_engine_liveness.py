@@ -19,7 +19,6 @@ from repro.core.engine import (
     Resumed,
     SiteEngine,
 )
-from repro.core.latejoin import LateJoinEngine, ResumeEngine
 from repro.core.messages import Resume
 
 from tests.unit.test_engine import EngineMesh, build_engines
@@ -117,9 +116,12 @@ class TestSuspendedBackoff:
 
         engine = engines[0]
         config = engine.runtime.config
+        ring = list(engine.runtime.events)
+        # The handshake's retries share the kind; only suspension's count.
+        start = next(i for i, r in enumerate(ring) if r.kind == "suspended")
         fires = [
-            r.time for r in records(engine, "timer")
-            if r.detail.get("timer") == "backoff"
+            r.time for r in ring[start:]
+            if r.kind == "timer" and r.detail.get("timer") == "retry"
         ]
         assert len(fires) >= 4
         gaps = [b - a for a, b in zip(fires, fires[1:])]
@@ -194,26 +196,57 @@ class TestHandshakeTimeout:
         assert engines[1].termination == "handshake-timeout"
 
 
+ACQUIRES = pytest.mark.parametrize(
+    "last_acked_frame", [None, -1], ids=["join", "resume"]
+)
+
+
+def silent_donor_acquire(last_acked_frame):
+    """An acquiring engine whose donor never answers, run to its end."""
+    runtime = build_pair()[1].runtime
+    engine = SiteEngine(
+        runtime, 60, donor_site=0, last_acked_frame=last_acked_frame
+    )
+    effects = engine.start(0.0)
+    now = 0.0
+    while not engine.done and now <= engine.REQUEST_TIMEOUT + 1.0:
+        now = engine.next_deadline()
+        effects = engine.poll(now)
+    return engine, effects, now
+
+
 class TestAcquireTimeout:
-    @pytest.mark.parametrize("engine_class", [LateJoinEngine, ResumeEngine])
-    def test_silent_donor_ends_in_a_named_outcome(self, engine_class):
+    @ACQUIRES
+    def test_silent_donor_ends_in_a_named_outcome(self, last_acked_frame):
         """No snapshot within REQUEST_TIMEOUT: the engine terminates like
         every other failure — a named ending and a ``Finished`` effect
         out of ``poll()``, never an exception through it."""
-        runtime = build_pair()[1].runtime
-        engine = engine_class(runtime, 60, donor_site=0)
-        effects = engine.start(0.0)
-        now = 0.0
-        while not engine.done and now <= engine.REQUEST_TIMEOUT + 1.0:
-            now = engine.next_deadline()
-            effects = engine.poll(now)
+        engine, effects, now = silent_donor_acquire(last_acked_frame)
         assert engine.done
         assert engine.termination == "acquire-timeout"
         assert any(isinstance(effect, Finished) for effect in effects)
-        assert now == pytest.approx(engine.REQUEST_TIMEOUT, abs=0.2)
+        assert now == engine.REQUEST_TIMEOUT
         assert engine.next_deadline() is None
         assert records(engine, "error")
-        assert runtime.frame == 0  # it never entered the frame loop
+        assert engine.runtime.frame == 0  # it never entered the frame loop
+
+    @ACQUIRES
+    def test_every_request_and_the_give_up_reach_the_ring(self, last_acked_frame):
+        """A postmortem of a stuck acquire shows that it kept asking: one
+        ``retry`` record per re-sent request, REQUEST_INTERVAL apart, up
+        to the one ``timeout`` record at REQUEST_TIMEOUT."""
+        engine, __, __ = silent_donor_acquire(last_acked_frame)
+        waits = [
+            (r.time, r.detail["timer"]) for r in records(engine, "timer")
+            if r.detail["timer"] in ("retry", "timeout")
+        ]
+        retries = [time for time, kind in waits if kind == "retry"]
+        assert waits[-1] == (engine.REQUEST_TIMEOUT, "timeout")
+        assert [kind for __, kind in waits[:-1]] == ["retry"] * len(retries)
+        assert len(retries) >= 10
+        gaps = [b - a for a, b in zip(retries, retries[1:])]
+        assert gaps == pytest.approx([engine.REQUEST_INTERVAL] * len(gaps))
+        assert 0.0 < engine.REQUEST_TIMEOUT - retries[-1] <= engine.REQUEST_INTERVAL
 
 
 class TestResumeAuthentication:
