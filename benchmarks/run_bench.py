@@ -47,7 +47,7 @@ from repro.metrics.bench import (
     write_bench_json,
 )
 
-#: Console games measured under all three interpreters.
+#: Console games measured under both interpreters.
 CONSOLE_GAMES = ("pong", "tankduel", "smc")
 
 
@@ -61,7 +61,6 @@ def run(quick: bool) -> dict:
 
     game_fps = {}
     reference_fps = {}
-    fast_fps = {}
     block_fps = {}
     block_stats = {}
     for name in available_games():
@@ -72,12 +71,6 @@ def run(quick: bool) -> dict:
             # The default interpreter IS the block translator, so the
             # game_fps sample above already measured block mode.
             block_fps[name] = game_fps[name]
-            fast_fps[name] = round(
-                measure_game_fps(
-                    name, frames=frames, repeats=repeats, interpreter="fast"
-                ),
-                1,
-            )
             reference_fps[name] = round(
                 measure_game_fps(
                     name, frames=frames, repeats=repeats, interpreter="reference"
@@ -145,7 +138,6 @@ def run(quick: bool) -> dict:
         "quick": quick,
         "game_fps": game_fps,
         "reference_fps": reference_fps,
-        "fast_fps": fast_fps,
         "block_fps": block_fps,
         "block_stats": block_stats,
         "snapshot": snapshot,
@@ -174,13 +166,12 @@ def summarize(results: dict) -> str:
         lines.append("-- console interpreters, frames/sec side by side --")
         for name in sorted(results["block_fps"]):
             block = results["block_fps"][name]
-            fast = results["fast_fps"][name]
             reference = results["reference_fps"][name]
             gate = ""
             if name in ROM_FPS_BASELINE:
                 gate = f"  (block baseline {ROM_FPS_BASELINE[name]:.0f})"
             lines.append(
-                f"  {name:12s} block={block:.0f}  fast={fast:.0f}  "
+                f"  {name:12s} block={block:.0f}  "
                 f"reference={reference:.0f}{gate}"
             )
             stats = results["block_stats"][name]

@@ -35,48 +35,12 @@ class SyncConfig:
     #: by the ablation experiments.
     master_slave_pacing: bool = True
 
-    #: Clamp on the per-frame |SyncAdjustTimeDelta| contribution, in frames.
-    #: The paper smooths start-up skew "within only a few frames"; without a
-    #: clamp a huge transient estimate (e.g. before RTT converges) would
-    #: swing the pacer violently.  Set to ``None`` for the raw Algorithm 4.
-    sync_adjust_clamp_frames: float = 3.0
-
-    #: How many frames of inputs a sync message may carry at most.  Bounds
-    #: message size under long stalls; the unacked window is re-sent across
-    #: consecutive flushes.
-    max_inputs_per_message: int = 120
-
     #: Adaptive local lag (§4.2 discusses and *rejects* this; implemented
     #: so the trade-off can be measured).  When enabled, each site resizes
     #: its own input lag to ``ceil((RTT/2 + ADAPTIVE_MARGIN) · CFPS)``
     #: frames (see ``repro.core.policy.LagTuner``).  Purely local: a site's
     #: lag only affects where its own inputs land, so no agreement is needed.
     adaptive_lag: bool = False
-
-    #: Lower bound for the adaptive lag, in frames.
-    adaptive_min_buf: int = 2
-
-    #: Hysteresis for the adaptive lag tuner: after the first (immediate)
-    #: resize, further changes are applied at most once per this many
-    #: seconds, so RTT jitter cannot make the lag oscillate.
-    adaptive_window_s: float = 1.0
-
-    #: Hysteresis deadband, in frames: a proposed lag must differ from the
-    #: current one by at least this much to be applied at all.
-    adaptive_deadband_frames: int = 1
-
-    #: Consistency policy (the adaptive lockstep↔rollback layer in
-    #: ``repro.core.policy``): a site speculates (rollback mode) while any
-    #: peer's smoothed RTT is above this threshold...
-    policy_rollback_above_s: float = 0.140
-
-    #: ...and returns to plain lockstep once every peer's smoothed RTT is
-    #: back below this one.  The gap between the two is the hysteresis
-    #: band that keeps a jittery link from flapping modes.
-    policy_lockstep_below_s: float = 0.100
-
-    #: Initial RTT estimate used before any ping sample arrives.
-    initial_rtt: float = 0.0
 
     #: Liveness: a gate blocked longer than this emits a ``Degraded``
     #: effect (drivers freeze presentation and show "waiting for peer").
@@ -101,10 +65,8 @@ class SyncConfig:
     liveness_timeout_s: float = 2.0
 
     #: While suspended, control/sync retransmission backs off exponentially
-    #: (with jitter) from this initial period...
-    suspend_backoff_initial_s: float = 0.05
-
-    #: ...doubling up to this cap.
+    #: (with jitter) from ``engine.SUSPEND_BACKOFF_INITIAL_S``, doubling up
+    #: to this cap.
     suspend_backoff_max_s: float = 1.0
 
     #: Outbound bandwidth budget in bytes/second, enforced at the engine's
@@ -146,14 +108,6 @@ class SyncConfig:
     #: resync cannot hang the session.
     resync_deadline_s: float = 10.0
 
-    #: Flap quarantine: more than this many resync episodes starting
-    #: within ``resync_window_s`` escalate to terminal ``desync`` — a
-    #: deterministically-broken game must not resync forever.
-    resync_max_attempts: int = 3
-
-    #: Sliding window for :attr:`resync_max_attempts`, in seconds.
-    resync_window_s: float = 60.0
-
     def __post_init__(self) -> None:
         if self.cfps <= 0:
             raise ValueError(f"cfps must be positive, got {self.cfps}")
@@ -163,8 +117,6 @@ class SyncConfig:
             raise ValueError("send_interval must be positive")
         if self.slice_delay < 0:
             raise ValueError("slice_delay must be >= 0")
-        if self.max_inputs_per_message < 1:
-            raise ValueError("max_inputs_per_message must be >= 1")
         if self.soft_stall_s is not None and self.soft_stall_s <= 0:
             raise ValueError("soft_stall_s must be positive or None")
         if self.hard_stall_s is not None:
@@ -176,31 +128,14 @@ class SyncConfig:
             raise ValueError("resume_deadline_s must be positive")
         if self.liveness_timeout_s <= 0:
             raise ValueError("liveness_timeout_s must be positive")
-        if self.suspend_backoff_initial_s <= 0:
-            raise ValueError("suspend_backoff_initial_s must be positive")
-        if self.suspend_backoff_max_s < self.suspend_backoff_initial_s:
-            raise ValueError("suspend_backoff_max_s must be >= the initial backoff")
+        if self.suspend_backoff_max_s <= 0:
+            raise ValueError("suspend_backoff_max_s must be positive")
         if self.bandwidth_budget_bps is not None and self.bandwidth_budget_bps <= 0:
             raise ValueError("bandwidth_budget_bps must be positive or None")
-        if self.adaptive_window_s <= 0:
-            raise ValueError("adaptive_window_s must be positive")
-        if self.adaptive_deadband_frames < 1:
-            raise ValueError("adaptive_deadband_frames must be >= 1")
-        if self.policy_lockstep_below_s <= 0:
-            raise ValueError("policy_lockstep_below_s must be positive")
-        if self.policy_rollback_above_s <= self.policy_lockstep_below_s:
-            raise ValueError(
-                "policy_rollback_above_s must be > policy_lockstep_below_s "
-                "(the gap is the mode-flap hysteresis band)"
-            )
         if self.state_digest_interval is not None and self.state_digest_interval < 1:
             raise ValueError("state_digest_interval must be >= 1 or None")
         if self.resync_deadline_s <= 0:
             raise ValueError("resync_deadline_s must be positive")
-        if self.resync_max_attempts < 1:
-            raise ValueError("resync_max_attempts must be >= 1")
-        if self.resync_window_s <= 0:
-            raise ValueError("resync_window_s must be positive")
 
     @property
     def time_per_frame(self) -> float:

@@ -87,7 +87,12 @@ from repro.core.messages import (
     stamp_ticks,
     uvarint_len,
 )
-from repro.core.resync import DigestTracker, Divergence, ResyncLadder
+from repro.core.resync import (
+    RESYNC_WINDOW_S,
+    DigestTracker,
+    Divergence,
+    ResyncLadder,
+)
 from repro.core.pacing import FramePacer
 from repro.core.rtt import ClockAlign, RttEstimator, from_micros
 from repro.core.session import SessionControl, SessionError
@@ -153,7 +158,7 @@ class SiteRuntime:
 
         self.lockstep = LockstepSync(config, site_no, assignment, session_id)
         self.pacer = FramePacer(config, site_no)
-        self.rtt = RttEstimator(config, site_no, session_id)
+        self.rtt = RttEstimator(site_no, session_id)
         self.session = SessionControl(
             config,
             site_no,
@@ -563,8 +568,7 @@ class SiteRuntime:
 
         The raw proposal runs through a hysteretic :class:`LagTuner` so RTT
         jitter cannot make the lag oscillate: after the first (immediate)
-        resize, a change must clear the deadband *and* the minimum window
-        between changes.
+        resize, changes are at least a minimum window apart.
         """
         tuner = self._lag_tuner
         if tuner is None:
@@ -864,6 +868,11 @@ PHASE_RESYNC = "resync"  # desync recovery: frozen, restoring the anchor
 #: Ping period for RTT estimation, in seconds.
 PING_INTERVAL = 0.5
 
+#: While suspended, control/sync retransmission backs off exponentially
+#: (with jitter) from this initial period, doubling up to
+#: ``suspend_backoff_max_s``.
+SUSPEND_BACKOFF_INITIAL_S = 0.05
+
 
 #: Standalone-datagram overhead estimate for budget accounting: magic +
 #: version/type byte + typical varint sender/session (the batch member
@@ -1010,15 +1019,12 @@ class SiteEngine:
         self._degraded = False
         self._suspended_at = 0.0
         self._suspend_waiting: Tuple[int, ...] = ()
-        self._backoff = runtime.config.suspend_backoff_initial_s
+        self._backoff = SUSPEND_BACKOFF_INITIAL_S
         self._liveness_mark = runtime.liveness.mark
 
         #: Desync recovery (ISSUE-10): episode budget plus the live
         #: episode's bookkeeping (anchor frame, frozen frame, role).
-        self._resync_ladder = ResyncLadder(
-            runtime.config.resync_max_attempts,
-            runtime.config.resync_window_s,
-        )
+        self._resync_ladder = ResyncLadder()
         self._resync_anchor = -1
         #: Frame the loop froze at when the live episode opened (the
         #: consistency part replays up to it).
@@ -1463,9 +1469,9 @@ class SiteEngine:
         if (
             self.phase == PHASE_SUSPENDED
             and liveness.mark != self._liveness_mark
-            and self._backoff > self.runtime.config.suspend_backoff_initial_s
+            and self._backoff > SUSPEND_BACKOFF_INITIAL_S
         ):
-            self._backoff = self.runtime.config.suspend_backoff_initial_s
+            self._backoff = SUSPEND_BACKOFF_INITIAL_S
             self._set(TIMER_RETRY, now + self._jitter(self._backoff))
         self._liveness_mark = liveness.mark
 
@@ -1621,7 +1627,7 @@ class SiteEngine:
         self.phase = PHASE_SUSPENDED
         for kind in (TIMER_GATE, TIMER_FLUSH, TIMER_PING):
             self._clear(kind)
-        self._backoff = runtime.config.suspend_backoff_initial_s
+        self._backoff = SUSPEND_BACKOFF_INITIAL_S
         self._liveness_mark = runtime.liveness.mark
         self._set(TIMER_RETRY, now + self._jitter(self._backoff))
         self._set(TIMER_TIMEOUT, now + runtime.config.resume_deadline_s)
@@ -1750,7 +1756,7 @@ class SiteEngine:
                 now,
                 runtime.frame,
                 episodes=len(self._resync_ladder.episodes),
-                window_s=runtime.config.resync_window_s,
+                window_s=RESYNC_WINDOW_S,
             )
             self._terminate("desync", now, effects)
             return

@@ -37,6 +37,11 @@ from repro.core.rtt import CLOCK_FILTER_DEPTH
 #: this site's gate waiting on it (:meth:`LockstepSync.master_is_late`).
 MASTER_MEMORY = 64
 
+#: How many frames of inputs a sync message may carry at most.  Bounds
+#: message size under long stalls; the unacked window is re-sent across
+#: consecutive flushes.
+MAX_INPUTS_PER_MESSAGE = 120
+
 
 class LockstepStats:
     """Counters exposed for experiments and debugging."""
@@ -267,7 +272,7 @@ class LockstepSync:
             return None
 
         if has_inputs:
-            last = min(last, first + self.config.max_inputs_per_message - 1)
+            last = min(last, first + MAX_INPUTS_PER_MESSAGE - 1)
             packed = self._packed_window(first, last)
             if packed is not None:
                 message = Sync.from_packed(

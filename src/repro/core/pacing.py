@@ -28,6 +28,12 @@ from typing import Optional, Tuple
 
 from repro.core.config import SyncConfig
 
+#: Clamp on the per-frame |SyncAdjustTimeDelta|, in frames.  The paper
+#: smooths start-up skew "within only a few frames"; without a clamp a huge
+#: transient estimate (e.g. before RTT converges) would swing the pacer
+#: violently.
+SYNC_ADJUST_CLAMP_FRAMES = 3
+
 
 class PacerStats:
     """Per-site pacing telemetry used by the experiment harness."""
@@ -96,15 +102,13 @@ class FramePacer:
             sync_adjust = (frame - master_frame) * tpf - (
                 now - (master_rcv_time - rtt / 2.0)
             )
-            clamp = self.config.sync_adjust_clamp_frames
-            if clamp is not None:
-                bound = clamp * tpf
-                if sync_adjust > bound:
-                    sync_adjust = bound
-                    self.stats.sync_adjust_clamped += 1
-                elif sync_adjust < -bound:
-                    sync_adjust = -bound
-                    self.stats.sync_adjust_clamped += 1
+            bound = SYNC_ADJUST_CLAMP_FRAMES * tpf
+            if sync_adjust > bound:
+                sync_adjust = bound
+                self.stats.sync_adjust_clamped += 1
+            elif sync_adjust < -bound:
+                sync_adjust = -bound
+                self.stats.sync_adjust_clamped += 1
             # Line 9, replacing rather than adding: the offset is taken at
             # this begin against the master's grid, so it already holds the
             # debt Algorithm 3 carried in (0 whenever the slave is on time).

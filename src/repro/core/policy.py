@@ -13,13 +13,13 @@ This module makes the choice *per site and per RTT regime*:
 * :class:`LagTuner` — the hysteretic half of adaptive local lag.  The raw
   proposal (``ceil((RTT/2 + margin) · CFPS)``) chases every RTT sample;
   the tuner applies the first resize immediately (start-up convergence)
-  and afterwards requires both a deadband and a minimum interval between
-  changes, so jitter cannot oscillate the lag.
+  and afterwards requires a minimum interval between changes, so jitter
+  cannot oscillate the lag.
 * :class:`ConsistencyPolicy` — watches the *per-peer* smoothed RTT
   (:meth:`repro.core.rtt.RttEstimator.peer_rtt`) and recommends a mode
   through a hysteresis band: rollback once any peer link degrades past
-  ``policy_rollback_above_s``, back to lockstep only when every link is
-  below ``policy_lockstep_below_s``, with a dwell time between
+  ``POLICY_ROLLBACK_ABOVE_S``, back to lockstep only when every link is
+  below ``POLICY_LOCKSTEP_BELOW_S``, with a dwell time between
   transitions.
 * :class:`Adaptive` — the consistency part that actually runs in either
   mode (it holds a lockstep and a rollback part) and switches mid-session.
@@ -83,8 +83,23 @@ MODE_NAMES = {MODE_LOCKSTEP: "lockstep", MODE_ROLLBACK: "rollback"}
 #: slice delays) when sizing the adaptive lag, in seconds.
 ADAPTIVE_MARGIN = 0.035
 
-#: Upper bound for the adaptive lag, in frames.
+#: Bounds for the adaptive lag, in frames.
+ADAPTIVE_MIN_BUF = 2
 ADAPTIVE_MAX_BUF = 15
+
+#: Hysteresis for the adaptive lag tuner: after the first (immediate)
+#: resize, further changes are applied at most once per this many seconds,
+#: so RTT jitter cannot make the lag oscillate.
+ADAPTIVE_WINDOW_S = 1.0
+
+#: A site speculates (rollback mode) while any peer's smoothed RTT is above
+#: this threshold, in seconds...
+POLICY_ROLLBACK_ABOVE_S = 0.140
+
+#: ...and returns to plain lockstep once every peer's smoothed RTT is back
+#: below this one.  The gap between the two is the hysteresis band that
+#: keeps a jittery link from flapping modes.
+POLICY_LOCKSTEP_BELOW_S = 0.100
 
 #: Minimum dwell time between mode switches, in seconds.
 POLICY_DWELL_S = 2.0
@@ -102,10 +117,10 @@ class LagTuner:
     ``propose`` returns the lag to apply now, or None to leave it alone.
     The first proposal is applied immediately — a session that started
     with a default lag should converge as soon as the first RTT sample
-    lands.  Afterwards a change must clear ``adaptive_deadband_frames``
-    *and* at least ``adaptive_window_s`` must have passed since the last
-    applied change, so a monotone RTT ramp moves the lag at most once per
-    window and sample jitter cannot flip it back and forth.
+    lands.  Afterwards at least ``ADAPTIVE_WINDOW_S`` must have passed
+    since the last applied change, so a monotone RTT ramp moves the lag
+    at most once per window and sample jitter cannot flip it back and
+    forth.
     """
 
     def __init__(self, config: SyncConfig) -> None:
@@ -114,21 +129,19 @@ class LagTuner:
 
     def target_for(self, one_way: float) -> int:
         """The raw (unfiltered) lag target for a one-way estimate."""
-        config = self._config
-        needed = math.ceil((one_way + ADAPTIVE_MARGIN) * config.cfps)
-        return max(config.adaptive_min_buf, min(ADAPTIVE_MAX_BUF, needed))
+        needed = math.ceil((one_way + ADAPTIVE_MARGIN) * self._config.cfps)
+        return max(ADAPTIVE_MIN_BUF, min(ADAPTIVE_MAX_BUF, needed))
 
     def propose(self, now: float, one_way: float, current: int) -> Optional[int]:
-        """Lag to apply now, or None (deadband / window suppressed)."""
+        """Lag to apply now, or None (unchanged, or window suppressed)."""
         target = self.target_for(one_way)
         if target == current:
             return None
-        config = self._config
-        if self._last_change is not None:
-            if abs(target - current) < config.adaptive_deadband_frames:
-                return None
-            if now - self._last_change < config.adaptive_window_s:
-                return None
+        if (
+            self._last_change is not None
+            and now - self._last_change < ADAPTIVE_WINDOW_S
+        ):
+            return None
         self._last_change = now
         return target
 
@@ -139,14 +152,13 @@ class ConsistencyPolicy:
     The decision rides the *worst* peer link: lockstep blocks on the
     slowest peer's inputs, so one bad link is enough to justify
     speculation.  Hysteresis comes from two thresholds (a link must
-    degrade past ``policy_rollback_above_s`` to leave lockstep but
-    recover below ``policy_lockstep_below_s`` to return) plus a dwell
+    degrade past ``POLICY_ROLLBACK_ABOVE_S`` to leave lockstep but
+    recover below ``POLICY_LOCKSTEP_BELOW_S`` to return) plus a dwell
     time between transitions — an aborted proposal also arms the dwell,
     so a partitioned site does not spam re-proposals.
     """
 
-    def __init__(self, config: SyncConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._last_transition: Optional[float] = None
 
     def note_transition(self, now: float) -> None:
@@ -168,16 +180,15 @@ class ConsistencyPolicy:
         """Mode the site should move to, or None to stay put."""
         if not rtt.samples:
             return None
-        config = self._config
         if (
             self._last_transition is not None
             and now - self._last_transition < POLICY_DWELL_S
         ):
             return None
         worst = self.worst_peer_rtt(rtt, peer_sites)
-        if current_mode == MODE_LOCKSTEP and worst > config.policy_rollback_above_s:
+        if current_mode == MODE_LOCKSTEP and worst > POLICY_ROLLBACK_ABOVE_S:
             return MODE_ROLLBACK
-        if current_mode == MODE_ROLLBACK and worst < config.policy_lockstep_below_s:
+        if current_mode == MODE_ROLLBACK and worst < POLICY_LOCKSTEP_BELOW_S:
             return MODE_LOCKSTEP
         return None
 
@@ -245,7 +256,7 @@ class Adaptive(Lockstep):
         super().attach(engine)
         self.lockstep.attach(engine)
         self.rollback.bind(engine)  # lag is this part's to manage
-        self.policy = ConsistencyPolicy(engine.runtime.config)
+        self.policy = ConsistencyPolicy()
 
     # ------------------------------------------------------------------
     @property

@@ -33,6 +33,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+#: Flap quarantine: more than this many resync episodes starting within
+#: ``RESYNC_WINDOW_S`` escalate to terminal ``desync`` — a
+#: deterministically-broken game must not resync forever.
+RESYNC_MAX_ATTEMPTS = 3
+
+#: Sliding window for :data:`RESYNC_MAX_ATTEMPTS`, in seconds.
+RESYNC_WINDOW_S = 60.0
+
 
 @dataclass(frozen=True)
 class Divergence:
@@ -223,17 +231,16 @@ class ResyncLadder:
     A deterministically-broken game (or a corrupted authority) would
     otherwise detect → resync → re-diverge forever.  The ladder records
     episode start times in a sliding window; one more episode than
-    ``max_attempts`` inside ``window_s`` escalates to terminal ``desync``.
+    ``RESYNC_MAX_ATTEMPTS`` inside ``RESYNC_WINDOW_S`` escalates to terminal
+    ``desync``.
     """
 
-    def __init__(self, max_attempts: int, window_s: float) -> None:
-        self.max_attempts = max_attempts
-        self.window_s = window_s
+    def __init__(self) -> None:
         self.episodes: List[float] = []
 
     def begin_episode(self, now: float) -> bool:
         """Record an episode start; False means the quarantine tripped."""
-        cutoff = now - self.window_s
+        cutoff = now - RESYNC_WINDOW_S
         self.episodes = [t for t in self.episodes if t > cutoff]
         self.episodes.append(now)
-        return len(self.episodes) <= self.max_attempts
+        return len(self.episodes) <= RESYNC_MAX_ATTEMPTS

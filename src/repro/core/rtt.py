@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
-from repro.core.config import SyncConfig
 from repro.core.messages import Ping, Pong
 
 #: EWMA weight for new RTT samples (and clock-offset samples).
@@ -44,15 +43,14 @@ def from_micros(micros: int) -> float:
 class RttEstimator:
     """EWMA round-trip estimator fed by PING/PONG exchanges."""
 
-    def __init__(self, config: SyncConfig, site_no: int, session_id: int = 0) -> None:
-        self._config = config
+    def __init__(self, site_no: int, session_id: int = 0) -> None:
         self._site_no = site_no
         self._session_id = session_id
         self._srtt: Optional[float] = None
         #: The least of the newest raw samples — the round trip Algorithm 4's
         #: least-delayed master sample travelled; :attr:`rtt` would put the
         #: slave ahead by mean-minus-min one-way delay.
-        self.min_rtt = config.initial_rtt
+        self.min_rtt = 0.0
         self._recent: Deque[float] = deque(maxlen=CLOCK_FILTER_DEPTH)
         #: Smoothed RTT per responding peer.  The aggregate ``_srtt`` feeds
         #: adaptive lag; the per-peer series feeds the consistency policy,
@@ -63,8 +61,8 @@ class RttEstimator:
 
     @property
     def rtt(self) -> float:
-        """Best current estimate (config's initial value until a sample lands)."""
-        return self._srtt if self._srtt is not None else self._config.initial_rtt
+        """Best current estimate (0.0 until a sample lands)."""
+        return self._srtt if self._srtt is not None else 0.0
 
     @property
     def one_way(self) -> float:

@@ -19,9 +19,9 @@ Hot-path notes (docs/performance.md):
 * :meth:`save_delta` / :meth:`apply_delta` move only dirty pages between
   replicas — the rollback shadow/speculative pair and any other
   same-lineage copies sync in O(working set) rather than O(address space),
-* ``interpreter`` selects the block-translation loop (default), the
-  table-dispatched fast loop, or the retained reference interpreter; all
-  three are bit-identical by contract (the golden-trace tests enforce it).
+* ``interpreter`` selects the block-translation loop (default) or the
+  retained reference interpreter; the two are bit-identical by contract
+  (the golden-trace tests enforce it).
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class Console(Machine):
         interpreter: str = "block",
     ) -> None:
         super().__init__()
-        if interpreter not in ("block", "fast", "reference"):
+        if interpreter not in ("block", "reference"):
             raise ValueError(f"unknown interpreter {interpreter!r}")
         self.name = name
         self.num_players = num_players
@@ -90,8 +90,6 @@ class Console(Machine):
         interpreter = self.interpreter
         if interpreter == "block":
             self.cpu.run_frame_blocks(self.cycle_budget)
-        elif interpreter == "fast":
-            self.cpu.run_frame(self.cycle_budget)
         elif interpreter == "reference":
             self.cpu.run_frame_reference(self.cycle_budget)
         else:

@@ -14,7 +14,7 @@ for vertical blank) or exhausts the per-frame cycle budget, whichever comes
 first.  ``HALT`` stops the program permanently (the machine keeps stepping,
 frozen).
 
-Three interpreters execute the same ISA (see docs/performance.md):
+Two interpreters execute the same ISA (see docs/performance.md):
 
 * :meth:`Cpu.run_frame_blocks` — the block-translation path: the blocks
   reachable from an entry pc through static jumps are traced once and
@@ -23,16 +23,16 @@ Three interpreters execute the same ISA (see docs/performance.md):
   superinstruction peepholes for the hot pairs), guarded against
   self-modifying code by the memory bus's dirty-page generations, and
   entered through a dict keyed by entry pc, so a loop — branches in its
-  body included — executes with zero per-instruction dispatch,
-* :meth:`Cpu.run_frame` — the fast path: a 256-entry dispatch table of
-  handlers, a decoded-instruction cache keyed by ``(pc, word)``, and
-  fetches inlined against plain-RAM pages,
+  body included — executes with zero per-instruction dispatch; what no
+  block covers (hooked fetches, blacklisted pcs, budget tails) is
+  single-stepped through a 256-entry dispatch table of handlers and a
+  decoded-instruction cache keyed by ``(pc, word)``,
 * :meth:`Cpu.run_frame_reference` / :meth:`Cpu.step_instruction` — the
   straight-line reference interpreter retained verbatim from the original
   implementation.
 
 The determinism contract — enforced by the golden-trace tests — is that
-all paths produce bit-identical machine states for any program.
+both produce bit-identical machine states for any program.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _signed(value: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# The fast interpreter's dispatch table.
+# The dispatch table the block tier single-steps through (``_step_table``).
 #
 # ``DISPATCH[opcode]`` is a factory that, given the decoded register
 # fields, returns a specialized handler closure ``fn(cpu, imm, next_pc)``.
@@ -1050,72 +1050,6 @@ class Cpu:
         value = self.memory.read_word(sp)
         self.regs[SP] = (sp + 2) & 0xFFFF
         return value
-
-    # ------------------------------------------------------------------
-    def run_frame(self, max_cycles: int) -> int:
-        """Execute until YIELD/HALT or the cycle budget; returns cycles used.
-
-        The fixed budget keeps every frame's work deterministic even for a
-        buggy ROM that never yields — matching how a real console's frame is
-        bounded by the vblank interrupt.
-
-        This is the table-dispatched fast path; it is bit-for-bit equivalent
-        to :meth:`run_frame_reference`.
-        """
-        self._yielded = False
-        if self.halted:
-            return 0
-        used = 0
-        memory = self.memory
-        data = memory._data
-        plain_word = memory._plain_word
-        read_word = memory.read_word
-        decoded = self._decoded
-        dispatch = DISPATCH
-        pc = self.pc
-        try:
-            while used < max_cycles:
-                if plain_word[pc]:
-                    word = data[pc] | (data[pc + 1] << 8)
-                else:
-                    word = read_word(pc)
-                key = (pc << 16) | word
-                entry = decoded.get(key)
-                if entry is None:
-                    opcode = word >> 8
-                    factory = dispatch[opcode]
-                    if factory is None:
-                        pc = (pc + 2) & 0xFFFF
-                        raise CpuFault(
-                            f"illegal opcode 0x{opcode:02x} at pc=0x{(pc - 2) & 0xFFFF:04x}"
-                        )
-                    entry = (
-                        factory((word >> 4) & 0x0F, word & 0x0F),
-                        opcode in HAS_IMMEDIATE,
-                    )
-                    decoded[key] = entry
-                fn, has_imm = entry
-                if has_imm:
-                    pc2 = (pc + 2) & 0xFFFF
-                    if plain_word[pc2]:
-                        imm = data[pc2] | (data[pc2 + 1] << 8)
-                    else:
-                        imm = read_word(pc2)
-                    pc = (pc2 + 2) & 0xFFFF
-                    used += 2
-                else:
-                    imm = 0
-                    pc = (pc + 2) & 0xFFFF
-                    used += 1
-                res = fn(self, imm, pc)
-                if res is not None:
-                    if res == -1:
-                        break
-                    pc = res
-        finally:
-            self.pc = pc
-        self.cycles += used
-        return used
 
     # ------------------------------------------------------------------
     # Block translation.

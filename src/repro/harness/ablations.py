@@ -196,8 +196,8 @@ def _run_adaptive_case(
         max_frames=frames,
         seed=seed,
     )
-    initial_rtt = rtt_high if switch_period is None else rtt_low
-    session = build_session(plan, NetemConfig.for_rtt(initial_rtt))
+    start_rtt = rtt_high if switch_period is None else rtt_low
+    session = build_session(plan, NetemConfig.for_rtt(start_rtt))
     horizon = frames / config.cfps * 6 + 60
 
     if switch_period is not None:

@@ -65,7 +65,6 @@ def chaos_config(**overrides: object) -> SyncConfig:
         hard_stall_s=1.0,
         resume_deadline_s=5.0,
         liveness_timeout_s=0.5,
-        suspend_backoff_initial_s=0.05,
         suspend_backoff_max_s=0.4,
         timeline=True,
     )
@@ -78,8 +77,6 @@ def resync_config(**overrides: object) -> SyncConfig:
     base = dict(
         state_digest_interval=10,
         resync_deadline_s=3.0,
-        resync_max_attempts=3,
-        resync_window_s=60.0,
     )
     base.update(overrides)
     return chaos_config(**base)

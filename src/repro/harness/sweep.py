@@ -189,6 +189,8 @@ def run_sweep_point(
 
 def _evaluate(point: SweepPoint, config: SyncConfig) -> None:
     """The sweep's assertions, recorded as problems on the point."""
+    from repro.core.policy import POLICY_ROLLBACK_ABOVE_S
+
     slot = config.time_per_frame
     if point.adaptive_verified < point.frames:
         point.problems.append(
@@ -203,7 +205,7 @@ def _evaluate(point: SweepPoint, config: SyncConfig) -> None:
             f"adaptive frame time {point.adaptive_frame_mean * 1000:.2f}ms "
             f"exceeds {ADAPTIVE_FRAME_BUDGET:.0%} of the frame slot"
         )
-    if point.rtt > config.policy_rollback_above_s and point.switches == 0:
+    if point.rtt > POLICY_ROLLBACK_ABOVE_S and point.switches == 0:
         point.problems.append(
             "policy never switched although the RTT demands rollback"
         )

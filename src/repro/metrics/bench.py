@@ -157,7 +157,7 @@ def measure_game_fps(
 
     Each sample steps a *fresh* machine (so long-running games cannot hit
     a game-over fast path and flatter the number).  ``interpreter``
-    forces the console interpreter ("fast"/"reference") when the game
+    forces the console interpreter ("block"/"reference") when the game
     supports it.
     """
 

@@ -81,7 +81,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "pacer_sync_adjust_clamped": (
         "counter",
         True,
-        "Alg. 4 corrections cut to ±sync_adjust_clamp_frames (slave only)",
+        "Alg. 4 corrections cut to ±SYNC_ADJUST_CLAMP_FRAMES (slave only)",
     ),
     "degraded_episodes": (
         "counter",

@@ -139,7 +139,7 @@ class TestAnyEngineOverRealSockets:
         for site in sites:
             assert site.engine.termination == "completed"
             adaptive = site.engine.consistency
-            # Loopback RTT is far under policy_lockstep_below_s: the
+            # Loopback RTT is far under POLICY_LOCKSTEP_BELOW_S: the
             # rollback-born session settled into lockstep, by handshake.
             assert adaptive.mode == MODE_LOCKSTEP
             assert ("commit", MODE_LOCKSTEP) in [

@@ -175,8 +175,6 @@ def digest_mesh_config(**overrides):
         slice_delay=0.0,
         state_digest_interval=10,
         resync_deadline_s=3.0,
-        resync_max_attempts=3,
-        resync_window_s=60.0,
     )
     base.update(overrides)
     return SyncConfig(**base)

@@ -1,12 +1,13 @@
-"""Golden-trace determinism: the fast paths change nothing observable.
+"""Golden-trace determinism: the fast path changes nothing observable.
 
 The determinism contract behind every optimization in this repo (dispatch
 tables, block translation, page-routed MMIO, incremental checksums) is
 that a machine's *observable state sequence* — ``save_state()`` and
 ``checksum()`` — is bit-identical to what the unoptimized execution
 produces.  For the RC-16 consoles the retained reference interpreter is
-the golden producer and BOTH fast paths (the table interpreter and the
-block-translation layer) are compared against it; for pure-Python games
+the golden producer and the block-translation layer (with its
+table-dispatched single-step fallback) is compared against it; for
+pure-Python games
 two independently constructed instances must agree (catching any
 shared-mutable-state or caching bug).
 
@@ -44,11 +45,9 @@ def make_trio(name: str, is_console: bool):
     if is_console:
         golden = create_game(name)
         golden.interpreter = "reference"
-        fast = create_game(name)
-        fast.interpreter = "fast"
         block = create_game(name)
         assert block.interpreter == "block"  # the default path
-        return golden, [("fast", fast), ("block", block)]
+        return golden, [("block", block)]
     return create_game(name), [("twin", create_game(name))]
 
 
@@ -73,7 +72,7 @@ def test_golden_trace(name, is_console):
 
 
 @pytest.mark.parametrize("name", ["pong", "tankduel", "smc"])
-@pytest.mark.parametrize("interpreter", ["fast", "block"])
+@pytest.mark.parametrize("interpreter", ["block"])
 def test_fast_interpreters_survive_save_load_roundtrip(name, interpreter):
     """Mid-run save/load on the optimized paths matches the reference trace."""
     golden = create_game(name)

@@ -25,6 +25,7 @@ import pytest
 from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
 from repro.core.multisite import build_session, site_address, two_player_plan
+from repro.core.pacing import SYNC_ADJUST_CLAMP_FRAMES
 from repro.core.policy import build_adaptive_session
 from repro.emulator.machine import create_game
 from repro.harness.experiment import (
@@ -145,7 +146,7 @@ class TestBurstyWan:
         assert percentile(times, 99.0) <= 21.0 * MS
         offsets = [s - m for m, s in zip(master.begin_times, slave.begin_times)]
         assert max(abs(offset) for offset in offsets[30:]) <= 60 * MS
-        at_clamp = (1 + config.sync_adjust_clamp_frames) * config.time_per_frame
+        at_clamp = (1 + SYNC_ADJUST_CLAMP_FRAMES) * config.time_per_frame
         assert max(times) < at_clamp - MS
 
 

@@ -4,7 +4,7 @@ rejects arbitrary garbage without crashing."""
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from repro.core.config import SyncConfig
+from repro.core.lockstep import MAX_INPUTS_PER_MESSAGE
 from repro.core.messages import (
     DecodeError,
     Hello,
@@ -23,12 +23,10 @@ input_words = st.lists(u32, max_size=50)
 
 @st.composite
 def cell_windows(draw):
-    """``(width, cells)``: a window of 1..max_inputs_per_message packed
+    """``(width, cells)``: a window of 1..MAX_INPUTS_PER_MESSAGE packed
     cells of 0..8 bytes in which each cell changes or repeats at random."""
     width = draw(st.integers(min_value=0, max_value=8))
-    count = draw(
-        st.integers(min_value=1, max_value=SyncConfig().max_inputs_per_message)
-    )
+    count = draw(st.integers(min_value=1, max_value=MAX_INPUTS_PER_MESSAGE))
     top = (1 << (8 * width)) - 1
     cell = draw(st.integers(min_value=0, max_value=top))
     cells = [cell]

@@ -4,7 +4,7 @@ The golden-trace integration tests already prove whole-game parity; these
 tests pin down the cache *mechanics* — invalidation on real byte changes,
 cheap revalidation on false-positive guard misses, the pathological-SMC
 blacklist, and the MMIO hooks-epoch flush — plus the fault/budget edge
-cases that the table-interpreter suite pins for ``run_frame``, and, since
+cases that ``test_cpu.py`` pins against the reference interpreter, and, since
 the unit of translation is a region of blocks, every way out of one
 (``TestRegions`` and the generated-program property below it).
 """

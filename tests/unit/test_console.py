@@ -55,6 +55,19 @@ class TestStep:
         assert console.video.pixel(7, 0) == 7
 
 
+class TestInterpreters:
+    @pytest.mark.parametrize("interpreter", ["block", "reference"])
+    def test_accepted(self, interpreter):
+        console = Console(assemble(ECHO_ROM), interpreter=interpreter)
+        console.step(0x0042)
+        assert console.memory.read_word(0x2000) == 0x0042
+
+    @pytest.mark.parametrize("interpreter", ["fast", "table"])
+    def test_others_rejected(self, interpreter):
+        with pytest.raises(ValueError):
+            Console(assemble(ECHO_ROM), interpreter=interpreter)
+
+
 class TestDeterminism:
     def test_same_inputs_same_checksums(self):
         a, b = make_console(), make_console()

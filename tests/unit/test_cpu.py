@@ -7,14 +7,29 @@ from repro.emulator.cpu import Cpu, CpuFault, INITIAL_SP
 from repro.emulator.memory import Memory
 
 
-def run(source: str, max_cycles: int = 10_000) -> Cpu:
-    """Assemble at 0x0100, run until HALT/YIELD/budget, return the CPU."""
+def boot(source: str) -> Cpu:
+    """Assemble at 0x0100 into a fresh CPU, reset to the entry point."""
     program = assemble(".org 0x0100\n" + source)
     memory = Memory()
     memory.load(program.origin, program.code)
     cpu = Cpu(memory)
     cpu.reset(program.entry)
-    cpu.run_frame(max_cycles)
+    return cpu
+
+
+def observable(cpu: Cpu) -> tuple:
+    return (cpu.regs, cpu.pc, cpu.z, cpu.n, cpu.halted, cpu._yielded, cpu.cycles)
+
+
+def run(source: str, max_cycles: int = 10_000) -> Cpu:
+    """Run one frame (until HALT/YIELD/budget) on the block tier and return
+    the CPU, after checking the reference interpreter ends in the same
+    registers, flags, halted/yielded state and cycle count."""
+    cpu = boot(source)
+    cpu.run_frame_blocks(max_cycles)
+    reference = boot(source)
+    reference.run_frame_reference(max_cycles)
+    assert observable(cpu) == observable(reference)
     return cpu
 
 
@@ -158,9 +173,9 @@ class TestFrameSemantics:
         memory.load(program.origin, program.code)
         cpu = Cpu(memory)
         cpu.reset(program.entry)
-        cpu.run_frame(1000)
+        cpu.run_frame_blocks(1000)
         assert cpu.regs[0] == 1
-        cpu.run_frame(1000)
+        cpu.run_frame_blocks(1000)
         assert cpu.regs[0] == 2
         assert cpu.halted
 
@@ -171,7 +186,7 @@ class TestFrameSemantics:
 
     def test_halted_cpu_stays_halted(self):
         cpu = run("HALT")
-        used = cpu.run_frame(1000)
+        used = cpu.run_frame_blocks(1000)
         assert used == 0
 
     def test_illegal_opcode_faults(self):
@@ -180,7 +195,7 @@ class TestFrameSemantics:
         cpu = Cpu(memory)
         cpu.reset(0x0100)
         with pytest.raises(CpuFault):
-            cpu.run_frame(10)
+            cpu.run_frame_blocks(10)
 
 
 class TestSaveState:
@@ -202,20 +217,17 @@ class TestSaveState:
 
 def run_reference(source: str, max_cycles: int = 10_000) -> Cpu:
     """Like :func:`run` but through the retained reference interpreter."""
-    program = assemble(".org 0x0100\n" + source)
-    memory = Memory()
-    memory.load(program.origin, program.code)
-    cpu = Cpu(memory)
-    cpu.reset(program.entry)
+    cpu = boot(source)
     cpu.run_frame_reference(max_cycles)
     return cpu
 
 
 class TestFastPathParity:
-    """The table-dispatched loop against the reference interpreter."""
+    """The block tier (and its table-dispatched fallback) against the
+    reference interpreter."""
 
     def test_illegal_opcode_fault_matches_reference(self):
-        for runner in (Cpu.run_frame, Cpu.run_frame_reference):
+        for runner in (Cpu.run_frame_blocks, Cpu.run_frame_reference):
             memory = Memory()
             memory.write_word(0x0100, 0xEE00)
             cpu = Cpu(memory)
@@ -238,9 +250,9 @@ class TestFastPathParity:
             LDI r0, 0x0063
             HALT
         """
-        fast = run(source)
+        block = run(source)
         reference = run_reference(source)
-        assert fast.regs[0] == reference.regs[0] == 0x0064
+        assert block.regs[0] == reference.regs[0] == 0x0064
 
     def test_self_modifying_opcode_respects_cache_key(self):
         """Patching the instruction *word* (not just its immediate) must be
@@ -261,11 +273,11 @@ class TestFastPathParity:
             HALT
         """
         # Assembling the exact patch bytes by hand is brittle; instead just
-        # assert fast and reference agree on the full register file.
-        fast = run(source)
+        # assert block and reference agree on the full register file.
+        block = run(source)
         reference = run_reference(source)
-        assert fast.regs == reference.regs
-        assert fast.pc == reference.pc
+        assert block.regs == reference.regs
+        assert block.pc == reference.pc
 
     def test_budget_and_yield_accounting_match(self):
         source = "LDI r0, 7\nYIELD\nLDI r0, 8\nHALT"

@@ -32,7 +32,6 @@ def liveness_config(**overrides):
         hard_stall_s=1.0,
         resume_deadline_s=2.0,
         liveness_timeout_s=0.5,
-        suspend_backoff_initial_s=0.05,
         suspend_backoff_max_s=0.4,
     )
     base.update(overrides)

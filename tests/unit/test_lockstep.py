@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
-from repro.core.lockstep import MASTER_MEMORY, LockstepSync
+from repro.core.lockstep import MASTER_MEMORY, MAX_INPUTS_PER_MESSAGE, LockstepSync
 from repro.core.messages import Sync
 from repro.core.rtt import CLOCK_FILTER_DEPTH
 
@@ -176,13 +176,12 @@ class TestMessageExchange:
         assert reply.acks[0] == 6
 
     def test_max_inputs_per_message_caps_window(self):
-        config = SyncConfig(max_inputs_per_message=5)
         assignment = InputAssignment.standard(2)
-        a = LockstepSync(config, 0, assignment, session_id=1)
-        for frame in range(20):
+        a = LockstepSync(SyncConfig(), 0, assignment, session_id=1)
+        for frame in range(MAX_INPUTS_PER_MESSAGE + 5):
             a.buffer_local_input(frame, 1)
         message = a.build_sync_for(1)
-        assert len(message.inputs) == 5
+        assert len(message.inputs) == MAX_INPUTS_PER_MESSAGE
 
 
 class TestDelivery:

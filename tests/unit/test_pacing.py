@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.pacing import FramePacer
+from repro.core.pacing import SYNC_ADJUST_CLAMP_FRAMES, FramePacer
 
 TPF = 1 / 60
 
@@ -120,17 +120,11 @@ class TestAlgorithm4:
         assert adjust > 0
 
     def test_clamp_bounds_adjust(self):
-        pacer = make_pacer(site=1, sync_adjust_clamp_frames=3.0)
+        pacer = make_pacer(site=1)
         sample = (16, 0.53)
         adjust = pacer.begin_frame(0.55, 200, sample, 0.060)  # wildly ahead
-        assert adjust == pytest.approx(3 * TPF)
+        assert adjust == pytest.approx(SYNC_ADJUST_CLAMP_FRAMES * TPF)
         assert pacer.stats.sync_adjust_clamped == 1
-
-    def test_no_clamp_when_disabled(self):
-        pacer = make_pacer(site=1, sync_adjust_clamp_frames=None)
-        sample = (16, 0.53)
-        adjust = pacer.begin_frame(0.55, 200, sample, 0.060)
-        assert adjust > 3 * TPF
 
     def test_pacing_disabled_by_config(self):
         pacer = make_pacer(site=1, master_slave_pacing=False)
@@ -150,10 +144,10 @@ class TestNoWindup:
     """Line 9 replaces the debt Algorithm 3 carried into a slave's frame:
     the offset is measured at this begin, so it already contains it."""
 
-    def indebted_slave(self, **overrides):
+    def indebted_slave(self):
         """A slave whose frame 11 (begun at 0.50) ended at 0.53: 13.3 ms
         of overrun debt carried into frame 12."""
-        pacer = make_pacer(site=1, **overrides)
+        pacer = make_pacer(site=1)
         pacer.begin_frame(0.50, 11, None, 0.060)
         assert pacer.end_frame_deadline(0.53) is None
         assert pacer.adjust_time_delta == pytest.approx(0.50 + TPF - 0.53)
@@ -169,9 +163,9 @@ class TestNoWindup:
         assert pacer.end_frame_deadline(0.541) == pytest.approx(0.50 + 3 * TPF)
 
     def test_clamped_correction_replaces_the_debt(self):
-        pacer = self.indebted_slave(sync_adjust_clamp_frames=3.0)
+        pacer = self.indebted_slave()
         adjust = pacer.begin_frame(0.54, 2, (16, 0.53), 0.060)  # far behind
-        assert adjust == pytest.approx(-3 * TPF)
+        assert adjust == pytest.approx(-SYNC_ADJUST_CLAMP_FRAMES * TPF)
         assert pacer.adjust_time_delta == adjust
         assert pacer.stats.sync_adjust_clamped == 1
 

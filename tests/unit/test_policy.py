@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import SyncConfig
 from repro.core.messages import (
     DecodeError,
     MODE_LOCKSTEP,
@@ -11,7 +10,12 @@ from repro.core.messages import (
     SwitchRequest,
     decode,
 )
-from repro.core.policy import POLICY_DWELL_S, ConsistencyPolicy
+from repro.core.policy import (
+    POLICY_DWELL_S,
+    POLICY_LOCKSTEP_BELOW_S,
+    POLICY_ROLLBACK_ABOVE_S,
+    ConsistencyPolicy,
+)
 
 
 class FakeRtt:
@@ -52,8 +56,8 @@ class TestSwitchCodec:
 
 
 class TestConsistencyPolicy:
-    def make_policy(self, **overrides):
-        return ConsistencyPolicy(SyncConfig(**overrides))
+    def make_policy(self):
+        return ConsistencyPolicy()
 
     def test_no_opinion_without_samples(self):
         policy = self.make_policy()
@@ -74,7 +78,8 @@ class TestConsistencyPolicy:
         """Between the two thresholds neither mode is urged — a link
         hovering there never flaps."""
         policy = self.make_policy()
-        rtt = FakeRtt(peers={1: 0.120})  # between 0.100 and 0.140
+        rtt = FakeRtt(peers={1: 0.120})
+        assert POLICY_LOCKSTEP_BELOW_S < 0.120 < POLICY_ROLLBACK_ABOVE_S
         assert policy.desired_mode(1.0, rtt, [1], MODE_LOCKSTEP) is None
         assert policy.desired_mode(1.0, rtt, [1], MODE_ROLLBACK) is None
 
@@ -114,9 +119,3 @@ class TestConsistencyPolicy:
             policy.desired_mode(expiry + 0.1, bad, [1], MODE_LOCKSTEP)
             == MODE_ROLLBACK
         )
-
-    def test_config_rejects_inverted_thresholds(self):
-        with pytest.raises(ValueError):
-            SyncConfig(
-                policy_rollback_above_s=0.080, policy_lockstep_below_s=0.100
-            )

@@ -191,20 +191,22 @@ class TestDigestTracker:
 
 class TestResyncLadder:
     def test_episodes_within_budget_pass(self):
-        ladder = ResyncLadder(max_attempts=3, window_s=60.0)
+        ladder = ResyncLadder()
         assert ladder.begin_episode(0.0)
         assert ladder.begin_episode(1.0)
         assert ladder.begin_episode(2.0)
 
     def test_one_past_budget_trips_quarantine(self):
-        ladder = ResyncLadder(max_attempts=3, window_s=60.0)
+        ladder = ResyncLadder()
         for when in (0.0, 1.0, 2.0):
             assert ladder.begin_episode(when)
         assert not ladder.begin_episode(3.0)
 
     def test_window_slides(self):
-        ladder = ResyncLadder(max_attempts=2, window_s=10.0)
-        assert ladder.begin_episode(0.0)
-        assert ladder.begin_episode(1.0)
-        # Both prior episodes have aged out of the sliding window.
-        assert ladder.begin_episode(20.0)
+        ladder = ResyncLadder()
+        for when in (0.0, 1.0, 2.0):
+            assert ladder.begin_episode(when)
+        # The episode at 0.0 has aged out of the 60 s window: three remain.
+        assert ladder.begin_episode(60.5)
+        # 1.0 and 2.0 are still inside it: a fourth trips the quarantine.
+        assert not ladder.begin_episode(60.6)

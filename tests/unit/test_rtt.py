@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import SyncConfig
 from repro.core.rtt import (
     CLOCK_FILTER_DEPTH,
     RTT_ALPHA,
@@ -21,13 +20,8 @@ class TestMicros:
 
 
 class TestEstimator:
-    def test_initial_value_from_config(self):
-        estimator = RttEstimator(SyncConfig(initial_rtt=0.25), 0)
-        assert estimator.rtt == 0.25
-        assert estimator.one_way == 0.125
-
     def test_first_sample_adopted(self):
-        estimator = RttEstimator(SyncConfig(), 0)
+        estimator = RttEstimator(0)
         ping = estimator.make_ping(now=1.0)
         pong = RttEstimator.make_pong(ping, site_no=1)
         estimator.on_pong(pong, now=1.08)
@@ -35,7 +29,7 @@ class TestEstimator:
         assert estimator.samples == 1
 
     def test_ewma_smoothing(self):
-        estimator = RttEstimator(SyncConfig(), 0)
+        estimator = RttEstimator(0)
         ping = estimator.make_ping(0.0)
         estimator.on_pong(RttEstimator.make_pong(ping, 1), 0.100)
         ping = estimator.make_ping(1.0)
@@ -45,18 +39,18 @@ class TestEstimator:
         )
 
     def test_negative_sample_rejected(self):
-        estimator = RttEstimator(SyncConfig(), 0)
+        estimator = RttEstimator(0)
         ping = estimator.make_ping(5.0)
         assert estimator.on_pong(RttEstimator.make_pong(ping, 1), 4.0) is None
         assert estimator.samples == 0
 
     def test_ping_sequence_increments(self):
-        estimator = RttEstimator(SyncConfig(), 0)
+        estimator = RttEstimator(0)
         assert estimator.make_ping(0.0).seq == 0
         assert estimator.make_ping(0.1).seq == 1
 
     def test_pong_echoes_timestamp(self):
-        estimator = RttEstimator(SyncConfig(), 0, session_id=4)
+        estimator = RttEstimator(0, session_id=4)
         ping = estimator.make_ping(2.5)
         pong = RttEstimator.make_pong(ping, site_no=1)
         assert pong.echo_timestamp_us == ping.timestamp_us
@@ -75,30 +69,31 @@ class TestMinRtt:
             estimator.on_pong(RttEstimator.make_pong(ping, 1), index + sample)
 
     def test_initial_rtt_before_any_sample(self):
-        estimator = RttEstimator(SyncConfig(initial_rtt=0.25), 1)
-        assert estimator.min_rtt == 0.25
+        estimator = RttEstimator(1)
+        assert estimator.min_rtt == 0.0
+        assert estimator.rtt == 0.0
 
     def test_equals_rtt_on_constant_samples(self):
-        estimator = RttEstimator(SyncConfig(), 1)
+        estimator = RttEstimator(1)
         self.feed(estimator, [0.040] * 12)
         assert estimator.min_rtt == pytest.approx(0.040)
         assert estimator.min_rtt == pytest.approx(estimator.rtt)
 
     def test_ignores_a_spike_the_mean_follows(self):
-        estimator = RttEstimator(SyncConfig(), 1)
+        estimator = RttEstimator(1)
         self.feed(estimator, [0.040, 0.040, 0.140, 0.040])
         assert estimator.min_rtt == pytest.approx(0.040)
         assert estimator.rtt > 0.045
 
     def test_forgets_an_old_minimum_after_the_window(self):
-        estimator = RttEstimator(SyncConfig(), 1)
+        estimator = RttEstimator(1)
         self.feed(estimator, [0.020] + [0.060] * (CLOCK_FILTER_DEPTH - 1))
         assert estimator.min_rtt == pytest.approx(0.020)
         self.feed(estimator, [0.060])
         assert estimator.min_rtt == pytest.approx(0.060)
 
     def test_negative_sample_is_not_windowed(self):
-        estimator = RttEstimator(SyncConfig(initial_rtt=0.25), 1)
+        estimator = RttEstimator(1)
         ping = estimator.make_ping(5.0)
         estimator.on_pong(RttEstimator.make_pong(ping, 0), 4.0)
-        assert estimator.min_rtt == 0.25
+        assert estimator.min_rtt == 0.0
