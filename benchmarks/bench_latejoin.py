@@ -51,7 +51,8 @@ def run_latejoin(game, frames, join_time=2.0):
 
     traces = [vm.runtime.trace for vm in session.vms]
     overlap = ConsistencyChecker().verify_traces(traces)
-    snapshot = joiner.runtime.latest_snapshot
+    # The snapshot the joiner loaded: the one its donor cached for it.
+    snapshot = session.vms[0].runtime.recovery.cache[2]
     player_times = session.vms[0].runtime.trace.frame_times()
     return {
         "game": game,

@@ -92,7 +92,7 @@ def apply_effects(
     effects — drivers pull ``engine.next_deadline()`` — and ``Present`` /
     ``Stall`` are notifications these headless drivers have no screen
     for; the harness admits a late joiner through
-    ``engine.on_snapshot_served``.
+    ``runtime.recovery.on_snapshot_served``.
     """
     running = True
     for effect in effects:

@@ -16,18 +16,21 @@ Three layers live here:
 
 * :class:`SiteRuntime` — the sans-IO aggregate of one site's protocol state
   (session control, lockstep, pacer, RTT estimator, machine, input source,
-  trace).  It turns received datagrams into state updates plus reply
-  datagrams, and builds outbound sync messages.
+  trace, and the :class:`~repro.core.recovery.Recovery` part).  Its
+  dispatch table hands each received message to the part that owns its
+  type; the handlers update state and return reply messages.  It also
+  builds outbound sync messages.
 * :class:`SiteEngine` — the orchestration that used to be copy-pasted into
   every driver: the start handshake, the send pump (the paper's 20 ms
   outbound batching and ~5 ms thread-slice delay, §4.2), the ping pump, the
-  frame loop with its SyncInput gate, late-join state serving, and the
-  linger phase.  The engine is a pure state machine: drivers feed it
-  :class:`Event` objects (datagrams, timer ticks, shutdown) and apply the
-  :class:`Effect` objects it returns (datagrams to send, frames to
-  present).  It contains no clocks, no sockets and no sleeping.
-  Which ``SyncInput`` the loop runs is its ``consistency`` part —
-  :class:`repro.core.lockstep.Lockstep` (the paper's),
+  frame loop with its SyncInput gate, and the linger phase.  Its phase
+  machine says when the recovery part requests, serves and restores
+  state (late join, resume, resync).  The engine is a pure state machine:
+  drivers feed it :class:`Event` objects (datagrams, timer ticks,
+  shutdown) and apply the :class:`Effect` objects it returns (datagrams
+  to send, frames to present).  It contains no clocks, no sockets and no
+  sleeping.  Which ``SyncInput`` the loop runs is its ``consistency``
+  part — :class:`repro.core.lockstep.Lockstep` (the paper's),
   :class:`repro.core.rollback.Rollback` or
   :class:`repro.core.policy.Adaptive` — and nothing else decides it.
 * The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event) and
@@ -56,27 +59,20 @@ monotonically non-decreasing clock per engine.
 from __future__ import annotations
 
 import random
-import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, InputSource
 from repro.core.liveness import PeerLiveness
 from repro.core.lockstep import Lockstep, LockstepSync
 from repro.core.messages import (
-    FEATURE_DIGEST,
     FEATURE_TIMELINE,
     MAX_BATCH_BYTES,
     DecodeError,
     Message,
     Ping,
     Pong,
-    Resume,
-    StateDigest,
-    StateRequest,
-    StateSnapshot,
     SwitchAck,
     SwitchRequest,
     Sync,
@@ -87,12 +83,7 @@ from repro.core.messages import (
     stamp_ticks,
     uvarint_len,
 )
-from repro.core.resync import (
-    RESYNC_WINDOW_S,
-    DigestTracker,
-    Divergence,
-    ResyncLadder,
-)
+from repro.core.recovery import Recovery, Replies
 from repro.core.pacing import FramePacer
 from repro.core.rtt import ClockAlign, RttEstimator, from_micros
 from repro.core.session import SessionControl, SessionError
@@ -186,10 +177,6 @@ class SiteRuntime:
         self.liveness = PeerLiveness(self.peer_sites, config.liveness_timeout_s)
         #: Frame counter of Algorithm 1.
         self.frame = 0
-        #: Set when the site should answer STATE_REQUESTs (late-join donor).
-        self.allow_state_requests = False
-        self._pending_state_request: Optional[int] = None
-        self._pending_resume: Optional[int] = None
         #: Consistency mode each peer last announced via SWITCH_REQ
         #: (``repro.core.messages.MODE_*``; absent = never announced).
         #: Purely informational for a plain lockstep site — every site
@@ -200,26 +187,20 @@ class SiteRuntime:
         self.switch_acks: Dict[int, int] = {}
         #: Lazily-built hysteretic lag tuner (``repro.core.policy``).
         self._lag_tuner = None
-        #: Latest received savestate (consumed by the engine's acquire step
-        #: and the resync slave path).
-        self.latest_snapshot: Optional[StateSnapshot] = None
-        #: Live divergence detection (ISSUE-10): folds the periodic state
-        #: digests into agreement/divergence facts.  Built whenever the
-        #: config enables digests; *used* only once FEATURE_DIGEST is
-        #: granted for the session (``digest_active``).
-        self.digests: Optional[DigestTracker] = (
-            DigestTracker(site_no, config.state_digest_interval)
-            if config.state_digest_interval is not None
-            else None
-        )
-        #: Retained savestates at the last few digest frames — the
-        #: authority serves resyncs from these, and every site rewinds its
-        #: own machine from them.  Bounded to ``RETAIN_WINDOWS`` entries.
-        self.digest_snapshots: "OrderedDict[int, bytes]" = OrderedDict()
-        #: Divergences proven since the engine last looked (drained by
-        #: ``SiteEngine`` once per pump).
-        self.pending_divergences: List[Divergence] = []
-        self._pending_resync: Optional[Tuple[int, int]] = None
+        #: State transfer and desync recovery: late join, resume, resync.
+        self.recovery = Recovery(self)
+        #: Message dispatch: every type the codec decodes (BATCH is
+        #: flattened first) has one handler, registered by the part that
+        #: owns it.  A handler returns its (message, destination) replies.
+        self.handlers: Dict[type, Callable[..., Replies]] = {
+            Sync: self._on_sync,
+            Ping: self._on_ping,
+            Pong: self._on_pong,
+            SwitchRequest: self._on_switch_request,
+            SwitchAck: self._on_switch_ack,
+            **dict.fromkeys(SessionControl.MESSAGES, self._on_session),
+            **self.recovery.handlers(),
+        }
 
     @property
     def timeline_negotiated(self) -> bool:
@@ -227,15 +208,6 @@ class SiteRuntime:
         the precondition for emitting STAMPs and extended pongs (a plain
         v2 peer's decoder rejects any batch containing an unknown type)."""
         return bool(self.session.session_features & FEATURE_TIMELINE)
-
-    @property
-    def digest_active(self) -> bool:
-        """True when FEATURE_DIGEST was granted for this session — the
-        precondition for recording/sending state digests (same
-        interoperability argument as :attr:`timeline_negotiated`)."""
-        return self.digests is not None and bool(
-            self.session.session_features & FEATURE_DIGEST
-        )
 
     # ------------------------------------------------------------------
     # Receive path (shared by all drivers)
@@ -264,218 +236,149 @@ class SiteRuntime:
 
     def handle_message(
         self, message: Message, arrived_at: float, now: float
-    ) -> List[Tuple[Message, str]]:
-        replies: List[Tuple[Message, str]] = []
+    ) -> Replies:
+        """Dispatch one message to its owner's handler; returns the replies.
 
-        sender = getattr(message, "sender_site", None)
-        if (
-            isinstance(sender, int)
-            and sender != self.site_no
-            and message.session_id == self.session_id
-        ):
+        Liveness and the ``rx`` record belong to the table, not to any
+        handler: every message from a peer of this session refreshes that
+        peer's last-heard time, and every message leaves one record (a
+        SYNC's also carries its window and its ack for us).
+        """
+        sender = message.sender_site
+        if sender != self.site_no and message.session_id == self.session_id:
             self.liveness.heard(sender, now)
-
-        if isinstance(message, Sync):
+        kind = type(message)
+        if kind is Sync:
             self.events.emit(
                 "rx",
                 now,
                 self.frame,
                 msg="Sync",
-                peer=message.sender_site,
+                peer=sender,
                 first=message.first_frame,
                 last=message.last_frame,
                 ack=message.acks[self.site_no]
                 if self.site_no < len(message.acks)
                 else None,
             )
-            sender_site = message.sender_site
-            in_range = 0 <= sender_site < self.lockstep.num_sites
-            prev_covered = (
-                self.lockstep.last_rcv_frame[sender_site] if in_range else 0
-            )
-            try:
-                # on_sync resolves an implied-mask SYNC against the sender's
-                # input assignment; a width/range mismatch is a wire-level
-                # fault, handled like any other decode failure.
-                self.lockstep.on_sync(message, arrived_at)
-            except DecodeError as exc:
-                self.metrics.net_decode_errors.inc()
-                self.events.emit("decode_error", now, self.frame, error=str(exc))
-                return replies
-            if self.config.timeline and in_range and sender_site != self.site_no:
-                new_covered = self.lockstep.last_rcv_frame[sender_site]
-                if new_covered > prev_covered:
-                    # The frames this window *newly* covered: the datagram
-                    # that first covers a frame is the one that delivered
-                    # it, so its arrival/decode times are that frame's
-                    # p2/p3 timeline points.
-                    self.timeline.on_remote_frames(
-                        sender_site, prev_covered + 1, new_covered, arrived_at, now
+        else:
+            self.events.emit("rx", now, self.frame, msg=kind.__name__, peer=sender)
+        return self.handlers[kind](message, arrived_at, now)
+
+    def _on_sync(self, message: Sync, arrived_at: float, now: float) -> Replies:
+        """Lockstep's window, plus the timeline points it delivers."""
+        sender_site = message.sender_site
+        in_range = 0 <= sender_site < self.lockstep.num_sites
+        prev_covered = self.lockstep.last_rcv_frame[sender_site] if in_range else 0
+        try:
+            # on_sync resolves an implied-mask SYNC against the sender's
+            # input assignment; a width/range mismatch is a wire-level
+            # fault, handled like any other decode failure.
+            self.lockstep.on_sync(message, arrived_at)
+        except DecodeError as exc:
+            self.metrics.net_decode_errors.inc()
+            self.events.emit("decode_error", now, self.frame, error=str(exc))
+            return []
+        if self.config.timeline and in_range and sender_site != self.site_no:
+            new_covered = self.lockstep.last_rcv_frame[sender_site]
+            if new_covered > prev_covered:
+                # The frames this window *newly* covered: the datagram
+                # that first covers a frame is the one that delivered
+                # it, so its arrival/decode times are that frame's
+                # p2/p3 timeline points.
+                self.timeline.on_remote_frames(
+                    sender_site, prev_covered + 1, new_covered, arrived_at, now
+                )
+            stamp = message.stamp
+            if stamp is not None:
+                align = self.clocks.get(sender_site)
+                if align is not None and align.aligned:
+                    # Map the sender's flush clock onto our timebase;
+                    # the capture delta back-dates to the pad sample.
+                    send_local = align.to_local(from_stamp_ticks(stamp[0]))
+                    self.timeline.on_stamp(
+                        sender_site,
+                        message.last_frame,
+                        send_local,
+                        send_local - from_stamp_ticks(stamp[1]),
                     )
-                stamp = message.stamp
-                if stamp is not None:
-                    align = self.clocks.get(sender_site)
-                    if align is not None and align.aligned:
-                        # Map the sender's flush clock onto our timebase;
-                        # the capture delta back-dates to the pad sample.
-                        send_local = align.to_local(from_stamp_ticks(stamp[0]))
-                        self.timeline.on_stamp(
-                            sender_site,
-                            message.last_frame,
-                            send_local,
-                            send_local - from_stamp_ticks(stamp[1]),
-                        )
-            return replies
+        return []
+
+    def _on_ping(self, message: Ping, arrived_at: float, now: float) -> Replies:
+        # Under FEATURE_TIMELINE the pong carries our clock too,
+        # upgrading the exchange to a full NTP-style offset probe.
+        pong = RttEstimator.make_pong(
+            message, self.site_no, now=now if self.timeline_negotiated else None
+        )
+        destination = self.address_of.get(message.sender_site)
+        return [] if destination is None else [(pong, destination)]
+
+    def _on_pong(self, message: Pong, arrived_at: float, now: float) -> Replies:
+        self.rtt.on_pong(message, now)
+        align = self.clocks.get(message.sender_site)
+        if message.remote_timestamp_us is not None and align is not None:
+            align.on_sample(
+                from_micros(message.echo_timestamp_us),
+                from_micros(message.remote_timestamp_us),
+                now,
+            )
+        if self.config.adaptive_lag and self.rtt.samples:
+            self._adapt_lag(now)
+        return []
+
+    def _on_switch_request(
+        self, message: SwitchRequest, arrived_at: float, now: float
+    ) -> Replies:
+        # Validated like RESUME: right session, known peer.  The mode
+        # itself is the announcer's local choice (its lag/speculation
+        # only move where its own frames execute), so every site can
+        # ack — the ack is what lets the proposer commit atomically.
+        sender = message.sender_site
+        if message.session_id != self.session_id or sender not in self.peer_sites:
+            self.events.emit("switch_reject", now, self.frame, peer=sender)
+            return []
+        self.peer_modes[sender] = message.mode
         self.events.emit(
-            "rx",
+            "switch_rx",
             now,
             self.frame,
-            msg=type(message).__name__,
-            peer=getattr(message, "sender_site", None),
+            peer=sender,
+            mode=message.mode,
+            seq=message.seq,
         )
-        if isinstance(message, Ping):
-            # Under FEATURE_TIMELINE the pong carries our clock too,
-            # upgrading the exchange to a full NTP-style offset probe.
-            pong = RttEstimator.make_pong(
-                message,
-                self.site_no,
-                now=now if self.timeline_negotiated else None,
+        ack = SwitchAck(
+            self.site_no, self.session_id, seq=message.seq, mode=message.mode
+        )
+        return [(ack, self.address_of[sender])]
+
+    def _on_switch_ack(
+        self, message: SwitchAck, arrived_at: float, now: float
+    ) -> Replies:
+        sender = message.sender_site
+        if message.session_id == self.session_id and sender in self.peer_sites:
+            if message.seq > self.switch_acks.get(sender, -1):
+                self.switch_acks[sender] = message.seq
+        return []
+
+    def _on_session(self, message: Message, arrived_at: float, now: float) -> Replies:
+        try:
+            return self.session.on_message(message, now)
+        except SessionError as exc:
+            # A handshake we must refuse: a peer with a different game
+            # image or an incompatible SyncConfig — or line noise whose
+            # bit flips happen to parse as a control message.  Either
+            # way the remote bytes must not crash this site: refuse
+            # observably (no WELCOME is ever sent, so a genuinely
+            # mismatched joiner times out its handshake), like the
+            # legacy-wire-version rejection in ``decode``.
+            self.events.emit(
+                "session_reject",
+                now,
+                self.frame,
+                peer=message.sender_site,
+                error=str(exc),
             )
-            destination = self.address_of.get(message.sender_site)
-            if destination is not None:
-                replies.append((pong, destination))
-        elif isinstance(message, Pong):
-            self.rtt.on_pong(message, now)
-            align = self.clocks.get(message.sender_site)
-            if message.remote_timestamp_us is not None and align is not None:
-                align.on_sample(
-                    from_micros(message.echo_timestamp_us),
-                    from_micros(message.remote_timestamp_us),
-                    now,
-                )
-            if self.config.adaptive_lag and self.rtt.samples:
-                self._adapt_lag(now)
-        elif isinstance(message, StateRequest):
-            if self.allow_state_requests:
-                self._pending_state_request = message.sender_site
-        elif isinstance(message, Resume):
-            if (
-                message.session_id == self.session_id
-                and message.sender_site in self.peer_sites
-                and (
-                    message.last_acked_frame < 0
-                    or message.last_acked_frame
-                    <= self.lockstep.last_rcv_frame[message.sender_site]
-                )
-            ):
-                if message.resync_frame is not None:
-                    self._pending_resync = (
-                        message.sender_site,
-                        message.resync_frame,
-                    )
-                else:
-                    self._pending_resume = message.sender_site
-            else:
-                self.events.emit(
-                    "resume_reject",
-                    now,
-                    self.frame,
-                    peer=message.sender_site,
-                    claimed=message.last_acked_frame,
-                    resync=message.resync_frame,
-                )
-        elif isinstance(message, StateDigest):
-            if (
-                message.session_id == self.session_id
-                and message.sender_site in self.peer_sites
-                and self.digests is not None
-            ):
-                divergence = self.digests.on_peer_digest(
-                    message.sender_site, message.frame, message.checksum
-                )
-                self.lockstep.retain_floor = self.digests.retain_floor()
-                if divergence is not None:
-                    self.pending_divergences.append(divergence)
-                    self.events.emit(
-                        "digest_mismatch",
-                        now,
-                        self.frame,
-                        peer=divergence.peer,
-                        at=divergence.frame,
-                        agreed=divergence.agreed,
-                    )
-        elif isinstance(message, SwitchRequest):
-            # Validated like RESUME: right session, known peer.  The mode
-            # itself is the announcer's local choice (its lag/speculation
-            # only move where its own frames execute), so every site can
-            # ack — the ack is what lets the proposer commit atomically.
-            if (
-                message.session_id == self.session_id
-                and message.sender_site in self.peer_sites
-            ):
-                self.peer_modes[message.sender_site] = message.mode
-                self.events.emit(
-                    "switch_rx",
-                    now,
-                    self.frame,
-                    peer=message.sender_site,
-                    mode=message.mode,
-                    seq=message.seq,
-                )
-                destination = self.address_of.get(message.sender_site)
-                if destination is not None:
-                    replies.append(
-                        (
-                            SwitchAck(
-                                self.site_no,
-                                self.session_id,
-                                seq=message.seq,
-                                mode=message.mode,
-                            ),
-                            destination,
-                        )
-                    )
-            else:
-                self.events.emit(
-                    "switch_reject",
-                    now,
-                    self.frame,
-                    peer=message.sender_site,
-                )
-        elif isinstance(message, SwitchAck):
-            if (
-                message.session_id == self.session_id
-                and message.sender_site in self.peer_sites
-            ):
-                previous = self.switch_acks.get(message.sender_site, -1)
-                if message.seq > previous:
-                    self.switch_acks[message.sender_site] = message.seq
-        elif isinstance(message, StateSnapshot):
-            if (
-                self.latest_snapshot is None
-                or message.frame > self.latest_snapshot.frame
-            ):
-                self.latest_snapshot = message
-        else:
-            try:
-                for reply, destination in self.session.on_message(message, now):
-                    replies.append((reply, destination))
-            except SessionError as exc:
-                # A handshake we must refuse: a peer with a different game
-                # image or an incompatible SyncConfig — or line noise whose
-                # bit flips happen to parse as a control message.  Either
-                # way the remote bytes must not crash this site: refuse
-                # observably (no WELCOME is ever sent, so a genuinely
-                # mismatched joiner times out its handshake), like the
-                # legacy-wire-version rejection in ``decode``.
-                self.events.emit(
-                    "session_reject",
-                    now,
-                    self.frame,
-                    peer=getattr(message, "sender_site", None),
-                    error=str(exc),
-                )
-        return replies
+            return []
 
     # ------------------------------------------------------------------
     # Send path — everything returns (message, destination) pairs; the
@@ -534,34 +437,6 @@ class SiteRuntime:
             out.append((self.rtt.make_ping(now), self.address_of[site]))
         return out
 
-    def digest_messages(self, now: float) -> List[Tuple[Message, str]]:
-        """Freshly recorded state digests, one copy per peer (piggybacked
-        on the flush: they coalesce into the same BATCH as the SYNC)."""
-        if not self.digest_active:
-            return []
-        entries = self.digests.drain_outbox()
-        if not entries:
-            return []
-        return self._digest_fanout(entries, now)
-
-    def digest_retransmits(self, now: float) -> List[Tuple[Message, str]]:
-        """Unagreed digests re-sent while a resync episode is open."""
-        if not self.digest_active:
-            return []
-        return self._digest_fanout(self.digests.unagreed(), now)
-
-    def _digest_fanout(
-        self, entries: List[Tuple[int, int]], now: float
-    ) -> List[Tuple[Message, str]]:
-        out: List[Tuple[Message, str]] = []
-        for frame, checksum in entries:
-            message = StateDigest(self.site_no, self.session_id, frame, checksum)
-            body_cost = len(message._encode_body()) + 2  # + batch member header
-            for site in self.peer_sites:
-                self.metrics.digest_bytes_tx.inc(body_cost)
-                out.append((message, self.address_of[site]))
-        return out
-
     def _adapt_lag(self, now: float) -> None:
         """Resize local lag to the current one-way estimate (§4.2's rejected
         alternative, implemented for the ablation).
@@ -586,21 +461,6 @@ class SiteRuntime:
             self.events.emit(
                 "lag", now, self.frame, **{"from": before, "to": needed}
             )
-
-    def take_state_request(self) -> Optional[int]:
-        """Pop the pending late-join request (site number) if any."""
-        request, self._pending_state_request = self._pending_state_request, None
-        return request
-
-    def take_resume_request(self) -> Optional[int]:
-        """Pop the pending authenticated RESUME request (site number)."""
-        request, self._pending_resume = self._pending_resume, None
-        return request
-
-    def take_resync_request(self) -> Optional[Tuple[int, int]]:
-        """Pop the pending resync request: (site number, anchor frame)."""
-        request, self._pending_resync = self._pending_resync, None
-        return request
 
     # ------------------------------------------------------------------
     # Frame-loop steps (Algorithm 1, minus the waiting)
@@ -670,7 +530,9 @@ class SiteRuntime:
             score(record)
         del fresh[:]
 
-    def run_transition(self, merged_input: int, stall: float, sync_adjust: float) -> None:
+    def run_transition(
+        self, merged_input: int, stall: float, sync_adjust: float
+    ) -> None:
         """Transition + present: step the machine and record the trace."""
         self.machine.step(merged_input)
         checksum = self.machine.checksum()
@@ -682,7 +544,7 @@ class SiteRuntime:
             lag=self.lockstep.local_lag_frames,
         )
         self.metrics.on_commit(stall, sync_adjust)
-        self.note_own_digest(self.frame, checksum)
+        self.recovery.note_own_digest(self.frame, checksum)
         self.frame += 1
 
     def replay_transition(self, merged_input: int, now: float) -> None:
@@ -700,29 +562,8 @@ class SiteRuntime:
             sync_adjust=0.0,
             lag=self.lockstep.local_lag_frames,
         )
-        self.note_own_digest(self.frame, checksum)
+        self.recovery.note_own_digest(self.frame, checksum)
         self.frame += 1
-
-    def note_own_digest(self, frame: int, checksum: int) -> None:
-        """Record a digest frame: retain a savestate, queue the digest for
-        the flush, settle any stashed peer digests for this frame.
-
-        No-op off digest frames or while FEATURE_DIGEST is not granted.
-        The caller passes the checksum it already computed for the trace,
-        so digest frames cost one extra ``save_state`` and nothing else.
-        """
-        tracker = self.digests
-        if tracker is None or not tracker.is_digest_frame(frame):
-            return
-        if not self.digest_active:
-            return
-        self.digest_snapshots[frame] = self.machine.save_state()
-        while len(self.digest_snapshots) > DigestTracker.RETAIN_WINDOWS:
-            self.digest_snapshots.popitem(last=False)
-        found = tracker.record_own(frame, checksum)
-        self.lockstep.retain_floor = tracker.retain_floor()
-        if found:
-            self.pending_divergences.extend(found)
 
     def end_frame_deadline(self, now: float) -> Optional[float]:
         """EndFrameTiming as an absolute deadline (None: begin at once)."""
@@ -929,10 +770,10 @@ class SiteEngine:
     apply effects; see the module docstring for the contract.
 
     A site enters the session by the start handshake, or — given a
-    ``donor_site`` — by acquiring that donor's savestate (journal
-    extension): a late joiner sends ``STATE_REQUEST``; a crashed and
-    restarted site sends ``RESUME`` carrying ``last_acked_frame``, the
-    last own frame the donor was seen to ack (its authentication cookie).
+    ``donor_site`` — by acquiring that donor's savestate: a late joiner's
+    STATE_REQUEST, or with ``last_acked_frame`` (the last own frame the
+    donor was seen to ack) a crashed site's RESUME; see
+    :mod:`repro.core.recovery`.
     """
 
     #: SyncInput re-poll period while blocked; bounds how long a site waits
@@ -980,10 +821,11 @@ class SiteEngine:
         #: flush delays the whole unacked-input window, eating into the
         #: §4.2 latency budget.
         self.timer_granularity = timer_granularity
-        #: The site whose savestate this one acquires (None: handshake),
-        #: and the RESUME cookie (None: a late join's STATE_REQUEST).
-        self.donor_site = donor_site
-        self.last_acked_frame = last_acked_frame
+        #: State transfer: ``donor_site`` is the site whose savestate this
+        #: one acquires (None: handshake), ``last_acked_frame`` the RESUME
+        #: cookie (None: a late join's STATE_REQUEST).
+        self.recovery = runtime.recovery
+        self.recovery.attach(self.consistency, donor_site, last_acked_frame)
         #: First frame an acquiring site executed (None until it has).
         self.joined_at_frame: Optional[int] = None
         self._rng = random.Random((seed << 8) ^ runtime.site_no)
@@ -994,14 +836,6 @@ class SiteEngine:
         self.frames_complete = False
         #: True once ``Finished`` has been emitted.
         self.done = False
-        #: Harness hook fired when this site serves a savestate:
-        #: ``callback(joiner_site, snapshot_frame)``.  Stands in for the
-        #: session-control broadcast announcing the joiner.
-        self.on_snapshot_served = None
-        #: Per-joiner cached snapshot: repeated STATE_REQUESTs (the joiner
-        #: retries until one arrives) must all answer with the *same* frame,
-        #: or the admission bookkeeping would race the joiner's choice.
-        self.snapshot_cache: Dict[int, StateSnapshot] = {}
 
         #: Why the engine finished: "completed", "shutdown", "peer-lost",
         #: "handshake-timeout", "desync" or (a joiner/resumer whose donor
@@ -1022,16 +856,6 @@ class SiteEngine:
         self._backoff = SUSPEND_BACKOFF_INITIAL_S
         self._liveness_mark = runtime.liveness.mark
 
-        #: Desync recovery (ISSUE-10): episode budget plus the live
-        #: episode's bookkeeping (anchor frame, frozen frame, role).
-        self._resync_ladder = ResyncLadder()
-        self._resync_anchor = -1
-        #: Frame the loop froze at when the live episode opened (the
-        #: consistency part replays up to it).
-        self.resync_frozen = 0
-        self._resync_started = 0.0
-        self._resync_restored = False
-
         #: Outbox: (message, destination) pairs queued during the current
         #: pump.  ``_flush_outbox`` drains it exactly once per pump —
         #: applying the bandwidth budget, then coalescing everything bound
@@ -1049,7 +873,7 @@ class SiteEngine:
         """Begin the session at ``now`` — by the start handshake, or by
         acquiring the donor's state — and return the first effects."""
         effects: List[Effect] = []
-        if self.donor_site is None:
+        if self.recovery.donor_site is None:
             self.phase = PHASE_HANDSHAKE
             timeout = self.runtime.config.handshake_timeout_s
         else:
@@ -1154,7 +978,7 @@ class SiteEngine:
                 self._earliest = min(timers.values())
             self._on_timer(kind, now, effects, now - due)
         if not self.done:
-            if self.runtime.pending_divergences:
+            if self.recovery.divergences:
                 self._check_divergence(now, effects)
             # FRAME_WAIT has no step: only its timer ends it.
             if self.phase != PHASE_FRAME_WAIT and not self.done:
@@ -1328,15 +1152,6 @@ class SiteEngine:
         if self.phase == PHASE_HANDSHAKE:
             self._outbox.extend(runtime.control_messages(now))
             self._set(TIMER_RETRY, runtime.session.retry_deadline())
-        elif self.phase == PHASE_ACQUIRE:
-            if self.last_acked_frame is None:
-                request = StateRequest(runtime.site_no, runtime.session_id)
-            else:
-                request = Resume(
-                    runtime.site_no, runtime.session_id, self.last_acked_frame
-                )
-            self._outbox.append((request, runtime.address_of[self.donor_site]))
-            self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
         elif self.phase == PHASE_SUSPENDED:
             # Same payloads as the 20 ms pump (control + forced sync
             # windows), at a backed-off cadence — the peer may come back at
@@ -1349,13 +1164,13 @@ class SiteEngine:
                 self._backoff * 2.0, runtime.config.suspend_backoff_max_s
             )
             self._set(TIMER_RETRY, now + self._jitter(self._backoff))
-        elif self.phase == PHASE_RESYNC:
-            # Episodes must survive loss: re-send every digest not yet
-            # known-agreed (idempotent to fold twice), and a slave still
+        elif self.phase in (PHASE_ACQUIRE, PHASE_RESYNC):
+            # An episode must survive loss: it re-sends every digest not
+            # yet known-agreed (idempotent to fold twice).  A site still
             # waiting on its snapshot re-requests it.
-            self._outbox.extend(runtime.digest_retransmits(now))
-            if not self._resync_restored and not self._is_resync_authority():
-                self._request_resync(now)
+            if self.phase == PHASE_RESYNC:
+                self._outbox.extend(self.recovery.digest_messages(unagreed=True))
+            self._outbox.extend(self.recovery.request(now))
             self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
 
     def _give_up(self, now: float, effects: List[Effect]) -> None:
@@ -1371,7 +1186,7 @@ class SiteEngine:
                 "error",
                 now,
                 runtime.frame,
-                error=f"no snapshot from donor {self.donor_site} "
+                error=f"no snapshot from donor {self.recovery.donor_site} "
                 f"within {self.REQUEST_TIMEOUT}s",
             )
             self._terminate("acquire-timeout", now, effects)
@@ -1385,13 +1200,14 @@ class SiteEngine:
             )
             self._terminate("peer-lost", now, effects)
         elif self.phase == PHASE_RESYNC:
+            recovery = self.recovery
             runtime.events.emit(
                 "resync_timeout",
                 now,
                 runtime.frame,
-                anchor=self._resync_anchor,
-                waited=now - self._resync_started,
-                restored=self._resync_restored,
+                anchor=recovery.anchor,
+                waited=now - recovery.started,
+                restored=recovery.restored,
             )
             self._terminate("desync", now, effects)
 
@@ -1416,7 +1232,7 @@ class SiteEngine:
         self._outbox.extend(self.runtime.control_messages(now))
         if self.runtime.session.started:
             self._outbox.extend(self.runtime.sync_broadcast(now=now))
-            self._outbox.extend(self.runtime.digest_messages(now))
+            self._outbox.extend(self.recovery.digest_messages())
 
     # ------------------------------------------------------------------
     # Phase machine
@@ -1425,8 +1241,7 @@ class SiteEngine:
         if self.phase == PHASE_HANDSHAKE:
             self._outbox.extend(self.runtime.control_messages(now))
             if self.runtime.session.started:
-                self._clear(TIMER_RETRY)
-                self._clear(TIMER_TIMEOUT)
+                self._end_wait()
                 if self.frame_loop_delay > 0:
                     self.phase = PHASE_FRAME_WAIT
                     self._set(TIMER_FRAME, now + self.frame_loop_delay)
@@ -1435,22 +1250,33 @@ class SiteEngine:
         elif self.phase == PHASE_GATE:
             # A donor stalled on a crashed peer must still answer that
             # peer's RESUME — the snapshot is what unblocks the gate.
-            self._serve_requests(now)
-            if self.phase == PHASE_GATE and self._check_gate(now, effects):
+            self._outbox.extend(self.recovery.serve(now))
+            if self._check_gate(now, effects):
                 self._frame_cycle(now, effects)
         elif self.phase == PHASE_SUSPENDED:
-            self._serve_requests(now)
-            if self.phase == PHASE_SUSPENDED and self.runtime.lockstep.can_deliver():
+            self._outbox.extend(self.recovery.serve(now))
+            if self.runtime.lockstep.can_deliver():
                 # The partition healed (sync traffic resumed) or the
                 # resumed peer's replayed inputs arrived: back to the gate.
                 self._exit_suspended(now, effects)
                 if self._check_gate(now, effects):
                     self._frame_cycle(now, effects)
         elif self.phase == PHASE_RESYNC:
-            self._serve_requests(now)
-            self._advance_resync(now, effects)
+            self._outbox.extend(self.recovery.serve(now))
+            took = self.recovery.step(now)
+            if took is not None:
+                # Agreement re-established past every divergence: thaw.
+                self._end_wait()
+                self.runtime.lockstep.forget_master_samples()
+                effects.append(Resumed(self.runtime.frame, took))
+                self._frame_cycle(now, effects)
         elif self.phase == PHASE_ACQUIRE:
-            self._acquire(now, effects)
+            snapshot = self.recovery.accept(now)
+            if snapshot is not None:
+                self.recovery.restore(snapshot, now)
+                self.joined_at_frame = self.runtime.frame
+                self._end_wait()
+                self._frame_cycle(now, effects)
         elif self.phase == PHASE_CATCHUP:
             if self.consistency.settled(now) or now >= self._linger_deadline:
                 self._enter_linger(now, effects)
@@ -1565,14 +1391,7 @@ class SiteEngine:
         done = now + self.frame_compute_time
         self.consistency.commit(merged, stall, self._sync_adjust, done)
         effects.append(Present(frame, merged))
-        request = self.runtime.take_state_request()
-        if request is not None:
-            self._serve_state(request, now)
-        self._serve_requests(now)
-        if self.phase == PHASE_RESYNC:
-            # Serving the request opened an episode (a peer proved a
-            # divergence we had not yet seen): the loop is frozen now.
-            return False
+        self._outbox.extend(self.recovery.serve(now, joins=True))
         deadline = self.runtime.end_frame_deadline(done)
         if self._frames_done():
             self._enter_linger(now, effects)
@@ -1653,8 +1472,7 @@ class SiteEngine:
         suspended_for = now - self._suspended_at
         runtime.metrics.suspended_seconds.inc(suspended_for)
         runtime.metrics.resumes.inc()
-        self._clear(TIMER_RETRY)
-        self._clear(TIMER_TIMEOUT)
+        self._end_wait()
         self.phase = PHASE_GATE
         self._degraded = False
         runtime.lockstep.forget_master_samples()
@@ -1668,407 +1486,57 @@ class SiteEngine:
         )
         effects.append(Resumed(runtime.frame, suspended_for))
 
-    def _serve_requests(self, now: float) -> None:
-        """Answer a peer's pending RESUME: an authenticated one with a
-        fresh snapshot, a resync one with the anchor savestate."""
-        runtime = self.runtime
-        request = runtime.take_resume_request()
-        if request is not None:
-            cached = self.snapshot_cache.get(request)
-            if cached is not None and cached.frame != runtime.frame - 1:
-                # A snapshot cached for this site in an *earlier* episode
-                # (or its original join) is stale; resume must transfer the
-                # state this site is actually frozen at.  Retries within one
-                # episode still hit the cache — the donor does not advance
-                # while blocked on the requester.
-                del self.snapshot_cache[request]
-            self._serve_state(request, now)
-        resync = runtime.take_resync_request()
-        if resync is not None:
-            self._serve_resync(*resync, now)
-
     # ------------------------------------------------------------------
-    # Desync recovery (ISSUE-10): detect → freeze → resync → escalate
+    # Desync recovery: detect → freeze → resync → escalate.
+    # The episode itself is the recovery part's; the engine freezes the
+    # loop, holds the wait's two timers and thaws it (``_advance``).
     # ------------------------------------------------------------------
-    def _resync_authority(self) -> int:
-        """The site that serves resync snapshots: lowest site number.
-
-        Deterministic and stateless, so both ends of a divergence pick the
-        same authority without negotiation.  With one divergent pair this
-        is always a site holding the true timeline *or* provably-agreed
-        state at the anchor (agreement at the anchor frame means both
-        machines were bit-identical there).
-        """
-        runtime = self.runtime
-        return min([runtime.site_no] + runtime.peer_sites)
-
-    def _is_resync_authority(self) -> bool:
-        return self._resync_authority() == self.runtime.site_no
-
     def _check_divergence(self, now: float, effects: List[Effect]) -> None:
-        """Drain proven divergences; open a resync episode when eligible."""
-        runtime = self.runtime
-        if self.phase == PHASE_RESYNC:
-            # Already recovering.  The tracker raised ``max_divergent`` as
-            # it proved these, so the open episode's exit threshold already
-            # covers them.
-            runtime.pending_divergences.clear()
-            return
-        if (
-            self.phase in (PHASE_LINGER, PHASE_CATCHUP, PHASE_DONE)
-            or self.frames_complete
-        ):
-            # Too late to matter: every frame has executed, and the
-            # post-session verifier will report the divergence in full.
-            runtime.pending_divergences.clear()
-            return
-        if self.phase not in (PHASE_GATE, PHASE_FRAME_WAIT, PHASE_SUSPENDED):
-            return  # handshake / acquire: keep pending until the loop runs
-        divergence = runtime.pending_divergences[0]
-        runtime.pending_divergences.clear()
-        runtime.events.emit(
-            "desync",
-            now,
-            runtime.frame,
-            peer=divergence.peer,
-            at=divergence.frame,
-            agreed=divergence.agreed,
-            own=divergence.own_checksum,
-            theirs=divergence.peer_checksum,
-        )
-        self._enter_resync(now, effects)
+        """Drain proven divergences; freeze the loop in a resync episode
+        when one can open.
 
-    def _enter_resync(self, now: float, effects: List[Effect]) -> None:
-        """Freeze presentation and open a recovery episode.
-
-        The authority restores immediately from its own retained anchor
-        savestate; a slave requests the authority's copy and restores when
-        it arrives.  Both stay in ``PHASE_RESYNC`` (re-sending unagreed
-        digests) until agreement has been re-established past every known
-        divergence, so a successful episode ends with *proof* of identity,
-        not just a transfer.
+        The authority (restored at once) and a slave (restored when the
+        authority's snapshot arrives) both stay in ``PHASE_RESYNC``,
+        re-sending unagreed digests, until agreement has been
+        re-established past every known divergence — so a successful
+        episode ends with *proof* of identity, not just a transfer.
         """
-        runtime = self.runtime
-        runtime.metrics.desync_detected.inc()
-        if not self._resync_ladder.begin_episode(now):
-            runtime.events.emit(
-                "resync_quarantine",
-                now,
-                runtime.frame,
-                episodes=len(self._resync_ladder.episodes),
-                window_s=RESYNC_WINDOW_S,
-            )
+        phase = self.phase
+        if phase in (PHASE_IDLE, PHASE_HANDSHAKE, PHASE_ACQUIRE):
+            return  # keep them pending until the loop runs
+        divergences = self.recovery.divergences
+        divergence = divergences[0]
+        divergences.clear()
+        if phase not in (PHASE_GATE, PHASE_FRAME_WAIT, PHASE_SUSPENDED):
+            # In an open episode the tracker raised ``max_divergent`` as it
+            # proved these, so the exit threshold already covers them; once
+            # every frame has executed, the post-session verifier reports
+            # them in full.
+            return
+        request = self.recovery.open_episode(divergence, now)
+        if request is None:
             self._terminate("desync", now, effects)
             return
-        anchor = runtime.digests.last_agreed
-        if anchor < 0:
-            # No digest ever agreed: there is no trustworthy state anywhere
-            # to restore from (divergence from frame 0, or total digest
-            # loss).  Escalate straight to the terminal outcome.
-            runtime.events.emit("resync_no_anchor", now, runtime.frame)
-            self._terminate("desync", now, effects)
-            return
-        runtime.metrics.resync_attempts.inc()
-        was_suspended = self.phase == PHASE_SUSPENDED
         self._clear(TIMER_GATE)
         self._clear(TIMER_FRAME)
-        if was_suspended:
+        if phase == PHASE_SUSPENDED:
             # Suspension parked the frame-rate pumps; the episode needs
             # them back (digests and the snapshot ride the normal flush).
             self._arm_send(now)
             self._set(TIMER_PING, now + PING_INTERVAL)
-        self._resync_anchor = anchor
-        self.resync_frozen = runtime.frame
-        self._resync_started = now
         self.phase = PHASE_RESYNC
         # Re-arms a suspension's two timers for the episode's wait.
         self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
-        self._set(TIMER_TIMEOUT, now + runtime.config.resync_deadline_s)
-        runtime.events.emit(
-            "resync_begin",
-            now,
-            runtime.frame,
-            anchor=anchor,
-            frozen=self.resync_frozen,
-            authority=self._resync_authority(),
-        )
-        if self._is_resync_authority():
-            state = runtime.digest_snapshots.get(anchor)
-            if state is None:
-                # Retention slipped — the anchor should be at most
-                # RETAIN_WINDOWS digest frames old.  Nothing to restore
-                # from; fail fast rather than hang the episode.
-                runtime.events.emit(
-                    "resync_no_snapshot", now, runtime.frame, anchor=anchor
-                )
-                self._terminate("desync", now, effects)
-                return
-            self.consistency.resync_restore(state, anchor, now)
-            self._resync_restored = True
-        else:
-            self._resync_restored = False
-            self._request_resync(now)
+        self._set(TIMER_TIMEOUT, now + self.runtime.config.resync_deadline_s)
+        self._outbox.extend(request)
 
-    def _request_resync(self, now: float) -> None:
-        """Slave → authority: RESUME upgraded with the anchor frame."""
-        runtime = self.runtime
-        authority = self._resync_authority()
-        destination = runtime.address_of.get(authority)
-        if destination is None:
-            return
-        message = Resume(
-            runtime.site_no,
-            runtime.session_id,
-            last_acked_frame=runtime.lockstep.last_ack_frame[authority],
-            resync_frame=self._resync_anchor,
-        )
-        runtime.events.emit(
-            "resync_request",
-            now,
-            runtime.frame,
-            peer=authority,
-            anchor=self._resync_anchor,
-        )
-        self._outbox.append((message, destination))
-
-    def _serve_resync(self, requester: int, anchor: int, now: float) -> None:
-        """Authority side: answer a resync-RESUME with the anchor savestate.
-
-        Serving does *not* open an episode here: the authority's own
-        lifecycle is driven by its own digest comparisons.  A request can
-        arrive while the authority never observed the mismatch (it healed
-        itself already, or one-directional digest loss hid the divergence
-        from it) — it just serves the retained copy at the requested frame
-        and keeps playing; the lockstep gate naturally stalls it while the
-        slave is frozen.  The snapshot is the *retained* copy — captured
-        when that frame executed, i.e. before any rewind — CRC-protected
-        end to end.
-        """
-        runtime = self.runtime
-        if not self._is_resync_authority():
-            runtime.events.emit(
-                "resync_reject",
-                now,
-                runtime.frame,
-                peer=requester,
-                anchor=anchor,
-                error="not authority",
-            )
-            return
-        state = runtime.digest_snapshots.get(anchor)
-        if state is None:
-            runtime.events.emit(
-                "resync_reject",
-                now,
-                runtime.frame,
-                peer=requester,
-                anchor=anchor,
-                error="anchor not retained",
-            )
-            return
-        snapshot = StateSnapshot(
-            sender_site=runtime.site_no,
-            session_id=runtime.session_id,
-            frame=anchor,
-            state=state,
-            backlog=[[] for _ in range(runtime.lockstep.num_sites)],
-            state_crc=zlib.crc32(state),
-        )
-        runtime.metrics.on_state_served(len(state))
-        runtime.events.emit(
-            "resync_serve",
-            now,
-            runtime.frame,
-            peer=requester,
-            anchor=anchor,
-            bytes=len(state),
-        )
-        destination = runtime.address_of.get(requester)
-        if destination is not None:
-            self._outbox.append((snapshot, destination))
-
-    def _advance_resync(self, now: float, effects: List[Effect]) -> None:
-        """One step of the open episode: restore if the snapshot arrived,
-        replay toward the frozen frame, exit once agreement catches up.
-
-        The exit check runs *before* the restore logic: when the peer was
-        the divergent party, agreement catches up through its re-recorded
-        digests and this (clean) site finishes without ever restoring —
-        the snapshot it requested is then stale and must not be applied
-        (by exit time the prune floor may have passed the anchor)."""
-        runtime = self.runtime
-        if (
-            runtime.frame >= self.resync_frozen
-            and runtime.digests.agreement_caught_up()
-        ):
-            self._finish_resync(now, effects)
-            return
-        if not self._resync_restored:
-            snapshot = runtime.latest_snapshot
-            if snapshot is None:
-                return
-            runtime.latest_snapshot = None
-            if snapshot.frame != self._resync_anchor:
-                return  # stale (an earlier episode or a late-join leftover)
-            if runtime.digests.last_agreed > snapshot.frame:
-                # Agreement advanced past the anchor while the snapshot was
-                # in flight: our timeline is validated at a newer frame, so
-                # restoring backwards is wrong (and the inputs below the
-                # new agreement floor may already be pruned).
-                return
-            if not self._crc_ok(snapshot, now):
-                return
-            self.consistency.resync_restore(snapshot.state, snapshot.frame, now)
-            self._resync_restored = True
-        self.consistency.resync_progress(now)
-        if (
-            runtime.frame >= self.resync_frozen
-            and runtime.digests.agreement_caught_up()
-        ):
-            self._finish_resync(now, effects)
-
-    def _finish_resync(self, now: float, effects: List[Effect]) -> None:
-        """Agreement re-established past every divergence: thaw the loop."""
-        self.consistency.finish_resync(now)
-        runtime = self.runtime
-        elapsed = now - self._resync_started
-        runtime.metrics.resync_success.inc()
-        runtime.metrics.resync_seconds.inc(elapsed)
+    def _end_wait(self) -> None:
+        """A wait on a peer is over: disarm its retry tick and timeout."""
         self._clear(TIMER_RETRY)
         self._clear(TIMER_TIMEOUT)
-        runtime.events.emit(
-            "resync_done",
-            now,
-            runtime.frame,
-            anchor=self._resync_anchor,
-            took=elapsed,
-        )
-        self._resync_anchor = -1
-        runtime.lockstep.forget_master_samples()
-        effects.append(Resumed(runtime.frame, elapsed))
-        self._frame_cycle(now, effects)
 
     def _frames_done(self) -> bool:
         return self.runtime.frame >= self.max_frames
-
-    # ------------------------------------------------------------------
-    # State transfer: acquire (late join / resume) and the donor's serve
-    # ------------------------------------------------------------------
-    def _crc_ok(self, snapshot: StateSnapshot, now: float) -> bool:
-        """False when ``snapshot`` was corrupted in flight: it is dropped,
-        counted and traced, and the retry tick re-asks its server (whose
-        cache re-serves the same frame)."""
-        if snapshot.crc_ok():
-            return True
-        runtime = self.runtime
-        runtime.latest_snapshot = None
-        runtime.metrics.state_crc_errors.inc()
-        runtime.events.emit(
-            "state_crc_error",
-            now,
-            runtime.frame,
-            peer=snapshot.sender_site,
-            at=snapshot.frame,
-        )
-        return False
-
-    def _acquire(self, now: float, effects: List[Effect]) -> None:
-        """Load the donor's snapshot once it lands, seat the lockstep
-        around it, and enter the frame loop at the frame after it.
-
-        A late joiner seeds a cold lockstep; its first ack vector tells the
-        peers it holds everything through the snapshot frame, so they
-        stream inputs from the next one.  A resumer's donor already holds
-        its inputs through that frame, so its still-unacked window stays
-        unacked and is *replayed* from the local source (sources are
-        deterministic in the frame number): bit-identical words, so the
-        resumed run's checksums match a never-disconnected twin.
-        """
-        runtime = self.runtime
-        snapshot = runtime.latest_snapshot
-        if snapshot is None or not self._crc_ok(snapshot, now):
-            return
-        runtime.machine.load_state(snapshot.state)
-        runtime.metrics.on_state_acquired(len(snapshot.state))
-        runtime.events.emit(
-            "state_acquire",
-            now,
-            snapshot.frame + 1,
-            snapshot_frame=snapshot.frame,
-            bytes=len(snapshot.state),
-        )
-        lockstep = runtime.lockstep
-        buf_frame = runtime.config.buf_frame
-        # The admission gate peers apply is snapshot + 1 + the *configured*
-        # BufFrame; pin our lag there so our first input lands exactly on
-        # it (adaptive lag, if enabled, resumes afterwards).
-        lockstep.set_local_lag(buf_frame)
-        if self.last_acked_frame is None:
-            lockstep.seed_from_snapshot(snapshot.frame, snapshot.backlog)
-        else:
-            lockstep.resume_from_snapshot(snapshot.frame, snapshot.backlog)
-            # Our own window f+1-buf .. f lands, with local lag, on slots
-            # f+1 .. f+buf, which the donor has not acked: the ordinary
-            # pump retransmits them.
-            first = max(0, snapshot.frame + 1 - buf_frame)
-            for frame in range(first, snapshot.frame + 1):
-                lockstep.buffer_local_input(frame, runtime.source.get(frame))
-            runtime.metrics.resumes.inc()
-        runtime.frame = snapshot.frame + 1
-        runtime.trace.first_frame = runtime.frame
-        self.joined_at_frame = runtime.frame
-        # The site never ran the start handshake; it is live now (and must
-        # stop offering HELLO to the master).
-        runtime.session.mark_live(now)
-        self._clear(TIMER_RETRY)
-        self._clear(TIMER_TIMEOUT)
-        self._frame_cycle(now, effects)
-
-    def _serve_state(self, requester_site: int, now: float) -> None:
-        """Send a savestate to a late joiner or a resumer.
-
-        The first request snapshots the machine; retried requests re-send
-        the identical snapshot, keeping admission deterministic even when
-        the first reply is lost.
-        """
-        runtime = self.runtime
-        snapshot = self.snapshot_cache.get(requester_site)
-        if snapshot is None:
-            snapshot_frame = runtime.frame - 1  # state after the last executed frame
-            lockstep = runtime.lockstep
-            backlog = []
-            for site in range(lockstep.num_sites):
-                last = lockstep.last_rcv_frame[site]
-                if site == requester_site or last <= snapshot_frame:
-                    backlog.append([])
-                else:
-                    backlog.append(
-                        lockstep.ibuf.range_for(site, snapshot_frame + 1, last)
-                    )
-            state = runtime.machine.save_state()
-            snapshot = StateSnapshot(
-                sender_site=runtime.site_no,
-                session_id=runtime.session_id,
-                frame=snapshot_frame,
-                state=state,
-                backlog=backlog,
-                state_crc=zlib.crc32(state),
-            )
-            self.snapshot_cache[requester_site] = snapshot
-            runtime.events.emit(
-                "state_serve",
-                now,
-                runtime.frame,
-                peer=requester_site,
-                snapshot_frame=snapshot.frame,
-                bytes=len(snapshot.state),
-            )
-            if self.on_snapshot_served is not None:
-                self.on_snapshot_served(requester_site, snapshot.frame)
-        runtime.metrics.on_state_served(len(snapshot.state))
-        destination = runtime.address_of.get(requester_site)
-        if destination is not None:
-            self._outbox.append((snapshot, destination))
 
     # ------------------------------------------------------------------
     # Linger

@@ -578,35 +578,7 @@ class LockstepSync:
         start past that virtual history to keep retransmission windows
         well-formed.
         """
-        virtual_history = snapshot_frame + self._current_buf
-        self.ibuf_pointer = snapshot_frame + 1
-        self.ibuf.prune_below(snapshot_frame + 1)
-        self._reset_encode_cache()
-        self.forget_master_samples()
-        for site in range(self.num_sites):
-            if site != self.site_no:
-                self.last_rcv_frame[site] = max(
-                    self.last_rcv_frame[site], snapshot_frame
-                )
-                # Peers cannot have acked inputs we never produced; mark our
-                # virtual (empty) history as acked so windows begin at our
-                # first real input.
-                self.last_ack_frame[site] = max(
-                    self.last_ack_frame[site], virtual_history
-                )
-        self.last_rcv_frame[self.site_no] = max(
-            self.last_rcv_frame[self.site_no], virtual_history
-        )
-        if backlog:
-            for site, inputs in enumerate(backlog):
-                if site == self.site_no or site >= self.num_sites:
-                    continue
-                for offset, partial in enumerate(inputs):
-                    self.ibuf.put(snapshot_frame + 1 + offset, site, partial)
-                if inputs:
-                    self.last_rcv_frame[site] = max(
-                        self.last_rcv_frame[site], snapshot_frame + len(inputs)
-                    )
+        self._seat(snapshot_frame, snapshot_frame + self._current_buf, backlog)
 
     def rewind_delivery(self, frame: int) -> None:
         """Move the delivery pointer back to re-deliver from ``frame`` on.
@@ -647,12 +619,23 @@ class LockstepSync:
         them bit-identically) and the ordinary 20 ms pump retransmits the
         window, unblocking the donor's gate.
         """
+        self._seat(snapshot_frame, snapshot_frame, backlog)
+
+    def _seat(
+        self,
+        snapshot_frame: int,
+        own_history: int,
+        backlog: Optional[List[List[int]]],
+    ) -> None:
+        """Deliver from ``snapshot_frame + 1``, count our own inputs as held
+        and acked through ``own_history``, and every peer's through the
+        snapshot plus whatever ``backlog`` carries for it."""
         self.ibuf_pointer = snapshot_frame + 1
         self.ibuf.prune_below(snapshot_frame + 1)
         self._reset_encode_cache()
         self.forget_master_samples()
         self.last_rcv_frame[self.site_no] = max(
-            self.last_rcv_frame[self.site_no], snapshot_frame
+            self.last_rcv_frame[self.site_no], own_history
         )
         for site in range(self.num_sites):
             if site != self.site_no:
@@ -660,18 +643,17 @@ class LockstepSync:
                     self.last_rcv_frame[site], snapshot_frame
                 )
                 self.last_ack_frame[site] = max(
-                    self.last_ack_frame[site], snapshot_frame
+                    self.last_ack_frame[site], own_history
                 )
-        if backlog:
-            for site, inputs in enumerate(backlog):
-                if site == self.site_no or site >= self.num_sites:
-                    continue
-                for offset, partial in enumerate(inputs):
-                    self.ibuf.put(snapshot_frame + 1 + offset, site, partial)
-                if inputs:
-                    self.last_rcv_frame[site] = max(
-                        self.last_rcv_frame[site], snapshot_frame + len(inputs)
-                    )
+        for site, inputs in enumerate(backlog or ()):
+            if site == self.site_no or site >= self.num_sites:
+                continue
+            for offset, partial in enumerate(inputs):
+                self.ibuf.put(snapshot_frame + 1 + offset, site, partial)
+            if inputs:
+                self.last_rcv_frame[site] = max(
+                    self.last_rcv_frame[site], snapshot_frame + len(inputs)
+                )
 
 
 class Lockstep:
@@ -714,30 +696,22 @@ class Lockstep:
         return True
 
     def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
-        """Rewind everything frame-indexed to ``anchor`` and replay forward
-        from locally retained inputs (``retain_floor`` guaranteed they were
-        never pruned, so no network retransmission is involved)."""
+        """Rewind the machine, trace and delivery to ``anchor``; replay
+        (:meth:`resync_progress`) then runs from locally retained inputs
+        (``retain_floor`` guaranteed they were never pruned, so no network
+        retransmission is involved)."""
         runtime = self.runtime
         runtime.machine.load_state(bytes(state))
         runtime.trace.truncate_after(anchor)
-        runtime.digests.rewind(anchor)
         runtime.lockstep.rewind_delivery(anchor)
         runtime.frame = anchor + 1
-        runtime.events.emit(
-            "resync_restore",
-            now,
-            runtime.frame,
-            anchor=anchor,
-            frozen=self.engine.resync_frozen,
-        )
-        self.resync_progress(now)
 
     def resync_progress(self, now: float) -> None:
         """Re-execute restored-over frames up to (not including) the frozen
         frame; the frozen frame itself re-enters via the normal gate."""
         runtime = self.runtime
         lockstep = runtime.lockstep
-        while runtime.frame < self.engine.resync_frozen and lockstep.can_deliver():
+        while runtime.frame < runtime.recovery.frozen and lockstep.can_deliver():
             runtime.replay_transition(lockstep.deliver(), now)
 
     def finish_resync(self, now: float) -> None:

@@ -242,7 +242,8 @@ def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
     for vm in session_vms:
         if vm.runtime.site_no != joiner_site:
             vm.runtime.lockstep.mark_absent(joiner_site)
-    donor_vm.runtime.allow_state_requests = True
+    recovery = donor_vm.runtime.recovery
+    recovery.donor = True
 
     def on_served(site: int, snapshot_frame: int) -> None:
         first_gating = snapshot_frame + 1 + buf_frame
@@ -252,7 +253,7 @@ def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
                     site, first_gating, ack_hint=snapshot_frame
                 )
 
-    donor_vm.engine.on_snapshot_served = on_served
+    recovery.on_snapshot_served = on_served
 
 
 def two_player_plan(

@@ -413,12 +413,11 @@ class Adaptive(Lockstep):
     # Desync recovery: dispatch on the live mode.  In lockstep mode the
     # part rewinds like plain lockstep, but the rollback frontier
     # bookkeeping must track the delivery pointer so a later switch (or a
-    # settle in progress) stays coherent.
+    # settle in progress) stays coherent: every restore is followed by a
+    # replay step, which reseats it.
     # ------------------------------------------------------------------
     def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
         self._active().resync_restore(state, anchor, now)
-        if self.mode != MODE_ROLLBACK:
-            self.rollback.reseat_frontier()
 
     def resync_progress(self, now: float) -> None:
         self._active().resync_progress(now)

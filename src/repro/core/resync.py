@@ -20,11 +20,9 @@ frames commit, rollback as *shadow* (confirmed) frames execute —
 speculative frames never produce digests, so a mispredict rollback is
 invisible here.
 
-The recovery protocol built on top (``PHASE_RESYNC`` in
-:mod:`repro.core.engine`) is described in ``docs/failure-modes.md``:
-detect → freeze → authority snapshot at ``last_agreed`` → restore →
-replay → rejoin, with a deadline and a flap quarantine
-(:class:`ResyncLadder`) escalating to terminal ``desync``.
+The recovery built on top — detect → freeze → authority snapshot at
+``last_agreed`` → restore → replay → rejoin, with the flap quarantine of
+:class:`ResyncLadder` — is :class:`repro.core.recovery.Recovery`.
 """
 
 from __future__ import annotations

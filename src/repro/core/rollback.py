@@ -396,7 +396,7 @@ class Rollback(Lockstep):
             )
             # Digests sample the *confirmed* timeline only: speculative
             # frames (and their rollbacks) are invisible to peers.
-            runtime.note_own_digest(frame, checksum)
+            runtime.recovery.note_own_digest(frame, checksum)
             self.stats.confirmed_frames += 1
             used = self._used_inputs.pop(frame, None)
             if used is not None:
@@ -485,19 +485,10 @@ class Rollback(Lockstep):
         runtime.machine.load_state(bytes(state))  # the confirmed shadow
         runtime.trace.truncate_after(anchor)
         runtime.trace.begin_times[:] = begins
-        runtime.digests.rewind(anchor)
         runtime.lockstep.rewind_delivery(anchor)
         # Speculated-word bookkeeping for the replayed window is void; the
         # spec rebuild in finish_resync re-records what it actually uses.
         self.reseat_frontier()
-        runtime.events.emit(
-            "resync_restore",
-            now,
-            runtime.frame,
-            anchor=anchor,
-            frozen=self.engine.resync_frozen,
-        )
-        self.resync_progress(now)
 
     def resync_progress(self, now: float) -> None:
         # Re-confirm the shadow from retained inputs; _used_inputs is

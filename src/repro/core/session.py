@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import SyncConfig
 from repro.core.messages import (
     VERSION,
+    Bye,
     Hello,
     Message,
     Start,
@@ -133,6 +134,8 @@ class SessionControl:
 
     #: Handshake retransmission period (seconds).
     RETRY_INTERVAL = 0.05
+    #: The message types :meth:`on_message` handles (BYE is advisory).
+    MESSAGES = (Hello, Welcome, Start, StartAck, Bye)
 
     def __init__(
         self,

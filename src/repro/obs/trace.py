@@ -39,6 +39,8 @@ kind               detail fields
                    ``stalled_for``
 ``peer_lost``      ``waiting_on``, ``suspended_for`` (resume deadline hit)
 ``resume_reject``  ``peer``, ``claimed`` (failed RESUME authentication)
+``state_request_reject``  ``peer``, ``error`` (a STATE_REQUEST not served)
+``snapshot_reject``  ``peer``, ``session``, ``at`` (a foreign STATE_SNAPSHOT)
 ``error``          ``message``
 =================  ==========================================================
 """

@@ -221,8 +221,8 @@ class TestResyncTransferIntegrity:
         # Hand the slave a tampered copy of the authority's snapshot: the
         # CRC trailer is the *original* state's, the body has one flipped
         # bit — exactly what a corrupting link would deliver.
-        anchor = engines[1]._resync_anchor
-        state = bytes(engines[0].runtime.digest_snapshots[anchor])
+        anchor = engines[1].recovery.anchor
+        state = bytes(engines[0].recovery.retained[anchor])
         tampered = bytearray(state)
         tampered[0] ^= 0x40
         from repro.core.engine import DatagramReceived

@@ -1,9 +1,13 @@
 """Integration: late joiners via savestate transfer (journal extension)."""
 
+import zlib
+
+import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
 from repro.core.engine import SitePeer
+from repro.core.messages import StateRequest, StateSnapshot
 from repro.core.multisite import (
     SessionPlan,
     build_session,
@@ -15,6 +19,7 @@ from repro.core.vm import DistributedVM
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.net.netem import NetemConfig
+from repro.net.transport import Datagram
 
 
 def build_latejoin_session(
@@ -153,8 +158,10 @@ class TestLateJoinRobustness:
     def test_snapshot_backlog_carried(self):
         session, joiner = build_latejoin_session()
         session.run(horizon=300.0)
-        snapshot = joiner.runtime.latest_snapshot
+        # The snapshot the joiner loaded is the one its donor cached for it.
+        snapshot = session.vms[0].runtime.recovery.cache.get(2)
         assert snapshot is not None
+        assert joiner.engine.joined_at_frame == snapshot.frame + 1
         # Donor buffered at least its own lag window beyond the snapshot.
         assert any(len(inputs) > 0 for inputs in snapshot.backlog)
 
@@ -163,6 +170,81 @@ class TestLateJoinRobustness:
             netem=NetemConfig(delay=0.02, loss=0.3)
         )
         session.run(horizon=300.0)
-        cached = session.vms[0].engine.snapshot_cache.get(2)
+        cached = session.vms[0].runtime.recovery.cache.get(2)
         assert cached is not None
         assert joiner.engine.joined_at_frame == cached.frame + 1
+
+
+def run_with_forgery(session, vm, message, at, kind):
+    """Run ``session``, delivering ``message`` to ``vm``'s socket at ``at``
+    from nowhere; returns ``vm``'s ``kind`` records from just after it
+    (the bounded ring has rotated them out by the end)."""
+    datagram = Datagram(message.encode(), "forger", at)
+    session.loop.call_at(at, lambda: vm.socket.deliver(datagram))
+    for site in session.vms:
+        site.start()
+    session.loop.run(until=at + 0.1)
+    records = [r for r in vm.runtime.events if r.kind == kind]
+    session.loop.run(until=300.0)
+    return records
+
+
+def assert_converged(session):
+    for vm in session.vms:
+        assert vm.engine.termination == "completed"
+    traces = [vm.runtime.trace for vm in session.vms]
+    assert ConsistencyChecker().verify_traces(traces) > 0
+
+
+@pytest.fixture(scope="module")
+def clean_join_frame():
+    session, joiner = build_latejoin_session(join_time=4.0)
+    session.run(horizon=300.0)
+    return joiner.engine.joined_at_frame
+
+
+class TestForgedTransfers:
+    """Recovery validates what it serves and what it loads: a forged
+    STATE_REQUEST is never served and a foreign STATE_SNAPSHOT never
+    loaded, so neither can crash a site or move the real join."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            StateRequest(sender_site=99, session_id=1),
+            StateRequest(sender_site=1, session_id=1),
+            StateRequest(sender_site=2, session_id=7),
+        ],
+        ids=["unknown-site", "present-player", "other-session"],
+    )
+    def test_forged_state_request_is_not_served(self, request_, clean_join_frame):
+        session, joiner = build_latejoin_session(join_time=4.0)
+        donor = session.vms[0]
+        rejects = run_with_forgery(
+            session, donor, request_, 1.0, "state_request_reject"
+        )
+        assert_converged(session)
+        assert joiner.engine.joined_at_frame == clean_join_frame
+        assert list(donor.runtime.recovery.cache) == [2]
+        assert [r.detail["peer"] for r in rejects] == [request_.sender_site]
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            # CRC-less, from another session: once crashed the joiner
+            # loading a 16-byte image into a 12-byte counter.
+            StateSnapshot(0, 99, frame=500, state=bytes(16)),
+            # Right-sized and CRC-protected, but from a site that is not
+            # the donor: loading it would be silent split-brain.
+            StateSnapshot(1, 1, frame=500, state=bytes(12), state_crc=zlib.crc32(bytes(12))),
+        ],
+        ids=["other-session", "not-the-donor"],
+    )
+    def test_foreign_snapshot_is_not_loaded(self, snapshot, clean_join_frame):
+        session, joiner = build_latejoin_session(join_time=4.0)
+        rejects = run_with_forgery(
+            session, joiner, snapshot, 4.001, "snapshot_reject"
+        )
+        assert_converged(session)
+        assert joiner.engine.joined_at_frame == clean_join_frame
+        assert [r.detail["peer"] for r in rejects] == [snapshot.sender_site]

@@ -259,7 +259,7 @@ class TestResumeAuthentication:
         session_id = runtime.session_id
         bogus = Resume(1, session_id, last_acked_frame=10_000)
         runtime.handle_message(bogus, mesh.now, mesh.now)
-        assert runtime.take_resume_request() is None
+        assert runtime.recovery.requests == {}
         rejects = records(engines[0], "resume_reject")
         assert rejects and rejects[-1].detail["claimed"] == 10_000
 
@@ -273,7 +273,7 @@ class TestResumeAuthentication:
         claimed = runtime.lockstep.last_rcv_frame[1]  # provably held
         honest = Resume(1, runtime.session_id, last_acked_frame=claimed)
         runtime.handle_message(honest, mesh.now, mesh.now)
-        assert runtime.take_resume_request() == 1
+        assert runtime.recovery.requests == {"resume": (1, None)}
 
     def test_wrong_session_resume_ignored(self):
         engines = build_engines(frames=60)
@@ -283,7 +283,7 @@ class TestResumeAuthentication:
         runtime = engines[0].runtime
         stranger = Resume(1, runtime.session_id + 99, last_acked_frame=-1)
         runtime.handle_message(stranger, mesh.now, mesh.now)
-        assert runtime.take_resume_request() is None
+        assert runtime.recovery.requests == {}
 
 
 class TestEngineSnapshot:

@@ -5,6 +5,8 @@ import pytest
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, PadSource, RandomSource, ScriptedSource
 from repro.core.messages import (
+    _REGISTRY,
+    Batch,
     Ping,
     Pong,
     StateRequest,
@@ -71,13 +73,19 @@ class TestHandleDatagram:
 
     def test_state_request_gated_by_flag(self):
         runtime = make_runtime(site=0)
+        runtime.lockstep.mark_absent(1)  # a joiner not yet admitted
+        recovery = runtime.recovery
         request = StateRequest(sender_site=1, session_id=1)
         runtime.handle_datagram(request.encode(), 0.0, 0.0)
-        assert runtime.take_state_request() is None
-        runtime.allow_state_requests = True
+        assert recovery.requests == {}
+        recovery.donor = True
         runtime.handle_datagram(request.encode(), 0.0, 0.0)
-        assert runtime.take_state_request() == 1
-        assert runtime.take_state_request() is None  # consumed
+        assert recovery.requests == {"join": (1, None)}
+        assert recovery.serve(0.0) == []  # joins wait for a committed frame
+        runtime.frame = 10  # past every buffered input: an empty backlog
+        served = recovery.serve(0.0, joins=True)
+        assert [(type(m), dest) for m, dest in served] == [(StateSnapshot, "site1")]
+        assert recovery.requests == {}  # consumed
 
     def test_snapshot_keeps_highest_frame(self):
         runtime = make_runtime(site=1)
@@ -85,7 +93,25 @@ class TestHandleDatagram:
         high = StateSnapshot(0, 1, frame=20, state=b"b")
         runtime.handle_datagram(high.encode(), 0.0, 0.0)
         runtime.handle_datagram(low.encode(), 0.0, 0.0)
-        assert runtime.latest_snapshot.frame == 20
+        assert runtime.recovery.snapshot.frame == 20
+
+
+class TestDispatchTable:
+    def test_every_decodable_type_has_exactly_one_handler(self):
+        """A new message type cannot be dropped silently: the codec's
+        registry (BATCH is flattened before dispatch) and the table hold
+        the same types, and no two owners register one type."""
+        runtime = make_runtime()
+        decodable = {klass for klass in _REGISTRY.values() if klass is not Batch}
+        assert set(runtime.handlers) == decodable
+        recovery_rows = runtime.recovery.handlers()
+        session_rows = set(runtime.session.MESSAGES)
+        assert not session_rows & set(recovery_rows)
+        for klass, handler in recovery_rows.items():
+            assert runtime.handlers[klass] == handler
+        runtime_rows = decodable - session_rows - set(recovery_rows)
+        for klass in runtime_rows:
+            assert runtime.handlers[klass].__self__ is runtime
 
 
 class TestOutboundHelpers:
