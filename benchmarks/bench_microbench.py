@@ -70,7 +70,7 @@ def test_lockstep_roundtrip_throughput(benchmark):
 
 
 def test_sync_codec_decode_throughput(benchmark):
-    message = Sync(0, 1, acks=[100, 90], first_frame=90, inputs=list(range(12)))
+    message = Sync(0, 1, ack=90, first_frame=90, inputs=list(range(12)))
     raw = message.encode()
 
     def codec():
@@ -86,7 +86,7 @@ def test_sync_codec_encode_throughput(benchmark):
     def codec():
         for __ in range(100):
             Sync(
-                0, 1, acks=[100, 90], first_frame=90, inputs=list(range(12))
+                0, 1, ack=90, first_frame=90, inputs=list(range(12))
             ).encode()
 
     benchmark(codec)
@@ -94,7 +94,7 @@ def test_sync_codec_encode_throughput(benchmark):
 
 def test_batch_assembly_throughput(benchmark):
     """One flush tick's coalescing: SYNC + PONG into a BATCH, then decode."""
-    sync = Sync(0, 1, acks=[100, 90], first_frame=90, inputs=list(range(8)))
+    sync = Sync(0, 1, ack=90, first_frame=90, inputs=list(range(8)))
     ping = Ping(0, 1, seq=7, timestamp_us=123_456)
     members = [
         (Sync.TYPE_ID, sync._encode_body()),
@@ -118,7 +118,7 @@ def test_sync_is_compact(benchmark):
     8-frame SYNC must encode to under half its v1 size, even when every
     cell changes."""
     message = Sync(
-        0, 1, acks=[100, 95], first_frame=96, inputs=[1, 0, 3, 2, 1, 0, 1, 3]
+        0, 1, ack=95, first_frame=96, inputs=[1, 0, 3, 2, 1, 0, 1, 3]
     )
 
     benchmark(lambda: message.encode())

@@ -257,9 +257,7 @@ class SiteRuntime:
                 peer=sender,
                 first=message.first_frame,
                 last=message.last_frame,
-                ack=message.acks[self.site_no]
-                if self.site_no < len(message.acks)
-                else None,
+                ack=message.ack,
             )
         else:
             self.events.emit("rx", now, self.frame, msg=kind.__name__, peer=sender)
@@ -272,8 +270,9 @@ class SiteRuntime:
         prev_covered = self.lockstep.last_rcv_frame[sender_site] if in_range else 0
         try:
             # on_sync resolves an implied-mask SYNC against the sender's
-            # input assignment; a width/range mismatch is a wire-level
-            # fault, handled like any other decode failure.
+            # input assignment and refuses what no correct peer sends (an
+            # ack past our inputs, a cell contradicting a held one); each
+            # is handled like any other decode failure.
             self.lockstep.on_sync(message, arrived_at)
         except DecodeError as exc:
             self.metrics.net_decode_errors.inc()
@@ -1318,7 +1317,7 @@ class SiteEngine:
             if self.time_server_address is not None:
                 effects.append(
                     Send(
-                        encode_report(runtime.site_no, runtime.frame),
+                        encode_report(runtime.frame),
                         self.time_server_address,
                     )
                 )

@@ -42,11 +42,6 @@ class InputBuffer:
     def __len__(self) -> int:
         return len(self._slots)
 
-    def _slot(self, frame: int) -> List[Optional[int]]:
-        if frame not in self._slots:
-            self._slots[frame] = [None] * self._num_sites
-        return self._slots[frame]
-
     # ------------------------------------------------------------------
     def put(self, frame: int, site: int, partial: int) -> bool:
         """Store ``site``'s partial input for ``frame``.
@@ -56,19 +51,29 @@ class InputBuffer:
         for an occupied slot raises: under a correct protocol a site never
         changes its input for a frame, so a conflict means corruption.
         """
-        if frame < self._floor:
-            return False
-        slot = self._slot(frame)
-        existing = slot[site]
-        if existing is not None:
-            if existing != partial:
+        return not self.put_window(frame, site, [partial])
+
+    def put_window(self, first: int, site: int, partials: List[int]) -> int:
+        """:meth:`put` for frames ``first, first + 1, …``, all or nothing:
+        a conflict raises before any value is stored.  Returns how many
+        were duplicates."""
+        slots = self._slots
+        fresh = []
+        for frame, partial in enumerate(partials, first):
+            slot = slots.get(frame)
+            if slot is None:
+                if frame >= self._floor:
+                    fresh.append((frame, partial))
+            elif slot[site] is None:
+                fresh.append((frame, partial))
+            elif slot[site] != partial:
                 raise ValueError(
                     f"conflicting input for frame {frame} site {site}: "
-                    f"had {existing:#x}, got {partial:#x}"
+                    f"had {slot[site]:#x}, got {partial:#x}"
                 )
-            return False
-        slot[site] = partial
-        return True
+        for frame, partial in fresh:
+            slots.setdefault(frame, [None] * self._num_sites)[site] = partial
+        return len(partials) - len(fresh)
 
     def get(self, frame: int, site: int) -> Optional[int]:
         """``IBuf[frame](SET[site])`` or None if absent/pruned."""

@@ -13,10 +13,11 @@ discrete-event simulator or a threaded wall-clock driver:
   return the merged input).
 
 The state machine generalizes the paper's two-site presentation to N sites:
-``LastRcvFrame``/``LastAckFrame`` become per-site vectors, the ``sd[0]`` ack
-becomes an ack vector, and delivery waits on every *gating* site (a site
-that controls at least one input bit — observers never gate).  With
-``num_sites == 2`` the behaviour reduces exactly to the published algorithm.
+``LastRcvFrame``/``LastAckFrame`` become per-site vectors, each peer gets
+its own ``sd`` message (so ``sd[0]`` stays one ack, for that peer), and
+delivery waits on every *gating* site (a site that controls at least one
+input bit — observers never gate).  With ``num_sites == 2`` the behaviour
+reduces exactly to the published algorithm.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.core.config import SyncConfig
 from repro.core.ibuf import InputBuffer
 from repro.core.inputs import InputAssignment
-from repro.core.messages import Sync, cell_width, compact_bits
+from repro.core.messages import DecodeError, Sync, cell_width, compact_bits
 from repro.core.rtt import CLOCK_FILTER_DEPTH
 
 #: How many master samples Algorithm 4 remembers: 64 sends are 1.28 s,
@@ -119,6 +120,9 @@ class LockstepSync:
         #: Highest frame of our own inputs ever put on the wire (for the
         #: retransmission counter).
         self._highest_sent_frame = initial
+        #: False while a late joiner or resumer waits for its snapshot, whose
+        #: history peers already ack: :meth:`on_sync` bounds acks once seated.
+        self.seated = True
         #: Per-peer: set whenever a sync message arrives from that peer, so
         #: the next flush re-acks even if nothing else changed (keeps a
         #: lost-ack peer from retransmitting forever).
@@ -258,9 +262,10 @@ class LockstepSync:
         """The next ``sd`` message for ``peer``, or None when there is no news.
 
         "New info" (line 7) is either local inputs the peer has not
-        acknowledged or an ack vector it has not seen; ``force`` sends
-        regardless (keepalives).  Windows are per-peer: a slow or absent
-        peer must never pin the window other peers receive.
+        acknowledged or a ``LastRcvFrame`` vector it has not been sent
+        since; ``force`` sends regardless (keepalives).  The message itself
+        carries only the peer's entry of that vector.  Windows are per-peer:
+        a slow or absent peer must never pin the window other peers receive.
         """
         first, last = self._unacked_window(peer)
         has_inputs = first <= last
@@ -270,6 +275,8 @@ class LockstepSync:
             has_inputs or acks_changed or self._ack_dirty.get(peer) or force
         ):
             return None
+        self._last_sent_acks[peer] = acks
+        ack = acks[peer]
 
         if has_inputs:
             last = min(last, first + MAX_INPUTS_PER_MESSAGE - 1)
@@ -278,7 +285,7 @@ class LockstepSync:
                 message = Sync.from_packed(
                     self.site_no,
                     self.session_id,
-                    acks,
+                    ack,
                     first,
                     packed,
                     last - first + 1,
@@ -290,7 +297,7 @@ class LockstepSync:
                 message = Sync(
                     sender_site=self.site_no,
                     session_id=self.session_id,
-                    acks=acks,
+                    ack=ack,
                     first_frame=first,
                     inputs=self.ibuf.range_for(self.site_no, first, last),
                 )
@@ -298,7 +305,7 @@ class LockstepSync:
             message = Sync(
                 sender_site=self.site_no,
                 session_id=self.session_id,
-                acks=acks,
+                ack=ack,
                 first_frame=first,
                 inputs=[],
             )
@@ -351,14 +358,18 @@ class LockstepSync:
             self._highest_sent_frame = max(
                 self._highest_sent_frame, message.last_frame
             )
-        self._last_sent_acks[peer] = list(message.acks)
         self._ack_dirty[peer] = False
 
     # ------------------------------------------------------------------
     # Algorithm 2, lines 13–19: integrate a received rc message
     # ------------------------------------------------------------------
     def on_sync(self, message: Sync, arrived_at: float) -> None:
-        """Fold a received sync message into the buffer and counters."""
+        """Fold a received sync message into the buffer and counters.
+
+        Raises :class:`DecodeError`, changing nothing, for what no correct
+        peer sends: an ack past our last buffered frame (once seated), or
+        an input contradicting a held one.
+        """
         if message.session_id != self.session_id:
             return  # stray datagram from another session
         sender = message.sender_site
@@ -366,38 +377,47 @@ class LockstepSync:
             return
         if message.needs_mask:
             # Decoded with the implied-mask flag: bind the cells to the
-            # sender's assignment mask (raises DecodeError on a mismatch,
-            # which the engine turns into a traced decode_error).
+            # sender's assignment mask (raises DecodeError on a mismatch).
             message.resolve_input_mask(self.assignment.mask(sender))
+        ack = message.ack
+        own = self.last_rcv_frame[self.site_no]
+        if ack > own and self.seated:
+            raise DecodeError(
+                f"SYNC from site {sender} acks frame {ack}, past our last "
+                f"buffered frame {own}"
+            )
+        # Lines 13–16: buffer the window and advance LastRcvFrame[sender]
+        # only if it is contiguous with what we hold (a gap would ack
+        # frames never received), and at most MAX_INPUTS_PER_MESSAGE past
+        # it: no correct window reaches further.  The window that closes a
+        # gap carries its cells again, so buffering a gap window would only
+        # let a forged one grow the buffer or take the real inputs' slots.
+        received = self.last_rcv_frame[sender]
+        first = message.first_frame
+        last = min(message.last_frame, received + MAX_INPUTS_PER_MESSAGE)
+        contiguous = first <= received + 1
+        duplicates = 0
+        if contiguous and last >= first:
+            try:
+                duplicates = self.ibuf.put_window(
+                    first, sender, message.inputs[: last - first + 1]
+                )
+            except ValueError as exc:
+                raise DecodeError(f"SYNC from site {sender}: {exc}") from None
         self.stats.sync_messages_received += 1
+        self.stats.duplicate_inputs_received += duplicates
         self._ack_dirty[sender] = True
-
-        # Line 13: update IBuf[rc[1]..rc[2]](RmSET) — duplicates discarded.
-        for offset, partial in enumerate(message.inputs):
-            frame = message.first_frame + offset
-            if not self.ibuf.put(frame, sender, partial):
-                self.stats.duplicate_inputs_received += 1
-
-        # Lines 14–16: advance LastRcvFrame[sender], but only over a window
-        # contiguous with what we already hold (a gap would mean we ack
-        # frames we never received).
         if message.input_count:
-            if message.first_frame <= self.last_rcv_frame[sender] + 1:
-                new_last = max(self.last_rcv_frame[sender], message.last_frame)
-                if new_last > self.last_rcv_frame[sender]:
-                    self.last_rcv_frame[sender] = new_last
-                    if sender == 0 and self.site_no != 0:
-                        self._note_master_sample(new_last, arrived_at)
-            else:
-                # A gap: earlier frames of the window were lost; the buffered
-                # inputs wait until a retransmission fills the hole.
+            if not contiguous:
                 self.stats.out_of_window_inputs += 1
+            elif last > received:
+                self.last_rcv_frame[sender] = last
+                if sender == 0 and self.site_no != 0:
+                    self._note_master_sample(last, arrived_at)
 
         # Lines 17–19: the sender's ack for *our* inputs.
-        if self.site_no < len(message.acks):
-            ack = message.acks[self.site_no]
-            if ack > self.last_ack_frame[sender]:
-                self.last_ack_frame[sender] = ack
+        if ack > self.last_ack_frame[sender]:
+            self.last_ack_frame[sender] = ack
 
         self._prune()
 
@@ -630,6 +650,7 @@ class LockstepSync:
         """Deliver from ``snapshot_frame + 1``, count our own inputs as held
         and acked through ``own_history``, and every peer's through the
         snapshot plus whatever ``backlog`` carries for it."""
+        self.seated = True
         self.ibuf_pointer = snapshot_frame + 1
         self.ibuf.prune_below(snapshot_frame + 1)
         self._reset_encode_cache()

@@ -1,4 +1,4 @@
-"""Sync-module wire format, version 3 (compact binary codec).
+"""Sync-module wire format, version 4 (compact binary codec).
 
 Algorithm 2's ``sd`` message is a vector::
 
@@ -7,21 +7,23 @@ Algorithm 2's ``sd`` message is a vector::
     sd[2]    = LastRcvFrame[MySiteNo]      (last frame of carried inputs)
     sd[3...] = IBuf[sd[1]](MySET) ... IBuf[sd[2]](MySET)
 
-:class:`Sync` generalizes ``sd[0]`` to an ack *vector* (one entry per site)
-so the same format serves the N-site extension; with two sites the receiver
-reads exactly the paper's ``sd[0]``.
+:class:`Sync` carries exactly that: one ack, for its destination.  SYNCs
+are built per peer, so the N-site extension needs no ack vector.
 
 A varint-based encoding — see ``docs/wire-format.md`` for the
 byte-by-byte specification.  The load-bearing choices:
 
 * **5-byte typical header** — ``b"RG"``, one version/type byte (version in
   the high nibble, type id in the low), then uvarint sender site and
-  session id.  v1 and v2 datagrams are rejected with an explicit
+  session id.  v1, v2 and v3 datagrams are rejected with an explicit
   "unsupported wire version N" error (a v1 datagram's third byte is
   always ``0x01``, its version field).
-* **Frame deltas** — SYNC encodes its ack vector as zigzag varint deltas
-  relative to ``first_frame``; steady-state acks sit within a few frames
-  of the window base and cost one byte each instead of four.
+* **Frame deltas** — SYNC encodes its ack as a zigzag varint delta
+  relative to ``first_frame``; a steady-state ack sits within a few frames
+  of the window base and costs one byte instead of four.
+* **Window length in the head byte** — a SYNC's head byte holds two flags
+  and the input count: 1–62 inline, 63 escapes to a uvarint, 0 is a pure
+  ack.
 * **Bitfield-packed inputs** — per-frame input words are compressed with
   the sender's input-assignment mask (compact_bits, a pure-Python PEXT)
   into fixed-width little-endian cells: one byte per frame for an 8-bit
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 MAGIC = b"RG"  # Retro Gaming
-VERSION = 3
+VERSION = 4
 
 #: Coalesced datagrams are kept under this many payload bytes so a batch
 #: never risks IP fragmentation (conservative for a 1500-byte MTU path).
@@ -446,24 +448,23 @@ class StartAck(Message):
 #: assignment rather than carried on the wire (the common case).
 _SYNC_MASK_IMPLIED = 0x80
 #: SYNC head-byte flag: a timeline stamp (two uvarint tick fields) follows
-#: the ack vector.  Only emitted toward peers that negotiated
-#: FEATURE_TIMELINE — a pre-feature decoder folds the bit into its ack
-#: count and rejects the message.
+#: the ack.  Only emitted toward peers that negotiated FEATURE_TIMELINE.
 _SYNC_STAMPED = 0x40
+#: The head byte's low six bits are the input count; this value escapes a
+#: count of 63 or more to a uvarint right after the head byte.
+_SYNC_COUNT_ESCAPE = 0x3F
 #: Decode guards: far beyond anything a real session produces, but they
-#: bound allocations for hostile datagrams.  Ack counts keep to the low
-#: six head-byte bits so the two flags above stay unambiguous.
-_MAX_ACKS = 63
+#: bound allocations for hostile datagrams.
 _MAX_SYNC_INPUTS = 1 << 16
 _MAX_CELL_WIDTH = 8  # inputs are at most 64-bit words
 
 
 class Sync(Message):
-    """The workhorse: acks + a contiguous window of the sender's inputs.
+    """The workhorse: an ack + a contiguous window of the sender's inputs.
 
     Three construction paths share this class:
 
-    * ``Sync(sender, session, acks, first_frame, inputs)`` — explicit
+    * ``Sync(sender, session, ack, first_frame, inputs)`` — explicit
       input words; encoding derives a mask (the OR of the words), packs
       the words into cells and carries the mask on the wire.
     * :meth:`from_packed` — the sync layer's incremental encode cache
@@ -485,15 +486,14 @@ class Sync(Message):
         self,
         sender_site: int,
         session_id: int,
-        acks: List[int],
+        ack: int,
         first_frame: int,
         inputs: Optional[List[int]] = None,
     ):
         self.sender_site = sender_site
         self.session_id = session_id
-        #: acks[i] = sender's LastRcvFrame[i] (its own entry acks nothing but
-        #: keeps the vector dense and fixed-size for a given site count).
-        self.acks = list(acks)
+        #: sd[0]: the sender's LastRcvFrame for this message's destination.
+        self.ack = ack
         #: First frame of the carried inputs window (sd[1]).
         self.first_frame = first_frame
         self._inputs: Optional[List[int]] = list(inputs) if inputs else []
@@ -509,7 +509,7 @@ class Sync(Message):
         cls,
         sender_site: int,
         session_id: int,
-        acks: List[int],
+        ack: int,
         first_frame: int,
         packed: bytes,
         count: int,
@@ -521,7 +521,7 @@ class Sync(Message):
         self = cls.__new__(cls)
         self.sender_site = sender_site
         self.session_id = session_id
-        self.acks = list(acks)
+        self.ack = ack
         self.first_frame = first_frame
         self._inputs = None
         self._count = count
@@ -613,24 +613,22 @@ class Sync(Message):
     def _encode_body(self) -> bytes:
         out = bytearray()
         append_svarint(out, self.first_frame)
-        num_acks = len(self.acks)
-        if num_acks > _MAX_ACKS:
-            raise ValueError(f"SYNC ack vector too long ({num_acks})")
-        head = num_acks
-        if self._implied and self._count:
+        count = self._count
+        head = min(count, _SYNC_COUNT_ESCAPE)
+        if self._implied and count:
             head |= _SYNC_MASK_IMPLIED
         stamp = self._stamp
         if stamp is not None:
             head |= _SYNC_STAMPED
         out.append(head)
-        for ack in self.acks:
-            append_svarint(out, ack - self.first_frame)
+        if count >= _SYNC_COUNT_ESCAPE:
+            append_uvarint(out, count)
+        append_svarint(out, self.ack - self.first_frame)
         if stamp is not None:
             append_uvarint(out, stamp[0])
             append_uvarint(out, stamp[1])
-        if self._count == 0:
+        if count == 0:
             return bytes(out)
-        append_uvarint(out, self._count)
         if self._packed is None:
             # Explicit construction: derive the mask and pack now.
             inputs = self._inputs
@@ -661,16 +659,27 @@ class Sync(Message):
     def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Sync":
         first_frame, offset = read_svarint(body, 0, "SYNC first frame")
         if offset >= len(body):
-            raise DecodeError("truncated SYNC body (missing ack-count byte)")
+            raise DecodeError("truncated SYNC body (missing head byte)")
         head = body[offset]
         offset += 1
         implied = bool(head & _SYNC_MASK_IMPLIED)
         stamped = bool(head & _SYNC_STAMPED)
-        num_acks = head & 0x3F
-        acks = []
-        for __ in range(num_acks):
-            delta, offset = read_svarint(body, offset, "SYNC ack")
-            acks.append(first_frame + delta)
+        count = head & _SYNC_COUNT_ESCAPE
+        if count == _SYNC_COUNT_ESCAPE:
+            count, offset = read_uvarint(body, offset, "SYNC input count")
+            if count < _SYNC_COUNT_ESCAPE:
+                raise DecodeError(
+                    f"SYNC escaped input count {count} fits the head byte"
+                )
+            if count > _MAX_SYNC_INPUTS:
+                raise DecodeError(f"implausible SYNC input count {count}")
+        delta, offset = read_svarint(body, offset, "SYNC ack")
+        ack = first_frame + delta
+        if count == 0:
+            if head:
+                raise DecodeError(f"SYNC pure ack with head flags {head:#04x}")
+            _expect_end(body, offset, "SYNC pure ack")
+            return cls(sender_site, session_id, ack, first_frame, [])
         stamp: Optional[Tuple[int, int]] = None
         if stamped:
             send_ticks, offset = read_uvarint(body, offset, "SYNC stamp send")
@@ -678,18 +687,6 @@ class Sync(Message):
                 body, offset, "SYNC stamp capture"
             )
             stamp = (send_ticks, capture_ticks)
-        if offset == len(body):
-            # Pure ack: no input section at all.
-            if implied:
-                raise DecodeError("SYNC implied-mask flag without inputs")
-            if stamped:
-                raise DecodeError("SYNC stamp flag without inputs")
-            return cls(sender_site, session_id, acks, first_frame, [])
-        count, offset = read_uvarint(body, offset, "SYNC input count")
-        if count == 0:
-            raise DecodeError("SYNC input count 0 must omit the input section")
-        if count > _MAX_SYNC_INPUTS:
-            raise DecodeError(f"implausible SYNC input count {count}")
         mask: Optional[int] = None
         if not implied:
             mask, offset = read_uvarint(body, offset, "SYNC input mask")
@@ -725,7 +722,7 @@ class Sync(Message):
         message = cls.from_packed(
             sender_site,
             session_id,
-            acks,
+            ack,
             first_frame,
             packed,
             count,
@@ -746,7 +743,7 @@ class Sync(Message):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"Sync(sender_site={self.sender_site}, session_id={self.session_id}, "
-            f"acks={self.acks}, first_frame={self.first_frame}, "
+            f"ack={self.ack}, first_frame={self.first_frame}, "
             f"input_count={self._count})"
         )
 

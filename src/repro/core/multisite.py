@@ -197,7 +197,7 @@ def build_session(
     if with_time_server:
         time_server = TimeServer(network)
         for s in range(n):
-            time_server.attach_site(network, site_address(s))
+            time_server.attach_site(network, site_address(s), s)
 
     peers = [SitePeer(s, site_address(s)) for s in range(n)]
     vms: List[DistributedVM] = []

@@ -104,6 +104,8 @@ class Recovery:
         self.consistency = consistency
         self.donor_site = donor_site
         self.last_acked_frame = last_acked_frame
+        # An acquiring site is seated by its snapshot (LockstepSync._seat).
+        self.runtime.lockstep.seated = donor_site is None
 
     def handlers(self) -> dict:
         """This part's rows of the runtime's dispatch table."""

@@ -27,16 +27,10 @@ with a monotonically increasing generation, which powers
 * the block-translation cache in :mod:`repro.emulator.cpu`, which stamps
   each compiled block with the generations of the pages it spans and
   invalidates on mismatch — no extra write-barrier cost.
-
-Setting ``REPRO_NUMPY_DIGEST=1`` (or passing ``digest_backend="numpy"``)
-switches :meth:`page_digest` to a vectorized weighted-sum digest.  The two
-backends produce *different* digest bytes, so every site in a session must
-use the same backend; the default is always ``crc32``.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from typing import Callable, List, Optional, Tuple
@@ -58,30 +52,13 @@ PAGES_PER_CHUNK = CHUNK_SIZE >> PAGE_SHIFT
 
 _DIGEST_PACK = struct.Struct(f">{NUM_CHUNKS}I")
 
-_NUMPY_DIGEST_ENV = "REPRO_NUMPY_DIGEST"
-
-_NP_WEIGHTS = None
-
-
-def _numpy_digest_requested() -> bool:
-    return os.environ.get(_NUMPY_DIGEST_ENV, "").lower() in ("1", "true", "on", "yes")
-
-
-def _numpy_weights(np):
-    """Distinct odd per-byte weights: any single-byte change alters the
-    chunk's weighted sum mod 2**32 (odd weights are invertible)."""
-    global _NP_WEIGHTS
-    if _NP_WEIGHTS is None:
-        _NP_WEIGHTS = np.arange(CHUNK_SIZE, dtype=np.uint32) * 2 + 1
-    return _NP_WEIGHTS
-
 _Hook = Tuple[int, int, Optional[Callable[[int], int]], Optional[Callable[[int, int], None]]]
 
 
 class Memory:
     """A 64 KiB byte-addressable bus with optional MMIO hooks."""
 
-    def __init__(self, digest_backend: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._data = bytearray(MEMORY_SIZE)
         # (start, end_exclusive, read_hook, write_hook), insertion order.
         self._hooks: List[_Hook] = []
@@ -116,19 +93,6 @@ class Memory:
         ]
         self._all_dirty = True  # cold start: first digest maps every chunk
         self._digest_stamp = 0  # generation at which _chunk_crcs was valid
-        if digest_backend is None:
-            digest_backend = "numpy" if _numpy_digest_requested() else "crc32"
-        if digest_backend == "numpy":
-            try:
-                import numpy
-            except ImportError:  # flag set but numpy absent: degrade quietly
-                digest_backend = "crc32"
-            else:
-                self._np = numpy
-                self._np_weights = _numpy_weights(numpy)
-        if digest_backend not in ("crc32", "numpy"):
-            raise ValueError(f"unknown digest backend {digest_backend!r}")
-        self.digest_backend = digest_backend
 
     # ------------------------------------------------------------------
     def add_hook(
@@ -288,56 +252,27 @@ class Memory:
         per-page loop.
 
         The digest bytes are an internal contract: they are compared live
-        between interpreters (never persisted), so the chunk size and the
-        backend (crc32 vs numpy weighted sums) are free parameters as long
-        as every site in a session agrees.
+        between interpreters (never persisted), so the chunk size is a
+        free parameter as long as every site in a session agrees.
         """
         crcs = self._chunk_crcs
         page_gen = self._page_gen
-        if self.digest_backend == "numpy":
-            compute = self._numpy_chunk_digest
-            if self._all_dirty:
-                self._all_dirty = False
-                for chunk in range(NUM_CHUNKS):
-                    crcs[chunk] = compute(chunk)
-            else:
-                stamp = self._digest_stamp
-                for chunk in range(NUM_CHUNKS):
-                    base = chunk * PAGES_PER_CHUNK
-                    if (
-                        page_gen[base] >= stamp
-                        or page_gen[base + 1] >= stamp
-                        or page_gen[base + 2] >= stamp
-                        or page_gen[base + 3] >= stamp
-                    ):
-                        crcs[chunk] = compute(chunk)
+        crc32 = zlib.crc32
+        views = self._chunk_views
+        if self._all_dirty:
+            self._all_dirty = False
+            crcs[:] = map(crc32, views)
         else:
-            crc32 = zlib.crc32
-            views = self._chunk_views
-            if self._all_dirty:
-                self._all_dirty = False
-                crcs[:] = map(crc32, views)
-            else:
-                stamp = self._digest_stamp
-                for chunk in range(NUM_CHUNKS):
-                    base = chunk * PAGES_PER_CHUNK
-                    if (
-                        page_gen[base] >= stamp
-                        or page_gen[base + 1] >= stamp
-                        or page_gen[base + 2] >= stamp
-                        or page_gen[base + 3] >= stamp
-                    ):
-                        crcs[chunk] = crc32(views[chunk])
+            stamp = self._digest_stamp
+            for chunk in range(NUM_CHUNKS):
+                base = chunk * PAGES_PER_CHUNK
+                if (
+                    page_gen[base] >= stamp
+                    or page_gen[base + 1] >= stamp
+                    or page_gen[base + 2] >= stamp
+                    or page_gen[base + 3] >= stamp
+                ):
+                    crcs[chunk] = crc32(views[chunk])
         self._gen += 1
         self._digest_stamp = self._gen
         return _DIGEST_PACK.pack(*crcs)
-
-    def _numpy_chunk_digest(self, chunk: int) -> int:
-        """Weighted byte sum mod 2**32 of one chunk (numpy backend).
-
-        Positionally sensitive (distinct weights) and change sensitive
-        (odd weights), with deterministic uint32 wraparound everywhere.
-        """
-        np = self._np
-        data = np.frombuffer(self._chunk_views[chunk], dtype=np.uint8)
-        return int(np.multiply(data, self._np_weights, dtype=np.uint32).sum(dtype=np.uint32))

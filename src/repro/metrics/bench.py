@@ -70,12 +70,13 @@ BLOCK_ENTRIES_CEILING = {"pong": 30.0}
 #: number, frozen when the compact v2 codec replaced it (its ≥3x
 #: acceptance bar is measured against it and pinned by
 #: ``benchmarks/bench_bandwidth.py``).  ``BANDWIDTH_BASELINE_BPS`` is the
-#: send path with change-coded SYNC windows (wire v3; v2 read 641.5).
+#: send path with one ack per SYNC and the window length in its head byte
+#: (wire v4; v2 read 641.5, v3's change-coded windows 615.1).
 #: Unlike the fps gates, byte counts are deterministic in the simulator,
 #: the same on every host, so the tolerance only absorbs protocol-tuning
 #: drift, not noise.
 BANDWIDTH_V1_BPS = 2395.5
-BANDWIDTH_BASELINE_BPS = 615.1
+BANDWIDTH_BASELINE_BPS = 535.1
 BANDWIDTH_TOLERANCE = 1.05
 
 #: Frame-latency attribution must be cheap enough to leave on in real
@@ -564,8 +565,8 @@ def _timeline_added_us_per_frame() -> Dict[str, float]:
 
     hooks_us = time_call(hooks, repeats=7, inner=3) / loop_frames * 1e6
 
-    plain = Sync(0, 1, acks=[100, 90], first_frame=90, inputs=[1, 0, 3, 2])
-    stamped = Sync(0, 1, acks=[100, 90], first_frame=90, inputs=[1, 0, 3, 2])
+    plain = Sync(0, 1, ack=90, first_frame=90, inputs=[1, 0, 3, 2])
+    stamped = Sync(0, 1, ack=90, first_frame=90, inputs=[1, 0, 3, 2])
     stamped.annotate(93_750, 120)
     raw_plain, raw_stamped = plain.encode(), stamped.encode()
 

@@ -8,29 +8,35 @@ frame begins and the time server records the receiving time."*
 The time server lives on its own sub-millisecond links, so the recorded
 arrival times are comparable across sites without clock synchronization —
 the same methodology, reproduced literally.
+
+A report is only the frame number, as a canonical uvarint (one byte below
+frame 128, two below 16,384): the server knows the site from the
+datagram's source address, registered by :meth:`TimeServer.attach_site`.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.core.messages import DecodeError, append_uvarint, read_uvarint
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork, SimSocket
-
-_REPORT = struct.Struct(">HI")  # site, frame
 
 TIMESERVER_ADDRESS = "timeserver"
 
 
-def encode_report(site: int, frame: int) -> bytes:
-    return _REPORT.pack(site, frame)
+def encode_report(frame: int) -> bytes:
+    out = bytearray()
+    append_uvarint(out, frame)
+    return bytes(out)
 
 
-def decode_report(raw: bytes) -> Tuple[int, int]:
-    if len(raw) != _REPORT.size:
-        raise ValueError(f"malformed time-server report of {len(raw)} bytes")
-    return _REPORT.unpack(raw)
+def decode_report(raw: bytes) -> int:
+    """The frame a report carries; raises :class:`DecodeError` otherwise."""
+    frame, offset = read_uvarint(raw, 0, "time-server report")
+    if offset != len(raw):
+        raise DecodeError(f"time-server report has {len(raw) - offset} trailing bytes")
+    return frame
 
 
 class TimeServer:
@@ -48,15 +54,19 @@ class TimeServer:
         self._socket.mailbox.listener = self._pump
         #: arrivals[site][frame] = arrival time at the server.
         self.arrivals: Dict[int, Dict[int, float]] = {}
+        #: The site behind each attached source address.
+        self._sites: Dict[str, int] = {}
 
     @property
     def link(self) -> NetemConfig:
         """The sub-millisecond link every site should be connected with."""
         return self._link
 
-    def attach_site(self, network: SimNetwork, site_address: str) -> None:
-        """Wire a site to the server over the LAN link."""
+    def attach_site(self, network: SimNetwork, site_address: str, site: int) -> None:
+        """Wire ``site`` to the server over the LAN link; its reports are
+        known by their source address."""
         network.connect(site_address, self.address, self._link)
+        self._sites[site_address] = site
 
     def _pump(self) -> None:
         while True:
@@ -64,10 +74,13 @@ class TimeServer:
             if envelope is None:
                 break
             datagram = envelope.payload
+            site = self._sites.get(datagram.source)
             try:
-                site, frame = decode_report(datagram.payload)
-            except ValueError:
+                frame = decode_report(datagram.payload)
+            except DecodeError:
                 continue  # not a report; ignore like a real server would
+            if site is None:
+                continue  # not from an attached site
             self.arrivals.setdefault(site, {})[frame] = datagram.arrived_at
 
     # ------------------------------------------------------------------

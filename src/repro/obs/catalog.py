@@ -55,7 +55,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "net_decode_errors": (
         "counter",
         True,
-        "Datagrams/messages rejected by the v2 decoder",
+        "Datagrams/messages rejected by the decoder or by SYNC validation",
     ),
     "sync_sent": ("counter", True, "Algorithm 2 sd messages sent"),
     "sync_received": ("counter", True, "Algorithm 2 rc messages received"),

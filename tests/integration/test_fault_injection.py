@@ -4,13 +4,20 @@ import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
-from repro.core.multisite import SessionPlan, build_session, two_player_plan
+from repro.core.messages import Sync
+from repro.core.multisite import (
+    SessionPlan,
+    build_session,
+    site_address,
+    two_player_plan,
+)
 from repro.core.inputs import InputAssignment
 from repro.emulator.games.counter import NondeterministicMachine
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker, ConsistencyError
 from repro.metrics.stats import mean
 from repro.net.netem import NetemConfig
+from repro.net.transport import Datagram
 
 
 def run_two(netem, frames=240, seed=5, config=None, machines=None):
@@ -141,3 +148,69 @@ class TestDivergenceDetection:
         traces = [vm.runtime.trace for vm in session.vms]
         with pytest.raises(ConsistencyError):
             ConsistencyChecker().verify_traces(traces)
+
+
+def forged_ack(lockstep):
+    """An ack 5,000 frames past anything site 0 has sent."""
+    return [Sync(1, lockstep.session_id, lockstep.last_rcv_frame[0] + 5000,
+                 lockstep.last_rcv_frame[1] + 1)]
+
+
+def forged_conflict(lockstep):
+    """Site 1's last held frame again, with one of its bits flipped."""
+    frame = lockstep.last_rcv_frame[1]
+    mask = lockstep.assignment.mask(1)
+    flipped = lockstep.ibuf.get(frame, 1) ^ (mask & -mask)
+    return [Sync(1, lockstep.session_id, lockstep.last_ack_frame[1], frame, [flipped])]
+
+
+def forged_flood(lockstep):
+    """Five 7.5 KB windows of 60,000 cells each, past site 1's frontier."""
+    start = lockstep.last_rcv_frame[1] + 2
+    return [
+        Sync(1, lockstep.session_id, lockstep.last_ack_frame[1],
+             start + 60_000 * n, [0x100] * 60_000)
+        for n in range(5)
+    ]
+
+
+class TestForgedSyncs:
+    """A SYNC no correct peer sends, arriving from site 1's address at
+    t = 3 s, is refused without harm: the session completes on both
+    sites with equal checksums."""
+
+    @pytest.mark.parametrize(
+        "forge, decode_errors",
+        [(forged_ack, 1), (forged_conflict, 1), (forged_flood, 0)],
+        ids=["ack-past-our-inputs", "conflicting-cell", "window-flood"],
+    )
+    def test_forged_sync_is_harmless(self, forge, decode_errors):
+        plan = two_player_plan(
+            SyncConfig.paper_defaults(),
+            machine_factory=lambda: create_game("counter"),
+            sources=[
+                PadSource(RandomSource(7), player=0),
+                PadSource(RandomSource(8), player=1),
+            ],
+            max_frames=600,
+            seed=7,
+        )
+        session = build_session(plan, NetemConfig.for_rtt(0.040))
+        site0 = session.vms[0]
+        lockstep = site0.runtime.lockstep
+        slots = []
+
+        def deliver():
+            slots.append(len(lockstep.ibuf))
+            for message in forge(lockstep):
+                site0.socket.deliver(Datagram(message.encode(), site_address(1), 3.0))
+            slots.append(len(lockstep.ibuf))
+
+        session.loop.call_at(3.0, deliver)
+        session.run(horizon=300.0)
+        assert [vm.engine.termination for vm in session.vms] == ["completed"] * 2
+        traces = [vm.runtime.trace for vm in session.vms]
+        assert ConsistencyChecker().verify_traces(traces) == 600
+        assert slots[1] - slots[0] <= 120
+        assert site0.runtime.metrics.net_decode_errors.value == decode_errors
+

@@ -77,7 +77,8 @@ class TestRateLimitedLinks:
         did complete are still bit-identical.  Consistency is
         unconditional; progress is not.  (600 B/s froze the v2 codec; a
         queued window is long and change-coded SYNCs carry it in fewer
-        bytes, so v3 pulls through at 600 and freezes at 500.)"""
+        bytes, so v3 pulls through at 600 and freezes at 500.  v4's
+        one-ack SYNCs still freeze at 500 and pull through at 550.)"""
         plan = make_plan(frames=180)
         netem = NetemConfig(delay=0.005, rate_bytes_per_s=400)
         session = build_session(plan, netem)

@@ -24,7 +24,10 @@ one ``timeout`` timer: only ``adaptive_pong_with_poke``'s ``events``
 moved, and only by timer names (its resync ticks read ``retry``); a
 fourth session, a player joining by state transfer under 10% loss, was
 added with its other four components captured at that change's parent
-(its joiner's ring gains the first request's ``retry`` record).  A
+(its joiner's ring gains the first request's ``retry`` record).  Then a
+SYNC carried one ack instead of the ack vector and its window length in
+the head byte, and a time-server report only its frame (wire v4): again
+only the byte counts in ``transport`` and ``counters`` moved.  A
 change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
 the components it meant to move, and says so in CHANGES.md.  CI runs this
@@ -153,29 +156,29 @@ PINNED = {
     lossy_lockstep_counter: {
         "frames": "e05b294502ba8e642c2db46ce4dc1529890f9615f6dcc09802a213affcce7d74",
         "events": "ebb77cc905772eb1a137276ba339d6b5a2aef61c597d6e8eced9a978c578348a",
-        "transport": "1798a4e9f3205340b2c67b099c98e5ec519a25a367cebf4cd02a5fdbd1d7fdbf",
-        "counters": "33bd472f90fb73bcaa4d58b01d9abf5d35fb7bf1ad0d9836c297f8a6dbb1ed63",
+        "transport": "d199b85c21b49bb4dd01a154660b7afbb28df3a3fdbc5ee868d05b517bff2373",
+        "counters": "ec23061fd4628f58a5563cf5a77c84cbc185087fb983b930606c46cf3edecfda",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     rollback_pong: {
         "frames": "4dc2ebb76cf419ad9c4e0a6b83b090908b0e20cd5121abbe980a3d61c7582644",
         "events": "67a4430212a11b2fb37057ae154c18573dedb62eb84159da61d926317ee850bd",
-        "transport": "e2ae42b280461ececd8e1c25119751e2b6fc032dc9473b8b41270d681c0c5796",
-        "counters": "e9f4a1e779fecb6da27475c838bdc4709ae2b063b5380ada2341886a2cc771a9",
+        "transport": "25484fae6abd9ec6c303da8c3037873121a0a92099a2ee5e90c998466ddb8848",
+        "counters": "f87b41f6f95f3265294e696b6c5753da5722a143e1b32316addaec5b824d27cd",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     adaptive_pong_with_poke: {
         "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
         "events": "f1c12123d95a70764d30382b477350c5b1ef5de8d1224c41b5c2423b6aa37133",
-        "transport": "849fa9188fe456c11a550398e6619acbe2b2b4cc0a9e06a70f9c074a7b1fdf90",
-        "counters": "a57c198b0359d161a92ab39d6918aeb0959aa8c32da76eb5602628fa63123a3e",
+        "transport": "ff349093cdb5801c5f8049b2407aec95f16377a04aa60536545ee0989623d307",
+        "counters": "d5e53644eb536c75c5ce2e9264d9a6e048962b2c4a04f643ea0cd49fe5add220",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     late_joining_player: {
         "frames": "c26240975ca98be101e9a0ddbc74d4a501274456ae02a46dd9331f5abadfea23",
         "events": "cbb632c159707d54e3bc2764352a0d46efdde1d5ea7d81b3ffdb02d2fcb5ed1f",
-        "transport": "0354af99821479eb074d7bef9cc08d40e749ea8b22375a5089b6317e77dfea9c",
-        "counters": "5659613f0b3ec16aeead943b5e116ec889ece5cae7091ba7e8621e4b8c0be06e",
+        "transport": "c600dc612e427e127a228cc6d91352ddfb877d6c3aaf12ba089c21d0ac638c09",
+        "counters": "772380bd60590958899c6435c2ae6d0e74abf7255ec06e4d4d9ca1f295c6f41e",
         "termination": "3732a9e88c4a9637718cbace1de7160cea83bf2251a1289d6023447d2d3bed34",
     },
 }

@@ -13,6 +13,7 @@ from repro.core.messages import (
     StateSnapshot,
     Sync,
     decode,
+    uvarint_len,
 )
 
 frames = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -56,24 +57,66 @@ def _section(cells, width, changes):
 def _implied(width, cells):
     packed = b"".join(cell.to_bytes(width, "little") for cell in cells)
     mask = (1 << (8 * width)) - 1
-    return Sync.from_packed(0, 1, [len(cells), -1], 0, packed, len(cells), mask), mask
+    return Sync.from_packed(0, 1, -1, 0, packed, len(cells), mask), mask
 
 
 @given(
     u16,
     u32,
-    st.lists(frames, min_size=1, max_size=8),
     frames,
-    input_words,
+    frames,
+    # Past 62 cells the count escapes from the head byte to a uvarint.
+    st.lists(u32, max_size=130),
 )
-def test_sync_roundtrip(sender, session, acks, first_frame, inputs):
-    message = Sync(sender, session, acks=acks, first_frame=first_frame, inputs=inputs)
-    decoded = decode(message.encode())
+def test_sync_roundtrip(sender, session, ack, first_frame, inputs):
+    message = Sync(sender, session, ack=ack, first_frame=first_frame, inputs=inputs)
+    raw = message.encode()
+    decoded = decode(raw)
+    assert decoded.encode() == raw
     assert decoded.sender_site == sender
     assert decoded.session_id == session
-    assert decoded.acks == acks
+    assert decoded.ack == ack
     assert decoded.first_frame == first_frame
     assert decoded.inputs == inputs
+
+
+#: A SYNC body starts after magic(2), version/type(1), sender(1) and
+#: session(1) and a one-byte first frame: the head byte is at this offset.
+_HEAD_AT = 6
+#: Ack deltas whose zigzag form is one byte below 63.
+small_deltas = st.integers(min_value=-31, max_value=31)
+
+
+@given(cell_windows(), small_deltas)
+def test_non_canonical_head_rejected(window, delta):
+    """One encoding per window length: 1–62 inline, 63 and up escaped,
+    0 a flagless pure ack."""
+    width, cells = window
+    packed = b"".join(cell.to_bytes(width, "little") for cell in cells)
+    mask = (1 << (8 * width)) - 1
+    raw = Sync.from_packed(0, 1, delta, 0, packed, len(cells), mask).encode()
+    head = raw[_HEAD_AT]
+    assert decode(raw).encode() == raw
+    if len(cells) >= 63:
+        # An inline 63: the escaped count dropped, so the ack reads as it.
+        assert head & 0x3F == 63
+        escape = uvarint_len(len(cells))
+        with pytest.raises(DecodeError, match="fits the head byte"):
+            decode(raw[: _HEAD_AT + 1] + raw[_HEAD_AT + 1 + escape :])
+    else:
+        # An escaped count below 63.
+        forged = bytes([head | 0x3F, len(cells)])
+        with pytest.raises(DecodeError, match="fits the head byte"):
+            decode(raw[:_HEAD_AT] + forged + raw[_HEAD_AT + 1 :])
+
+
+@given(small_deltas, st.sampled_from([0x80, 0x40, 0xC0]))
+def test_flags_on_a_pure_ack_rejected(delta, flags):
+    raw = bytearray(Sync(0, 1, delta, 0).encode())
+    assert raw[_HEAD_AT] == 0
+    raw[_HEAD_AT] = flags
+    with pytest.raises(DecodeError, match="pure ack"):
+        decode(bytes(raw))
 
 
 @given(u16, u32, u32, u32)
@@ -115,13 +158,13 @@ def test_arbitrary_bytes_never_crash(raw):
 
 
 @given(
-    st.lists(frames, min_size=1, max_size=4),
+    frames,
     frames,
     input_words,
     st.integers(min_value=0, max_value=200),
 )
-def test_truncated_sync_never_crashes(acks, first_frame, inputs, cut):
-    raw = Sync(0, 1, acks, first_frame, inputs).encode()
+def test_truncated_sync_never_crashes(ack, first_frame, inputs, cut):
+    raw = Sync(0, 1, ack, first_frame, inputs).encode()
     truncated = raw[: max(0, len(raw) - cut)]
     try:
         message = decode(truncated)
@@ -133,7 +176,7 @@ def test_truncated_sync_never_crashes(acks, first_frame, inputs, cut):
 
 @given(st.binary(min_size=14, max_size=64), st.integers(min_value=0, max_value=13))
 def test_bitflip_detected_or_consistent(raw_tail, position):
-    raw = bytearray(Sync(0, 1, [5, 5], 6, [1, 2]).encode())
+    raw = bytearray(Sync(0, 1, 5, 6, [1, 2]).encode())
     raw[position % len(raw)] ^= 0xA5
     try:
         decode(bytes(raw))
@@ -151,7 +194,7 @@ def test_change_coded_window_roundtrip(window):
     assert decoded.encode() == raw
     decoded.resolve_input_mask(mask)
     assert decoded.inputs == message.inputs
-    explicit = Sync(0, 1, [len(cells), -1], 0, message.inputs).encode()
+    explicit = Sync(0, 1, -1, 0, message.inputs).encode()
     decoded = decode(explicit)
     assert decoded.encode() == explicit
     assert decoded.inputs == message.inputs

@@ -42,7 +42,7 @@ def test_random_bytes_never_crash(raw):
 )
 def test_bitflipped_real_messages_never_crash(kind, position, flip):
     if kind == "sync":
-        raw = Sync(1, 1, acks=[5, 5], first_frame=6, inputs=[1, 2, 3]).encode()
+        raw = Sync(1, 1, ack=5, first_frame=6, inputs=[1, 2, 3]).encode()
     elif kind == "ping":
         raw = Ping(1, 1, seq=0, timestamp_us=1000).encode()
     else:
@@ -58,7 +58,7 @@ def test_bitflipped_real_messages_never_crash(kind, position, flip):
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=5),  # sender site (incl. bogus)
-            st.lists(st.integers(min_value=-100, max_value=100), min_size=2, max_size=2),
+            st.integers(min_value=-100, max_value=100),  # ack
             st.integers(min_value=-50, max_value=200),
             st.lists(st.integers(min_value=0, max_value=0xFFFF), max_size=10),
         ),
@@ -70,14 +70,11 @@ def test_adversarial_sync_messages_never_break_invariants(messages):
     the buffer floor stays below the delivery pointer."""
     runtime = make_runtime()
     lockstep = runtime.lockstep
-    for sender, acks, first_frame, inputs in messages:
-        message = Sync(sender, 1, acks=acks, first_frame=first_frame, inputs=inputs)
-        try:
-            runtime.handle_datagram(message.encode(), 0.0, 0.0)
-        except ValueError:
-            # A conflicting input for an occupied slot is corruption the
-            # buffer is *designed* to refuse loudly; everything else flows.
-            continue
+    for sender, ack, first_frame, inputs in messages:
+        message = Sync(sender, 1, ack=ack, first_frame=first_frame, inputs=inputs)
+        # A conflicting input or an ack past our inputs is dropped like a
+        # decode error; nothing reaches the caller.
+        runtime.handle_datagram(message.encode(), 0.0, 0.0)
         assert lockstep.ibuf.floor <= max(0, lockstep.ibuf_pointer)
         # Vectors never go backwards below their initial values.
         assert all(v >= -1 for v in lockstep.last_rcv_frame)

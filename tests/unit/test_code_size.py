@@ -11,9 +11,9 @@ from pathlib import Path
 CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
 
 #: ``src/repro/core/engine.py``, in lines.
-ENGINE_MAX_LINES = 1560
+ENGINE_MAX_LINES = 1559
 #: Every ``.py`` file under ``src/repro/core``, in lines.
-CORE_MAX_LINES = 7897
+CORE_MAX_LINES = 7928
 
 
 def count_lines(path: Path) -> int:

@@ -398,8 +398,8 @@ class TestBandwidthBudget:
     def test_drop_order_sheds_pings_then_acks_then_inputs(self):
         engine = self._engine(bps=1)  # forces every non-control drop
         start = Start(0, 1)
-        sync_inputs = Sync(0, 1, acks=[5, 5], first_frame=6, inputs=[1, 2])
-        pure_ack = Sync(0, 1, acks=[5, 5], first_frame=7)
+        sync_inputs = Sync(0, 1, ack=5, first_frame=6, inputs=[1, 2])
+        pure_ack = Sync(0, 1, ack=5, first_frame=7)
         ping = Ping(0, 1, seq=0, timestamp_us=0)
         queue = [ping, sync_inputs, start, pure_ack]
         entries = [(m, "site1", m._encode_body()) for m in queue]
@@ -410,8 +410,8 @@ class TestBandwidthBudget:
 
     def test_partial_budget_keeps_input_syncs(self):
         start = Start(0, 1)
-        sync_inputs = Sync(0, 1, acks=[5, 5], first_frame=6, inputs=[1, 2])
-        pure_ack = Sync(0, 1, acks=[5, 5], first_frame=7)
+        sync_inputs = Sync(0, 1, ack=5, first_frame=6, inputs=[1, 2])
+        pure_ack = Sync(0, 1, ack=5, first_frame=7)
         ping = Ping(0, 1, seq=0, timestamp_us=0)
         queue = [ping, sync_inputs, start, pure_ack]
         sizes = self._entry_sizes(queue)

@@ -29,6 +29,20 @@ class TestBasicStorage:
         with pytest.raises(ValueError):
             buffer.put(5, 0, 0x22)
 
+    def test_put_window_counts_duplicates(self):
+        buffer = InputBuffer(2)
+        buffer.put(5, 0, 0x11)
+        buffer.prune_below(4)
+        assert buffer.put_window(3, 0, [0x10, 0x10, 0x11, 0x12]) == 2
+        assert [buffer.get(f, 0) for f in range(3, 7)] == [None, 0x10, 0x11, 0x12]
+
+    def test_put_window_is_all_or_nothing(self):
+        buffer = InputBuffer(2)
+        buffer.put(6, 0, 0x11)
+        with pytest.raises(ValueError, match="frame 6"):
+            buffer.put_window(5, 0, [0x10, 0x22, 0x12])
+        assert len(buffer) == 1
+
     def test_zero_value_counts_as_present(self):
         buffer = InputBuffer(2)
         buffer.put(5, 0, 0)

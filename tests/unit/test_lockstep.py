@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import MASTER_MEMORY, MAX_INPUTS_PER_MESSAGE, LockstepSync
-from repro.core.messages import Sync
+from repro.core.messages import DecodeError, Sync
 from repro.core.rtt import CLOCK_FILTER_DEPTH
 
 
@@ -104,7 +104,7 @@ class TestMessageExchange:
         message = a.build_sync_for(1)
         assert message.first_frame == 6
         assert message.inputs == [1, 2, 3]
-        assert message.acks == a.last_rcv_frame
+        assert message.ack == a.last_rcv_frame[1]
 
     def test_no_news_returns_none(self):
         a, _ = make_pair()
@@ -142,9 +142,47 @@ class TestMessageExchange:
     def test_gapped_window_does_not_advance_cursor(self):
         a, b = make_pair()
         # Hand-craft a window starting beyond contiguity.
-        message = Sync(0, 1, acks=[5, 5], first_frame=20, inputs=[1, 2])
+        message = Sync(0, 1, ack=5, first_frame=20, inputs=[1, 2])
         b.on_sync(message, 0.0)
         assert b.last_rcv_frame[0] == 5  # guard rejected the gap
+        # Not buffered either: the window that closes the gap carries it.
+        assert len(b.ibuf) == 0
+        assert b.stats.out_of_window_inputs == 1
+
+    def test_ack_past_our_inputs_refused(self):
+        a, b = make_pair()
+        b.buffer_local_input(0, 1)
+        message = Sync(0, 1, ack=7, first_frame=6, inputs=[1])
+        with pytest.raises(DecodeError, match="past our last buffered frame 6"):
+            b.on_sync(message, 0.0)
+        # Refused whole: neither the window nor the ack was taken.
+        assert (b.last_rcv_frame[0], b.last_ack_frame[0]) == (5, 5)
+        assert b.stats.sync_messages_received == 0
+
+    def test_unseated_site_takes_acks_of_a_history_it_lacks(self):
+        """A joiner waiting for its snapshot is acked past its own inputs:
+        peers admitted it with a virtual history."""
+        a, b = make_pair()
+        b.seated = False
+        b.on_sync(Sync(0, 1, ack=120, first_frame=6), 0.0)
+        assert b.last_ack_frame[0] == 120
+        b.seed_from_snapshot(119)
+        assert b.seated
+
+    def test_conflicting_cell_refuses_the_whole_window(self):
+        a, b = make_pair()
+        a.buffer_local_input(0, 1)
+        pump(a, b)
+        with pytest.raises(DecodeError, match="conflicting input for frame 6"):
+            b.on_sync(Sync(0, 1, ack=5, first_frame=6, inputs=[3, 1]), 0.0)
+        assert b.last_rcv_frame[0] == 6
+        assert b.ibuf.get(7, 0) is None
+
+    def test_window_past_the_bound_is_clipped(self):
+        a, b = make_pair()
+        b.on_sync(Sync(0, 1, ack=5, first_frame=6, inputs=[1] * 500), 0.0)
+        assert b.last_rcv_frame[0] == 5 + MAX_INPUTS_PER_MESSAGE
+        assert len(b.ibuf) == MAX_INPUTS_PER_MESSAGE
 
     def test_wrong_session_ignored(self):
         a, b = make_pair()
@@ -156,13 +194,13 @@ class TestMessageExchange:
 
     def test_message_from_self_ignored(self):
         a, _ = make_pair()
-        message = Sync(0, 1, acks=[5, 5], first_frame=6, inputs=[1])
+        message = Sync(0, 1, ack=5, first_frame=6, inputs=[1])
         a.on_sync(message, 0.0)  # sender == own site
         assert a.stats.sync_messages_received == 0
 
     def test_out_of_range_sender_ignored(self):
         a, _ = make_pair()
-        message = Sync(9, 1, acks=[5, 5], first_frame=6, inputs=[1])
+        message = Sync(9, 1, ack=5, first_frame=6, inputs=[1])
         a.on_sync(message, 0.0)
         assert a.stats.sync_messages_received == 0
 
@@ -173,7 +211,7 @@ class TestMessageExchange:
         # b has no inputs of its own but must re-ack.
         reply = b.build_sync_for(0)
         assert reply is not None
-        assert reply.acks[0] == 6
+        assert reply.ack == 6
 
     def test_max_inputs_per_message_caps_window(self):
         assignment = InputAssignment.standard(2)
@@ -547,7 +585,7 @@ class TestCachedMaskAndPresentPeers:
         ack_all = Sync(
             sender_site=2,
             session_id=1,
-            acks=[a.last_rcv_frame[0], 17, 17],
+            ack=a.last_rcv_frame[0],
             first_frame=18,
             inputs=[],
         )

@@ -36,7 +36,7 @@ class TestBuildAll:
         # Peer 1 acks through slot 10; peer 2 has acked nothing.
         from repro.core.messages import Sync
 
-        ack_from_1 = Sync(1, 1, acks=[10, 5, 5], first_frame=6, inputs=[])
+        ack_from_1 = Sync(1, 1, ack=10, first_frame=6, inputs=[])
         a.on_sync(ack_from_1, 0.0)
         messages = a.build_all(force=True)
         assert messages[1].first_frame == 11
@@ -67,7 +67,7 @@ class TestBuildAll:
         replies = a.build_all()
         # a owes b a fresh ack; it owes site 2 nothing new.
         assert 1 in replies
-        assert replies[1].acks[1] == 6
+        assert replies[1].ack == 6
 
     def test_observer_sends_pure_acks(self):
         sites = make_sites(num_sites=3, observers=1)
@@ -122,9 +122,9 @@ class TestThreeSiteDeliveryGating:
         # Input from site 1 alone is not enough.
         from repro.core.messages import Sync
 
-        a.on_sync(Sync(1, 1, acks=[5, 5, 5], first_frame=6, inputs=[0x0100]), 0.0)
+        a.on_sync(Sync(1, 1, ack=5, first_frame=6, inputs=[0x0100]), 0.0)
         assert a.waiting_on() == [2]
-        a.on_sync(Sync(2, 1, acks=[5, 5, 5], first_frame=6, inputs=[0x030000]), 0.0)
+        a.on_sync(Sync(2, 1, ack=5, first_frame=6, inputs=[0x030000]), 0.0)
         assert a.can_deliver()
         assert a.deliver() == 0x030101
 

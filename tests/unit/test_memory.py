@@ -181,6 +181,16 @@ class TestDirtyTracking:
             else:
                 assert second[slot] == first[slot]
 
+    def test_warm_digest_matches_cold(self):
+        memory = Memory()
+        memory.page_digest()  # the cold pass
+        memory.write_word(0x3000, 0x1234)
+        warm = memory.page_digest()  # re-hashes only the written chunk
+        twin = Memory()
+        twin.write_word(0x3000, 0x1234)
+        twin._mark_all_dirty()
+        assert twin.page_digest() == warm
+
     def test_view_is_zero_copy_and_readonly(self):
         memory = Memory()
         memory.write_byte(0x0100, 0xAB)
@@ -190,50 +200,3 @@ class TestDirtyTracking:
         assert view[0] == 0xCD  # aliases live memory
         with pytest.raises(TypeError):
             view[0] = 0
-
-
-class TestDigestBackends:
-    """The optional numpy digest: same sensitivity contract, own codomain.
-
-    Digest bytes are an internal live-compare contract between same-config
-    sites, never persisted — so the two backends may (and do) produce
-    different bytes, but each must be deterministic and chunk-sensitive.
-    """
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Memory(digest_backend="md5")
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMPY_DIGEST", "1")
-        memory = Memory()
-        assert memory.digest_backend in ("numpy", "crc32")  # crc32 iff no numpy
-
-    def test_numpy_backend_matches_contract(self):
-        pytest.importorskip("numpy")
-        a = Memory(digest_backend="numpy")
-        b = Memory(digest_backend="numpy")
-        assert a.digest_backend == "numpy"
-        a.write_word(0x2000, 0xBEEF)
-        b.write_word(0x2000, 0xBEEF)
-        assert a.page_digest() == b.page_digest()  # deterministic across sites
-        first = a.page_digest()
-        a.write_byte(0x1234, 9)
-        second = a.page_digest()
-        chunk = 0x1234 >> 10
-        slot = slice(chunk * 4, chunk * 4 + 4)
-        assert second[slot] != first[slot]
-        for c in range(64):
-            if c != chunk:
-                other = slice(c * 4, c * 4 + 4)
-                assert second[other] == first[other]
-
-    def test_numpy_digest_warm_path_matches_cold(self):
-        pytest.importorskip("numpy")
-        memory = Memory(digest_backend="numpy")
-        memory.write_word(0x3000, 0x1234)
-        warm = memory.page_digest()  # incremental after the cold pass
-        twin = Memory(digest_backend="numpy")
-        twin.write_word(0x3000, 0x1234)
-        twin._mark_all_dirty()
-        assert twin.page_digest() == warm

@@ -67,7 +67,7 @@ class TestHandleDatagram:
 
     def test_sync_message_feeds_lockstep(self):
         runtime = make_runtime(site=0)
-        sync = Sync(sender_site=1, session_id=1, acks=[5, 5], first_frame=6, inputs=[0x0100])
+        sync = Sync(sender_site=1, session_id=1, ack=5, first_frame=6, inputs=[0x0100])
         runtime.handle_datagram(sync.encode(), 0.5, 0.5)
         assert runtime.lockstep.last_rcv_frame[1] == 6
 
