@@ -44,29 +44,24 @@ class SyncConfig:
 
     #: Liveness: a gate blocked longer than this emits a ``Degraded``
     #: effect (drivers freeze presentation and show "waiting for peer").
-    #: ``None`` disables the degraded transition.
-    soft_stall_s: Optional[float] = 1.0
+    soft_stall_s: float = 1.0
 
-    #: Liveness: a gate blocked longer than this suspends the session
-    #: (``PHASE_SUSPENDED`` + ``PeerLost`` effect) instead of spinning.
-    #: ``None`` disables suspension — the pre-hardening behaviour.
-    hard_stall_s: Optional[float] = 4.0
+    #: Liveness: a gate blocked longer than this suspends it (the stall
+    #: ladder's ``suspended`` level + ``PeerLost`` effect) instead of
+    #: spinning.
+    hard_stall_s: float = 4.0
 
     #: How long a suspended session waits for the peer to return (heal or
     #: RESUME handshake) before terminating with ``peer-lost``.
     resume_deadline_s: float = 20.0
 
     #: Give up on the start handshake after this long without the session
-    #: becoming established.  ``None`` retries forever.
-    handshake_timeout_s: Optional[float] = 30.0
-
-    #: A peer is considered unresponsive when nothing (sync, pong, control)
-    #: has been heard from it for this long.
-    liveness_timeout_s: float = 2.0
+    #: becoming established.
+    handshake_timeout_s: float = 30.0
 
     #: While suspended, control/sync retransmission backs off exponentially
-    #: (with jitter) from ``engine.SUSPEND_BACKOFF_INITIAL_S``, doubling up
-    #: to this cap.
+    #: (with jitter) from ``liveness.SUSPEND_BACKOFF_INITIAL_S``, doubling
+    #: up to this cap.
     suspend_backoff_max_s: float = 1.0
 
     #: Outbound bandwidth budget in bytes/second, enforced at the engine's
@@ -117,17 +112,12 @@ class SyncConfig:
             raise ValueError("send_interval must be positive")
         if self.slice_delay < 0:
             raise ValueError("slice_delay must be >= 0")
-        if self.soft_stall_s is not None and self.soft_stall_s <= 0:
-            raise ValueError("soft_stall_s must be positive or None")
-        if self.hard_stall_s is not None:
-            if self.hard_stall_s <= 0:
-                raise ValueError("hard_stall_s must be positive or None")
-            if self.soft_stall_s is not None and self.soft_stall_s >= self.hard_stall_s:
-                raise ValueError("soft_stall_s must be < hard_stall_s")
+        if self.soft_stall_s <= 0:
+            raise ValueError("soft_stall_s must be positive")
+        if self.soft_stall_s >= self.hard_stall_s:
+            raise ValueError("soft_stall_s must be < hard_stall_s")
         if self.resume_deadline_s <= 0:
             raise ValueError("resume_deadline_s must be positive")
-        if self.liveness_timeout_s <= 0:
-            raise ValueError("liveness_timeout_s must be positive")
         if self.suspend_backoff_max_s <= 0:
             raise ValueError("suspend_backoff_max_s must be positive")
         if self.bandwidth_budget_bps is not None and self.bandwidth_budget_bps <= 0:

@@ -23,9 +23,9 @@ Three layers live here:
 * :class:`SiteEngine` — the orchestration that used to be copy-pasted into
   every driver: the start handshake, the send pump (the paper's 20 ms
   outbound batching and ~5 ms thread-slice delay, §4.2), the ping pump, the
-  frame loop with its SyncInput gate, and the linger phase.  Its phase
-  machine says when the recovery part requests, serves and restores
-  state (late join, resume, resync).  The engine is a pure state machine:
+  frame loop with its SyncInput gate, and the linger phase.  Each wait on
+  a peer is re-sent and ended by the part that knows it (session control,
+  recovery, the stall ladder).  The engine is a pure state machine:
   drivers feed it :class:`Event` objects (datagrams, timer ticks,
   shutdown) and apply the :class:`Effect` objects it returns (datagrams
   to send, frames to present).  It contains no clocks, no sockets and no
@@ -64,7 +64,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Un
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, InputSource
-from repro.core.liveness import PeerLiveness
+from repro.core.liveness import (
+    DEGRADED,
+    SUSPENDED,
+    Degraded,
+    PeerLiveness,
+    PeerLost,
+    Resumed,
+    StallLadder,
+)
 from repro.core.lockstep import Lockstep, LockstepSync
 from repro.core.messages import (
     FEATURE_TIMELINE,
@@ -83,7 +91,7 @@ from repro.core.messages import (
     stamp_ticks,
     uvarint_len,
 )
-from repro.core.recovery import Recovery, Replies
+from repro.core.recovery import REQUEST_INTERVAL, REQUEST_TIMEOUT, Recovery, Replies
 from repro.core.pacing import FramePacer
 from repro.core.rtt import ClockAlign, RttEstimator, from_micros
 from repro.core.session import SessionControl, SessionError
@@ -150,6 +158,10 @@ class SiteRuntime:
         self.lockstep = LockstepSync(config, site_no, assignment, session_id)
         self.pacer = FramePacer(config, site_no)
         self.rtt = RttEstimator(site_no, session_id)
+        self.trace = FrameTrace(site_no)
+        #: Telemetry: counters/histograms plus the protocol event ring.
+        self.metrics = SiteMetrics(site_no, session_id)
+        self.events = EventTrace()
         self.session = SessionControl(
             config,
             site_no,
@@ -158,11 +170,10 @@ class SiteRuntime:
             session_id=session_id,
             peer_addresses=self.address_of,
             expected_sites=handshake_sites,
+            trace=lambda kind, now, **detail: self.events.emit(
+                kind, now, self.frame, **detail
+            ),
         )
-        self.trace = FrameTrace(site_no)
-        #: Telemetry: counters/histograms plus the protocol event ring.
-        self.metrics = SiteMetrics(site_no, session_id)
-        self.events = EventTrace()
         #: Per-peer NTP-style clock alignment, fed by extended pongs.
         self.clocks: Dict[int, ClockAlign] = {
             site: ClockAlign() for site in self.peer_sites
@@ -174,7 +185,7 @@ class SiteRuntime:
         self.slo = SloScorer(config)
         #: Last-heard timestamps per peer, fed by every authenticated
         #: datagram (no dedicated heartbeat; see :mod:`repro.core.liveness`).
-        self.liveness = PeerLiveness(self.peer_sites, config.liveness_timeout_s)
+        self.liveness = PeerLiveness(self.peer_sites)
         #: Frame counter of Algorithm 1.
         self.frame = 0
         #: Consistency mode each peer last announced via SWITCH_REQ
@@ -383,20 +394,6 @@ class SiteRuntime:
     # Send path — everything returns (message, destination) pairs; the
     # engine's outbox encodes, coalesces and budgets them once per pump.
     # ------------------------------------------------------------------
-    def control_messages(self, now: float) -> List[Tuple[Message, str]]:
-        """Session-control (re)transmissions due now."""
-        out: List[Tuple[Message, str]] = []
-        for message, destination in self.session.poll(now):
-            self.events.emit(
-                "tx",
-                now,
-                self.frame,
-                msg=type(message).__name__,
-                dest=destination,
-            )
-            out.append((message, destination))
-        return out
-
     def sync_broadcast(
         self, now: float, force: bool = False
     ) -> List[Tuple[Message, str]]:
@@ -472,22 +469,21 @@ class SiteRuntime:
             now, self.frame, self.lockstep.master_sample, self.rtt.min_rtt, late
         )
 
-    def get_and_buffer_input(self, now: Optional[float] = None) -> None:
-        """GetInput + Algorithm 2 lines 1–5.
+    def get_and_buffer_input(
+        self, now: Optional[float] = None, bits: Optional[int] = None
+    ) -> None:
+        """GetInput + Algorithm 2 lines 1–5: a driver-pushed word (``bits``)
+        wins over the source's.
 
         Sources must produce bits already positioned in the full input word
         (wrap pad-byte sources in :class:`~repro.core.inputs.PadSource`).
         ``now`` feeds the timeline's capture record (the p0 a STAMP will
         later carry to peers); None skips that bookkeeping.
         """
-        local_bits = self.source.get(self.frame)
-        self.lockstep.buffer_local_input(self.frame, local_bits)
-        if now is not None:
-            self.note_capture(now)
-
-    def note_capture(self, now: float) -> None:
-        """Record when the newest buffered own-input slot was sampled."""
-        if self.config.timeline:
+        if bits is None:
+            bits = self.source.get(self.frame)
+        self.lockstep.buffer_local_input(self.frame, bits)
+        if now is not None and self.config.timeline:
             self.timeline.on_local_capture(
                 self.lockstep.last_rcv_frame[self.site_no], now
             )
@@ -530,7 +526,7 @@ class SiteRuntime:
         del fresh[:]
 
     def run_transition(
-        self, merged_input: int, stall: float, sync_adjust: float
+        self, merged_input: int, stall: float, sync_adjust: float, commit: bool = True
     ) -> None:
         """Transition + present: step the machine and record the trace."""
         self.machine.step(merged_input)
@@ -542,31 +538,18 @@ class SiteRuntime:
             sync_adjust,
             lag=self.lockstep.local_lag_frames,
         )
-        self.metrics.on_commit(stall, sync_adjust)
+        if commit:
+            self.metrics.on_commit(stall, sync_adjust)
         self.recovery.note_own_digest(self.frame, checksum)
         self.frame += 1
 
     def replay_transition(self, merged_input: int, now: float) -> None:
-        """One frame of resync replay: like :meth:`run_transition` but
-        without the commit histograms (replayed frames were already
-        counted when they first executed) and with a synthetic begin
-        record so the trace arrays stay aligned."""
+        """One frame of resync replay: :meth:`run_transition` without the
+        commit histograms (replayed frames were already counted when they
+        first executed), after a synthetic begin record so the trace
+        arrays stay aligned."""
         self.trace.record_begin(now)
-        self.machine.step(merged_input)
-        checksum = self.machine.checksum()
-        self.trace.record_frame(
-            merged_input,
-            checksum,
-            stall=0.0,
-            sync_adjust=0.0,
-            lag=self.lockstep.local_lag_frames,
-        )
-        self.recovery.note_own_digest(self.frame, checksum)
-        self.frame += 1
-
-    def end_frame_deadline(self, now: float) -> Optional[float]:
-        """EndFrameTiming as an absolute deadline (None: begin at once)."""
-        return self.pacer.end_frame_deadline(now)
+        self.run_transition(merged_input, 0.0, 0.0, commit=False)
 
     # ------------------------------------------------------------------
     def all_inputs_acked(self) -> bool:
@@ -638,37 +621,6 @@ class Stall:
 
 
 @dataclass(frozen=True)
-class Degraded:
-    """The gate has been blocked past ``soft_stall_s`` on an unresponsive
-    peer: the driver should freeze presentation and show "waiting for
-    peer".  Emitted once per degraded episode."""
-
-    frame: int
-    waiting_on: Tuple[int, ...] = field(default=())
-    stalled_for: float = 0.0
-
-
-@dataclass(frozen=True)
-class PeerLost:
-    """The gate blocked past ``hard_stall_s``: the engine is suspended and
-    will wait ``resume_deadline`` seconds for the peer to heal or RESUME
-    before terminating."""
-
-    frame: int
-    waiting_on: Tuple[int, ...] = field(default=())
-    resume_deadline: float = 0.0
-
-
-@dataclass(frozen=True)
-class Resumed:
-    """A degraded or suspended session recovered; presentation may thaw.
-    ``suspended_for`` is 0 when recovering from a merely degraded state."""
-
-    frame: int
-    suspended_for: float = 0.0
-
-
-@dataclass(frozen=True)
 class Finished:
     """The engine is done (frames executed and linger elapsed, shutdown,
     handshake timeout, or peer loss — see ``SiteEngine.termination``);
@@ -688,30 +640,23 @@ TIMER_PING = "ping"  # RTT probe period
 TIMER_GATE = "gate"  # SyncInput poll while blocked
 TIMER_FRAME = "frame"  # EndFrameTiming wait / frame-loop start delay
 TIMER_LINGER = "linger"  # catch-up / linger bound
-# A wait on a peer (handshake, acquire, suspended, resync) is these two;
-# the phase says which wait.  Both sort after the five kinds above, and
-# retry before timeout, so simultaneous deadlines fire in a fixed order.
-TIMER_RETRY = "retry"  # retransmit what the phase is waiting for
+# A wait on a peer (the handshake, the recover phase, a suspended gate) is
+# these two; its owner says what they do.  Both sort after the five kinds
+# above, and retry before timeout, so simultaneous deadlines fire in order.
+TIMER_RETRY = "retry"  # retransmit what the wait is waiting for
 TIMER_TIMEOUT = "timeout"  # give up on the peer, by a named termination
 
 PHASE_IDLE = "idle"
 PHASE_HANDSHAKE = "handshake"
-PHASE_GATE = "gate"
+PHASE_GATE = "gate"  # SyncInput blocked; the stall ladder may suspend it
 PHASE_FRAME_WAIT = "frame-wait"
 PHASE_LINGER = "linger"
-PHASE_SUSPENDED = "suspended"  # gate blocked past hard_stall_s (peer down)
 PHASE_DONE = "done"
 PHASE_CATCHUP = "catchup"  # frames presented; confirming those in flight
-PHASE_ACQUIRE = "acquire"  # late join / resume: waiting for a snapshot
-PHASE_RESYNC = "resync"  # desync recovery: frozen, restoring the anchor
+PHASE_RECOVER = "recover"  # acquiring a donor's state, or a resync episode
 
 #: Ping period for RTT estimation, in seconds.
 PING_INTERVAL = 0.5
-
-#: While suspended, control/sync retransmission backs off exponentially
-#: (with jitter) from this initial period, doubling up to
-#: ``suspend_backoff_max_s``.
-SUSPEND_BACKOFF_INITIAL_S = 0.05
 
 
 #: Standalone-datagram overhead estimate for budget accounting: magic +
@@ -765,8 +710,9 @@ class SiteEngine:
 
     The engine owns every wait the old drivers hand-coded — handshake
     retries, the send/ping pumps, the SyncInput gate, frame pacing and the
-    linger phase — expressed as named timers.  Drivers feed events and
-    apply effects; see the module docstring for the contract.
+    linger phase — expressed as named timers; a wait on a peer is re-sent
+    and ended by the part that owns it.  Drivers feed events and apply
+    effects; see the module docstring for the contract.
 
     A site enters the session by the start handshake, or — given a
     ``donor_site`` — by acquiring that donor's savestate: a late joiner's
@@ -778,14 +724,6 @@ class SiteEngine:
     #: SyncInput re-poll period while blocked; bounds how long a site waits
     #: when a wakeup was lost (the peer's pump re-sends every 20 ms anyway).
     SYNC_POLL = 0.004
-
-    #: Retry period of the acquire and resync waits: the state request
-    #: (acquire), unagreed digests and the snapshot re-request (resync) go
-    #: out at this cadence until answered or timed out.
-    REQUEST_INTERVAL = 0.1
-    #: An acquiring site gives up (``acquire-timeout``) after this long
-    #: without a snapshot.
-    REQUEST_TIMEOUT = 30.0
 
     def __init__(
         self,
@@ -825,9 +763,8 @@ class SiteEngine:
         #: cookie (None: a late join's STATE_REQUEST).
         self.recovery = runtime.recovery
         self.recovery.attach(self.consistency, donor_site, last_acked_frame)
-        #: First frame an acquiring site executed (None until it has).
-        self.joined_at_frame: Optional[int] = None
         self._rng = random.Random((seed << 8) ^ runtime.site_no)
+        self.ladder = StallLadder(runtime, self._rng)
 
         self.phase = PHASE_IDLE
         #: True once every frame has executed (the linger phase may still
@@ -849,11 +786,9 @@ class SiteEngine:
         self._stalled = False
         self._sync_adjust = 0.0
         self._linger_deadline = 0.0
-        self._degraded = False
-        self._suspended_at = 0.0
-        self._suspend_waiting: Tuple[int, ...] = ()
-        self._backoff = SUSPEND_BACKOFF_INITIAL_S
-        self._liveness_mark = runtime.liveness.mark
+        #: The open wait's owner: ``retry(now)`` → (what to re-send, next
+        #: retry time), ``give_up(now)`` → the termination's name.
+        self._wait = None
 
         #: Outbox: (message, destination) pairs queued during the current
         #: pump.  ``_flush_outbox`` drains it exactly once per pump —
@@ -871,19 +806,19 @@ class SiteEngine:
     def start(self, now: float) -> List[Effect]:
         """Begin the session at ``now`` — by the start handshake, or by
         acquiring the donor's state — and return the first effects."""
-        effects: List[Effect] = []
         if self.recovery.donor_site is None:
             self.phase = PHASE_HANDSHAKE
-            timeout = self.runtime.config.handshake_timeout_s
+            self._wait_on(
+                self.runtime.session,
+                now,
+                now + self.runtime.config.handshake_timeout_s,
+            )
         else:
-            self.phase = PHASE_ACQUIRE
-            timeout = self.REQUEST_TIMEOUT
-        if timeout is not None:
-            self._set(TIMER_TIMEOUT, now + timeout)
+            self.phase = PHASE_RECOVER
+            self._wait_on(self.recovery, now, now + REQUEST_TIMEOUT)
         self._arm_send(now)
         self._set(TIMER_PING, now)
-        self._set(TIMER_RETRY, now)
-        return self._pump(now, effects)
+        return self._pump(now, [])
 
     def handle(self, event: Event) -> List[Effect]:
         """Feed one event; returns the effects it triggered."""
@@ -908,7 +843,8 @@ class SiteEngine:
         ``now`` — one pump however many datagrams arrived."""
         if self.done:
             return []
-        effects: List[Effect] = []
+        liveness = self.runtime.liveness
+        mark = liveness.mark
         for datagram in datagrams:
             metrics = self.runtime.metrics
             metrics.datagrams_received.inc()
@@ -918,8 +854,16 @@ class SiteEngine:
                     datagram.payload, datagram.arrived_at, now
                 )
             )
-            self._on_datagram(now, effects)
-        return self._pump(now, effects)
+        if liveness.mark != mark and self.ladder.level is SUSPENDED:
+            retry_at = self.ladder.heard(now)
+            if retry_at is not None:
+                self._set(TIMER_RETRY, retry_at)
+        return self._pump(now, [])
+
+    @property
+    def joined_at_frame(self) -> Optional[int]:
+        """First frame an acquiring site executed (None until it has)."""
+        return self.recovery.joined_at
 
     def next_deadline(self) -> Optional[float]:
         """Earliest armed timer deadline, or None when the engine is done."""
@@ -1125,8 +1069,6 @@ class SiteEngine:
         elif kind == TIMER_FLUSH:
             self._flush(now, effects)
             self._arm_send(now)
-        elif kind == TIMER_GATE:
-            pass  # _advance re-checks the gate below
         elif kind == TIMER_PING:
             self._outbox.extend(self.runtime.ping_messages(now))
             interval = PING_INTERVAL
@@ -1140,75 +1082,13 @@ class SiteEngine:
                 interval = min(interval, 0.1)
             self._set(TIMER_PING, now + interval)
         elif kind == TIMER_RETRY:
-            self._retry(now)
+            messages, retry_at = self._wait.retry(now)
+            self._outbox.extend(messages)
+            self._set(TIMER_RETRY, retry_at)
         elif kind == TIMER_TIMEOUT:
-            self._give_up(now, effects)
-        # TIMER_LINGER: _advance checks the catch-up / linger deadline.
-
-    def _retry(self, now: float) -> None:
-        """Re-send what the phase is waiting on a peer for, and re-arm."""
-        runtime = self.runtime
-        if self.phase == PHASE_HANDSHAKE:
-            self._outbox.extend(runtime.control_messages(now))
-            self._set(TIMER_RETRY, runtime.session.retry_deadline())
-        elif self.phase == PHASE_SUSPENDED:
-            # Same payloads as the 20 ms pump (control + forced sync
-            # windows), at a backed-off cadence — the peer may come back at
-            # any moment, but a dead peer must not be hammered at frame
-            # rate for the whole deadline.
-            self._outbox.extend(runtime.control_messages(now))
-            if runtime.session.started:
-                self._outbox.extend(runtime.sync_broadcast(force=True, now=now))
-            self._backoff = min(
-                self._backoff * 2.0, runtime.config.suspend_backoff_max_s
-            )
-            self._set(TIMER_RETRY, now + self._jitter(self._backoff))
-        elif self.phase in (PHASE_ACQUIRE, PHASE_RESYNC):
-            # An episode must survive loss: it re-sends every digest not
-            # yet known-agreed (idempotent to fold twice).  A site still
-            # waiting on its snapshot re-requests it.
-            if self.phase == PHASE_RESYNC:
-                self._outbox.extend(self.recovery.digest_messages(unagreed=True))
-            self._outbox.extend(self.recovery.request(now))
-            self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
-
-    def _give_up(self, now: float, effects: List[Effect]) -> None:
-        """The phase's peer never answered: terminate by name."""
-        runtime = self.runtime
-        if self.phase == PHASE_HANDSHAKE:
-            runtime.events.emit(
-                "error", now, runtime.frame, error="handshake timeout"
-            )
-            self._terminate("handshake-timeout", now, effects)
-        elif self.phase == PHASE_ACQUIRE:
-            runtime.events.emit(
-                "error",
-                now,
-                runtime.frame,
-                error=f"no snapshot from donor {self.recovery.donor_site} "
-                f"within {self.REQUEST_TIMEOUT}s",
-            )
-            self._terminate("acquire-timeout", now, effects)
-        elif self.phase == PHASE_SUSPENDED:
-            runtime.events.emit(
-                "peer_lost",
-                now,
-                runtime.frame,
-                waiting_on=list(self._suspend_waiting),
-                suspended_for=now - self._suspended_at,
-            )
-            self._terminate("peer-lost", now, effects)
-        elif self.phase == PHASE_RESYNC:
-            recovery = self.recovery
-            runtime.events.emit(
-                "resync_timeout",
-                now,
-                runtime.frame,
-                anchor=recovery.anchor,
-                waited=now - recovery.started,
-                restored=recovery.restored,
-            )
-            self._terminate("desync", now, effects)
+            self._terminate(self._wait.give_up(now), now, effects)
+        # TIMER_GATE, TIMER_LINGER: _advance re-checks the gate, or the
+        # catch-up / linger deadline.
 
     def _arm_send(self, now: float) -> None:
         """The paper's batching sender: flush every ``send_interval``, with
@@ -1228,7 +1108,7 @@ class SiteEngine:
         # was lost) must continue after this site enters its frame loop —
         # a peer may still be waiting on them.
         self._outbox.extend(self.consistency.flush_tick(now))
-        self._outbox.extend(self.runtime.control_messages(now))
+        self._outbox.extend(self.runtime.session.poll(now))
         if self.runtime.session.started:
             self._outbox.extend(self.runtime.sync_broadcast(now=now))
             self._outbox.extend(self.recovery.digest_messages())
@@ -1238,7 +1118,7 @@ class SiteEngine:
     # ------------------------------------------------------------------
     def _advance(self, now: float, effects: List[Effect]) -> None:
         if self.phase == PHASE_HANDSHAKE:
-            self._outbox.extend(self.runtime.control_messages(now))
+            # The retry tick (or the flush) sent what was due.
             if self.runtime.session.started:
                 self._end_wait()
                 if self.frame_loop_delay > 0:
@@ -1250,30 +1130,19 @@ class SiteEngine:
             # A donor stalled on a crashed peer must still answer that
             # peer's RESUME — the snapshot is what unblocks the gate.
             self._outbox.extend(self.recovery.serve(now))
+            if self.ladder.level is SUSPENDED:
+                if not self.runtime.lockstep.can_deliver():
+                    return
+                # The partition healed (sync traffic resumed) or the
+                # resumed peer's replayed inputs arrived: restore the pumps.
+                self.ladder.recover(now, self._stall_started, effects)
+                self._end_wait()
+                self._unpark(now)
             if self._check_gate(now, effects):
                 self._frame_cycle(now, effects)
-        elif self.phase == PHASE_SUSPENDED:
+        elif self.phase == PHASE_RECOVER:
             self._outbox.extend(self.recovery.serve(now))
-            if self.runtime.lockstep.can_deliver():
-                # The partition healed (sync traffic resumed) or the
-                # resumed peer's replayed inputs arrived: back to the gate.
-                self._exit_suspended(now, effects)
-                if self._check_gate(now, effects):
-                    self._frame_cycle(now, effects)
-        elif self.phase == PHASE_RESYNC:
-            self._outbox.extend(self.recovery.serve(now))
-            took = self.recovery.step(now)
-            if took is not None:
-                # Agreement re-established past every divergence: thaw.
-                self._end_wait()
-                self.runtime.lockstep.forget_master_samples()
-                effects.append(Resumed(self.runtime.frame, took))
-                self._frame_cycle(now, effects)
-        elif self.phase == PHASE_ACQUIRE:
-            snapshot = self.recovery.accept(now)
-            if snapshot is not None:
-                self.recovery.restore(snapshot, now)
-                self.joined_at_frame = self.runtime.frame
+            if self.recovery.step(now, effects):
                 self._end_wait()
                 self._frame_cycle(now, effects)
         elif self.phase == PHASE_CATCHUP:
@@ -1281,24 +1150,6 @@ class SiteEngine:
                 self._enter_linger(now, effects)
         elif self.phase == PHASE_LINGER:
             self._maybe_finish_linger(now, effects)
-
-    def _on_datagram(self, now: float, effects: List[Effect]) -> None:
-        """Hook: called after each datagram is absorbed (before the pump).
-
-        The base behaviour restores the suspended-phase retransmission
-        cadence: hearing *anything* authenticated from a peer means the
-        path is back, so the next probe should go out promptly instead of
-        waiting out a maxed-out backoff.
-        """
-        liveness = self.runtime.liveness
-        if (
-            self.phase == PHASE_SUSPENDED
-            and liveness.mark != self._liveness_mark
-            and self._backoff > SUSPEND_BACKOFF_INITIAL_S
-        ):
-            self._backoff = SUSPEND_BACKOFF_INITIAL_S
-            self._set(TIMER_RETRY, now + self._jitter(self._backoff))
-        self._liveness_mark = liveness.mark
 
     def _frame_cycle(
         self, now: float, effects: List[Effect], late: float = 0.0
@@ -1321,21 +1172,12 @@ class SiteEngine:
                         self.time_server_address,
                     )
                 )
-            self._sample_input(now)
+            runtime.get_and_buffer_input(now, self._sampled.pop(runtime.frame, None))
             self._stall_started = now
             self._stalled = False
             self.phase = PHASE_GATE
             if not self._check_gate(now, effects):
                 return
-
-    def _sample_input(self, now: float) -> None:
-        """GetInput: a pushed ``InputSampled`` word wins over the source."""
-        bits = self._sampled.pop(self.runtime.frame, None)
-        if bits is None:
-            self.runtime.get_and_buffer_input(now)
-        else:
-            self.runtime.lockstep.buffer_local_input(self.runtime.frame, bits)
-            self.runtime.note_capture(now)
 
     def _check_gate(self, now: float, effects: List[Effect]) -> bool:
         """SyncInput's blocking check (lines 6–21).  True: the frame
@@ -1349,33 +1191,19 @@ class SiteEngine:
                 effects.append(Stall(self.runtime.frame, waiting))
                 if 0 in waiting and self.runtime.site_no:
                     lockstep.master_is_late()
-            config = self.runtime.config
-            stalled_for = now - self._stall_started
-            if (
-                not self._degraded
-                and config.soft_stall_s is not None
-                and stalled_for >= config.soft_stall_s
-            ):
-                self._enter_degraded(now, stalled_for, effects)
-            if (
-                config.hard_stall_s is not None
-                and stalled_for >= config.hard_stall_s
-                and self.phase == PHASE_GATE
-            ):
-                self._enter_suspended(now, effects)
-                return False
-            self._set(TIMER_GATE, now + self.SYNC_POLL)
+            retry_at = self.ladder.climb(now, self._stall_started, effects)
+            if retry_at is None:
+                self._set(TIMER_GATE, now + self.SYNC_POLL)
+            else:
+                # Suspended: park the frame-rate pumps, probe with backoff.
+                for kind in (TIMER_GATE, TIMER_FLUSH, TIMER_PING):
+                    self._clear(kind)
+                deadline = now + self.runtime.config.resume_deadline_s
+                self._wait_on(self.ladder, retry_at, deadline)
             return False
         self._clear(TIMER_GATE)
-        if self._degraded:
-            self._degraded = False
-            self.runtime.events.emit(
-                "resumed",
-                now,
-                self.runtime.frame,
-                **{"from": "degraded", "stalled_for": now - self._stall_started},
-            )
-            effects.append(Resumed(self.runtime.frame, 0.0))
+        if self.ladder.level:
+            self.ladder.recover(now, self._stall_started, effects)
         self.runtime.on_gate_open(now)
         return self._commit_frame(now, effects, merged, now - self._stall_started)
 
@@ -1391,7 +1219,8 @@ class SiteEngine:
         self.consistency.commit(merged, stall, self._sync_adjust, done)
         effects.append(Present(frame, merged))
         self._outbox.extend(self.recovery.serve(now, joins=True))
-        deadline = self.runtime.end_frame_deadline(done)
+        # EndFrameTiming as an absolute deadline (None: begin at once).
+        deadline = self.runtime.pacer.end_frame_deadline(done)
         if self._frames_done():
             self._enter_linger(now, effects)
             return False
@@ -1404,12 +1233,8 @@ class SiteEngine:
         return False
 
     # ------------------------------------------------------------------
-    # Failure domain: degraded / suspended / resume / termination
+    # Waits on a peer, desync recovery and termination
     # ------------------------------------------------------------------
-    def _jitter(self, delay: float) -> float:
-        """±25% jitter so two suspended sites don't probe in phase."""
-        return delay * self._rng.uniform(0.75, 1.25)
-
     def _terminate(
         self, reason: str, now: float, effects: List[Effect]
     ) -> None:
@@ -1420,93 +1245,41 @@ class SiteEngine:
         self.done = True
         effects.append(Finished(self.runtime.frame))
 
-    def _enter_degraded(
-        self, now: float, stalled_for: float, effects: List[Effect]
-    ) -> None:
-        runtime = self.runtime
-        waiting = tuple(runtime.lockstep.waiting_on())
-        self._degraded = True
-        runtime.metrics.degraded_episodes.inc()
-        runtime.events.emit(
-            "degraded",
-            now,
-            runtime.frame,
-            waiting_on=list(waiting),
-            unresponsive=runtime.liveness.unresponsive(waiting, now),
-            stalled_for=stalled_for,
-        )
-        effects.append(Degraded(runtime.frame, waiting, stalled_for))
+    def _wait_on(self, owner, retry_at: float, give_up_at: float) -> None:
+        """Open a wait on a peer: ``owner`` re-sends from ``retry_at`` on
+        and names the ending if ``give_up_at`` comes first."""
+        self._wait = owner
+        self._set(TIMER_RETRY, retry_at)
+        self._set(TIMER_TIMEOUT, give_up_at)
 
-    def _enter_suspended(self, now: float, effects: List[Effect]) -> None:
-        """Hard stall: stop the frame-rate pumps, probe with backoff."""
-        runtime = self.runtime
-        self._suspend_waiting = tuple(runtime.lockstep.waiting_on())
-        self._suspended_at = now
-        self.phase = PHASE_SUSPENDED
-        for kind in (TIMER_GATE, TIMER_FLUSH, TIMER_PING):
-            self._clear(kind)
-        self._backoff = SUSPEND_BACKOFF_INITIAL_S
-        self._liveness_mark = runtime.liveness.mark
-        self._set(TIMER_RETRY, now + self._jitter(self._backoff))
-        self._set(TIMER_TIMEOUT, now + runtime.config.resume_deadline_s)
-        runtime.events.emit(
-            "suspended",
-            now,
-            runtime.frame,
-            waiting_on=list(self._suspend_waiting),
-            unresponsive=runtime.liveness.unresponsive(self._suspend_waiting, now),
-            stalled_for=now - self._stall_started,
-        )
-        effects.append(
-            PeerLost(
-                runtime.frame,
-                self._suspend_waiting,
-                runtime.config.resume_deadline_s,
-            )
-        )
+    def _end_wait(self) -> None:
+        """A wait on a peer is over: disarm its retry tick and timeout."""
+        self._wait = None
+        self._clear(TIMER_RETRY)
+        self._clear(TIMER_TIMEOUT)
 
-    def _exit_suspended(self, now: float, effects: List[Effect]) -> None:
-        """The peer is back (heal or resume): restore the normal pumps."""
-        runtime = self.runtime
-        suspended_for = now - self._suspended_at
-        runtime.metrics.suspended_seconds.inc(suspended_for)
-        runtime.metrics.resumes.inc()
-        self._end_wait()
-        self.phase = PHASE_GATE
-        self._degraded = False
-        runtime.lockstep.forget_master_samples()
+    def _unpark(self, now: float) -> None:
+        """Re-arm the frame-rate pumps a suspension parked."""
         self._arm_send(now)
         self._set(TIMER_PING, now + PING_INTERVAL)
-        runtime.events.emit(
-            "resumed",
-            now,
-            runtime.frame,
-            **{"from": PHASE_SUSPENDED, "suspended_for": suspended_for},
-        )
-        effects.append(Resumed(runtime.frame, suspended_for))
 
-    # ------------------------------------------------------------------
-    # Desync recovery: detect → freeze → resync → escalate.
-    # The episode itself is the recovery part's; the engine freezes the
-    # loop, holds the wait's two timers and thaws it (``_advance``).
-    # ------------------------------------------------------------------
     def _check_divergence(self, now: float, effects: List[Effect]) -> None:
         """Drain proven divergences; freeze the loop in a resync episode
         when one can open.
 
         The authority (restored at once) and a slave (restored when the
-        authority's snapshot arrives) both stay in ``PHASE_RESYNC``,
+        authority's snapshot arrives) both stay in ``PHASE_RECOVER``,
         re-sending unagreed digests, until agreement has been
         re-established past every known divergence — so a successful
         episode ends with *proof* of identity, not just a transfer.
         """
         phase = self.phase
-        if phase in (PHASE_IDLE, PHASE_HANDSHAKE, PHASE_ACQUIRE):
+        if phase in (PHASE_IDLE, PHASE_HANDSHAKE) or not self.runtime.lockstep.seated:
             return  # keep them pending until the loop runs
         divergences = self.recovery.divergences
         divergence = divergences[0]
         divergences.clear()
-        if phase not in (PHASE_GATE, PHASE_FRAME_WAIT, PHASE_SUSPENDED):
+        if phase not in (PHASE_GATE, PHASE_FRAME_WAIT):
             # In an open episode the tracker raised ``max_divergent`` as it
             # proved these, so the exit threshold already covers them; once
             # every frame has executed, the post-session verifier reports
@@ -1518,21 +1291,19 @@ class SiteEngine:
             return
         self._clear(TIMER_GATE)
         self._clear(TIMER_FRAME)
-        if phase == PHASE_SUSPENDED:
-            # Suspension parked the frame-rate pumps; the episode needs
-            # them back (digests and the snapshot ride the normal flush).
-            self._arm_send(now)
-            self._set(TIMER_PING, now + PING_INTERVAL)
-        self.phase = PHASE_RESYNC
-        # Re-arms a suspension's two timers for the episode's wait.
-        self._set(TIMER_RETRY, now + self.REQUEST_INTERVAL)
-        self._set(TIMER_TIMEOUT, now + self.runtime.config.resync_deadline_s)
+        if self.ladder.level is SUSPENDED:
+            # The episode ends the suspension without a ``resumed`` record
+            # (the degraded episode stays open) and needs the parked pumps
+            # back: digests and the snapshot ride the normal flush.
+            self.ladder.level = DEGRADED
+            self._unpark(now)
+        self.phase = PHASE_RECOVER
+        self._wait_on(
+            self.recovery,
+            now + REQUEST_INTERVAL,
+            now + self.runtime.config.resync_deadline_s,
+        )
         self._outbox.extend(request)
-
-    def _end_wait(self) -> None:
-        """A wait on a peer is over: disarm its retry tick and timeout."""
-        self._clear(TIMER_RETRY)
-        self._clear(TIMER_TIMEOUT)
 
     def _frames_done(self) -> bool:
         return self.runtime.frame >= self.max_frames

@@ -12,11 +12,10 @@ CRC-check, restore:
 :class:`Recovery` registers the exchange's four message types in the
 runtime's dispatch table (STATE_REQUEST, RESUME, STATE_DIGEST,
 STATE_SNAPSHOT), validates each at receipt and parks a request until the
-engine reaches a serve point.  The engine keeps its phase machine
-(``acquire`` and ``resync`` are phases) and calls the part:
-:meth:`request` on a wait's retry tick, :meth:`serve` where a snapshot
-may be served, :meth:`accept` and :meth:`restore` while waiting for one,
-:meth:`open_episode` and :meth:`step` around a resync episode.
+engine reaches a serve point.  It owns the engine's ``recover`` phase,
+an acquire or a resync episode (``anchor`` ≥ 0): :meth:`step` on every
+pump, :meth:`retry` and :meth:`give_up` on its timers.  The engine also
+calls :meth:`serve` at serve points and :meth:`open_episode`.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import zlib
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.liveness import Resumed
 from repro.core.messages import (
     FEATURE_DIGEST,
     Message,
@@ -40,6 +40,14 @@ JOIN, RESUME, RESYNC = "join", "resume", "resync"
 
 Replies = List[Tuple[Message, str]]
 
+#: Retry period of the recover wait: the state request (acquire), unagreed
+#: digests and the snapshot re-request (resync) go out at this cadence
+#: until answered or timed out.
+REQUEST_INTERVAL = 0.1
+#: An acquiring site gives up (``acquire-timeout``) after this long
+#: without a snapshot.
+REQUEST_TIMEOUT = 30.0
+
 
 class Recovery:
     """One site's state transfer: the serve, the acquire (late join or
@@ -54,6 +62,8 @@ class Recovery:
         #: STATE_REQUEST).  Set by :meth:`attach`.
         self.donor_site: Optional[int] = None
         self.last_acked_frame: Optional[int] = None
+        #: First frame an acquiring site executed (None until it has).
+        self.joined_at: Optional[int] = None
         #: Set on a late-join donor: it answers STATE_REQUESTs.
         self.donor = False
         #: Harness hook fired when this site first snapshots for a
@@ -295,10 +305,12 @@ class Recovery:
         advance while blocked on the requester).  A resync serves the
         copy retained when the anchor executed, and opens no episode
         here: the lockstep gate stalls this site while the requester is
-        frozen.
+        frozen.  An acquiring site has nothing to serve until it joins.
         """
         runtime = self.runtime
         out: Replies = []
+        if not runtime.lockstep.seated:
+            return out
         for kind in (JOIN, RESUME, RESYNC) if joins else (RESUME, RESYNC):
             if kind not in self.requests:
                 continue
@@ -468,7 +480,7 @@ class Recovery:
             for frame in range(first, snapshot.frame + 1):
                 lockstep.buffer_local_input(frame, runtime.source.get(frame))
             runtime.metrics.resumes.inc()
-        runtime.frame = snapshot.frame + 1
+        runtime.frame = self.joined_at = snapshot.frame + 1
         runtime.trace.first_frame = runtime.frame
         # The site never ran the start handshake; it is live now (and must
         # stop offering HELLO to the master).
@@ -536,23 +548,26 @@ class Recovery:
     def caught_up(self) -> bool:
         return self.runtime.frame >= self.frozen and self.digests.agreement_caught_up()
 
-    def step(self, now: float) -> Optional[float]:
-        """One pump of the open episode: restore once a snapshot is
-        accepted, replay toward the frozen frame, and close once agreement
-        is re-established past every divergence — returning how long the
-        episode took (None: still open).
+    def step(self, now: float, effects: list) -> bool:
+        """One pump of the recover phase; True when the frame loop may run.
 
-        The exit check runs *before* the restore: when the peer was the
-        divergent party, this (clean) site closes without restoring."""
-        if not self.caught_up():
+        Both waits restore the first accepted snapshot, which ends an
+        acquire.  An episode then replays toward the frozen frame and
+        closes (with a ``Resumed`` effect) once agreement is re-established
+        past every divergence — checked *before* the restore, so a clean
+        site whose peer diverged closes without restoring."""
+        episode = self.anchor >= 0
+        if not (episode and self.caught_up()):
             if not self.restored:
                 snapshot = self.accept(now)
                 if snapshot is None:
-                    return None
+                    return False
                 self.restore(snapshot, now)
+            if not episode:
+                return True
             self.consistency.resync_progress(now)
             if not self.caught_up():
-                return None
+                return False
         self.consistency.finish_resync(now)
         runtime = self.runtime
         took = now - self.started
@@ -562,4 +577,35 @@ class Recovery:
             "resync_done", now, runtime.frame, anchor=self.anchor, took=took
         )
         self.anchor = -1
-        return took
+        runtime.lockstep.forget_master_samples()
+        effects.append(Resumed(runtime.frame, took))
+        return True
+
+    def retry(self, now: float) -> Tuple[Replies, float]:
+        """Every digest not yet known-agreed (idempotent to fold twice; none
+        before the loop has run), then the snapshot request if still owed."""
+        out = self.digest_messages(unagreed=True)
+        out.extend(self.request(now))
+        return out, now + REQUEST_INTERVAL
+
+    def give_up(self, now: float) -> str:
+        """The server never answered: record why and name the ending."""
+        runtime = self.runtime
+        if self.anchor < 0:
+            runtime.events.emit(
+                "error",
+                now,
+                runtime.frame,
+                error=f"no snapshot from donor {self.donor_site} "
+                f"within {REQUEST_TIMEOUT}s",
+            )
+            return "acquire-timeout"
+        runtime.events.emit(
+            "resync_timeout",
+            now,
+            runtime.frame,
+            anchor=self.anchor,
+            waited=now - self.started,
+            restored=self.restored,
+        )
+        return "desync"

@@ -28,7 +28,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import SyncConfig
 from repro.core.messages import (
@@ -129,7 +129,8 @@ class SessionControl:
 
     The driver calls :meth:`poll` periodically to obtain messages to send
     (handling retransmission), feeds received messages to
-    :meth:`on_message`, and starts the frame loop once :attr:`started`.
+    :meth:`on_message`, and starts the frame loop once :attr:`started`;
+    until then it owns the engine's wait (:meth:`retry`, :meth:`give_up`).
     """
 
     #: Handshake retransmission period (seconds).
@@ -146,11 +147,13 @@ class SessionControl:
         session_id: int,
         peer_addresses: Dict[int, str],
         expected_sites: Optional[List[int]] = None,
+        trace: Optional[Callable[..., None]] = None,
     ) -> None:
         """``expected_sites`` limits the start handshake to a subset of the
         assignment — late joiners are part of the input assignment but not of
-        the initial handshake."""
+        the initial handshake.  ``trace(kind, now, **detail)`` records."""
         self.config = config
+        self.trace = trace if trace is not None else lambda kind, now, **detail: None
         self.site_no = site_no
         self.num_sites = num_sites
         self.game_id = game_id
@@ -195,14 +198,6 @@ class SessionControl:
         return all(self._start_acked.values())
 
     # ------------------------------------------------------------------
-    def retry_deadline(self) -> float:
-        """When :meth:`poll` will next transmit — the engine's RETRY timer.
-
-        ``poll`` calls earlier than this return nothing, so a driver gains
-        nothing by polling sooner.
-        """
-        return self._next_retry
-
     def poll(self, now: float) -> List[Tuple[Message, str]]:
         """Messages (with destinations) due for (re)transmission."""
         if now < self._next_retry:
@@ -233,7 +228,18 @@ class SessionControl:
                     features=self.config.features,
                 )
                 out.append((hello, self.peer_addresses[0]))
+        for message, destination in out:
+            self.trace("tx", now, msg=type(message).__name__, dest=destination)
         return out
+
+    def retry(self, now: float) -> Tuple[List[Tuple[Message, str]], float]:
+        """HELLO (joiners) or START (the master) re-sent, and when
+        :meth:`poll` will next transmit (earlier calls return nothing)."""
+        return self.poll(now), self._next_retry
+
+    def give_up(self, now: float) -> str:
+        self.trace("error", now, error="handshake timeout")
+        return "handshake-timeout"
 
     def mark_live(self, now: float) -> None:
         """Skip the start handshake entirely (late join / resume).

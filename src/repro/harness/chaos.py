@@ -64,7 +64,6 @@ def chaos_config(**overrides: object) -> SyncConfig:
         soft_stall_s=0.25,
         hard_stall_s=1.0,
         resume_deadline_s=5.0,
-        liveness_timeout_s=0.5,
         suspend_backoff_max_s=0.4,
         timeline=True,
     )

@@ -91,7 +91,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "suspended_seconds": (
         "counter",
         True,
-        "Total time spent in PHASE_SUSPENDED (lockstep.suspended_s)",
+        "Total time the gate spent suspended (lockstep.suspended_s)",
     ),
     "resumes": (
         "counter",

@@ -11,6 +11,9 @@ specific facts each scenario is about.
 
 import pytest
 
+from repro.core.inputs import PadSource, RandomSource
+from repro.core.multisite import build_session, two_player_plan
+from repro.emulator.machine import create_game
 from repro.harness.chaos import (
     abandonment_schedule,
     chaos_config,
@@ -19,6 +22,7 @@ from repro.harness.chaos import (
     run_chaos,
 )
 from repro.net.faults import Crash, FaultSchedule, OneWayLinkDown, Partition
+from repro.net.netem import NetemConfig
 
 
 class TestPartitionHeal:
@@ -133,6 +137,42 @@ class TestAbandonment:
         bound = 2.0 + config.hard_stall_s + config.resume_deadline_s + 1.0
         assert lost[-1]["t"] <= bound
         assert 1 in lost[-1]["waiting_on"]
+
+
+class TestSlowPeer:
+    def test_a_peer_still_talking_climbs_the_ladder(self):
+        """The ladder runs on gate-stall time alone: a peer whose one frame
+        computes for 1.6 s keeps flushing (acks, pongs) and still degrades
+        and suspends the other site — whose records name no silent peer."""
+        plan = two_player_plan(
+            chaos_config(timeline=False),
+            machine_factory=lambda: create_game("counter"),
+            sources=[PadSource(RandomSource(7 + s), s) for s in (0, 1)],
+            game_id="counter",
+            max_frames=300,
+            seed=7,
+        )
+        session = build_session(plan, NetemConfig.for_rtt(0.040))
+        slow = session.vms[1].engine
+
+        def compute_for(seconds):
+            slow.frame_compute_time = seconds
+
+        session.loop.call_at(2.0, lambda: compute_for(1.6))
+        session.loop.call_at(2.05, lambda: compute_for(0.0))
+        session.run()
+        events = list(session.vms[0].runtime.events)
+        heard = [
+            r for r in events
+            if r.kind == "rx" and r.detail["peer"] == 1 and 2.0 <= r.time < 4.0
+        ]
+        assert len(heard) == 46
+        for kind, at in (("degraded", 2.368), ("suspended", 3.117)):
+            (record,) = [r for r in events if r.kind == kind]
+            assert record.time == pytest.approx(at, abs=5e-4)
+            assert record.detail["waiting_on"] == [1]
+            assert record.detail["unresponsive"] == []
+        assert session.vms[0].engine.termination == "completed"
 
 
 class TestScriptedSchedules:

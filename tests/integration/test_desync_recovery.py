@@ -13,7 +13,7 @@ import zlib
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.engine import PHASE_RESYNC, SiteEngine
+from repro.core.engine import PHASE_RECOVER, SiteEngine
 from repro.core.messages import Resume, StateSnapshot
 from repro.harness.chaos import (
     divergence_schedule,
@@ -214,9 +214,9 @@ class TestResyncTransferIntegrity:
         poke(engines[1])
         for __ in range(200):
             mesh.run_until(mesh.now + 0.05)
-            if engines[1].phase == PHASE_RESYNC:
+            if engines[1].phase == PHASE_RECOVER:
                 break
-        assert engines[1].phase == PHASE_RESYNC
+        assert engines[1].phase == PHASE_RECOVER
 
         # Hand the slave a tampered copy of the authority's snapshot: the
         # CRC trailer is the *original* state's, the body has one flipped
@@ -241,7 +241,7 @@ class TestResyncTransferIntegrity:
         crc_rejections = records(engines[1], "state_crc_error")
         assert crc_rejections, "tampered snapshot must be rejected"
         assert engines[1].runtime.metrics.state_crc_errors.value >= 1
-        assert engines[1].phase == PHASE_RESYNC  # still waiting, not loaded
+        assert engines[1].phase == PHASE_RECOVER  # still waiting, not loaded
         # Rejection is not terminal: the resync tick kept re-requesting...
         assert len(records(engines[1], "resync_request")) >= 2
 

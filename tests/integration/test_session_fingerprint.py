@@ -27,7 +27,10 @@ added with its other four components captured at that change's parent
 (its joiner's ring gains the first request's ``retry`` record).  Then a
 SYNC carried one ack instead of the ack vector and its window length in
 the head byte, and a time-server report only its frame (wire v4): again
-only the byte counts in ``transport`` and ``counters`` moved.  A
+only the byte counts in ``transport`` and ``counters`` moved.  Then the
+``acquire`` and ``resync`` phases became one ``recover`` phase: only
+``adaptive_pong_with_poke``'s ``events`` moved, by its four ``phase``
+rows (two per site) that read ``recover`` where they read ``resync``.  A
 change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
 the components it meant to move, and says so in CHANGES.md.  CI runs this
@@ -169,7 +172,7 @@ PINNED = {
     },
     adaptive_pong_with_poke: {
         "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
-        "events": "f1c12123d95a70764d30382b477350c5b1ef5de8d1224c41b5c2423b6aa37133",
+        "events": "1e60bff1ecda239952a6bf1983aa8b60770d38d6ce9e1cbe020520566f9f89ae",
         "transport": "ff349093cdb5801c5f8049b2407aec95f16377a04aa60536545ee0989623d307",
         "counters": "d5e53644eb536c75c5ce2e9264d9a6e048962b2c4a04f643ea0cd49fe5add220",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",

@@ -1,19 +1,24 @@
 """Size ratchet for the protocol core.
 
-The engine and the ``src/repro/core`` package may not grow silently.  The
-bounds below are the line counts the code last landed at; a change that
-needs more lines raises the bound in the same diff and says why in its
-change notes, and a change that shrinks the code lowers it.
+The engine and the ``src/repro/core`` package may not grow silently, and
+neither may the engine's phase machine.  The bounds below are the line
+counts the code last landed at, and the phases and timer kinds it has; a
+change that needs more raises the bound in the same diff and says why in
+its change notes, and a change that shrinks the code lowers it.
 """
 
+import ast
 from pathlib import Path
 
 CORE = Path(__file__).resolve().parents[2] / "src" / "repro" / "core"
 
 #: ``src/repro/core/engine.py``, in lines.
-ENGINE_MAX_LINES = 1559
+ENGINE_MAX_LINES = 1330
 #: Every ``.py`` file under ``src/repro/core``, in lines.
-CORE_MAX_LINES = 7928
+CORE_MAX_LINES = 7877
+#: The engine's ``PHASE_*`` and ``TIMER_*`` constants.
+ENGINE_PHASES = 8
+ENGINE_TIMER_KINDS = 7
 
 
 def count_lines(path: Path) -> int:
@@ -32,3 +37,25 @@ def test_core_within_its_bound():
     assert lines <= CORE_MAX_LINES, (
         f"src/repro/core is {lines} lines, over its bound of {CORE_MAX_LINES}"
     )
+
+
+def engine_constants(prefix: str) -> list:
+    """Module-level names in ``engine.py`` that start with ``prefix``."""
+    tree = ast.parse((CORE / "engine.py").read_text(encoding="utf-8"))
+    return [
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith(prefix)
+    ]
+
+
+def test_phase_count_is_pinned():
+    phases = engine_constants("PHASE_")
+    assert len(phases) == ENGINE_PHASES, phases
+
+
+def test_timer_kind_count_is_pinned():
+    kinds = engine_constants("TIMER_")
+    assert len(kinds) == ENGINE_TIMER_KINDS, kinds

@@ -65,7 +65,7 @@ class TestFieldCount:
     nothing sets to a second value is a constant next to its reader."""
 
     def test_field_count(self):
-        assert len(dataclasses.fields(SyncConfig)) == 16
+        assert len(dataclasses.fields(SyncConfig)) == 15
 
     @pytest.mark.parametrize(
         "removed",
@@ -89,6 +89,7 @@ class TestFieldCount:
             "suspend_backoff_initial_s",
             "resync_max_attempts",
             "resync_window_s",
+            "liveness_timeout_s",
         ],
     )
     def test_removed_knobs_stay_removed(self, removed):

@@ -805,7 +805,7 @@ class TestFrameTimerLateness:
             assert min(from_timer) >= 0.0 and max(from_timer) >= LateMesh.LATE
             others = [(phase, late) for phase, late in begins[site] if phase != "frame-wait"]
             assert {late for phase, late in others} == {0.0}
-            assert "resync" in {phase for phase, late in others}
+            assert "recover" in {phase for phase, late in others}
         # The delayed master's very first frame: its timer's lateness only.
         assert begins[0][0] == ("frame-wait", fired[0][0]) and fired[0][0] > 0.0
         assert begins[1][0] == ("handshake", 0.0)

@@ -12,14 +12,15 @@ import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
-    PHASE_SUSPENDED,
     Degraded,
     Finished,
     PeerLost,
     Resumed,
     SiteEngine,
 )
+from repro.core.liveness import SUSPENDED
 from repro.core.messages import Resume
+from repro.core.recovery import REQUEST_INTERVAL, REQUEST_TIMEOUT
 
 from tests.unit.test_engine import EngineMesh, build_engines
 
@@ -31,7 +32,6 @@ def liveness_config(**overrides):
         soft_stall_s=0.25,
         hard_stall_s=1.0,
         resume_deadline_s=2.0,
-        liveness_timeout_s=0.5,
         suspend_backoff_max_s=0.4,
     )
     base.update(overrides)
@@ -69,11 +69,13 @@ class TestStallEscalation:
             # Escalation happened and was both traced and effect-reported.
             assert effects_of(mesh, address, Degraded)
             assert effects_of(mesh, address, PeerLost)
-            assert records(engine, "degraded")
-            assert records(engine, "suspended")
+            # Both records name the peer not heard since the gate blocked.
+            for kind in ("degraded", "suspended"):
+                (record,) = records(engine, kind)
+                assert record.detail["unresponsive"] == [1 - site]
             resumed = [
                 r for r in records(engine, "resumed")
-                if r.detail.get("from") == PHASE_SUSPENDED
+                if r.detail.get("from") == SUSPENDED
             ]
             assert resumed, "suspension must end in a resumed record"
             metrics = engine.runtime.metrics
@@ -208,7 +210,7 @@ def silent_donor_acquire(last_acked_frame):
     )
     effects = engine.start(0.0)
     now = 0.0
-    while not engine.done and now <= engine.REQUEST_TIMEOUT + 1.0:
+    while not engine.done and now <= REQUEST_TIMEOUT + 1.0:
         now = engine.next_deadline()
         effects = engine.poll(now)
     return engine, effects, now
@@ -224,7 +226,7 @@ class TestAcquireTimeout:
         assert engine.done
         assert engine.termination == "acquire-timeout"
         assert any(isinstance(effect, Finished) for effect in effects)
-        assert now == engine.REQUEST_TIMEOUT
+        assert now == REQUEST_TIMEOUT
         assert engine.next_deadline() is None
         assert records(engine, "error")
         assert engine.runtime.frame == 0  # it never entered the frame loop
@@ -240,12 +242,12 @@ class TestAcquireTimeout:
             if r.detail["timer"] in ("retry", "timeout")
         ]
         retries = [time for time, kind in waits if kind == "retry"]
-        assert waits[-1] == (engine.REQUEST_TIMEOUT, "timeout")
+        assert waits[-1] == (REQUEST_TIMEOUT, "timeout")
         assert [kind for __, kind in waits[:-1]] == ["retry"] * len(retries)
         assert len(retries) >= 10
         gaps = [b - a for a, b in zip(retries, retries[1:])]
-        assert gaps == pytest.approx([engine.REQUEST_INTERVAL] * len(gaps))
-        assert 0.0 < engine.REQUEST_TIMEOUT - retries[-1] <= engine.REQUEST_INTERVAL
+        assert gaps == pytest.approx([REQUEST_INTERVAL] * len(gaps))
+        assert 0.0 < REQUEST_TIMEOUT - retries[-1] <= REQUEST_INTERVAL
 
 
 class TestResumeAuthentication:
