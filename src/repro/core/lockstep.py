@@ -133,10 +133,14 @@ class LockstepSync:
         #: buffered frame appends one cell; every outbound SYNC window is a
         #: contiguous slice, so per-tick serialization is a bytearray slice
         #: instead of re-packing the whole unacked range (ISSUE-7 tentpole).
-        #: ``_enc_base`` is the frame of cell 0; ``None`` until first append.
+        #: ``_enc_base`` is the frame of cell 0, and the cells run through
+        #: our ``last_rcv_frame``.  Invariant: the base never exceeds the
+        #: first own frame a peer has not acked — :meth:`_seat` restarts the
+        #: cache there and :meth:`_trim_encode_cache` cuts only below the
+        #: prune floor — so every SYNC window is a slice of the cache.
         self._cell_mask = assignment.mask(site_no)
         self._cell_width = cell_width(self._cell_mask)
-        self._enc_base: Optional[int] = None
+        self._enc_base = initial + 1
         self._enc_cells = bytearray()
         #: Desync recovery (FEATURE_DIGEST): pruning never passes this
         #: frame, so a resync restore at the last digest-agreed frame can
@@ -236,21 +240,13 @@ class LockstepSync:
         # pad state, then place this input.  The encode cache appends one
         # cell per slot in lockstep with the buffer, so it stays contiguous
         # from ``_enc_base`` through our ``last_rcv_frame``.
-        width = self._cell_width
-        if width and self._enc_base is None:
-            self._enc_base = next_slot
         if target > next_slot:
-            pad_cell = compact_bits(self._last_local_bits, self._cell_mask).to_bytes(
-                width, "little"
-            )
+            pad_cell = self._cell(self._last_local_bits)
             for slot in range(next_slot, target):
                 self.ibuf.put(slot, self.site_no, self._last_local_bits)
                 self._enc_cells += pad_cell
         self.ibuf.put(target, self.site_no, restricted)
-        if width:
-            self._enc_cells += compact_bits(restricted, self._cell_mask).to_bytes(
-                width, "little"
-            )
+        self._enc_cells += self._cell(restricted)
         self._last_local_bits = restricted
         self.last_rcv_frame[self.site_no] = target
         self.stats.local_inputs_buffered += 1
@@ -280,27 +276,16 @@ class LockstepSync:
 
         if has_inputs:
             last = min(last, first + MAX_INPUTS_PER_MESSAGE - 1)
-            packed = self._packed_window(first, last)
-            if packed is not None:
-                message = Sync.from_packed(
-                    self.site_no,
-                    self.session_id,
-                    ack,
-                    first,
-                    packed,
-                    last - first + 1,
-                    self._cell_mask,
-                    implied=True,
-                )
-            else:
-                # Window predates the cache (snapshot reseed): pack directly.
-                message = Sync(
-                    sender_site=self.site_no,
-                    session_id=self.session_id,
-                    ack=ack,
-                    first_frame=first,
-                    inputs=self.ibuf.range_for(self.site_no, first, last),
-                )
+            message = Sync.from_packed(
+                self.site_no,
+                self.session_id,
+                ack,
+                first,
+                self._packed_window(first, last),
+                last - first + 1,
+                self._cell_mask,
+                implied=True,
+            )
         else:
             message = Sync(
                 sender_site=self.site_no,
@@ -331,20 +316,26 @@ class LockstepSync:
         last = self.last_rcv_frame[self.site_no]
         return (first, last)
 
-    def _packed_window(self, first: int, last: int) -> Optional[bytes]:
-        """Cells for frames ``first..last`` as one cache slice, or None.
+    def _packed_window(self, first: int, last: int) -> bytes:
+        """Cells for frames ``first..last`` as one cache slice.
 
         Returns a copy (not a memoryview): the caller may hold the message
         across further :meth:`buffer_local_input` appends, and a live view
-        would pin the bytearray against resizing.
+        would pin the bytearray against resizing.  A window outside the
+        cache breaks the encode-cache invariant and raises.
         """
         base, width = self._enc_base, self._cell_width
-        if base is None or width == 0 or first < base:
-            return None
-        end = (last - base + 1) * width
-        if end > len(self._enc_cells):
-            return None
-        return bytes(self._enc_cells[(first - base) * width : end])
+        start, end = (first - base) * width, (last - base + 1) * width
+        if start < 0 or end > len(self._enc_cells):
+            raise RuntimeError(
+                f"site {self.site_no}: SYNC window {first}..{last} outside "
+                f"the encode cache {base}..{base + len(self._enc_cells) // width - 1}"
+            )
+        return bytes(self._enc_cells[start:end])
+
+    def _cell(self, bits: int) -> bytes:
+        """One encode-cache cell: ``bits`` compacted against ``my_mask``."""
+        return compact_bits(bits, self._cell_mask).to_bytes(self._cell_width, "little")
 
     def _record_send(self, peer: int, message: Sync) -> None:
         self.stats.sync_messages_sent += 1
@@ -483,17 +474,12 @@ class LockstepSync:
         rather than per ack advance.
         """
         base, width = self._enc_base, self._cell_width
-        if base is None or floor <= base:
+        if floor <= base or not width:
             return
         cut = min(floor - base, len(self._enc_cells) // width)
         if cut * width >= 4096:
             del self._enc_cells[: cut * width]
             self._enc_base = base + cut
-
-    def _reset_encode_cache(self) -> None:
-        """Invalidate the cache (snapshot seed/resume moves the window)."""
-        self._enc_base = None
-        self._enc_cells.clear()
 
     # ------------------------------------------------------------------
     # Algorithm 2, lines 21–23: delivery
@@ -653,7 +639,6 @@ class LockstepSync:
         self.seated = True
         self.ibuf_pointer = snapshot_frame + 1
         self.ibuf.prune_below(snapshot_frame + 1)
-        self._reset_encode_cache()
         self.forget_master_samples()
         self.last_rcv_frame[self.site_no] = max(
             self.last_rcv_frame[self.site_no], own_history
@@ -666,6 +651,18 @@ class LockstepSync:
                 self.last_ack_frame[site] = max(
                     self.last_ack_frame[site], own_history
                 )
+        # Restart the encode cache at the first own frame a peer has not
+        # acked (never past our next slot), re-encoding what is buffered
+        # from there: no window reaches below it.
+        own = self.last_rcv_frame[self.site_no]
+        acked = min(
+            (self.last_ack_frame[s] for s in range(self.num_sites) if s != self.site_no),
+            default=own,
+        )
+        self._enc_base = min(max(acked + 1, self.ibuf.floor), own + 1)
+        self._enc_cells = bytearray().join(
+            map(self._cell, self.ibuf.range_for(self.site_no, self._enc_base, own))
+        )
         for site, inputs in enumerate(backlog or ()):
             if site == self.site_no or site >= self.num_sites:
                 continue

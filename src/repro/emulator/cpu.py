@@ -25,11 +25,10 @@ Two interpreters execute the same ISA (see docs/performance.md):
   entered through a dict keyed by entry pc, so a loop — branches in its
   body included — executes with zero per-instruction dispatch; what no
   block covers (hooked fetches, blacklisted pcs, budget tails) is
-  single-stepped through a 256-entry dispatch table of handlers and a
-  decoded-instruction cache keyed by ``(pc, word)``,
+  single-stepped through the reference interpreter,
 * :meth:`Cpu.run_frame_reference` / :meth:`Cpu.step_instruction` — the
   straight-line reference interpreter retained verbatim from the original
-  implementation.
+  implementation: the spec, and the block path's single-step fallback.
 
 The determinism contract — enforced by the golden-trace tests — is that
 both produce bit-identical machine states for any program.
@@ -87,7 +86,8 @@ HAS_IMMEDIATE = {
     LDI, LD, ST, LDB, STB, ADDI, CMPI, JMP, JZ, JNZ, JLT, JGE, CALL, JLE, JGT
 }
 
-#: opcode → mnemonic, for the disassembler and error messages.
+#: opcode → mnemonic: the legal opcodes, for the region tracer, the
+#: disassembler and error messages.
 MNEMONICS: Dict[int, str] = {
     NOP: "NOP", HALT: "HALT", YIELD: "YIELD",
     LDI: "LDI", MOV: "MOV", LD: "LD", ST: "ST", LDB: "LDB", STB: "STB",
@@ -107,247 +107,6 @@ _STATE = struct.Struct(">16HHBBB")  # regs, pc, z, n, halted
 
 class CpuFault(MachineError):
     """An illegal instruction or stack fault; carries the PC."""
-
-
-def _signed(value: int) -> int:
-    value &= 0xFFFF
-    return value - 0x10000 if value & 0x8000 else value
-
-
-# ----------------------------------------------------------------------
-# The dispatch table the block tier single-steps through (``_step_table``).
-#
-# ``DISPATCH[opcode]`` is a factory that, given the decoded register
-# fields, returns a specialized handler closure ``fn(cpu, imm, next_pc)``.
-# The closure returns ``None`` to fall through to ``next_pc``, a new PC for
-# taken jumps/calls/returns, or ``-1`` to end the frame (YIELD/HALT).
-# Closures are built once per distinct ``(pc, instruction word)`` and kept
-# in the per-CPU decoded-instruction cache, so straight-line code pays no
-# per-step decode cost.  Flag updates are inlined (``value >= 0x8000`` ≡
-# ``bool(value & 0x8000)`` for 16-bit values).
-# ----------------------------------------------------------------------
-
-def _make_nop(ra, rb):
-    def op(cpu, imm, pc):
-        return None
-    return op
-
-
-def _make_halt(ra, rb):
-    def op(cpu, imm, pc):
-        cpu.halted = True
-        return -1
-    return op
-
-
-def _make_yield(ra, rb):
-    def op(cpu, imm, pc):
-        cpu._yielded = True
-        return -1
-    return op
-
-
-def _make_ldi(ra, rb):
-    def op(cpu, imm, pc):
-        cpu.regs[ra] = imm
-    return op
-
-
-def _make_mov(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        regs[ra] = regs[rb]
-    return op
-
-
-def _make_ld(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        memory = cpu.memory
-        address = (regs[rb] + imm) & 0xFFFF
-        if memory._plain_word[address]:
-            data = memory._data
-            regs[ra] = data[address] | (data[address + 1] << 8)
-        else:
-            regs[ra] = memory.read_word(address)
-    return op
-
-
-def _make_st(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        cpu.memory.write_word((regs[rb] + imm) & 0xFFFF, regs[ra])
-    return op
-
-
-def _make_ldb(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        regs[ra] = cpu.memory.read_byte((regs[rb] + imm) & 0xFFFF)
-    return op
-
-
-def _make_stb(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        cpu.memory.write_byte((regs[rb] + imm) & 0xFFFF, regs[ra])
-    return op
-
-
-def _make_binary_alu(combine):
-    def make(ra, rb):
-        def op(cpu, imm, pc):
-            regs = cpu.regs
-            value = combine(regs[ra], regs[rb])
-            regs[ra] = value
-            cpu.z = value == 0
-            cpu.n = value >= 0x8000
-        return op
-    return make
-
-
-_make_add = _make_binary_alu(lambda a, b: (a + b) & 0xFFFF)
-_make_sub = _make_binary_alu(lambda a, b: (a - b) & 0xFFFF)
-_make_and = _make_binary_alu(lambda a, b: a & b)
-_make_or = _make_binary_alu(lambda a, b: a | b)
-_make_xor = _make_binary_alu(lambda a, b: (a ^ b))
-_make_shl = _make_binary_alu(lambda a, b: (a << (b & 0x0F)) & 0xFFFF)
-_make_shr = _make_binary_alu(lambda a, b: (a >> (b & 0x0F)) & 0xFFFF)
-_make_mul = _make_binary_alu(lambda a, b: (a * b) & 0xFFFF)
-
-
-def _make_addi(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        value = (regs[ra] + imm) & 0xFFFF
-        regs[ra] = value
-        cpu.z = value == 0
-        cpu.n = value >= 0x8000
-    return op
-
-
-def _make_cmp(ra, rb):
-    def op(cpu, imm, pc):
-        regs = cpu.regs
-        value = (regs[ra] - regs[rb]) & 0xFFFF
-        cpu.z = value == 0
-        cpu.n = value >= 0x8000
-    return op
-
-
-def _make_cmpi(ra, rb):
-    def op(cpu, imm, pc):
-        value = (cpu.regs[ra] - imm) & 0xFFFF
-        cpu.z = value == 0
-        cpu.n = value >= 0x8000
-    return op
-
-
-def _make_jmp(ra, rb):
-    def op(cpu, imm, pc):
-        return imm
-    return op
-
-
-def _make_jz(ra, rb):
-    def op(cpu, imm, pc):
-        return imm if cpu.z else None
-    return op
-
-
-def _make_jnz(ra, rb):
-    def op(cpu, imm, pc):
-        return None if cpu.z else imm
-    return op
-
-
-def _make_jlt(ra, rb):
-    def op(cpu, imm, pc):
-        return imm if cpu.n else None
-    return op
-
-
-def _make_jge(ra, rb):
-    def op(cpu, imm, pc):
-        return None if cpu.n else imm
-    return op
-
-
-def _make_jle(ra, rb):
-    def op(cpu, imm, pc):
-        return imm if (cpu.z or cpu.n) else None
-    return op
-
-
-def _make_jgt(ra, rb):
-    def op(cpu, imm, pc):
-        return None if (cpu.z or cpu.n) else imm
-    return op
-
-
-def _make_call(ra, rb):
-    def op(cpu, imm, pc):
-        cpu._push(pc)
-        return imm
-    return op
-
-
-def _make_ret(ra, rb):
-    def op(cpu, imm, pc):
-        return cpu._pop()
-    return op
-
-
-def _make_push(ra, rb):
-    def op(cpu, imm, pc):
-        cpu._push(cpu.regs[ra])
-    return op
-
-
-def _make_pop(ra, rb):
-    def op(cpu, imm, pc):
-        cpu.regs[ra] = cpu._pop()
-    return op
-
-
-def _build_dispatch():
-    """256-entry opcode → handler-factory table (None marks illegal)."""
-    table = [None] * 256
-    table[NOP] = _make_nop
-    table[HALT] = _make_halt
-    table[YIELD] = _make_yield
-    table[LDI] = _make_ldi
-    table[MOV] = _make_mov
-    table[LD] = _make_ld
-    table[ST] = _make_st
-    table[LDB] = _make_ldb
-    table[STB] = _make_stb
-    table[ADD] = _make_add
-    table[SUB] = _make_sub
-    table[AND] = _make_and
-    table[OR] = _make_or
-    table[XOR] = _make_xor
-    table[SHL] = _make_shl
-    table[SHR] = _make_shr
-    table[MUL] = _make_mul
-    table[ADDI] = _make_addi
-    table[CMP] = _make_cmp
-    table[CMPI] = _make_cmpi
-    table[JMP] = _make_jmp
-    table[JZ] = _make_jz
-    table[JNZ] = _make_jnz
-    table[JLT] = _make_jlt
-    table[JGE] = _make_jge
-    table[CALL] = _make_call
-    table[RET] = _make_ret
-    table[JLE] = _make_jle
-    table[JGT] = _make_jgt
-    table[PUSH] = _make_push
-    table[POP] = _make_pop
-    return table
-
-
-DISPATCH = _build_dispatch()
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +161,9 @@ DISPATCH = _build_dispatch()
 # (cheap, and immune to false invalidation from data colocated on a code
 # page).  A store *inside* a region that hits the region's own byte range
 # exits right after the storing instruction with the architectural state
-# exact.  Fetches from MMIO-hooked pages are never compiled — the table
-# interpreter handles them — and hook-layout changes flush the whole
-# cache via the bus's hooks epoch.
+# exact.  Fetches from MMIO-hooked pages are never compiled — the
+# reference interpreter steps them — and hook-layout changes flush the
+# whole cache via the bus's hooks epoch.
 # ----------------------------------------------------------------------
 
 #: Instructions one region may hold, over all its members.
@@ -415,8 +174,8 @@ _MAX_BLOCK_INSTRS = 256
 #: longer guard chain taxes every dispatch.
 _MAX_BLOCK_PAGES = 2
 #: After this many invalidations at one entry pc the pc is blacklisted to
-#: the table interpreter — a pathological self-patching loop must not pay
-#: a recompile per execution.
+#: the reference interpreter — a pathological self-patching loop must not
+#: pay a recompile per execution.
 _BLOCK_INVAL_LIMIT = 32
 
 #: Conditional jumps as tests on the lazy flag word ``f``: Z is
@@ -998,11 +757,6 @@ class Cpu:
         self.n = False
         self.halted = False
         self.cycles = 0
-        # Decoded-instruction cache: (pc << 16 | word) →
-        # (handler, ra, rb, has_immediate).  Decoding is a pure function of
-        # the word, so entries never go stale — self-modifying code changes
-        # the word and therefore the key.
-        self._decoded: Dict[int, tuple] = {}
         # Block-translation cache: entry pc → flat dispatch entry (see
         # _E_* layout), guarded by the dirty generations of the pages each
         # block spans (see run_frame_blocks).
@@ -1017,6 +771,7 @@ class Cpu:
         self.block_hits = 0
         self.block_invalidations = 0
         self.block_revalidations = 0
+        # Instructions block mode single-stepped by the reference interpreter.
         self.block_fallback_steps = 0
 
     def reset(self, entry: int) -> None:
@@ -1061,14 +816,13 @@ class Cpu:
         Returns the members, entry first then in discovery order, or an
         empty list when nothing compilable begins at ``start`` (hooked or
         wrapping fetch, immediate illegal opcode).  Decoding stops
-        *before* an illegal opcode so the table interpreter faults with
-        the exact pc, and at the span limit so a region's guard never
+        *before* an illegal opcode so the reference interpreter faults
+        with the exact pc, and at the span limit so a region's guard never
         covers more than ``_MAX_BLOCK_PAGES`` dirty pages.
         """
         memory = self.memory
         data = memory._data
         plain_word = memory._plain_word
-        dispatch = DISPATCH
 
         # Flood the static successors from ``start``, decoding each
         # reachable instruction once and collecting the leaders.
@@ -1082,7 +836,7 @@ class Cpu:
                     break  # out of span, hooked or wrapping fetch
                 word = data[cur] | (data[cur + 1] << 8)
                 opcode = word >> 8
-                if dispatch[opcode] is None:
+                if opcode not in MNEMONICS:
                     break
                 if opcode in HAS_IMMEDIATE:
                     ipc = cur + 2
@@ -1221,56 +975,14 @@ class Cpu:
         self._inval_counts[block.start] = self._inval_counts.get(block.start, 0) + 1
         return None
 
-    def _step_table(self) -> int:
-        """One instruction through the dispatch table (block-mode fallback
-        for hooked fetches, blacklisted pcs, and budget tails)."""
-        memory = self.memory
-        data = memory._data
-        plain_word = memory._plain_word
-        pc = self.pc
-        if plain_word[pc]:
-            word = data[pc] | (data[pc + 1] << 8)
-        else:
-            word = memory.read_word(pc)
-        key = (pc << 16) | word
-        entry = self._decoded.get(key)
-        if entry is None:
-            opcode = word >> 8
-            factory = DISPATCH[opcode]
-            if factory is None:
-                self.pc = (pc + 2) & 0xFFFF
-                raise CpuFault(f"illegal opcode 0x{opcode:02x} at pc=0x{pc:04x}")
-            entry = (
-                factory((word >> 4) & 0x0F, word & 0x0F),
-                opcode in HAS_IMMEDIATE,
-            )
-            self._decoded[key] = entry
-        fn, has_imm = entry
-        if has_imm:
-            pc2 = (pc + 2) & 0xFFFF
-            if plain_word[pc2]:
-                imm = data[pc2] | (data[pc2 + 1] << 8)
-            else:
-                imm = memory.read_word(pc2)
-            pc = (pc2 + 2) & 0xFFFF
-            cost = 2
-        else:
-            imm = 0
-            pc = (pc + 2) & 0xFFFF
-            cost = 1
-        res = fn(self, imm, pc)
-        if res is not None and res != -1:
-            pc = res
-        self.pc = pc
-        return cost
-
     def run_frame_blocks(self, max_cycles: int) -> int:
         """Execute until YIELD/HALT or the cycle budget via compiled blocks.
 
         Bit-for-bit equivalent to :meth:`run_frame_reference`, including
         cycle accounting: a block only runs when its full cost fits the
         remaining budget (its closure consumes exactly the cycles the
-        reference would), otherwise the tail is single-stepped.
+        reference would), otherwise the tail is single-stepped through
+        :meth:`step_instruction`, as is every pc no block covers.
         """
         self._yielded = False
         if self.halted:
@@ -1320,7 +1032,7 @@ class Cpu:
                     continue
                 self.pc = pc
                 try:
-                    used += self._step_table()
+                    used += self.step_instruction()
                 finally:
                     pc = self.pc
                 fallback += 1

@@ -217,7 +217,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
     "cpu_fallback_steps": (
         "counter",
         True,
-        "Instructions single-stepped by the table interpreter in block mode",
+        "Instructions single-stepped by the reference interpreter in block mode",
     ),
     "frame_time_seconds": ("histogram", True, "Frame-to-frame begin intervals"),
     "frame_latency_encode_seconds": (

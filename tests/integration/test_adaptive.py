@@ -9,12 +9,14 @@ for the whole run.
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
-from repro.core.messages import MODE_ROLLBACK
+from repro.core.messages import MODE_LOCKSTEP, MODE_ROLLBACK
 from repro.core.multisite import build_session, two_player_plan
-from repro.core.policy import build_adaptive_session
+from repro.core.policy import Adaptive, build_adaptive_session
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.net.netem import named_profile
+
+from tests.unit.test_engine import EngineMesh, build_engines
 
 FRAMES = 300
 
@@ -110,6 +112,82 @@ class TestSwitchToLockstep:
         # the fixed-lockstep twin bit for bit.
         twin = lockstep_twin(netem, seed=13)
         assert traces[0].checksums == twin.vms[0].runtime.trace.checksums
+
+
+class TestSettleWithSpeculationInFlight:
+    """Leaving rollback while speculated frames are still unconfirmed:
+    the gate holds until the confirmed frontier reaches the last executed
+    frame, then flips to lockstep.  Engine level, over a 150 ms one-way
+    link, with the policy told to want lockstep from t = 1.5 s."""
+
+    FRAMES = 240
+    LATENCY = 0.15
+
+    def run(self, parts=None, instrument=None):
+        config = SyncConfig(slice_delay=0.0)
+        engines = build_engines(
+            frames=self.FRAMES, configs=[config, config], parts=parts
+        )
+        if instrument is not None:
+            for engine in engines:
+                instrument(engine)
+        mesh = EngineMesh(engines, latency=self.LATENCY)
+        mesh.start()
+        mesh.run(horizon=60.0)
+        return engines
+
+    def test_gate_holds_until_speculation_drains(self):
+        commits, checks = [], []
+
+        def instrument(engine):
+            part = engine.consistency
+            rollback, runtime = part.rollback, engine.runtime
+            part.policy.desired_mode = (
+                lambda now, rtt, peers, mode: MODE_LOCKSTEP if now >= 1.5 else None
+            )
+            commit_switch, try_ready = part._commit_switch, part.try_ready
+
+            def commit_spy(mode, now):
+                commits.append((mode, runtime.frame, rollback.confirmed_frontier))
+                commit_switch(mode, now)
+
+            def try_ready_spy(now):
+                settling = part._settling
+                merged = try_ready(now)
+                if settling:
+                    checks.append(
+                        (runtime.frame, rollback.confirmed_frontier, part._settling, merged)
+                    )
+                return merged
+
+            part._commit_switch = commit_spy
+            part.try_ready = try_ready_spy
+
+        parts = [
+            Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
+            for __ in range(2)
+        ]
+        engines = self.run(parts, instrument)
+
+        assert [mode for mode, __, __ in commits] == [MODE_LOCKSTEP] * 2
+        for __, frame, frontier in commits:
+            assert frame - 1 - frontier >= 2  # speculation in flight
+        held = [check for check in checks if check[2]]
+        assert held, "the settle wait never held the gate"
+        for frame, frontier, settling, merged in checks:
+            if settling:
+                assert merged is None and frontier < frame - 1
+            else:
+                assert frontier == frame - 1
+        for engine in engines:
+            assert engine.termination == "completed"
+            assert engine.consistency.mode_name == "lockstep"
+
+        twin = self.run()
+        for engine, fixed in zip(engines, twin):
+            assert list(engine.runtime.trace.checksums) == list(
+                fixed.runtime.trace.checksums
+            )
 
 
 class TestStableConditionsNeverSwitch:

@@ -13,8 +13,16 @@ import zlib
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.engine import PHASE_RECOVER, SiteEngine
-from repro.core.messages import Resume, StateSnapshot
+from repro.core.engine import (
+    PHASE_GATE,
+    PHASE_RECOVER,
+    TIMER_FLUSH,
+    TIMER_PING,
+    DatagramReceived,
+    SiteEngine,
+)
+from repro.core.liveness import DEGRADED, SUSPENDED
+from repro.core.messages import Resume, StateDigest, StateSnapshot
 from repro.harness.chaos import (
     divergence_schedule,
     flap_schedule,
@@ -26,8 +34,8 @@ from repro.harness.chaos import (
 from repro.net.faults import FaultSchedule
 from repro.obs.postmortem import DesyncPostmortem
 
-from tests.unit.test_engine import EngineMesh, build_engines
-from tests.unit.test_engine_liveness import records
+from tests.unit.test_engine import EngineMesh, build_engines, contains
+from tests.unit.test_engine_liveness import liveness_config, records
 
 
 def rows_of(outcome, kind):
@@ -225,8 +233,6 @@ class TestResyncTransferIntegrity:
         state = bytes(engines[0].recovery.retained[anchor])
         tampered = bytearray(state)
         tampered[0] ^= 0x40
-        from repro.core.engine import DatagramReceived
-
         forged = StateSnapshot(
             sender_site=0,
             session_id=engines[1].runtime.session_id,
@@ -262,11 +268,81 @@ class TestResyncTransferIntegrity:
         mesh = EngineMesh(engines)
         mesh.start()
         mesh.run_until(1.0)
-        from repro.core.engine import DatagramReceived
-
         runtime = engines[1].runtime  # site 1 is never the authority
         request = Resume(0, runtime.session_id, last_acked_frame=-1, resync_frame=9)
         engines[1].handle(DatagramReceived(request.encode(), mesh.now, mesh.now))
         mesh.run_until(mesh.now + 0.1)
         rejects = records(engines[1], "resync_reject")
         assert rejects and rejects[-1].detail["error"] == "not authority"
+
+
+class TestDivergenceWhileSuspended:
+    """A peer's STATE_DIGEST proves a divergence while this site's gate is
+    suspended: the episode ends the suspension without a ``resumed``
+    record, leaves the ladder at ``degraded`` and re-arms the parked
+    pumps, since digests and the snapshot ride the normal flush.
+
+    Engine level: site 1's datagrams to site 0 are held from the moment
+    site 1's state is poked, so site 0 runs out of site 1's inputs and
+    suspends; then the first held datagram carrying a digest is handed to
+    it, late, as a reordering link would deliver it.
+    """
+
+    FRAMES = 480
+
+    def build(self):
+        config = liveness_config(state_digest_interval=10, resync_deadline_s=3.0)
+        return build_engines(frames=self.FRAMES, configs=[config, config])
+
+    def test_episode_ends_the_suspension_and_unparks_the_pumps(self):
+        twin = self.build()
+        twin_mesh = EngineMesh(twin)
+        twin_mesh.start()
+        twin_mesh.run(horizon=60.0)
+
+        engines = self.build()
+        authority = engines[0]
+        held = []
+        outage = [False]
+
+        def hold(src, dst, payload, now):
+            if outage[0] and src == "site1":
+                held.append(payload)
+                return True
+            return False
+
+        mesh = EngineMesh(engines, loss=hold)
+        mesh.start()
+        mesh.run_until(1.0)
+        # Poke a few frames before a digest frame (every tenth, x9): site 0
+        # still executes it on the BufFrame inputs it holds, so site 1's
+        # divergent digest settles on arrival instead of being stashed.
+        while engines[1].runtime.frame % 10 != 6:
+            mesh.run_until(mesh.now + 0.001)
+        poke(engines[1])
+        outage[0] = True
+        while authority.ladder.level is not SUSPENDED:
+            mesh.run_until(mesh.now + 0.01)
+        assert authority.phase == PHASE_GATE
+        assert set(authority._timers).isdisjoint((TIMER_FLUSH, TIMER_PING))
+
+        late = next(p for p in held if contains(p, StateDigest))
+        mesh._absorb("site0", authority.handle(DatagramReceived(late, mesh.now, mesh.now)))
+        kinds = [r.kind for r in authority.runtime.events]
+        assert kinds.count("desync") == 1
+        assert "resumed" not in kinds[kinds.index("suspended"):]
+        assert authority.phase == PHASE_RECOVER
+        assert authority.ladder.level is DEGRADED
+        assert {TIMER_FLUSH, TIMER_PING} <= set(authority._timers)
+
+        outage[0] = False
+        mesh.run(horizon=60.0)
+        # No suspension ever ended in a ``resumed`` record.
+        assert authority.runtime.metrics.resumes.value == 0
+        terminations = {engine.termination for engine in engines}
+        assert terminations in ({"completed"}, {"desync"})
+        if terminations == {"completed"}:
+            for engine, unimpaired in zip(engines, twin):
+                assert list(engine.runtime.trace.checksums) == list(
+                    unimpaired.runtime.trace.checksums
+                )

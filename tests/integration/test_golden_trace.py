@@ -1,14 +1,13 @@
 """Golden-trace determinism: the fast path changes nothing observable.
 
-The determinism contract behind every optimization in this repo (dispatch
-tables, block translation, page-routed MMIO, incremental checksums) is
-that a machine's *observable state sequence* — ``save_state()`` and
-``checksum()`` — is bit-identical to what the unoptimized execution
-produces.  For the RC-16 consoles the retained reference interpreter is
-the golden producer and the block-translation layer (with its
-table-dispatched single-step fallback) is compared against it; for
-pure-Python games
-two independently constructed instances must agree (catching any
+The determinism contract behind every optimization in this repo (block
+translation, page-routed MMIO, incremental checksums) is that a machine's
+*observable state sequence* — ``save_state()`` and ``checksum()`` — is
+bit-identical to what the unoptimized execution produces.  For the RC-16
+consoles the retained reference interpreter is the golden producer and
+the block-translation layer (which single-steps what no region covers
+through that same reference) is compared against it; for pure-Python
+games two independently constructed instances must agree (catching any
 shared-mutable-state or caching bug).
 
 1000 frames per game with a mixed input schedule, compared every 100

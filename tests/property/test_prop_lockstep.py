@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import LockstepSync
+from repro.core.messages import Sync
 
 lockstep_settings = settings(
     max_examples=40,
@@ -133,3 +134,103 @@ def test_acks_eventually_allow_pruning(seed):
                 sites[peer].on_sync(message, 0.0)
     assert all(site.ibuf.floor > 0 for site in sites)
     assert all(len(site.ibuf) < 60 for site in sites)
+
+
+#: Operations on site 0 of a three-site session (see the test below).
+encode_cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("buffer"), st.integers(0, 0xFF)),
+        st.tuples(st.just("lag"), st.integers(0, 8)),
+        st.tuples(
+            st.just("peer"), st.integers(1, 2), st.integers(0, 6), st.integers(0, 6)
+        ),
+        st.tuples(
+            st.just("burst"), st.sampled_from([3, 40, 4200]), st.integers(0, 3)
+        ),
+        st.tuples(st.just("seed"), st.integers(0, 8)),
+        st.tuples(st.just("resume"), st.integers(0, 8)),
+        st.tuples(
+            st.just("admit"),
+            st.integers(1, 2),
+            st.integers(0, 8),
+            st.one_of(st.none(), st.integers(0, 10)),
+        ),
+        st.tuples(st.just("absent"), st.integers(1, 2)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=encode_cache_ops)
+def test_every_sync_window_is_a_slice_of_the_encode_cache(ops):
+    """Whatever mix of local buffering, lag changes, peer traffic, pruning,
+    snapshot seats and admissions a site goes through, the encode cache
+    starts at or below every peer's first unacked own frame and covers
+    its window: each input-carrying SYNC is a slice of the cache holding
+    exactly the buffered inputs (a window outside it raises)."""
+    a, __, __ = make_sites(num_sites=3)
+    frame = 0
+
+    def peer_sends(peer, count, ack):
+        message = Sync(
+            sender_site=peer,
+            session_id=1,
+            ack=min(a.last_rcv_frame[0], ack),
+            first_frame=a.last_rcv_frame[peer] + 1,
+            inputs=[0] * count,
+        )
+        a.on_sync(message, arrived_at=0.0)
+
+    def deliver_ready():
+        while a.can_deliver():
+            a.deliver()
+
+    def check_windows():
+        for peer in (1, 2):
+            message = a.build_sync_for(peer, force=True)
+            if not message.input_count:
+                continue
+            first, last = message.first_frame, message.last_frame
+            base, width = a._enc_base, a._cell_width
+            assert base <= first
+            assert message._packed == bytes(
+                a._enc_cells[(first - base) * width : (last - base + 1) * width]
+            )
+            assert message.inputs == a.ibuf.range_for(0, first, last)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "buffer":
+            a.buffer_local_input(frame, op[1])
+            frame += 1
+        elif kind == "lag":
+            a.set_local_lag(op[1])
+        elif kind == "peer":
+            peer_sends(op[1], op[2], a.last_ack_frame[op[1]] + op[3])
+            deliver_ready()
+        elif kind == "burst":
+            # Long enough to trim the cache, with acks ``op[2]`` behind.
+            for __ in range(op[1]):
+                a.buffer_local_input(frame, frame & 0xFF)
+                frame += 1
+                for peer in (1, 2):
+                    peer_sends(peer, 1, a.last_rcv_frame[0] - op[2])
+                deliver_ready()
+                check_windows()
+        elif kind in ("seed", "resume"):
+            snapshot = a.ibuf_pointer - 1 + op[1]
+            if kind == "seed":
+                a.seed_from_snapshot(snapshot)
+                frame = snapshot + 1
+            else:
+                a.resume_from_snapshot(snapshot)
+                frame = max(0, snapshot + 1 - a.local_lag_frames)
+        elif kind == "admit":
+            hint = op[3]
+            if hint is not None:
+                hint = min(a.last_rcv_frame[0], a.last_ack_frame[op[1]] + hint)
+            a.admit_site(op[1], a.ibuf_pointer + op[2], ack_hint=hint)
+        else:
+            a.mark_absent(op[1])
+        check_windows()

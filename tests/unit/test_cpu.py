@@ -223,8 +223,8 @@ def run_reference(source: str, max_cycles: int = 10_000) -> Cpu:
 
 
 class TestFastPathParity:
-    """The block tier (and its table-dispatched fallback) against the
-    reference interpreter."""
+    """The block tier (compiled regions plus the single steps it hands to
+    the reference) against the reference interpreter run alone."""
 
     def test_illegal_opcode_fault_matches_reference(self):
         for runner in (Cpu.run_frame_blocks, Cpu.run_frame_reference):

@@ -160,8 +160,10 @@ def build_engines(
     game_ids=None,
     linger=5.0,
     seed=5,
+    parts=None,
 ):
-    """One engine per site, addressed ``site0..siteN`` for the mesh."""
+    """One engine per site, addressed ``site0..siteN`` for the mesh;
+    ``parts``: one consistency part per site (default: lockstep)."""
     if assignment is None:
         assignment = InputAssignment.standard(num_sites)
     if configs is None:
@@ -184,7 +186,8 @@ def build_engines(
             peers=peers,
             game_id=game_ids[site] if game_ids else "counter",
         )
-        engines.append(SiteEngine(runtime, frames, linger=linger))
+        part = parts[site] if parts else None
+        engines.append(SiteEngine(runtime, frames, part, linger=linger))
     return engines
 
 
