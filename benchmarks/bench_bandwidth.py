@@ -5,10 +5,9 @@ resources (such as CPU and bandwidths)"; [12] in the related work compares
 multiplayer architectures by bandwidth.  This benchmark measures the sync
 traffic per site as a function of player count (the mesh broadcast is
 O(N) per site) and flush interval (fewer, larger messages amortize
-headers), and gates the send path against both the frozen v1 number (the
-≥3x reduction the compact codec claimed) and the checked-in baseline (no
-silent regression creep).  Sessions run without the time server: its
-reports ride outside the sync protocol.
+headers).  The send path's exact bytes on the standard lossy profile are
+pinned in tier-1 (``tests/integration/test_session_gates.py``).  Sessions
+run without the time server: its reports ride outside the sync protocol.
 """
 
 from repro.core.config import SyncConfig
@@ -16,11 +15,6 @@ from repro.core.inputs import InputAssignment, PadSource, RandomSource
 from repro.core.multisite import SessionPlan, build_session
 from repro.emulator.machine import create_game
 from repro.harness.report import format_table
-from repro.metrics.bench import (
-    BANDWIDTH_V1_BPS,
-    check_bandwidth,
-    measure_bandwidth_profile,
-)
 from repro.metrics.recorder import ConsistencyChecker
 from repro.net.netem import NetemConfig
 
@@ -94,29 +88,3 @@ def test_bandwidth_accounting(benchmark, frames):
     # The paper's observation holds: "the amount of data is not excessive" —
     # a two-player session fits in a few kilobytes per second.
     assert by_case[(2, 20)]["sent_Bps"] < 10_000
-
-
-def test_send_path_regression_gate(benchmark, frames):
-    """The compact codec's acceptance bar, re-measured every bench run.
-
-    On the standard lossy two-site profile (the configuration
-    ``BANDWIDTH_V1_BPS`` was frozen under) the send path must stay at
-    least 3x under the legacy codec and within tolerance of its own
-    checked-in baseline.  Byte counts are deterministic in the simulator,
-    so this is a hard gate, not a noise-banded one.
-    """
-    frames = min(frames, 900)
-    result = benchmark.pedantic(
-        lambda: measure_bandwidth_profile(frames=frames),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["sent_Bps"] = result["sent_Bps"]
-    benchmark.extra_info["v1_Bps"] = BANDWIDTH_V1_BPS
-    if frames < 600:
-        return  # shrunken smoke run: startup transient dominates
-    assert result["sent_Bps"] <= BANDWIDTH_V1_BPS / 3, (
-        f"send path {result['sent_Bps']:.0f} B/s/site lost the 3x "
-        f"reduction over v1's {BANDWIDTH_V1_BPS:.0f}"
-    )
-    assert check_bandwidth(result["sent_Bps"]) == []

@@ -2,19 +2,20 @@
 
 These are conventional pytest-benchmark timings (many rounds) for the
 pieces whose speed bounds experiment turnaround: the RC-16 console, the
-pure-Python games, the lockstep state machine and the wire codec.
+pure-Python games, the lockstep state machine and the wire codec.  What a
+whole session frame costs, layer by layer, is the session benchmark's
+job (``benchmarks/session``); the host-independent session gates are
+tier-1 tests (``tests/integration/test_session_gates.py``).
 """
+
+import gc
+import time
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import LockstepSync
 from repro.core.messages import Ping, Sync, decode, decode_all, pack_batch
 from repro.emulator.machine import create_game
-from repro.metrics.bench import (
-    check_session_flatness,
-    measure_session_flatness,
-    time_call,
-)
 
 
 def test_console_frame_throughput(benchmark):
@@ -143,14 +144,20 @@ def test_console_checksum_throughput(benchmark):
         console.checksum()
 
     benchmark(cold_checksum)
-    # Time the digest alone (load_state outside the region) for the gate.
-    console.load_state(blob)
-    cold_us = (
-        time_call(
-            lambda: (console.load_state(blob), console.checksum()), repeats=5
-        )
-        - time_call(lambda: console.load_state(blob), repeats=5)
-    ) * 1e6
+    # The gate times the digest alone, load_state outside the timed
+    # region: best of 50 samples with the collector paused.
+    gc.collect()
+    gc.disable()
+    try:
+        best = float("inf")
+        for __ in range(50):
+            console.load_state(blob)
+            started = time.perf_counter()
+            console.checksum()
+            best = min(best, time.perf_counter() - started)
+    finally:
+        gc.enable()
+    cold_us = best * 1e6
     assert cold_us < 50.0, f"cold checksum took {cold_us:.1f} us (budget 50)"
 
 
@@ -159,8 +166,8 @@ def test_timeline_collector_throughput(benchmark):
     coverage mark, gate-open and present per frame.  This is everything
     the engine adds per frame when FEATURE_TIMELINE is on (histogram/SLO
     analysis is deferred to scrape time), so it must be microseconds —
-    the run_bench.py gate holds hooks + stamp codec under 2% of total
-    per-frame session cost."""
+    the session benchmark's ledger shows what it costs a session frame
+    as ``obs.self_us``."""
     from repro.obs.timeline import TimelineCollector
 
     tpf = 1 / 60
@@ -189,12 +196,3 @@ def test_console_savestate_throughput(benchmark):
         console.load_state(blob)
 
     benchmark(save_load)
-
-
-def test_session_frame_cost_is_flat(benchmark):
-    """A frame costs the same at minute three as at second ten: CPU per
-    frame over the last quarter of a 12,000-frame lossy counter session
-    against frames 600–3,600 (``run_bench.py`` gates the same ratio)."""
-    result = benchmark.pedantic(measure_session_flatness, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
-    assert not check_session_flatness(result["session_flatness_ratio"])

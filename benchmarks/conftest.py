@@ -18,8 +18,9 @@ run:
         pytest benchmarks/bench_figure1.py benchmarks/bench_figure2.py \
         --benchmark-only -m bench -s
 
-For the plain throughput/regression numbers (no pytest involved) use
-``python benchmarks/run_bench.py``; see docs/performance.md.
+What a session frame costs, end to end and per layer, is the session
+benchmark's (``benchmarks/session``); the host-independent gates are
+tier-1 tests.  See docs/performance.md §5.
 """
 
 import os

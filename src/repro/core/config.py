@@ -80,7 +80,7 @@ class SyncConfig:
     #: extended (clock-bearing) pongs, and assembles per-frame stage
     #: breakdowns.  Off by default: the annotation costs a few hundred
     #: bytes/second per peer, and the default profile is the bandwidth
-    #: baseline the bench gates against.  The knob is deliberately *not*
+    #: baseline the session gates pin.  The knob is deliberately *not*
     #: part of the config digest — the feature negotiates per session, so
     #: a timeline site interoperates with a plain v2 peer.
     timeline: bool = False
@@ -90,7 +90,7 @@ class SyncConfig:
     #: flush, so a desync is agreed on within one digest window instead of
     #: at post-session verification.  ``None`` (the default) disables the
     #: feature — the digest costs a few bytes per window and the default
-    #: profile is the bandwidth baseline the bench gates against.  Like
+    #: profile is the bandwidth baseline the session gates pin.  Like
     #: ``timeline``, the knob is *not* part of the config digest: the
     #: feature negotiates per session (FEATURE_DIGEST in HELLO/START), so
     #: a digest-enabled site interoperates with a plain v2 peer.

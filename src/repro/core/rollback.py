@@ -182,9 +182,9 @@ class HeuristicPredictor(RepeatLastPredictor):
 #: Per-game tuning of the heuristic predictor's impulse extrapolation
 #: depth: frames a pressed button is still predicted held past its last
 #: observation, i.e. typical tap length minus one.  Tap-driven games
-#: want short holds; charge/hold games longer ones.  The bench's
-#: predictor comparison (``measure_predictor_comparison``) is the
-#: instrument for tuning these.
+#: want short holds; charge/hold games longer ones.  The predictor floor
+#: in ``tests/integration/test_session_gates.py`` is the instrument for
+#: tuning these.
 GAME_IMPULSE_HOLD: Dict[str, int] = {
     "counter": 1,
     "pong": 1,
@@ -192,7 +192,7 @@ GAME_IMPULSE_HOLD: Dict[str, int] = {
     "brawler": 1,
 }
 
-#: Registry for name-based predictor selection (CLI, bench, tests).
+#: Registry for name-based predictor selection (CLI and tests).
 PREDICTORS = {
     NaivePredictor.name: NaivePredictor,
     RepeatLastPredictor.name: RepeatLastPredictor,
@@ -206,8 +206,8 @@ def make_predictor(spec: PredictorSpec, game_id: Optional[str] = None) -> InputP
     """Resolve a predictor from a name, an instance, or None (default).
 
     The default is the per-game heuristic — the measured best on
-    realistic tap/hold input (see the rollback bench's predictor
-    comparison); pass ``"naive"`` for the original hold-last-confirmed
+    realistic tap/hold input (see the predictor floor in the session
+    gate tests); pass ``"naive"`` for the original hold-last-confirmed
     behaviour.
     """
     if isinstance(spec, InputPredictor):

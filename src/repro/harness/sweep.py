@@ -30,7 +30,7 @@ sweep is a deterministic test, not a benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
@@ -239,25 +239,3 @@ def quick_sweep(seed: int = 7) -> List[SweepPoint]:
         run_sweep_point("wan-120", 0.040, frames=240, seed=seed),
         run_sweep_point("wan-120", 0.300, frames=240, seed=seed),
     ]
-
-
-def summarize(points: Sequence[SweepPoint]) -> Dict[str, object]:
-    """JSON-friendly surface for the bench history."""
-    return {
-        "points": [
-            {
-                "profile": p.profile,
-                "rtt_ms": round(p.rtt * 1000),
-                "frames": p.frames,
-                "adaptive_frame_ms": round(p.adaptive_frame_mean * 1000, 3),
-                "lockstep_frame_ms": round(p.lockstep_frame_mean * 1000, 3),
-                "switches": p.switches,
-                "final_modes": p.final_modes,
-                "predict_hit_ratio": round(p.predict_hit_ratio, 4),
-                "passed": p.passed,
-                "problems": p.problems,
-            }
-            for p in points
-        ],
-        "failures": sum(1 for p in points if not p.passed),
-    }

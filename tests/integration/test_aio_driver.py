@@ -6,10 +6,15 @@ producing exactly the per-frame checksums of its discrete-event twin —
 merged inputs depend only on the sources and the lag, never on timing.
 """
 
+import ast
 import asyncio
 import gc
+import os
 import selectors
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -375,3 +380,30 @@ def test_a_wakeup_is_one_event_loop_iteration(monkeypatch):
     assert host.errors() == [] and all(site.finished for site in sites)
     assert len(waits) > 600
     assert selector.selects <= 1.1 * len(waits)
+
+
+def test_driver_costs_script_measures_both_drivers():
+    """``benchmarks/driver_costs.py`` (docs/performance.md §8) still runs:
+    30 frames, in its own process because it patches two classes."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "benchmarks")]),
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from driver_costs import measure_driver_costs as m; print(m(frames=30))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    costs = ast.literal_eval(result.stdout)
+    assert set(costs) == {
+        "sim_step_us", "sim_poll_cpu_us", "aio_step_us", "aio_poll_cpu_us",
+    }
+    assert all(value > 0 for value in costs.values())

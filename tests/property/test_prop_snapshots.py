@@ -123,6 +123,18 @@ def test_delta_after_restore(inputs, restore_at):
     assert twin.save_state() == ours.save_state()
 
 
+def test_one_frames_delta_is_a_fraction_of_a_savestate():
+    """What a rollback restore saves: one steady-state pong frame dirties
+    a few pages, so its delta is far smaller than a full savestate."""
+    console = create_game("pong")
+    for frame in range(10):
+        console.step(frame)
+    mark = console.state_mark()
+    console.step(0)
+    delta = console.save_delta(pages=console.dirty_pages_since(mark))
+    assert len(delta) < len(console.save_state()) / 4
+
+
 @settings(max_examples=15, deadline=None)
 @given(words=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=60))
 def test_fallback_delta_roundtrip_for_python_games(words):
