@@ -70,6 +70,17 @@ def test_golden_trace(name, is_console):
                 )
 
 
+def test_block_checksum_matches_reference_every_frame():
+    """Between the golden trace's comparisons: a block-tier drift on pong
+    is caught on the frame it happens, not up to 100 frames later."""
+    golden, [(__, block)] = make_trio("pong", is_console=True)
+    for frame in range(60):
+        word = input_schedule(frame)
+        golden.step(word)
+        block.step(word)
+        assert golden.checksum() == block.checksum(), f"diverged at frame {frame}"
+
+
 @pytest.mark.parametrize("name", ["pong", "tankduel", "smc"])
 @pytest.mark.parametrize("interpreter", ["block"])
 def test_fast_interpreters_survive_save_load_roundtrip(name, interpreter):

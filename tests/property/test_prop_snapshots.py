@@ -135,6 +135,12 @@ def test_one_frames_delta_is_a_fraction_of_a_savestate():
     assert len(delta) < len(console.save_state()) / 4
 
 
+def test_a_python_game_tracks_no_pages():
+    """brawler has no page tracking, so it reports no delta page set."""
+    brawler = create_game("brawler")
+    assert brawler.dirty_pages_since(brawler.state_mark()) is None
+
+
 @settings(max_examples=15, deadline=None)
 @given(words=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=60))
 def test_fallback_delta_roundtrip_for_python_games(words):

@@ -188,6 +188,17 @@ class TestCacheManagement:
         assert stats["blocks_compiled"] < 1000
         assert stats["cached_blocks"] <= stats["blocks_compiled"]
 
+    def test_cpu_stats_count_compiles_and_entries(self):
+        """A fresh pong compiles its blocks on first entry and then runs
+        inside them: both counters move, so the closure-entries gate reads
+        a real count."""
+        console = create_game("pong")
+        for frame in range(30):
+            console.step((frame * 2654435761) & 0xFFFF)
+        stats = console.cpu_stats()
+        assert stats["blocks_compiled"] > 0
+        assert stats["block_hits"] > 0
+
     def test_add_hook_flushes_cache(self):
         """Registering an MMIO hook changes bus semantics: every compiled
         closure is stale by definition and the cache must flush."""
