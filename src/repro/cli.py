@@ -5,8 +5,9 @@ Commands:
 * ``games`` — list the built-in deterministic games,
 * ``play`` — run a two-site lockstep session on the simulator and show the
   final screen and timing metrics,
-* ``figure1`` / ``figure2`` — regenerate the paper's evaluation figures,
-* ``loss`` — the packet-loss sweep (journal extension),
+* ``reproduce`` — run the paper's experiments (Figures 1–2, the §4.2
+  budget, the journal extensions and the ablations), print their tables,
+* ``validate`` — check a ``reproduce`` bundle against the paper's claims,
 * ``disasm`` — disassemble a console ROM,
 * ``record`` / ``replay`` — input movies (record a session, verify a replay).
 """
@@ -25,11 +26,7 @@ from repro.core.multisite import build_session, two_player_plan
 from repro.core.replay import InputMovie, record_session
 from repro.emulator.console import Console
 from repro.emulator.machine import available_games, create_game
-from repro.harness.experiment import PAPER_FRAMES, PAPER_RTT_SWEEP
-from repro.harness.report import format_series1, format_series2, format_series3
-from repro.harness.series1 import run_series1
-from repro.harness.series2 import run_series2
-from repro.harness.series3 import run_series3
+from repro.harness.reproduce import EXPERIMENTS, FRAME_CEILING, UNCAPPED, write_reproduction
 from repro.metrics.stats import mean, mean_abs_deviation
 from repro.net.netem import NetemConfig, WAN_PROFILES
 from repro.obs.postmortem import verify_with_postmortem
@@ -193,26 +190,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def cmd_figure1(args: argparse.Namespace) -> int:
-    rtts = PAPER_RTT_SWEEP if args.full else [r / 1000 for r in range(0, 201, 40)]
-    rows = run_series1(rtts=rtts, frames=args.frames, game=args.game)
-    print(format_series1(rows))
-    return 0
-
-
-def cmd_figure2(args: argparse.Namespace) -> int:
-    rtts = PAPER_RTT_SWEEP if args.full else [r / 1000 for r in range(0, 201, 40)]
-    rows = run_series2(rtts=rtts, frames=args.frames, game=args.game)
-    print(format_series2(rows))
-    return 0
-
-
-def cmd_loss(args: argparse.Namespace) -> int:
-    rows = run_series3(frames=args.frames, game=args.game)
-    print(format_series3(rows))
-    return 0
-
-
 def cmd_disasm(args: argparse.Namespace) -> int:
     from repro.emulator.disassembler import listing
 
@@ -274,11 +251,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.harness.reproduce import write_reproduction
+def _experiment_id(name: str) -> str:
+    if name not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {name!r} (choose from {', '.join(EXPERIMENTS)})"
+        )
+    return name
 
+
+def cmd_reproduce(args: argparse.Namespace) -> int:
     report_path, json_path = write_reproduction(
-        args.out, frames=args.frames, full_sweep=args.full, progress=print
+        args.out, args.ids, frames=args.frames, full_sweep=args.full, progress=print
     )
     print(f"wrote {report_path} and {json_path}")
     return 0
@@ -602,23 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     aio.add_argument("--seed", type=int, default=1)
     aio.set_defaults(fn=cmd_aio)
 
-    for name, fn, help_text in (
-        ("figure1", cmd_figure1, "Figure 1: frame rates and smoothness vs RTT"),
-        ("figure2", cmd_figure2, "Figure 2: synchrony between sites vs RTT"),
-    ):
-        figure = sub.add_parser(name, help=help_text)
-        figure.add_argument("--frames", type=int, default=600)
-        figure.add_argument("--game", default="counter")
-        figure.add_argument(
-            "--full", action="store_true", help=f"the paper's full sweep ({PAPER_FRAMES} frames: use --frames)"
-        )
-        figure.set_defaults(fn=fn)
-
-    loss = sub.add_parser("loss", help="packet-loss sweep (journal extension)")
-    loss.add_argument("--frames", type=int, default=600)
-    loss.add_argument("--game", default="counter")
-    loss.set_defaults(fn=cmd_loss)
-
     disasm = sub.add_parser("disasm", help="disassemble a console ROM")
     disasm.add_argument("game")
     disasm.set_defaults(fn=cmd_disasm)
@@ -643,10 +609,23 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(fn=cmd_replay)
 
     reproduce = sub.add_parser(
-        "reproduce", help="run every experiment, write report.md + results.json"
+        "reproduce",
+        help="run the paper's experiments, print each table, "
+        "write report.md + results.json",
     )
-    reproduce.add_argument("--frames", type=int, default=600)
-    reproduce.add_argument("--full", action="store_true", help="full RTT sweep")
+    reproduce.add_argument(
+        "ids", nargs="*", type=_experiment_id, metavar="ID",
+        help=f"experiments to run (default: all): {', '.join(EXPERIMENTS)}",
+    )
+    reproduce.add_argument(
+        "--frames", type=int, default=600,
+        help=f"frames per run (the paper: 3600); all but {', '.join(UNCAPPED)} "
+        f"stop at {FRAME_CEILING}",
+    )
+    reproduce.add_argument(
+        "--full", action="store_true",
+        help="the figures sweep the paper's 25 RTTs, not 9",
+    )
     reproduce.add_argument("--out", default="results")
     reproduce.set_defaults(fn=cmd_reproduce)
 

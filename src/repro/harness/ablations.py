@@ -46,7 +46,7 @@ class PacingAblationRow:
 
 
 def run_pacing_ablation(
-    start_skews: Iterable[float] = (0.0, 0.05, 0.1, 0.2),
+    start_skews: Iterable[float] = (0.0, 0.1, 0.2),
     rtt: float = 0.040,
     frames: int = 900,
     seed: int = 7,
@@ -100,7 +100,7 @@ class TransportAblationRow:
 
 
 def run_transport_ablation(
-    losses: Iterable[float] = (0.0, 0.01, 0.02, 0.05),
+    losses: Iterable[float] = (0.0, 0.02, 0.05),
     rtt: float = 0.040,
     frames: int = 900,
     seed: int = 7,
@@ -271,7 +271,7 @@ class BatchingAblationRow:
 
 def run_batching_ablation(
     send_intervals: Iterable[float] = (0.002, 0.005, 0.010, 0.020, 0.040),
-    rtt: float = 0.140,
+    rtt: float = 0.170,
     frames: int = 900,
     seed: int = 7,
 ) -> List[BatchingAblationRow]:

@@ -33,6 +33,9 @@ from repro.net.netem import NetemConfig
 #: The paper's RTT sweep: 10 ms steps to 200 ms, then 50 ms steps to 400 ms.
 PAPER_RTT_SWEEP = [r / 1000.0 for r in list(range(0, 201, 10)) + [250, 300, 350, 400]]
 
+#: Nine points of it, the default sweep: the plateau, the shoulder, the cliff.
+REDUCED_RTT_SWEEP = [0.0, 0.040, 0.080, 0.100, 0.120, 0.140, 0.160, 0.200, 0.300]
+
 #: The paper records 3600 frames per experiment.
 PAPER_FRAMES = 3600
 

@@ -2,12 +2,14 @@
 
 The paper reports Figures 1 and 2 as line charts; these formatters print
 the underlying series as aligned tables (plus a crude sparkline so the
-shape is visible in a terminal), which is what the benchmark harness emits.
+shape is visible in a terminal), which is what ``repro reproduce`` prints.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from repro.harness.series1 import PROBE_RTTS
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -193,6 +195,100 @@ def format_batching_ablation(rows) -> str:
                 f"{r.frame_time_mean * 1000:.2f}",
                 f"{r.frame_time_mad * 1000:.2f}",
                 r.datagrams_sent,
+            ]
+            for r in rows
+        ],
+    )
+
+
+def format_threshold(rows) -> str:
+    return "§4.2 threshold budget\n" + format_table(
+        ["configuration", "threshold RTT (ms)"],
+        [
+            [
+                r.configuration,
+                f">{PROBE_RTTS[-1] * 1000:.0f}"
+                if r.threshold_rtt is None
+                else f"{r.threshold_rtt * 1000:.0f}",
+            ]
+            for r in rows
+        ],
+    )
+
+
+def format_multisite(rows) -> str:
+    return "Ext-A: session size scaling (RTT 40 ms)\n" + format_table(
+        ["players", "observers", "frame_time(ms)", "mad(ms)", "sync(ms)"],
+        [
+            [
+                r.players,
+                r.observers,
+                f"{r.frame_time_mean * 1000:.2f}",
+                f"{r.frame_time_mad * 1000:.2f}",
+                f"{r.synchrony * 1000:.2f}",
+            ]
+            for r in rows
+        ],
+    )
+
+
+def format_latejoin(rows) -> str:
+    return "Ext-B: late-join cost per game\n" + format_table(
+        ["game", "savestate(B)", "on-wire(B)", "joined@frame", "verified", "player ft(ms)"],
+        [
+            [
+                r.game,
+                r.snapshot_bytes,
+                r.wire_bytes,
+                r.joined_at_frame,
+                r.overlap_verified,
+                f"{r.player_frame_time * 1000:.2f}",
+            ]
+            for r in rows
+        ],
+    )
+
+
+def format_rollback(rows) -> str:
+    return "Ext-D: rollback (zero lag) vs lockstep (100 ms lag)\n" + format_table(
+        [
+            "RTT(ms)",
+            "lockstep ft(ms)",
+            "lockstep lag(ms)",
+            "rollback ft(ms)",
+            "rollback lag(ms)",
+            "rollback rate",
+            "replay overhead",
+            "max depth",
+            "overhead (calm pads)",
+        ],
+        [
+            [
+                f"{r.rtt * 1000:.0f}",
+                f"{r.lockstep_frame_time * 1000:.2f}",
+                "100",
+                f"{r.frame_time * 1000:.2f}",
+                "0",
+                f"{r.rollback_rate * 100:.0f}%",
+                f"{r.replay_overhead * 100:.0f}%",
+                r.max_depth,
+                f"{r.calm_replay_overhead * 100:.0f}%",
+            ]
+            for r in rows
+        ],
+    )
+
+
+def format_bandwidth(rows) -> str:
+    return "Ext-E: sync bandwidth per site (RTT 40 ms)\n" + format_table(
+        ["players", "flush(ms)", "sent (B/s)", "recv (B/s)", "datagrams/s"],
+        [
+            [
+                r.players,
+                f"{r.send_interval * 1000:.0f}",
+                f"{r.sent_Bps:.0f}",
+                f"{r.received_Bps:.0f}",
+                f"{r.datagrams_per_s:.1f}",
             ]
             for r in rows
         ],

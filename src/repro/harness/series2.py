@@ -11,12 +11,11 @@ under 10 ms; above 140 ms it rises quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-from repro.core.config import SyncConfig
 from repro.harness.experiment import (
     PAPER_FRAMES,
-    PAPER_RTT_SWEEP,
+    REDUCED_RTT_SWEEP,
     ExperimentResult,
     run_point,
 )
@@ -40,20 +39,7 @@ class Series2Row:
 
 
 def run_series2(
-    rtts: Optional[Iterable[float]] = None,
-    frames: int = PAPER_FRAMES,
-    config: Optional[SyncConfig] = None,
-    game: str = "counter",
-    seed: int = 7,
-    start_skew: float = 0.0,
+    rtts: Iterable[float] = REDUCED_RTT_SWEEP, frames: int = PAPER_FRAMES
 ) -> List[Series2Row]:
-    """Run the full Figure-2 sweep; returns one row per RTT value."""
-    rtts = list(rtts) if rtts is not None else list(PAPER_RTT_SWEEP)
-    rows = []
-    for rtt in rtts:
-        result = run_point(
-            rtt, frames=frames, config=config, game=game, seed=seed,
-            start_skew=start_skew,
-        )
-        rows.append(Series2Row.from_result(result))
-    return rows
+    """Run the Figure-2 sweep; returns one row per RTT value."""
+    return [Series2Row.from_result(run_point(rtt, frames=frames)) for rtt in rtts]

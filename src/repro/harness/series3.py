@@ -11,12 +11,11 @@ from 0 to 20 %, measuring frame time, smoothness and synchrony.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-from repro.core.config import SyncConfig
 from repro.harness.experiment import ExperimentResult, run_point
 
-DEFAULT_LOSS_SWEEP = [0.0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20]
+DEFAULT_LOSS_SWEEP = [0.0, 0.01, 0.02, 0.05, 0.10, 0.20]
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,10 @@ class Series3Row:
 
 
 def run_series3(
-    losses: Optional[Iterable[float]] = None,
-    rtt: float = 0.040,
-    frames: int = 1200,
-    config: Optional[SyncConfig] = None,
-    game: str = "counter",
-    seed: int = 7,
+    losses: Iterable[float] = DEFAULT_LOSS_SWEEP, rtt: float = 0.040, frames: int = 1200
 ) -> List[Series3Row]:
     """Sweep packet loss at a fixed (comfortable) RTT."""
-    losses = list(losses) if losses is not None else list(DEFAULT_LOSS_SWEEP)
-    rows = []
-    for loss in losses:
-        result = run_point(
-            rtt, frames=frames, config=config, game=game, seed=seed, loss=loss
-        )
-        rows.append(Series3Row.from_result(result, loss))
-    return rows
+    return [
+        Series3Row.from_result(run_point(rtt, frames=frames, loss=loss), loss)
+        for loss in losses
+    ]

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.harness.reproduce import write_reproduction
 from repro.harness.validate import (
     CLAIMS,
     ClaimResult,
@@ -13,12 +12,10 @@ from repro.harness.validate import (
 )
 
 
-@pytest.fixture(scope="module")
-def results(tmp_path_factory):
-    """One reproduction bundle shared by this module's tests."""
-    out = tmp_path_factory.mktemp("results")
-    __, json_path = write_reproduction(str(out), frames=420)
-    return json_path
+@pytest.fixture
+def results(reproduction):
+    """The session's 420-frame reproduction bundle."""
+    return reproduction.json_path
 
 
 class TestValidation:
@@ -42,6 +39,15 @@ class TestValidation:
             "§3.1: a TCP-like transport is less smooth under loss"
         ].passed
 
+    def test_broken_extension_fails_its_claim(self, results):
+        payload = json.load(open(results))
+        # Sabotage: the console's late joiner received only a delta.
+        for row in payload["experiments"]["latejoin"]:
+            if row["game"] == "pong":
+                row["snapshot_bytes"] = 3918
+        failing = [o.claim for o in validate_results(payload) if not o.passed]
+        assert failing == ["Ext-B: the console transfers its whole 64 KiB machine"]
+
     def test_missing_experiment_reported_not_crashed(self, results):
         payload = json.load(open(results))
         del payload["experiments"]["ablation_transport"]
@@ -61,7 +67,7 @@ class TestValidation:
 
         assert main(["validate", results]) == 0
         out = capsys.readouterr().out
-        assert "12/12 claims hold" in out
+        assert f"{len(CLAIMS)}/{len(CLAIMS)} claims hold" in out
 
         payload = json.load(open(results))
         for row in payload["experiments"]["figure2"]:

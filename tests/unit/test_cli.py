@@ -1,8 +1,14 @@
 """Unit tests for the command-line interface."""
 
+import json
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, cmd_reproduce, main
+from repro.harness.reproduce import EXPERIMENTS
 
 
 class TestGames:
@@ -53,19 +59,58 @@ class TestAio:
 
 
 class TestFigures:
-    def test_figure1_table(self, capsys):
-        assert main(["figure1", "--frames", "120"]) == 0
+    """``repro reproduce`` prints each experiment's table (the session's
+    120-frame bundle ran every experiment)."""
+
+    def test_figure1_table(self, quick_reproduction):
+        assert "Figure 1" in quick_reproduction.stdout
+        assert "RTT(ms)" in quick_reproduction.stdout
+
+    def test_figure2_table(self, quick_reproduction):
+        assert "Figure 2" in quick_reproduction.stdout
+
+    def test_loss_table(self, quick_reproduction, tmp_path, capsys):
+        """An ID runs that experiment alone, with the same table."""
+        assert main(["reproduce", "loss", "--frames", "120", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert "RTT(ms)" in out
+        table = out[: out.index("wrote ")]
+        assert "loss" in table
+        assert table in quick_reproduction.stdout
+        results = json.loads((tmp_path / "results.json").read_text())
+        assert list(results["experiments"]) == ["loss"]
+        assert len(results["experiments"]["loss"]) == 6
 
-    def test_figure2_table(self, capsys):
-        assert main(["figure2", "--frames", "120"]) == 0
-        assert "Figure 2" in capsys.readouterr().out
+    def test_every_table_printed_in_order(self, reproduction):
+        """With no ID, every registered table is printed, in registry order,
+        then where they were written."""
+        tables = re.findall(r"## \w+\n\n```\n(.*?)\n```", reproduction.report, re.DOTALL)
+        assert len(tables) == len(EXPERIMENTS)
+        printed = "".join(table + "\n" for table in tables)
+        assert reproduction.stdout.startswith(printed)
+        assert reproduction.stdout[len(printed):].startswith("wrote ")
 
-    def test_loss_table(self, capsys):
-        assert main(["loss", "--frames", "120"]) == 0
-        assert "loss" in capsys.readouterr().out
+    def test_unknown_experiment_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["reproduce", "figure3"])
+        assert "unknown experiment 'figure3'" in capsys.readouterr().err
+
+
+class TestExperimentsDoc:
+    def test_every_command_line_runs_registered_experiments(self):
+        """Each EXPERIMENTS.md "Command:" line parses as ``repro
+        reproduce`` naming registered experiments, so none can silently
+        select nothing."""
+        text = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+        commands = [" ".join(c.split()) for c in re.findall(r"Command: `([^`]+)`", text)]
+        assert len(commands) >= 11
+        named = set()
+        for command in commands:
+            words = shlex.split(command)
+            assert words[:3] == ["python", "-m", "repro"], command
+            args = build_parser().parse_args(words[3:])
+            assert args.fn is cmd_reproduce and args.ids, command
+            named.update(args.ids)
+        assert named == set(EXPERIMENTS)
 
 
 class TestDisasm:

@@ -16,7 +16,7 @@ CORE = SRC / "core"
 
 #: Every ``.py`` file under ``src/repro``, in lines.  Measurement code
 #: lives in ``tests/`` and ``benchmarks/``, not in the package.
-SRC_MAX_LINES = 18961
+SRC_MAX_LINES = 19492
 #: ``src/repro/core/engine.py``, in lines.
 ENGINE_MAX_LINES = 1330
 #: Every ``.py`` file under ``src/repro/core``, in lines.
