@@ -71,7 +71,7 @@ def test_lockstep_roundtrip_throughput(benchmark):
 
 
 def test_sync_codec_decode_throughput(benchmark):
-    message = Sync(0, 1, ack=90, first_frame=90, inputs=list(range(12)))
+    message = Sync(0, 1, 90, 90, bytes(range(12)), 12, 0xFF)
     raw = message.encode()
 
     def codec():
@@ -82,20 +82,18 @@ def test_sync_codec_decode_throughput(benchmark):
 
 
 def test_sync_codec_encode_throughput(benchmark):
-    """Encode from scratch (mask derivation, packing, change coding)."""
+    """Build and encode from packed cells (change coding, framing)."""
 
     def codec():
         for __ in range(100):
-            Sync(
-                0, 1, ack=90, first_frame=90, inputs=list(range(12))
-            ).encode()
+            Sync(0, 1, 90, 90, bytes(range(12)), 12, 0xFF).encode()
 
     benchmark(codec)
 
 
 def test_batch_assembly_throughput(benchmark):
     """One flush tick's coalescing: SYNC + PONG into a BATCH, then decode."""
-    sync = Sync(0, 1, ack=90, first_frame=90, inputs=list(range(8)))
+    sync = Sync(0, 1, 90, 90, bytes(range(8)), 8, 0xFF)
     ping = Ping(0, 1, seq=7, timestamp_us=123_456)
     members = [
         (Sync.TYPE_ID, sync._encode_body()),
@@ -118,9 +116,7 @@ def test_sync_is_compact(benchmark):
     """The codec's size claim, pinned where the timings live: a two-site
     8-frame SYNC must encode to under half its v1 size, even when every
     cell changes."""
-    message = Sync(
-        0, 1, ack=95, first_frame=96, inputs=[1, 0, 3, 2, 1, 0, 1, 3]
-    )
+    message = Sync(0, 1, 95, 96, bytes([1, 0, 3, 2, 1, 0, 1, 3]), 8, 0xFF)
 
     benchmark(lambda: message.encode())
     size = len(message.encode())

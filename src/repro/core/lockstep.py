@@ -276,7 +276,7 @@ class LockstepSync:
 
         if has_inputs:
             last = min(last, first + MAX_INPUTS_PER_MESSAGE - 1)
-            message = Sync.from_packed(
+            message = Sync(
                 self.site_no,
                 self.session_id,
                 ack,
@@ -284,16 +284,9 @@ class LockstepSync:
                 self._packed_window(first, last),
                 last - first + 1,
                 self._cell_mask,
-                implied=True,
             )
         else:
-            message = Sync(
-                sender_site=self.site_no,
-                session_id=self.session_id,
-                ack=ack,
-                first_frame=first,
-                inputs=[],
-            )
+            message = Sync(self.site_no, self.session_id, ack, first)
         self._record_send(peer, message)
         return message
 

@@ -27,8 +27,8 @@ byte-by-byte specification.  The load-bearing choices:
 * **Bitfield-packed inputs** — per-frame input words are compressed with
   the sender's input-assignment mask (compact_bits, a pure-Python PEXT)
   into fixed-width little-endian cells: one byte per frame for an 8-bit
-  pad instead of four.  The mask itself is usually *implied* — both sides
-  derive it from the input assignment — so the wire carries only a flag.
+  pad instead of four.  The mask itself is *implied* — both sides derive
+  it from the input assignment — so the wire carries only a flag.
 * **Change-coded windows** — Algorithm 2 resends the whole unacked
   window, so most cells of a SYNC were sent before, and about half
   repeat the frame before.  A change map (one bit per frame) carries a
@@ -49,9 +49,10 @@ lag is disabled.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple, Type
+from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple, Type
 
 MAGIC = b"RG"  # Retro Gaming
 VERSION = 4
@@ -226,14 +227,14 @@ def expand_bits(cell: int, mask: int) -> int:
     return out
 
 
-def _check_cells_fit(packed: bytes, width: int, mask: int, what: str) -> None:
+def _check_cells_fit(packed: bytes, width: int, mask: int) -> None:
     """Raise :class:`DecodeError` if a packed cell sets a bit ``mask`` lacks."""
     popcount = len(mask_positions(mask))
     if popcount == 8 * width:
         return  # every bit of a cell is a mask bit: the common byte-wide pad
     for start in range(0, len(packed), width):
         if int.from_bytes(packed[start : start + width], "little") >> popcount:
-            raise DecodeError(f"SYNC input cell exceeds {what}")
+            raise DecodeError("SYNC input cell exceeds the sender's mask")
 
 
 # ----------------------------------------------------------------------
@@ -295,27 +296,27 @@ def _expand_changes(
 # ----------------------------------------------------------------------
 # Messages.
 # ----------------------------------------------------------------------
-class Message:
-    """Base class; concrete messages define ``TYPE_ID`` and a body codec."""
+class Field(NamedTuple):
+    """One varint of a fixed-layout message body (see :attr:`Message.BODY`).
 
-    TYPE_ID: ClassVar[int] = -1
+    ``kind`` is ``"uvarint"`` or ``"svarint"``.  A ``trailing`` field is
+    optional: it is omitted exactly when it holds its dataclass default,
+    and decode refuses it encoded with that default, so each value has one
+    encoding.  ``bound`` caps the value on both sides.
+    """
 
-    sender_site: int
-    session_id: int
+    name: str
+    kind: str
+    trailing: bool = False
+    bound: Optional[int] = None
 
-    def encode(self) -> bytes:
-        return encode_packet(
-            self.TYPE_ID, self.sender_site, self.session_id, self._encode_body()
-        )
 
-    def _encode_body(self) -> bytes:  # pragma: no cover - overridden
-        return b""
+def _u(name: str, trailing: bool = False, bound: Optional[int] = None) -> Field:
+    return Field(name, "uvarint", trailing, bound)
 
-    @classmethod
-    def _decode_body(
-        cls, sender_site: int, session_id: int, body: bytes
-    ) -> "Message":  # pragma: no cover - overridden
-        raise NotImplementedError
+
+def _s(name: str, trailing: bool = False) -> Field:
+    return Field(name, "svarint", trailing)
 
 
 def _expect_end(body: bytes, offset: int, name: str) -> None:
@@ -323,11 +324,70 @@ def _expect_end(body: bytes, offset: int, name: str) -> None:
         raise DecodeError(f"{name} has {len(body) - offset} trailing bytes")
 
 
+class Message:
+    """Base class; concrete messages define ``TYPE_ID`` and a body layout.
+
+    A fixed-layout message lists its body in :attr:`BODY`, in dataclass
+    field order after the header's ``sender_site`` and ``session_id``, and
+    the codec below applies it.  SYNC, STATE_SNAPSHOT and BATCH carry
+    variable-length bodies and override both halves.
+    """
+
+    TYPE_ID: ClassVar[int] = -1
+    #: The body, one varint per field; an optional field comes last.
+    BODY: ClassVar[Tuple[Field, ...]] = ()
+    #: Wire name in error messages: ``StartAck`` reads ``START_ACK``.
+    NAME: ClassVar[str] = ""
+
+    sender_site: int
+    session_id: int
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.NAME = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).upper()
+
+    def encode(self) -> bytes:
+        return encode_packet(
+            self.TYPE_ID, self.sender_site, self.session_id, self._encode_body()
+        )
+
+    def _encode_body(self) -> bytes:
+        out = bytearray()
+        for name, kind, trailing, bound in self.BODY:
+            value = getattr(self, name)
+            if trailing and value == getattr(type(self), name):
+                continue
+            if bound is not None and value > bound:
+                raise ValueError(f"{self.NAME} {name} {value} exceeds {bound}")
+            (append_svarint if kind == "svarint" else append_uvarint)(out, value)
+        return bytes(out)
+
+    @classmethod
+    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Message":
+        values = []
+        offset = 0
+        for name, kind, trailing, bound in cls.BODY:
+            if trailing and offset == len(body):
+                values.append(getattr(cls, name))
+                continue
+            what = f"{cls.NAME} {name}"
+            read = read_svarint if kind == "svarint" else read_uvarint
+            value, offset = read(body, offset, what)
+            if trailing and value == getattr(cls, name):
+                raise DecodeError(f"{what} holds its default and must be omitted")
+            if bound is not None and value > bound:
+                raise DecodeError(f"{what} {value} exceeds {bound}")
+            values.append(value)
+        _expect_end(body, offset, cls.NAME)
+        return cls(sender_site, session_id, *values)
+
+
 @dataclass
 class Hello(Message):
     """Join request from a prospective site to the session master."""
 
     TYPE_ID: ClassVar[int] = 1
+    BODY = (_u("game_id"), _u("config_digest"), _u("features", trailing=True))
 
     sender_site: int
     session_id: int
@@ -337,50 +397,18 @@ class Hello(Message):
     #: omitted from the wire, keeping pre-feature encodings byte-identical.
     features: int = 0
 
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_uvarint(out, self.game_id)
-        append_uvarint(out, self.config_digest)
-        if self.features:
-            append_uvarint(out, self.features)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Hello":
-        game_id, offset = read_uvarint(body, 0, "HELLO game id")
-        config_digest, offset = read_uvarint(body, offset, "HELLO config digest")
-        features = 0
-        if offset < len(body):
-            features, offset = read_uvarint(body, offset, "HELLO features")
-            if features == 0:
-                raise DecodeError("HELLO zero feature word must be omitted")
-        _expect_end(body, offset, "HELLO")
-        return cls(sender_site, session_id, game_id, config_digest, features)
-
 
 @dataclass
 class Welcome(Message):
     """Master's reply to HELLO, assigning the joiner its site number."""
 
     TYPE_ID: ClassVar[int] = 2
+    BODY = (_s("assigned_site"), _s("num_sites"))
 
     sender_site: int
     session_id: int
     assigned_site: int
     num_sites: int
-
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_svarint(out, self.assigned_site)
-        append_svarint(out, self.num_sites)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Welcome":
-        assigned, offset = read_svarint(body, 0, "WELCOME assigned site")
-        num_sites, offset = read_svarint(body, offset, "WELCOME site count")
-        _expect_end(body, offset, "WELCOME")
-        return cls(sender_site, session_id, assigned, num_sites)
 
 
 @dataclass
@@ -401,28 +429,12 @@ class Start(Message):
     """
 
     TYPE_ID: ClassVar[int] = 3
+    BODY = (_u("features", trailing=True),)
 
     sender_site: int
     session_id: int
     #: Session-wide granted feature bits (intersection of all HELLOs).
     features: int = 0
-
-    def _encode_body(self) -> bytes:
-        if not self.features:
-            return b""
-        out = bytearray()
-        append_uvarint(out, self.features)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Start":
-        features = 0
-        if body:
-            features, offset = read_uvarint(body, 0, "START features")
-            if features == 0:
-                raise DecodeError("START zero feature word must be omitted")
-            _expect_end(body, offset, "START")
-        return cls(sender_site, session_id, features)
 
 
 @dataclass
@@ -434,18 +446,10 @@ class StartAck(Message):
     sender_site: int
     session_id: int
 
-    def _encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "StartAck":
-        if body:
-            raise DecodeError("START_ACK carries no body")
-        return cls(sender_site, session_id)
-
 
 #: SYNC head-byte flag: the input mask is implied by the sender's input
-#: assignment rather than carried on the wire (the common case).
+#: assignment rather than carried on the wire.  Set on every SYNC that
+#: carries inputs; decode refuses one without it.
 _SYNC_MASK_IMPLIED = 0x80
 #: SYNC head-byte flag: a timeline stamp (two uvarint tick fields) follows
 #: the ack.  Only emitted toward peers that negotiated FEATURE_TIMELINE.
@@ -462,18 +466,13 @@ _MAX_CELL_WIDTH = 8  # inputs are at most 64-bit words
 class Sync(Message):
     """The workhorse: an ack + a contiguous window of the sender's inputs.
 
-    Three construction paths share this class:
-
-    * ``Sync(sender, session, ack, first_frame, inputs)`` — explicit
-      input words; encoding derives a mask (the OR of the words), packs
-      the words into cells and carries the mask on the wire.
-    * :meth:`from_packed` — the sync layer's incremental encode cache
-      hands over pre-packed cells plus the assignment mask; the wire form
-      sets the implied-mask flag and omits the mask.
-    * decoding — cells stay packed until :attr:`inputs` is first read;
-      an implied-mask message must be resolved against the sender's
-      assignment via :meth:`resolve_input_mask` first (the engine does
-      this on receipt).
+    The window arrives as ``count`` packed cells of ``width`` bytes (by
+    default the width of ``input_mask``, the sender's assignment mask),
+    the form the sync layer's incremental encode cache holds them in; a
+    pure ack passes neither.  The mask never rides the wire: a decoded
+    SYNC keeps its cells packed and must be resolved against the sender's
+    assignment via :meth:`resolve_input_mask` (the engine does this on
+    receipt) before :attr:`inputs` is first read.
 
     ``encode()`` always reproduces the stored wire form byte-for-byte,
     which is what makes decode→re-encode identity hold for the property
@@ -488,49 +487,27 @@ class Sync(Message):
         session_id: int,
         ack: int,
         first_frame: int,
-        inputs: Optional[List[int]] = None,
+        packed: bytes = b"",
+        count: int = 0,
+        input_mask: Optional[int] = None,
+        width: Optional[int] = None,
     ):
+        if width is None:
+            width = cell_width(input_mask or 0)
+        if len(packed) != count * width:
+            raise ValueError(f"{len(packed)} bytes are not {count} cells of {width}")
         self.sender_site = sender_site
         self.session_id = session_id
         #: sd[0]: the sender's LastRcvFrame for this message's destination.
         self.ack = ack
         #: First frame of the carried inputs window (sd[1]).
         self.first_frame = first_frame
-        self._inputs: Optional[List[int]] = list(inputs) if inputs else []
-        self._count = len(self._inputs)
-        self._packed: Optional[bytes] = None
-        self._width = 0
-        self._input_mask: Optional[int] = None
-        self._implied = False
-        self._stamp: Optional[Tuple[int, int]] = None
-
-    @classmethod
-    def from_packed(
-        cls,
-        sender_site: int,
-        session_id: int,
-        ack: int,
-        first_frame: int,
-        packed: bytes,
-        count: int,
-        input_mask: Optional[int],
-        implied: bool = True,
-        width: Optional[int] = None,
-    ) -> "Sync":
-        """Build a SYNC around pre-packed input cells (no per-word work)."""
-        self = cls.__new__(cls)
-        self.sender_site = sender_site
-        self.session_id = session_id
-        self.ack = ack
-        self.first_frame = first_frame
-        self._inputs = None
-        self._count = count
         self._packed = packed
-        self._width = cell_width(input_mask) if width is None else width
+        self._count = count
+        self._width = width
         self._input_mask = input_mask
-        self._implied = implied
-        self._stamp = None
-        return self
+        self._inputs: Optional[List[int]] = None
+        self._stamp: Optional[Tuple[int, int]] = None
 
     @property
     def stamp(self) -> Optional[Tuple[int, int]]:
@@ -561,13 +538,11 @@ class Sync(Message):
 
     @property
     def needs_mask(self) -> bool:
-        """True for a decoded implied-mask SYNC not yet resolved."""
-        return (
-            self._inputs is None and self._input_mask is None and self._width > 0
-        )
+        """True for a decoded SYNC whose cells are not yet bound to a mask."""
+        return self._input_mask is None and self._width > 0
 
     def resolve_input_mask(self, mask: int) -> None:
-        """Bind a decoded implied-mask SYNC to the sender's assignment mask.
+        """Bind a decoded SYNC to the sender's assignment mask.
 
         Validates that the wire cell width matches the mask and that every
         cell fits within it; raises :class:`DecodeError` otherwise.  A
@@ -580,8 +555,7 @@ class Sync(Message):
                 f"SYNC cell width {self._width} does not match the sender's "
                 f"input mask {mask:#x}"
             )
-        assert self._packed is not None
-        _check_cells_fit(self._packed, self._width, mask, "the sender's mask")
+        _check_cells_fit(self._packed, self._width, mask)
         self._input_mask = mask
 
     @property
@@ -589,24 +563,15 @@ class Sync(Message):
         """The sender's partial inputs for first_frame.. (sd[3...]); empty
         when the message is a pure ack.  Unpacks lazily on first access."""
         if self._inputs is None:
-            if self._width == 0:
+            mask, packed, width = self._input_mask, self._packed, self._width
+            if not width:
                 self._inputs = [0] * self._count
-            elif self._input_mask is None:
-                raise DecodeError(
-                    "implied-mask SYNC not resolved against an input assignment"
-                )
+            elif mask is None:
+                raise DecodeError("SYNC not resolved against an input assignment")
             else:
-                mask = self._input_mask
-                packed, width = self._packed, self._width
-                assert packed is not None
                 self._inputs = [
-                    expand_bits(
-                        int.from_bytes(
-                            packed[index * width : (index + 1) * width], "little"
-                        ),
-                        mask,
-                    )
-                    for index in range(self._count)
+                    expand_bits(int.from_bytes(packed[at : at + width], "little"), mask)
+                    for at in range(0, len(packed), width)
                 ]
         return self._inputs
 
@@ -615,7 +580,7 @@ class Sync(Message):
         append_svarint(out, self.first_frame)
         count = self._count
         head = min(count, _SYNC_COUNT_ESCAPE)
-        if self._implied and count:
+        if count:
             head |= _SYNC_MASK_IMPLIED
         stamp = self._stamp
         if stamp is not None:
@@ -627,32 +592,8 @@ class Sync(Message):
         if stamp is not None:
             append_uvarint(out, stamp[0])
             append_uvarint(out, stamp[1])
-        if count == 0:
-            return bytes(out)
-        if self._packed is None:
-            # Explicit construction: derive the mask and pack now.
-            inputs = self._inputs
-            assert inputs is not None
-            mask = 0
-            for word in inputs:
-                if word < 0:
-                    raise ValueError(f"negative input word {word}")
-                mask |= word
-            width = cell_width(mask)
-            self._input_mask = mask
-            self._width = width
-            if width:
-                self._packed = b"".join(
-                    compact_bits(word, mask).to_bytes(width, "little")
-                    for word in inputs
-                )
-            else:
-                self._packed = b""
-        if not self._implied:
-            mask = self._input_mask
-            assert mask is not None
-            append_uvarint(out, mask)
-        _append_change_coded(out, self._packed, self._count, self._width)
+        if count:
+            _append_change_coded(out, self._packed, count, self._width)
         return bytes(out)
 
     @classmethod
@@ -662,8 +603,6 @@ class Sync(Message):
             raise DecodeError("truncated SYNC body (missing head byte)")
         head = body[offset]
         offset += 1
-        implied = bool(head & _SYNC_MASK_IMPLIED)
-        stamped = bool(head & _SYNC_STAMPED)
         count = head & _SYNC_COUNT_ESCAPE
         if count == _SYNC_COUNT_ESCAPE:
             count, offset = read_uvarint(body, offset, "SYNC input count")
@@ -679,19 +618,16 @@ class Sync(Message):
             if head:
                 raise DecodeError(f"SYNC pure ack with head flags {head:#04x}")
             _expect_end(body, offset, "SYNC pure ack")
-            return cls(sender_site, session_id, ack, first_frame, [])
+            return cls(sender_site, session_id, ack, first_frame)
+        if not head & _SYNC_MASK_IMPLIED:
+            raise DecodeError("SYNC carries inputs without the implied-mask flag")
         stamp: Optional[Tuple[int, int]] = None
-        if stamped:
+        if head & _SYNC_STAMPED:
             send_ticks, offset = read_uvarint(body, offset, "SYNC stamp send")
             capture_ticks, offset = read_uvarint(
                 body, offset, "SYNC stamp capture"
             )
             stamp = (send_ticks, capture_ticks)
-        mask: Optional[int] = None
-        if not implied:
-            mask, offset = read_uvarint(body, offset, "SYNC input mask")
-            if mask >> 64:
-                raise DecodeError(f"SYNC input mask wider than 64 bits ({mask:#x})")
         cells_at = offset + ((count + 6) >> 3)
         if cells_at > len(body):
             raise DecodeError("truncated SYNC change map")
@@ -700,36 +636,17 @@ class Sync(Message):
             raise DecodeError("SYNC change map has non-zero pad bits")
         carried = 1 + bin(changes).count("1")
         rest = len(body) - cells_at
-        if mask is None:
-            # The width is implied too: whatever divides the cells evenly.
-            width, spare = divmod(rest, carried)
-            if spare:
-                raise DecodeError(
-                    f"SYNC cells of {rest} bytes fit no width for "
-                    f"{carried} carried cells"
-                )
-            if width > _MAX_CELL_WIDTH:
-                raise DecodeError(f"SYNC cell width {width} exceeds 64-bit inputs")
-        else:
-            width = cell_width(mask)
-            if rest != carried * width:
-                raise DecodeError(
-                    f"SYNC cells length {rest} != expected {carried * width}"
-                )
+        # The width is implied too: whatever divides the cells evenly.
+        width, spare = divmod(rest, carried)
+        if spare:
+            raise DecodeError(
+                f"SYNC cells of {rest} bytes fit no width for "
+                f"{carried} carried cells"
+            )
+        if width > _MAX_CELL_WIDTH:
+            raise DecodeError(f"SYNC cell width {width} exceeds 64-bit inputs")
         packed = _expand_changes(body, cells_at, count, width, changes)
-        if mask is not None:
-            _check_cells_fit(packed, width, mask, "the input mask")
-        message = cls.from_packed(
-            sender_site,
-            session_id,
-            ack,
-            first_frame,
-            packed,
-            count,
-            mask,
-            implied=mask is None,
-            width=width,
-        )
+        message = cls(sender_site, session_id, ack, first_frame, packed, count, None, width)
         message._stamp = stamp
         return message
 
@@ -753,24 +670,12 @@ class Ping(Message):
     """RTT probe; ``timestamp`` is the sender's local clock (microseconds)."""
 
     TYPE_ID: ClassVar[int] = 6
+    BODY = (_u("seq"), _s("timestamp_us"))
 
     sender_site: int
     session_id: int
     seq: int
     timestamp_us: int
-
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_uvarint(out, self.seq)
-        append_svarint(out, self.timestamp_us)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Ping":
-        seq, offset = read_uvarint(body, 0, "PING seq")
-        timestamp, offset = read_svarint(body, offset, "PING timestamp")
-        _expect_end(body, offset, "PING")
-        return cls(sender_site, session_id, seq, timestamp)
 
 
 @dataclass
@@ -787,6 +692,7 @@ class Pong(Message):
     """
 
     TYPE_ID: ClassVar[int] = 7
+    BODY = (_u("seq"), _s("echo_timestamp_us"), _s("remote_timestamp_us", trailing=True))
 
     sender_site: int
     session_id: int
@@ -794,24 +700,6 @@ class Pong(Message):
     echo_timestamp_us: int
     #: Responder's local clock when the pong was built (None when absent).
     remote_timestamp_us: Optional[int] = None
-
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_uvarint(out, self.seq)
-        append_svarint(out, self.echo_timestamp_us)
-        if self.remote_timestamp_us is not None:
-            append_svarint(out, self.remote_timestamp_us)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Pong":
-        seq, offset = read_uvarint(body, 0, "PONG seq")
-        timestamp, offset = read_svarint(body, offset, "PONG timestamp")
-        remote: Optional[int] = None
-        if offset < len(body):
-            remote, offset = read_svarint(body, offset, "PONG remote timestamp")
-        _expect_end(body, offset, "PONG")
-        return cls(sender_site, session_id, seq, timestamp, remote)
 
 
 @dataclass
@@ -822,17 +710,6 @@ class StateRequest(Message):
 
     sender_site: int
     session_id: int
-
-    def _encode_body(self) -> bytes:
-        return b""
-
-    @classmethod
-    def _decode_body(
-        cls, sender_site: int, session_id: int, body: bytes
-    ) -> "StateRequest":
-        if body:
-            raise DecodeError("STATE_REQUEST carries no body")
-        return cls(sender_site, session_id)
 
 
 @dataclass
@@ -935,6 +812,7 @@ class Resume(Message):
     """
 
     TYPE_ID: ClassVar[int] = 11
+    BODY = (_s("last_acked_frame"), _s("resync_frame", trailing=True))
 
     sender_site: int
     session_id: int
@@ -942,22 +820,6 @@ class Resume(Message):
     #: Last digest-agreed frame the requester wants the snapshot taken at
     #: (``None`` for an ordinary crash-recovery resume).
     resync_frame: Optional[int] = None
-
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_svarint(out, self.last_acked_frame)
-        if self.resync_frame is not None:
-            append_svarint(out, self.resync_frame)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Resume":
-        last_acked, offset = read_svarint(body, 0, "RESUME cookie")
-        resync_frame: Optional[int] = None
-        if offset < len(body):
-            resync_frame, offset = read_svarint(body, offset, "RESUME resync frame")
-        _expect_end(body, offset, "RESUME")
-        return cls(sender_site, session_id, last_acked, resync_frame)
 
 
 @dataclass
@@ -976,31 +838,15 @@ class StateDigest(Message):
     """
 
     TYPE_ID: ClassVar[int] = 15
+    BODY = (_s("frame"), _u("checksum", bound=0xFFFFFFFF))
 
     sender_site: int
     session_id: int
     frame: int = 0
     checksum: int = 0
 
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_svarint(out, self.frame)
-        append_uvarint(out, self.checksum)
-        return bytes(out)
 
-    @classmethod
-    def _decode_body(
-        cls, sender_site: int, session_id: int, body: bytes
-    ) -> "StateDigest":
-        frame, offset = read_svarint(body, 0, "STATE_DIGEST frame")
-        checksum, offset = read_uvarint(body, offset, "STATE_DIGEST checksum")
-        if checksum > 0xFFFFFFFF:
-            raise DecodeError(f"STATE_DIGEST checksum out of range: {checksum}")
-        _expect_end(body, offset, "STATE_DIGEST")
-        return cls(sender_site, session_id, frame, checksum)
-
-
-#: Consistency-mode codes carried by SWITCH_REQ/SWITCH_ACK.
+#: Consistency-mode codes carried by SWITCH_REQUEST/SWITCH_ACK.
 MODE_LOCKSTEP = 0
 MODE_ROLLBACK = 1
 
@@ -1020,6 +866,7 @@ class SwitchRequest(Message):
     """
 
     TYPE_ID: ClassVar[int] = 13
+    BODY = (_u("seq"), _u("mode", bound=MODE_ROLLBACK), _s("frame"))
 
     sender_site: int
     session_id: int
@@ -1027,53 +874,18 @@ class SwitchRequest(Message):
     mode: int = MODE_LOCKSTEP
     frame: int = 0
 
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_uvarint(out, self.seq)
-        append_uvarint(out, self.mode)
-        append_svarint(out, self.frame)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(
-        cls, sender_site: int, session_id: int, body: bytes
-    ) -> "SwitchRequest":
-        seq, offset = read_uvarint(body, 0, "SWITCH_REQ seq")
-        mode, offset = read_uvarint(body, offset, "SWITCH_REQ mode")
-        if mode not in (MODE_LOCKSTEP, MODE_ROLLBACK):
-            raise DecodeError(f"unknown consistency mode {mode}")
-        frame, offset = read_svarint(body, offset, "SWITCH_REQ frame")
-        _expect_end(body, offset, "SWITCH_REQ")
-        return cls(sender_site, session_id, seq, mode, frame)
-
 
 @dataclass
 class SwitchAck(Message):
     """Acknowledges one :class:`SwitchRequest` (echoes seq and mode)."""
 
     TYPE_ID: ClassVar[int] = 14
+    BODY = (_u("seq"), _u("mode", bound=MODE_ROLLBACK))
 
     sender_site: int
     session_id: int
     seq: int = 0
     mode: int = MODE_LOCKSTEP
-
-    def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_uvarint(out, self.seq)
-        append_uvarint(out, self.mode)
-        return bytes(out)
-
-    @classmethod
-    def _decode_body(
-        cls, sender_site: int, session_id: int, body: bytes
-    ) -> "SwitchAck":
-        seq, offset = read_uvarint(body, 0, "SWITCH_ACK seq")
-        mode, offset = read_uvarint(body, offset, "SWITCH_ACK mode")
-        if mode not in (MODE_LOCKSTEP, MODE_ROLLBACK):
-            raise DecodeError(f"unknown consistency mode {mode}")
-        _expect_end(body, offset, "SWITCH_ACK")
-        return cls(sender_site, session_id, seq, mode)
 
 
 @dataclass
@@ -1085,14 +897,20 @@ class Bye(Message):
     sender_site: int
     session_id: int
 
-    def _encode_body(self) -> bytes:
-        return b""
 
-    @classmethod
-    def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Bye":
-        if body:
-            raise DecodeError("BYE carries no body")
-        return cls(sender_site, session_id)
+def _batch_body(items: List[Tuple[int, bytes]]) -> bytes:
+    """A BATCH body framing ``(type_id, body)`` members."""
+    if not items:
+        raise ValueError("cannot pack an empty BATCH")
+    out = bytearray()
+    append_uvarint(out, len(items))
+    for type_id, body in items:
+        if type_id == Batch.TYPE_ID:
+            raise ValueError("BATCH cannot nest another BATCH")
+        out.append(type_id)
+        append_uvarint(out, len(body))
+        out += body
+    return bytes(out)
 
 
 @dataclass
@@ -1112,16 +930,7 @@ class Batch(Message):
     messages: List[Message] = field(default_factory=list)
 
     def _encode_body(self) -> bytes:
-        out = bytearray()
-        append_uvarint(out, len(self.messages))
-        for message in self.messages:
-            if message.TYPE_ID == Batch.TYPE_ID:
-                raise ValueError("BATCH cannot nest another BATCH")
-            body = message._encode_body()
-            out.append(message.TYPE_ID)
-            append_uvarint(out, len(body))
-            out += body
-        return bytes(out)
+        return _batch_body([(m.TYPE_ID, m._encode_body()) for m in self.messages])
 
     @classmethod
     def _decode_body(cls, sender_site: int, session_id: int, body: bytes) -> "Batch":
@@ -1193,17 +1002,7 @@ def pack_batch(
     member body is encoded exactly once and spliced in here without going
     through a :class:`Batch` instance.
     """
-    if not items:
-        raise ValueError("cannot pack an empty BATCH")
-    body = bytearray()
-    append_uvarint(body, len(items))
-    for type_id, item_body in items:
-        if type_id == Batch.TYPE_ID:
-            raise ValueError("BATCH cannot nest another BATCH")
-        body.append(type_id)
-        append_uvarint(body, len(item_body))
-        body += item_body
-    return encode_packet(Batch.TYPE_ID, sender_site, session_id, bytes(body))
+    return encode_packet(Batch.TYPE_ID, sender_site, session_id, _batch_body(items))
 
 
 def decode(raw: bytes) -> Message:

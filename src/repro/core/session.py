@@ -262,6 +262,7 @@ class SessionControl:
         replies: List[Tuple[Message, str]] = []
 
         if isinstance(message, Hello) and self.is_master:
+            self._check_known(message)
             if message.game_id != game_digest(self.game_id):
                 raise SessionError(
                     f"site {message.sender_site} offers a different game image"
@@ -311,6 +312,13 @@ class SessionControl:
             )
 
         elif isinstance(message, StartAck) and self.is_master:
+            self._check_known(message)
             self._start_acked[message.sender_site] = True
 
         return replies
+
+    def _check_known(self, message: Message) -> None:
+        """Refuse a HELLO or START_ACK from a site this session has no
+        address for, before any of its state is touched."""
+        if message.sender_site not in self.peer_addresses:
+            raise SessionError(f"site {message.sender_site} is not in this session")

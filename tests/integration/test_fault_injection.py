@@ -18,6 +18,7 @@ from repro.metrics.recorder import ConsistencyChecker, ConsistencyError
 from repro.metrics.stats import mean
 from repro.net.netem import NetemConfig
 from repro.net.transport import Datagram
+from tests.wire import sync_of
 
 
 def run_two(netem, frames=240, seed=5, config=None, machines=None):
@@ -161,15 +162,15 @@ def forged_conflict(lockstep):
     frame = lockstep.last_rcv_frame[1]
     mask = lockstep.assignment.mask(1)
     flipped = lockstep.ibuf.get(frame, 1) ^ (mask & -mask)
-    return [Sync(1, lockstep.session_id, lockstep.last_ack_frame[1], frame, [flipped])]
+    return [sync_of(1, lockstep.session_id, lockstep.last_ack_frame[1], frame, [flipped], mask)]
 
 
 def forged_flood(lockstep):
     """Five 7.5 KB windows of 60,000 cells each, past site 1's frontier."""
     start = lockstep.last_rcv_frame[1] + 2
     return [
-        Sync(1, lockstep.session_id, lockstep.last_ack_frame[1],
-             start + 60_000 * n, [0x100] * 60_000)
+        sync_of(1, lockstep.session_id, lockstep.last_ack_frame[1],
+                start + 60_000 * n, [0x100] * 60_000, lockstep.assignment.mask(1))
         for n in range(5)
     ]
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import LockstepSync
-from repro.core.messages import Sync
+from tests.wire import sync_of
 
 lockstep_settings = settings(
     max_examples=40,
@@ -173,12 +173,13 @@ def test_every_sync_window_is_a_slice_of_the_encode_cache(ops):
     frame = 0
 
     def peer_sends(peer, count, ack):
-        message = Sync(
-            sender_site=peer,
-            session_id=1,
-            ack=min(a.last_rcv_frame[0], ack),
-            first_frame=a.last_rcv_frame[peer] + 1,
-            inputs=[0] * count,
+        message = sync_of(
+            peer,
+            1,
+            min(a.last_rcv_frame[0], ack),
+            a.last_rcv_frame[peer] + 1,
+            [0] * count,
+            a.assignment.mask(peer),
         )
         a.on_sync(message, arrived_at=0.0)
 

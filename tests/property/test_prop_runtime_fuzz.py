@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
-from repro.core.messages import Ping, StateSnapshot, Sync
+from repro.core.messages import Ping, StateSnapshot
 from repro.core.engine import SitePeer, SiteRuntime
 from repro.emulator.machine import create_game
+from tests.wire import sync_of
 
 
 def make_runtime():
@@ -42,7 +43,7 @@ def test_random_bytes_never_crash(raw):
 )
 def test_bitflipped_real_messages_never_crash(kind, position, flip):
     if kind == "sync":
-        raw = Sync(1, 1, ack=5, first_frame=6, inputs=[1, 2, 3]).encode()
+        raw = sync_of(1, 1, 5, 6, [0x100, 0x200, 0x300], 0xFF00).encode()
     elif kind == "ping":
         raw = Ping(1, 1, seq=0, timestamp_us=1000).encode()
     else:
@@ -71,7 +72,9 @@ def test_adversarial_sync_messages_never_break_invariants(messages):
     runtime = make_runtime()
     lockstep = runtime.lockstep
     for sender, ack, first_frame, inputs in messages:
-        message = Sync(sender, 1, ack=ack, first_frame=first_frame, inputs=inputs)
+        # Packed against the sender's assignment, as a real peer packs.
+        mask = lockstep.assignment.mask(sender) if sender < 2 else None
+        message = sync_of(sender, 1, ack, first_frame, inputs, mask)
         # A conflicting input or an ack past our inputs is dropped like a
         # decode error; nothing reaches the caller.
         runtime.handle_datagram(message.encode(), 0.0, 0.0)

@@ -16,11 +16,11 @@ CORE = SRC / "core"
 
 #: Every ``.py`` file under ``src/repro``, in lines.  Measurement code
 #: lives in ``tests/`` and ``benchmarks/``, not in the package.
-SRC_MAX_LINES = 19492
+SRC_MAX_LINES = 19293
 #: ``src/repro/core/engine.py``, in lines.
 ENGINE_MAX_LINES = 1330
 #: Every ``.py`` file under ``src/repro/core``, in lines.
-CORE_MAX_LINES = 7874
+CORE_MAX_LINES = 7675
 #: ``src/repro/emulator/cpu.py``, in lines.
 CPU_MAX_LINES = 1178
 #: The engine's ``PHASE_*`` and ``TIMER_*`` constants.

@@ -49,6 +49,7 @@ from repro.core.messages import (
 )
 from repro.core.rtt import RttEstimator
 from repro.emulator.machine import create_game
+from tests.wire import sync_of
 
 
 def contains(payload, message_type):
@@ -401,7 +402,7 @@ class TestBandwidthBudget:
     def test_drop_order_sheds_pings_then_acks_then_inputs(self):
         engine = self._engine(bps=1)  # forces every non-control drop
         start = Start(0, 1)
-        sync_inputs = Sync(0, 1, ack=5, first_frame=6, inputs=[1, 2])
+        sync_inputs = sync_of(0, 1, 5, 6, [1, 2])
         pure_ack = Sync(0, 1, ack=5, first_frame=7)
         ping = Ping(0, 1, seq=0, timestamp_us=0)
         queue = [ping, sync_inputs, start, pure_ack]
@@ -413,7 +414,7 @@ class TestBandwidthBudget:
 
     def test_partial_budget_keeps_input_syncs(self):
         start = Start(0, 1)
-        sync_inputs = Sync(0, 1, ack=5, first_frame=6, inputs=[1, 2])
+        sync_inputs = sync_of(0, 1, 5, 6, [1, 2])
         pure_ack = Sync(0, 1, ack=5, first_frame=7)
         ping = Ping(0, 1, seq=0, timestamp_us=0)
         queue = [ping, sync_inputs, start, pure_ack]

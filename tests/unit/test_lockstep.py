@@ -7,6 +7,7 @@ from repro.core.inputs import InputAssignment
 from repro.core.lockstep import MASTER_MEMORY, MAX_INPUTS_PER_MESSAGE, LockstepSync
 from repro.core.messages import DecodeError, Sync
 from repro.core.rtt import CLOCK_FILTER_DEPTH
+from tests.wire import sync_of
 
 
 def make_pair(buf_frame=6, num_sites=2, observers=0):
@@ -142,7 +143,7 @@ class TestMessageExchange:
     def test_gapped_window_does_not_advance_cursor(self):
         a, b = make_pair()
         # Hand-craft a window starting beyond contiguity.
-        message = Sync(0, 1, ack=5, first_frame=20, inputs=[1, 2])
+        message = sync_of(0, 1, 5, 20, [1, 2])
         b.on_sync(message, 0.0)
         assert b.last_rcv_frame[0] == 5  # guard rejected the gap
         # Not buffered either: the window that closes the gap carries it.
@@ -152,7 +153,7 @@ class TestMessageExchange:
     def test_ack_past_our_inputs_refused(self):
         a, b = make_pair()
         b.buffer_local_input(0, 1)
-        message = Sync(0, 1, ack=7, first_frame=6, inputs=[1])
+        message = sync_of(0, 1, 7, 6, [1])
         with pytest.raises(DecodeError, match="past our last buffered frame 6"):
             b.on_sync(message, 0.0)
         # Refused whole: neither the window nor the ack was taken.
@@ -174,13 +175,13 @@ class TestMessageExchange:
         a.buffer_local_input(0, 1)
         pump(a, b)
         with pytest.raises(DecodeError, match="conflicting input for frame 6"):
-            b.on_sync(Sync(0, 1, ack=5, first_frame=6, inputs=[3, 1]), 0.0)
+            b.on_sync(sync_of(0, 1, 5, 6, [3, 1]), 0.0)
         assert b.last_rcv_frame[0] == 6
         assert b.ibuf.get(7, 0) is None
 
     def test_window_past_the_bound_is_clipped(self):
         a, b = make_pair()
-        b.on_sync(Sync(0, 1, ack=5, first_frame=6, inputs=[1] * 500), 0.0)
+        b.on_sync(sync_of(0, 1, 5, 6, [1] * 500), 0.0)
         assert b.last_rcv_frame[0] == 5 + MAX_INPUTS_PER_MESSAGE
         assert len(b.ibuf) == MAX_INPUTS_PER_MESSAGE
 
@@ -194,13 +195,13 @@ class TestMessageExchange:
 
     def test_message_from_self_ignored(self):
         a, _ = make_pair()
-        message = Sync(0, 1, ack=5, first_frame=6, inputs=[1])
+        message = sync_of(0, 1, 5, 6, [1])
         a.on_sync(message, 0.0)  # sender == own site
         assert a.stats.sync_messages_received == 0
 
     def test_out_of_range_sender_ignored(self):
         a, _ = make_pair()
-        message = Sync(9, 1, ack=5, first_frame=6, inputs=[1])
+        message = sync_of(9, 1, 5, 6, [1])
         a.on_sync(message, 0.0)
         assert a.stats.sync_messages_received == 0
 
@@ -587,7 +588,6 @@ class TestCachedMaskAndPresentPeers:
             session_id=1,
             ack=a.last_rcv_frame[0],
             first_frame=18,
-            inputs=[],
         )
         a.on_sync(ack_all, arrived_at=0.0)
         assert a.ibuf.floor == 18  # now only the delivery pointer holds it

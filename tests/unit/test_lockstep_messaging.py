@@ -4,6 +4,7 @@
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment
 from repro.core.lockstep import LockstepSync
+from tests.wire import sync_of
 
 
 def make_sites(num_sites=3, buf_frame=6, observers=0):
@@ -36,7 +37,7 @@ class TestBuildAll:
         # Peer 1 acks through slot 10; peer 2 has acked nothing.
         from repro.core.messages import Sync
 
-        ack_from_1 = Sync(1, 1, ack=10, first_frame=6, inputs=[])
+        ack_from_1 = Sync(1, 1, ack=10, first_frame=6)
         a.on_sync(ack_from_1, 0.0)
         messages = a.build_all(force=True)
         assert messages[1].first_frame == 11
@@ -120,11 +121,9 @@ class TestThreeSiteDeliveryGating:
             a.deliver()
         assert sorted(a.waiting_on()) == [1, 2]
         # Input from site 1 alone is not enough.
-        from repro.core.messages import Sync
-
-        a.on_sync(Sync(1, 1, ack=5, first_frame=6, inputs=[0x0100]), 0.0)
+        a.on_sync(sync_of(1, 1, 5, 6, [0x0100]), 0.0)
         assert a.waiting_on() == [2]
-        a.on_sync(Sync(2, 1, ack=5, first_frame=6, inputs=[0x030000]), 0.0)
+        a.on_sync(sync_of(2, 1, 5, 6, [0x030000]), 0.0)
         assert a.can_deliver()
         assert a.deliver() == 0x030101
 

@@ -157,6 +157,22 @@ class TestValidation:
         with pytest.raises(SessionError):
             master.on_message(bad, 0.0)
 
+    def test_hello_from_an_unknown_site_rejected(self):
+        master, __ = make_pair()
+        stray = Hello(5, 1, game_digest("pong"), config_digest(SyncConfig()))
+        with pytest.raises(SessionError, match="site 5"):
+            master.on_message(stray, 0.0)
+        assert 5 not in master._joined
+
+    def test_start_ack_from_an_unknown_site_rejected(self):
+        master, joiner = make_pair()
+        exchange(joiner, master, 0.0)
+        master.poll(0.1)
+        with pytest.raises(SessionError, match="site 5"):
+            master.on_message(StartAck(5, 1), 0.1)
+        assert 5 not in master._start_acked
+        assert not master.all_acked
+
     def test_wrong_session_id_ignored(self):
         master, __ = make_pair()
         stray = Hello(1, 999, game_digest("pong"), config_digest(SyncConfig()))
@@ -184,3 +200,15 @@ class TestExpectedSites:
         master.on_message(hello, 0.0)
         master.poll(0.1)
         assert master.started  # site 2 was not required
+
+    def test_known_site_outside_the_handshake_is_welcomed(self):
+        """A late joiner's HELLO is answered, not refused: only a site
+        with no address is unknown."""
+        config = SyncConfig()
+        addresses = {0: "s0", 1: "s1", 2: "s2"}
+        master = SessionControl(
+            config, 0, 3, "g", 1, addresses, expected_sites=[0, 1]
+        )
+        hello = Hello(2, 1, game_digest("g"), config_digest(config))
+        [(welcome, destination)] = master.on_message(hello, 0.0)
+        assert (welcome.assigned_site, destination) == (2, "s2")

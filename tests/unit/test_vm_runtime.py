@@ -7,16 +7,19 @@ from repro.core.inputs import InputAssignment, PadSource, RandomSource, Scripted
 from repro.core.messages import (
     _REGISTRY,
     Batch,
+    Hello,
     Ping,
     Pong,
+    StartAck,
     StateRequest,
     StateSnapshot,
-    Sync,
     decode,
 )
+from repro.core.session import config_digest, game_digest
 from repro.core.rtt import to_micros
 from repro.core.engine import SitePeer, SiteRuntime
 from repro.emulator.machine import create_game
+from tests.wire import sync_of
 
 
 def make_runtime(site=0, num_sites=2, config=None, **kwargs):
@@ -54,6 +57,23 @@ class TestHandleDatagram:
         assert pong.seq == 5
         assert pong.echo_timestamp_us == ping.timestamp_us
 
+    @pytest.mark.parametrize("build", [
+        lambda digests: Hello(5, 1, *digests),
+        lambda digests: StartAck(5, 1),
+    ], ids=["hello", "start-ack"])
+    def test_handshake_message_from_unknown_site_rejected(self, build):
+        """A well-formed HELLO or START_ACK from a site outside the
+        handshake is a traced ``session_reject``, not a crash, and leaves
+        the handshake as it was."""
+        runtime = make_runtime(site=0)
+        session = runtime.session
+        digests = (game_digest("counter"), config_digest(runtime.config))
+        before = (dict(session._joined), dict(session._start_acked))
+        assert runtime.handle_datagram(build(digests).encode(), 0.0, 0.0) == []
+        assert (session._joined, session._start_acked) == before
+        rejects = [r for r in runtime.events if r.kind == "session_reject"]
+        assert [r.detail["peer"] for r in rejects] == [5]
+
     def test_ping_from_unknown_site_dropped(self):
         runtime = make_runtime()
         ping = Ping(sender_site=9, session_id=1, seq=0, timestamp_us=0)
@@ -67,7 +87,7 @@ class TestHandleDatagram:
 
     def test_sync_message_feeds_lockstep(self):
         runtime = make_runtime(site=0)
-        sync = Sync(sender_site=1, session_id=1, ack=5, first_frame=6, inputs=[0x0100])
+        sync = sync_of(1, 1, 5, 6, [0x0100], mask=0xFF00)
         runtime.handle_datagram(sync.encode(), 0.5, 0.5)
         assert runtime.lockstep.last_rcv_frame[1] == 6
 

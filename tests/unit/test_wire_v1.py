@@ -32,6 +32,7 @@ from repro.core.messages import (
     Welcome,
     decode,
 )
+from tests.wire import sync_of
 
 #: One representative instance of every wire message type (Sync0 carries
 #: inputs, Sync1 is a pure ack).
@@ -40,7 +41,7 @@ SAMPLES = {
     "Welcome": Welcome(0, 7, assigned_site=1, num_sites=4),
     "Start": Start(0, 7),
     "StartAck": StartAck(1, 7),
-    "Sync0": Sync(1, 7, ack=120, first_frame=119, inputs=[0, 3, 0xFFFF]),
+    "Sync0": sync_of(1, 7, 120, 119, [0, 3, 0xFFFF]),
     "Sync1": Sync(1, 7, ack=120, first_frame=121),
     "Ping": Ping(1, 7, seq=42, timestamp_us=1_234_567),
     "Pong": Pong(0, 7, seq=42, echo_timestamp_us=1_234_567),
@@ -165,9 +166,7 @@ class TestVersionRejection:
 class TestSizeComparison:
     def test_v2_sync_is_under_half_the_v1_size(self):
         """The headline claim: an 8-frame two-site SYNC shrinks >2x."""
-        message = Sync(
-            0, 1, ack=95, first_frame=96, inputs=[1, 0, 3, 2, 1, 0, 1, 3]
-        )
+        message = sync_of(0, 1, 95, 96, [1, 0, 3, 2, 1, 0, 1, 3])
         v1_size = len(bytes.fromhex(SYNC_8_FRAMES_V1))
         assert v1_size == 62  # the legacy layout, pinned
         assert len(message.encode()) < v1_size / 2
