@@ -135,7 +135,6 @@ class SiteMetrics:
         self._last_begin = now
 
     def on_commit(self, stall: float, sync_adjust: float) -> None:
-        self.frames.inc()
         self.stall_time.observe(stall)
         if sync_adjust:
             self.sync_adjust.observe(abs(sync_adjust))

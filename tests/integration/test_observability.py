@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.aio import AioSessionSpec, SessionHost, run_sessions
 from repro.core.config import SyncConfig
+from repro.core.engine import Present
 from repro.core.inputs import InputAssignment, PadSource, RandomSource
 from repro.core.multisite import (
     SessionPlan,
@@ -21,9 +22,11 @@ from repro.core.multisite import (
     site_address,
     two_player_plan,
 )
+from repro.core.policy import build_adaptive_session
+from repro.core.rollback import build_rollback_session
 from repro.emulator.games.counter import NondeterministicMachine
 from repro.emulator.machine import create_game
-from repro.net.netem import NetemConfig
+from repro.net.netem import NetemConfig, named_profile
 from repro.obs.catalog import check_exposition, run_catalog_check
 from repro.obs.postmortem import (
     DesyncError,
@@ -106,6 +109,46 @@ class TestGroundTruthAgreement:
         assert merged["stalls"] > 0
         hist = vm.snapshot()["histograms"]["sync_stall_seconds"]
         assert hist["count"] > 0
+
+    @pytest.mark.parametrize("mode", ["lockstep", "rollback", "adaptive"])
+    def test_frames_counts_each_presented_frame_once(self, mode):
+        pads = [PadSource(RandomSource(40 + s, toggle_p=0.08), s) for s in (0, 1)]
+        if mode == "lockstep":
+            plan = two_player_plan(
+                SyncConfig.paper_defaults(),
+                lambda: create_game("counter"),
+                pads,
+                max_frames=240,
+                seed=40,
+            )
+            session = build_session(plan, NetemConfig.for_rtt(0.040))
+        else:
+            build = {
+                "rollback": build_rollback_session,
+                "adaptive": build_adaptive_session,
+            }[mode]
+            session = build(
+                lambda: create_game("counter"),
+                pads,
+                named_profile("mobile-burst", rtt=0.240),
+                frames=240,
+                seed=40,
+            )
+        presented = []
+        for vm in session.vms:
+            seen = [0]
+            absorb = vm.status.absorb
+
+            def count(effect, absorb=absorb, seen=seen):
+                seen[0] += type(effect) is Present
+                absorb(effect)
+
+            vm.status.absorb = count
+            presented.append(seen)
+        session.run()
+        for vm, seen in zip(session.vms, presented):
+            assert seen[0] == 240
+            assert vm.engine.snapshot()["counters"]["frames"] == seen[0]
 
     def test_clean_session_has_no_loss_artifacts(self):
         session = run_lossy(loss=0.0, duplicate=0.0)

@@ -30,7 +30,10 @@ the head byte, and a time-server report only its frame (wire v4): again
 only the byte counts in ``transport`` and ``counters`` moved.  Then the
 ``acquire`` and ``resync`` phases became one ``recover`` phase: only
 ``adaptive_pong_with_poke``'s ``events`` moved, by its four ``phase``
-rows (two per site) that read ``recover`` where they read ``resync``.  A
+rows (two per site) that read ``recover`` where they read ``resync``.
+Then a presented frame counted once (the ``frames`` counter had counted
+each lockstep commit twice): only ``counters`` moved, in the three
+sessions with lockstep frames; ``rollback_pong`` holds.  A
 change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
 the components it meant to move, and says so in CHANGES.md.  CI runs this
@@ -160,7 +163,7 @@ PINNED = {
         "frames": "e05b294502ba8e642c2db46ce4dc1529890f9615f6dcc09802a213affcce7d74",
         "events": "ebb77cc905772eb1a137276ba339d6b5a2aef61c597d6e8eced9a978c578348a",
         "transport": "d199b85c21b49bb4dd01a154660b7afbb28df3a3fdbc5ee868d05b517bff2373",
-        "counters": "ec23061fd4628f58a5563cf5a77c84cbc185087fb983b930606c46cf3edecfda",
+        "counters": "de1c56210061517496c0f931cf2588a3675d8fcebf6b91e33a9fc320a7afc260",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     rollback_pong: {
@@ -174,14 +177,14 @@ PINNED = {
         "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
         "events": "1e60bff1ecda239952a6bf1983aa8b60770d38d6ce9e1cbe020520566f9f89ae",
         "transport": "ff349093cdb5801c5f8049b2407aec95f16377a04aa60536545ee0989623d307",
-        "counters": "d5e53644eb536c75c5ce2e9264d9a6e048962b2c4a04f643ea0cd49fe5add220",
+        "counters": "34a3af2a2af09e767e559e1ab54295ceb098fb47c156b541a5b7a174b397b230",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     late_joining_player: {
         "frames": "c26240975ca98be101e9a0ddbc74d4a501274456ae02a46dd9331f5abadfea23",
         "events": "cbb632c159707d54e3bc2764352a0d46efdde1d5ea7d81b3ffdb02d2fcb5ed1f",
         "transport": "c600dc612e427e127a228cc6d91352ddfb877d6c3aaf12ba089c21d0ac638c09",
-        "counters": "772380bd60590958899c6435c2ae6d0e74abf7255ec06e4d4d9ca1f295c6f41e",
+        "counters": "700d82f61af55291b68bc38a63b0cfc5390a6393b9de0a7b06d9f672dbb94455",
         "termination": "3732a9e88c4a9637718cbace1de7160cea83bf2251a1289d6023447d2d3bed34",
     },
 }
