@@ -230,13 +230,12 @@ class SiteRuntime:
 
         A BATCH container is flattened and each member handled in order.
         Malformed datagrams (garbage, truncation, a legacy v1 peer) never
-        crash — they increment ``net_decode_errors`` and leave a traced
-        ``decode_error`` record, then are dropped.
+        crash — they leave a traced ``decode_error`` record (which
+        ``net_decode_errors`` counts), then are dropped.
         """
         try:
             messages = decode_all(payload)
         except DecodeError as exc:
-            self.metrics.net_decode_errors.inc()
             self.events.emit("decode_error", now, self.frame, error=str(exc))
             return []
         self.metrics.net_bytes_rx.inc(len(payload))
@@ -286,7 +285,6 @@ class SiteRuntime:
             # is handled like any other decode failure.
             self.lockstep.on_sync(message, arrived_at)
         except DecodeError as exc:
-            self.metrics.net_decode_errors.inc()
             self.events.emit("decode_error", now, self.frame, error=str(exc))
             return []
         if self.config.timeline and in_range and sender_site != self.site_no:
@@ -872,8 +870,8 @@ class SiteEngine:
     def snapshot(self) -> dict:
         """Introspection: the registry snapshot plus live engine state.
 
-        Mirrors the sync layer's authoritative totals into the registry
-        first, so this is the one call every driver's snapshot API and the
+        Reads the catalog's sync-layer and trace totals off the runtime,
+        so this is the one call every driver's snapshot API and the
         postmortem builder share.
         """
         snap = self.runtime.metrics.snapshot(self.runtime)
@@ -1036,7 +1034,6 @@ class SiteEngine:
             elif kind is Present:
                 metrics.frames.inc()
             elif kind is Stall:
-                metrics.stalls.inc()
                 runtime.events.emit(
                     "stall",
                     now,

@@ -119,7 +119,6 @@ class StallLadder:
         if self.level is None:
             self.level = DEGRADED
             waiting = self._record(DEGRADED, now, started)
-            runtime.metrics.degraded_episodes.inc()
             effects.append(Degraded(runtime.frame, waiting, stalled_for))
         if stalled_for < config.hard_stall_s:
             return None

@@ -235,7 +235,7 @@ class Adaptive(Lockstep):
         self.lockstep = Lockstep()
         self.rollback = Rollback(spec_machine, speculation_window, predictor)
         self.mode = initial_mode
-        #: Committed switches this session (mirrors the metric).
+        #: Committed switches this session (one per ``switch_commit``).
         self.policy_switch_count = 0
         #: Recent handshake history as ``(kind, time, frame, mode, seq)``
         #: tuples, kind ∈ {propose, abort, commit}.  Bounded: a flapping
@@ -437,7 +437,6 @@ class Adaptive(Lockstep):
         self.policy_switch_count += 1
         self.policy.note_transition(now)
         runtime = self.runtime
-        runtime.metrics.policy_switches.inc()
         runtime.events.emit(
             "switch_commit", now, runtime.frame, mode=mode
         )

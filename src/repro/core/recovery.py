@@ -416,7 +416,6 @@ class Recovery:
             )
             return None
         if not snapshot.crc_ok():
-            runtime.metrics.state_crc_errors.inc()
             runtime.events.emit(
                 "state_crc_error",
                 now,
@@ -505,7 +504,6 @@ class Recovery:
             own=divergence.own_checksum,
             theirs=divergence.peer_checksum,
         )
-        runtime.metrics.desync_detected.inc()
         if not self.ladder.begin_episode(now):
             runtime.events.emit(
                 "resync_quarantine",
@@ -521,7 +519,6 @@ class Recovery:
             # digest loss): no trustworthy state anywhere to restore from.
             runtime.events.emit("resync_no_anchor", now, runtime.frame)
             return None
-        runtime.metrics.resync_attempts.inc()
         self.anchor = anchor
         self.frozen = runtime.frame
         self.started = now
@@ -571,7 +568,6 @@ class Recovery:
         self.consistency.finish_resync(now)
         runtime = self.runtime
         took = now - self.started
-        runtime.metrics.resync_success.inc()
         runtime.metrics.resync_seconds.inc(took)
         runtime.events.emit(
             "resync_done", now, runtime.frame, anchor=self.anchor, took=took

@@ -304,9 +304,9 @@ class Rollback(Lockstep):
         super().attach(engine)
         runtime = engine.runtime
         self.predictor = make_predictor(self.predictor, runtime.game_id)
-        # Duck-typed mirrors: SiteMetrics.refresh reads the stats off the
-        # runtime, the session benchmark's ledger finds the second machine
-        # on the engine.
+        # Duck-typed: the metric catalog reads the stats off the runtime,
+        # the session benchmark's ledger finds the second machine on the
+        # engine.
         runtime.rollback_stats = self.stats
         engine.spec_machine = self.spec_machine
         # Delta-snapshot marks: pages either machine dirties after these

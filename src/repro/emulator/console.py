@@ -97,7 +97,7 @@ class Console(Machine):
 
     def cpu_stats(self) -> dict:
         """Block-translation telemetry (monotonic counters plus the live
-        cache size); mirrored into ``repro.obs`` snapshots and bench JSON."""
+        cache size); read into ``repro.obs`` snapshots and bench JSON."""
         cpu = self.cpu
         return {
             "blocks_compiled": cpu.blocks_compiled,

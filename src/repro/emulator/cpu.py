@@ -766,7 +766,7 @@ class Cpu:
         self._no_block: Dict[int, int] = {}
         self._inval_counts: Dict[int, int] = {}
         self._hooks_epoch_seen = -1
-        # Telemetry (monotonic; mirrored into repro.obs and bench JSON).
+        # Telemetry (monotonic; read by repro.obs and bench JSON).
         self.blocks_compiled = 0
         self.block_hits = 0
         self.block_invalidations = 0

@@ -1,9 +1,10 @@
 """The metric catalog and the exposition checker CI runs.
 
-:data:`METRIC_CATALOG` is the contract: every instrument a
-:class:`~repro.obs.site.SiteMetrics` registers, its kind, whether it must
-be monotone, and its help text.  Because all instruments are created at
-``SiteMetrics`` construction (zero-valued until touched), every catalog
+:data:`METRIC_CATALOG` is the one declaration of every metric: its kind,
+its help text and, for a total something else already keeps, the function
+that reads it off the site's runtime at scrape time.
+:class:`~repro.obs.site.SiteMetrics` builds its instruments from the rows
+without a read and adds the read rows to every snapshot, so every catalog
 entry must appear in every site's exposition — a missing series means the
 wiring regressed, which is exactly what :func:`check_exposition` (and the
 CI step built on :func:`run_catalog_check`) exists to catch.
@@ -18,260 +19,339 @@ importing :mod:`repro.obs` (which the engine does) never pulls in
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import PROM_PREFIX
 
-#: name → (kind, monotonic, help).  Kind is "counter" / "gauge" /
-#: "histogram"; monotonic applies to the counter value (or the histogram's
-#: ``_count``), never to gauges.
-METRIC_CATALOG: Dict[str, Tuple[str, bool, str]] = {
-    "frames": ("counter", True, "Frames presented (Present effects)"),
-    "stalls": ("counter", True, "Frames that blocked in SyncInput"),
-    "datagrams_sent": ("counter", True, "Datagrams emitted (Send effects)"),
-    "datagrams_received": ("counter", True, "Datagrams fed to the engine"),
-    "bytes_sent": ("counter", True, "Payload bytes emitted"),
-    "bytes_received": ("counter", True, "Payload bytes received"),
+
+def _tally(kind: str) -> Callable[[Any], int]:
+    """A counter of ``kind`` trace records: the trace's own total."""
+    return lambda runtime: runtime.events.totals.get(kind, 0)
+
+
+def _ack_lag(runtime) -> int:
+    """Own frames not yet acked by the slowest present peer."""
+    lockstep = runtime.lockstep
+    mine = lockstep.last_rcv_frame[runtime.site_no]
+    acks = [
+        lockstep.last_ack_frame[s]
+        for s in runtime.peer_sites
+        if not lockstep.is_absent(s)
+    ]
+    return max(0, mine - min(acks)) if acks else 0
+
+
+def _predict_hit_ratio(runtime) -> float:
+    stats = getattr(runtime, "rollback_stats", None)
+    return 0.0 if stats is None else stats.predict_hit_ratio
+
+
+def _clock(field: str) -> Callable[[Any], float]:
+    """The lowest-numbered aligned peer's estimate: stable across scrapes
+    and in a two-site session simply "the other site"."""
+
+    def read(runtime) -> float:
+        for __, align in sorted(runtime.clocks.items()):
+            if align.aligned:
+                return getattr(align, field)
+        return 0.0
+
+    return read
+
+
+def _cpu(key: str) -> Callable[[Any], int]:
+    """The machine's block-translation cache (RC-16 consoles expose
+    ``cpu_stats()``; other machines read 0)."""
+
+    def read(runtime) -> int:
+        cpu_stats = getattr(runtime.machine, "cpu_stats", None)
+        return 0 if cpu_stats is None else cpu_stats()[key]
+
+    return read
+
+
+#: name → (kind, help, read).  Kind is "counter" / "gauge" / "histogram";
+#: counters and histograms (their ``_count``) are monotone, gauges are not.
+#: ``read`` is None for an instrument the engine records as events flow;
+#: otherwise it is a function of the site's ``SiteRuntime``, evaluated at
+#: scrape time, so a total the sync layer or the trace already keeps is
+#: read, never copied.
+METRIC_CATALOG: Dict[str, Tuple[str, str, Optional[Callable[[Any], float]]]] = {
+    "frames": ("counter", "Frames presented (Present effects)", None),
+    "stalls": ("counter", "Frames that blocked in SyncInput", _tally("stall")),
+    "datagrams_sent": ("counter", "Datagrams emitted (Send effects)", None),
+    "datagrams_received": ("counter", "Datagrams fed to the engine", None),
+    "bytes_sent": ("counter", "Payload bytes emitted", None),
+    "bytes_received": ("counter", "Payload bytes received", None),
     "net_bytes_tx": (
         "counter",
-        True,
         "Wire bytes emitted by the outbox (after batching)",
+        None,
     ),
     "net_bytes_rx": (
         "counter",
-        True,
         "Wire bytes successfully decoded (bytes_received counts all)",
+        None,
     ),
     "net_batch_coalesced": (
         "counter",
-        True,
         "Datagrams that carried a coalesced Batch of 2+ messages",
+        None,
     ),
     "net_budget_deferrals": (
         "counter",
-        True,
         "Messages dropped by the bandwidth budget (resent by the window)",
+        None,
     ),
     "net_decode_errors": (
         "counter",
-        True,
         "Datagrams/messages rejected by the decoder or by SYNC validation",
+        _tally("decode_error"),
     ),
-    "sync_sent": ("counter", True, "Algorithm 2 sd messages sent"),
-    "sync_received": ("counter", True, "Algorithm 2 rc messages received"),
-    "inputs_sent": ("counter", True, "Input frames put on the wire"),
+    "sync_sent": (
+        "counter",
+        "Algorithm 2 sd messages sent",
+        attrgetter("lockstep.stats.sync_messages_sent"),
+    ),
+    "sync_received": (
+        "counter",
+        "Algorithm 2 rc messages received",
+        attrgetter("lockstep.stats.sync_messages_received"),
+    ),
+    "inputs_sent": (
+        "counter",
+        "Input frames put on the wire",
+        attrgetter("lockstep.stats.inputs_sent"),
+    ),
     "retransmitted_inputs": (
         "counter",
-        True,
         "Input frames re-sent because an ack was outstanding",
+        attrgetter("lockstep.stats.inputs_retransmitted"),
     ),
     "duplicate_inputs": (
         "counter",
-        True,
         "Received input frames already buffered (dup suppression)",
+        attrgetter("lockstep.stats.duplicate_inputs_received"),
     ),
     "out_of_window_inputs": (
         "counter",
-        True,
         "Received sync windows not contiguous with the buffer (gap)",
+        attrgetter("lockstep.stats.out_of_window_inputs"),
     ),
-    "frames_delivered": ("counter", True, "Merged inputs delivered (line 22)"),
-    "lag_changes": ("counter", True, "Adaptive local-lag resizes"),
-    "pacer_overruns": ("counter", True, "Frames that overran their slot (Alg. 3)"),
+    "frames_delivered": (
+        "counter",
+        "Merged inputs delivered (line 22)",
+        attrgetter("lockstep.stats.frames_delivered"),
+    ),
+    "lag_changes": (
+        "counter",
+        "Adaptive local-lag resizes",
+        attrgetter("lockstep.stats.lag_changes"),
+    ),
+    "pacer_overruns": (
+        "counter",
+        "Frames that overran their slot (Alg. 3)",
+        attrgetter("pacer.stats.overruns"),
+    ),
     "pacer_sync_adjust_clamped": (
         "counter",
-        True,
         "Alg. 4 corrections cut to ±SYNC_ADJUST_CLAMP_FRAMES (slave only)",
+        attrgetter("pacer.stats.sync_adjust_clamped"),
     ),
     "degraded_episodes": (
         "counter",
-        True,
         "Gate stalls that crossed soft_stall_s (lockstep.degraded_episodes)",
+        _tally("degraded"),
     ),
     "suspended_seconds": (
         "counter",
-        True,
         "Total time the gate spent suspended (lockstep.suspended_s)",
+        None,
     ),
     "resumes": (
         "counter",
-        True,
         "Recoveries from suspension, incl. RESUME rejoins (session.resumes)",
+        None,
     ),
     "send_errors": (
         "counter",
-        True,
         "Datagram sends that failed at the OS/transport (net.send_errors)",
+        None,
     ),
-    "rollbacks": ("counter", True, "Speculation rollbacks (timewarp variant)"),
+    "rollbacks": (
+        "counter",
+        "Speculation rollbacks (timewarp variant)",
+        _tally("rollback"),
+    ),
     "rollback_delta_bytes": (
         "counter",
-        True,
         "Bytes copied by shadow-to-speculative restores",
+        None,
     ),
     "policy_switches": (
         "counter",
-        True,
         "Committed lockstep/rollback mode switches (consistency policy)",
+        _tally("switch_commit"),
     ),
-    "state_serves": ("counter", True, "Late-join savestates served"),
-    "state_serve_bytes": ("counter", True, "Savestate bytes served to joiners"),
+    "state_serves": ("counter", "Late-join savestates served", None),
+    "state_serve_bytes": ("counter", "Savestate bytes served to joiners", None),
     "state_acquire_bytes": (
         "counter",
-        True,
         "Savestate bytes loaded when joining late",
+        None,
     ),
     "desync_detected": (
         "counter",
-        True,
         "Live state-digest mismatches proven against a peer",
+        _tally("desync"),
     ),
     "resync_attempts": (
         "counter",
-        True,
         "Desync-recovery episodes opened (freeze + restore + replay)",
+        _tally("resync_begin"),
     ),
     "resync_success": (
         "counter",
-        True,
         "Recovery episodes that re-proved bit-identical state",
+        _tally("resync_done"),
     ),
     "resync_seconds": (
         "counter",
-        True,
         "Simulated seconds spent frozen inside recovery episodes",
+        None,
     ),
     "state_crc_errors": (
         "counter",
-        True,
         "State-transfer payloads rejected by the end-to-end CRC",
+        _tally("state_crc_error"),
     ),
-    "digest_bytes_tx": (
-        "counter",
-        True,
-        "Wire bytes spent on state-digest piggybacks",
-    ),
+    "digest_bytes_tx": ("counter", "Wire bytes spent on state-digest piggybacks", None),
     "switch_log_evictions": (
         "counter",
-        True,
         "Adaptive switch-log entries evicted by the retention cap",
+        None,
     ),
     "slo_breaches": (
         "counter",
-        True,
         "Attributed frames whose capture-to-present latency broke the budget",
+        attrgetter("slo.breaches"),
     ),
     "ack_lag_frames": (
         "gauge",
-        False,
         "Own frames not yet acked by the slowest peer",
+        _ack_lag,
     ),
-    "local_lag_frames": ("gauge", False, "Local lag (BufFrame) in effect"),
+    "local_lag_frames": (
+        "gauge",
+        "Local lag (BufFrame) in effect",
+        attrgetter("lockstep.local_lag_frames"),
+    ),
     "buf_frame_current": (
         "gauge",
-        False,
         "Live BufFrame after adaptive tuning (mirrors local_lag_frames)",
+        attrgetter("lockstep.local_lag_frames"),
     ),
     "predict_hit_ratio": (
         "gauge",
-        False,
         "Fraction of speculated frames whose input prediction held up",
+        _predict_hit_ratio,
     ),
-    "rtt_seconds": ("gauge", False, "Smoothed round-trip estimate"),
-    "frame_number": ("gauge", False, "Current frame counter"),
+    "rtt_seconds": ("gauge", "Smoothed round-trip estimate", attrgetter("rtt.rtt")),
+    "frame_number": ("gauge", "Current frame counter", attrgetter("frame")),
     "adjust_time_delta_seconds": (
         "gauge",
-        False,
         "Carried pacing compensation (Alg. 3)",
+        attrgetter("pacer.adjust_time_delta"),
     ),
     "clock_offset_seconds": (
         "gauge",
-        False,
         "Estimated peer clock offset theta (NTP-style, min-delay filtered)",
+        _clock("offset"),
     ),
     "clock_offset_drift": (
         "gauge",
-        False,
         "Estimated peer clock drift (seconds of offset change per second)",
+        _clock("drift"),
     ),
     "slo_score": (
         "gauge",
-        False,
         "Fraction of recent attributed frames within the latency budget",
+        attrgetter("slo.score"),
     ),
     "cpu_blocks_compiled": (
         "counter",
-        True,
         "RC-16 regions compiled by the block translator",
+        _cpu("blocks_compiled"),
     ),
     "cpu_block_hits": (
         "counter",
-        True,
         "Entries into a compiled region closure (one may run many blocks)",
+        _cpu("block_hits"),
     ),
     "cpu_block_invalidations": (
         "counter",
-        True,
         "Compiled regions discarded because their bytes changed (SMC)",
+        _cpu("block_invalidations"),
     ),
     "cpu_fallback_steps": (
         "counter",
-        True,
         "Instructions single-stepped by the reference interpreter in block mode",
+        _cpu("fallback_steps"),
     ),
-    "frame_time_seconds": ("histogram", True, "Frame-to-frame begin intervals"),
+    "frame_time_seconds": ("histogram", "Frame-to-frame begin intervals", None),
     "frame_latency_encode_seconds": (
         "histogram",
-        True,
         "Capture to send-pump flush (includes retransmission holds)",
+        None,
     ),
     "frame_latency_wire_seconds": (
         "histogram",
-        True,
         "Send-pump flush to datagram arrival (offset-aligned)",
+        None,
     ),
     "frame_latency_decode_seconds": (
         "histogram",
-        True,
         "Datagram arrival to decoded inputs buffered",
+        None,
     ),
     "frame_latency_gate_seconds": (
         "histogram",
-        True,
         "Inputs buffered to the lockstep gate opening",
+        None,
     ),
     "frame_latency_step_seconds": (
         "histogram",
-        True,
         "Gate open to the frame stepped (emulation compute)",
+        None,
     ),
     "frame_latency_present_seconds": (
         "histogram",
-        True,
         "Frame stepped to presented (zero in bundled drivers)",
+        None,
     ),
     "frame_latency_total_seconds": (
         "histogram",
-        True,
         "Remote capture to local present, end to end",
+        None,
     ),
-    "sync_stall_seconds": ("histogram", True, "Time blocked in SyncInput per frame"),
+    "sync_stall_seconds": ("histogram", "Time blocked in SyncInput per frame", None),
     "sync_adjust_seconds": (
         "histogram",
-        True,
         "Absolute SyncAdjustTimeDelta per frame (Alg. 4)",
+        None,
     ),
     "rollback_depth_frames": (
         "histogram",
-        True,
         "Frames replayed per rollback (timewarp variant)",
+        None,
     ),
 }
 
 
 def catalog_help() -> Dict[str, str]:
     """name → help, in the shape :func:`to_prometheus` takes."""
-    return {name: entry[2] for name, entry in METRIC_CATALOG.items()}
+    return {name: entry[1] for name, entry in METRIC_CATALOG.items()}
 
 
 def _series_name(name: str, kind: str) -> str:
@@ -310,7 +390,7 @@ def check_exposition(text: str) -> List[str]:
     """Problems with one scrape: catalog metrics missing from the text."""
     series = parse_exposition(text)
     problems: List[str] = []
-    for name, (kind, _monotonic, _help) in METRIC_CATALOG.items():
+    for name, (kind, _help, _read) in METRIC_CATALOG.items():
         expected = _series_name(name, kind)
         if expected not in series:
             problems.append(f"missing {kind} series {expected}")
@@ -322,8 +402,8 @@ def check_monotonic(before: str, after: str) -> List[str]:
     first = parse_exposition(before)
     second = parse_exposition(after)
     problems: List[str] = []
-    for name, (kind, monotonic, _help) in METRIC_CATALOG.items():
-        if not monotonic:
+    for name, (kind, _help, _read) in METRIC_CATALOG.items():
+        if kind == "gauge":
             continue
         series = _series_name(name, kind)
         for labels, value in first.get(series, {}).items():

@@ -37,11 +37,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def set_total(self, total: int) -> None:
-        """Mirror an externally-kept monotone total (never decreases)."""
-        if total > self.value:
-            self.value = total
-
 
 class Gauge:
     """A point-in-time value (may go up or down)."""

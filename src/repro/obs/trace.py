@@ -97,14 +97,20 @@ class EventTrace:
 
     capacity: int = DEFAULT_CAPACITY
     dropped: int = 0
+    #: kind → records ever emitted; ring eviction does not touch it, so a
+    #: counter of records (``stalls``, ``rollbacks``, …) reads it.
+    totals: Dict[str, int] = field(init=False, repr=False)
     _ring: Deque[TraceRecord] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.totals = {}
         self._ring = deque(maxlen=self.capacity)
 
     def emit(self, kind: str, time: float, frame: int, **detail: object) -> None:
         if len(self._ring) == self.capacity:
             self.dropped += 1
+        totals = self.totals
+        totals[kind] = totals.get(kind, 0) + 1
         self._ring.append(TraceRecord(kind, time, frame, detail))
 
     def __len__(self) -> int:

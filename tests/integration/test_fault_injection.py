@@ -213,5 +213,5 @@ class TestForgedSyncs:
         traces = [vm.runtime.trace for vm in session.vms]
         assert ConsistencyChecker().verify_traces(traces) == 600
         assert slots[1] - slots[0] <= 120
-        assert site0.runtime.metrics.net_decode_errors.value == decode_errors
+        assert site0.engine.snapshot()["counters"]["net_decode_errors"] == decode_errors
 

@@ -17,15 +17,11 @@ from repro.obs.registry import (
 
 
 class TestInstruments:
-    def test_counter_increments_and_mirrors_monotonically(self):
+    def test_counter_increments(self):
         counter = Counter("frames")
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-        counter.set_total(9)
-        assert counter.value == 9
-        counter.set_total(3)  # mirrored totals never go backwards
-        assert counter.value == 9
 
     def test_gauge_moves_both_ways(self):
         gauge = Gauge("rtt_seconds")
