@@ -210,7 +210,7 @@ class SessionHost:
                 "error",
                 asyncio.get_running_loop().time(),
                 site.runtime.frame,
-                message=str(exc),
+                error=str(exc),
             )
             # The sibling would otherwise stall at the SyncInput gate until
             # its linger never comes; stop the whole session cleanly.

@@ -326,6 +326,16 @@ class TestAioCrashIsolation:
         ]
         assert len(errored) == 1
         assert errored[0]["finished"] is False
+        # The crash's trace record names its reason under ``error``, the
+        # key every rejection and give-up record uses.
+        crashed = [
+            record.detail
+            for site in host.sites
+            if site.error is not None
+            for record in site.runtime.events
+            if record.kind == "error"
+        ]
+        assert crashed == [{"error": "injected machine fault"}]
         healthy = [
             site
             for group in snap["sessions"]
