@@ -41,15 +41,12 @@ class PresentationStatus:
         #: The peer never returned; the session terminated.
         self.peer_lost = False
         self.waiting_on: tuple = ()
-        self.resumes = 0
-        self.degraded_episodes = 0
 
     def absorb(self, effect: Effect) -> None:
         kind = type(effect)
         if kind is Degraded:
             self.degraded = True
             self.waiting_on = effect.waiting_on
-            self.degraded_episodes += 1
         elif kind is PeerLost:
             self.degraded = True
             self.suspended = True
@@ -58,7 +55,6 @@ class PresentationStatus:
             self.degraded = False
             self.suspended = False
             self.waiting_on = ()
-            self.resumes += 1
         elif kind is Present:
             self.degraded = False
             self.waiting_on = ()
@@ -73,8 +69,6 @@ class PresentationStatus:
             "suspended": self.suspended,
             "peer_lost": self.peer_lost,
             "waiting_on": list(self.waiting_on),
-            "resumes": self.resumes,
-            "degraded_episodes": self.degraded_episodes,
         }
 
 

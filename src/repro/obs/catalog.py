@@ -247,11 +247,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Optional[Callable[[Any], float]]]] = {
         "Local lag (BufFrame) in effect",
         attrgetter("lockstep.local_lag_frames"),
     ),
-    "buf_frame_current": (
-        "gauge",
-        "Live BufFrame after adaptive tuning (mirrors local_lag_frames)",
-        attrgetter("lockstep.local_lag_frames"),
-    ),
     "predict_hit_ratio": (
         "gauge",
         "Fraction of speculated frames whose input prediction held up",

@@ -90,7 +90,7 @@ class TestSwitchToRollback:
             snapshot = vm.runtime.metrics.snapshot(vm.runtime)
             assert snapshot["counters"]["policy_switches"] >= 1
             assert 0.0 <= snapshot["gauges"]["predict_hit_ratio"] <= 1.0
-            assert snapshot["gauges"]["buf_frame_current"] == 6
+            assert snapshot["gauges"]["local_lag_frames"] == 6
 
 
 class TestSwitchToLockstep:
