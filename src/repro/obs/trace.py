@@ -18,31 +18,8 @@ because they come from the *one* clock, and cross-site comparison goes
 through the PING/PONG offset estimator (:class:`~repro.core.rtt.ClockAlign`)
 rather than assuming timebases agree.
 
-Record kinds (the schema documented in ``docs/observability.md``):
-
-=================  ==========================================================
-kind               detail fields
-=================  ==========================================================
-``phase``          ``from``, ``to``
-``timer``          ``timer`` (name); TIMER_GATE fires are *not* recorded —
-                   they recur every few milliseconds and would flood the ring
-``tx`` / ``rx``    ``msg`` (type name), ``peer``, and for Sync messages
-                   ``first`` / ``last`` (frame range) and ``ack``
-``stall``          ``waiting_on`` (gating sites blocking SyncInput)
-``lag``            ``from``, ``to`` (adaptive local-lag change, frames)
-``rollback``       ``depth`` (frames replayed), ``from``, ``to``
-``state_serve``    ``peer``, ``snapshot_frame``, ``bytes``
-``state_acquire``  ``snapshot_frame``, ``bytes``
-``degraded``       ``waiting_on``, ``unresponsive``, ``stalled_for``
-``suspended``      ``waiting_on``, ``unresponsive``, ``stalled_for``
-``resumed``        ``from`` ("degraded"/"suspended"), ``suspended_for`` or
-                   ``stalled_for``
-``peer_lost``      ``waiting_on``, ``suspended_for`` (resume deadline hit)
-``resume_reject``  ``peer``, ``claimed`` (failed RESUME authentication)
-``state_request_reject``  ``peer``, ``error`` (a STATE_REQUEST not served)
-``snapshot_reject``  ``peer``, ``session``, ``at`` (a foreign STATE_SNAPSHOT)
-``error``          ``message``
-=================  ==========================================================
+Record kinds and their detail fields are documented once, in the trace
+record schema table of ``docs/observability.md``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,14 @@ class TestEventTrace:
         assert trace.dropped == 6
         assert [r.frame for r in trace] == [6, 7, 8, 9]
 
+    def test_totals_survive_ring_eviction(self):
+        trace = EventTrace(capacity=2)
+        for i in range(5):
+            trace.emit("stall", float(i), i, waiting_on=[1])
+        trace.emit("rollback", 5.0, 5, depth=1)
+        assert len(trace) == 2
+        assert trace.totals == {"stall": 5, "rollback": 1}
+
     def test_rows_last_n(self):
         trace = EventTrace()
         for i in range(5):
