@@ -50,7 +50,7 @@ class SiteMetrics:
                 bounds = DEPTH_BUCKETS if name.endswith("_frames") else TIME_BUCKETS
                 setattr(self, name, r.histogram(name, bounds))
             else:
-                setattr(self, name, r.counter(name))
+                setattr(self, name, getattr(r, kind)(name))
         # Point-index → histogram table so the per-frame hot path indexes
         # the record's points directly instead of building a stage dict.
         # The histograms exist whether or not the session negotiated
