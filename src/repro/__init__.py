@@ -51,7 +51,7 @@ from repro.core.multisite import (
     two_player_plan,
 )
 from repro.core.pacing import FramePacer
-from repro.core.session import Lobby, SessionError
+from repro.core.session import SessionError
 from repro.core.engine import GameMachine, SitePeer, SiteRuntime
 from repro.core.vm import DistributedVM
 from repro.emulator.machine import Machine, available_games, create_game
@@ -70,7 +70,6 @@ __all__ = [
     "IdleSource",
     "InputAssignment",
     "InputSource",
-    "Lobby",
     "LockstepSync",
     "Machine",
     "NetemConfig",

@@ -11,10 +11,10 @@ Layout mirrors the paper's structure:
   state machine, and the ``Lockstep`` consistency part that runs it.
 * :mod:`repro.core.pacing` — Algorithms 3 and 4 (frame timing).
 * :mod:`repro.core.rtt` — RTT estimation feeding Algorithm 4's ``RTT/2``.
-* :mod:`repro.core.session` — rendezvous and the session control protocol
-  that starts both sites within one round trip.
+* :mod:`repro.core.session` — the session control protocol that starts
+  both sites within one round trip.
 * :mod:`repro.core.engine` — Algorithm 1 as a sans-IO engine:
-  ``handle(event) -> [effects]`` / ``poll(now) -> [effects]``, hosting the
+  ``poll(now, datagrams) -> [effects]``, hosting the
   whole orchestration (handshake or state acquire, pumps, frame loop,
   linger) exactly once; its ``consistency`` part decides which
   ``SyncInput`` the loop runs.
@@ -34,7 +34,6 @@ Layout mirrors the paper's structure:
 from repro.core.config import SyncConfig
 from repro.core.ibuf import InputBuffer
 from repro.core.inputs import (
-    BUTTON_NAMES,
     Buttons,
     IdleSource,
     InputAssignment,
@@ -50,7 +49,6 @@ from repro.core.pacing import FramePacer
 from repro.core.vm import DistributedVM
 
 __all__ = [
-    "BUTTON_NAMES",
     "Buttons",
     "DistributedVM",
     "FramePacer",

@@ -12,8 +12,8 @@ an :class:`~repro.net.udp.AsyncUdpEndpoint` and does nothing but
 deadline (``loop.call_at``, absolute), and either way one plain function
 runs in that same loop iteration: the same ~30-line shell as the simulator
 driver, proving the sans-IO seam — the protocol neither knows nor cares
-which of the two runtimes is underneath.  Wire concerns (the codec,
-batch coalescing, the bandwidth budget) all live behind the engine's
+which of the two runtimes is underneath.  Wire concerns (the codec and
+batch coalescing) all live behind the engine's
 outbox; this driver only ever sees finished datagrams.
 
 :func:`host_sessions` wires N independent two-site sessions (distinct

@@ -7,7 +7,7 @@ an extra ~5 ms thread-slice delay (§4.2's delay budget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -64,16 +64,6 @@ class SyncConfig:
     #: up to this cap.
     suspend_backoff_max_s: float = 1.0
 
-    #: Outbound bandwidth budget in bytes/second, enforced at the engine's
-    #: send path with a token bucket (burst capacity: one second's worth).
-    #: On overflow the *lowest-priority* queued messages are dropped first
-    #: — pings, then pure-ack SYNCs, then input-carrying SYNCs — and each
-    #: drop increments ``net_budget_deferrals``; the next flush resends the
-    #: still-unacked window, so a drop defers rather than loses inputs.
-    #: Control traffic (handshake, state transfer, RESUME) is never
-    #: dropped.  ``None`` disables budgeting entirely.
-    bandwidth_budget_bps: Optional[int] = None
-
     #: Frame-latency attribution (the ``repro.obs.timeline`` layer).  When
     #: enabled the site advertises FEATURE_TIMELINE in its HELLO, appends a
     #: STAMP annotation to each input-carrying flush, answers pings with
@@ -120,8 +110,6 @@ class SyncConfig:
             raise ValueError("resume_deadline_s must be positive")
         if self.suspend_backoff_max_s <= 0:
             raise ValueError("suspend_backoff_max_s must be positive")
-        if self.bandwidth_budget_bps is not None and self.bandwidth_budget_bps <= 0:
-            raise ValueError("bandwidth_budget_bps must be positive or None")
         if self.state_digest_interval is not None and self.state_digest_interval < 1:
             raise ValueError("state_digest_interval must be >= 1 or None")
         if self.resync_deadline_s <= 0:
@@ -161,21 +149,3 @@ class SyncConfig:
     def paper_defaults(cls) -> "SyncConfig":
         """The exact configuration of the paper's evaluation."""
         return cls()
-
-    @classmethod
-    def for_local_lag(cls, lag_seconds: float, cfps: float = 60.0, **kwargs: object) -> "SyncConfig":
-        """Derive ``buf_frame`` from a target local lag.
-
-        Rounds up: the paper picks the smallest whole number of frames whose
-        total delay is at least the target ("calculated to match the local
-        lag time of around 100 ms").
-        """
-        import math
-
-        # Tolerate float noise: 0.100 * 60 must be 6 frames, not 7.
-        frames = math.ceil(lag_seconds * cfps - 1e-9)
-        return cls(cfps=cfps, buf_frame=max(0, frames), **kwargs)  # type: ignore[arg-type]
-
-    def with_overrides(self, **kwargs: object) -> "SyncConfig":
-        """Functional update (the dataclass is frozen)."""
-        return replace(self, **kwargs)  # type: ignore[arg-type]

@@ -26,8 +26,8 @@ Three layers live here:
   frame loop with its SyncInput gate, and the linger phase.  Each wait on
   a peer is re-sent and ended by the part that knows it (session control,
   recovery, the stall ladder).  The engine is a pure state machine:
-  drivers feed it :class:`Event` objects (datagrams, timer ticks,
-  shutdown) and apply the :class:`Effect` objects it returns (datagrams
+  drivers feed it the datagrams that arrived and the time that passed,
+  and apply the :class:`Effect` objects it returns (datagrams
   to send, frames to present).  It contains no clocks, no sockets and no
   sleeping.  Which ``SyncInput`` the loop runs is its ``consistency``
   part — :class:`repro.core.lockstep.Lockstep` (the paper's),
@@ -47,9 +47,9 @@ Event/effect protocol
 
 Drivers interact with the engine through exactly two entry points::
 
-    effects = engine.handle(event)         # an InputSampled / Shutdown happened
     effects = engine.poll(now, datagrams)  # a wake-up: these arrived, and time
                                            # passed (a timer may be due)
+    effects = engine.handle(Shutdown(now)) # stop now
 
 and one scheduling query, ``engine.next_deadline()`` — the earliest time at
 which ``poll`` must be called again.  All ``now`` values must come from one
@@ -188,11 +188,6 @@ class SiteRuntime:
         self.liveness = PeerLiveness(self.peer_sites)
         #: Frame counter of Algorithm 1.
         self.frame = 0
-        #: Consistency mode each peer last announced via SWITCH_REQ
-        #: (``repro.core.messages.MODE_*``; absent = never announced).
-        #: Purely informational for a plain lockstep site — every site
-        #: acks switch announcements so an adaptive peer can commit.
-        self.peer_modes: Dict[int, int] = {}
         #: Highest SWITCH_ACK seq received per peer (read by the adaptive
         #: engine to commit or abort a proposed mode switch).
         self.switch_acks: Dict[int, int] = {}
@@ -345,7 +340,6 @@ class SiteRuntime:
         if message.session_id != self.session_id or sender not in self.peer_sites:
             self.events.emit("switch_reject", now, self.frame, peer=sender)
             return []
-        self.peer_modes[sender] = message.mode
         self.events.emit(
             "switch_rx",
             now,
@@ -390,7 +384,7 @@ class SiteRuntime:
 
     # ------------------------------------------------------------------
     # Send path — everything returns (message, destination) pairs; the
-    # engine's outbox encodes, coalesces and budgets them once per pump.
+    # engine's outbox encodes and coalesces them once per pump.
     # ------------------------------------------------------------------
     def sync_broadcast(
         self, now: float, force: bool = False
@@ -467,20 +461,15 @@ class SiteRuntime:
             now, self.frame, self.lockstep.master_sample, self.rtt.min_rtt, late
         )
 
-    def get_and_buffer_input(
-        self, now: Optional[float] = None, bits: Optional[int] = None
-    ) -> None:
-        """GetInput + Algorithm 2 lines 1–5: a driver-pushed word (``bits``)
-        wins over the source's.
+    def get_and_buffer_input(self, now: Optional[float] = None) -> None:
+        """GetInput + Algorithm 2 lines 1–5.
 
         Sources must produce bits already positioned in the full input word
         (wrap pad-byte sources in :class:`~repro.core.inputs.PadSource`).
         ``now`` feeds the timeline's capture record (the p0 a STAMP will
         later carry to peers); None skips that bookkeeping.
         """
-        if bits is None:
-            bits = self.source.get(self.frame)
-        self.lockstep.buffer_local_input(self.frame, bits)
+        self.lockstep.buffer_local_input(self.frame, self.source.get(self.frame))
         if now is not None and self.config.timeline:
             self.timeline.on_local_capture(
                 self.lockstep.last_rcv_frame[self.site_no], now
@@ -559,35 +548,13 @@ class SiteRuntime:
 
 
 # ----------------------------------------------------------------------
-# Events: what a driver tells the engine
+# The one event: what a driver tells the engine besides ``poll``
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class DatagramReceived:
-    """A datagram arrived.  ``arrived_at`` is the receive timestamp (used by
-    Algorithm 4's rate estimation); ``now`` is the processing time."""
-
-    payload: bytes
-    arrived_at: float
-    now: float
-
-
-@dataclass(frozen=True)
-class InputSampled:
-    """A driver-supplied input word for ``frame``, overriding the pull from
-    ``runtime.source`` (e.g. a UI thread sampling a real controller)."""
-
-    frame: int
-    bits: int
-
-
 @dataclass(frozen=True)
 class Shutdown:
     """Stop the engine now: clear all timers and emit ``Finished``."""
 
     now: float
-
-
-Event = Union[DatagramReceived, InputSampled, Shutdown]
 
 
 # ----------------------------------------------------------------------
@@ -655,28 +622,6 @@ PHASE_RECOVER = "recover"  # acquiring a donor's state, or a resync episode
 
 #: Ping period for RTT estimation, in seconds.
 PING_INTERVAL = 0.5
-
-
-#: Standalone-datagram overhead estimate for budget accounting: magic +
-#: version/type byte + typical varint sender/session (the batch member
-#: adds its own type byte + length varint, accounted separately).
-_HEADER_ESTIMATE = 5
-
-
-def _send_priority(message: Message) -> int:
-    """Budget drop order: higher numbers are shed first.
-
-    0 = control (handshake, state transfer, RESUME, BYE) — never dropped;
-    1 = SYNC carrying inputs; 2 = pure-ack SYNC; 3 = PING/PONG
-    (telemetry sheds first).  Timeline stamps ride *inside* input-carrying
-    SYNCs, so they share that SYNC's fate — a deferred window simply
-    carries a fresh stamp when it is rebuilt.
-    """
-    if isinstance(message, Sync):
-        return 1 if message.input_count else 2
-    if isinstance(message, (Ping, Pong)):
-        return 3
-    return 0
 
 
 def _chunk_for_batch(
@@ -779,7 +724,6 @@ class SiteEngine:
         self._observed_phase = self.phase
         self._timers: Dict[str, float] = {}
         self._earliest = 0.0
-        self._sampled: Dict[int, int] = {}
         self._stall_started = 0.0
         self._stalled = False
         self._sync_adjust = 0.0
@@ -789,13 +733,10 @@ class SiteEngine:
         self._wait = None
 
         #: Outbox: (message, destination) pairs queued during the current
-        #: pump.  ``_flush_outbox`` drains it exactly once per pump —
-        #: applying the bandwidth budget, then coalescing everything bound
-        #: for one peer into a single BATCH datagram.
+        #: pump.  ``_flush_outbox`` drains it exactly once per pump,
+        #: coalescing everything bound for one peer into a single BATCH
+        #: datagram.
         self._outbox: List[Tuple[Message, str]] = []
-        #: Token bucket for ``config.bandwidth_budget_bps`` (None = off).
-        self._budget_tokens = 0.0
-        self._budget_last: Optional[float] = None
         self.consistency.attach(self)
 
     # ------------------------------------------------------------------
@@ -818,22 +759,15 @@ class SiteEngine:
         self._set(TIMER_PING, now)
         return self._pump(now, [])
 
-    def handle(self, event: Event) -> List[Effect]:
-        """Feed one event; returns the effects it triggered."""
+    def handle(self, event: Shutdown) -> List[Effect]:
+        """Feed a :class:`Shutdown`; returns the effects it triggered."""
         if self.done:
             return []
-        if isinstance(event, DatagramReceived):
-            return self.poll(event.now, (event,))
-        if isinstance(event, InputSampled):
-            self._sampled[event.frame] = event.bits
-            return []
-        if isinstance(event, Shutdown):
-            self._outbox.clear()
-            effects = []
-            self._terminate("shutdown", event.now, effects)
-            self._observe(event.now, effects)
-            return effects
-        raise TypeError(f"unknown event {event!r}")
+        self._outbox.clear()
+        effects: List[Effect] = []
+        self._terminate("shutdown", event.now, effects)
+        self._observe(event.now, effects)
+        return effects
 
     def poll(self, now: float, datagrams: Iterable[Datagram] = ()) -> List[Effect]:
         """One wake-up: absorb what was received since the last one (state
@@ -925,15 +859,15 @@ class SiteEngine:
             if self.phase != PHASE_FRAME_WAIT and not self.done:
                 self._advance(now, effects)
         if self._outbox:
-            self._flush_outbox(now, effects)
+            self._flush_outbox(effects)
         if effects or self.phase != self._observed_phase:
             self._observe(now, effects)
         return effects
 
     # ------------------------------------------------------------------
-    # Outbox: budget, coalesce, emit
+    # Outbox: coalesce, emit
     # ------------------------------------------------------------------
-    def _flush_outbox(self, now: float, effects: List[Effect]) -> None:
+    def _flush_outbox(self, effects: List[Effect]) -> None:
         """Drain the outbox into ``Send`` effects, one datagram per peer.
 
         Every queued message's body is encoded exactly once.  Messages
@@ -945,15 +879,12 @@ class SiteEngine:
         """
         pending, self._outbox = self._outbox, []
         metrics = self.runtime.metrics
-        entries = [
-            (message, destination, message._encode_body())
-            for message, destination in pending
-        ]
-        entries = self._apply_budget(entries, now)
         groups: Dict[Tuple[str, int, int], List[Tuple[int, bytes]]] = {}
-        for message, destination, body in entries:
+        for message, destination in pending:
             key = (destination, message.sender_site, message.session_id)
-            groups.setdefault(key, []).append((message.TYPE_ID, body))
+            groups.setdefault(key, []).append(
+                (message.TYPE_ID, message._encode_body())
+            )
         for (destination, sender, session), items in groups.items():
             for chunk in _chunk_for_batch(items):
                 if len(chunk) == 1:
@@ -964,57 +895,6 @@ class SiteEngine:
                     metrics.net_batch_coalesced.inc()
                 metrics.net_bytes_tx.inc(len(payload))
                 effects.append(Send(payload, destination))
-
-    def _apply_budget(
-        self,
-        entries: List[Tuple[Message, str, bytes]],
-        now: float,
-    ) -> List[Tuple[Message, str, bytes]]:
-        """Enforce ``bandwidth_budget_bps`` with a token bucket.
-
-        Deterministic overflow: the lowest-priority entries (pings first,
-        then pure-ack SYNCs, then input-carrying SYNCs) are dropped from
-        the back of the queue until the batch fits.  Control traffic is
-        never dropped — the bucket just goes negative, throttling later
-        flushes.  Dropped SYNC windows are not lost: the next flush
-        rebuilds them from the still-unacked buffer, so a drop is a
-        deferral (counted in ``net_budget_deferrals``).
-        """
-        bps = self.runtime.config.bandwidth_budget_bps
-        if bps is None:
-            return entries
-        if self._budget_last is None:
-            self._budget_tokens = float(bps)  # burst allowance: one second
-        else:
-            elapsed = max(0.0, now - self._budget_last)
-            self._budget_tokens = min(
-                float(bps), self._budget_tokens + elapsed * bps
-            )
-        self._budget_last = now
-        metrics = self.runtime.metrics
-        # Estimate with standalone datagram sizes; coalescing only shrinks
-        # the real spend, so the estimate errs on the safe side.
-        sizes = [
-            _HEADER_ESTIMATE + uvarint_len(len(body)) + len(body)
-            for __, __, body in entries
-        ]
-        total = sum(sizes)
-        keep = list(range(len(entries)))
-        while total > self._budget_tokens:
-            victim = None
-            worst = 0
-            for index in reversed(keep):
-                priority = _send_priority(entries[index][0])
-                if priority > worst:
-                    worst = priority
-                    victim = index
-            if victim is None:
-                break  # only control traffic left: send it regardless
-            keep.remove(victim)
-            total -= sizes[victim]
-            metrics.net_budget_deferrals.inc()
-        self._budget_tokens -= total
-        return [entries[index] for index in keep]
 
     def _observe(self, now: float, effects: List[Effect]) -> None:
         """Telemetry funnel: every effect batch passes through here once.
@@ -1169,7 +1049,7 @@ class SiteEngine:
                         self.time_server_address,
                     )
                 )
-            runtime.get_and_buffer_input(now, self._sampled.pop(runtime.frame, None))
+            runtime.get_and_buffer_input(now)
             self._stall_started = now
             self._stalled = False
             self.phase = PHASE_GATE

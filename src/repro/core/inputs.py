@@ -33,17 +33,6 @@ class Buttons:
     ALL = 0xFF
 
 
-BUTTON_NAMES = {
-    Buttons.UP: "UP",
-    Buttons.DOWN: "DOWN",
-    Buttons.LEFT: "LEFT",
-    Buttons.RIGHT: "RIGHT",
-    Buttons.A: "A",
-    Buttons.B: "B",
-    Buttons.START: "START",
-    Buttons.COIN: "COIN",
-}
-
 #: Width of one player's slice of the input word.
 BITS_PER_PLAYER = 8
 
@@ -70,16 +59,6 @@ def pack_buttons(player: int, buttons: int) -> int:
 def unpack_buttons(word: int, player: int) -> int:
     """Extract ``player``'s pad byte from an input word."""
     return (word >> player_shift(player)) & Buttons.ALL
-
-
-def describe_word(word: int, num_players: int = 2) -> str:
-    """Human-readable rendering, e.g. ``"P0[LEFT+A] P1[]"``."""
-    parts = []
-    for player in range(num_players):
-        pressed = unpack_buttons(word, player)
-        names = [name for bit, name in BUTTON_NAMES.items() if pressed & bit]
-        parts.append(f"P{player}[{'+'.join(names)}]")
-    return " ".join(parts)
 
 
 class InputAssignment:
@@ -313,19 +292,3 @@ class RecordedSource(InputSource):
         if 0 <= frame < len(self._trace):
             return self._trace[frame]
         return 0
-
-
-class InputRecorder(InputSource):
-    """Wraps a source, recording what it produced (for replay tests)."""
-
-    def __init__(self, inner: InputSource) -> None:
-        self._inner = inner
-        self.trace: Dict[int, int] = {}
-
-    def get(self, frame: int) -> int:
-        value = self._inner.get(frame)
-        self.trace[frame] = value
-        return value
-
-    def to_recorded(self, frames: int) -> RecordedSource:
-        return RecordedSource([self.trace.get(f, 0) for f in range(frames)])

@@ -129,7 +129,7 @@ class LockstepSync:
         self._ack_dirty: Dict[int, bool] = {}
         self._last_sent_acks: Dict[int, List[int]] = {}
         #: Incremental encode cache: our own inputs, already bit-compacted
-        #: against ``my_mask`` into fixed-width little-endian cells.  Each
+        #: against ``_cell_mask`` into fixed-width little-endian cells.  Each
         #: buffered frame appends one cell; every outbound SYNC window is a
         #: contiguous slice, so per-tick serialization is a bytearray slice
         #: instead of re-packing the whole unacked range (ISSUE-7 tentpole).
@@ -152,10 +152,6 @@ class LockstepSync:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def my_mask(self) -> int:
-        return self._cell_mask
-
     @property
     def is_observer(self) -> bool:
         """True when this site controls no input bits."""
@@ -327,7 +323,7 @@ class LockstepSync:
         return bytes(self._enc_cells[start:end])
 
     def _cell(self, bits: int) -> bytes:
-        """One encode-cache cell: ``bits`` compacted against ``my_mask``."""
+        """One encode-cache cell: ``bits`` compacted against ``_cell_mask``."""
         return compact_bits(bits, self._cell_mask).to_bytes(self._cell_width, "little")
 
     def _record_send(self, peer: int, message: Sync) -> None:

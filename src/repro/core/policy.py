@@ -33,8 +33,8 @@ identical in both modes.  The handshake therefore carries no state — it
 exists so the switch is *observable and abortable*:
 
 1. the proposer sends ``SWITCH_REQ(seq, mode)`` to every peer and keeps
-   retransmitting (control priority, never dropped by the budget),
-2. each peer records the announced mode and answers ``SWITCH_ACK(seq)``
+   retransmitting on the flush,
+2. each peer records a ``switch_rx`` and answers ``SWITCH_ACK(seq)``
    — plain lockstep peers ack too, so mixed sessions interoperate,
 3. on acks from *all* peers the proposer commits at the next frame
    boundary; if any ack is missing after ``POLICY_SWITCH_TIMEOUT_S`` the
@@ -235,8 +235,6 @@ class Adaptive(Lockstep):
         self.lockstep = Lockstep()
         self.rollback = Rollback(spec_machine, speculation_window, predictor)
         self.mode = initial_mode
-        #: Committed switches this session (one per ``switch_commit``).
-        self.policy_switch_count = 0
         #: Recent handshake history as ``(kind, time, frame, mode, seq)``
         #: tuples, kind ∈ {propose, abort, commit}.  Bounded: a flapping
         #: link can propose on every policy tick for hours, and an
@@ -434,7 +432,6 @@ class Adaptive(Lockstep):
     def _finish_switch(self, mode: int, now: float) -> None:
         self._settling = False
         self.mode = mode
-        self.policy_switch_count += 1
         self.policy.note_transition(now)
         runtime = self.runtime
         runtime.events.emit(

@@ -232,11 +232,6 @@ class RollbackStats:
         #: denominator of the hit ratio).
         self.predicted_frames = 0
         self.mispredicted_frames = 0
-        #: Confirmed frames whose speculation held and that precede the
-        #: first misprediction of their confirmation batch: the only frames
-        #: a one-machine design (restore and replay from the first
-        #: misprediction) would not execute again.
-        self.prefix_held_frames = 0
         self.rollbacks = 0
         self.replayed_frames = 0
         self.max_replay_depth = 0
@@ -410,8 +405,6 @@ class Rollback(Lockstep):
                     self.stats.mispredicted_frames += 1
                     if first_bad is None:
                         first_bad = frame
-                elif first_bad is None:
-                    self.stats.prefix_held_frames += 1
         return first_bad
 
     def sync_spec_from_shadow(self) -> None:

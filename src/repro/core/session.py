@@ -6,10 +6,9 @@ channel will be established."*  §3.2: *"a simple session control protocol is
 implemented to ensure that two sites start at almost the same time, with at
 most one round-trip time deviation."*
 
-* :class:`Lobby` — the rendezvous directory (session name → master address
-  and metadata).  In the simulator it's an in-process registry; a production
-  deployment would back it with a lobby server.
-* :class:`SessionControl` — the start protocol as a sans-IO state machine:
+Rendezvous is left to the caller: a session is built from its sites'
+addresses.  :class:`SessionControl` is the start protocol as a sans-IO
+state machine:
 
   1. every joiner sends ``HELLO`` (retransmitted) carrying digests of its
      game image and sync configuration;
@@ -26,7 +25,6 @@ most one round-trip time deviation."*
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -70,52 +68,6 @@ def game_digest(game_id: str) -> int:
 
 class SessionError(RuntimeError):
     """Raised on handshake validation failures (wrong game, wrong config)."""
-
-
-@dataclass
-class LobbyEntry:
-    """One advertised session."""
-
-    name: str
-    master_address: str
-    game_id: str
-    num_sites: int
-    session_id: int
-
-
-class Lobby:
-    """A trivial rendezvous directory."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, LobbyEntry] = {}
-        self._next_session_id = 1
-
-    def advertise(
-        self, name: str, master_address: str, game_id: str, num_sites: int = 2
-    ) -> LobbyEntry:
-        if name in self._entries:
-            raise SessionError(f"session {name!r} already advertised")
-        entry = LobbyEntry(
-            name=name,
-            master_address=master_address,
-            game_id=game_id,
-            num_sites=num_sites,
-            session_id=self._next_session_id,
-        )
-        self._next_session_id += 1
-        self._entries[name] = entry
-        return entry
-
-    def find(self, name: str) -> LobbyEntry:
-        if name not in self._entries:
-            raise SessionError(f"no session {name!r} in lobby")
-        return self._entries[name]
-
-    def withdraw(self, name: str) -> None:
-        self._entries.pop(name, None)
-
-    def listing(self) -> List[LobbyEntry]:
-        return sorted(self._entries.values(), key=lambda e: e.name)
 
 
 class SessionPhase(Enum):

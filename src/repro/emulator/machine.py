@@ -155,14 +155,6 @@ class Machine(ABC):
         return f"[{self.name} frame={self.frame} state=0x{self.checksum():08x}]"
 
 
-def state_checksum(*chunks: bytes) -> int:
-    """Helper: CRC32 over concatenated state chunks."""
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    return crc
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------

@@ -30,18 +30,15 @@ sweep is a deterministic test, not a benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
 from repro.metrics.stats import mean
-from repro.net.netem import WAN_PROFILES, named_profile
+from repro.net.netem import named_profile
 
 #: The sweep's RTT axis (seconds): 0 to 400 ms in 80 ms steps.
 SWEEP_RTTS = [0.0, 0.080, 0.160, 0.240, 0.320, 0.400]
-
-#: Profiles the full sweep walks (every named WAN profile).
-SWEEP_PROFILES = tuple(sorted(WAN_PROFILES))
 
 #: RTT beyond which pure lockstep must have left its frame slot.  The
 #: local-lag pipeline degrades to ``RTT/2 / BufFrame`` per frame, so the
@@ -165,7 +162,7 @@ def run_sweep_point(
         adaptive_frame_mean=_steady_frame_mean(adaptive_traces[0], warmup_frames),
         lockstep_frame_mean=_steady_frame_mean(lockstep_traces[0], warmup_frames),
         switches=sum(
-            vm.engine.consistency.policy_switch_count for vm in adaptive.vms
+            vm.runtime.events.totals.get("switch_commit", 0) for vm in adaptive.vms
         ),
         final_modes=[vm.engine.consistency.mode_name for vm in adaptive.vms],
         adaptive_verified=adaptive_verified,
@@ -216,21 +213,6 @@ def _evaluate(point: SweepPoint, config: SyncConfig) -> None:
         point.problems.append(
             "expected pure lockstep to collapse at this RTT; sweep premise broken"
         )
-
-
-def run_sweep(
-    profiles: Sequence[str] = SWEEP_PROFILES,
-    rtts: Sequence[float] = SWEEP_RTTS,
-    frames: int = 360,
-    seed: int = 7,
-    game: str = "counter",
-) -> List[SweepPoint]:
-    """The full (profiles × RTTs) grid."""
-    return [
-        run_sweep_point(profile, rtt, frames=frames, seed=seed, game=game)
-        for profile in profiles
-        for rtt in rtts
-    ]
 
 
 def quick_sweep(seed: int = 7) -> List[SweepPoint]:

@@ -4,8 +4,8 @@ The sync module's health used to be invisible until a run ended and the
 harness computed Figure-1/2 aggregates.  This package gives every layer a
 live surface instead:
 
-* :mod:`repro.obs.registry` — counters, gauges and fixed-bucket histograms
-  with O(1) hot-path recording, grouped in a :class:`Registry` per site and
+* :mod:`repro.obs.registry` — counters and fixed-bucket histograms with
+  O(1) hot-path recording, grouped in a :class:`Registry` per site and
   aggregated per process;
 * :mod:`repro.obs.site` — :class:`SiteMetrics`, the per-``SiteRuntime``
   instrument bundle (frame time, sync stall, ``SyncAdjustTimeDelta``,
@@ -42,7 +42,6 @@ from repro.obs.postmortem import (
 )
 from repro.obs.registry import (
     Counter,
-    Gauge,
     Histogram,
     Registry,
     aggregate_snapshots,
@@ -57,7 +56,6 @@ __all__ = [
     "DesyncError",
     "DesyncPostmortem",
     "EventTrace",
-    "Gauge",
     "Histogram",
     "Registry",
     "SiteMetrics",

@@ -99,11 +99,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Optional[Callable[[Any], float]]]] = {
         "Datagrams that carried a coalesced Batch of 2+ messages",
         None,
     ),
-    "net_budget_deferrals": (
-        "counter",
-        "Messages dropped by the bandwidth budget (resent by the window)",
-        None,
-    ),
     "net_decode_errors": (
         "counter",
         "Datagrams/messages rejected by the decoder or by SYNC validation",
@@ -161,22 +156,22 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Optional[Callable[[Any], float]]]] = {
     ),
     "degraded_episodes": (
         "counter",
-        "Gate stalls that crossed soft_stall_s (lockstep.degraded_episodes)",
+        "Gate stalls that crossed soft_stall_s (tally of degraded records)",
         _tally("degraded"),
     ),
     "suspended_seconds": (
         "counter",
-        "Total time the gate spent suspended (lockstep.suspended_s)",
+        "Total time the gate spent suspended (added by the stall ladder on resume)",
         None,
     ),
     "resumes": (
         "counter",
-        "Recoveries from suspension, incl. RESUME rejoins (session.resumes)",
+        "Recoveries from suspension, incl. RESUME rejoins (stall ladder, state acquire)",
         None,
     ),
     "send_errors": (
         "counter",
-        "Datagram sends that failed at the OS/transport (net.send_errors)",
+        "Datagram sends that failed at the OS/transport (asyncio driver)",
         None,
     ),
     "rollbacks": (

@@ -1,16 +1,18 @@
-"""Counters, gauges and fixed-bucket histograms with O(1) recording.
+"""Counters and fixed-bucket histograms with O(1) recording.
 
 Design constraints, in order:
 
-1. **Hot-path cost.**  ``Counter.inc`` is one attribute add; ``Gauge.set``
-   one store; ``Histogram.observe`` one bisect over a dozen floats plus
-   four stores.  Instruments are plain objects the caller keeps a direct
+1. **Hot-path cost.**  ``Counter.inc`` is one attribute add;
+   ``Histogram.observe`` one bisect over a dozen floats plus four stores.  Instruments are plain objects the caller keeps a direct
    reference to — there is *no* name lookup on the recording path.
 2. **Zero dependencies.**  Snapshots are plain dicts; the Prometheus text
    exposition is produced by string formatting, not a client library.
 3. **Aggregation.**  A process hosting many sessions sums its sites'
    registries into one view (:func:`aggregate_snapshots`): counters and
-   histogram buckets add, gauges take the worst (max) value.
+   histogram buckets add, gauges take the worst (max) value.  A gauge is
+   a point-in-time value its owner reads at scrape time into a snapshot's
+   ``gauges`` table (:meth:`repro.obs.site.SiteMetrics.snapshot`), so no
+   instrument records one.
 
 Quantile summaries of histograms estimate within-bucket position linearly
 — the same interpolation rule as :func:`repro.metrics.stats.percentile`,
@@ -36,19 +38,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (may go up or down)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 #: Default bucket upper bounds for time-valued histograms (seconds): frame
@@ -160,7 +149,6 @@ class Registry:
     def __init__(self, labels: Optional[Mapping[str, str]] = None) -> None:
         self.labels: Dict[str, str] = dict(labels or {})
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # ------------------------------------------------------------------
@@ -169,13 +157,6 @@ class Registry:
         if instrument is None:
             self._check_new(name)
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            self._check_new(name)
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str, bounds: Sequence[float] = TIME_BUCKETS) -> Histogram:
@@ -190,7 +171,7 @@ class Registry:
         return instrument
 
     def _check_new(self, name: str) -> None:
-        for table in (self._counters, self._gauges, self._histograms):
+        for table in (self._counters, self._histograms):
             if name in table:
                 raise ValueError(f"{name!r} already registered as another type")
 
@@ -200,7 +181,7 @@ class Registry:
         return {
             "labels": dict(self.labels),
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
+            "gauges": {},
             "histograms": {
                 n: h.summary() for n, h in sorted(self._histograms.items())
             },

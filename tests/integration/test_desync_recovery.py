@@ -10,15 +10,12 @@ pointless (structural re-divergence), terminate with a bounded, debuggable
 
 import zlib
 
-import pytest
-
 from repro.core.config import SyncConfig
 from repro.core.engine import (
     PHASE_GATE,
     PHASE_RECOVER,
     TIMER_FLUSH,
     TIMER_PING,
-    DatagramReceived,
     SiteEngine,
 )
 from repro.core.liveness import DEGRADED, SUSPENDED
@@ -32,6 +29,7 @@ from repro.harness.chaos import (
     transfer_corruption_schedule,
 )
 from repro.net.faults import FaultSchedule
+from repro.net.transport import Datagram
 from repro.obs.postmortem import DesyncPostmortem
 
 from tests.unit.test_engine import EngineMesh, build_engines, contains
@@ -241,7 +239,7 @@ class TestResyncTransferIntegrity:
             backlog=[[], []],
             state_crc=zlib.crc32(state),
         )
-        engines[1].handle(DatagramReceived(forged.encode(), mesh.now, mesh.now))
+        engines[1].poll(mesh.now, [Datagram(forged.encode(), "site0", mesh.now)])
         mesh.run_until(mesh.now + 0.3)
 
         crc_rejections = records(engines[1], "state_crc_error")
@@ -270,7 +268,7 @@ class TestResyncTransferIntegrity:
         mesh.run_until(1.0)
         runtime = engines[1].runtime  # site 1 is never the authority
         request = Resume(0, runtime.session_id, last_acked_frame=-1, resync_frame=9)
-        engines[1].handle(DatagramReceived(request.encode(), mesh.now, mesh.now))
+        engines[1].poll(mesh.now, [Datagram(request.encode(), "site0", mesh.now)])
         mesh.run_until(mesh.now + 0.1)
         rejects = records(engines[1], "resync_reject")
         assert rejects and rejects[-1].detail["error"] == "not authority"
@@ -327,7 +325,7 @@ class TestDivergenceWhileSuspended:
         assert set(authority._timers).isdisjoint((TIMER_FLUSH, TIMER_PING))
 
         late = next(p for p in held if contains(p, StateDigest))
-        mesh._absorb("site0", authority.handle(DatagramReceived(late, mesh.now, mesh.now)))
+        mesh._absorb("site0", authority.poll(mesh.now, [Datagram(late, "site1", mesh.now)]))
         kinds = [r.kind for r in authority.runtime.events]
         assert kinds.count("desync") == 1
         assert "resumed" not in kinds[kinds.index("suspended"):]

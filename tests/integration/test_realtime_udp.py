@@ -161,7 +161,7 @@ class TestRealtimeSession:
 
     def test_send_failures_are_nonfatal_and_bounded(self, sessions):
         """Send failures are transient network weather, not crashes: the
-        driver counts them (``net.send_errors``) and keeps running, and the
+        driver counts them (``send_errors``) and keeps running, and the
         handshake timeout — not an exception — bounds a site whose every
         datagram fails."""
         (site,) = sessions["failing"]

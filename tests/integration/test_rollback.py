@@ -49,7 +49,7 @@ class TestConsistency:
 
         rollback = run_rollback(frames=200, rtt=0.050, seed=9)
         plan = two_player_plan(
-            SyncConfig.paper_defaults().with_overrides(buf_frame=0),
+            SyncConfig(buf_frame=0),
             machine_factory=lambda: create_game("counter"),
             sources=[
                 PadSource(RandomSource(9, toggle_p=0.08), 0),

@@ -33,7 +33,10 @@ only the byte counts in ``transport`` and ``counters`` moved.  Then the
 rows (two per site) that read ``recover`` where they read ``resync``.
 Then a presented frame counted once (the ``frames`` counter had counted
 each lockstep commit twice): only ``counters`` moved, in the three
-sessions with lockstep frames; ``rollback_pong`` holds.  A
+sessions with lockstep frames; ``rollback_pong`` holds.  Then the
+bandwidth budget was deleted: only ``counters`` moved, in all four
+sessions, because the always-zero ``net_budget_deferrals`` key left the
+snapshot (re-adding it with value 0 reproduces the old digests).  A
 change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
 the components it meant to move, and says so in CHANGES.md.  CI runs this
@@ -163,28 +166,28 @@ PINNED = {
         "frames": "e05b294502ba8e642c2db46ce4dc1529890f9615f6dcc09802a213affcce7d74",
         "events": "ebb77cc905772eb1a137276ba339d6b5a2aef61c597d6e8eced9a978c578348a",
         "transport": "d199b85c21b49bb4dd01a154660b7afbb28df3a3fdbc5ee868d05b517bff2373",
-        "counters": "de1c56210061517496c0f931cf2588a3675d8fcebf6b91e33a9fc320a7afc260",
+        "counters": "c695083f4464657aa60aecef625d6d1e9c3a839460dfd5bddeadc9c5b6735eac",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     rollback_pong: {
         "frames": "4dc2ebb76cf419ad9c4e0a6b83b090908b0e20cd5121abbe980a3d61c7582644",
         "events": "67a4430212a11b2fb37057ae154c18573dedb62eb84159da61d926317ee850bd",
         "transport": "25484fae6abd9ec6c303da8c3037873121a0a92099a2ee5e90c998466ddb8848",
-        "counters": "f87b41f6f95f3265294e696b6c5753da5722a143e1b32316addaec5b824d27cd",
+        "counters": "3756979f7cc567709edbbca92cce2090167992be16fe5318dd04603e9570303b",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     adaptive_pong_with_poke: {
         "frames": "fde186c5331ba7f49225d7f3492b95705d838ceb27d139d8c463901eaed219b6",
         "events": "1e60bff1ecda239952a6bf1983aa8b60770d38d6ce9e1cbe020520566f9f89ae",
         "transport": "ff349093cdb5801c5f8049b2407aec95f16377a04aa60536545ee0989623d307",
-        "counters": "34a3af2a2af09e767e559e1ab54295ceb098fb47c156b541a5b7a174b397b230",
+        "counters": "b85223d61c9ca8d2e3359cc99edc6f1b74d13d69bf96b43f8921214dac28c48f",
         "termination": "fad99ade5ef5f68fa04c06c3e521a6bd4aa3e55431c5f723d028603f0efe66f0",
     },
     late_joining_player: {
         "frames": "c26240975ca98be101e9a0ddbc74d4a501274456ae02a46dd9331f5abadfea23",
         "events": "cbb632c159707d54e3bc2764352a0d46efdde1d5ea7d81b3ffdb02d2fcb5ed1f",
         "transport": "c600dc612e427e127a228cc6d91352ddfb877d6c3aaf12ba089c21d0ac638c09",
-        "counters": "700d82f61af55291b68bc38a63b0cfc5390a6393b9de0a7b06d9f672dbb94455",
+        "counters": "5fc77ad871b82fb05f79211124b970d03bfb5fdcb7ac3c5144218a0afb649e45",
         "termination": "3732a9e88c4a9637718cbace1de7160cea83bf2251a1289d6023447d2d3bed34",
     },
 }

@@ -4,7 +4,7 @@ rejects arbitrary garbage without crashing."""
 import dataclasses
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.lockstep import MAX_INPUTS_PER_MESSAGE
 from repro.core.messages import (

@@ -27,21 +27,6 @@ class TestDefaults:
         assert SyncConfig(buf_frame=0).local_lag == 0.0
 
 
-class TestForLocalLag:
-    def test_exact_100ms_at_60fps(self):
-        config = SyncConfig.for_local_lag(0.100, cfps=60)
-        assert config.buf_frame == 6
-
-    def test_rounds_up(self):
-        config = SyncConfig.for_local_lag(0.095, cfps=60)
-        assert config.buf_frame == 6
-        config = SyncConfig.for_local_lag(0.101, cfps=60)
-        assert config.buf_frame == 7
-
-    def test_other_frame_rate(self):
-        assert SyncConfig.for_local_lag(0.100, cfps=50).buf_frame == 5
-
-
 class TestValidation:
     def test_bad_cfps(self):
         with pytest.raises(ValueError):
@@ -65,7 +50,7 @@ class TestFieldCount:
     nothing sets to a second value is a constant next to its reader."""
 
     def test_field_count(self):
-        assert len(dataclasses.fields(SyncConfig)) == 15
+        assert len(dataclasses.fields(SyncConfig)) == 14
 
     @pytest.mark.parametrize(
         "removed",
@@ -90,6 +75,7 @@ class TestFieldCount:
             "resync_max_attempts",
             "resync_window_s",
             "liveness_timeout_s",
+            "bandwidth_budget_bps",
         ],
     )
     def test_removed_knobs_stay_removed(self, removed):
@@ -130,30 +116,20 @@ class TestFieldCount:
 DEPLOYMENT_SETTINGS = {
     # The real-UDP test needs a 1 s wall-clock handshake deadline.
     "handshake_timeout_s",
-    # An outbound cap for a constrained link; off by default.
-    "bandwidth_budget_bps",
 }
 
 ROOT = Path(__file__).resolve().parents[2]
-DEFINITION = ROOT / "src" / "repro" / "core" / "config.py"
 
 
 def _program_files():
-    """Python files outside the tests whose calls may configure a session
-    (the definition's own ``for_local_lag`` is not a caller)."""
+    """Python files outside the tests whose calls may configure a session."""
     for top in ("src", "benchmarks", "examples"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            if "tests" not in path.relative_to(ROOT).parts and path != DEFINITION:
+            if "tests" not in path.relative_to(ROOT).parts:
                 yield path
 
 
 class TestOverrides:
-    def test_with_overrides_returns_new(self):
-        base = SyncConfig()
-        other = base.with_overrides(buf_frame=3)
-        assert other.buf_frame == 3
-        assert base.buf_frame == 6
-
     def test_frozen(self):
         with pytest.raises(AttributeError):
             SyncConfig().cfps = 30  # type: ignore[misc]

@@ -21,9 +21,7 @@ import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
-    DatagramReceived,
     Finished,
-    InputSampled,
     Present,
     Send,
     SiteEngine,
@@ -40,16 +38,14 @@ from repro.core.engine import (
 )
 from repro.core.inputs import IdleSource, InputAssignment, PadSource, RandomSource
 from repro.core.messages import (
-    Ping,
     Start,
     Sync,
     Welcome,
     decode_all,
-    uvarint_len,
 )
 from repro.core.rtt import RttEstimator
 from repro.emulator.machine import create_game
-from tests.wire import sync_of
+from repro.net.transport import Datagram
 
 
 def contains(payload, message_type):
@@ -95,7 +91,13 @@ class EngineMesh:
             self._seq += 1
             heapq.heappush(
                 self._inflight,
-                (self.now + self.latency, self._seq, effect.destination, effect.payload),
+                (
+                    self.now + self.latency,
+                    self._seq,
+                    effect.destination,
+                    address,
+                    effect.payload,
+                ),
             )
 
     def _next_time(self):
@@ -109,11 +111,12 @@ class EngineMesh:
     def _step(self):
         self.now = max(self.now, self._next_time())
         while self._inflight and self._inflight[0][0] <= self.now:
-            _, _, destination, payload = heapq.heappop(self._inflight)
+            _, _, destination, source, payload = heapq.heappop(self._inflight)
             engine = self.engines[destination]
+            # One pump per datagram, as a link delivering them one by one.
             self._absorb(
                 destination,
-                engine.handle(DatagramReceived(payload, self.now, self.now)),
+                engine.poll(self.now, [Datagram(payload, source, self.now)]),
             )
         for address, engine in self.engines.items():
             deadline = engine.next_deadline()
@@ -207,19 +210,6 @@ class TestEngineSession:
             )
         traces = [engine.runtime.trace for engine in engines]
         assert list(traces[0].checksums) == list(traces[1].checksums)
-
-    def test_pushed_input_overrides_source(self):
-        engines = build_engines(frames=30)
-        lag = engines[0].runtime.config.buf_frame
-        for frame in range(30):
-            assert engines[0].handle(InputSampled(frame, 0x01)) == []
-        mesh = EngineMesh(engines)
-        mesh.start()
-        mesh.run()
-        # Site 0's pushed word lands ``lag`` frames later at both replicas.
-        for present in mesh.presents("site1"):
-            if present.frame >= lag:
-                assert present.merged_input & 0x01
 
 
 class TestSessionControlThroughEngine:
@@ -383,79 +373,6 @@ class TestSendPathCoalescing:
             assert engine.snapshot()["counters"]["net_decode_errors"] == 0
 
 
-class TestBandwidthBudget:
-    """SyncConfig.bandwidth_budget_bps: deterministic lowest-priority drop."""
-
-    def _engine(self, bps):
-        configs = [
-            SyncConfig(slice_delay=0.0, bandwidth_budget_bps=bps)
-        ] * 2
-        return build_engines(frames=10, configs=configs)[0]
-
-    @staticmethod
-    def _entry_sizes(messages):
-        return [
-            5 + uvarint_len(len(m._encode_body())) + len(m._encode_body())
-            for m in messages
-        ]
-
-    def test_drop_order_sheds_pings_then_acks_then_inputs(self):
-        engine = self._engine(bps=1)  # forces every non-control drop
-        start = Start(0, 1)
-        sync_inputs = sync_of(0, 1, 5, 6, [1, 2])
-        pure_ack = Sync(0, 1, ack=5, first_frame=7)
-        ping = Ping(0, 1, seq=0, timestamp_us=0)
-        queue = [ping, sync_inputs, start, pure_ack]
-        entries = [(m, "site1", m._encode_body()) for m in queue]
-        kept = engine._apply_budget(entries, now=0.0)
-        # Control is never dropped, everything else is.
-        assert [m for m, _, _ in kept] == [start]
-        assert engine.runtime.metrics.net_budget_deferrals.value == 3
-
-    def test_partial_budget_keeps_input_syncs(self):
-        start = Start(0, 1)
-        sync_inputs = sync_of(0, 1, 5, 6, [1, 2])
-        pure_ack = Sync(0, 1, ack=5, first_frame=7)
-        ping = Ping(0, 1, seq=0, timestamp_us=0)
-        queue = [ping, sync_inputs, start, pure_ack]
-        sizes = self._entry_sizes(queue)
-        # Enough for everything but the ping and the pure ack.
-        bps = sizes[2] + sizes[1] + min(sizes[0], sizes[3]) - 1
-        engine = self._engine(bps=bps)
-        entries = [(m, "site1", m._encode_body()) for m in queue]
-        kept = [m for m, _, _ in engine._apply_budget(entries, now=0.0)]
-        assert any(m is sync_inputs for m in kept)
-        assert any(m is start for m in kept)
-        assert not any(m is ping for m in kept)
-        assert not any(m is pure_ack for m in kept)
-
-    def test_unbudgeted_config_never_defers(self):
-        engines = build_engines(frames=20)
-        mesh = EngineMesh(engines)
-        mesh.start()
-        mesh.run()
-        for engine in engines:
-            assert engine.runtime.metrics.net_budget_deferrals.value == 0
-
-    def test_starved_budget_defers_but_stays_consistent(self):
-        """A budget below the sync floor slows the session down without
-        desyncing it: dropped windows are rebuilt by the next flush."""
-        configs = [
-            SyncConfig(slice_delay=0.0, bandwidth_budget_bps=60)
-        ] * 2
-        engines = build_engines(frames=20, configs=configs)
-        mesh = EngineMesh(engines)
-        mesh.start()
-        mesh.run()
-        assert sum(
-            e.runtime.metrics.net_budget_deferrals.value for e in engines
-        ) > 0
-        for site in range(2):
-            assert len(mesh.presents(f"site{site}")) == 20
-        traces = [engine.runtime.trace for engine in engines]
-        assert list(traces[0].checksums) == list(traces[1].checksums)
-
-
 class TestLegacyPeerRejection:
     """A site speaking an older wire version can never join (or desync) a
     session.  The HELLOs were captured from the v1 and v2 codecs for this
@@ -479,7 +396,7 @@ class TestLegacyPeerRejection:
         raw = bytes.fromhex(hello_hex)
         now = 0.01
         while not master.done and now < 2.0:
-            effects += master.handle(DatagramReceived(raw, now, now))
+            effects += master.poll(now, [Datagram(raw, "site1", now)])
             deadline = master.next_deadline()
             now = max(now + 0.01, deadline if deadline is not None else now)
             effects += master.poll(now)

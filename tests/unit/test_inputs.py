@@ -12,12 +12,10 @@ from repro.core.inputs import (
     Buttons,
     IdleSource,
     InputAssignment,
-    InputRecorder,
     PadSource,
     RandomSource,
     RecordedSource,
     ScriptedSource,
-    describe_word,
     pack_buttons,
     player_mask,
     player_shift,
@@ -50,12 +48,6 @@ class TestBitLayout:
     def test_pack_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             pack_buttons(0, 0x1FF)
-
-    def test_describe_word(self):
-        word = pack_buttons(0, Buttons.UP) | pack_buttons(1, Buttons.A | Buttons.B)
-        text = describe_word(word)
-        assert "P0[UP]" in text
-        assert "P1[A+B]" in text
 
 
 class TestInputAssignment:
@@ -155,12 +147,6 @@ class TestSources:
         source = RecordedSource([1, 2, 3])
         assert [source.get(f) for f in range(5)] == [1, 2, 3, 0, 0]
         assert len(source) == 3
-
-    def test_recorder_wraps_and_replays(self):
-        recorder = InputRecorder(RandomSource(seed=4))
-        original = [recorder.get(f) for f in range(50)]
-        replay = recorder.to_recorded(50)
-        assert [replay.get(f) for f in range(50)] == original
 
 
 #: ``(seed, toggle_p, mask) -> (CRC-32 of frames 0..4095, words of

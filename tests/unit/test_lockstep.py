@@ -537,9 +537,9 @@ class TestCachedMaskAndPresentPeers:
     def test_observer_reads_stored_mask(self):
         sites = make_pair(num_sites=3, observers=1)
         player, observer = sites[0], sites[2]
-        assert player.my_mask == player.assignment.mask(0) != 0
+        assert player._cell_mask == player.assignment.mask(0) != 0
         assert not player.is_observer
-        assert observer.my_mask == 0 and observer.is_observer
+        assert observer._cell_mask == 0 and observer.is_observer
         # An observer sends pure acks, never gates itself, and prunes by
         # its own delivery pointer (nobody has to ack inputs it never has).
         message = observer.build_sync_for(0, force=True)

@@ -1,4 +1,4 @@
-"""Unit: counters/gauges/histograms, aggregation, and the text exposition."""
+"""Unit: counters/histograms, aggregation, and the text exposition."""
 
 import math
 
@@ -8,7 +8,6 @@ from repro.metrics.stats import percentile, validate_quantile
 from repro.obs.registry import (
     DEPTH_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     Registry,
     aggregate_snapshots,
@@ -22,12 +21,6 @@ class TestInstruments:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("rtt_seconds")
-        gauge.set(0.04)
-        gauge.set(0.02)
-        assert gauge.value == 0.02
 
     def test_histogram_counts_sum_and_extremes(self):
         hist = Histogram("depth", bounds=DEPTH_BUCKETS)
@@ -90,14 +83,13 @@ class TestRegistry:
     def test_creation_is_idempotent(self):
         registry = Registry({"site": "0"})
         assert registry.counter("frames") is registry.counter("frames")
-        assert registry.gauge("rtt") is registry.gauge("rtt")
         assert registry.histogram("t") is registry.histogram("t")
 
     def test_cross_type_name_collision_rejected(self):
         registry = Registry()
         registry.counter("frames")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("frames")
+            registry.histogram("frames")
 
     def test_histogram_bounds_must_match_on_reuse(self):
         registry = Registry()
@@ -108,12 +100,12 @@ class TestRegistry:
     def test_snapshot_shape(self):
         registry = Registry({"site": "1", "session": "2"})
         registry.counter("frames").inc(3)
-        registry.gauge("rtt").set(0.04)
         registry.histogram("t").observe(0.016)
         snap = registry.snapshot()
         assert snap["labels"] == {"site": "1", "session": "2"}
         assert snap["counters"] == {"frames": 3}
-        assert snap["gauges"] == {"rtt": 0.04}
+        # Gauges are read at scrape time by the snapshot's owner.
+        assert snap["gauges"] == {}
         assert snap["histograms"]["t"]["count"] == 1
 
 
@@ -121,11 +113,12 @@ class TestAggregation:
     def make_snap(self, site, frames, rtt, observations):
         registry = Registry({"site": str(site)})
         registry.counter("frames").inc(frames)
-        registry.gauge("rtt").set(rtt)
         hist = registry.histogram("t")
         for value in observations:
             hist.observe(value)
-        return registry.snapshot()
+        snap = registry.snapshot()
+        snap["gauges"]["rtt"] = rtt
+        return snap
 
     def test_counters_sum_and_gauges_take_worst(self):
         merged = aggregate_snapshots(
@@ -170,6 +163,6 @@ class TestPrometheusExposition:
         assert "# HELP repro_frames_total Frames presented" in text
 
     def test_infinite_gauges_render_prometheus_style(self):
-        registry = Registry()
-        registry.gauge("x").set(math.inf)
-        assert "repro_x +Inf" in to_prometheus([registry.snapshot()])
+        snap = Registry().snapshot()
+        snap["gauges"]["x"] = math.inf
+        assert "repro_x +Inf" in to_prometheus([snap])

@@ -1,11 +1,10 @@
-"""Unit tests for repro.core.session — lobby and the start protocol."""
+"""Unit tests for repro.core.session — the start protocol."""
 
 import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.messages import Hello, Start, StartAck, Welcome
 from repro.core.session import (
-    Lobby,
     SessionControl,
     SessionError,
     SessionPhase,
@@ -29,43 +28,6 @@ def exchange(sender_ctrl, receiver_ctrl, now):
     for message, __dest in sender_ctrl.poll(now):
         replies.extend(receiver_ctrl.on_message(message, now))
     return replies
-
-
-class TestLobby:
-    def test_advertise_and_find(self):
-        lobby = Lobby()
-        entry = lobby.advertise("fight-night", "host:1", "sf2", num_sites=2)
-        assert lobby.find("fight-night") is entry
-        assert entry.session_id == 1
-
-    def test_duplicate_name_rejected(self):
-        lobby = Lobby()
-        lobby.advertise("a", "x", "g")
-        with pytest.raises(SessionError):
-            lobby.advertise("a", "y", "g")
-
-    def test_unknown_session(self):
-        with pytest.raises(SessionError):
-            Lobby().find("ghost")
-
-    def test_withdraw(self):
-        lobby = Lobby()
-        lobby.advertise("a", "x", "g")
-        lobby.withdraw("a")
-        with pytest.raises(SessionError):
-            lobby.find("a")
-
-    def test_listing_sorted(self):
-        lobby = Lobby()
-        lobby.advertise("zeta", "x", "g")
-        lobby.advertise("alpha", "y", "g")
-        assert [e.name for e in lobby.listing()] == ["alpha", "zeta"]
-
-    def test_session_ids_unique(self):
-        lobby = Lobby()
-        a = lobby.advertise("a", "x", "g")
-        b = lobby.advertise("b", "y", "g")
-        assert a.session_id != b.session_id
 
 
 class TestHandshake:

@@ -16,7 +16,6 @@ from repro.core.rtt import ClockAlign
 from repro.obs.timeline import (
     P_CAPTURE,
     P_FLUSH,
-    P_PRESENTED,
     FrameTimeline,
     TimelineCollector,
     chrome_trace,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import SyncConfig
 from repro.core.driver import feed_datagrams
-from repro.core.engine import DatagramReceived, Send, SitePeer
+from repro.core.engine import Send, SitePeer
 from repro.core.inputs import PadSource, RandomSource
 from repro.core.messages import Ping, Pong, decode_all
 from repro.core.multisite import build_session, site_address, two_player_plan
@@ -90,7 +90,7 @@ class TestOnePumpPerWakeup:
 
     def test_handle_by_hand_still_pumps(self):
         engine, pumps = self.started_engine()
-        effects = engine.handle(DatagramReceived(ping_from(1, 3), 0.001, 0.001))
+        effects = engine.poll(0.001, [Datagram(ping_from(1, 3), "site1", 0.001)])
         assert pumps == [0.001]
         sends = [e for e in effects if isinstance(e, Send) and e.destination == "site1"]
         assert [m.seq for m in decode_all(sends[0].payload)] == [3]
