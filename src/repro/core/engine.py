@@ -81,8 +81,6 @@ from repro.core.messages import (
     Message,
     Ping,
     Pong,
-    SwitchAck,
-    SwitchRequest,
     Sync,
     decode_all,
     encode_packet,
@@ -188,9 +186,6 @@ class SiteRuntime:
         self.liveness = PeerLiveness(self.peer_sites)
         #: Frame counter of Algorithm 1.
         self.frame = 0
-        #: Highest SWITCH_ACK seq received per peer (read by the adaptive
-        #: engine to commit or abort a proposed mode switch).
-        self.switch_acks: Dict[int, int] = {}
         #: Lazily-built hysteretic lag tuner (``repro.core.policy``).
         self._lag_tuner = None
         #: State transfer and desync recovery: late join, resume, resync.
@@ -202,8 +197,6 @@ class SiteRuntime:
             Sync: self._on_sync,
             Ping: self._on_ping,
             Pong: self._on_pong,
-            SwitchRequest: self._on_switch_request,
-            SwitchAck: self._on_switch_ack,
             **dict.fromkeys(SessionControl.MESSAGES, self._on_session),
             **self.recovery.handlers(),
         }
@@ -327,39 +320,6 @@ class SiteRuntime:
             )
         if self.config.adaptive_lag and self.rtt.samples:
             self._adapt_lag(now)
-        return []
-
-    def _on_switch_request(
-        self, message: SwitchRequest, arrived_at: float, now: float
-    ) -> Replies:
-        # Validated like RESUME: right session, known peer.  The mode
-        # itself is the announcer's local choice (its lag/speculation
-        # only move where its own frames execute), so every site can
-        # ack — the ack is what lets the proposer commit atomically.
-        sender = message.sender_site
-        if message.session_id != self.session_id or sender not in self.peer_sites:
-            self.events.emit("switch_reject", now, self.frame, peer=sender)
-            return []
-        self.events.emit(
-            "switch_rx",
-            now,
-            self.frame,
-            peer=sender,
-            mode=message.mode,
-            seq=message.seq,
-        )
-        ack = SwitchAck(
-            self.site_no, self.session_id, seq=message.seq, mode=message.mode
-        )
-        return [(ack, self.address_of[sender])]
-
-    def _on_switch_ack(
-        self, message: SwitchAck, arrived_at: float, now: float
-    ) -> Replies:
-        sender = message.sender_site
-        if message.session_id == self.session_id and sender in self.peer_sites:
-            if message.seq > self.switch_acks.get(sender, -1):
-                self.switch_acks[sender] = message.seq
         return []
 
     def _on_session(self, message: Message, arrived_at: float, now: float) -> Replies:
@@ -984,7 +944,7 @@ class SiteEngine:
         # Session-control retransmissions (e.g. START to a peer whose copy
         # was lost) must continue after this site enters its frame loop —
         # a peer may still be waiting on them.
-        self._outbox.extend(self.consistency.flush_tick(now))
+        self.consistency.flush_tick(now)
         self._outbox.extend(self.runtime.session.poll(now))
         if self.runtime.session.started:
             self._outbox.extend(self.runtime.sync_broadcast(now=now))

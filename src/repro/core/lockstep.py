@@ -692,10 +692,8 @@ class Lockstep:
         self.runtime.run_transition(merged, stall, sync_adjust)
         self.runtime.on_present(frame, now)
 
-    def flush_tick(self, now: float) -> list:
-        """Policy step on the ~20 ms flush cadence; returns (message,
-        destination) pairs to queue ahead of the flush."""
-        return []
+    def flush_tick(self, now: float) -> None:
+        """Policy step on the ~20 ms flush cadence."""
 
     def settled(self, now: float) -> bool:
         """True once every presented frame is confirmed; the engine holds

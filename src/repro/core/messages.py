@@ -846,48 +846,6 @@ class StateDigest(Message):
     checksum: int = 0
 
 
-#: Consistency-mode codes carried by SWITCH_REQUEST/SWITCH_ACK.
-MODE_LOCKSTEP = 0
-MODE_ROLLBACK = 1
-
-
-@dataclass
-class SwitchRequest(Message):
-    """A site announces it is about to change consistency mode.
-
-    The mode itself is a local choice (lag and speculation only move where
-    the announcer's *own* frames execute), so the handshake carries no
-    state transfer — it rides the same control path as RESUME and exists
-    for coordination: the proposer commits the switch only once every peer
-    has acked ``seq``, and aborts back to its old mode on timeout.  That
-    abort is what makes a partition mid-switch safe.  ``frame`` is the
-    proposer's frame counter when the request was first queued (telemetry
-    and twin-test anchoring; receivers do not act on it).
-    """
-
-    TYPE_ID: ClassVar[int] = 13
-    BODY = (_u("seq"), _u("mode", bound=MODE_ROLLBACK), _s("frame"))
-
-    sender_site: int
-    session_id: int
-    seq: int = 0
-    mode: int = MODE_LOCKSTEP
-    frame: int = 0
-
-
-@dataclass
-class SwitchAck(Message):
-    """Acknowledges one :class:`SwitchRequest` (echoes seq and mode)."""
-
-    TYPE_ID: ClassVar[int] = 14
-    BODY = (_u("seq"), _u("mode", bound=MODE_ROLLBACK))
-
-    sender_site: int
-    session_id: int
-    seq: int = 0
-    mode: int = MODE_LOCKSTEP
-
-
 @dataclass
 class Bye(Message):
     """Graceful leave notification."""
@@ -961,6 +919,8 @@ class Batch(Message):
         return cls(sender_site, session_id, messages)
 
 
+#: Type ids 13 and 14 (the retired mode-switch handshake) stay unassigned:
+#: a datagram carrying either is refused as an unknown type.
 _REGISTRY: Dict[int, Type[Message]] = {
     klass.TYPE_ID: klass
     for klass in (
@@ -976,8 +936,6 @@ _REGISTRY: Dict[int, Type[Message]] = {
         StateDigest,
         Bye,
         Resume,
-        SwitchRequest,
-        SwitchAck,
         Batch,
     )
 }

@@ -24,38 +24,29 @@ This module makes the choice *per site and per RTT regime*:
 * :class:`Adaptive` — the consistency part that actually runs in either
   mode (it holds a lockstep and a rollback part) and switches mid-session.
 
-Switch protocol
----------------
+Switching
+---------
 
 A mode is a *local* choice: a site's lag and speculation only move where
 its own frames execute, and its wire traffic (SYNC windows, acks) is
-identical in both modes.  The handshake therefore carries no state — it
-exists so the switch is *observable and abortable*:
-
-1. the proposer sends ``SWITCH_REQ(seq, mode)`` to every peer and keeps
-   retransmitting on the flush,
-2. each peer records a ``switch_rx`` and answers ``SWITCH_ACK(seq)``
-   — plain lockstep peers ack too, so mixed sessions interoperate,
-3. on acks from *all* peers the proposer commits at the next frame
-   boundary; if any ack is missing after ``POLICY_SWITCH_TIMEOUT_S`` the
-   proposal is aborted and the site stays in its current mode.
-
-A partition during the handshake can therefore delay a switch but never
-half-apply one.  Entering rollback syncs the speculative machine from the
-confirmed shadow (delta pages) before the first speculation; leaving
-rollback first drains speculation (the gate blocks until every
-speculated frame is confirmed) so lockstep resumes from a state the
-shadow has proven.  In both modes the confirmed machine is
-``runtime.machine``, so the consistency trace is continuous across
-switches and bit-identical to a never-switched lockstep twin (a switch
-carries the local lag across; only ``adaptive_lag`` moves it).
+identical in both modes.  Lock-step replicas agree because they compute
+from the same inputs, not because they agree on how they compute them,
+so no peer is asked: when the policy names another mode on a flush, the
+site commits it in that flush, which is a frame boundary.  Entering
+rollback syncs the speculative machine from the confirmed shadow (delta
+pages) before the first speculation; leaving rollback first drains
+speculation (the gate blocks until every speculated frame is confirmed)
+so lockstep resumes from a state the shadow has proven.  In both modes
+the confirmed machine is ``runtime.machine``, so the consistency trace
+is continuous across switches and bit-identical to a never-switched
+lockstep twin (a switch carries the local lag across; only
+``adaptive_lag`` moves it).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
@@ -66,15 +57,13 @@ from repro.core.engine import (
 )
 from repro.core.inputs import InputAssignment, InputSource
 from repro.core.lockstep import Lockstep
-from repro.core.messages import (
-    MODE_LOCKSTEP,
-    MODE_ROLLBACK,
-    Message,
-    SwitchRequest,
-)
 from repro.core.multisite import SessionPlan, build_session
 from repro.core.rollback import PredictorSpec, Rollback
 from repro.core.rtt import RttEstimator
+
+#: Consistency-mode codes of :class:`Adaptive`.
+MODE_LOCKSTEP = 0
+MODE_ROLLBACK = 1
 
 #: Human-readable mode names for events, snapshots and test output.
 MODE_NAMES = {MODE_LOCKSTEP: "lockstep", MODE_ROLLBACK: "rollback"}
@@ -103,12 +92,6 @@ POLICY_LOCKSTEP_BELOW_S = 0.100
 
 #: Minimum dwell time between mode switches, in seconds.
 POLICY_DWELL_S = 2.0
-
-#: A proposed switch not acked by every peer within this many seconds is
-#: aborted: the site stays in its current mode (and may re-propose after
-#: the dwell).  This is what makes a partition during a switch safe — the
-#: proposer never half-commits.
-POLICY_SWITCH_TIMEOUT_S = 1.0
 
 
 class LagTuner:
@@ -154,15 +137,14 @@ class ConsistencyPolicy:
     speculation.  Hysteresis comes from two thresholds (a link must
     degrade past ``POLICY_ROLLBACK_ABOVE_S`` to leave lockstep but
     recover below ``POLICY_LOCKSTEP_BELOW_S`` to return) plus a dwell
-    time between transitions — an aborted proposal also arms the dwell,
-    so a partitioned site does not spam re-proposals.
+    time between committed switches.
     """
 
     def __init__(self) -> None:
         self._last_transition: Optional[float] = None
 
     def note_transition(self, now: float) -> None:
-        """Record a committed or aborted switch (arms the dwell timer)."""
+        """Record a committed switch (arms the dwell timer)."""
         self._last_transition = now
 
     def worst_peer_rtt(self, rtt: RttEstimator, peer_sites: List[int]) -> float:
@@ -193,19 +175,6 @@ class ConsistencyPolicy:
         return None
 
 
-class _PendingSwitch:
-    """A proposed mode switch awaiting acks from every peer."""
-
-    __slots__ = ("seq", "mode", "deadline", "resend_at", "acked")
-
-    def __init__(self, seq: int, mode: int, deadline: float) -> None:
-        self.seq = seq
-        self.mode = mode
-        self.deadline = deadline
-        self.resend_at = 0.0
-        self.acked = False
-
-
 class Adaptive(Lockstep):
     """The consistency part that runs lockstep while the network allows and
     switches to rollback (and back) when the consistency policy says so.
@@ -216,14 +185,10 @@ class Adaptive(Lockstep):
     rollback bookkeeping (confirmation counter, predictor observations)
     warm so a switch is cheap.  ``runtime.machine`` is the confirmed
     machine in *both* modes, so the consistency trace never breaks across
-    a switch.
+    a switch.  A switch is decided and committed on the flush where the
+    policy first names the other mode; each commit leaves one
+    ``switch_commit`` record.
     """
-
-    #: Retransmission period for an unacked SWITCH_REQ.
-    SWITCH_RESEND = 0.05
-
-    #: Handshake-history retention (see ``switch_log``).
-    SWITCH_LOG_LIMIT = 256
 
     def __init__(
         self,
@@ -235,20 +200,9 @@ class Adaptive(Lockstep):
         self.lockstep = Lockstep()
         self.rollback = Rollback(spec_machine, speculation_window, predictor)
         self.mode = initial_mode
-        #: Recent handshake history as ``(kind, time, frame, mode, seq)``
-        #: tuples, kind ∈ {propose, abort, commit}.  Bounded: a flapping
-        #: link can propose on every policy tick for hours, and an
-        #: unbounded list would grow without limit in a long-lived
-        #: session.  Evictions are counted (``switch_log_evictions``) so
-        #: a post-mortem knows the log is a suffix, not the whole story.
-        self.switch_log: Deque[Tuple[str, float, int, int, int]] = deque(
-            maxlen=self.SWITCH_LOG_LIMIT
-        )
-        self._pending_switch: Optional[_PendingSwitch] = None
         #: True while leaving rollback: the gate blocks until every
         #: speculated frame is confirmed, then the mode flips.
         self._settling = False
-        self._switch_seq = 0
 
     def attach(self, engine: SiteEngine) -> None:
         super().attach(engine)
@@ -263,14 +217,6 @@ class Adaptive(Lockstep):
 
     def _active(self) -> Lockstep:
         return self.rollback if self.mode == MODE_ROLLBACK else self.lockstep
-
-    def _log_switch(
-        self, kind: str, now: float, frame: int, mode: int, seq: int
-    ) -> None:
-        log = self.switch_log
-        if len(log) == log.maxlen:
-            self.runtime.metrics.switch_log_evictions.inc()
-        log.append((kind, now, frame, mode, seq))
 
     # ------------------------------------------------------------------
     # Mode-dispatched frame-loop steps
@@ -302,97 +248,23 @@ class Adaptive(Lockstep):
     # ------------------------------------------------------------------
     # Policy evaluation (runs on the ~20 ms flush cadence)
     # ------------------------------------------------------------------
-    def flush_tick(self, now: float) -> List[Tuple[Message, str]]:
+    def flush_tick(self, now: float) -> None:
         runtime = self.runtime
         engine = self.engine
-        if not runtime.session.started or engine.done:
-            return []
-        active = engine.phase in (PHASE_GATE, PHASE_FRAME_WAIT)
-        pending = self._pending_switch
-        if pending is not None:
-            if not active:
-                # The frame horizon arrived mid-handshake; the proposal
-                # is moot (peers already recorded the announced mode,
-                # which is harmless telemetry).
-                self._pending_switch = None
-                return []
-            if not pending.acked and all(
-                runtime.switch_acks.get(site, -1) >= pending.seq
-                for site in runtime.peer_sites
-            ):
-                pending.acked = True
-            if pending.acked:
-                # A flush is always at a frame boundary: Transition runs
-                # within the pump that opens the gate.
-                self._pending_switch = None
-                self._commit_switch(pending.mode, now)
-                return []
-            if now >= pending.deadline:
-                self._pending_switch = None
-                self.policy.note_transition(now)
-                runtime.events.emit(
-                    "switch_abort",
-                    now,
-                    runtime.frame,
-                    mode=pending.mode,
-                    seq=pending.seq,
-                )
-                self._log_switch(
-                    "abort", now, runtime.frame, pending.mode, pending.seq
-                )
-                return []
-            if now >= pending.resend_at:
-                return self._switch_requests(pending, now)
-            return []
-        if self._settling or not active:
-            return []
+        if (
+            not runtime.session.started
+            or engine.done
+            or self._settling
+            or engine.phase not in (PHASE_GATE, PHASE_FRAME_WAIT)
+        ):
+            return
         desired = self.policy.desired_mode(
             now, runtime.rtt, runtime.peer_sites, self.mode
         )
         if desired is not None and desired != self.mode:
-            return self._propose_switch(desired, now)
-        return []
-
-    def _propose_switch(self, mode: int, now: float) -> List[Tuple[Message, str]]:
-        runtime = self.runtime
-        self._switch_seq += 1
-        pending = _PendingSwitch(
-            seq=self._switch_seq,
-            mode=mode,
-            deadline=now + POLICY_SWITCH_TIMEOUT_S,
-        )
-        self._pending_switch = pending
-        runtime.events.emit(
-            "switch_propose",
-            now,
-            runtime.frame,
-            mode=mode,
-            seq=pending.seq,
-        )
-        self._log_switch("propose", now, runtime.frame, mode, pending.seq)
-        return self._switch_requests(pending, now)
-
-    def _switch_requests(
-        self, pending: _PendingSwitch, now: float
-    ) -> List[Tuple[Message, str]]:
-        """One SWITCH_REQ per peer that has not acked ``pending`` yet."""
-        runtime = self.runtime
-        pending.resend_at = now + self.SWITCH_RESEND
-        message = SwitchRequest(
-            sender_site=runtime.site_no,
-            session_id=runtime.session_id,
-            seq=pending.seq,
-            mode=pending.mode,
-            frame=runtime.frame,
-        )
-        out: List[Tuple[Message, str]] = []
-        for site in runtime.peer_sites:
-            if runtime.switch_acks.get(site, -1) >= pending.seq:
-                continue
-            destination = runtime.address_of.get(site)
-            if destination is not None:
-                out.append((message, destination))
-        return out
+            # A flush is always at a frame boundary: Transition runs
+            # within the pump that opens the gate.
+            self._commit_switch(desired, now)
 
     def _commit_switch(self, mode: int, now: float) -> None:
         if mode == MODE_ROLLBACK:
@@ -437,7 +309,6 @@ class Adaptive(Lockstep):
         runtime.events.emit(
             "switch_commit", now, runtime.frame, mode=mode
         )
-        self._log_switch("commit", now, runtime.frame, mode, self._switch_seq)
 
 
 def build_adaptive_session(

@@ -52,10 +52,10 @@ def config_digest(config: SyncConfig) -> int:
 
     Only the *negotiated starting point* is digested.  A site's live lag
     (the adaptive tuner) and its consistency mode (lockstep vs rollback,
-    ``repro.core.policy``) are runtime-local choices announced via LAG-free
-    sync windows and SWITCH_REQ respectively — they move where that site's
-    own inputs land or execute, never what peers must agree on, so changing
-    them mid-session does not renegotiate this digest.
+    ``repro.core.policy``) are runtime-local choices that no message
+    announces — they move where that site's own inputs land or execute,
+    never what peers must agree on, so changing them mid-session does not
+    renegotiate this digest.
     """
     text = f"wire{VERSION}|{config.cfps}|{config.buf_frame}".encode()
     return zlib.crc32(text)

@@ -21,8 +21,7 @@ Methodology: both arms use the same game image, the same seeded input
 traces and the same impaired links.  The first ``warmup_frames`` frames
 are excluded from the frame-time statistics — they cover session start
 and the pre-switch lockstep stretch (at 400 ms RTT the policy needs a
-couple of RTTs of ping samples plus the switch handshake before
-speculation kicks in); what the sweep scores is the steady state a
+couple of RTTs of ping samples before speculation kicks in); what the sweep scores is the steady state a
 player would live in.  Everything is simulator-driven and seeded, so a
 sweep is a deterministic test, not a benchmark.
 """

@@ -222,11 +222,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Optional[Callable[[Any], float]]]] = {
         _tally("state_crc_error"),
     ),
     "digest_bytes_tx": ("counter", "Wire bytes spent on state-digest piggybacks", None),
-    "switch_log_evictions": (
-        "counter",
-        "Adaptive switch-log entries evicted by the retention cap",
-        None,
-    ),
     "slo_breaches": (
         "counter",
         "Attributed frames whose capture-to-present latency broke the budget",

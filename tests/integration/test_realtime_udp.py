@@ -15,9 +15,8 @@ from repro.core.aio import AioSite, SessionHost
 from repro.core.config import SyncConfig
 from repro.core.engine import SitePeer
 from repro.core.inputs import PadSource, RandomSource
-from repro.core.messages import MODE_ROLLBACK
 from repro.core.multisite import two_player_plan
-from repro.core.policy import Adaptive
+from repro.core.policy import MODE_ROLLBACK, Adaptive
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.metrics.stats import mean

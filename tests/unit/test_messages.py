@@ -10,8 +10,6 @@ import pytest
 from repro.core.messages import (
     FEATURE_DIGEST,
     FEATURE_TIMELINE,
-    MODE_LOCKSTEP,
-    MODE_ROLLBACK,
     Batch,
     Bye,
     DecodeError,
@@ -24,8 +22,6 @@ from repro.core.messages import (
     StateDigest,
     StateRequest,
     StateSnapshot,
-    SwitchAck,
-    SwitchRequest,
     Sync,
     Welcome,
     _REGISTRY,
@@ -169,30 +165,6 @@ WIRE_FIXTURES = [
         id="batch",
     ),
     pytest.param(
-        lambda: SwitchRequest(0, 7, 3, MODE_LOCKSTEP, 250),
-        "52474d00070300f403",
-        None,
-        id="switch-req-lockstep",
-    ),
-    pytest.param(
-        lambda: SwitchRequest(1, 7, 4, MODE_ROLLBACK, 1_000),
-        "52474d01070401d00f",
-        None,
-        id="switch-req-rollback",
-    ),
-    pytest.param(
-        lambda: SwitchAck(1, 7, 3, MODE_LOCKSTEP),
-        "52474e01070300",
-        None,
-        id="switch-ack-lockstep",
-    ),
-    pytest.param(
-        lambda: SwitchAck(0, 7, 4, MODE_ROLLBACK),
-        "52474e00070401",
-        None,
-        id="switch-ack-rollback",
-    ),
-    pytest.param(
         lambda: StateDigest(1, 7, 600, 0xCAFEBABE),
         "52474f0107b009bef5fad70c",
         None,
@@ -211,6 +183,18 @@ REFUSED_FIXTURES = [
         "52474501070c840805000302",
         id="sync-explicit-mask",
     ),
+]
+
+
+#: The retired mode-switch handshake, as frozen v4 bytes: SWITCH_REQUEST
+#: (type 13) and SWITCH_ACK (type 14) in both modes.  A mode switch is a
+#: local decision, so no peer sends them any more, and decode refuses both
+#: types as unknown.
+RETIRED_FIXTURES = [
+    pytest.param("52474d00070300f403", id="switch-req-lockstep"),
+    pytest.param("52474d01070401d00f", id="switch-req-rollback"),
+    pytest.param("52474e01070300", id="switch-ack-lockstep"),
+    pytest.param("52474e00070401", id="switch-ack-rollback"),
 ]
 
 
@@ -245,6 +229,11 @@ class TestFrozenV3Bytes:
     def test_refused_fixture_raises(self, build, refused, implied):
         with pytest.raises(DecodeError, match="implied-mask flag"):
             decode(bytes.fromhex(refused))
+
+    @pytest.mark.parametrize("retired", RETIRED_FIXTURES)
+    def test_retired_type_raises(self, retired):
+        with pytest.raises(DecodeError, match=r"^unknown message type 1[34]$"):
+            decode(bytes.fromhex(retired))
 
     @pytest.mark.parametrize("build, refused, implied", REFUSED_FIXTURES)
     def test_refused_window_encodes_implied(self, build, refused, implied):
@@ -502,11 +491,10 @@ def documented_body(klass):
 
 
 class TestLayouts:
-    def test_twelve_messages_declare_their_body(self):
+    def test_ten_messages_declare_their_body(self):
         assert sorted(klass.NAME for klass in LAYOUTS) == [
             "BYE", "HELLO", "PING", "PONG", "RESUME", "START", "START_ACK",
-            "STATE_DIGEST", "STATE_REQUEST", "SWITCH_ACK", "SWITCH_REQUEST",
-            "WELCOME",
+            "STATE_DIGEST", "STATE_REQUEST", "WELCOME",
         ]
 
     @pytest.mark.parametrize("klass", LAYOUTS, ids=lambda klass: klass.NAME)
@@ -531,12 +519,8 @@ class TestLayouts:
 
     @pytest.mark.parametrize(
         "message, field",
-        [
-            (SwitchRequest(0, 7, 3, 2, 250), "mode"),
-            (SwitchAck(0, 7, 3, 2), "mode"),
-            (StateDigest(1, 7, 600, 1 << 32), "checksum"),
-        ],
-        ids=["switch-req", "switch-ack", "state-digest"],
+        [(StateDigest(1, 7, 600, 1 << 32), "checksum")],
+        ids=["state-digest"],
     )
     def test_a_value_past_its_bound_is_refused(self, message, field):
         with pytest.raises(ValueError, match=f"{field} .* exceeds"):

@@ -1,16 +1,8 @@
-"""Unit tests for the adaptive consistency policy and switch codec."""
+"""Unit tests for the adaptive consistency policy."""
 
-import pytest
-
-from repro.core.messages import (
-    DecodeError,
+from repro.core.policy import (
     MODE_LOCKSTEP,
     MODE_ROLLBACK,
-    SwitchAck,
-    SwitchRequest,
-    decode,
-)
-from repro.core.policy import (
     POLICY_DWELL_S,
     POLICY_LOCKSTEP_BELOW_S,
     POLICY_ROLLBACK_ABOVE_S,
@@ -28,31 +20,6 @@ class FakeRtt:
 
     def peer_rtt(self, site):
         return self._peers.get(site, self.rtt)
-
-
-class TestSwitchCodec:
-    def test_request_roundtrip(self):
-        message = SwitchRequest(
-            sender_site=1, session_id=7, seq=3, mode=MODE_ROLLBACK, frame=120
-        )
-        again = decode(message.encode())
-        assert again == message
-
-    def test_ack_roundtrip(self):
-        message = SwitchAck(sender_site=0, session_id=7, seq=3, mode=MODE_LOCKSTEP)
-        assert decode(message.encode()) == message
-
-    def test_unknown_mode_rejected(self):
-        # body: seq=0, mode=2 (unknown), frame=0
-        with pytest.raises(DecodeError):
-            SwitchRequest._decode_body(0, 1, b"\x00\x02\x00")
-        with pytest.raises(DecodeError):
-            SwitchAck._decode_body(0, 1, b"\x00\x02")
-
-    def test_trailing_bytes_rejected(self):
-        body = SwitchRequest(0, 1, seq=1, mode=1, frame=5)._encode_body()
-        with pytest.raises(DecodeError):
-            SwitchRequest._decode_body(0, 1, body + b"\x00")
 
 
 class TestConsistencyPolicy:
@@ -105,17 +72,4 @@ class TestConsistencyPolicy:
         assert (
             policy.desired_mode(expiry + 0.1, good, [1], MODE_ROLLBACK)
             == MODE_LOCKSTEP
-        )
-
-    def test_aborted_switch_also_arms_dwell(self):
-        """note_transition is called on abort too, so a partitioned site
-        does not spam re-proposals each flush."""
-        policy = self.make_policy()
-        bad = FakeRtt(peers={1: 0.200})
-        policy.note_transition(5.0)  # an abort
-        expiry = 5.0 + POLICY_DWELL_S
-        assert policy.desired_mode(expiry - 1.0, bad, [1], MODE_LOCKSTEP) is None
-        assert (
-            policy.desired_mode(expiry + 0.1, bad, [1], MODE_LOCKSTEP)
-            == MODE_ROLLBACK
         )

@@ -13,7 +13,9 @@ from repro.core.messages import (
     StartAck,
     StateRequest,
     StateSnapshot,
+    Sync,
     decode,
+    pack_batch,
 )
 from repro.core.session import config_digest, game_digest
 from repro.core.rtt import to_micros
@@ -90,6 +92,22 @@ class TestHandleDatagram:
         sync = sync_of(1, 1, 5, 6, [0x0100], mask=0xFF00)
         runtime.handle_datagram(sync.encode(), 0.5, 0.5)
         assert runtime.lockstep.last_rcv_frame[1] == 6
+
+    def test_batch_with_a_retired_switch_request_is_refused_whole(self):
+        """An older peer's BATCH of SYNC + SWITCH_REQUEST (type 13, now
+        retired) leaves one ``decode_error`` record and no reply, and the
+        SYNC it carried is not applied."""
+        runtime = make_runtime(site=0)
+        sync = sync_of(1, 1, 5, 6, [0x0100], mask=0xFF00)
+        switch_request = bytes.fromhex("0300f403")  # seq 3, lockstep, frame 250
+        raw = pack_batch(
+            1, 1, [(Sync.TYPE_ID, sync._encode_body()), (13, switch_request)]
+        )
+        before = runtime.lockstep.last_rcv_frame[1]
+        assert runtime.handle_datagram(raw, 0.5, 0.5) == []
+        assert runtime.lockstep.last_rcv_frame[1] == before < 6
+        errors = [r.detail["error"] for r in runtime.events if r.kind == "decode_error"]
+        assert errors == ["unknown message type 13 in BATCH"]
 
     def test_state_request_gated_by_flag(self):
         runtime = make_runtime(site=0)
