@@ -8,8 +8,8 @@ an :class:`~repro.net.udp.AsyncUdpEndpoint` and does nothing but
     park until (next engine deadline) or (datagram arrives)
     feed the engine, apply its effects
 
-— the endpoint calls it inside a datagram's arrival, the loop at the
-deadline (``loop.call_at``, absolute), and either way one plain function
+— the endpoint calls it inside a datagram's arrival or when its timer
+reaches the (absolute) deadline, and either way one plain function
 runs in that same loop iteration: the same ~30-line shell as the simulator
 driver, proving the sans-IO seam — the protocol neither knows nor cares
 which of the two runtimes is underneath.  Wire concerns (the codec and

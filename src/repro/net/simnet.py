@@ -51,10 +51,6 @@ class SimSocket(DatagramSocket):
     def receive_all(self) -> List[Datagram]:
         return [env.payload for env in self.mailbox.drain()]
 
-    def receive_one(self) -> Optional[Datagram]:
-        envelope = self.mailbox.poll()
-        return envelope.payload if envelope is not None else None
-
     def deliver(self, datagram: Datagram) -> None:
         """Called by the network when a packet arrives."""
         if self._closed:

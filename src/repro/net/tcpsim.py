@@ -185,10 +185,6 @@ class TcpLikeSocket(DatagramSocket):
     def receive_all(self) -> List[Datagram]:
         return [env.payload for env in self.mailbox.drain()]
 
-    def receive_one(self) -> Optional[Datagram]:
-        envelope = self.mailbox.poll()
-        return envelope.payload if envelope is not None else None
-
     def close(self) -> None:
         self._closed = True
         self._raw.close()

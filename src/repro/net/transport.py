@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 #: Addresses are plain strings (site names) in the simulator and
 #: ``"host:port"`` strings for real sockets.
@@ -46,10 +46,6 @@ class DatagramSocket(ABC):
     @abstractmethod
     def receive_all(self) -> List[Datagram]:
         """Drain and return every datagram that has arrived so far."""
-
-    @abstractmethod
-    def receive_one(self) -> Optional[Datagram]:
-        """Pop the oldest pending datagram, or ``None``."""
 
     def close(self) -> None:
         """Release resources.  Default: nothing to do."""

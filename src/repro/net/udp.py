@@ -7,6 +7,14 @@ endpoint for :mod:`repro.core.aio`: arrivals buffer on the event loop's
 own thread and call the site parked on the endpoint, so many sessions
 share one loop without any thread (or task switch) per site.
 
+A parked site's deadline is a Linux ``timerfd`` per endpoint, armed at
+the absolute ``CLOCK_MONOTONIC`` time ``loop.time()`` reads and watched
+with ``loop.add_reader``: the selector returns when the kernel timer
+expires.  ``loop.call_at`` would wake it up to a millisecond late, because
+``selectors.EpollSelector`` rounds every timeout *up* to one.  Where libc
+has no ``timerfd_create`` or the loop cannot watch a file descriptor, the
+endpoint parks on ``loop.call_at`` instead.
+
 Addresses are ``"host:port"`` strings to stay interchangeable with the
 simulator's string addresses.
 """
@@ -14,6 +22,8 @@ simulator's string addresses.
 from __future__ import annotations
 
 import asyncio
+import math
+import os
 from typing import Callable, List, Optional, Tuple
 
 from repro.net.transport import Address, Datagram, DatagramSocket, TransportStats
@@ -23,6 +33,54 @@ from repro.net.transport import Address, Datagram, DatagramSocket, TransportStat
 #: common path MTU), so the only payloads that approach this bound are
 #: standalone STATE_SNAPSHOT transfers to late joiners.
 MAX_DATAGRAM = 8192
+
+
+#: ``<sys/timerfd.h>`` and ``<time.h>`` constants (Linux, every arch with
+#: the generic ``O_NONBLOCK`` and ``O_CLOEXEC`` values).
+CLOCK_MONOTONIC = 1
+TFD_TIMER_ABSTIME = 1
+TFD_NONBLOCK = 0o4000
+TFD_CLOEXEC = 0o2000000
+
+#: ``(timerfd_create, timerfd_settime, itimerspec type)`` bound from libc
+#: by the first endpoint that opens, so a process that never opens one
+#: never imports ``ctypes``; ``()`` where libc has no timerfd.
+_timerfd_calls: Optional[tuple] = None
+
+
+def _timerfd_binding() -> tuple:
+    global _timerfd_calls
+    if _timerfd_calls is None:
+        import ctypes
+
+        try:
+            libc = ctypes.CDLL(None, use_errno=True)
+            create, settime = libc.timerfd_create, libc.timerfd_settime
+        except (AttributeError, OSError, TypeError):
+            _timerfd_calls = ()
+            return _timerfd_calls
+
+        class Itimerspec(ctypes.Structure):
+            # struct itimerspec: it_interval, then it_value; two timespecs.
+            _fields_ = [
+                (name, ctypes.c_long)
+                for name in ("interval_s", "interval_ns", "value_s", "value_ns")
+            ]
+
+        create.argtypes = (ctypes.c_int, ctypes.c_int)
+        create.restype = settime.restype = ctypes.c_int
+        settime.argtypes = (
+            ctypes.c_int, ctypes.c_int, ctypes.POINTER(Itimerspec), ctypes.c_void_p
+        )
+        _timerfd_calls = (create, settime, Itimerspec)
+    return _timerfd_calls
+
+
+def _errno_error() -> OSError:
+    import ctypes
+
+    errno = ctypes.get_errno()
+    return OSError(errno, os.strerror(errno))
 
 
 def parse_address(address: Address) -> Tuple[str, int]:
@@ -52,9 +110,15 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         self._address: Address = ""
         self._pending: List[Datagram] = []
         # Parked = wait() was called and wake() has not come yet: the
-        # callback to run, and the one handle that runs it at the deadline.
+        # callback to run, and what runs it at the deadline: at most one
+        # loop handle, or the kernel timer, whose deadline ``_timed`` is.
         self._parked: Optional[Callable[[], None]] = None
         self._timer: Optional[asyncio.Handle] = None
+        self._timed: Optional[float] = None
+        self._timerfd: Optional[int] = None
+        # The absolute ns the kernel timer is set to (0: disarmed).  It
+        # stays set across wake-ups and after the expiry, until re-armed.
+        self._armed_ns = 0
         self.stats = TransportStats()
         #: ICMP/OS errors reported for this endpoint (e.g. port unreachable
         #: after the peer's process died).  UDP semantics: the datagram is
@@ -70,10 +134,28 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
     ) -> "AsyncUdpEndpoint":
         """Bind a datagram endpoint on the running loop."""
         loop = asyncio.get_running_loop()
-        _, protocol = await loop.create_datagram_endpoint(
+        _, endpoint = await loop.create_datagram_endpoint(
             cls, local_addr=(host, port)
         )
-        return protocol
+        calls = _timerfd_binding()
+        if calls:
+            try:
+                endpoint._open_timerfd(*calls)
+            except OSError:
+                endpoint.close()
+                raise
+        return endpoint
+
+    def _open_timerfd(self, create, settime, itimerspec) -> None:
+        fd = create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC)
+        if fd < 0:
+            raise _errno_error()
+        try:
+            self._loop.add_reader(fd, self._expired)
+        except NotImplementedError:  # a loop that cannot watch an fd
+            os.close(fd)
+            return
+        self._timerfd, self._settime, self._spec = fd, settime, itimerspec()
 
     # ------------------------------------------------------------------
     # asyncio.DatagramProtocol callbacks
@@ -128,26 +210,31 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         drained, self._pending = self._pending, []
         return drained
 
-    def receive_one(self) -> Optional[Datagram]:
-        if not self._pending:
-            return None
-        return self._pending.pop(0)
-
     def wait(self, deadline: Optional[float], callback: Callable[[], None]) -> None:
         """Park: ``callback()`` runs once, inside the arrival of the next
         datagram or when ``loop.time()`` reaches ``deadline`` (absolute;
         None waits for a datagram alone), whichever is first — on the next
-        loop iteration if datagrams are already buffered.  One site parks
-        at a time, once per wake-up.
+        loop iteration if datagrams are already buffered or the deadline
+        has passed.  One site parks at a time, once per wake-up.
 
-        One timer handle per parking and no future: a wake-up is one loop
+        One timer per parking and no future: a wake-up is one loop
         iteration, not one to resolve a waiter and one to resume its task.
         """
         self._parked = callback
         if self._pending:
             self._timer = self._loop.call_soon(self.wake)
         elif deadline is not None:
-            self._timer = self._loop.call_at(deadline, self.wake)
+            if self._timerfd is None:
+                self._timer = self._loop.call_at(deadline, self.wake)
+            elif deadline <= self._loop.time():
+                self._timer = self._loop.call_soon(self.wake)
+            else:
+                # Rounded up, so it never fires early; and at least 1 ns,
+                # because an it_value of {0, 0} disarms the timer instead.
+                ns = max(1, math.ceil(deadline * 1e9))
+                if ns != self._armed_ns:  # a datagram mostly leaves it as it was
+                    self._set_timer(TFD_TIMER_ABSTIME, ns)
+                self._timed = deadline
 
     def wake(self) -> None:
         """Run the parked callback now, if any, and drop its deadline.
@@ -157,12 +244,41 @@ class AsyncUdpEndpoint(asyncio.DatagramProtocol, DatagramSocket):
         control (a stop request) to a site parked on its engine deadline.
         """
         callback, self._parked = self._parked, None
+        self._timed = None
         timer, self._timer = self._timer, None
         if timer is not None:
             timer.cancel()
         if callback is not None:
             callback()
 
+    def _expired(self) -> None:
+        """The loop calls this while the timerfd reads ready.  Its expiry
+        count is never read: each system call costs several µs right after
+        a sleep, and re-arming or disarming resets the count anyway."""
+        if self._timed is None:
+            # Nobody parks on it (a datagram or wake() came first and the
+            # site parked without it): clear it, or the selector returns it
+            # on every iteration.
+            self._set_timer(0, 0)
+        elif self._loop.time() >= self._timed:
+            self.wake()
+        # Otherwise it was re-armed for a later deadline after the selector
+        # saw this expiry, and nothing is due.
+
+    def _set_timer(self, flags: int, ns: int) -> None:
+        """``timerfd_settime`` to a one-shot expiry ``ns`` (0 disarms)."""
+        spec = self._spec
+        spec.value_s, spec.value_ns = divmod(ns, 1_000_000_000)
+        if self._settime(self._timerfd, flags, spec, None):
+            raise _errno_error()
+        self._armed_ns = ns
+
     def close(self) -> None:
+        """Close the socket and the kernel timer: a site still parked here
+        wakes only through :meth:`wake` now."""
         if self._transport is not None:
             self._transport.close()
+        if self._timerfd is not None:
+            self._loop.remove_reader(self._timerfd)
+            os.close(self._timerfd)
+            self._timerfd = None

@@ -31,8 +31,8 @@ class TestDelivery:
         a.send(b"ping", "b")
         b.send(b"pong", "a")
         loop.run()
-        assert b.receive_one().payload == b"ping"
-        assert a.receive_one().payload == b"pong"
+        assert [d.payload for d in b.receive_all()] == [b"ping"]
+        assert [d.payload for d in a.receive_all()] == [b"pong"]
 
     def test_asymmetric_link(self, loop, network):
         a = network.socket("a")
@@ -43,8 +43,10 @@ class TestDelivery:
         a.send(b"fast", "b")
         b.send(b"slow", "a")
         loop.run()
-        assert b.receive_one().arrived_at == pytest.approx(0.01)
-        assert a.receive_one().arrived_at == pytest.approx(0.5)
+        (datagram,) = b.receive_all()
+        assert datagram.arrived_at == pytest.approx(0.01)
+        (datagram,) = a.receive_all()
+        assert datagram.arrived_at == pytest.approx(0.5)
 
     def test_unknown_destination_silently_dropped(self, loop, network):
         a = network.socket("a")
@@ -57,7 +59,8 @@ class TestDelivery:
         b = network.socket("b")
         a.send(b"x", "b")
         loop.run()
-        assert b.receive_one().arrived_at == pytest.approx(0.2)
+        (datagram,) = b.receive_all()
+        assert datagram.arrived_at == pytest.approx(0.2)
 
     def test_no_default_link_means_unreachable(self, loop, network):
         network.set_default_link(None)
@@ -65,7 +68,7 @@ class TestDelivery:
         b = network.socket("b")
         a.send(b"x", "b")
         loop.run()
-        assert b.receive_one() is None
+        assert b.receive_all() == []
 
     def test_loss_drops_packets(self, loop, network):
         a = network.socket("a")

@@ -1,9 +1,14 @@
 """Unit tests for repro.net.udp (real sockets on localhost)."""
 
 import asyncio
+import os
+import random
+import statistics
+import time
 
 import pytest
 
+from repro.net import udp
 from repro.net.udp import (
     MAX_DATAGRAM,
     AsyncUdpEndpoint,
@@ -19,6 +24,13 @@ async def woken(endpoint, within=2.0):
     done = loop.create_future()
     endpoint.wait(loop.time() + within, lambda: done.set_result(None))
     await asyncio.wait_for(done, timeout=5.0)
+
+
+@pytest.fixture
+def no_timerfd(monkeypatch):
+    """Endpoints opened under this park on ``loop.call_at``, as they do
+    where libc has no timerfd."""
+    monkeypatch.setattr(udp, "_timerfd_calls", ())
 
 
 def run_pair(scenario):
@@ -54,7 +66,7 @@ class TestUdpSocket:
         async def scenario(a, b):
             a.send(b"hello-udp", b.address)
             await woken(b)
-            datagram = b.receive_one()
+            (datagram,) = b.receive_all()
             assert datagram.payload == b"hello-udp"
             # The stamped source is an address a reply can be sent to.
             b.send(b"hello-back", datagram.source)
@@ -76,9 +88,9 @@ class TestUdpSocket:
 
         run_pair(scenario)
 
-    def test_receive_one_empty(self):
+    def test_receive_all_of_an_idle_socket_is_empty(self):
         async def scenario(a, b):
-            assert a.receive_one() is None
+            assert a.receive_all() == []
 
         run_pair(scenario)
 
@@ -299,3 +311,128 @@ class TestAsyncUdpEndpoint:
                 b.close()
 
         asyncio.run(scenario())
+
+    def test_a_datagram_wake_leaves_no_second_callback_at_the_old_deadline(self):
+        async def scenario(a, b):
+            loop = asyncio.get_running_loop()
+            woke = []
+            b.wait(loop.time() + 0.03, lambda: woke.append(b.receive_all()))
+            a.send(b"early", b.address)
+            await asyncio.sleep(0.06)  # well past the deadline it parked with
+            assert [[d.payload for d in batch] for batch in woke] == [[b"early"]]
+
+        run_pair(scenario)
+
+    def test_an_expiry_pending_behind_a_datagram_wakes_once(self):
+        async def scenario(a, b):
+            loop = asyncio.get_running_loop()
+            woke = []
+            b.wait(loop.time() + 0.005, lambda: woke.append(b.receive_all()))
+            a.send(b"x", b.address)
+            time.sleep(0.02)  # the loop polls the datagram and the expiry at once
+            await asyncio.sleep(0.03)
+            assert len(woke) == 1
+            received = [d.payload for batch in woke for d in batch]
+            assert received + [d.payload for d in b.receive_all()] == [b"x"]
+
+        run_pair(scenario)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_open_close_cycles_leave_no_descriptor_behind(self):
+        async def cycle():
+            endpoint = await AsyncUdpEndpoint.open()
+            loop = asyncio.get_running_loop()
+            endpoint.wait(loop.time() + 60.0, lambda: None)  # closed while parked
+            endpoint.close()
+            await asyncio.sleep(0)  # the transport closes its socket next
+
+        async def scenario():
+            await cycle()
+            before = len(os.listdir("/proc/self/fd"))
+            for __ in range(50):
+                await cycle()
+            return before, len(os.listdir("/proc/self/fd"))
+
+        before, after = asyncio.run(scenario())
+        assert after == before
+
+
+@pytest.mark.usefixtures("no_timerfd")
+class TestUdpSocketOnCallAt(TestUdpSocket):
+    """The same contract where the endpoint parks on ``loop.call_at``."""
+
+
+@pytest.mark.usefixtures("no_timerfd")
+class TestAsyncUdpEndpointOnCallAt(TestAsyncUdpEndpoint):
+    """The same contract where the endpoint parks on ``loop.call_at``."""
+
+
+class TestKernelTimer:
+    """What the timerfd buys, and where the endpoint does without it."""
+
+    def test_a_parked_deadline_fires_within_a_fraction_of_a_millisecond(self):
+        """``loop.call_at`` on the default epoll loop fires 0-1.25 ms late
+        (median ~0.7 ms): the selector rounds its timeout up to a whole
+        millisecond.  The kernel timer wakes the selector itself."""
+
+        async def scenario():
+            endpoint = await AsyncUdpEndpoint.open()
+            try:
+                if endpoint._timerfd is None:
+                    return None
+                loop = asyncio.get_running_loop()
+                rng = random.Random(44)
+                lateness = []
+                for __ in range(40):
+                    done = loop.create_future()
+                    deadline = loop.time() + rng.uniform(0.005, 0.020)
+                    endpoint.wait(deadline, lambda: done.set_result(loop.time()))
+                    lateness.append(await done - deadline)
+                return lateness
+            finally:
+                endpoint.close()
+
+        lateness = asyncio.run(scenario())
+        if lateness is None:
+            pytest.skip("the endpoint parks on loop.call_at here")
+        assert min(lateness) >= 0.0
+        assert statistics.median(lateness) < 0.0004
+
+    def test_without_a_timerfd_the_deadline_is_a_loop_handle(self, no_timerfd):
+        async def scenario():
+            endpoint = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                assert endpoint._timerfd is None
+                endpoint.wait(loop.time() + 60.0, lambda: None)
+                assert len([h for h in loop._scheduled if not h.cancelled()]) == 1
+                endpoint.wake()
+                assert [h for h in loop._scheduled if not h.cancelled()] == []
+            finally:
+                endpoint.close()
+
+        asyncio.run(scenario())
+
+    def test_a_loop_that_cannot_watch_an_fd_parks_on_call_at(self):
+        class NoReaderLoop(asyncio.SelectorEventLoop):
+            def add_reader(self, fd, callback, *args):
+                raise NotImplementedError
+
+        async def scenario():
+            endpoint = await AsyncUdpEndpoint.open()
+            try:
+                loop = asyncio.get_running_loop()
+                assert endpoint._timerfd is None
+                started = loop.time()
+                await woken(endpoint, within=0.02)
+                assert loop.time() - started >= 0.02
+            finally:
+                endpoint.close()
+
+        loop = NoReaderLoop()
+        try:
+            loop.run_until_complete(scenario())
+        finally:
+            loop.close()
