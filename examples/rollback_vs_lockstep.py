@@ -3,12 +3,16 @@
 
 §5 of the paper rejects timewarp: "rolling back states of a distributed
 game without semantic knowledge can be expensive."  The Machine contract's
-savestates make rollback game-transparent, so this repo implements it —
-and this example shows the trade-off the paper was weighing, live:
+savestates make rollback game-transparent, so this repo implements it as
+the same consistency part (``repro.core.rollback.SyncInput``) with a
+speculation window — and this example shows the trade-off the paper was
+weighing, live:
 
-* lockstep: inputs take 100 ms to appear, but each frame is executed once;
-* rollback: inputs appear instantly, but the CPU re-executes mispredicted
-  suffixes — watch the replay overhead climb with RTT.
+* lockstep (window 0, the default part): inputs take 100 ms to appear,
+  but each frame is executed once;
+* rollback (window 60, zero lag): inputs appear instantly, but the CPU
+  re-executes mispredicted suffixes — watch the replay overhead climb
+  with RTT.
 
     python examples/rollback_vs_lockstep.py
 """

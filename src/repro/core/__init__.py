@@ -8,7 +8,7 @@ Layout mirrors the paper's structure:
 * :mod:`repro.core.messages` — the sync wire format
   (``sd[0..2]`` + ``sd[3…]`` of Algorithm 2, plus session control).
 * :mod:`repro.core.lockstep` — Algorithm 2 (``SyncInput``) as a sans-IO
-  state machine, and the ``Lockstep`` consistency part that runs it.
+  state machine.
 * :mod:`repro.core.pacing` — Algorithms 3 and 4 (frame timing).
 * :mod:`repro.core.rtt` — RTT estimation feeding Algorithm 4's ``RTT/2``.
 * :mod:`repro.core.session` — the session control protocol that starts
@@ -25,10 +25,10 @@ Layout mirrors the paper's structure:
 * :mod:`repro.core.multisite` — N players and observers, and late-joiner
   admission (journal extension).
 * :mod:`repro.core.replay` — input movies (record / verify / replay).
-* :mod:`repro.core.rollback` — the timewarp alternative, zero local lag
-  (the ``Rollback`` consistency part).
-* :mod:`repro.core.policy` — per-site lockstep↔rollback switching (the
-  ``Adaptive`` consistency part).
+* :mod:`repro.core.rollback` — the consistency part that runs it: the
+  ``SyncInput`` gate with a speculation window, where 0 is the paper's
+  lockstep and more is the timewarp alternative at zero local lag.
+* :mod:`repro.core.policy` — per-site tuning of the lag and the window.
 """
 
 from repro.core.config import SyncConfig

@@ -29,10 +29,8 @@ Three layers live here:
   drivers feed it the datagrams that arrived and the time that passed,
   and apply the :class:`Effect` objects it returns (datagrams
   to send, frames to present).  It contains no clocks, no sockets and no
-  sleeping.  Which ``SyncInput`` the loop runs is its ``consistency``
-  part — :class:`repro.core.lockstep.Lockstep` (the paper's),
-  :class:`repro.core.rollback.Rollback` or
-  :class:`repro.core.policy.Adaptive` — and nothing else decides it.
+  sleeping.  Which ``SyncInput`` the loop runs is its ``consistency`` part
+  (:class:`repro.core.rollback.SyncInput`), and nothing else decides it.
 * The drivers — :class:`repro.core.vm.DistributedVM` (discrete-event) and
   :class:`repro.core.aio.AioSite` (asyncio over real UDP, many sessions
   per process) — are thin shells that run an engine the caller built:
@@ -60,7 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Protocol, Tuple, Union
 
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, InputSource
@@ -73,7 +71,7 @@ from repro.core.liveness import (
     Resumed,
     StallLadder,
 )
-from repro.core.lockstep import Lockstep, LockstepSync
+from repro.core.lockstep import LockstepSync
 from repro.core.messages import (
     FEATURE_TIMELINE,
     MAX_BATCH_BYTES,
@@ -100,6 +98,9 @@ from repro.obs.site import SiteMetrics
 from repro.obs.slo import SloScorer
 from repro.obs.timeline import TimelineCollector
 from repro.obs.trace import EventTrace
+
+if TYPE_CHECKING:  # rollback and policy import this module: it imports them late
+    from repro.core.rollback import SyncInput
 
 
 class GameMachine(Protocol):
@@ -389,16 +390,12 @@ class SiteRuntime:
         """Resize local lag to the current one-way estimate (§4.2's rejected
         alternative, implemented for the ablation).
 
-        The raw proposal runs through a hysteretic :class:`LagTuner` so RTT
-        jitter cannot make the lag oscillate: after the first (immediate)
-        resize, changes are at least a minimum window apart.
+        The raw proposal runs through a hysteretic :class:`LagTuner`, so RTT
+        jitter cannot make the lag oscillate.
         """
         tuner = self._lag_tuner
         if tuner is None:
-            # Imported lazily: policy builds on rollback which builds on
-            # this module, so a top-level import would be circular.
-            from repro.core.policy import LagTuner
-
+            from repro.core.policy import LagTuner  # late: see the imports
             tuner = self._lag_tuner = LagTuner(self.config)
         needed = tuner.propose(now, self.rtt.one_way, self.lockstep.local_lag_frames)
         if needed is None:
@@ -632,7 +629,7 @@ class SiteEngine:
         self,
         runtime: SiteRuntime,
         max_frames: int,
-        consistency: Optional[Lockstep] = None,
+        consistency: Optional[SyncInput] = None,
         *,
         frame_compute_time: float = 0.0,
         linger: float = 5.0,
@@ -645,7 +642,10 @@ class SiteEngine:
     ) -> None:
         self.runtime = runtime
         self.max_frames = max_frames
-        self.consistency = consistency if consistency is not None else Lockstep()
+        if consistency is None:
+            from repro.core.rollback import SyncInput  # late: see the imports
+            consistency = SyncInput()
+        self.consistency = consistency
         self.frame_compute_time = frame_compute_time
         #: How long to keep pumping after the last frame so peers still
         #: waiting on our inputs (or retransmissions) can finish.

@@ -662,62 +662,3 @@ class LockstepSync:
                     self.last_rcv_frame[site], snapshot_frame + len(inputs)
                 )
 
-
-class Lockstep:
-    """A site's consistency part: which ``SyncInput`` its frame loop runs.
-
-    This one is the paper's — block until every gating site's input for
-    the frame has arrived, then execute it on ``runtime.machine``.  It is
-    also the interface: a part overrides the steps it does differently
-    (:class:`repro.core.rollback.Rollback`,
-    :class:`repro.core.policy.Adaptive`), and the ``consistency`` argument
-    of :class:`~repro.core.engine.SiteEngine` is the only place the choice
-    is made.
-    """
-
-    def attach(self, engine) -> None:
-        """Called once, by the engine that will run this part."""
-        self.engine = engine
-        self.runtime = engine.runtime
-
-    def try_ready(self, now: float) -> Optional[int]:
-        """The line-21 exit check; None while delivery is blocked."""
-        return self.runtime.lockstep.deliver(or_none=True)
-
-    def commit(
-        self, merged: int, stall: float, sync_adjust: float, now: float
-    ) -> None:
-        """Transition for one frame (the engine emits its ``Present``)."""
-        frame = self.runtime.frame
-        self.runtime.run_transition(merged, stall, sync_adjust)
-        self.runtime.on_present(frame, now)
-
-    def flush_tick(self, now: float) -> None:
-        """Policy step on the ~20 ms flush cadence."""
-
-    def settled(self, now: float) -> bool:
-        """True once every presented frame is confirmed; the engine holds
-        the linger phase back (``PHASE_CATCHUP``) until then."""
-        return True
-
-    def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
-        """Rewind the machine, trace and delivery to ``anchor``; replay
-        (:meth:`resync_progress`) then runs from locally retained inputs
-        (``retain_floor`` guaranteed they were never pruned, so no network
-        retransmission is involved)."""
-        runtime = self.runtime
-        runtime.machine.load_state(bytes(state))
-        runtime.trace.truncate_after(anchor)
-        runtime.lockstep.rewind_delivery(anchor)
-        runtime.frame = anchor + 1
-
-    def resync_progress(self, now: float) -> None:
-        """Re-execute restored-over frames up to (not including) the frozen
-        frame; the frozen frame itself re-enters via the normal gate."""
-        runtime = self.runtime
-        lockstep = runtime.lockstep
-        while runtime.frame < runtime.recovery.frozen and lockstep.can_deliver():
-            runtime.replay_transition(lockstep.deliver(), now)
-
-    def finish_resync(self, now: float) -> None:
-        """Last step of a healed episode, before the frame loop thaws."""

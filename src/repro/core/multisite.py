@@ -14,17 +14,19 @@ simulated network, and admits late joiners into a running one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.core.config import SyncConfig
 from repro.core.engine import GameMachine, SiteEngine, SitePeer, SiteRuntime
 from repro.core.inputs import IdleSource, InputAssignment, InputSource
-from repro.core.lockstep import Lockstep
 from repro.core.vm import DistributedVM
 from repro.metrics.timeserver import TimeServer
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork
 from repro.sim.eventloop import EventLoop
+
+if TYPE_CHECKING:
+    from repro.core.rollback import SyncInput
 
 
 def site_address(site_no: int) -> str:
@@ -57,7 +59,7 @@ class SessionPlan:
     handshake_sites: Optional[List[int]] = None
     #: One consistency part per site (None = the paper's lockstep at
     #: every site).
-    consistency: Optional[Sequence[Lockstep]] = None
+    consistency: Optional[Sequence[SyncInput]] = None
 
     def __post_init__(self) -> None:
         n = len(self.assignment)

@@ -1,13 +1,17 @@
-"""Timewarp/rollback synchronization — the road the paper did not take.
+"""The consistency part: Algorithm 2's ``SyncInput`` with a speculation window.
 
-§5: *"Timewarp needs to rollback application states, which may be used in
-realtime systems if the costs of rolling back are not too high.  It is not
-applicable for solving our problem because rolling back states of a
-distributed game without semantic knowledge can be expensive."*
+A site's frame loop asks one part whether its next frame may run and then
+commits it.  The part's ``window`` is how many frames execution may run
+ahead of confirmed inputs.  The paper's gate is the zero window: block
+until every gating site's input has arrived, execute the frame once.
 
-The Machine contract already gives us game-transparent savestates, so the
-claim is measurable.  A site whose consistency part is :class:`Rollback`
-plays with **zero local lag**:
+The paper also weighed the other end (§5): *"Timewarp needs to rollback
+application states, which may be used in realtime systems if the costs of
+rolling back are not too high.  It is not applicable for solving our
+problem because rolling back states of a distributed game without
+semantic knowledge can be expensive."*  The Machine contract already
+gives us game-transparent savestates, so the claim is measurable.  With
+a window above zero the part plays with **zero local lag**:
 
 * local inputs land in their own frame's slot (``BufFrame = 0``),
 * the *speculative* machine executes every frame immediately, guessing
@@ -26,19 +30,15 @@ plays with **zero local lag**:
   actually copied); machines without page tracking transparently fall
   back to full ``save_state``/``load_state``.
 
-Logical consistency is *defined* by the shadow: its trace is what the
-consistency checker verifies, and it is byte-identical to what a lockstep
-run would produce.  What rollback buys is responsiveness (0 ms input
-latency instead of the paper's 100 ms); what it costs is exactly the
-replay work measured by :class:`RollbackStats` — the quantity the paper's
-argument hinges on.
+Logical consistency is *defined* by the confirmed machine whatever the
+window: its trace is what the consistency checker verifies, and it is
+byte-identical to what a zero-window run would produce.  What a window
+buys is responsiveness (0 ms input latency instead of the paper's
+100 ms); what it costs is exactly the replay work measured by
+:class:`RollbackStats` — the quantity the paper's argument hinges on.
 
-Reliable input distribution, acks, retransmission and pruning are all
-reused unchanged from :class:`~repro.core.lockstep.LockstepSync`; the
-part only replaces the SyncInput gate (speculation-window check instead
-of delivery) and the commit (speculative step instead of
-``run_transition``), and keeps the engine in its catch-up phase until
-the in-flight frames are confirmed, before the ordinary linger.
+Reliable input distribution, acks, retransmission and pruning are
+:class:`~repro.core.lockstep.LockstepSync`'s at every window.
 """
 
 from __future__ import annotations
@@ -46,9 +46,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import SyncConfig
-from repro.core.engine import GameMachine, PHASE_CATCHUP, SiteEngine
+from repro.core.engine import (
+    GameMachine,
+    PHASE_CATCHUP,
+    PHASE_FRAME_WAIT,
+    PHASE_GATE,
+    SiteEngine,
+)
 from repro.core.inputs import BITS_PER_PLAYER, InputAssignment, InputSource
-from repro.core.lockstep import Lockstep
 from repro.core.multisite import SessionPlan, build_session
 
 
@@ -256,49 +261,72 @@ class RollbackStats:
         return out
 
 
-class Rollback(Lockstep):
-    """The consistency part that speculates ahead with rollback instead of
-    waiting out local lag.
+#: ``switch_commit`` mode codes: the window a site committed is closed
+#: (lockstep) or open (rollback).
+MODE_LOCKSTEP = 0
+MODE_ROLLBACK = 1
 
-    * ``spec_machine`` — a second, identically-constructed machine used for
-      speculation (``runtime.machine`` stays the confirmed shadow),
-    * ``speculation_window`` — how many frames speculation may run ahead of
-      confirmation before the site blocks (bounds replay cost and keeps a
-      network partition from spinning the CPU),
+
+class SyncInput:
+    """A site's consistency part: the ``SyncInput`` its frame loop runs.
+
+    ``window`` is how many frames execution may run ahead of confirmed
+    inputs.  At 0 this is the paper's gate: block until every gating
+    site's input for the frame has arrived, then execute it on
+    ``runtime.machine``.  Above 0 the part speculates with zero input lag:
+
+    * ``spec_machine`` — a second, identically-constructed machine that
+      executes every frame at once (``runtime.machine`` stays the
+      confirmed shadow),
     * ``predictor`` — an :class:`InputPredictor` (or registry name) that
-      guesses not-yet-received remote inputs.
+      guesses not-yet-received remote inputs,
+    * ``window`` bounds how far speculation may run ahead of confirmation
+      before the site blocks (bounds replay cost and keeps a network
+      partition from spinning the CPU).
 
-    A handed-over session may carry local lag (a non-zero ``buf_frame``):
-    :meth:`attach` calls ``set_local_lag(0)`` — zero input latency is
-    rollback's point — and the lockstep slot mapping drains the
-    already-buffered lag window naturally (new local inputs targeting
-    already-filled slots are dropped until the frame counter catches up).
+    Only a part built with ``spec_machine`` ever speculates; only it
+    builds a predictor and publishes ``engine.spec_machine`` and
+    ``runtime.rollback_stats``.  ``policy`` (a
+    :class:`~repro.core.policy.ConsistencyPolicy`) moves the window on
+    the flush cadence, as the lag tuner moves the lag: opening it syncs
+    the speculative machine from the shadow; closing it drains
+    speculation (the gate holds until every speculated frame is
+    confirmed) and then runs the paper's path again.  A part that
+    speculates without a policy claims zero local lag at :meth:`attach`
+    — zero input latency is speculation's point — and the lockstep slot
+    mapping drains the already-buffered lag window naturally.
     """
 
     def __init__(
         self,
-        spec_machine: GameMachine,
-        speculation_window: int = 60,
+        spec_machine: Optional[GameMachine] = None,
+        window: int = 0,
         predictor: PredictorSpec = None,
+        policy=None,
     ) -> None:
         self.spec_machine = spec_machine
-        self.speculation_window = speculation_window
+        self.window = window
         #: Resolved to an :class:`InputPredictor` once attached (the
         #: default heuristic is per game, and the runtime knows the game).
         self.predictor = predictor
-        self.stats = RollbackStats()
-        self._full_state_size: Optional[int] = None
+        self.policy = policy
+        #: True while the speculative machine presents frames; it stays
+        #: True after the window closes until speculation has drained.
+        self.speculating = window > 0
         #: Input word the speculative machine used per frame.
         self._used_inputs: Dict[int, int] = {}
         #: Count of frames delivered to the shadow (frontier + 1).
         self._confirmed_count = 0
 
-    def bind(self, engine: SiteEngine) -> None:
-        """Everything :meth:`attach` does except claiming the lag (the
-        adaptive part manages lag itself)."""
-        super().attach(engine)
-        runtime = engine.runtime
+    def attach(self, engine: SiteEngine) -> None:
+        """Called once, by the engine that will run this part."""
+        self.engine = engine
+        runtime = self.runtime = engine.runtime
+        if self.spec_machine is None:
+            return
         self.predictor = make_predictor(self.predictor, runtime.game_id)
+        self.stats = RollbackStats()
+        self._full_state_size: Optional[int] = None
         # Duck-typed: the metric catalog reads the stats off the runtime,
         # the session benchmark's ledger finds the second machine on the
         # engine.
@@ -309,15 +337,160 @@ class Rollback(Lockstep):
         # (both machines are freshly built and identical right now).
         self._shadow_mark = _state_mark(runtime.machine)
         self._spec_mark = _state_mark(self.spec_machine)
+        if self.window and self.policy is None:
+            runtime.lockstep.set_local_lag(0)
 
-    def attach(self, engine: SiteEngine) -> None:
-        self.bind(engine)
-        if engine.runtime.config.buf_frame != 0:
-            # A hand-over from laggy lockstep: zero the lag now and let
-            # the slot mapping drain the pre-buffered window (the virtual
-            # empty history for a fresh session, the real one otherwise).
-            engine.runtime.lockstep.set_local_lag(0)
+    # ------------------------------------------------------------------
+    # The frame-loop steps
+    # ------------------------------------------------------------------
+    def try_ready(self, now: float) -> Optional[int]:
+        """The line-21 exit check; None while the frame may not run yet.
+        Speculating, the window bound replaces delivery and the word
+        returned is the zero-lag *prediction*."""
+        runtime = self.runtime
+        if self.speculating:
+            self.confirm_pending(now)
+            frame = runtime.frame
+            if self.window:
+                if frame - self.confirmed_frontier > self.window:
+                    self.stats.speculation_stalls += 1
+                    return None
+                word = self._predict_input(frame)
+                self._used_inputs[frame] = word
+                return word
+            # The window closed: hold until speculation drains, then go
+            # on with this very gate check on the paper's path.
+            if self.confirmed_frontier < frame - 1:
+                return None
+            self.speculating = False
+            self._switched(now)
+        lockstep = runtime.lockstep
+        if self.predictor is None:
+            return lockstep.deliver(or_none=True)
+        # Keep the predictor and the frontier warm for the next opening.
+        if not lockstep.can_deliver():
+            return None
+        return self.deliver_confirmed()
 
+    def commit(
+        self, merged: int, stall: float, sync_adjust: float, now: float
+    ) -> None:
+        """Execute one frame (the engine emits its ``Present``): on the
+        confirmed machine, or speculatively, with zero input lag."""
+        runtime = self.runtime
+        if self.speculating:
+            # Stall and adjust are recorded via the shadow, not here.
+            self.spec_machine.step(merged)
+            self.stats.speculative_frames += 1
+            runtime.frame += 1
+            return
+        frame = runtime.frame
+        runtime.run_transition(merged, stall, sync_adjust)
+        runtime.on_present(frame, now)
+
+    def flush_tick(self, now: float) -> None:
+        """Let the policy move the window, on the ~20 ms flush cadence."""
+        runtime = self.runtime
+        engine = self.engine
+        if (
+            self.policy is None
+            or not runtime.session.started
+            or engine.done
+            or (self.speculating and not self.window)
+            or engine.phase not in (PHASE_GATE, PHASE_FRAME_WAIT)
+        ):
+            return
+        window = self.policy.propose(
+            now, runtime.rtt, runtime.peer_sites, self.window
+        )
+        if window is None:
+            return
+        # A flush is always at a frame boundary: Transition runs within
+        # the pump that opens the gate.  A closed window drains in
+        # try_ready, which commits the switch.
+        self.window = window
+        if window:
+            # The shadow has executed every delivered frame; bring the
+            # (stale since the last stint) speculative machine up to it
+            # before the first speculation.
+            self.sync_spec_from_shadow()
+            self.reseat_frontier()
+            self.speculating = True
+            self._switched(now)
+
+    def _switched(self, now: float) -> None:
+        """One ``switch_commit`` record per committed window change."""
+        self.policy.note_transition(now)
+        runtime = self.runtime
+        runtime.events.emit(
+            "switch_commit",
+            now,
+            runtime.frame,
+            mode=MODE_ROLLBACK if self.window else MODE_LOCKSTEP,
+        )
+
+    def settled(self, now: float) -> bool:
+        """True once every presented frame is confirmed; the engine holds
+        the linger phase back (``PHASE_CATCHUP``) until then.  While the
+        engine re-checks it on every catch-up pump this is also the
+        confirmation step (at the moment the last frame commits it must
+        not be: confirming there would race that pump's flush)."""
+        if not self.speculating:
+            return True
+        if self.engine.phase == PHASE_CATCHUP:
+            self.confirm_pending(now)
+        return self.confirmed_frontier >= self.engine.max_frames - 1
+
+    # ------------------------------------------------------------------
+    # Desync recovery: the rewind lands on the confirmed timeline (the
+    # one digests sample).  Speculation stays frozen at the frontier and
+    # is rebuilt from the healed shadow when the episode closes.
+    # ------------------------------------------------------------------
+    def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
+        """Rewind the machine, trace and delivery to ``anchor``; replay
+        (:meth:`resync_progress`) then runs from locally retained inputs
+        (``retain_floor`` guaranteed they were never pruned, so no network
+        retransmission is involved)."""
+        runtime = self.runtime
+        # Begin times are indexed by *speculative* frames, which do not
+        # rewind — preserve them across the committed-row truncation.
+        begins = runtime.trace.begin_times[:] if self.speculating else None
+        runtime.machine.load_state(bytes(state))
+        runtime.trace.truncate_after(anchor)
+        runtime.lockstep.rewind_delivery(anchor)
+        if self.speculating:
+            runtime.trace.begin_times[:] = begins
+            # Speculated-word bookkeeping for the replayed window is
+            # void; finish_resync re-records what it actually uses.
+            self.reseat_frontier()
+        else:
+            runtime.frame = anchor + 1
+
+    def resync_progress(self, now: float) -> None:
+        """Re-execute restored-over frames up to (not including) the frozen
+        frame; the frozen frame itself re-enters via the normal gate."""
+        if self.speculating:
+            # Re-confirm the shadow; _used_inputs is empty for the
+            # replayed window, so no spec rollback fires here.
+            self.confirm_pending(now)
+            return
+        runtime = self.runtime
+        lockstep = runtime.lockstep
+        while runtime.frame < runtime.recovery.frozen and lockstep.can_deliver():
+            runtime.replay_transition(lockstep.deliver(), now)
+        self.reseat_frontier()
+
+    def finish_resync(self, now: float) -> None:
+        """Last step of a healed episode, before the frame loop thaws: the
+        speculative machine ran (and kept presenting) the divergent
+        timeline; rebuild it from the healed shadow and re-speculate the
+        unconfirmed suffix.  Not speculating, it is stale but idle, and
+        the next opening re-syncs it."""
+        if self.speculating:
+            self._rollback_and_replay(self.confirmed_frontier + 1, now)
+
+    # ------------------------------------------------------------------
+    # Speculation
     # ------------------------------------------------------------------
     @property
     def confirmed_frontier(self) -> int:
@@ -351,8 +524,7 @@ class Rollback(Lockstep):
     def deliver_confirmed(self) -> int:
         """Deliver the next confirmed frame's merged input, feeding each
         site's confirmed pad state to the predictor before pruning
-        discards it (also the adaptive part's lockstep-mode gate, which
-        keeps predictor and frontier warm for the next switch)."""
+        discards it."""
         lockstep = self.runtime.lockstep
         frame = lockstep.ibuf_pointer
         for site in range(lockstep.num_sites):
@@ -472,68 +644,6 @@ class Rollback(Lockstep):
         self._confirmed_count = self.runtime.lockstep.ibuf_pointer
         self._used_inputs.clear()
 
-    # ------------------------------------------------------------------
-    # Desync recovery: the rewind lands on the *shadow* timeline (the one
-    # digests sample); speculation stays frozen at the frontier and is
-    # rebuilt from the healed shadow when the episode closes.
-    # ------------------------------------------------------------------
-    def resync_restore(self, state: bytes, anchor: int, now: float) -> None:
-        runtime = self.runtime
-        # Begin times are indexed by *speculative* frames, which do not
-        # rewind — preserve them across the committed-row truncation.
-        begins = runtime.trace.begin_times[:]
-        runtime.machine.load_state(bytes(state))  # the confirmed shadow
-        runtime.trace.truncate_after(anchor)
-        runtime.trace.begin_times[:] = begins
-        runtime.lockstep.rewind_delivery(anchor)
-        # Speculated-word bookkeeping for the replayed window is void; the
-        # spec rebuild in finish_resync re-records what it actually uses.
-        self.reseat_frontier()
-
-    def resync_progress(self, now: float) -> None:
-        # Re-confirm the shadow from retained inputs; _used_inputs is
-        # empty for the replayed window, so no spec rollback fires here.
-        self.confirm_pending(now)
-
-    def finish_resync(self, now: float) -> None:
-        # The speculative machine ran (and kept presenting) the divergent
-        # timeline; rebuild it from the healed shadow and re-speculate the
-        # unconfirmed suffix before the frame loop thaws.
-        self._rollback_and_replay(self.confirmed_frontier + 1, now)
-
-    # ------------------------------------------------------------------
-    # The frame-loop steps
-    # ------------------------------------------------------------------
-    def try_ready(self, now: float) -> Optional[int]:
-        """Replace SyncInput's delivery gate with the speculation-window
-        bound; the returned word is the zero-lag *prediction*."""
-        self.confirm_pending(now)
-        runtime = self.runtime
-        if runtime.frame - self.confirmed_frontier > self.speculation_window:
-            self.stats.speculation_stalls += 1
-            return None
-        word = self._predict_input(runtime.frame)
-        self._used_inputs[runtime.frame] = word
-        return word
-
-    def commit(
-        self, merged: int, stall: float, sync_adjust: float, now: float
-    ) -> None:
-        """Execute the current frame speculatively, with zero input lag."""
-        del stall, sync_adjust  # recorded via the shadow, not here
-        self.spec_machine.step(merged)
-        self.stats.speculative_frames += 1
-        self.runtime.frame += 1
-
-    def settled(self, now: float) -> bool:
-        """True once the shadow has confirmed every speculated frame.  While
-        the engine re-checks it on every catch-up pump this is also the
-        confirmation step (at the moment the last frame commits it must
-        not be: confirming there would race that pump's flush)."""
-        if self.engine.phase == PHASE_CATCHUP:
-            self.confirm_pending(now)
-        return self.confirmed_frontier >= self.engine.max_frames - 1
-
 
 def build_rollback_session(
     game_factory,
@@ -547,8 +657,9 @@ def build_rollback_session(
     predictor: PredictorSpec = None,
 ):
     """A rollback session on the simulator: :func:`build_session` with every
-    site a :class:`Rollback` part (shadow + speculative machine from
-    ``game_factory``) under a zero-lag default configuration."""
+    site a :class:`SyncInput` part speculating ``speculation_window``
+    frames ahead (shadow + speculative machine from ``game_factory``)
+    under a zero-lag default configuration."""
     machines = [(game_factory(), game_factory()) for _ in sources]
     plan = SessionPlan(
         config=config if config is not None else SyncConfig(buf_frame=0),
@@ -560,7 +671,7 @@ def build_rollback_session(
         frame_compute_time=frame_compute_time,
         seed=seed,
         consistency=[
-            Rollback(spec, speculation_window, predictor) for _, spec in machines
+            SyncInput(spec, speculation_window, predictor) for _, spec in machines
         ],
     )
     return build_session(plan, netem)

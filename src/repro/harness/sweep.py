@@ -67,8 +67,8 @@ class SweepPoint:
     lockstep_frame_mean: float
     #: Committed mode switches across the adaptive arm's sites.
     switches: int
-    #: Final per-site modes of the adaptive arm ("lockstep"/"rollback").
-    final_modes: List[str]
+    #: Final per-site speculation windows of the adaptive arm (0: lockstep).
+    final_windows: List[int]
     #: Cross-site checksum-verified frame counts (must equal ``frames``).
     adaptive_verified: int
     lockstep_verified: int
@@ -87,7 +87,7 @@ class SweepPoint:
             f"adaptive={self.adaptive_frame_mean * 1000:6.2f}ms "
             f"lockstep={self.lockstep_frame_mean * 1000:7.2f}ms "
             f"switches={self.switches} "
-            f"modes={'/'.join(self.final_modes)} [{status}]"
+            f"windows={'/'.join(map(str, self.final_windows))} [{status}]"
         )
 
 
@@ -163,11 +163,11 @@ def run_sweep_point(
         switches=sum(
             vm.runtime.events.totals.get("switch_commit", 0) for vm in adaptive.vms
         ),
-        final_modes=[vm.engine.consistency.mode_name for vm in adaptive.vms],
+        final_windows=[vm.engine.consistency.window for vm in adaptive.vms],
         adaptive_verified=adaptive_verified,
         lockstep_verified=lockstep_verified,
         predict_hit_ratio=min(
-            vm.engine.consistency.rollback.stats.predict_hit_ratio
+            vm.engine.consistency.stats.predict_hit_ratio
             for vm in adaptive.vms
         ),
     )

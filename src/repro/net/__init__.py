@@ -13,21 +13,20 @@ package provides:
   head-of-line-blocking) transport used as the baseline the paper argues
   against in §3.1.
 * :mod:`repro.net.udp` — real UDP sockets for the asyncio driver.
+
+The package imports neither of the last two: their users import the
+module itself.  The real-socket one loads ``asyncio`` (and with it
+``ssl``), which no simulated session needs.
 """
 
 from repro.net.netem import NetemConfig
 from repro.net.simnet import SimNetwork, SimSocket
-from repro.net.tcpsim import TcpLikeNetwork, TcpLikeSocket
 from repro.net.transport import Datagram, DatagramSocket
-from repro.net.udp import AsyncUdpEndpoint
 
 __all__ = [
-    "AsyncUdpEndpoint",
     "Datagram",
     "DatagramSocket",
     "NetemConfig",
     "SimNetwork",
     "SimSocket",
-    "TcpLikeNetwork",
-    "TcpLikeSocket",
 ]

@@ -11,12 +11,8 @@ from repro.core.config import SyncConfig
 from repro.core.inputs import PadSource, RandomSource
 from repro.core.messages import MAGIC, decode_all
 from repro.core.multisite import build_session, two_player_plan
-from repro.core.policy import (
-    MODE_LOCKSTEP,
-    MODE_ROLLBACK,
-    Adaptive,
-    build_adaptive_session,
-)
+from repro.core.policy import ConsistencyPolicy, build_adaptive_session
+from repro.core.rollback import MODE_LOCKSTEP, MODE_ROLLBACK, SyncInput
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.net.netem import named_profile
@@ -70,7 +66,7 @@ class TestSwitchToRollback:
         traces = [vm.runtime.trace for vm in adaptive.vms]
         assert ConsistencyChecker().verify_traces(traces) == FRAMES
         for vm in adaptive.vms:
-            assert vm.engine.consistency.mode_name == "rollback"
+            assert vm.engine.consistency.window == 60
             assert vm.runtime.events.totals.get("switch_commit", 0) >= 1
 
         twin = lockstep_twin(netem, seed=11)
@@ -93,19 +89,19 @@ class TestSwitchToRollback:
         for vm in session.vms:
             part, site = vm.engine.consistency, vm.runtime.site_no
 
-            def desired_spy(now, rtt, peers, mode, ask=part.policy.desired_mode, site=site):
-                desired = ask(now, rtt, peers, mode)
-                if desired == MODE_ROLLBACK:
+            def propose_spy(now, rtt, peers, window, ask=part.policy.propose, site=site):
+                proposed = ask(now, rtt, peers, window)
+                if proposed:
                     decided[site].append(now)
-                return desired
+                return proposed
 
             def flush_spy(now, part=part, tick=part.flush_tick, site=site):
-                before = part.mode
+                before = part.speculating
                 tick(now)
-                if part.mode != before:
+                if part.speculating != before:
                     committed[site].append(now)
 
-            part.policy.desired_mode = desired_spy
+            part.policy.propose = propose_spy
             part.flush_tick = flush_spy
         type_ids = set()
         transmit = session.network.transmit
@@ -122,7 +118,7 @@ class TestSwitchToRollback:
 
         for vm in session.vms:
             site = vm.runtime.site_no
-            assert vm.engine.consistency.mode == MODE_ROLLBACK
+            assert vm.engine.consistency.window == 60
             assert vm.runtime.events.totals["switch_commit"] == 1
             assert committed[site] == decided[site][:1]
         assert type_ids and type_ids.isdisjoint({13, 14})
@@ -147,7 +143,7 @@ class TestSwitchToLockstep:
         traces = [vm.runtime.trace for vm in adaptive.vms]
         assert ConsistencyChecker().verify_traces(traces) == FRAMES
         for vm in adaptive.vms:
-            assert vm.engine.consistency.mode_name == "lockstep"
+            assert vm.engine.consistency.window == 0
             assert vm.runtime.events.totals.get("switch_commit", 0) >= 1
 
         # The input word sequence is lag-invariantly defined by the seeds,
@@ -183,31 +179,37 @@ class TestSettleWithSpeculationInFlight:
         commits, checks = [], []
 
         def instrument(engine):
-            part = engine.consistency
-            rollback, runtime = part.rollback, engine.runtime
-            part.policy.desired_mode = (
-                lambda now, rtt, peers, mode: MODE_LOCKSTEP if now >= 1.5 else None
+            part = rollback = engine.consistency
+            runtime = engine.runtime
+            part.policy.propose = (
+                lambda now, rtt, peers, window: 0 if now >= 1.5 else None
             )
-            commit_switch, try_ready = part._commit_switch, part.try_ready
+            flush_tick, try_ready = part.flush_tick, part.try_ready
 
-            def commit_spy(mode, now):
-                commits.append((mode, runtime.frame, rollback.confirmed_frontier))
-                commit_switch(mode, now)
+            def settling():
+                return part.speculating and not part.window
+
+            def commit_spy(now):
+                window = part.window
+                flush_tick(now)
+                if part.window != window:
+                    mode = MODE_ROLLBACK if part.window else MODE_LOCKSTEP
+                    commits.append((mode, runtime.frame, rollback.confirmed_frontier))
 
             def try_ready_spy(now):
-                settling = part._settling
+                held = settling()
                 merged = try_ready(now)
-                if settling:
+                if held:
                     checks.append(
-                        (runtime.frame, rollback.confirmed_frontier, part._settling, merged)
+                        (runtime.frame, rollback.confirmed_frontier, settling(), merged)
                     )
                 return merged
 
-            part._commit_switch = commit_spy
+            part.flush_tick = commit_spy
             part.try_ready = try_ready_spy
 
         parts = [
-            Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
+            SyncInput(create_game("counter"), 60, policy=ConsistencyPolicy())
             for __ in range(2)
         ]
         engines = self.run(parts, instrument)
@@ -224,7 +226,7 @@ class TestSettleWithSpeculationInFlight:
                 assert frontier == frame - 1
         for engine in engines:
             assert engine.termination == "completed"
-            assert engine.consistency.mode_name == "lockstep"
+            assert engine.consistency.window == 0
 
         twin = self.run()
         for engine, fixed in zip(engines, twin):
@@ -235,10 +237,33 @@ class TestSettleWithSpeculationInFlight:
 
 class TestStableConditionsNeverSwitch:
     def test_good_link_stays_lockstep_forever(self):
-        adaptive = adaptive_run(named_profile("wan-120", rtt=0.060), seed=17)
-        for vm in adaptive.vms:
-            assert vm.engine.consistency.mode_name == "lockstep"
+        session = build_adaptive_session(
+            lambda: create_game("counter"),
+            sources(17),
+            named_profile("wan-120", rtt=0.060),
+            frames=FRAMES,
+            seed=17,
+            game_id="counter",
+        )
+        steps = {}
+        for vm in session.vms:
+            for machine in (vm.engine.spec_machine, vm.runtime.machine):
+                steps[id(machine)] = 0
+
+                def counted(word, machine=machine, step=machine.step):
+                    steps[id(machine)] += 1
+                    step(word)
+
+                machine.step = counted
+        session.run(horizon=600.0)
+        for vm in session.vms:
+            part = vm.engine.consistency
+            assert part.window == 0 and not part.speculating
             assert vm.runtime.events.totals.get("switch_commit", 0) == 0
+            # The zero window never steps the speculative machine; the
+            # confirmed one steps once per frame.
+            assert steps[id(vm.engine.spec_machine)] == 0
+            assert steps[id(vm.runtime.machine)] == FRAMES
 
     def test_hysteresis_band_never_flaps(self):
         """At 120 ms RTT — between the two thresholds — a lockstep-born

@@ -128,13 +128,14 @@ class TestAnyEngineOverRealSockets:
 
     def test_adaptive_session_heals_an_injected_desync(self):
         from repro.core.multisite import build_session
-        from repro.core.policy import MODE_LOCKSTEP, MODE_ROLLBACK, Adaptive
+        from repro.core.policy import ConsistencyPolicy
+        from repro.core.rollback import SyncInput
         from repro.emulator.machine import create_game
         from repro.net.netem import NetemConfig
 
         plan = self.plan(
             [
-                Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
+                SyncInput(create_game("counter"), 60, policy=ConsistencyPolicy())
                 for _ in (0, 1)
             ]
         )
@@ -145,9 +146,9 @@ class TestAnyEngineOverRealSockets:
             adaptive = site.engine.consistency
             # Loopback RTT is far under POLICY_LOCKSTEP_BELOW_S: the
             # rollback-born session settled into lockstep.
-            assert adaptive.mode == MODE_LOCKSTEP
+            assert adaptive.window == 0
             assert site.runtime.events.totals["switch_commit"] >= 1
-            assert adaptive.rollback.stats.speculative_frames > 0
+            assert adaptive.stats.speculative_frames > 0
         poked = sites[1].engine.snapshot()["counters"]
         assert poked["desync_detected"] >= 1
         assert poked["resync_success"] >= 1

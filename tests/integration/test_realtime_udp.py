@@ -16,7 +16,8 @@ from repro.core.config import SyncConfig
 from repro.core.engine import SitePeer
 from repro.core.inputs import PadSource, RandomSource
 from repro.core.multisite import two_player_plan
-from repro.core.policy import MODE_ROLLBACK, Adaptive
+from repro.core.policy import ConsistencyPolicy
+from repro.core.rollback import SyncInput
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.metrics.stats import mean
@@ -75,7 +76,7 @@ async def host_all():
             plan_for(
                 2,
                 consistency=[
-                    Adaptive(create_game("counter"), initial_mode=MODE_ROLLBACK)
+                    SyncInput(create_game("counter"), 60, policy=ConsistencyPolicy())
                     for _ in (0, 1)
                 ],
             )
@@ -121,7 +122,7 @@ class TestRealtimeSession:
         assert ConsistencyChecker().verify_traces(traces) == FRAMES
         if mode == "rollback":
             assert all(
-                site.engine.consistency.rollback.stats.speculative_frames > 0
+                site.engine.consistency.stats.speculative_frames > 0
                 for site in sites
             )
 

@@ -49,9 +49,10 @@ because the always-zero ``switch_log_evictions`` key left the snapshot
 (re-adding it with value 0 reproduces the old digests).  A
 change that is *meant* to alter behaviour re-captures them with
 ``python tests/integration/test_session_fingerprint.py``, re-pins only
-the components it meant to move, and says so in CHANGES.md.  CI runs this
-file under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random`` on both
-matrix Pythons.
+the components it meant to move (the script marks each digest that
+differs from ``PINNED`` with a trailing ``# moved``), and says so in
+CHANGES.md.  CI runs this file under ``PYTHONHASHSEED=0`` and
+``PYTHONHASHSEED=random`` on both matrix Pythons.
 """
 
 import hashlib
@@ -233,5 +234,6 @@ if __name__ == "__main__":
         session.run()
         print(f"    {build.__name__}: {{")
         for name, digest in fingerprint(session).items():
-            print(f'        "{name}": "{digest}",')
+            moved = "  # moved" if digest != PINNED[build][name] else ""
+            print(f'        "{name}": "{digest}",{moved}')
         print("    },")

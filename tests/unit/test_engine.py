@@ -211,6 +211,20 @@ class TestEngineSession:
         traces = [engine.runtime.trace for engine in engines]
         assert list(traces[0].checksums) == list(traces[1].checksums)
 
+    def test_the_default_part_is_the_zero_window_with_nothing_to_speculate(self):
+        """A plain lockstep site's part holds no speculative machine and
+        builds no predictor, and publishes no rollback stats."""
+        engines = build_engines(frames=40)
+        mesh = EngineMesh(engines)
+        mesh.start()
+        mesh.run()
+        for engine in engines:
+            part = engine.consistency
+            assert part.window == 0 and not part.speculating
+            assert part.spec_machine is None and part.predictor is None
+            assert not hasattr(engine, "spec_machine")
+            assert not hasattr(engine.runtime, "rollback_stats")
+
 
 class TestSessionControlThroughEngine:
     def test_master_retransmits_start_until_acked(self):
