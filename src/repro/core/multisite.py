@@ -238,8 +238,12 @@ def register_late_join(session_vms, donor_vm, joiner_site: int) -> None:
     In a deployment the admit broadcast rides the session-control channel;
     the harness applies it synchronously, which is equivalent as long as
     no present site is more than ``BufFrame`` frames ahead of the donor —
-    lockstep guarantees that.
+    lockstep guarantees that.  A donor whose part can speculate is refused:
+    its snapshot would be labelled with the speculative frame while holding
+    the shadow's older state.
     """
+    if donor_vm.engine.consistency.spec_machine is not None:
+        raise ValueError("state transfer is lockstep-only: no speculating donor")
     buf_frame = donor_vm.runtime.config.buf_frame
     for vm in session_vms:
         if vm.runtime.site_no != joiner_site:

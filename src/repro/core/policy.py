@@ -4,9 +4,10 @@ The paper fixes one consistency mechanism for the whole session: local-lag
 lockstep with ``BufFrame`` ≈ 100 ms.  That choice is only right while the
 network cooperates — past ``RTT/2 > BufFrame · TimePerFrame`` every frame
 blocks on the input gate and the game collapses to the network's pace.
-Speculation (a :class:`~repro.core.rollback.SyncInput` window above zero)
-keeps the frame rate at any RTT but pays CPU for replay and misprediction
-artifacts the paper's LAN deployment never needed.
+Speculation (a :class:`~repro.core.rollback.SyncInput` window opened to
+``SPECULATION_WINDOW``) keeps the frame rate at any RTT but pays CPU for
+replay and misprediction artifacts the paper's LAN deployment never
+needed.
 
 This module makes the choice *per site and per RTT regime*, with two
 hysteretic filters:
@@ -17,10 +18,11 @@ hysteretic filters:
   and afterwards requires a minimum interval between changes, so jitter
   cannot oscillate the lag.
 * :class:`ConsistencyPolicy` — watches the *per-peer* smoothed RTT
-  (:meth:`repro.core.rtt.RttEstimator.peer_rtt`) and proposes a window
-  through a hysteresis band: open it once any peer link degrades past
-  ``POLICY_ROLLBACK_ABOVE_S``, close it only when every link is below
-  ``POLICY_LOCKSTEP_BELOW_S``, with a dwell time between transitions.
+  (:meth:`repro.core.rtt.RttEstimator.peer_rtt`) and proposes the
+  window, 0 or ``SPECULATION_WINDOW``, through a hysteresis band: open
+  it once any peer link degrades past ``POLICY_ROLLBACK_ABOVE_S``, close
+  it only when every link is below ``POLICY_LOCKSTEP_BELOW_S``, with a
+  dwell time between transitions.
 
 Switching
 ---------
@@ -49,12 +51,7 @@ from typing import List, Optional
 from repro.core.config import SyncConfig
 from repro.core.inputs import InputAssignment, InputSource
 from repro.core.multisite import SessionPlan, build_session
-from repro.core.rollback import (
-    MODE_LOCKSTEP,
-    MODE_ROLLBACK,
-    PredictorSpec,
-    SyncInput,
-)
+from repro.core.rollback import SPECULATION_WINDOW, SyncInput
 from repro.core.rtt import RttEstimator
 
 #: Safety margin over the one-way estimate (covers send batching and
@@ -126,11 +123,11 @@ class ConsistencyPolicy:
     speculation.  Hysteresis comes from two thresholds (a link must
     degrade past ``POLICY_ROLLBACK_ABOVE_S`` to open the window but
     recover below ``POLICY_LOCKSTEP_BELOW_S`` to close it) plus a dwell
-    time between committed switches.  ``window`` is the one it opens.
+    time between committed switches.  The window it opens is
+    :data:`~repro.core.rollback.SPECULATION_WINDOW`.
     """
 
-    def __init__(self, window: int = 60) -> None:
-        self.window = window
+    def __init__(self) -> None:
         self._last_transition: Optional[float] = None
 
     def note_transition(self, now: float) -> None:
@@ -159,7 +156,7 @@ class ConsistencyPolicy:
             return None
         worst = self.worst_peer_rtt(rtt, peer_sites)
         if not window and worst > POLICY_ROLLBACK_ABOVE_S:
-            return self.window
+            return SPECULATION_WINDOW
         if window and worst < POLICY_LOCKSTEP_BELOW_S:
             return 0
         return None
@@ -171,19 +168,16 @@ def build_adaptive_session(
     netem,
     frames: int = 600,
     seed: int = 7,
-    speculation_window: int = 60,
     frame_compute_time: float = 0.002,
     config: Optional[SyncConfig] = None,
-    predictor: PredictorSpec = None,
-    initial_mode: int = MODE_LOCKSTEP,
     game_id: str = "adaptive",
 ):
     """An adaptive-consistency session on the simulator:
     :func:`build_session` with every site a
     :class:`~repro.core.rollback.SyncInput` part whose
-    :class:`ConsistencyPolicy` moves its window between 0 and
-    ``speculation_window`` mid-session (``initial_mode`` picks the
-    start), under the paper's default local lag."""
+    :class:`ConsistencyPolicy` moves its window between 0 (the start)
+    and :data:`~repro.core.rollback.SPECULATION_WINDOW` mid-session,
+    under the paper's default local lag."""
     machines = [(game_factory(), game_factory()) for _ in sources]
     plan = SessionPlan(
         config=config if config is not None else SyncConfig(),
@@ -195,13 +189,7 @@ def build_adaptive_session(
         frame_compute_time=frame_compute_time,
         seed=seed,
         consistency=[
-            SyncInput(
-                spec,
-                speculation_window if initial_mode == MODE_ROLLBACK else 0,
-                predictor,
-                ConsistencyPolicy(speculation_window),
-            )
-            for _, spec in machines
+            SyncInput(spec, policy=ConsistencyPolicy()) for _, spec in machines
         ],
     )
     return build_session(plan, netem)

@@ -111,6 +111,8 @@ class Recovery:
         self, consistency, donor_site: Optional[int], last_acked_frame: Optional[int]
     ) -> None:
         """Called once, by the engine that runs this site."""
+        if donor_site is not None and consistency.spec_machine is not None:
+            raise ValueError("state transfer is lockstep-only: no speculating joiner")
         self.consistency = consistency
         self.donor_site = donor_site
         self.last_acked_frame = last_acked_frame

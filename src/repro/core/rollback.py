@@ -15,9 +15,10 @@ a window above zero the part plays with **zero local lag**:
 
 * local inputs land in their own frame's slot (``BufFrame = 0``),
 * the *speculative* machine executes every frame immediately, guessing
-  missing remote inputs through a pluggable :class:`InputPredictor`
-  (hold-last-confirmed, repeat-last-heard, or the per-game heuristic that
-  decays impulse buttons — see :func:`make_predictor`),
+  missing remote inputs through the :class:`InputPredictor` (repeat the
+  newest pad state heard, releasing impulse buttons after a per-game
+  hold),
+* at most :data:`SPECULATION_WINDOW` frames run ahead of confirmation,
 * a *shadow* machine executes only confirmed inputs (ordinary lockstep
   delivery) and therefore always holds a provably consistent state,
 * when a confirmed input contradicts a prediction, the speculative machine
@@ -43,7 +44,7 @@ Reliable input distribution, acks, retransmission and pruning are
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SyncConfig
 from repro.core.engine import (
@@ -89,65 +90,17 @@ def _directional_mask(word: int) -> int:
 
 
 class InputPredictor:
-    """Strategy for guessing a site's not-yet-received pad state.
+    """Guesses a site's not-yet-received pad state: repeat the newest pad
+    state heard from the site, with per-game impulse decay.
 
-    The engine feeds every input it learns through :meth:`observe` —
-    confirmed (delivered in lockstep order) or merely received (present
-    in the buffer ahead of the confirmation frontier) — and asks
+    The part feeds every input it learns through :meth:`observe` —
+    delivered in lockstep order, or merely received ahead of the
+    confirmation frontier (inputs regularly wait there on another site's
+    gap, or on our own flush, so repeating the freshest value instead of
+    the last confirmed one shaves the staleness window) — and asks
     :meth:`predict` for frames it must speculate past.  Predictions only
     affect replay cost, never consistency: the confirmed shadow machine
     defines the session outcome whatever the predictor returns.
-    """
-
-    name = "base"
-
-    def __init__(self) -> None:
-        #: Newest confirmed (frame, bits) per site.
-        self._confirmed: Dict[int, Tuple[int, int]] = {}
-        #: Newest known (frame, bits) per site, received-but-unconfirmed
-        #: values included.
-        self._seen: Dict[int, Tuple[int, int]] = {}
-
-    def observe(self, site: int, frame: int, bits: int, confirmed: bool = True) -> None:
-        newest = self._seen.get(site)
-        if newest is None or frame >= newest[0]:
-            self._seen[site] = (frame, bits)
-        if confirmed:
-            previous = self._confirmed.get(site)
-            if previous is None or frame >= previous[0]:
-                self._confirmed[site] = (frame, bits)
-
-    def predict(self, site: int, frame: int) -> int:
-        raise NotImplementedError
-
-
-class NaivePredictor(InputPredictor):
-    """Hold each site's last *confirmed* pad state (the original scheme)."""
-
-    name = "naive"
-
-    def predict(self, site: int, frame: int) -> int:
-        entry = self._confirmed.get(site)
-        return entry[1] if entry is not None else 0
-
-
-class RepeatLastPredictor(InputPredictor):
-    """Repeat the newest pad state heard from the site, confirmed or not.
-
-    Inputs regularly arrive ahead of the confirmation frontier (they wait
-    on another site's gap, or on our own flush); repeating the freshest
-    value instead of the last confirmed one shaves the staleness window.
-    """
-
-    name = "repeat-last"
-
-    def predict(self, site: int, frame: int) -> int:
-        entry = self._seen.get(site)
-        return entry[1] if entry is not None else 0
-
-
-class HeuristicPredictor(RepeatLastPredictor):
-    """Repeat-last with per-game impulse decay.
 
     Directional bits are held indefinitely (players hold directions for
     runs of frames), but the impulse nibble — taps of A/B/START/COIN — is
@@ -163,11 +116,19 @@ class HeuristicPredictor(RepeatLastPredictor):
     observation, inside the hold, where no decay ever fires.
     """
 
-    name = "heuristic"
-
     def __init__(self, impulse_hold: int = 1) -> None:
-        super().__init__()
         self.impulse_hold = impulse_hold
+        #: Newest known (frame, bits) per site.
+        self._seen: Dict[int, Tuple[int, int]] = {}
+
+    @classmethod
+    def for_game(cls, game_id: Optional[str]) -> "InputPredictor":
+        return cls(GAME_IMPULSE_HOLD.get(game_id or "", 1))
+
+    def observe(self, site: int, frame: int, bits: int) -> None:
+        newest = self._seen.get(site)
+        if newest is None or frame >= newest[0]:
+            self._seen[site] = (frame, bits)
 
     def predict(self, site: int, frame: int) -> int:
         entry = self._seen.get(site)
@@ -178,17 +139,12 @@ class HeuristicPredictor(RepeatLastPredictor):
             bits &= _directional_mask(bits)
         return bits
 
-    @classmethod
-    def for_game(cls, game_id: Optional[str]) -> "HeuristicPredictor":
-        hold = GAME_IMPULSE_HOLD.get(game_id or "", 1)
-        return cls(impulse_hold=hold)
 
-
-#: Per-game tuning of the heuristic predictor's impulse extrapolation
-#: depth: frames a pressed button is still predicted held past its last
-#: observation, i.e. typical tap length minus one.  Tap-driven games
-#: want short holds; charge/hold games longer ones.  The predictor floor
-#: in ``tests/integration/test_session_gates.py`` is the instrument for
+#: Per-game tuning of the predictor's impulse extrapolation depth: frames
+#: a pressed button is still predicted held past its last observation,
+#: i.e. typical tap length minus one.  Tap-driven games want short holds;
+#: charge/hold games longer ones.  The predictor floor in
+#: ``tests/integration/test_session_gates.py`` is the instrument for
 #: tuning these.
 GAME_IMPULSE_HOLD: Dict[str, int] = {
     "counter": 1,
@@ -196,35 +152,6 @@ GAME_IMPULSE_HOLD: Dict[str, int] = {
     "tankduel": 2,
     "brawler": 1,
 }
-
-#: Registry for name-based predictor selection (CLI and tests).
-PREDICTORS = {
-    NaivePredictor.name: NaivePredictor,
-    RepeatLastPredictor.name: RepeatLastPredictor,
-    HeuristicPredictor.name: HeuristicPredictor,
-}
-
-PredictorSpec = Union[str, InputPredictor, None]
-
-
-def make_predictor(spec: PredictorSpec, game_id: Optional[str] = None) -> InputPredictor:
-    """Resolve a predictor from a name, an instance, or None (default).
-
-    The default is the per-game heuristic — the measured best on
-    realistic tap/hold input (see the predictor floor in the session
-    gate tests); pass ``"naive"`` for the original hold-last-confirmed
-    behaviour.
-    """
-    if isinstance(spec, InputPredictor):
-        return spec
-    if spec is None or spec == HeuristicPredictor.name:
-        return HeuristicPredictor.for_game(game_id)
-    klass = PREDICTORS.get(spec)
-    if klass is None:
-        raise ValueError(
-            f"unknown predictor {spec!r}; choose from {sorted(PREDICTORS)}"
-        )
-    return klass()
 
 
 class RollbackStats:
@@ -261,6 +188,11 @@ class RollbackStats:
         return out
 
 
+#: How many frames a speculating part may run ahead of confirmed inputs
+#: (one second at 60 fps): the window every rollback session and every
+#: adaptive policy opens.
+SPECULATION_WINDOW = 60
+
 #: ``switch_commit`` mode codes: the window a site committed is closed
 #: (lockstep) or open (rollback).
 MODE_LOCKSTEP = 0
@@ -271,15 +203,16 @@ class SyncInput:
     """A site's consistency part: the ``SyncInput`` its frame loop runs.
 
     ``window`` is how many frames execution may run ahead of confirmed
-    inputs.  At 0 this is the paper's gate: block until every gating
-    site's input for the frame has arrived, then execute it on
+    inputs, 0 or :data:`SPECULATION_WINDOW`; it is the part's state, which
+    the policy moves.  At 0 this is the paper's gate: block until every
+    gating site's input for the frame has arrived, then execute it on
     ``runtime.machine``.  Above 0 the part speculates with zero input lag:
 
     * ``spec_machine`` — a second, identically-constructed machine that
       executes every frame at once (``runtime.machine`` stays the
       confirmed shadow),
-    * ``predictor`` — an :class:`InputPredictor` (or registry name) that
-      guesses not-yet-received remote inputs,
+    * ``predictor`` — the :class:`InputPredictor` that guesses
+      not-yet-received remote inputs, built for the game at attach,
     * ``window`` bounds how far speculation may run ahead of confirmation
       before the site blocks (bounds replay cost and keeps a network
       partition from spinning the CPU).
@@ -301,14 +234,13 @@ class SyncInput:
         self,
         spec_machine: Optional[GameMachine] = None,
         window: int = 0,
-        predictor: PredictorSpec = None,
         policy=None,
     ) -> None:
         self.spec_machine = spec_machine
         self.window = window
-        #: Resolved to an :class:`InputPredictor` once attached (the
-        #: default heuristic is per game, and the runtime knows the game).
-        self.predictor = predictor
+        #: Built at :meth:`attach` when speculating is possible (its
+        #: impulse hold is per game, and the runtime knows the game).
+        self.predictor: Optional[InputPredictor] = None
         self.policy = policy
         #: True while the speculative machine presents frames; it stays
         #: True after the window closes until speculation has drained.
@@ -324,7 +256,7 @@ class SyncInput:
         runtime = self.runtime = engine.runtime
         if self.spec_machine is None:
             return
-        self.predictor = make_predictor(self.predictor, runtime.game_id)
+        self.predictor = InputPredictor.for_game(runtime.game_id)
         self.stats = RollbackStats()
         self._full_state_size: Optional[int] = None
         # Duck-typed: the metric catalog reads the stats off the runtime,
@@ -514,10 +446,10 @@ class SyncInput:
                 if newest < frame:
                     heard = lockstep.ibuf.get(newest, site)
                     if heard is not None:
-                        predictor.observe(site, newest, heard, confirmed=False)
+                        predictor.observe(site, newest, heard)
                 value = predictor.predict(site, frame)
             else:
-                predictor.observe(site, frame, value, confirmed=False)
+                predictor.observe(site, frame, value)
             partials[site] = value
         return lockstep.assignment.merge(partials)
 
@@ -530,7 +462,7 @@ class SyncInput:
         for site in range(lockstep.num_sites):
             value = lockstep.ibuf.get(frame, site)
             if value is not None:
-                self.predictor.observe(site, frame, value, confirmed=True)
+                self.predictor.observe(site, frame, value)
         merged = lockstep.deliver()
         self._confirmed_count += 1
         return merged
@@ -651,13 +583,11 @@ def build_rollback_session(
     netem,
     frames: int = 600,
     seed: int = 7,
-    speculation_window: int = 60,
     frame_compute_time: float = 0.002,
     config: Optional[SyncConfig] = None,
-    predictor: PredictorSpec = None,
 ):
     """A rollback session on the simulator: :func:`build_session` with every
-    site a :class:`SyncInput` part speculating ``speculation_window``
+    site a :class:`SyncInput` part speculating :data:`SPECULATION_WINDOW`
     frames ahead (shadow + speculative machine from ``game_factory``)
     under a zero-lag default configuration."""
     machines = [(game_factory(), game_factory()) for _ in sources]
@@ -671,7 +601,7 @@ def build_rollback_session(
         frame_compute_time=frame_compute_time,
         seed=seed,
         consistency=[
-            SyncInput(spec, speculation_window, predictor) for _, spec in machines
+            SyncInput(spec, SPECULATION_WINDOW) for _, spec in machines
         ],
     )
     return build_session(plan, netem)

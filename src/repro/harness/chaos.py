@@ -41,7 +41,7 @@ from repro.core.config import SyncConfig
 from repro.core.engine import SitePeer
 from repro.core.inputs import PadSource, RandomSource
 from repro.core.multisite import build_session, site_address, two_player_plan
-from repro.core.rollback import SyncInput
+from repro.core.rollback import SPECULATION_WINDOW, SyncInput
 from repro.core.vm import DistributedVM
 from repro.net.faults import FaultSchedule
 from repro.net.netem import NetemConfig
@@ -136,7 +136,7 @@ def _build_chaos_session(
         max_frames=frames,
         seed=seed,
         consistency=(
-            [SyncInput(create_game(game), 60) for _ in (0, 1)]
+            [SyncInput(create_game(game), SPECULATION_WINDOW) for _ in (0, 1)]
             if mode == "rollback"
             else None
         ),
@@ -225,9 +225,7 @@ def run_chaos(
     interval = config.state_digest_interval or 0
     ibuf_bound = 3 * buf + 3 + (2 * interval if interval else 0)
     if mode == "rollback":
-        ibuf_bound += max(
-            vm.engine.consistency.window for vm in session.vms
-        ) + 2 * buf + 10
+        ibuf_bound += SPECULATION_WINDOW + 2 * buf + 10
     #: Highest observed per-site input-buffer size (bounded-memory check),
     #: sampled every 100 ms of simulated time.
     ibuf_high_water: Dict[int, int] = {s: 0 for s in all_sites}

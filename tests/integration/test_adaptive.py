@@ -12,7 +12,12 @@ from repro.core.inputs import PadSource, RandomSource
 from repro.core.messages import MAGIC, decode_all
 from repro.core.multisite import build_session, two_player_plan
 from repro.core.policy import ConsistencyPolicy, build_adaptive_session
-from repro.core.rollback import MODE_LOCKSTEP, MODE_ROLLBACK, SyncInput
+from repro.core.rollback import (
+    MODE_LOCKSTEP,
+    MODE_ROLLBACK,
+    SPECULATION_WINDOW,
+    SyncInput,
+)
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.net.netem import named_profile
@@ -41,7 +46,7 @@ def lockstep_twin(netem, seed, frames=FRAMES, config=None):
     return session
 
 
-def adaptive_run(netem, seed, frames=FRAMES, **kwargs):
+def adaptive_run(netem, seed, frames=FRAMES):
     session = build_adaptive_session(
         lambda: create_game("counter"),
         sources(seed),
@@ -49,7 +54,6 @@ def adaptive_run(netem, seed, frames=FRAMES, **kwargs):
         frames=frames,
         seed=seed,
         game_id="counter",
-        **kwargs,
     )
     session.run(horizon=600.0)
     return session
@@ -138,7 +142,23 @@ class TestSwitchToLockstep:
 
     def test_settles_and_matches_rollback_twin_outcome(self):
         netem = named_profile("wan-120", rtt=0.040)
-        adaptive = adaptive_run(netem, seed=13, initial_mode=MODE_ROLLBACK)
+        # Born speculating: each part starts with its window open.
+        plan = two_player_plan(
+            SyncConfig(),
+            machine_factory=lambda: create_game("counter"),
+            sources=sources(13),
+            game_id="counter",
+            max_frames=FRAMES,
+            seed=13,
+            consistency=[
+                SyncInput(
+                    create_game("counter"), SPECULATION_WINDOW, ConsistencyPolicy()
+                )
+                for __ in range(2)
+            ],
+        )
+        adaptive = build_session(plan, netem)
+        adaptive.run(horizon=600.0)
 
         traces = [vm.runtime.trace for vm in adaptive.vms]
         assert ConsistencyChecker().verify_traces(traces) == FRAMES

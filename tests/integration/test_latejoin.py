@@ -15,6 +15,7 @@ from repro.core.multisite import (
     register_late_join,
     site_address,
 )
+from repro.core.rollback import SPECULATION_WINDOW, SyncInput
 from repro.core.vm import DistributedVM
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
@@ -144,6 +145,64 @@ class TestPlayerLateJoin:
                 if index < 0:
                     continue
                 assert (trace.inputs[index] >> 16) & 0xFF == 0
+
+
+class TestStateTransferIsLockstepOnly:
+    """Three zero-lag counter sites, site 2 joining from donor 0 at 2 s.
+    With lockstep parts the join completes.  With speculating parts it
+    never ends: the donor labels its snapshot with its speculative frame
+    while serving the shadow's older state, and the joiner's confirmation
+    frontier stays where it was, so it sits unblocked but idle and its
+    peers end ``peer-lost``.  That composition is refused by name."""
+
+    def build(self, parts):
+        plan = SessionPlan(
+            config=SyncConfig(buf_frame=0),
+            assignment=InputAssignment.standard(3),
+            machines=[create_game("counter") for __ in range(3)],
+            sources=[PadSource(RandomSource(30 + s), player=s) for s in range(3)],
+            game_id="counter",
+            max_frames=360,
+            handshake_sites=[0, 1],
+            consistency=parts,
+        )
+        session = build_session(plan, NetemConfig(delay=0.06), excluded_sites=[2])
+        return plan, session
+
+    def joiner(self, plan, session):
+        engine = plan.build_engine(
+            2,
+            [SitePeer(s, site_address(s)) for s in range(3)],
+            donor_site=0,
+            time_server_address=session.time_server.address,
+        )
+        return DistributedVM(session.loop, session.network, engine, start_delay=2.0)
+
+    def test_the_join_completes_with_lockstep_parts(self):
+        plan, session = self.build([SyncInput() for __ in range(3)])
+        joiner = self.joiner(plan, session)
+        register_late_join(session.vms, session.vms[0], joiner_site=2)
+        session.vms.append(joiner)
+        session.run(horizon=60.0)
+        assert [vm.engine.termination for vm in session.vms] == ["completed"] * 3
+        traces = [vm.runtime.trace for vm in session.vms]
+        assert ConsistencyChecker().verify_traces(traces) > 0
+
+    def test_a_speculating_joiner_is_refused(self):
+        plan, session = self.build(
+            [SyncInput(create_game("counter"), SPECULATION_WINDOW) for __ in range(3)]
+        )
+        with pytest.raises(ValueError, match="lockstep-only"):
+            self.joiner(plan, session)
+
+    def test_a_speculating_donor_is_refused(self):
+        speculating = [
+            SyncInput(create_game("counter"), SPECULATION_WINDOW) for __ in range(2)
+        ]
+        plan, session = self.build(speculating + [SyncInput()])
+        self.joiner(plan, session)
+        with pytest.raises(ValueError, match="lockstep-only"):
+            register_late_join(session.vms, session.vms[0], joiner_site=2)
 
 
 class TestLateJoinRobustness:

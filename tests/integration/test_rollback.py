@@ -3,28 +3,51 @@
 import pytest
 
 from repro.core.config import SyncConfig
-from repro.core.inputs import PadSource, RandomSource
-from repro.core.rollback import build_rollback_session
+from repro.core.inputs import InputAssignment, PadSource, RandomSource
+from repro.core.multisite import SessionPlan, build_session, two_player_plan
+from repro.core.rollback import (
+    SPECULATION_WINDOW,
+    InputPredictor,
+    SyncInput,
+    build_rollback_session,
+)
 from repro.emulator.machine import create_game
 from repro.metrics.recorder import ConsistencyChecker
 from repro.metrics.stats import mean
 from repro.net.netem import NetemConfig
 
+from tests.predictors import use_predictor
+
+
+def rollback_session(game, sources, netem, frames, seed, window=SPECULATION_WINDOW):
+    """Zero-lag sites, one per source, each speculating ``window`` frames ahead."""
+    plan = SessionPlan(
+        config=SyncConfig(buf_frame=0),
+        assignment=InputAssignment.standard(len(sources)),
+        machines=[create_game(game) for __ in sources],
+        sources=sources,
+        game_id=game,
+        max_frames=frames,
+        seed=seed,
+        consistency=[SyncInput(create_game(game), window) for __ in sources],
+    )
+    return build_session(plan, netem)
+
 
 def run_rollback(
-    game="counter", frames=240, rtt=0.060, toggle_p=0.08, seed=5, window=60,
-    loss=0.0,
+    game="counter", frames=240, rtt=0.060, toggle_p=0.08, seed=5,
+    window=SPECULATION_WINDOW, loss=0.0,
 ):
-    session = build_rollback_session(
-        game_factory=lambda: create_game(game),
-        sources=[
+    session = rollback_session(
+        game,
+        [
             PadSource(RandomSource(seed, toggle_p=toggle_p), 0),
             PadSource(RandomSource(seed + 1, toggle_p=toggle_p), 1),
         ],
-        netem=NetemConfig(delay=rtt / 2, loss=loss),
-        frames=frames,
-        seed=seed,
-        speculation_window=window,
+        NetemConfig(delay=rtt / 2, loss=loss),
+        frames,
+        seed,
+        window,
     )
     session.run(horizon=600.0)
     return session
@@ -45,8 +68,6 @@ class TestConsistency:
 
     def test_rollback_matches_lockstep_outcome(self):
         """The shadow's state sequence equals a plain lockstep run."""
-        from repro.core.multisite import build_session, two_player_plan
-
         rollback = run_rollback(frames=200, rtt=0.050, seed=9)
         plan = two_player_plan(
             SyncConfig(buf_frame=0),
@@ -120,11 +141,9 @@ class TestPredictorProperties:
     confirmed shadow converges bit-identical to a pure lockstep run of the
     same input traces.  Predictions may only ever cost replay work."""
 
-    @pytest.mark.parametrize("predictor", ["naive", "repeat-last", "heuristic"])
-    @pytest.mark.parametrize("seed", [3, 17, 40])
-    def test_any_trace_converges_to_lockstep(self, predictor, seed):
-        from repro.core.multisite import build_session, two_player_plan
-
+    def assert_converges_to_lockstep(self, predictor, seed):
+        """Run the speculated session under ``predictor`` and hold it to
+        its lockstep twin; returns the speculated session."""
         frames = 180
 
         def sources(s):
@@ -133,14 +152,14 @@ class TestPredictorProperties:
                 PadSource(RandomSource(s + 1, toggle_p=0.10), 1),
             ]
 
-        speculated = build_rollback_session(
-            game_factory=lambda: create_game("counter"),
-            sources=sources(seed),
-            netem=NetemConfig(delay=0.060, jitter=0.010, loss=0.05),
-            frames=frames,
-            seed=seed,
-            predictor=predictor,
+        speculated = rollback_session(
+            "counter",
+            sources(seed),
+            NetemConfig(delay=0.060, jitter=0.010, loss=0.05),
+            frames,
+            seed,
         )
+        use_predictor(speculated, predictor)
         speculated.run(horizon=600.0)
         traces = [vm.runtime.trace for vm in speculated.vms]
         assert ConsistencyChecker().verify_traces(traces) == frames
@@ -159,21 +178,30 @@ class TestPredictorProperties:
             speculated.vms[0].runtime.trace.checksums
             == lockstep.vms[0].runtime.trace.checksums
         )
+        return speculated
 
-    def test_unknown_predictor_rejected(self):
-        from repro.core.rollback import make_predictor
+    @pytest.mark.parametrize("predictor", ["naive", "repeat-last", "heuristic"])
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_any_trace_converges_to_lockstep(self, predictor, seed):
+        self.assert_converges_to_lockstep(predictor, seed)
 
-        with pytest.raises(ValueError):
-            make_predictor("oracle")
+    @pytest.mark.parametrize("seed", [3, 17, 40])
+    def test_a_predictor_wrong_every_time_still_converges(self, seed):
+        """Maximal misprediction: every speculated frame whose remote
+        input was guessed is wrong and rolls back, and the confirmed
+        timeline is still the lockstep twin's."""
+        speculated = self.assert_converges_to_lockstep("always-wrong", seed)
+        for vm in speculated.vms:
+            stats = vm.engine.consistency.stats
+            assert stats.mispredicted_frames == stats.predicted_frames > 0
+            assert stats.rollbacks > 0
 
     def test_heuristic_decays_impulse_but_holds_directions(self):
-        from repro.core.rollback import HeuristicPredictor
-
-        predictor = HeuristicPredictor(impulse_hold=2)
+        predictor = InputPredictor(impulse_hold=2)
         # Site 1 last seen at frame 10 holding RIGHT (bit 3) + button A
         # (bit 4) in player 1's byte.
         bits = (0b0001_1000) << 8
-        predictor.observe(1, 10, bits, confirmed=False)
+        predictor.observe(1, 10, bits)
         assert predictor.predict(1, 11) == bits  # inside the hold
         assert predictor.predict(1, 12) == bits
         decayed = predictor.predict(1, 13)  # past the hold: A released

@@ -16,6 +16,8 @@ from repro.core.rollback import build_rollback_session
 from repro.emulator.machine import create_game
 from repro.net.netem import NetemConfig
 
+from tests.predictors import use_predictor
+
 #: Sync bandwidth of the lossy profile below (900 frames, seed 7), bytes/sec
 #: sent per site with wire v4.  Pinned exactly, it also holds the compact
 #: codec's claim of under a third of the fixed-width v1 codec's 2,395.5.
@@ -182,7 +184,8 @@ def test_a_late_frame_costs_what_an_early_one_does():
 def test_heuristic_predictor_beats_naive():
     """The floor behind ``GAME_IMPULSE_HOLD``: one seeded
     :class:`TapSource` session per predictor, deterministic in the
-    simulator."""
+    simulator.  The naive hold-last-confirmed reference replaces each
+    part's own predictor before the run."""
     seed = 13
     mispredicted = {}
     for predictor in ("naive", "heuristic"):
@@ -192,8 +195,8 @@ def test_heuristic_predictor_beats_naive():
             netem=NetemConfig(delay=0.030, jitter=0.010, loss=0.02),
             frames=480,
             seed=seed,
-            predictor=predictor,
         )
+        use_predictor(session, predictor)
         session.run(horizon=600.0)
         mispredicted[predictor] = sum(
             vm.engine.consistency.stats.mispredicted_frames for vm in session.vms

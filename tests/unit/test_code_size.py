@@ -16,11 +16,11 @@ CORE = SRC / "core"
 
 #: Every ``.py`` file under ``src/repro``, in lines.  Measurement code
 #: lives in ``tests/`` and ``benchmarks/``, not in the package.
-SRC_MAX_LINES = 18707
+SRC_MAX_LINES = 18629
 #: ``src/repro/core/engine.py``, in lines.
 ENGINE_MAX_LINES = 1167
 #: Every ``.py`` file under ``src/repro/core``, in lines.
-CORE_MAX_LINES = 7110
+CORE_MAX_LINES = 7034
 #: ``src/repro/emulator/cpu.py``, in lines.
 CPU_MAX_LINES = 1178
 #: The engine's ``PHASE_*`` and ``TIMER_*`` constants.

@@ -6,6 +6,7 @@ from repro.core.policy import (
     POLICY_ROLLBACK_ABOVE_S,
     ConsistencyPolicy,
 )
+from repro.core.rollback import SPECULATION_WINDOW
 
 
 class FakeRtt:
@@ -21,13 +22,13 @@ class FakeRtt:
 
 
 #: The speculation window the policy opens, and the closed one.
-WINDOW = 10
+WINDOW = SPECULATION_WINDOW
 LOCKSTEP = 0
 
 
 class TestConsistencyPolicy:
     def make_policy(self):
-        return ConsistencyPolicy(WINDOW)
+        return ConsistencyPolicy()
 
     def test_no_opinion_without_samples(self):
         policy = self.make_policy()
